@@ -111,3 +111,81 @@ def test_micro_codec(benchmark, report, metrics):
     # the transaction layer keeps the struct path for tiny holders
     t_struct, t_numpy = cells[4096]
     assert t_numpy < t_struct / 4, (t_struct, t_numpy)
+
+
+# -- bulk scan: columnar batch decode vs per-holder decode --------------------
+def test_micro_bulk_scan(benchmark, report, metrics):
+    """Reading a shard's 2,048 holders: one columnar pass against the
+    per-holder decode, same holders from one build, both on the wall
+    clock.  Asserted as a ratio so a slow runner cannot flake it."""
+    from repro.gda import GdaConfig, GdaDatabase
+    from repro.gda.holder import NEED_ALL, HolderBatch
+    from repro.generator import KroneckerParams, build_lpg, default_schema
+    from repro.rma import run_spmd
+
+    def prog(ctx):
+        db = GdaDatabase.create(
+            ctx, GdaConfig(block_size=512, blocks_per_rank=1 << 15)
+        )
+        build_lpg(
+            ctx, db, KroneckerParams(scale=11, edge_factor=8, seed=67),
+            default_schema(),
+        )
+        prims = db.directory.local_vertices(ctx)
+        needs = [NEED_ALL] * len(prims)
+        storage = db.storage
+
+        def columnar(_):
+            batch = storage.read_many(ctx, prims)
+            # what a bulk reader consumes: topology and entry columns
+            return batch, batch.slot_columns(), batch.entry_table()
+
+        def per_holder(_):
+            return storage._read_many_projected(ctx, prims, needs, False)
+
+        batch, (indptr, slots), (row, *_rest) = columnar(None)
+        holders = per_holder(None)
+        assert isinstance(batch, HolderBatch) and len(holders) == len(prims)
+        # both decodes must agree before their speed is worth comparing
+        assert slots.tobytes() == b"".join(h.holder._slot_buf for h in holders)
+        assert len(row) == sum(
+            len(h.holder.labels) + len(h.holder.properties) for h in holders
+        )
+        # best of three: a collection pause in one repetition of a
+        # ~10 ms call must not decide the ratio
+        return (
+            len(prims),
+            len(slots),
+            min(_time_per_call(per_holder, None) for _ in range(3)),
+            min(_time_per_call(columnar, None) for _ in range(3)),
+        )
+
+    def run_all():
+        _, res = run_spmd(1, prog)
+        return res[0]
+
+    n, n_slots, t_holder, t_columnar = benchmark.pedantic(
+        run_all, rounds=1, iterations=1
+    )
+    ratio = t_holder / max(t_columnar, 1e-12)
+    report(
+        "micro_bulk_scan",
+        f"Bulk scan of {n} holders ({n_slots} edge slots), wall-clock ms per "
+        "read_many\n"
+        + format_table(
+            ["per-holder ms", "columnar ms", "ratio"],
+            [[f"{t_holder * 1e3:.2f}", f"{t_columnar * 1e3:.2f}", f"{ratio:.1f}x"]],
+        ),
+    )
+    metrics(
+        "micro_bulk_scan",
+        {
+            "holders": n,
+            "edge_slots": n_slots,
+            "per_holder_ms": round(t_holder * 1e3, 3),
+            "columnar_ms": round(t_columnar * 1e3, 3),
+            "ratio": round(ratio, 2),
+        },
+    )
+    assert n == 2048
+    assert ratio >= 3.0, (t_holder, t_columnar)

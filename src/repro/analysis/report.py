@@ -37,6 +37,7 @@ SECTION_ORDER: list[tuple[str, str]] = [
     ("htap_storm", "Extension — HTAP: snapshot OLAP under OLTP storm"),
     ("micro_batch_coalescing", "Microbenchmark — RMA doorbell coalescing"),
     ("micro_codec", "Microbenchmark — holder codec: struct vs numpy view"),
+    ("micro_bulk_scan", "Microbenchmark — bulk scan: columnar vs per-holder decode"),
     ("ablation_blocksize", "Ablation — BGDL block size"),
     ("ablation_features", "Ablations — batching & rebalancing"),
     ("costmodel_validation", "Appendix — cost-model validation"),
@@ -97,6 +98,7 @@ BENCH_JSON_GROUPS: dict[str, tuple[str, ...]] = {
     "BENCH_query.json": (
         "query_engine",
         "micro_codec",
+        "micro_bulk_scan",
     ),
     "BENCH_serve.json": (
         "serve_overload",

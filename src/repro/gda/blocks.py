@@ -29,6 +29,9 @@ import numpy as np
 from ..rma.runtime import RankContext
 from ..rma.window import Window
 from .dptr import (
+    MAX_OFFSET,
+    MAX_RANK,
+    OFFSET_BITS,
     TAG_NULL_INDEX,
     pack_dptr,
     pack_tagged,
@@ -235,13 +238,29 @@ class BlockManager:
 
     # -- batched block data access ------------------------------------------------
     def read_blocks(
-        self, ctx: RankContext, specs: list[tuple[int, int, int]]
-    ) -> list[bytes]:
+        self, ctx: RankContext, specs: "list[tuple[int, int, int]] | np.ndarray"
+    ) -> "list[bytes] | np.ndarray":
         """Batched blocking read of many (parts of) blocks.
 
         ``specs`` is ``(dptr, offset, nbytes)`` per element; the reads
         coalesce into one network message per distinct owner rank.
+        Given as an ``(n, 3)`` int64 array the batch takes the columnar
+        form of :meth:`RankContext.get_batch` and the payloads come back
+        as one ``uint8`` array, back to back in issue order.
         """
+        if isinstance(specs, np.ndarray):
+            dptr, offset, nbytes = specs[:, 0], specs[:, 1], specs[:, 2]
+            if len(specs) and (
+                int(offset.min()) < 0
+                or int((offset + nbytes).max()) > self.block_size
+            ):
+                raise ValueError("read outside block bounds")
+            ops = np.empty_like(specs)
+            # a DPtr is rank in the top 16 bits, byte offset in the low 48
+            ops[:, 0] = (dptr >> OFFSET_BITS) & MAX_RANK
+            ops[:, 1] = (dptr & MAX_OFFSET) + offset
+            ops[:, 2] = nbytes
+            return ctx.get_batch(self.data_win, ops)
         ops = []
         for dptr, offset, nbytes in specs:
             d = unpack_dptr(dptr)

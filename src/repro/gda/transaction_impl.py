@@ -27,6 +27,7 @@ Implements Sections 3.3-3.5 and 5.6 of the paper:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -56,6 +57,7 @@ from .holder import (
     DIR_MASK,
     DIR_OUT,
     DIR_UNDIR,
+    KIND_VERTEX,
     NEED_ALL,
     NEED_ENTRIES,
     NEED_IDENT,
@@ -63,8 +65,11 @@ from .holder import (
     SLOT_HEAVY,
     EdgeHolder,
     EdgeSlot,
+    HolderBatch,
     StoredHolder,
     VertexHolder,
+    csr_indptr,
+    ragged_index,
 )
 from .locks import (
     LockRegistry,
@@ -80,7 +85,13 @@ from .metadata import Label, PropertyType
 if TYPE_CHECKING:  # pragma: no cover
     from .database_impl import GdaDatabase
 
-__all__ = ["Transaction", "VertexHandle", "EdgeHandle", "VolatileVertexId"]
+__all__ = [
+    "Transaction",
+    "VertexHandle",
+    "VertexScan",
+    "EdgeHandle",
+    "VolatileVertexId",
+]
 
 
 @dataclass(frozen=True)
@@ -224,6 +235,9 @@ class Transaction:
         self.failed = False
         self.fail_cause: str | None = None  # per-cause abort accounting
         self._vertices: dict[int, _TxVertex] = {}
+        #: vid -> (batch, row, parts): vertices a bulk scan read that are
+        #: still rows of its columnar batch (see :meth:`_keep_columnar`)
+        self._scanned: dict[int, tuple[HolderBatch, int, int]] = {}
         self._edges: dict[int, _TxEdge] = {}
         self._dirty_order: list[int] = []  # the paper's dirty-block vector
         self._created_app_ids: dict[int, int] = {}  # app_id -> vid
@@ -495,6 +509,31 @@ class Transaction:
         rewrites need the complete payload); cached entries missing a
         requested part are hydrated in place with one batched re-read.
         """
+        self._load(vids, for_write, expected_app_ids, missing_ok, need)
+        loaded = map(self._cached, vids)
+        return [
+            None if txv is None or txv.deleted else txv for txv in loaded
+        ]
+
+    def _cached(self, vid: int) -> "_TxVertex | None":
+        """The cache entry of ``vid``; a row a bulk scan left in its
+        columnar batch becomes an entry on this first touch."""
+        txv = self._vertices.get(vid)
+        if txv is None and vid in self._scanned:
+            batch, row, _ = self._scanned[vid]
+            txv = self._vertices[vid] = _TxVertex(vid=vid, stored=batch[row])
+        return txv
+
+    def _load(
+        self,
+        vids: list[int],
+        for_write: bool,
+        expected_app_ids: list[int | None] | None,
+        missing_ok: bool,
+        need: int,
+    ) -> None:
+        """Bring ``vids`` into the transaction cache (see
+        :meth:`load_vertices`, which also hands back the entries)."""
         self._check_open()
         if for_write:
             self._check_write()
@@ -509,7 +548,6 @@ class Transaction:
         need |= NEED_IDENT
         if expected_app_ids is None:
             expected_app_ids = [None] * len(vids)
-        results: list[_TxVertex | None] = [None] * len(vids)
         fetch_idx: list[int] = []
         placeholders: dict[int, _TxVertex] = {}
         expected_by_vid: dict[int, int] = {}
@@ -521,6 +559,7 @@ class Transaction:
         # upgrades each ride one atomic round).
         cached: list[_TxVertex] = []
         reloc = self.db.relocations
+        scanned = self._scanned
         for i, vid in enumerate(vids):
             if reloc and vid in reloc:
                 # the DPTR predates a rebalance: the vertex vacated this
@@ -533,6 +572,10 @@ class Transaction:
                     fresh_vid=reloc[vid],
                 )
             txv = self._vertices.get(vid)
+            if txv is None and vid in scanned:
+                if (scanned[vid][2] & need) == need:
+                    continue  # cached, still a row of its columnar batch
+                txv = self._cached(vid)
             if txv is not None:
                 if txv.deleted:
                     if missing_ok:
@@ -546,7 +589,6 @@ class Transaction:
                 ) != need and vid not in hydrate_ids:
                     hydrate.append(txv)
                     hydrate_ids.add(vid)
-                results[i] = txv
             else:
                 fetch_idx.append(i)
                 if expected_app_ids[i] is not None:
@@ -558,24 +600,25 @@ class Transaction:
         # Pass 2: lock *before* reading so the fetched holders are stable
         # (2PL); a lock failure mid-batch rolls back the locks already
         # taken for this batch (they are not yet owned by the cache).
+        if self.snapshot:
+            # Lock-free watermark reads: no locks, no placeholders owned;
+            # chain-covered vids are served from their pre-images, the
+            # rest from the live blocks after version validation.
+            if fetch_idx:
+                err = self._snapshot_load(
+                    list(dict.fromkeys(vids[i] for i in fetch_idx)),
+                    need,
+                    expected_by_vid,
+                    missing_ok,
+                )
+                if err is not None:
+                    raise err
+            return
         for i in fetch_idx:
             vid = vids[i]
             if vid not in placeholders:
                 # duplicates in this batch: one lock, one fetch
                 placeholders[vid] = _TxVertex(vid=vid, stored=None)  # type: ignore[arg-type]
-        if self.snapshot:
-            # Lock-free watermark reads: no locks, no placeholders owned;
-            # chain-covered vids are served from their pre-images, the
-            # rest from the live blocks after version validation.
-            if placeholders:
-                err = self._snapshot_load(
-                    list(placeholders), need, expected_by_vid, missing_ok
-                )
-                if err is not None:
-                    raise err
-            for i in fetch_idx:
-                results[i] = self._vertices.get(vids[i])
-            return results
         if (
             not self.collective
             and self._mem is None
@@ -626,7 +669,10 @@ class Transaction:
                     self._rollback_placeholder_lock(p)
                 raise
             error: BaseException | None = None
-            for vid, stored in zip(fetch_vids, stored_list):
+            for i in self._keep_columnar(
+                fetch_vids, stored_list, need, expected_by_vid
+            ):
+                vid, stored = fetch_vids[i], stored_list[i]
                 placeholder = placeholders[vid]
                 if stored is None:
                     # The holder vanished between the ID translation and
@@ -674,9 +720,44 @@ class Transaction:
                     txv.edge_index_preimage = self._edge_index_matches(txv)
             if error is not None:
                 raise error
-            for i in fetch_idx:
-                results[i] = self._vertices.get(vids[i])
-        return results
+
+    def _keep_columnar(
+        self,
+        vids: "list[int]",
+        stored_list,
+        need: int,
+        expected_by_vid: "dict[int, int]",
+        watermark: int | None = None,
+    ) -> "Iterable[int]":
+        """Cache the rows of a columnar read that need no per-row work
+        without decoding them; returns the rows that still need it.
+
+        A lock-free read-only transaction owes a freshly read vertex
+        nothing but a cache entry, so the rows of a
+        :class:`~repro.gda.holder.HolderBatch` that hold a vertex (no
+        newer than ``watermark`` for a snapshot) are noted as
+        ``vid -> (batch, row, parts)`` and become cache entries when
+        something first touches them (:meth:`_cached`).  Holes, edge
+        holders and too-new versions — and every row of a small or
+        locking read — go through the caller's per-row path.
+        """
+        if (
+            not isinstance(stored_list, HolderBatch)
+            or self.write
+            or not (self.collective or self.snapshot)
+            or expected_by_vid
+        ):
+            return range(len(vids))
+        ok = stored_list.kind == KIND_VERTEX
+        if watermark is not None:
+            ok &= stored_list.version <= watermark
+        rows = np.flatnonzero(ok).tolist()
+        self._scanned.update(
+            (vids[row], (stored_list, row, need)) for row in rows
+        )
+        if watermark is not None:
+            self.ctx.rt.trace.record_snapshot_read(self.ctx.rank, len(rows))
+        return np.flatnonzero(~ok).tolist()
 
     def _rollback_placeholder_lock(self, placeholder: _TxVertex) -> None:
         if self.collective or self.snapshot:
@@ -732,11 +813,20 @@ class Transaction:
 
         pending = list(fetch_vids)
         for _ in range(4):
-            live: list[int] = []
-            for vid in pending:
-                hit, image = mvcc.versions.resolve(("v", vid), w)
-                if hit:
+            # one pass over the chains, under one lock, finds the vids a
+            # pre-image serves; the live blocks are authoritative for the rest
+            images = mvcc.versions.resolve_many(
+                (("v", vid) for vid in pending), w
+            )
+            live = pending
+            if images:
+                live = []
+                for vid in pending:
+                    if ("v", vid) not in images:
+                        live.append(vid)
+                        continue
                     trace.record_snapshot_read(rank)
+                    image = images[("v", vid)]
                     if image is None:
                         miss(
                             f"vertex {vid:#x} absent at snapshot "
@@ -744,8 +834,6 @@ class Transaction:
                         )
                     else:
                         serve(vid, image)
-                else:
-                    live.append(vid)
             if not live:
                 return error
             try:
@@ -756,7 +844,10 @@ class Transaction:
                 pending = live  # torn read under a concurrent rewrite
                 continue
             pending = []
-            for vid, stored in zip(live, stored_list):
+            for i in self._keep_columnar(
+                live, stored_list, need, expected_by_vid, watermark=w
+            ):
+                vid, stored = live[i], stored_list[i]
                 if stored is None:
                     if mvcc.versions.covered(("v", vid), w):
                         # deleted by a commit > W between our chain pass
@@ -1113,7 +1204,7 @@ class Transaction:
 
     def associate_vertices(
         self, vids, missing_ok: bool = False, need: int = NEED_ALL
-    ) -> "list[VertexHandle | None]":
+    ) -> "VertexScan":
         """Batched ``GDI_AssociateVertex``: one pipelined read for all IDs.
 
         Neighborhood expansions (analytics, GNN sampling, BI traversals)
@@ -1123,15 +1214,16 @@ class Transaction:
         raising, matching the scalar try/except-``GdiNotFound`` idiom.
         ``need`` projects the fetch onto the holder parts the caller will
         touch (see :meth:`load_vertices`).
+
+        The result is a sequence of handles (``None`` where a vertex is
+        missing) that also answers whole-batch questions as arrays — see
+        :class:`VertexScan`.
         """
+        if isinstance(vids, np.ndarray):
+            vids = vids.tolist()
         resolved = [self._resolve_vid(v) for v in vids]
-        loaded = self.load_vertices(
-            resolved, for_write=False, missing_ok=missing_ok, need=need
-        )
-        return [
-            VertexHandle(self, txv) if txv is not None else None
-            for txv in loaded
-        ]
+        self._load(resolved, False, None, missing_ok, need)
+        return VertexScan(self, resolved)
 
     def delete_vertex(self, handle: "VertexHandle") -> None:
         """``GDI_FreeVertex`` (delete): remove vertex and incident edges.
@@ -2055,6 +2147,207 @@ class VertexHandle:
 
     def delete(self) -> None:
         self._tx.delete_vertex(self)
+
+
+class VertexScan(Sequence):
+    """What :meth:`Transaction.associate_vertices` returns: one position
+    per requested vertex ID, readable two ways.
+
+    *As a sequence* it yields a :class:`VertexHandle` per position
+    (``None`` where the vertex is missing), created when first asked for.
+
+    *As columns* it answers for all positions at once: :attr:`present`,
+    :attr:`app_ids`, :meth:`neighbors` (CSR), :meth:`has_label`,
+    :meth:`property`.  Positions whose vertex is still a row of a
+    columnar :class:`~repro.gda.holder.HolderBatch` (bulk scans of
+    lock-free read transactions) are answered by array operations over
+    the batch; every other position — cache entries of locking or write
+    transactions, MVCC pre-images, rows with heavy edge slots — is
+    answered through its handle, so both views always agree.
+    """
+
+    def __init__(self, tx: Transaction, vids: "list[int]") -> None:
+        self._tx = tx
+        self._vids = vids
+        self._layout: "tuple[list, list] | None" = None  # see _sources
+
+    # -- sequence of handles -------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._vids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._handle(self._vids[i])
+
+    def __iter__(self):
+        return map(self._handle, self._vids)
+
+    def _handle(self, vid: int) -> "VertexHandle | None":
+        txv = self._tx._cached(vid)
+        if txv is None or txv.deleted:
+            return None
+        return VertexHandle(self._tx, txv)
+
+    def take(self, positions: np.ndarray) -> "VertexScan":
+        """The scan of just these positions (no new reads)."""
+        return VertexScan(
+            self._tx, [self._vids[i] for i in positions.tolist()]
+        )
+
+    # -- columns ---------------------------------------------------------------
+    @property
+    def vids(self) -> np.ndarray:
+        return np.asarray(self._vids, dtype=np.int64)
+
+    def _sources(self, need: int) -> "tuple[list, list]":
+        """Where each position's answer comes from: ``(batches, handles)``
+        with ``batches`` a list of ``(batch, positions, rows)`` and
+        ``handles`` a list of ``(position, handle)``.
+
+        A position is answered from its batch row only if the batch
+        fetched the holder parts in ``need``; a handle hydrates what it
+        lacks.  Missing vertices appear in neither list.
+        """
+        if self._layout is None:
+            tx = self._tx
+            cache, scanned = tx._vertices, tx._scanned
+            groups: dict[int, tuple] = {}
+            handles = []
+            for pos, vid in enumerate(self._vids):
+                if vid in scanned:
+                    batch, row, parts = scanned[vid]
+                    group = groups.get(id(batch))
+                    if group is None:
+                        group = groups[id(batch)] = (batch, [], [], parts)
+                    group[1].append(pos)
+                    group[2].append(row)
+                else:
+                    txv = cache.get(vid)
+                    if txv is not None and not txv.deleted:
+                        handles.append((pos, VertexHandle(tx, txv)))
+            self._layout = (
+                [
+                    (b, np.asarray(p, dtype=np.int64), np.asarray(r, dtype=np.int64), parts)
+                    for b, p, r, parts in groups.values()
+                ],
+                handles,
+            )
+        batches = []
+        handles = list(self._layout[1])
+        for batch, pos, rows, parts in self._layout[0]:
+            if (parts & need) == need:
+                batches.append((batch, pos, rows))
+            else:
+                handles.extend((p, self[p]) for p in pos.tolist())
+        return batches, handles
+
+    def _column(self, dtype, need: int, of_batch, of_handle) -> np.ndarray:
+        """One value per position: ``of_batch(batch)[rows]`` where the
+        vertex is a batch row, ``of_handle(handle)`` elsewhere, zero
+        where it is missing."""
+        out = np.zeros(len(self._vids), dtype=dtype)
+        batches, handles = self._sources(need)
+        for batch, pos, rows in batches:
+            out[pos] = of_batch(batch)[rows]
+        for pos, handle in handles:
+            out[pos] = of_handle(handle)
+        return out
+
+    @property
+    def present(self) -> np.ndarray:
+        """Per position: was the vertex found?"""
+        return self._column(
+            bool, NEED_IDENT, lambda b: b.present, lambda h: True
+        )
+
+    @property
+    def app_ids(self) -> np.ndarray:
+        """Per position: the application ID (0 where missing)."""
+        return self._column(
+            np.int64, NEED_IDENT, lambda b: b.app_id, lambda h: h.app_id
+        )
+
+    def has_label(self, label: Label) -> np.ndarray:
+        """Per position: does the vertex carry ``label``?"""
+        return self._column(
+            bool,
+            NEED_ENTRIES,
+            lambda b: b.has_label(label.int_id),
+            lambda h: h.has_label(label),
+        )
+
+    def property(self, ptype: PropertyType) -> "list[Any | None]":
+        """Per position: the (first) ``ptype`` value, ``None`` if absent."""
+        out: list[Any | None] = [None] * len(self._vids)
+        batches, handles = self._sources(NEED_ENTRIES)
+        for batch, pos, rows in batches:
+            has, offsets, lengths = batch.property_spans(ptype.int_id)
+            offset_of = np.full(len(batch), -1, dtype=np.int64)
+            offset_of[has] = offsets
+            length_of = np.zeros(len(batch), dtype=np.int64)
+            length_of[has] = lengths
+            at = offset_of[rows]
+            found = at >= 0
+            buf = memoryview(batch.span)
+            for p, a, n in zip(
+                pos[found].tolist(),
+                at[found].tolist(),
+                length_of[rows][found].tolist(),
+            ):
+                out[p] = decode_value(ptype.dtype, bytes(buf[a : a + n]))
+        for pos, handle in handles:
+            out[pos] = handle.property(ptype)
+        return out
+
+    def neighbors(
+        self,
+        orientation: EdgeOrientation = EdgeOrientation.ANY,
+        label: Label | None = None,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(indptr, vids)``: the neighbor internal IDs of every
+        position as CSR — position ``i`` owns
+        ``vids[indptr[i]:indptr[i + 1]]``, in slot order, restricted to
+        ``orientation`` and (optionally) to edges labelled ``label``.
+
+        The per-position answer is :meth:`VertexHandle.neighbors`; batch
+        rows get it from one mask over the concatenated slot array.
+        Rows with a heavy slot (whose neighbor sits behind an edge
+        holder) take the handle path.
+        """
+        n = len(self._vids)
+        batches, handles = self._sources(NEED_TOPO)
+        owners: list[np.ndarray] = []
+        found: list[np.ndarray] = []
+        for batch, pos, rows in batches:
+            indptr, slots = batch.slot_columns()
+            degree = np.diff(indptr)[rows]
+            at = ragged_index(indptr[rows], degree)
+            owner = np.repeat(pos, degree)
+            flags = slots["flags"][at]
+            mask = _orientation_mask(flags, orientation)
+            if label is not None:
+                mask &= slots["label"][at] == label.int_id
+            heavy = np.unique(owner[(flags & SLOT_HEAVY) != 0])
+            if heavy.size:
+                mask &= ~np.isin(owner, heavy)
+                handles.extend((p, self[p]) for p in heavy.tolist())
+            owners.append(owner[mask])
+            found.append(slots["dptr"][at][mask])
+        constraint = (
+            Constraint.has_label(label.int_id) if label is not None else None
+        )
+        for pos, handle in handles:
+            nbrs = handle.neighbors(orientation, constraint)
+            owners.append(np.full(len(nbrs), pos, dtype=np.int64))
+            found.append(np.asarray(nbrs, dtype=np.int64))
+        owner = np.concatenate(owners) if owners else np.empty(0, np.int64)
+        vids = np.concatenate(found) if found else np.empty(0, np.int64)
+        if (owner[1:] < owner[:-1]).any():
+            # several sources interleave: a stable sort brings the entries
+            # into position order and keeps each position's slot order
+            vids = vids[np.argsort(owner, kind="stable")]
+        return csr_indptr(np.bincount(owner, minlength=n)), vids
 
 
 def _orientation_matches(direction: int, wanted: EdgeOrientation) -> bool:

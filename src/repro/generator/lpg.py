@@ -234,6 +234,13 @@ def build_lpg_from_edges(
             )
     tx.commit()
     n_loaded = ctx.allreduce(n_loaded_local)
+    if db.mvcc is not None and ctx.rank == 0:
+        # The load is a handful of collective commits, far below the
+        # per-commit GC trigger, yet each left a pre-image per vertex it
+        # touched.  Every rank is past its commit here (the allreduce
+        # synchronized them), so whatever no open snapshot pins goes now
+        # instead of shadowing every later snapshot read.
+        db.mvcc.collect(ctx)
 
     n_edges_local = len(edges_local)
     return GeneratedGraph(

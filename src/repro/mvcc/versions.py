@@ -79,6 +79,26 @@ class VersionStore:
                 return (False, None)
             return (True, chain[i][1])
 
+    def resolve_many(self, keys, watermark: int) -> dict:
+        """:meth:`resolve` for a whole batch under one lock.
+
+        Returns ``{key: image}`` for exactly the keys a chain entry
+        serves at ``watermark``; every other key reads its live blocks.
+        A store without chains (a read-mostly database after GC) answers
+        without looking at the keys.
+        """
+        with self._lock:
+            chains = self._chains
+            if not chains:
+                return {}
+            out = {}
+            for key in keys:
+                chain = chains.get(key)
+                if chain and chain[-1][0] > watermark:
+                    ts_list = [t for t, _ in chain]
+                    out[key] = chain[bisect_right(ts_list, watermark)][1]
+            return out
+
     def covered(self, key, watermark: int) -> bool:
         """True when a chain entry (not the live blocks) serves ``key``
         at ``watermark``."""

@@ -194,26 +194,34 @@ class TraceRecorder:
         window: str,
         offset: int,
         nbytes: int,
+        count: int = 1,
     ) -> None:
+        """Account ``count`` operations of one kind towards one target.
+
+        With ``count > 1`` (the elements of a batch that share a target)
+        ``nbytes`` is their summed payload; the totals equal ``count``
+        single calls.  The op log keeps one entry per call, so callers
+        that need per-element log entries record the elements one by one.
+        """
         c = self.counters[origin]
         if kind == "put":
-            c.puts += 1
+            c.puts += count
             c.bytes_put += nbytes
         elif kind == "get":
-            c.gets += 1
+            c.gets += count
             c.bytes_got += nbytes
         elif kind == "atomic":
-            c.atomics += 1
+            c.atomics += count
         elif kind == "flush":
-            c.flushes += 1
+            c.flushes += count
         elif kind == "collective":
-            c.collectives += 1
+            c.collectives += count
         if kind in ("put", "get", "atomic"):
             if origin == target:
-                c.local_ops += 1
+                c.local_ops += count
             else:
-                c.remote_ops += 1
-            self.shard_ops[target] += 1
+                c.remote_ops += count
+            self.shard_ops[target] += count
             self.shard_bytes[target] += nbytes
         if self.log_ops:
             self.ops.append((kind, origin, target, window, offset, nbytes))

@@ -9,6 +9,8 @@ backing the distributed hash table.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["Window", "WindowError"]
 
 
@@ -64,6 +66,57 @@ class Window:
     def read(self, rank: int, offset: int, nbytes: int) -> bytes:
         self._check(rank, offset, nbytes)
         return bytes(self._segments[rank][offset : offset + nbytes])
+
+    def gather(
+        self, ranks: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """Bulk :meth:`read`: byte range ``i`` is ``lengths[i]`` bytes at
+        ``offsets[i]`` of rank ``ranks[i]``'s segment; the ranges come
+        back as one ``uint8`` array, back to back in the given order.
+
+        Equal-sized ranges move in one strided gather per rank; ragged
+        ones in one join over zero-copy slices.  Each is a single C
+        call, so it observes a segment at a single instant.
+        """
+        if self.freed:
+            raise WindowError(f"window {self.name!r} already freed")
+        n = len(offsets)
+        if n == 0:
+            return np.empty(0, dtype=np.uint8)
+        ends = offsets + lengths
+        if (
+            int(ranks.min()) < 0
+            or int(ranks.max()) >= self.nranks
+            or int(offsets.min()) < 0
+            or int(lengths.min()) < 0
+            or int(ends.max()) > self.size
+        ):
+            raise WindowError(
+                f"window {self.name!r}: batched access outside the "
+                f"{self.nranks} segments of size {self.size}"
+            )
+        width = int(lengths[0])
+        if (lengths != width).any():
+            segs = [memoryview(s) for s in self._segments]
+            return np.frombuffer(
+                b"".join(
+                    [
+                        segs[r][a:b]
+                        for r, a, b in zip(
+                            ranks.tolist(), offsets.tolist(), ends.tolist()
+                        )
+                    ]
+                ),
+                dtype=np.uint8,
+            )
+        out = np.empty((n, width), dtype=np.uint8)
+        if width:
+            for r in np.unique(ranks).tolist():
+                seg = np.frombuffer(self._segments[r], dtype=np.uint8)
+                rows = np.lib.stride_tricks.sliding_window_view(seg, width)
+                sel = ranks == r
+                out[sel] = rows[offsets[sel]]
+        return out.reshape(-1)
 
     def write(self, rank: int, offset: int, data: bytes) -> None:
         self._check(rank, offset, len(data))

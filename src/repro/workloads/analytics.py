@@ -6,22 +6,25 @@ Weakly Connected Components (WCC), Local Clustering Coefficient (LCC), and
 k-hop counts.
 
 Structure of every kernel (Table 2's recommendation): graph data is
-accessed through *collective read transactions* — each rank walks its
-local vertices with GDI handles and fetches adjacency once into a local
-cache — and the iterative phases exchange values with collectives
-(alltoall routed by the owning rank, allreduce for convergence).  All
-communication and per-edge compute is charged to the simulated clocks, so
-the Figure 6 scaling shapes emerge from the algorithms' real communication
-structure.
+accessed through *collective read transactions* — each rank reads all
+its local vertices in one batched, columnar scan and keeps the adjacency
+as CSR arrays (:class:`LocalAdjacency`) — and the iterative phases
+exchange values with collectives (alltoall routed by the owning rank,
+allreduce for convergence).  All communication and per-edge compute is
+charged to the simulated clocks, so the Figure 6 scaling shapes emerge
+from the algorithms' real communication structure.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from ..gda.holder import csr_indptr, ragged_index
+from ..gda.transaction_impl import VertexScan
 from ..gdi import EdgeOrientation
 from ..generator.lpg import GeneratedGraph
 from ..rma.runtime import RankContext
@@ -41,21 +44,176 @@ __all__ = [
 ]
 
 
-@dataclass
-class LocalAdjacency:
-    """This rank's shard of the adjacency, in application-ID space."""
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
+    """``(found, at)``: which ``keys`` occur in ``sorted_keys``, and where."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=np.int64)
+    at = np.searchsorted(sorted_keys, keys)
+    at[at == len(sorted_keys)] = 0
+    return sorted_keys[at] == keys, at
 
-    neighbors: dict[int, list[int]]  # local app id -> neighbor app ids
-    n_local_edges: int
-    nranks: int
-    #: application ID -> owning rank (vertices can spill off their
-    #: round-robin home under memory pressure, Section 5.3)
-    owner: dict[int, int] | None = None
+
+class LocalAdjacency:
+    """This rank's shard of the adjacency, in application-ID space.
+
+    The shard is held as CSR arrays: local vertex ``vertices[i]`` has the
+    neighbors ``targets[indptr[i]:indptr[i + 1]]``, and
+    ``target_owner[k]`` is the rank owning ``targets[k]`` (vertices can
+    spill off their round-robin home under memory pressure, Section
+    5.3), so the array kernels route a whole edge array with one mask.
+    :attr:`neighbors` and :meth:`home` give the same data as a dict and
+    a per-vertex lookup for the kernels written against those.
+
+    Built by :func:`load_local_adjacency`, or directly from a
+    ``{app_id: [neighbor app_ids]}`` dict (plus an optional
+    ``{app_id: rank}`` ownership dict; unlisted vertices live on
+    ``app_id % nranks``).
+    """
+
+    def __init__(
+        self,
+        neighbors: "dict[int, list[int]]",
+        n_local_edges: int | None = None,
+        nranks: int = 1,
+        owner: "dict[int, int] | None" = None,
+    ) -> None:
+        self.nranks = nranks
+        self.vertices = np.fromiter(neighbors, dtype=np.int64, count=len(neighbors))
+        self.indptr = csr_indptr([len(n) for n in neighbors.values()])
+        self.targets = np.fromiter(
+            (v for nbrs in neighbors.values() for v in nbrs),
+            dtype=np.int64,
+            count=int(self.indptr[-1]),
+        )
+        self._owner_ids = np.fromiter(sorted(owner or ()), dtype=np.int64)
+        self._owner_ranks = np.fromiter(
+            (owner[a] for a in self._owner_ids.tolist()), dtype=np.int64
+        )
+        self.target_owner = self.home_of(self.targets)
+        self.n_local_edges = (
+            len(self.targets) if n_local_edges is None else n_local_edges
+        )
+        self.__dict__["neighbors"] = neighbors  # what the cached property would derive
+
+    @classmethod
+    def from_csr(
+        cls,
+        vertices: np.ndarray,
+        indptr: np.ndarray,
+        targets: np.ndarray,
+        target_owner: np.ndarray,
+        nranks: int,
+        owner_ids: np.ndarray,
+        owner_ranks: np.ndarray,
+    ) -> "LocalAdjacency":
+        """Wrap ready CSR arrays; ``owner_ids`` (sorted) and
+        ``owner_ranks`` are the global application-ID ownership map."""
+        adj = cls.__new__(cls)
+        adj.nranks = nranks
+        adj.vertices = vertices
+        adj.indptr = indptr
+        adj.targets = targets
+        adj.target_owner = target_owner
+        adj.n_local_edges = len(targets)
+        adj._owner_ids = owner_ids
+        adj._owner_ranks = owner_ranks
+        return adj
+
+    @cached_property
+    def neighbors(self) -> "dict[int, list[int]]":
+        """``{local app_id: [neighbor app_ids]}``, derived from the CSR."""
+        targets = self.targets.tolist()
+        bounds = self.indptr.tolist()
+        return {
+            v: targets[bounds[i] : bounds[i + 1]]
+            for i, v in enumerate(self.vertices.tolist())
+        }
+
+    @cached_property
+    def _owner_map(self) -> "dict[int, int]":
+        return dict(zip(self._owner_ids.tolist(), self._owner_ranks.tolist()))
 
     def home(self, app_id: int) -> int:
-        if self.owner is not None:
-            return self.owner.get(app_id, app_id % self.nranks)
-        return app_id % self.nranks
+        """The rank owning ``app_id``."""
+        return self._owner_map.get(app_id, app_id % self.nranks)
+
+    def home_of(self, app_ids: np.ndarray) -> np.ndarray:
+        """:meth:`home` of a whole array."""
+        out = app_ids % self.nranks
+        known, at = _lookup(self._owner_ids, app_ids)
+        out[known] = self._owner_ranks[at[known]]
+        return out
+
+    @cached_property
+    def _by_id(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.vertices, kind="stable")
+        return order, self.vertices[order]
+
+    def rows_of(self, app_ids: np.ndarray) -> np.ndarray:
+        """CSR row of each local application ID (-1 if not local)."""
+        order, sorted_ids = self._by_id
+        known, at = _lookup(sorted_ids, app_ids)
+        rows = np.full(len(app_ids), -1, dtype=np.int64)
+        rows[known] = order[at[known]]
+        return rows
+
+    def frontier_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(targets, owners)`` of all edges leaving the CSR ``rows``."""
+        at = ragged_index(
+            self.indptr[rows], self.indptr[rows + 1] - self.indptr[rows]
+        )
+        return self.targets[at], self.target_owner[at]
+
+
+def _open_read(ctx: RankContext, graph: GeneratedGraph):
+    """The collective read transaction an adjacency load runs in."""
+    db = graph.db
+    # With MVCC enabled the whole load runs on one frozen watermark:
+    # every rank reads the same committed prefix, so a concurrent OLTP
+    # storm can neither tear the adjacency nor abort the collective.
+    return db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
+
+
+class _LocalScan(NamedTuple):
+    """What both adjacency loaders start from (see
+    :func:`_scan_local_vertices`)."""
+
+    scan: VertexScan  # the visible local vertices, one position each
+    local: np.ndarray  # the positions that hold a vertex ...
+    local_apps: np.ndarray  # ... and their application IDs
+    vids: np.ndarray  # every rank's vertices: internal IDs, sorted,
+    apps: np.ndarray  # their application IDs
+    ranks: np.ndarray  # and the ranks that own them
+
+
+def _scan_local_vertices(ctx: RankContext, tx) -> _LocalScan:
+    """Read every local vertex in one batch and exchange the
+    vid -> application-ID map.
+
+    The map is rebuilt from the live database (not from the generator's
+    snapshot), so adjacency loads stay correct after OLTP mutations added
+    or removed vertices.
+    """
+    local_vids = tx.visible_vertices(
+        tx.db.directory.local_vertices(ctx), ctx.rank
+    )
+    # One batched read pipelines every local holder fetch (coalesced
+    # per home rank) instead of one round trip per vertex.
+    scan = tx.associate_vertices(local_vids, missing_ok=True)
+    local = np.flatnonzero(scan.present)
+    local_apps = scan.app_ids[local]
+    # 16 bytes per vertex on the wire, as two int64 columns
+    parts = ctx.allgather((scan.vids[local], local_apps))
+    vids = np.concatenate([p[0] for p in parts])
+    order = np.argsort(vids, kind="stable")
+    return _LocalScan(
+        scan,
+        local,
+        local_apps,
+        vids[order],
+        np.concatenate([p[1] for p in parts])[order],
+        np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])[order],
+    )
 
 
 def load_local_adjacency(
@@ -64,59 +222,68 @@ def load_local_adjacency(
     orientation: EdgeOrientation = EdgeOrientation.OUTGOING,
     dedup: bool = False,
 ) -> LocalAdjacency:
-    """Fetch the local adjacency shard inside one collective transaction.
-
-    The vid -> application-ID map is rebuilt from the live database (not
-    from the generator's snapshot), so adjacency loads stay correct after
-    OLTP mutations added or removed vertices.
-    """
-    db = graph.db
-    # With MVCC enabled the whole load runs on one frozen watermark:
-    # every rank reads the same committed prefix, so a concurrent OLTP
-    # storm can neither tear the adjacency nor abort the collective.
-    tx = db.start_collective_transaction(
-        ctx, snapshot=db.mvcc is not None
-    )
-    local_vids = tx.visible_vertices(
-        db.directory.local_vertices(ctx), ctx.rank
-    )
-    # One batched read pipelines every local holder fetch (coalesced
-    # per home rank) instead of one round trip per vertex.
-    handles = tx.associate_vertices(local_vids, missing_ok=True)
-    pairs = [
-        (vid, h) for vid, h in zip(local_vids, handles) if h is not None
-    ]
-    handles = [h for _, h in pairs]
-    local_map: dict[int, int] = {vid: h.app_id for vid, h in pairs}
-    app_of: dict[int, int] = {}
-    owner: dict[int, int] = {}
-    for rank, part in enumerate(ctx.allgather(local_map)):
-        app_of.update(part)
-        for app in part.values():
-            owner[app] = rank
-    neighbors: dict[int, list[int]] = {}
-    n_edges = 0
-    for v in handles:
-        # Skip dangling slots whose target vanished mid-snapshot.
-        nbrs = [
-            app_of[nvid]
-            for nvid in v.neighbors(orientation)
-            if nvid in app_of
-        ]
-        if dedup:
-            nbrs = sorted(set(nbrs))
-        neighbors[v.app_id] = nbrs
-        n_edges += len(nbrs)
+    """Fetch the local adjacency shard inside one collective transaction."""
+    tx = _open_read(ctx, graph)
+    adj = _csr_adjacency(ctx, tx, orientation, dedup)
     tx.commit()
-    return LocalAdjacency(
-        neighbors=neighbors,
-        n_local_edges=n_edges,
-        nranks=ctx.nranks,
-        owner=owner,
+    return adj
+
+
+def _csr_adjacency(
+    ctx: RankContext, tx, orientation: EdgeOrientation, dedup: bool
+) -> LocalAdjacency:
+    """The adjacency shard as seen by the open collective ``tx``.
+
+    One orientation mask over the scan's slot columns and one
+    vid -> application-ID ``searchsorted`` turn the batch into CSR; no
+    per-vertex handle is created.
+    """
+    s = _scan_local_vertices(ctx, tx)
+    indptr, nbr_vids = s.scan.neighbors(orientation)
+    row = np.repeat(np.arange(len(s.scan)), np.diff(indptr))
+    # Skip dangling slots whose target vanished mid-snapshot.
+    known, at = _lookup(s.vids, nbr_vids)
+    row, targets, owners = row[known], s.apps[at[known]], s.ranks[at[known]]
+    if dedup:
+        order = np.lexsort((targets, row))
+        row, targets, owners = row[order], targets[order], owners[order]
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (targets[1:] != targets[:-1])
+        row, targets, owners = row[first], targets[first], owners[first]
+    out_indptr = csr_indptr(np.bincount(row, minlength=len(s.scan))[s.local])
+    by_app = np.argsort(s.apps, kind="stable")
+    return LocalAdjacency.from_csr(
+        s.local_apps,
+        out_indptr,
+        targets,
+        owners,
+        ctx.nranks,
+        s.apps[by_app],
+        s.ranks[by_app],
     )
 
 
 # ------------------------------------------------------------------- BFS --
+def _expand_frontier(
+    ctx: RankContext, adj: LocalAdjacency, frontier: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """One BFS level: ship the frontier rows' neighbors to their owners
+    and return the distinct local vertices (CSR rows) that were named,
+    with the number of IDs received.
+
+    Per-destination dedup: a frontier reaching the same remote vertex
+    through many edges sends its ID once, shrinking both the alltoall
+    payload and the receiver-side scan.
+    """
+    targets, owners = adj.frontier_edges(frontier)
+    ctx.compute(len(targets))
+    received = ctx.alltoall(
+        [np.unique(targets[owners == r]) for r in range(ctx.nranks)]
+    )
+    named = np.unique(np.concatenate(received))
+    return adj.rows_of(named), sum(len(box) for box in received)
+
+
 def bfs(
     ctx: RankContext,
     graph: GeneratedGraph,
@@ -130,38 +297,36 @@ def bfs(
     """
     if adj is None:
         adj = load_local_adjacency(ctx, graph, orientation)
-    depth: dict[int, int] = {}
-    frontier: list[int] = []
-    if adj.home(root) == ctx.rank and root in adj.neighbors:
-        depth[root] = 0
-        frontier = [root]
+    depth = _bfs_levels(ctx, adj, root, max_level=None, charge_receive=True)
+    seen = np.flatnonzero(depth >= 0)
+    return dict(zip(adj.vertices[seen].tolist(), depth[seen].tolist()))
+
+
+def _bfs_levels(
+    ctx: RankContext,
+    adj: LocalAdjacency,
+    root: int,
+    max_level: int | None,
+    charge_receive: bool,
+) -> np.ndarray:
+    """Depth per CSR row (-1 = not reached) of a BFS from ``root``,
+    stopped after ``max_level`` levels when given."""
+    depth = np.full(len(adj.vertices), -1, dtype=np.int64)
+    frontier = np.empty(0, dtype=np.int64)
+    if adj.home(root) == ctx.rank:
+        frontier = adj.rows_of(np.array([root], dtype=np.int64))
+        frontier = frontier[frontier >= 0]
+        depth[frontier] = 0
     level = 0
-    while True:
+    while max_level is None or level < max_level:
         if not ctx.allreduce(len(frontier)):
             break
-        outboxes: list[list[int]] = [[] for _ in range(ctx.nranks)]
-        scanned = 0
-        for u in frontier:
-            for nbr in adj.neighbors.get(u, ()):
-                outboxes[adj.home(nbr)].append(nbr)
-                scanned += 1
-        ctx.compute(scanned)
-        # Vectorized per-destination dedup: a frontier reaching the same
-        # remote vertex through many edges sends its ID once, shrinking
-        # both the alltoall payload and the receiver-side scan.
-        packed = [
-            np.unique(np.asarray(box, dtype=np.int64)) for box in outboxes
-        ]
-        received = ctx.alltoall(packed)
+        rows, n_received = _expand_frontier(ctx, adj, frontier)
         level += 1
-        frontier = []
-        for box in received:
-            for v in box:
-                v = int(v)
-                if v not in depth:
-                    depth[v] = level
-                    frontier.append(v)
-        ctx.compute(sum(len(b) for b in received))
+        frontier = rows[depth[rows] < 0]
+        depth[frontier] = level
+        if charge_receive:
+            ctx.compute(n_received)
     return depth
 
 
@@ -176,31 +341,8 @@ def khop_count(
     """Number of vertices within ``k`` hops of ``root`` (global result)."""
     if adj is None:
         adj = load_local_adjacency(ctx, graph, orientation)
-    depth: dict[int, int] = {}
-    frontier: list[int] = []
-    if adj.home(root) == ctx.rank and root in adj.neighbors:
-        depth[root] = 0
-        frontier = [root]
-    for level in range(1, k + 1):
-        if not ctx.allreduce(len(frontier)):
-            break
-        outboxes: list[list[int]] = [[] for _ in range(ctx.nranks)]
-        for u in frontier:
-            for nbr in adj.neighbors.get(u, ()):
-                outboxes[adj.home(nbr)].append(nbr)
-        ctx.compute(sum(len(b) for b in outboxes))
-        packed = [
-            np.unique(np.asarray(box, dtype=np.int64)) for box in outboxes
-        ]
-        received = ctx.alltoall(packed)
-        frontier = []
-        for box in received:
-            for v in box:
-                v = int(v)
-                if v not in depth:
-                    depth[v] = level
-                    frontier.append(v)
-    return ctx.allreduce(len(depth))
+    depth = _bfs_levels(ctx, adj, root, max_level=k, charge_receive=False)
+    return ctx.allreduce(int(np.count_nonzero(depth >= 0)))
 
 
 # -------------------------------------------------------------- PageRank --
@@ -214,42 +356,39 @@ def pagerank(
     """Classic iterative PageRank over out-edges; returns local ranks."""
     if adj is None:
         adj = load_local_adjacency(ctx, graph, EdgeOrientation.OUTGOING)
+    n_local = len(adj.vertices)
     # live global vertex count (mutations may have changed it since the
     # graph was generated), so the rank mass sums to exactly 1
-    n = max(1, ctx.allreduce(len(adj.neighbors)))
-    pr = {u: 1.0 / n for u in adj.neighbors}
+    n = max(1, ctx.allreduce(n_local))
+    degree = np.diff(adj.indptr)
+    source = np.repeat(np.arange(n_local), degree)
+    dangling_rows = degree == 0
+    # Combiner aggregation: sum all shares headed for one destination
+    # vertex locally, then ship (ids, sums) as packed numpy vectors —
+    # the alltoall payload scales with distinct targets, not edges.
+    routes = []
+    for r in range(ctx.nranks):
+        edges = np.flatnonzero(adj.target_owner == r)
+        ids, slot = np.unique(adj.targets[edges], return_inverse=True)
+        routes.append((edges, ids, slot))
+    pr = np.full(n_local, 1.0 / n)
     for _ in range(iterations):
-        # Combiner aggregation: sum all shares headed for one destination
-        # vertex locally, then ship (ids, sums) as packed numpy vectors —
-        # the alltoall payload scales with distinct targets, not edges.
-        outacc: list[dict[int, float]] = [{} for _ in range(ctx.nranks)]
-        dangling = 0.0
-        for u, nbrs in adj.neighbors.items():
-            if not nbrs:
-                dangling += pr[u]
-                continue
-            share = pr[u] / len(nbrs)
-            for v in nbrs:
-                acc = outacc[adj.home(v)]
-                acc[v] = acc.get(v, 0.0) + share
+        share = (pr / np.maximum(degree, 1))[source]
         ctx.compute(adj.n_local_edges)
-        packed = [
-            (
-                np.fromiter(acc.keys(), dtype=np.int64, count=len(acc)),
-                np.fromiter(acc.values(), dtype=np.float64, count=len(acc)),
-            )
-            for acc in outacc
-        ]
-        received = ctx.alltoall(packed)
-        dangling_total = ctx.allreduce(dangling)
-        incoming: dict[int, float] = {u: 0.0 for u in adj.neighbors}
+        received = ctx.alltoall(
+            [
+                (ids, np.bincount(slot, weights=share[edges], minlength=len(ids)))
+                for edges, ids, slot in routes
+            ]
+        )
+        dangling_total = ctx.allreduce(float(pr[dangling_rows].sum()))
+        incoming = np.zeros(n_local)
         for ids, sums in received:
-            for v, share in zip(ids, sums):
-                incoming[int(v)] += share
+            np.add.at(incoming, adj.rows_of(ids), sums)
         base = (1.0 - damping) / n + damping * dangling_total / n
-        pr = {u: base + damping * s for u, s in incoming.items()}
-        ctx.compute(len(pr))
-    return pr
+        pr = base + damping * incoming
+        ctx.compute(n_local)
+    return dict(zip(adj.vertices.tolist(), pr.tolist()))
 
 
 # ------------------------------------------------------------------ WCC --
@@ -388,30 +527,15 @@ def load_local_weighted_adjacency(
     Lightweight edges (which carry no properties, Section 5.4.2) get
     ``default_weight``; heavyweight edges contribute their stored value.
     Returns ``(adjacency, weights)`` with parallel neighbor/weight lists.
+    The weights live behind edge handles, so this loader walks the
+    scan's handles instead of its slot columns.
     """
-    db = graph.db
-    tx = db.start_collective_transaction(
-        ctx, snapshot=db.mvcc is not None
-    )
-    local_vids = tx.visible_vertices(
-        db.directory.local_vertices(ctx), ctx.rank
-    )
-    handles = tx.associate_vertices(local_vids, missing_ok=True)
-    pairs = [
-        (vid, h) for vid, h in zip(local_vids, handles) if h is not None
-    ]
-    handles = [h for _, h in pairs]
-    local_map = {vid: h.app_id for vid, h in pairs}
-    app_of: dict[int, int] = {}
-    owner: dict[int, int] = {}
-    for rank, part in enumerate(ctx.allgather(local_map)):
-        app_of.update(part)
-        for app in part.values():
-            owner[app] = rank
+    tx = _open_read(ctx, graph)
+    s = _scan_local_vertices(ctx, tx)
+    app_of = dict(zip(s.vids.tolist(), s.apps.tolist()))
     neighbors: dict[int, list[int]] = {}
     weights: dict[int, list[float]] = {}
-    n_edges = 0
-    for v in handles:
+    for v in (s.scan[i] for i in s.local.tolist()):
         nbrs: list[int] = []
         wts: list[float] = []
         for e in v.edges(orientation):
@@ -427,11 +551,11 @@ def load_local_weighted_adjacency(
             wts.append(w)
         neighbors[v.app_id] = nbrs
         weights[v.app_id] = wts
-        n_edges += len(nbrs)
     tx.commit()
     adj = LocalAdjacency(
-        neighbors=neighbors, n_local_edges=n_edges, nranks=ctx.nranks,
-        owner=owner,
+        neighbors,
+        nranks=ctx.nranks,
+        owner=dict(zip(s.apps.tolist(), s.ranks.tolist())),
     )
     return adj, weights
 

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..gdi import Constraint, EdgeOrientation
+import numpy as np
+
+from ..gdi import EdgeOrientation
 from ..gda.index_impl import ExplicitIndex
 from ..gda.metadata import Label, PropertyType
 from ..generator.lpg import GeneratedGraph
@@ -121,49 +123,47 @@ def filtered_two_hop_count(
         candidates = tx.visible_vertices(
             db.directory.local_vertices(ctx), ctx.rank
         )
-    edge_constraint = (
-        Constraint.has_label(edge_label.int_id) if edge_label else None
-    )
-    local_count = 0
-    sources: list[tuple[object, list[int]]] = []
-    frontier: list[int] = []
-    for v in tx.associate_vertices(candidates, missing_ok=True):
-        if v is None:
-            continue
-        if index is None and not v.has_label(src_label):
-            continue
-        if src_ptype is not None:
-            value = v.property(src_ptype)
-            if value is None or not _compare(src_op, value, src_value):
-                continue
-        nvids = v.neighbors(orientation, constraint=edge_constraint)
-        sources.append((v, nvids))
-        frontier.extend(nvids)
+    # Both hops read whole-batch columns of their scan (labels, one
+    # property, label-constrained neighbor IDs): no per-vertex handles.
+    scan = tx.associate_vertices(candidates, missing_ok=True)
+    keep = scan.present
+    if index is None:
+        keep &= scan.has_label(src_label)
+    if src_ptype is not None:
+        keep &= _matches(scan.property(src_ptype), src_op, src_value)
+    sources = scan.take(np.flatnonzero(keep))
+    indptr, nvids = sources.neighbors(orientation, edge_label)
+    source = np.repeat(np.arange(len(sources)), np.diff(indptr))
     # Batched second hop: every surviving source's neighborhood is
-    # pipelined in one read; the check loop below hits the cache.  A
-    # neighbor can be absent at the snapshot's watermark (created after
-    # it, or adjacency observed ahead of the frozen vertex state) — those
-    # simply don't match.
-    hop2 = dict(zip(frontier, tx.associate_vertices(frontier, missing_ok=True)))
-    for v, nvids in sources:
-        matched = False
-        for nvid in nvids:
-            n = hop2.get(nvid)
-            if n is None:
-                continue
-            if dst_label is not None and not n.has_label(dst_label):
-                continue
-            if dst_ptype is not None:
-                nvalue = n.property(dst_ptype)
-                if nvalue is None or not _compare(dst_op, nvalue, dst_value):
-                    continue
-            matched = True
-            break
-        if matched:
-            local_count += 1
+    # pipelined in one read, each neighbor once, in the order the
+    # sources name them.  A neighbor can be absent at the snapshot's
+    # watermark (created after it, or adjacency observed ahead of the
+    # frozen vertex state) — those simply don't match.
+    frontier, first, slot = np.unique(
+        nvids, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    hop2 = tx.associate_vertices(frontier[order], missing_ok=True)
+    ok = hop2.present
+    if dst_label is not None:
+        ok &= hop2.has_label(dst_label)
+    if dst_ptype is not None:
+        ok &= _matches(hop2.property(dst_ptype), dst_op, dst_value)
+    ok_of = np.empty(len(frontier), dtype=bool)
+    ok_of[order] = ok
+    local_count = len(np.unique(source[ok_of[slot]]))
     tx.commit()
     total = ctx.reduce(local_count, op="sum", root=0)
     return total if ctx.rank == 0 else 0
+
+
+def _matches(values: list, op: str, ref: Any) -> np.ndarray:
+    """Per value: present and ``value <op> ref``."""
+    return np.fromiter(
+        (v is not None and _compare(op, v, ref) for v in values),
+        dtype=bool,
+        count=len(values),
+    )
 
 
 def _compare(op: str, a: Any, b: Any) -> bool:

@@ -781,3 +781,83 @@ def test_commit_log_records_changes():
         assert "new_v" in kinds
 
     _with_db(2, body)
+
+
+def test_vertex_scan_columns_agree_with_handle_verbs():
+    """``associate_vertices`` answers per batch what its handles answer
+    per vertex — whichever of the two its positions are backed by: rows
+    of a columnar batch (lock-free reads of 64+ vertices), cache entries
+    (locking reads, small reads, a second scan), or a mix; with the
+    parts the scan fetched or with parts only a handle can hydrate."""
+    from repro.gda.holder import NEED_ENTRIES, NEED_IDENT, NEED_TOPO
+
+    def prog(ctx, db):
+        person, knows, _, age, _ = _schema(ctx, db)
+        n = 96  # one read of all of them is a columnar batch
+        if ctx.rank == 0:
+            tx = db.start_transaction(ctx, write=True)
+            vs = [
+                tx.create_vertex(
+                    i,
+                    labels=[person] if i % 3 else [knows, person][: 1 + i % 2],
+                    properties=[(age, i)] if i % 4 else [],
+                )
+                for i in range(n)
+            ]
+            for i in range(n):
+                tx.create_edge(
+                    vs[i], vs[(i * 7 + 1) % n], label=knows if i % 2 else None
+                )
+            # a heavy edge: its slot's neighbor sits behind an edge holder
+            tx.create_edge(vs[2], vs[5], force_heavy=True)
+            tx.commit()
+        ctx.barrier()
+
+        def check(tx, vids, need):
+            scan = tx.associate_vertices(vids, missing_ok=True, need=need)
+            handles = list(scan)
+            assert scan.present.tolist() == [h is not None for h in handles]
+            live = [(i, h) for i, h in enumerate(handles) if h is not None]
+            assert scan.app_ids[[i for i, _ in live]].tolist() == [
+                h.app_id for _, h in live
+            ]
+            for label in (person, knows):
+                got = scan.has_label(label)
+                assert [bool(got[i]) for i, _ in live] == [
+                    h.has_label(label) for _, h in live
+                ]
+            ages = scan.property(age)
+            assert [ages[i] for i, _ in live] == [h.property(age) for _, h in live]
+            for orientation in (EdgeOrientation.OUTGOING, EdgeOrientation.ANY):
+                for label in (None, knows):
+                    indptr, nbrs = scan.neighbors(orientation, label)
+                    constraint = (
+                        Constraint.has_label(label.int_id) if label else None
+                    )
+                    for i, h in enumerate(handles):
+                        mine = nbrs[indptr[i] : indptr[i + 1]].tolist()
+                        want = h.neighbors(orientation, constraint) if h else []
+                        assert mine == want
+
+        tx = db.start_transaction(ctx)
+        vids = [tx.translate_vertex_id(i) for i in range(n)]
+        tx.commit()
+        vids.insert(3, vids[-1] + (1 << 20))  # no holder there: a hole
+        vids.append(vids[0])  # and one vertex asked for twice
+        for need in (NEED_IDENT, NEED_IDENT | NEED_TOPO, NEED_IDENT | NEED_ENTRIES, 7):
+            for open_tx in (
+                lambda: db.start_collective_transaction(ctx),  # columnar rows
+                lambda: db.start_transaction(ctx),  # locking: cache entries
+            ):
+                tx = open_tx()
+                check(tx, vids, need)
+                # again on a transaction that has materialized some rows
+                half = tx.associate_vertices(vids[::2], missing_ok=True, need=need)
+                assert [h is not None for h in half] == half.present.tolist()
+                check(tx, vids, need)
+                tx.commit()
+                ctx.barrier()
+        return True
+
+    _, res = _with_db(2, prog)
+    assert all(res)

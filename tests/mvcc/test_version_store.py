@@ -37,6 +37,22 @@ def test_install_is_idempotent_per_boundary():
     assert vs.total_entries() == 1
 
 
+def test_resolve_many_returns_exactly_the_covered_keys():
+    vs = VersionStore()
+    assert vs.resolve_many(["K", "L"], 0) == {}  # no chains: nothing to ask
+    vs.install("K", 3, "a")
+    vs.install("K", 7, "b")
+    vs.install("L", 5, None)
+    keys = ["K", "L", "unknown"]
+    for w in range(9):
+        want = {
+            k: vs.resolve(k, w)[1] for k in keys if vs.resolve(k, w)[0]
+        }
+        assert vs.resolve_many(keys, w) == want
+    # an absent-at-W image is a hit with value None, not a miss
+    assert vs.resolve_many(iter(keys), 4) == {"K": "b", "L": None}
+
+
 def test_covered_matches_resolve():
     vs = VersionStore()
     vs.install("K", 4, "a")

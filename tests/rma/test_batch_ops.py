@@ -15,11 +15,14 @@ Covers the PR's satellite checklist:
   coalescing counters under a seeded :class:`InterleavingScheduler`.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rma import RmaError, RmaRuntime, UNIFORM, run_spmd
+from repro.rma import RmaError, RmaRuntime, TraceRecorder, UNIFORM, run_spmd
 
 WIN_BYTES = 512
 NRANKS = 3
@@ -99,6 +102,59 @@ class TestBatchScalarEquivalence:
 
         assert batched == scalar
         assert batch_cost <= scalar_cost + 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=NRANKS - 1),
+                st.integers(min_value=0, max_value=WIN_BYTES - 16),
+                st.one_of(st.just(8), st.integers(min_value=0, max_value=16)),
+            ),
+            max_size=24,
+        ),
+        blob=st.binary(min_size=WIN_BYTES, max_size=WIN_BYTES),
+        feedback=st.sampled_from([0.0, 1.0]),
+        log_ops=st.booleans(),
+    )
+    def test_columnar_get_batch_equals_elementwise_get_batch(
+        self, ops, blob, feedback, log_ops
+    ):
+        """An ``(n, 3)`` array of the same triples moves the same bytes and
+        leaves every counter, the receiver service and the clock exactly
+        where the element-wise form leaves them."""
+        profile = dataclasses.replace(UNIFORM, congestion_feedback=feedback)
+        state = []
+        for form in (list, lambda o: np.array(o, dtype=np.int64).reshape(-1, 3)):
+            rt = RmaRuntime(nranks=NRANKS, profile=profile, log_ops=log_ops)
+            win = rt.allocate_window("w", WIN_BYTES)
+            for r in range(NRANKS):
+                win.write(r, 0, blob[r:] + blob[:r])
+            got = rt.context(0).get_batch(win, form(ops))
+            state.append(
+                (
+                    bytes(got) if isinstance(got, np.ndarray) else b"".join(got),
+                    rt.trace.summary(),
+                    rt.trace.shard_snapshot(),
+                    rt.trace.ops,
+                    rt.clocks,
+                    rt.service,
+                )
+            )
+        assert state[0] == state[1]
+
+    def test_counter_batch_forms_add_up_to_the_per_element_calls(self):
+        one, many = TraceRecorder(2), TraceRecorder(2)
+        sizes = [5, 0, 17, 8]
+        for kind, target in (("get", 1), ("put", 0), ("atomic", 1)):
+            for nbytes in sizes:
+                one.record(kind, 0, target, "w", 0, nbytes)
+            many.record(kind, 0, target, "w", 0, sum(sizes), count=len(sizes))
+        for _ in sizes:
+            one.record_snapshot_read(1)
+        many.record_snapshot_read(1, len(sizes))
+        assert many.summary() == one.summary()
+        assert many.shard_snapshot() == one.shard_snapshot()
 
     @settings(max_examples=40, deadline=None)
     @given(ops=_put_ops)

@@ -218,3 +218,137 @@ def test_kernels_charge_simulated_time():
 
     _, res = _run_on_graph(body)
     assert all(dt > 0 for dt in res)
+
+
+# -- CSR adjacency == handle-loop adjacency -----------------------------------
+#
+# The loader builds CSR from the scan's columns; the loop below is the
+# loader it replaced, one handle per vertex, kept as the reference.  The
+# graph is large enough (128 vertices per rank) for a shard's scan to be a
+# columnar batch.
+
+CSR_PARAMS = KroneckerParams(scale=8, edge_factor=4, seed=21)
+CSR_NRANKS = 2
+
+
+def _handle_loop_adjacency(ctx, tx, orientation):
+    local_vids = tx.visible_vertices(
+        tx.db.directory.local_vertices(ctx), ctx.rank
+    )
+    handles = [
+        h for h in tx.associate_vertices(local_vids, missing_ok=True)
+        if h is not None
+    ]
+    app_of, owner = {}, {}
+    for rank, part in enumerate(ctx.allgather({h.vid: h.app_id for h in handles})):
+        app_of.update(part)
+        owner.update(dict.fromkeys(part.values(), rank))
+    neighbors = {
+        h.app_id: [app_of[n] for n in h.neighbors(orientation) if n in app_of]
+        for h in handles
+    }
+    return neighbors, owner
+
+
+def _assert_same_adjacency(adj, reference):
+    neighbors, owner = reference
+    assert adj.neighbors == neighbors
+    assert adj.n_local_edges == sum(len(n) for n in neighbors.values())
+    assert {app: adj.home(app) for app in owner} == owner
+    assert adj.target_owner.tolist() == [
+        owner[t] for nbrs in neighbors.values() for t in nbrs
+    ]
+
+
+#: vertices without a heavyweight self-loop under either schema: deleting one
+#: that has such a loop trips over its second slot (``delete_vertex`` reloads
+#: the edge holder it just marked deleted), which is not what is under test
+DELETED = (4, 11)
+
+
+def _mutate(ctx, g):
+    """Rank 0 adds vertices and edges and deletes the ``DELETED`` ones."""
+    if ctx.rank == 0:
+        tx = g.db.start_transaction(ctx, write=True)
+        fresh = [tx.create_vertex(1000 + i) for i in range(3)]
+        old = tx.find_vertices([1, 2])
+        el = g.edge_label(0)
+        tx.create_edge(fresh[0], old[0], label=el)
+        tx.create_edge(old[1], fresh[1], label=el)
+        tx.create_edge(fresh[1], fresh[2])
+        tx.create_edge(old[0], old[1], directed=False)
+        tx.commit()
+        for app in DELETED:
+            tx = g.db.start_transaction(ctx, write=True)
+            tx.delete_vertex(tx.find_vertex(app))
+            tx.commit()
+    ctx.barrier()
+
+
+def _heavy_schema():
+    from repro.gdi import Datatype
+    from repro.gdi.constants import EntityType
+    from repro.generator import LpgSchema, PropertySpec
+
+    return LpgSchema(
+        n_vertex_labels=2,
+        n_edge_labels=2,
+        properties=[
+            PropertySpec("v_x", Datatype.INT64),
+            PropertySpec("e_w", Datatype.DOUBLE, entity_type=EntityType.EDGE),
+        ],
+        heavy_edge_fraction=0.2,
+        seed=5,
+    )
+
+
+@pytest.mark.parametrize("mvcc", [False, True])
+@pytest.mark.parametrize("schema", [SCHEMA, _heavy_schema()], ids=["light", "heavy"])
+def test_csr_adjacency_equals_handle_loop_after_oltp_mutations(mvcc, schema):
+    from repro.workloads import analytics
+
+    def prog(ctx):
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=8192, mvcc=mvcc))
+        g = build_lpg(ctx, db, CSR_PARAMS, schema)
+        _mutate(ctx, g)
+        for orientation in (EdgeOrientation.OUTGOING, EdgeOrientation.ANY):
+            # columns first (rows still live in their batch), then with every
+            # row already a cache entry (the scan answers through handles)
+            tx = db.start_collective_transaction(ctx, snapshot=mvcc)
+            adj = analytics._csr_adjacency(ctx, tx, orientation, dedup=False)
+            reference = _handle_loop_adjacency(ctx, tx, orientation)
+            again = analytics._csr_adjacency(ctx, tx, orientation, dedup=False)
+            tx.commit()
+            _assert_same_adjacency(adj, reference)
+            _assert_same_adjacency(again, reference)
+        apps = set(load_local_adjacency(ctx, g).neighbors)
+        return apps
+
+    _, res = run_spmd(CSR_NRANKS, prog)
+    apps = set().union(*res)
+    assert {1000, 1001, 1002} <= apps and not set(DELETED) & apps
+
+
+def test_csr_adjacency_under_a_frozen_snapshot_while_deletes_land():
+    from repro.workloads import analytics
+
+    def prog(ctx):
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=8192, mvcc=True))
+        g = build_lpg(ctx, db, CSR_PARAMS, SCHEMA)
+        before = load_local_adjacency(ctx, g, EdgeOrientation.ANY)
+        tx = db.start_collective_transaction(ctx, snapshot=True)  # frozen here
+        _mutate(ctx, g)  # commits land underneath the open snapshot
+        adj = analytics._csr_adjacency(ctx, tx, EdgeOrientation.ANY, dedup=False)
+        reference = _handle_loop_adjacency(ctx, tx, EdgeOrientation.ANY)
+        tx.commit()
+        _assert_same_adjacency(adj, reference)
+        # the snapshot still shows the graph as it was when it was taken
+        assert adj.neighbors == before.neighbors
+        after = load_local_adjacency(ctx, g, EdgeOrientation.ANY)
+        return set(before.neighbors), set(after.neighbors)
+
+    _, res = run_spmd(CSR_NRANKS, prog)
+    before = set().union(*(b for b, _ in res))
+    after = set().union(*(a for _, a in res))
+    assert set(DELETED) <= before and not set(DELETED) & after
+    assert {1000, 1001, 1002} <= after - before

@@ -1,0 +1,231 @@
+"""The OLAP kernels' simulated charges are pinned to recorded constants.
+
+Fig. 6's scaling shapes rest on the LogGP accounting (``ctx.clock`` and
+the ``RankCounters``), not on how fast our Python runs.  A wall-clock
+optimisation of the bulk-scan path must therefore leave every charge
+where it was: this test replays ``load_local_adjacency``, ``pagerank``,
+``bfs`` and ``bi2_style_query`` on a fixed scale-8 graph and compares the
+clock delta, the counter diff and the per-shard access diff with values
+recorded before the columnar read path existed (``EXPECTED`` below; run
+this file as a script to print a fresh literal).
+"""
+
+import pytest
+
+from repro.gda import GdaConfig, GdaDatabase
+from repro.gdi import EdgeOrientation
+from repro.generator import KroneckerParams, build_lpg, default_schema
+from repro.rma import XC40, run_spmd
+from repro.workloads import bfs, bi2_style_query, load_local_adjacency, pagerank
+
+NRANKS = 2  # one remote peer per rank: every float sum has a fixed order
+PARAMS = KroneckerParams(scale=8, edge_factor=16, seed=5)
+#: few labels, so BI2's label filters keep a real second hop; 128-byte
+#: blocks push the hubs into indirect addressing and past the address hint
+SCHEMA = default_schema(n_vertex_labels=4, n_edge_labels=2)
+COUNTERS = (
+    "gets",
+    "bytes_got",
+    "batches",
+    "batched_ops",
+    "msgs_saved",
+    "collectives",
+    "snapshot_reads",
+)
+KERNELS = {
+    "load_local_adjacency": lambda ctx, g: load_local_adjacency(
+        ctx, g, EdgeOrientation.ANY
+    ),
+    "pagerank": lambda ctx, g: pagerank(ctx, g, iterations=3),
+    "bfs": lambda ctx, g: bfs(ctx, g, 1),
+    "bi2_style_query": lambda ctx, g: bi2_style_query(ctx, g, min_score=40.0),
+}
+
+
+def measure(mvcc: bool) -> dict:
+    """``kernel -> {"clock": [per rank], "counters": [per rank], "shards"}``."""
+
+    def prog(ctx):
+        db = GdaDatabase.create(
+            ctx, GdaConfig(blocks_per_rank=16384, block_size=128, mvcc=mvcc)
+        )
+        g = build_lpg(ctx, db, PARAMS, SCHEMA)
+        trace = ctx.rt.trace
+        out = {}
+        for name, kernel in KERNELS.items():
+            ctx.barrier()
+            shards0 = trace.shard_snapshot()
+            ctx.barrier()
+            before = trace.counters[ctx.rank].snapshot()
+            t0 = ctx.clock
+            kernel(ctx, g)
+            clock = ctx.clock - t0
+            diff = trace.counters[ctx.rank].diff(before)
+            ctx.barrier()
+            shards = trace.shard_diff(shards0)
+            out[name] = {
+                "clock": clock,
+                "counters": {k: diff[k] for k in COUNTERS},
+                "shards": {k: shards[k] for k in ("ops", "bytes")},
+            }
+        return out
+
+    _, res = run_spmd(NRANKS, prog, profile=XC40)
+    return {
+        name: {
+            "clock": [r[name]["clock"] for r in res],
+            "counters": [r[name]["counters"] for r in res],
+            "shards": res[0][name]["shards"],
+        }
+        for name in KERNELS
+    }
+
+
+# fmt: off
+EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-05],
+                 'counters': [{'batched_ops': 998,
+                               'batches': 4,
+                               'bytes_got': 105720,
+                               'collectives': 14,
+                               'gets': 998,
+                               'msgs_saved': 994,
+                               'snapshot_reads': 0},
+                              {'batched_ops': 687,
+                               'batches': 4,
+                               'bytes_got': 67584,
+                               'collectives': 14,
+                               'gets': 687,
+                               'msgs_saved': 683,
+                               'snapshot_reads': 0}],
+                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+         'bi2_style_query': {'clock': [0.00015144128000000017, 0.00015144128000000017],
+                             'counters': [{'batched_ops': 1296,
+                                           'batches': 8,
+                                           'bytes_got': 136807,
+                                           'collectives': 6,
+                                           'gets': 1296,
+                                           'msgs_saved': 1288,
+                                           'snapshot_reads': 0},
+                                          {'batched_ops': 1023,
+                                           'batches': 8,
+                                           'bytes_got': 105264,
+                                           'collectives': 6,
+                                           'gets': 1023,
+                                           'msgs_saved': 1015,
+                                           'snapshot_reads': 0}],
+                             'shards': {'bytes': [143400, 98671], 'ops': [1334, 985]}},
+         'load_local_adjacency': {'clock': [2.4243999999999438e-05, 2.4243999999999438e-05],
+                                  'counters': [{'batched_ops': 998,
+                                                'batches': 4,
+                                                'bytes_got': 105720,
+                                                'collectives': 5,
+                                                'gets': 998,
+                                                'msgs_saved': 994,
+                                                'snapshot_reads': 0},
+                                               {'batched_ops': 687,
+                                                'batches': 4,
+                                                'bytes_got': 67584,
+                                                'collectives': 5,
+                                                'gets': 687,
+                                                'msgs_saved': 683,
+                                                'snapshot_reads': 0}],
+                                  'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+         'pagerank': {'clock': [5.806649999999937e-05, 5.806649999999937e-05],
+                      'counters': [{'batched_ops': 998,
+                                    'batches': 4,
+                                    'bytes_got': 105720,
+                                    'collectives': 12,
+                                    'gets': 998,
+                                    'msgs_saved': 994,
+                                    'snapshot_reads': 0},
+                                   {'batched_ops': 687,
+                                    'batches': 4,
+                                    'bytes_got': 67584,
+                                    'collectives': 12,
+                                    'gets': 687,
+                                    'msgs_saved': 683,
+                                    'snapshot_reads': 0}],
+                      'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}},
+ True: {'bfs': {'clock': [4.8269000000001824e-05, 4.8269000000001824e-05],
+                'counters': [{'batched_ops': 998,
+                              'batches': 4,
+                              'bytes_got': 105720,
+                              'collectives': 15,
+                              'gets': 998,
+                              'msgs_saved': 994,
+                              'snapshot_reads': 128},
+                             {'batched_ops': 687,
+                              'batches': 4,
+                              'bytes_got': 67584,
+                              'collectives': 15,
+                              'gets': 687,
+                              'msgs_saved': 683,
+                              'snapshot_reads': 128}],
+                'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+        'bi2_style_query': {'clock': [0.00015307168000000017, 0.00015307168000000017],
+                            'counters': [{'batched_ops': 1296,
+                                          'batches': 8,
+                                          'bytes_got': 136807,
+                                          'collectives': 7,
+                                          'gets': 1296,
+                                          'msgs_saved': 1288,
+                                          'snapshot_reads': 167},
+                                         {'batched_ops': 1023,
+                                          'batches': 8,
+                                          'bytes_got': 105264,
+                                          'collectives': 7,
+                                          'gets': 1023,
+                                          'msgs_saved': 1015,
+                                          'snapshot_reads': 152}],
+                            'shards': {'bytes': [143400, 98671], 'ops': [1334, 985]}},
+        'load_local_adjacency': {'clock': [2.5874399999999435e-05, 2.5874399999999435e-05],
+                                 'counters': [{'batched_ops': 998,
+                                               'batches': 4,
+                                               'bytes_got': 105720,
+                                               'collectives': 6,
+                                               'gets': 998,
+                                               'msgs_saved': 994,
+                                               'snapshot_reads': 128},
+                                              {'batched_ops': 687,
+                                               'batches': 4,
+                                               'bytes_got': 67584,
+                                               'collectives': 6,
+                                               'gets': 687,
+                                               'msgs_saved': 683,
+                                               'snapshot_reads': 128}],
+                                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+        'pagerank': {'clock': [5.9696899999999364e-05, 5.9696899999999364e-05],
+                     'counters': [{'batched_ops': 998,
+                                   'batches': 4,
+                                   'bytes_got': 105720,
+                                   'collectives': 13,
+                                   'gets': 998,
+                                   'msgs_saved': 994,
+                                   'snapshot_reads': 128},
+                                  {'batched_ops': 687,
+                                   'batches': 4,
+                                   'bytes_got': 67584,
+                                   'collectives': 13,
+                                   'gets': 687,
+                                   'msgs_saved': 683,
+                                   'snapshot_reads': 128}],
+                     'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}}}
+# fmt: on
+
+
+@pytest.mark.parametrize("mvcc", [False, True])
+def test_olap_simulated_charges_match_recorded_constants(mvcc):
+    got = measure(mvcc)
+    for name, want in EXPECTED[mvcc].items():
+        assert got[name]["counters"] == want["counters"], name
+        assert got[name]["shards"] == want["shards"], name
+        # a delta of absolute clocks that the (threaded) build left in
+        # slightly different places: equal to rounding, far below the
+        # smallest single charge (0.08 us against deltas of ~50 us)
+        assert got[name]["clock"] == pytest.approx(want["clock"], rel=1e-9), name
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({mvcc: measure(mvcc) for mvcc in (False, True)}, width=100)
