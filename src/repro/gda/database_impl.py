@@ -55,13 +55,6 @@ class GdaConfig:
     dht_buckets_per_rank: int = 1024
     dht_entries_per_rank: int = 4096
     lock_max_retries: int = 64
-    #: seeded exponential backoff between lock attempts (0 disables);
-    #: charged as pure simulated time, never extra one-sided operations.
-    #: The cap is ~10 lock-hold times: large enough to desynchronize
-    #: contenders, small enough that even a full ``lock_max_retries``
-    #: timeout costs well under a millisecond of simulated time.
-    lock_backoff_base: float = 2e-6
-    lock_backoff_cap: float = 20e-6
     #: primary-backup block replication + live failover (requires the
     #: runtime to carry a :class:`~repro.rma.membership.ClusterMembership`).
     #: Off by default: fault-free workloads pay no mirroring traffic.
@@ -371,7 +364,7 @@ class GdaDatabase:
             matched = []
             dtype_of = self.replicas[ctx.rank].dtype_of
             for vid in self.directory.local_vertices(ctx):
-                holder = tx.read_holder(vid).holder
+                holder = tx._load_vertex(vid, for_write=False).holder
                 if index.matches(holder, dtype_of):
                     matched.append(vid)
             index.bulk_add_local(ctx, matched)

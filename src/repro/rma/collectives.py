@@ -128,6 +128,8 @@ class CollectiveEngine:
         #: populated when the runtime has a membership view: collectives
         #: then complete over the live view instead of aborting)
         self._excluded: set[int] = set()
+        #: generation -> ranks marked blocked at the interleaving scheduler
+        self._parked: dict[int, list[int]] = {}
         self._poisoned: BaseException | None = None
 
     # -- failure handling -------------------------------------------------
@@ -166,6 +168,7 @@ class CollectiveEngine:
             self._left.clear()
             self._readers.clear()
             self._aborted.clear()
+            self._parked.clear()
 
     # -- core rendezvous ---------------------------------------------------
     def _raise_dead(self, detail: str):
@@ -182,6 +185,12 @@ class CollectiveEngine:
         self._generation += 1
         self._ready.add(gen)
         self._readers[gen] = expected
+        # Unpark every waiter here, before the publisher leaves: were each
+        # one to unblock itself on waking, the publisher (never blocked)
+        # could win op-grant rounds while its peers still count as
+        # blocked, and the OS wake-up order would pick the interleaving.
+        for rank in self._parked.pop(gen, ()):
+            self._rt.scheduler.unblock(rank)
         self._cond.notify_all()
         return True
 
@@ -250,6 +259,7 @@ class CollectiveEngine:
                 sched = getattr(self._rt, "scheduler", None)
                 if sched is not None:
                     sched.block(rank)
+                    self._parked.setdefault(gen, []).append(rank)
                 try:
                     while gen not in self._ready:
                         self._check_poison()
@@ -263,6 +273,8 @@ class CollectiveEngine:
                             continue
                         self._cond.wait(timeout=0.05)
                 finally:
+                    # the publisher already did this; an aborted or
+                    # poisoned generation has no publisher
                     if sched is not None:
                         sched.unblock(rank)
                 if gen in self._aborted:

@@ -8,7 +8,7 @@ GDA routines issue the operation counts the paper's analysis promises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["RankCounters", "TraceRecorder"]
 
@@ -108,48 +108,8 @@ class RankCounters:
         return self.puts + self.gets + self.atomics
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "puts": self.puts,
-            "gets": self.gets,
-            "atomics": self.atomics,
-            "flushes": self.flushes,
-            "collectives": self.collectives,
-            "bytes_put": self.bytes_put,
-            "bytes_got": self.bytes_got,
-            "remote_ops": self.remote_ops,
-            "local_ops": self.local_ops,
-            "batches": self.batches,
-            "batched_ops": self.batched_ops,
-            "msgs_saved": self.msgs_saved,
-            "bytes_batched": self.bytes_batched,
-            "faults_injected": self.faults_injected,
-            "op_retries": self.op_retries,
-            "backoff_time": self.backoff_time,
-            "straggler_time": self.straggler_time,
-            "mirrored_blocks": self.mirrored_blocks,
-            "mirrored_bytes": self.mirrored_bytes,
-            "epoch_fences": self.epoch_fences,
-            "corruptions_injected": self.corruptions_injected,
-            "corruptions_detected": self.corruptions_detected,
-            "shard_repairs": self.shard_repairs,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "replans": self.replans,
-            "plan_cache_evictions": self.plan_cache_evictions,
-            "requests_admitted": self.requests_admitted,
-            "requests_shed": self.requests_shed,
-            "requests_throttled": self.requests_throttled,
-            "requests_shed_analytics": self.requests_shed_analytics,
-            "deadline_misses": self.deadline_misses,
-            "breaker_trips": self.breaker_trips,
-            "queue_depth_peak": self.queue_depth_peak,
-            "congestion_time": self.congestion_time,
-            "lock_conflicts": self.lock_conflicts,
-            "snapshot_reads": self.snapshot_reads,
-            "versions_installed": self.versions_installed,
-            "versions_reclaimed": self.versions_reclaimed,
-            "gc_watermark": self.gc_watermark,
-        }
+        """Every counter field by name, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def diff(self, earlier: dict[str, int]) -> dict[str, int]:
         """Counter deltas relative to an earlier :meth:`snapshot`."""
@@ -378,8 +338,9 @@ class TraceRecorder:
         return sum(getattr(c, field_name) for c in self.counters)
 
     def summary(self) -> dict[str, int]:
-        keys = self.counters[0].snapshot().keys() if self.counters else []
-        return {k: sum(c.snapshot()[k] for c in self.counters) for k in keys}
+        snaps = [c.snapshot() for c in self.counters]
+        keys = snaps[0] if snaps else ()
+        return {k: sum(s[k] for s in snaps) for k in keys}
 
     def reset(self) -> None:
         self.counters = [RankCounters() for _ in range(self.nranks)]

@@ -46,7 +46,6 @@ from __future__ import annotations
 import heapq
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 from ..gda.retry import RetryDeadlineExceeded, RetryPolicy, run_transaction
 from ..gdi.errors import GdiTransactionCritical
@@ -91,17 +90,12 @@ class ServeConfig:
     #: (None = unlimited) and burst capacity
     tenant_rate: float | None = None
     tenant_burst: float = 8.0
-    #: tenant -> (rate, burst) overrides
-    tenant_overrides: Mapping[str, tuple[float | None, float]] = field(
-        default_factory=dict
-    )
     #: circuit breaker on p99 admission wait, simulated seconds
     #: (None disables the breaker: analytics always admitted)
     breaker_p99_threshold: float | None = None
     breaker_window: int = 128
     breaker_min_samples: int = 16
     breaker_cooldown: float = 5e-3
-    breaker_recovery_probes: int = 4
     #: transaction retry/backoff; the per-request remaining deadline is
     #: folded in (min of both budgets) before each execution
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -118,9 +112,7 @@ class GraphServer:
         self.config = config or ServeConfig()
         self.queue = BoundedQueue(self.config.queue_capacity)
         self.limiter = TenantRateLimiter(
-            self.config.tenant_rate,
-            self.config.tenant_burst,
-            self.config.tenant_overrides,
+            self.config.tenant_rate, self.config.tenant_burst
         )
         self.breaker: CircuitBreaker | None = None
         if self.config.breaker_p99_threshold is not None:
@@ -129,7 +121,6 @@ class GraphServer:
                 window=self.config.breaker_window,
                 min_samples=self.config.breaker_min_samples,
                 cooldown=self.config.breaker_cooldown,
-                recovery_probes=self.config.breaker_recovery_probes,
             )
         #: worker rank -> virtual serving clock (simulated seconds);
         #: diagnostic view of the server pool below

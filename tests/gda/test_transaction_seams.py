@@ -1,0 +1,158 @@
+"""The seams of the transaction layer: lock table, read view, probes.
+
+* the benchmark's span probes still hook every layer the transaction
+  code calls through (an unhooked layer silently reads as free);
+* the locking and the snapshot read view classify a fetched row the same
+  way, for vertices and for heavyweight edge holders;
+* ``acquire`` is all-or-nothing.
+"""
+
+import os
+import sys
+
+import pytest
+
+from repro.gda import GdaConfig, GdaDatabase
+from repro.gda.holder import NEED_ALL
+from repro.gda.locks import WRITE_BIT
+from repro.gdi import GdiError, GdiLockFailed
+from repro.rma import run_spmd
+
+ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+
+# --------------------------------------------------------------- probes --
+def test_probes_hook_the_lock_and_commit_layers():
+    sys.path.insert(0, ROOT)
+    try:
+        from bench import probes
+    finally:
+        sys.path.remove(ROOT)
+    tracer = probes.Tracer()
+    probes.install(tracer)
+    try:
+        assert tracer.missing == []
+
+        def prog(ctx):
+            db = GdaDatabase.create(ctx)
+            tx = db.start_transaction(ctx, write=True)
+            vids = [tx.create_vertex(i).vid for i in (1, 2)]
+            tx.commit()
+            tracer.bind(ctx)
+            tracer.set_op(0)
+            tx = db.start_transaction(ctx)
+            assert all(tx.load_vertices(vids))
+            tx.commit()
+            tracer.unbind()
+
+        run_spmd(1, prog)
+    finally:
+        probes.uninstall(tracer)
+    fields = probes.SPAN_FIELDS
+    seen = {
+        (span[fields.index("layer")], span[fields.index("name")])
+        for span in tracer.spans()
+    }
+    assert ("gda.locks", "transaction_impl.acquire_read_batch") in seen
+    assert ("gda.locks", "transaction_impl.release_batch") in seen
+    assert ("gda.tx.commit", "Transaction.commit") in seen
+
+
+# ------------------------------------------------- one classify-row step --
+def _scene(ctx, db):
+    """ids of a live vertex, a live edge holder and an empty block."""
+    tx = db.start_transaction(ctx, write=True)
+    v = tx.create_vertex(7)
+    edge = tx.create_edge(v, v, directed=False, force_heavy=True)
+    ids = {"vertex": v.vid, "edge": edge._slot.dptr}
+    tx.commit()
+    ids["hole"] = db.blocks.acquire_block_anywhere(ctx, 0)
+    db.blocks.release_block(ctx, ids["hole"])
+    return ids
+
+
+CASES = [
+    # tag, block fetched, expected application ID, outcome when not missing_ok
+    ("v", "vertex", None, "served"),
+    ("v", "hole", None, "GdiNotFound"),
+    ("v", "edge", None, "GdiObjectMismatch"),
+    ("v", "vertex", 8, "GdiNotFound"),  # recycled: carries 7, not 8
+    ("e", "edge", None, "served"),
+    ("e", "hole", None, "GdiNotFound"),
+    ("e", "vertex", None, "GdiObjectMismatch"),
+]
+
+
+@pytest.mark.parametrize("missing_ok", [False, True])
+@pytest.mark.parametrize("tag,block,expected_app,outcome", CASES)
+def test_locking_and_snapshot_views_classify_rows_identically(
+    tag, block, expected_app, outcome, missing_ok
+):
+    if missing_ok and outcome == "GdiNotFound":
+        outcome = "skipped"  # a read miss is tolerated, a wrong kind never
+
+    def prog(ctx):
+        db = GdaDatabase.create(ctx, GdaConfig(mvcc=True))
+        oid = _scene(ctx, db)[block]
+        expected = None if expected_app is None else {oid: expected_app}
+        got = []
+        for snapshot in (False, True):
+            tx = db.start_transaction(ctx, snapshot=snapshot)
+            assert tx.snapshot == snapshot
+            try:
+                rows = list(
+                    tx._view.fetch(
+                        tag, [oid], False, NEED_ALL, expected, missing_ok
+                    )
+                )
+                got.append("served" if rows else "skipped")
+                assert [r[0] for r in rows] == ([oid] if rows else [])
+            except GdiError as exc:
+                got.append(type(exc).__name__)
+            # a locking view keeps the lock of a served vertex, only
+            held = list(tx._locks._held)
+            want_held = tag == "v" and not snapshot and got[-1] == "served"
+            assert held == ([oid] if want_held else [])
+            tx.abort()
+        return got
+
+    _, res = run_spmd(1, prog)
+    assert res[0] == [outcome, outcome]
+
+
+# ------------------------------------------------------ all-or-nothing --
+@pytest.mark.parametrize("replication", [False, True])
+@pytest.mark.parametrize("for_write", [False, True])
+def test_acquire_is_all_or_nothing(replication, for_write):
+    """A timeout on the k-th word leaves no word held and nothing in the
+    lock registry — on the batched path (no membership view) and on the
+    scalar epoch-capturing one (a view armed by replication)."""
+
+    def prog(ctx):
+        db = GdaDatabase.create(
+            ctx, GdaConfig(lock_max_retries=2, replication=replication)
+        )
+        assert (getattr(ctx.rt, "membership", None) is not None) == replication
+        if ctx.rank == 0:
+            tx = db.start_transaction(ctx, write=True)
+            vids = [tx.create_vertex(i).vid for i in range(4)]
+            tx.commit()
+            tx = db.start_transaction(ctx, write=for_write)
+            words = [tx._locks._lock_of(vid) for vid in vids]
+            words[2].acquire_write(ctx)  # somebody else holds the third
+            with pytest.raises(GdiLockFailed):
+                tx.load_vertices(vids, for_write=for_write)
+            assert tx.failed and tx._locks._held == {}
+            assert [w.peek(ctx) for w in words] == [
+                (False, 0), (False, 0), (True, 0), (False, 0)
+            ]
+            if replication:
+                assert db.lock_registry.held_by(0) == []
+            tx.abort()
+            assert ctx.aget(words[2].window, words[2].rank, words[2].offset) == WRITE_BIT
+            words[2].release_write(ctx)
+        ctx.barrier()
+
+    run_spmd(2, prog)

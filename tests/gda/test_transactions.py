@@ -861,3 +861,39 @@ def test_vertex_scan_columns_agree_with_handle_verbs():
 
     _, res = _with_db(2, prog)
     assert all(res)
+
+
+# ------------------------------------------------- heavyweight self-loops --
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("via", ["delete_vertex", "delete_edge"])
+def test_heavy_self_loop_deletes_cleanly(directed, via):
+    """A directed heavyweight self-loop puts two slots of one vertex on one
+    edge holder; deleting must resolve both before the holder goes."""
+    from repro.gda.consistency import check_consistency
+
+    def body(ctx, db):
+        blocks_before = db.blocks.allocated_count(ctx, 0)
+        tx = db.start_transaction(ctx, write=True)
+        v = tx.create_vertex(1)
+        tx.create_edge(v, v, directed=directed, force_heavy=True)
+        tx.commit()
+
+        tx = db.start_transaction(ctx, write=True)
+        v = tx.find_vertex(1)
+        assert len(v.edges()) == (2 if directed else 1)
+        if via == "delete_vertex":
+            tx.delete_vertex(v)
+        else:
+            tx.delete_edge(v.edges()[0])
+            assert v.edges() == []
+            tx.commit()
+            tx = db.start_transaction(ctx, write=True)
+            tx.delete_vertex(tx.find_vertex(1))
+        tx.commit()
+
+        report = check_consistency(ctx, db)
+        assert report.ok, report.problems
+        assert report.n_vertices == 0 and report.n_edge_holders == 0
+        assert db.blocks.allocated_count(ctx, 0) == blocks_before
+
+    _with_db(1, body)

@@ -157,3 +157,19 @@ class TestClockSemantics:
         assert rt.clocks[1] > 0
         assert rt.clocks[0] == 0
         assert rt.clocks[2] == 0  # one-sided: target pays nothing
+
+
+def test_same_seed_replays_the_same_interleaving_after_a_barrier():
+    """The rank that completes a barrier must not get a head start: every
+    parked peer is runnable again before it returns, so the seed alone —
+    not the OS wake-up order — decides who wins each op-grant round."""
+
+    def prog(ctx):
+        win = ctx.win_allocate("w", 8)
+        ctx.barrier()
+        order = tuple(ctx.faa(win, 0, 0, 1) for _ in range(5))
+        ctx.barrier()
+        return order
+
+    outcomes = {tuple(run_spmd(3, prog, seed=5)[1]) for _ in range(20)}
+    assert len(outcomes) == 1
