@@ -50,6 +50,38 @@ def test_remote_cas(benchmark, rt, ctx):
     benchmark(op)
 
 
+def test_scalar_verb_costs_no_more_than_its_plural_of_one(rt, ctx):
+    """A scalar verb shares the issue path of its plural verb and skips the
+    tally of the vector, so it must not be the slower of the two.  A
+    ratio of best-of-N loops on one host, interleaved: no absolute time
+    is asserted, so a slow runner cannot flake it."""
+    from time import perf_counter
+
+    win = rt.allocate_window("micro.ratio", 4096)
+    pairs = {
+        "get": (
+            lambda: ctx.get(win, 1, 0, 256),
+            lambda: ctx.get_batch(win, [(1, 0, 256)]),
+        ),
+        "faa": (
+            lambda: ctx.faa(win, 1, 0, 1),
+            lambda: ctx.faa_batch(win, [(1, 0, 1)]),
+        ),
+    }
+
+    def wall(fn, loops=2000):
+        t0 = perf_counter()
+        for _ in range(loops):
+            fn()
+        return perf_counter() - t0
+
+    for name, (scalar, plural) in pairs.items():
+        walls = [(wall(scalar), wall(plural)) for _ in range(9)]
+        t_scalar = min(w[0] for w in walls)
+        t_plural = min(w[1] for w in walls)
+        assert t_scalar <= t_plural, (name, t_scalar, t_plural)
+
+
 def test_allreduce_4_ranks(benchmark, rt):
     from repro.rma import ThreadExecutor
 

@@ -28,6 +28,18 @@ PARAMS = KroneckerParams(scale=8, edge_factor=8, seed=67)
 NRANKS = 4
 
 
+#: the Cypher-lite texts of the hand-coded workloads they are timed against
+FOF_TEXT = "MATCH (a {id = $src})-[*1..2]-(b) RETURN b.id"
+
+
+def bi2_text(g) -> str:
+    return (
+        f"MATCH (per:{g.vertex_label(0).name})-[:{g.edge_label(0).name}]->"
+        f"(v:{g.vertex_label(1).name}) WHERE per.p_score > $sv "
+        "AND v.p_active = $dv RETURN count(DISTINCT per)"
+    )
+
+
 #: Committed perf-smoke baseline: engine FOF latency the CI gate holds
 #: the tree to (simulated time is deterministic, so a tight bound works).
 BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "perf_smoke.json"
@@ -51,9 +63,10 @@ def test_query_engine_vs_handcoded(benchmark, report, metrics):
                     a = friends_of_friends(ctx, g, src, hops=2)
                     hand_fof.append(ctx.clock - t0)
                     t0 = ctx.clock
-                    b = friends_of_friends(
-                        ctx, g, src, hops=2, use_engine=True, engine=engine
-                    )
+                    b = {
+                        row[0]
+                        for row in engine.run(ctx, FOF_TEXT, params={"src": src}).rows
+                    }
                     eng_fof.append(ctx.clock - t0)
                     assert a == b
                 # the loop reuses one query text: all but the first run hit
@@ -63,18 +76,29 @@ def test_query_engine_vs_handcoded(benchmark, report, metrics):
             bi_hand = bi2_style_query(ctx, g, min_score=50.0)
             dt_bi_hand = ctx.clock - t0
             t0 = ctx.clock
-            bi_eng = bi2_style_query(
-                ctx, g, min_score=50.0, use_engine=True, engine=engine
-            )
+            bi_eng = None
+            if ctx.rank == 0:
+                bi_eng = engine.run(
+                    ctx, bi2_text(g), params={"sv": 50.0, "dv": True}
+                ).scalar()
+            ctx.barrier()
+            bi_eng = ctx.bcast(bi_eng, root=0)
             dt_bi_eng = ctx.clock - t0
             assert bi_hand == bi_eng
             t0 = ctx.clock
             gc_hand = group_count_by_label(ctx, g)
             dt_gc_hand = ctx.clock - t0
             t0 = ctx.clock
-            gc_eng = group_count_by_label(
-                ctx, g, use_engine=True, engine=engine
-            )
+            gc_eng = None
+            if ctx.rank == 0:
+                gc_eng = {}
+                for label in db.all_labels(ctx):
+                    n = engine.run(
+                        ctx, f"MATCH (v:{label.name}) RETURN count(*)"
+                    ).scalar()
+                    if n:
+                        gc_eng[label.name] = n
+            gc_eng = ctx.bcast(gc_eng, root=0)
             dt_gc_eng = ctx.clock - t0
             assert gc_hand == gc_eng
             # every point lookup plans index-backed (DHT seek, no scans)

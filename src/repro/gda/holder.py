@@ -770,7 +770,7 @@ class HolderStorage:
             self.blocks.acquire_block_anywhere(ctx, home_rank)
             for _ in range(ndata)
         ]
-        self._write_blocks(ctx, stored, payload, extra_flags)
+        self._write_out(ctx, self._write_items(stored, payload, extra_flags))
         return stored
 
     def rewrite(self, ctx: RankContext, stored: StoredHolder) -> None:
@@ -780,12 +780,7 @@ class HolderStorage:
         as possible; acquires extras or releases surplus as the holder
         grew or shrank.
         """
-        payload, extra_flags = stored.holder.payload()
-        nindex, ndata = plan_layout(len(payload), self.blocks.block_size)
-        home = stored.home_rank
-        self._resize(ctx, stored.data_blocks, ndata, home)
-        self._resize(ctx, stored.index_blocks, nindex, home)
-        self._write_blocks(ctx, stored, payload, extra_flags)
+        self.rewrite_many(ctx, [stored])
 
     def rewrite_many(
         self, ctx: RankContext, stored_list: list[StoredHolder]
@@ -793,9 +788,8 @@ class HolderStorage:
         """Write back many mutated holders with one batched flush.
 
         Each holder's block set is resized as in :meth:`rewrite`, then all
-        block writes of all holders coalesce into one non-blocking batch
-        (one network message per distinct owner rank) completed by a
-        single data-window flush — the transaction write pipeline.
+        block writes of all holders go out together — the transaction
+        write pipeline.
         """
         if not stored_list:
             return
@@ -807,6 +801,16 @@ class HolderStorage:
             self._resize(ctx, stored.data_blocks, ndata, home)
             self._resize(ctx, stored.index_blocks, nindex, home)
             items.extend(self._write_items(stored, payload, extra_flags))
+        self._write_out(ctx, items)
+
+    def _write_out(self, ctx: RankContext, items: list[tuple[int, bytes]]) -> None:
+        """Write ``(dptr, data)`` block items, stage their mirror, flush.
+
+        All block writes are non-blocking, coalesced into one network
+        message per distinct owner rank, and complete at one data-window
+        flush: the paper's overlap of one-sided communication (Section
+        5.1).
+        """
         self.blocks.iwrite_blocks(ctx, items)
         if self.mirror is not None:
             self.mirror.stage(ctx, items)
@@ -865,22 +869,6 @@ class HolderStorage:
             items.append((dptr, chunk))
             pos += len(chunk)
         return items
-
-    def _write_blocks(
-        self,
-        ctx: RankContext,
-        stored: StoredHolder,
-        payload: bytes,
-        extra_flags: int,
-    ) -> None:
-        # All block writes are non-blocking, coalesced per owner rank, and
-        # complete at one flush: the paper's overlap of one-sided
-        # communication (Section 5.1).
-        items = self._write_items(stored, payload, extra_flags)
-        self.blocks.iwrite_blocks(ctx, items)
-        if self.mirror is not None:
-            self.mirror.stage(ctx, items)
-        ctx.flush(self.blocks.data_win)
 
     # -- read -------------------------------------------------------------------
     def read(

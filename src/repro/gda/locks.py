@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..rma.faults import backoff_delay
 from ..rma.runtime import RankContext
@@ -56,6 +57,31 @@ class LockTimeout(RuntimeError):
     abort, which is what produces the "failed transactions" percentages in
     the paper's Figure 4.
     """
+
+
+class _Mode(NamedTuple):
+    """One way of taking a lock word: its atomic, success test and undo."""
+
+    #: the public scalar verb of the mode (looked up per call, so a probe
+    #: patched over it still sees the retries of a batch)
+    verb: str
+    #: ``CAS(expect -> WRITE_BIT)``, held iff the word was ``expect``;
+    #: ``None`` is the read side: ``FAA(+1)``, held unless the write bit
+    #: was set (and then backed out with ``FAA(-1)``)
+    expect: int | None
+    #: FAA delta that gives a held lock of this mode back
+    undo: int
+    busy: str
+
+
+_READ = _Mode("acquire_read", None, -1, "read lock at rank {} offset {} busy")
+_WRITE = _Mode(
+    "acquire_write", 0, -WRITE_BIT, "write lock at rank {} offset {} busy"
+)
+_UPGRADE = _Mode(
+    "upgrade", 1, 1 - WRITE_BIT,
+    "upgrade at rank {} offset {} failed (concurrent readers or writer)",
+)
 
 
 @dataclass
@@ -93,19 +119,24 @@ class RWLock:
         ctx.charge(delay)
         ctx.rt.trace.record_backoff(ctx.rank, delay)
 
-    # -- read side --------------------------------------------------------
-    def acquire_read(self, ctx: RankContext) -> None:
+    def _acquire(self, ctx: RankContext, mode: _Mode) -> None:
+        """Bounded retry of one mode's atomic, backing off between tries."""
+        win, rank, offset = self.window, self.rank, self.offset
         for attempt in range(self.max_retries):
-            old = ctx.faa(self.window, self.rank, self.offset, 1)
-            if not old & WRITE_BIT:
+            if mode.expect is None:
+                if not ctx.faa(win, rank, offset, 1) & WRITE_BIT:
+                    return
+                ctx.faa(win, rank, offset, -1)  # back out
+            elif ctx.cas(win, rank, offset, mode.expect, WRITE_BIT) == mode.expect:
                 return
-            ctx.faa(self.window, self.rank, self.offset, -1)  # back out
-            ctx.rt.trace.record_lock_conflict(ctx.rank, self.rank)
+            ctx.rt.trace.record_lock_conflict(ctx.rank, rank)
             if attempt + 1 < self.max_retries:
                 self._backoff(ctx, attempt)
-        raise LockTimeout(
-            f"read lock at rank {self.rank} offset {self.offset} busy"
-        )
+        raise LockTimeout(mode.busy.format(rank, offset))
+
+    # -- read side --------------------------------------------------------
+    def acquire_read(self, ctx: RankContext) -> None:
+        self._acquire(ctx, _READ)
 
     def release_read(self, ctx: RankContext) -> None:
         old = ctx.faa(self.window, self.rank, self.offset, -1)
@@ -114,15 +145,7 @@ class RWLock:
 
     # -- write side -------------------------------------------------------
     def acquire_write(self, ctx: RankContext) -> None:
-        for attempt in range(self.max_retries):
-            if ctx.cas(self.window, self.rank, self.offset, 0, WRITE_BIT) == 0:
-                return
-            ctx.rt.trace.record_lock_conflict(ctx.rank, self.rank)
-            if attempt + 1 < self.max_retries:
-                self._backoff(ctx, attempt)
-        raise LockTimeout(
-            f"write lock at rank {self.rank} offset {self.offset} busy"
-        )
+        self._acquire(ctx, _WRITE)
 
     def release_write(self, ctx: RankContext) -> None:
         # FAA, not CAS: while we hold the write bit, readers may be
@@ -141,16 +164,7 @@ class RWLock:
         caller's transaction must abort (lock-order-free deadlock
         avoidance).
         """
-        for attempt in range(self.max_retries):
-            if ctx.cas(self.window, self.rank, self.offset, 1, WRITE_BIT) == 1:
-                return
-            ctx.rt.trace.record_lock_conflict(ctx.rank, self.rank)
-            if attempt + 1 < self.max_retries:
-                self._backoff(ctx, attempt)
-        raise LockTimeout(
-            f"upgrade at rank {self.rank} offset {self.offset} failed "
-            "(concurrent readers or writer)"
-        )
+        self._acquire(ctx, _UPGRADE)
 
     def downgrade(self, ctx: RankContext) -> None:
         """Turn the held write lock into a read lock without a gap."""
@@ -166,117 +180,65 @@ class RWLock:
         return bool(word & WRITE_BIT), word & ~WRITE_BIT
 
 
-def acquire_read_batch(ctx: RankContext, locks: list[RWLock]) -> None:
-    """Acquire read locks on all ``locks`` with batched FAAs.
+def _one_window(locks: list[RWLock]) -> bool:
+    """Whether a vector is worth one batched atomic: two or more words,
+    all in one window."""
+    return len(locks) > 1 and len({id(lk.window) for lk in locks}) == 1
 
-    The optimistic +1 FAAs for the whole vector ride one doorbell batch
-    (one full atomic round per distinct target NIC); words found with the
-    write bit set are backed out in a second batch, then retried through
-    the scalar bounded-retry path.  On :class:`LockTimeout` every lock
-    acquired by this call has been released; locks the caller already
-    held are untouched.
+
+def _acquire_batch(ctx: RankContext, locks: list[RWLock], mode: _Mode) -> None:
+    """Take every word of ``locks`` in ``mode``, all or nothing.
+
+    The optimistic atomics for the whole vector ride one doorbell batch
+    (one full atomic round per distinct target NIC); each contended word
+    is then retried through the scalar bounded-retry path (per-lock
+    backoff budget).  On :class:`LockTimeout` every word this call took
+    has been given back; what the caller held before is untouched.
     """
-    if not locks:
-        return
-    if len(locks) == 1:
-        locks[0].acquire_read(ctx)
-        return
-    wins = {id(lk.window) for lk in locks}
-    if len(wins) != 1:
+    if not _one_window(locks):
         for lk in locks:
-            lk.acquire_read(ctx)
+            getattr(lk, mode.verb)(ctx)
         return
     win = locks[0].window
-    olds = ctx.faa_batch(
-        win, [(lk.rank, lk.offset, 1) for lk in locks]
-    )
-    contended = [lk for lk, old in zip(locks, olds) if old & WRITE_BIT]
-    if not contended:
-        return
-    # back the failed increments out in one batch, then retry each
-    # contended word through the scalar path (per-lock backoff budget).
-    ctx.faa_batch(win, [(lk.rank, lk.offset, -1) for lk in contended])
-    held = [lk for lk, old in zip(locks, olds) if not old & WRITE_BIT]
+    if mode.expect is None:
+        olds = ctx.faa_batch(win, [(lk.rank, lk.offset, 1) for lk in locks])
+        won = [not old & WRITE_BIT for old in olds]
+    else:
+        olds = ctx.cas_batch(
+            win, [(lk.rank, lk.offset, mode.expect, WRITE_BIT) for lk in locks]
+        )
+        won = [old == mode.expect for old in olds]
+    held = [lk for lk, ok in zip(locks, won) if ok]
+    contended = [lk for lk, ok in zip(locks, won) if not ok]
+    if contended and mode.expect is None:  # the failed +1s landed: back out
+        ctx.faa_batch(win, [(lk.rank, lk.offset, -1) for lk in contended])
     try:
         for lk in contended:
-            lk.acquire_read(ctx)
+            getattr(lk, mode.verb)(ctx)
             held.append(lk)
     except LockTimeout:
         if held:
-            ctx.faa_batch(win, [(lk.rank, lk.offset, -1) for lk in held])
+            ctx.faa_batch(win, [(lk.rank, lk.offset, mode.undo) for lk in held])
         raise
+
+
+def acquire_read_batch(ctx: RankContext, locks: list[RWLock]) -> None:
+    """Acquire read locks on all ``locks``: one batch of ``FAA(+1)``."""
+    _acquire_batch(ctx, locks, _READ)
 
 
 def acquire_write_batch(ctx: RankContext, locks: list[RWLock]) -> None:
-    """Acquire write locks on all ``locks`` with batched CASes.
-
-    Mirrors :func:`acquire_read_batch`: one optimistic CAS(0→WRITE_BIT)
-    batch, scalar retries for contended words, all-or-nothing cleanup on
-    timeout.
-    """
-    if not locks:
-        return
-    if len(locks) == 1:
-        locks[0].acquire_write(ctx)
-        return
-    wins = {id(lk.window) for lk in locks}
-    if len(wins) != 1:
-        for lk in locks:
-            lk.acquire_write(ctx)
-        return
-    win = locks[0].window
-    olds = ctx.cas_batch(
-        win, [(lk.rank, lk.offset, 0, WRITE_BIT) for lk in locks]
-    )
-    held = [lk for lk, old in zip(locks, olds) if old == 0]
-    contended = [lk for lk, old in zip(locks, olds) if old != 0]
-    try:
-        for lk in contended:
-            lk.acquire_write(ctx)
-            held.append(lk)
-    except LockTimeout:
-        if held:
-            ctx.faa_batch(
-                win, [(lk.rank, lk.offset, -WRITE_BIT) for lk in held]
-            )
-        raise
+    """Acquire write locks on all ``locks``: one batch of
+    ``CAS(0 -> WRITE_BIT)``."""
+    _acquire_batch(ctx, locks, _WRITE)
 
 
 def upgrade_batch(ctx: RankContext, locks: list[RWLock]) -> None:
-    """Upgrade held read locks to write locks with batched CASes.
-
-    One optimistic CAS(1→WRITE_BIT) batch, scalar bounded retries for
-    contended words.  All-or-nothing: on :class:`LockTimeout` every lock
-    this call upgraded is downgraded back to a read lock (gap-free FAA)
-    before re-raising, so the caller still holds exactly its read locks.
-    """
-    if not locks:
-        return
-    if len(locks) == 1:
-        locks[0].upgrade(ctx)
-        return
-    wins = {id(lk.window) for lk in locks}
-    if len(wins) != 1:
-        for lk in locks:
-            lk.upgrade(ctx)
-        return
-    win = locks[0].window
-    olds = ctx.cas_batch(
-        win, [(lk.rank, lk.offset, 1, WRITE_BIT) for lk in locks]
-    )
-    upgraded = [lk for lk, old in zip(locks, olds) if old == 1]
-    contended = [lk for lk, old in zip(locks, olds) if old != 1]
-    try:
-        for lk in contended:
-            lk.upgrade(ctx)
-            upgraded.append(lk)
-    except LockTimeout:
-        if upgraded:
-            ctx.faa_batch(
-                win,
-                [(lk.rank, lk.offset, 1 - WRITE_BIT) for lk in upgraded],
-            )
-        raise
+    """Upgrade held read locks to write locks: one batch of
+    ``CAS(1 -> WRITE_BIT)``.  On timeout the words this call upgraded
+    are downgraded back (gap-free FAA), so the caller still holds
+    exactly its read locks."""
+    _acquire_batch(ctx, locks, _UPGRADE)
 
 
 def release_batch(
@@ -289,14 +251,7 @@ def release_batch(
     one batched atomic round.  The scalar paths' held-lock sanity checks
     are preserved per element.
     """
-    if not locks:
-        return
-    if len(locks) == 1:
-        lk, is_write = locks[0]
-        (lk.release_write if is_write else lk.release_read)(ctx)
-        return
-    wins = {id(lk.window) for lk, _ in locks}
-    if len(wins) != 1:
+    if len(locks) < 2 or not _one_window([lk for lk, _ in locks]):
         for lk, is_write in locks:
             (lk.release_write if is_write else lk.release_read)(ctx)
         return

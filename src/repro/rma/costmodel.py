@@ -178,49 +178,23 @@ class CostModel:
 
     # -- one-sided -------------------------------------------------------
     def onesided(self, origin: int, target: int, nbytes: int) -> float:
-        """Cost of a put/get of ``nbytes`` from ``origin`` to ``target``."""
+        """Cost of a put/get of ``nbytes`` from ``origin`` to ``target``:
+        one message, whether ``nbytes`` is one operation's payload or the
+        summed payload of a doorbell batch coalesced towards ``target``."""
         p = self.profile
         if origin == target:
             return p.alpha_local + nbytes * p.beta_local
         return p.alpha + nbytes * p.beta
 
-    def batched_onesided(
-        self, origin: int, per_target: dict[int, int]
-    ) -> float:
-        """Cost of a batched put/get: one message per distinct target.
-
-        ``per_target`` maps each target rank to the summed payload of the
-        coalesced operations headed there; each distinct target costs one
-        latency term plus the summed bandwidth term, so a batch of ``n``
-        same-target operations pays ``alpha + total_bytes * beta`` instead
-        of ``n * alpha + total_bytes * beta``.
-        """
-        return sum(
-            self.onesided(origin, t, n) for t, n in per_target.items()
-        )
-
-    def atomic(self, origin: int, target: int) -> float:
-        """Cost of an 8-byte remote atomic (CAS/FAA/APUT/AGET)."""
+    def atomic(self, origin: int, target: int, count: int = 1) -> float:
+        """Cost of ``count`` 8-byte remote atomics (CAS/FAA/APUT/AGET)
+        issued to one target in one doorbell batch: the first pays the
+        full round, each further one only the pipelined ``o_atomic``
+        issue slot."""
         p = self.profile
         if origin == target:
-            return p.alpha_local
-        return p.alpha + p.gamma
-
-    def batched_atomic(self, origin: int, per_target: dict[int, int]) -> float:
-        """Cost of a batched atomic: one full round per distinct target.
-
-        ``per_target`` maps each target rank to the number of atomics
-        headed there; the first atomic per target pays the full
-        :meth:`atomic` latency and each additional one only the pipelined
-        ``o_atomic`` issue slot.
-        """
-        p = self.profile
-        total = 0.0
-        for t, n in per_target.items():
-            if n <= 0:
-                continue
-            total += self.atomic(origin, t) + (n - 1) * p.o_atomic
-        return total
+            return p.alpha_local + (count - 1) * p.o_atomic
+        return p.alpha + p.gamma + (count - 1) * p.o_atomic
 
     def target_service(self, nbytes: int) -> float:
         """Receiver-side NIC busy time caused by one incoming message."""

@@ -364,14 +364,9 @@ class FaultInjector:
         return "stale"
 
     # -- runtime hooks ------------------------------------------------------
-    def before_op(self, rt, origin: int, target: int, opcost: float) -> None:
-        """Called by the runtime before a scalar one-sided op or flush."""
-        n = self._tick(rt)
-        self._guard(rt, origin, (target,))
-        self._inject(rt, n, origin, opcost)
-
     def before_batch(self, rt, origin: int, targets, opcost: float) -> None:
-        """Called before a batched op: one doorbell, one fault draw."""
+        """Called by the runtime before every issue — a scalar verb, a
+        batched one or a flush: one doorbell, one fault draw."""
         n = self._tick(rt)
         self._guard(rt, origin, targets)
         self._inject(rt, n, origin, opcost)

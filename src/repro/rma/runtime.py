@@ -8,37 +8,32 @@ builds GDI-RMA from::
     CAS(new, compare, result, remote)
     APUT / AGET                flush
 
-Every operation charges simulated time into per-rank clocks via
-:class:`repro.rma.costmodel.CostModel` and increments the counters in
-:class:`repro.rma.trace.TraceRecorder`.  Remote atomics serialize through a
-per-target lock, mimicking the NIC atomic unit of RDMA hardware, so the
-lock-free algorithms layered on top (block allocator, DHT, RW locks)
-experience genuine concurrency semantics when driven by threads.
+Remote atomics serialize through a per-target lock, mimicking the NIC
+atomic unit of RDMA hardware, so the lock-free algorithms layered on top
+(block allocator, DHT, RW locks) experience genuine concurrency semantics
+when driven by threads.
 
-Non-blocking operations: the paper issues non-blocking puts/gets and
-completes them with flushes, overlapping communication with computation.
-Two flavours exist here:
+Every verb is one *issue* of a vector of ``(target, offset, ...)``
+elements — a scalar verb issues a vector of one — and takes the same two
+steps around its data movement (``RankContext._admit``/``_account``):
+admitted before a byte moves (scheduler step, price, one fault draw),
+accounted after (counters in :class:`repro.rma.trace.TraceRecorder`, one
+charge to the rank's clock priced by
+:class:`repro.rma.costmodel.CostModel`, receiver NIC service).  The
+elements coalesce doorbell style into one network message per distinct
+``(window, target)`` pair: one latency term plus the summed bandwidth
+per target, one served message per target.  This is the GDA-level
+analogue of the paper's issue-many-then-flush pattern (Section 5.1) and
+the primary lever for remote-traversal latency.
 
-* blocking ``put``/``get`` — data moves and the full one-sided cost is
-  charged at issue;
-* non-blocking ``iput``/``iget`` — data moves immediately (remote memory
-  is consistent right away, as it would be by completion time on real
-  hardware), but only a small CPU injection overhead is charged at issue;
-  the *network* cost is charged at the completing ``flush``, where
-  messages to the same window overlap: one latency term plus the summed
-  bandwidth term, instead of one latency per message.  ``Request.wait()``
-  completes a single operation.
-
-Batched operations: ``get_batch``/``put_batch`` and their non-blocking
-siblings ``iget_batch``/``iput_batch`` take a whole vector of
-``(target, offset, ...)`` elements at once and coalesce them doorbell
-style, one network message per distinct ``(window, target)`` pair: the
-cost model charges one latency term plus the summed bandwidth per
-distinct target, the receiver NIC serves one coalesced message per
-target, and a non-blocking batch pays a single injection overhead for
-the whole vector.  This is the GDA-level analogue of the paper's
-issue-many-then-flush pattern (Section 5.1) and the primary lever for
-remote-traversal latency.
+Blocking verbs (``put``/``get``, the atomics, their ``*_batch`` forms)
+charge the full cost at issue.  The non-blocking ones (``iput``/``iget``
+/``iput_batch``/``iget_batch``) move their data immediately (remote
+memory is consistent right away, as it would be by completion time on
+real hardware) but charge one CPU injection overhead for the whole
+vector; the *network* cost is charged at the completing ``flush`` or
+``wait()``, where the pending messages of a window overlap: one latency
+term plus the summed bandwidth terms.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from .window import Window, WindowError
 
 __all__ = ["RmaRuntime", "RankContext", "Request", "BatchRequest", "RmaError"]
 
-_I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
@@ -71,8 +65,53 @@ def _wrap_i64(value: int) -> int:
     return value
 
 
+#: payload bytes of one element of a verb's ``ops``, by trace kind; an
+#: element starts ``(target, offset, ...)`` whatever its verb
+_NBYTES = {
+    "put": lambda op: len(op[2]),  # (target, offset, data)
+    "get": lambda op: op[2],  # (target, offset, nbytes)
+    "atomic": lambda op: 8,  # (target, offset, operand...)
+}
+
+
+def _tally(kind: str, ops) -> list[tuple[int, int, int]]:
+    """The coalesced messages of a vector of ``ops``: one ``(target,
+    payload bytes, element count)`` per distinct target.
+
+    Targets keep their order of first appearance: it fixes the order of
+    the float additions in the charge.
+    """
+    nbytes_of = _NBYTES[kind]
+    acc: dict[int, list[int]] = {}
+    for op in ops:
+        msg = acc.get(op[0])
+        if msg is None:
+            acc[op[0]] = [nbytes_of(op), 1]
+        else:
+            msg[0] += nbytes_of(op)
+            msg[1] += 1
+    return [(target, nbytes, n) for target, (nbytes, n) in acc.items()]
+
+
+def _tally_columns(ops: np.ndarray) -> list[tuple[int, int, int]]:
+    """:func:`_tally` of an ``(n, 3)`` get vector: same messages, same
+    order."""
+    uniq, first, inverse = np.unique(
+        ops[:, 0], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    # float weights are exact here: byte totals stay far below 2**53
+    sums = np.bincount(inverse, weights=ops[:, 2])[order].tolist()
+    counts = np.bincount(inverse)[order].tolist()
+    return [
+        (target, int(nbytes), n)
+        for target, nbytes, n in zip(uniq[order].tolist(), sums, counts)
+    ]
+
+
 class _PendingOp:
-    """A non-blocking operation awaiting its completing flush."""
+    """One coalesced message of a non-blocking issue, awaiting its
+    completing flush."""
 
     __slots__ = ("win_name", "target", "nbytes", "done", "failed")
 
@@ -84,57 +123,16 @@ class _PendingOp:
         self.failed = False
 
 
-class Request:
-    """Handle of a non-blocking operation (MPI_Request analogue).
-
-    ``wait()`` completes this single operation (charging its network cost
-    unless a window flush already covered it); for ``iget`` the fetched
-    bytes are available via :meth:`result` after completion.
-    """
-
-    __slots__ = ("_ctx", "_op", "_data")
-
-    def __init__(self, ctx: "RankContext", op: _PendingOp, data: bytes | None) -> None:
-        self._ctx = ctx
-        self._op = op
-        self._data = data
-
-    @property
-    def completed(self) -> bool:
-        return self._op.done
-
-    @property
-    def failed(self) -> bool:
-        return self._op.failed
-
-    def wait(self) -> None:
-        """Complete the operation; idempotent once completed or faulted."""
-        if not self._op.done and not self._op.failed:
-            self._ctx._complete_pending(
-                lambda op: op is self._op
-            )
-
-    def result(self) -> bytes:
-        """The data of an ``iget`` (only valid after completion)."""
-        if self._op.failed:
-            raise RmaError(
-                "request faulted (target rank crashed); no data available"
-            )
-        if not self._op.done:
-            raise RmaError("request not yet completed; call wait()/flush()")
-        if self._data is None:
-            raise RmaError("request carries no data (it was a put)")
-        return self._data
-
-
 class BatchRequest:
-    """Handle of a batched non-blocking operation (one doorbell, many ops).
+    """Handle of a non-blocking issue (MPI_Request analogue): one doorbell
+    for one operation (``iput``/``iget``) or a whole vector of them.
 
-    A batch coalesces its elements into one pending message per distinct
+    The elements coalesce into one pending message per distinct
     ``(window, target)`` pair; ``wait()`` completes whichever of those
-    messages a window flush has not already covered.  For ``iget_batch``
-    the fetched payloads are available via :meth:`results` (in the order
-    the elements were issued) after completion.
+    messages a window flush has not already covered (charging their
+    network cost).  For ``iget``/``iget_batch`` the fetched payloads are
+    available after completion: all of them in issue order via
+    :meth:`results`, one via :meth:`result`.
     """
 
     __slots__ = ("_ctx", "_ops", "_data")
@@ -158,7 +156,7 @@ class BatchRequest:
         return any(op.failed for op in self._ops)
 
     def wait(self) -> None:
-        """Complete the batch; idempotent once completed or faulted."""
+        """Complete the request; idempotent once completed or faulted."""
         undone = {
             id(op) for op in self._ops if not op.done and not op.failed
         }
@@ -166,19 +164,24 @@ class BatchRequest:
             self._ctx._complete_pending(lambda op: id(op) in undone)
 
     def results(self) -> list[bytes]:
-        """The payloads of an ``iget_batch`` (only valid after completion)."""
+        """The fetched payloads of a get (only valid after completion)."""
         if self.failed:
             raise RmaError(
-                "batch faulted (target rank crashed); no data available"
+                "request faulted (target rank crashed); no data available"
             )
         if not self.completed:
-            raise RmaError("batch not yet completed; call wait()/flush()")
+            raise RmaError("request not yet completed; call wait()/flush()")
         if self._data is None:
-            raise RmaError("batch carries no data (it was a put batch)")
+            raise RmaError("request carries no data (it was a put)")
         return list(self._data)
 
-    def result(self, i: int) -> bytes:
+    def result(self, i: int = 0) -> bytes:
+        """Payload ``i``; the only one for a scalar ``iget``."""
         return self.results()[i]
+
+
+#: a scalar non-blocking verb returns the batch handle of its one op
+Request = BatchRequest
 
 
 class RmaRuntime:
@@ -262,24 +265,23 @@ class RmaRuntime:
         return [self.context(r) for r in range(self.nranks)]
 
     # -- internals shared by contexts ----------------------------------------
-    def _step(self, rank: int) -> None:
-        if self.scheduler is not None:
-            self.scheduler.step(rank)
-
     def _charge(self, rank: int, seconds: float) -> None:
         self.clocks[rank] += seconds
 
     def _serve(self, origin: int, target: int, nbytes: int) -> None:
-        """Account receiver-side NIC service of one incoming message.
+        """Account receiver-side NIC service of one incoming remote message.
 
         With ``profile.congestion_feedback > 0`` the target NIC acts as
         a FIFO queue relative to the issuer's clock: the message starts
         at ``max(busy horizon, issuer now)`` and the issuer is charged
         ``congestion_feedback``x its queueing delay, so hot receivers
         slow every rank that touches them (the hot-shard signal).
+
+        Every verb charges its own cost first and serves after: a
+        message joins the receiver's queue when it arrives, one op
+        latency past the issuer's clock at issue.  (With feedback off
+        the two commute.)
         """
-        if origin == target:
-            return
         svc = self.cost.target_service(nbytes)
         fb = self.cost.profile.congestion_feedback
         wait = 0.0
@@ -322,34 +324,83 @@ class RankContext:
         self.rank = rank
         self.nranks = runtime.nranks
 
+    # -- the one issue path ---------------------------------------------------
+    def _admit(self, kind: str, msgs, pending: bool = False) -> tuple:
+        """Gate one issue before any byte moves; returns it, priced.
+
+        ``msgs`` are its coalesced messages, one ``(target, payload
+        bytes, element count)`` per distinct target.  Scheduler step,
+        then the price — the sum of its messages' prices (one latency
+        plus the summed bandwidth for puts/gets, one full round plus
+        pipelined issue slots for atomics), or one injection overhead
+        for a non-blocking issue (``pending``; its network is paid at
+        the completing flush/wait) — then one fault draw over the
+        targets.  A raise leaves memory and counters untouched.
+        """
+        rt = self.rt
+        if rt.scheduler is not None:
+            rt.scheduler.step(self.rank)
+        model = rt.cost
+        if pending:
+            cost = model.profile.alpha_local
+        else:
+            cost = 0.0
+            for target, nbytes, count in msgs:
+                if kind == "atomic":
+                    cost += model.atomic(self.rank, target, count)
+                else:
+                    cost += model.onesided(self.rank, target, nbytes)
+        if rt.faults is not None:
+            rt.faults.before_batch(rt, self.rank, [m[0] for m in msgs], cost)
+        return kind, msgs, cost, pending
+
+    def _account(
+        self, issue: tuple, win: Window, ops, plural: bool = False
+    ) -> "list[_PendingOp] | None":
+        """Account an admitted issue after its bytes moved.
+
+        Counters per message (and one op-log entry per element of
+        ``ops`` when the log is on), one clock charge, receiver service
+        per remote message, the ``batches`` counters for a ``plural``
+        verb, and one pending message per target (returned) for a
+        non-blocking one.
+        """
+        kind, msgs, cost, pending = issue
+        rt, rank, name = self.rt, self.rank, win.name
+        trace = rt.trace
+        log = trace.log_ops
+        if log:
+            nbytes_of = _NBYTES[kind]
+            for op in ops.tolist() if isinstance(ops, np.ndarray) else ops:
+                trace.record(kind, rank, op[0], name, op[1], nbytes_of(op))
+        rt._charge(rank, cost)
+        total = 0
+        for target, nbytes, count in msgs:
+            if not log:
+                trace.record(kind, rank, target, name, 0, nbytes, count)
+            if target != rank:
+                rt._serve(rank, target, nbytes)
+            total += nbytes
+        if plural:
+            trace.record_batch(rank, len(ops), len(msgs), total)
+        if not pending:
+            return None
+        waiting = [_PendingOp(name, target, nbytes) for target, nbytes, _ in msgs]
+        rt._pending[rank].extend(waiting)
+        return waiting
+
     # -- one-sided data movement ----------------------------------------------
     def put(self, win: Window, target: int, offset: int, data: bytes) -> None:
-        """Non-blocking one-sided write of ``data`` into ``target``'s segment."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target,
-                rt.cost.onesided(self.rank, target, len(data)),
-            )
+        """One-sided write of ``data`` into ``target``'s segment."""
+        issue = self._admit("put", ((target, len(data), 1),))
         win.write(target, offset, data)
-        rt.trace.record("put", self.rank, target, win.name, offset, len(data))
-        rt._charge(self.rank, rt.cost.onesided(self.rank, target, len(data)))
-        rt._serve(self.rank, target, len(data))
+        self._account(issue, win, ((target, offset, data),))
 
     def get(self, win: Window, target: int, offset: int, nbytes: int) -> bytes:
         """One-sided read of ``nbytes`` from ``target``'s segment."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target,
-                rt.cost.onesided(self.rank, target, nbytes),
-            )
+        issue = self._admit("get", ((target, nbytes, 1),))
         data = win.read(target, offset, nbytes)
-        rt.trace.record("get", self.rank, target, win.name, offset, nbytes)
-        rt._charge(self.rank, rt.cost.onesided(self.rank, target, nbytes))
-        rt._serve(self.rank, target, nbytes)
+        self._account(issue, win, ((target, offset, nbytes),))
         return data
 
     # -- remote atomics (64-bit granules) ---------------------------------------
@@ -357,66 +408,38 @@ class RankContext:
         self, win: Window, target: int, offset: int, compare: int, new: int
     ) -> int:
         """Remote compare-and-swap; returns the value found at the target."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target, rt.cost.atomic(self.rank, target)
-            )
+        issue = self._admit("atomic", ((target, 8, 1),))
         compare = _wrap_i64(compare)
-        with rt._atomic_locks[target]:
+        with self.rt._atomic_locks[target]:
             old = win.read_i64(target, offset)
             if old == compare:
                 win.write_i64(target, offset, _wrap_i64(new))
-        rt.trace.record("atomic", self.rank, target, win.name, offset, 8)
-        rt._charge(self.rank, rt.cost.atomic(self.rank, target))
-        rt._serve(self.rank, target, 8)
+        self._account(issue, win, ((target, offset),))
         return old
 
     def faa(self, win: Window, target: int, offset: int, delta: int) -> int:
         """Remote fetch-and-add; returns the pre-add value."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target, rt.cost.atomic(self.rank, target)
-            )
-        with rt._atomic_locks[target]:
+        issue = self._admit("atomic", ((target, 8, 1),))
+        with self.rt._atomic_locks[target]:
             old = win.read_i64(target, offset)
             win.write_i64(target, offset, _wrap_i64(old + delta))
-        rt.trace.record("atomic", self.rank, target, win.name, offset, 8)
-        rt._charge(self.rank, rt.cost.atomic(self.rank, target))
-        rt._serve(self.rank, target, 8)
+        self._account(issue, win, ((target, offset),))
         return old
 
     def aget(self, win: Window, target: int, offset: int) -> int:
         """Atomic 64-bit read (AGET in the paper's notation)."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target, rt.cost.atomic(self.rank, target)
-            )
-        with rt._atomic_locks[target]:
+        issue = self._admit("atomic", ((target, 8, 1),))
+        with self.rt._atomic_locks[target]:
             value = win.read_i64(target, offset)
-        rt.trace.record("atomic", self.rank, target, win.name, offset, 8)
-        rt._charge(self.rank, rt.cost.atomic(self.rank, target))
-        rt._serve(self.rank, target, 8)
+        self._account(issue, win, ((target, offset),))
         return value
 
     def aput(self, win: Window, target: int, offset: int, value: int) -> None:
         """Atomic 64-bit write (APUT)."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target, rt.cost.atomic(self.rank, target)
-            )
-        with rt._atomic_locks[target]:
+        issue = self._admit("atomic", ((target, 8, 1),))
+        with self.rt._atomic_locks[target]:
             win.write_i64(target, offset, _wrap_i64(value))
-        rt.trace.record("atomic", self.rank, target, win.name, offset, 8)
-        rt._charge(self.rank, rt.cost.atomic(self.rank, target))
-        rt._serve(self.rank, target, 8)
+        self._account(issue, win, ((target, offset),))
 
     # -- batched remote atomics ---------------------------------------------------
     def faa_batch(
@@ -433,28 +456,14 @@ class RankContext:
         """
         if not ops:
             return []
-        rt = self.rt
-        rt._step(self.rank)
-        per_t: dict[int, int] = {}
-        for target, _, _ in ops:
-            per_t[target] = per_t.get(target, 0) + 1
-        if rt.faults is not None:
-            rt.faults.before_batch(
-                rt, self.rank,
-                {t: 8 * n for t, n in per_t.items()},
-                rt.cost.batched_atomic(self.rank, per_t),
-            )
+        issue = self._admit("atomic", _tally("atomic", ops))
         out: list[int] = []
         for target, offset, delta in ops:
-            with rt._atomic_locks[target]:
+            with self.rt._atomic_locks[target]:
                 old = win.read_i64(target, offset)
                 win.write_i64(target, offset, _wrap_i64(old + delta))
-            rt.trace.record("atomic", self.rank, target, win.name, offset, 8)
             out.append(old)
-        for target, n in per_t.items():
-            rt._serve(self.rank, target, 8 * n)
-        rt._charge(self.rank, rt.cost.batched_atomic(self.rank, per_t))
-        rt.trace.record_batch(self.rank, len(ops), len(per_t), 8 * len(ops))
+        self._account(issue, win, ops, plural=True)
         return out
 
     def cas_batch(
@@ -468,30 +477,16 @@ class RankContext:
         """
         if not ops:
             return []
-        rt = self.rt
-        rt._step(self.rank)
-        per_t: dict[int, int] = {}
-        for target, _, _, _ in ops:
-            per_t[target] = per_t.get(target, 0) + 1
-        if rt.faults is not None:
-            rt.faults.before_batch(
-                rt, self.rank,
-                {t: 8 * n for t, n in per_t.items()},
-                rt.cost.batched_atomic(self.rank, per_t),
-            )
+        issue = self._admit("atomic", _tally("atomic", ops))
         out: list[int] = []
         for target, offset, compare, new in ops:
             compare = _wrap_i64(compare)
-            with rt._atomic_locks[target]:
+            with self.rt._atomic_locks[target]:
                 old = win.read_i64(target, offset)
                 if old == compare:
                     win.write_i64(target, offset, _wrap_i64(new))
-            rt.trace.record("atomic", self.rank, target, win.name, offset, 8)
             out.append(old)
-        for target, n in per_t.items():
-            rt._serve(self.rank, target, 8 * n)
-        rt._charge(self.rank, rt.cost.batched_atomic(self.rank, per_t))
-        rt.trace.record_batch(self.rank, len(ops), len(per_t), 8 * len(ops))
+        self._account(issue, win, ops, plural=True)
         return out
 
     # -- batched data movement ----------------------------------------------------
@@ -507,29 +502,10 @@ class RankContext:
         """
         if not ops:
             return
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            per_t: dict[int, int] = {}
-            for target, _, data in ops:
-                per_t[target] = per_t.get(target, 0) + len(data)
-            rt.faults.before_batch(
-                rt, self.rank, per_t,
-                rt.cost.batched_onesided(self.rank, per_t),
-            )
-        per_target: dict[int, int] = {}
+        issue = self._admit("put", _tally("put", ops))
         for target, offset, data in ops:
             win.write(target, offset, data)
-            rt.trace.record(
-                "put", self.rank, target, win.name, offset, len(data)
-            )
-            per_target[target] = per_target.get(target, 0) + len(data)
-        for target, nbytes in per_target.items():
-            rt._serve(self.rank, target, nbytes)
-        rt._charge(self.rank, rt.cost.batched_onesided(self.rank, per_target))
-        rt.trace.record_batch(
-            self.rank, len(ops), len(per_target), sum(per_target.values())
-        )
+        self._account(issue, win, ops, plural=True)
 
     def get_batch(
         self, win: Window, ops: "Sequence[tuple[int, int, int]] | np.ndarray"
@@ -540,83 +516,22 @@ class RankContext:
         the summed bandwidth per distinct target.
 
         ``ops`` given as an ``(n, 3)`` int64 array is the columnar form
-        for bulk scans: the payloads come back as one ``uint8`` array,
+        for bulk scans: the per-target totals come from one pass over
+        the columns and the payloads come back as one ``uint8`` array,
         back to back in issue order, gathered per target in one pass
-        over the segment, and the counters, the receiver service and
-        the charge are accounted once per target — to exactly the totals
-        the element-wise form reaches.
+        over the segment.  What is accounted is exactly what the
+        element-wise form accounts.
         """
-        if isinstance(ops, np.ndarray):
-            return self._get_batch_columnar(win, ops)
-        if not ops:
-            return []
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            per_t: dict[int, int] = {}
-            for target, _, nbytes in ops:
-                per_t[target] = per_t.get(target, 0) + nbytes
-            rt.faults.before_batch(
-                rt, self.rank, per_t,
-                rt.cost.batched_onesided(self.rank, per_t),
-            )
-        out: list[bytes] = []
-        per_target: dict[int, int] = {}
-        for target, offset, nbytes in ops:
-            out.append(win.read(target, offset, nbytes))
-            rt.trace.record(
-                "get", self.rank, target, win.name, offset, nbytes
-            )
-            per_target[target] = per_target.get(target, 0) + nbytes
-        for target, nbytes in per_target.items():
-            rt._serve(self.rank, target, nbytes)
-        rt._charge(self.rank, rt.cost.batched_onesided(self.rank, per_target))
-        rt.trace.record_batch(
-            self.rank, len(ops), len(per_target), sum(per_target.values())
-        )
-        return out
-
-    def _get_batch_columnar(self, win: Window, ops: np.ndarray) -> np.ndarray:
-        n = len(ops)
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
-        rt = self.rt
-        rt._step(self.rank)
-        targets, offsets, lengths = ops[:, 0], ops[:, 1], ops[:, 2]
-        # per-target totals in order of first appearance: the order the
-        # element-wise loop fills its dict in, which fixes the order of
-        # the float additions in the charge
-        uniq, first, inverse = np.unique(
-            targets, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first, kind="stable")
-        counts = np.bincount(inverse)[order].tolist()
-        # float weights are exact here: byte totals stay far below 2**53
-        sums = np.bincount(inverse, weights=lengths)[order].tolist()
-        per_target = {
-            t: int(nbytes) for t, nbytes in zip(uniq[order].tolist(), sums)
-        }
-        if rt.faults is not None:
-            rt.faults.before_batch(
-                rt, self.rank, per_target,
-                rt.cost.batched_onesided(self.rank, per_target),
-            )
-        out = win.gather(targets, offsets, lengths)
-        trace = rt.trace
-        if trace.log_ops:  # the op log wants one entry per element
-            for t, off, nb in ops.tolist():
-                trace.record("get", self.rank, t, win.name, off, nb)
+        columnar = isinstance(ops, np.ndarray)
+        if len(ops) == 0:
+            return np.empty(0, dtype=np.uint8) if columnar else []
+        msgs = _tally_columns(ops) if columnar else _tally("get", ops)
+        issue = self._admit("get", msgs)
+        if columnar:
+            out = win.gather(ops[:, 0], ops[:, 1], ops[:, 2])
         else:
-            for (t, nbytes), count in zip(per_target.items(), counts):
-                trace.record(
-                    "get", self.rank, t, win.name, 0, nbytes, count=count
-                )
-        for target, nbytes in per_target.items():
-            rt._serve(self.rank, target, nbytes)
-        rt._charge(self.rank, rt.cost.batched_onesided(self.rank, per_target))
-        trace.record_batch(
-            self.rank, n, len(per_target), sum(per_target.values())
-        )
+            out = [win.read(t, offset, nbytes) for t, offset, nbytes in ops]
+        self._account(issue, win, ops, plural=True)
         return out
 
     def iput_batch(
@@ -629,33 +544,12 @@ class RankContext:
         """
         if not ops:
             return BatchRequest(self, [], None)
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            per_t: dict[int, int] = {}
-            for target, _, data in ops:
-                per_t[target] = per_t.get(target, 0) + len(data)
-            rt.faults.before_batch(
-                rt, self.rank, per_t, rt.cost.profile.alpha_local
-            )
-        per_target: dict[int, int] = {}
+        issue = self._admit("put", _tally("put", ops), pending=True)
         for target, offset, data in ops:
             win.write(target, offset, data)
-            rt.trace.record(
-                "put", self.rank, target, win.name, offset, len(data)
-            )
-            per_target[target] = per_target.get(target, 0) + len(data)
-        rt._charge(self.rank, rt.cost.profile.alpha_local)  # one doorbell
-        pend: list[_PendingOp] = []
-        for target, nbytes in per_target.items():
-            rt._serve(self.rank, target, nbytes)
-            op = _PendingOp(win.name, target, nbytes)
-            rt._pending[self.rank].append(op)
-            pend.append(op)
-        rt.trace.record_batch(
-            self.rank, len(ops), len(per_target), sum(per_target.values())
+        return BatchRequest(
+            self, self._account(issue, win, ops, plural=True), None
         )
-        return BatchRequest(self, pend, None)
 
     def iget_batch(
         self, win: Window, ops: Sequence[tuple[int, int, int]]
@@ -667,67 +561,28 @@ class RankContext:
         """
         if not ops:
             return BatchRequest(self, [], [])
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            per_t: dict[int, int] = {}
-            for target, _, nbytes in ops:
-                per_t[target] = per_t.get(target, 0) + nbytes
-            rt.faults.before_batch(
-                rt, self.rank, per_t, rt.cost.profile.alpha_local
-            )
-        out: list[bytes] = []
-        per_target: dict[int, int] = {}
-        for target, offset, nbytes in ops:
-            out.append(win.read(target, offset, nbytes))
-            rt.trace.record(
-                "get", self.rank, target, win.name, offset, nbytes
-            )
-            per_target[target] = per_target.get(target, 0) + nbytes
-        rt._charge(self.rank, rt.cost.profile.alpha_local)  # one doorbell
-        pend: list[_PendingOp] = []
-        for target, nbytes in per_target.items():
-            rt._serve(self.rank, target, nbytes)
-            op = _PendingOp(win.name, target, nbytes)
-            rt._pending[self.rank].append(op)
-            pend.append(op)
-        rt.trace.record_batch(
-            self.rank, len(ops), len(per_target), sum(per_target.values())
+        issue = self._admit("get", _tally("get", ops), pending=True)
+        out = [win.read(t, offset, nbytes) for t, offset, nbytes in ops]
+        return BatchRequest(
+            self, self._account(issue, win, ops, plural=True), out
         )
-        return BatchRequest(self, pend, out)
 
     # -- non-blocking data movement ---------------------------------------------
     def iput(self, win: Window, target: int, offset: int, data: bytes) -> "Request":
         """Non-blocking put: issue now, pay the network at the flush."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target, rt.cost.profile.alpha_local
-            )
+        issue = self._admit("put", ((target, len(data), 1),), pending=True)
         win.write(target, offset, data)
-        rt.trace.record("put", self.rank, target, win.name, offset, len(data))
-        rt._charge(self.rank, rt.cost.profile.alpha_local)  # injection CPU
-        rt._serve(self.rank, target, len(data))
-        op = _PendingOp(win.name, target, len(data))
-        rt._pending[self.rank].append(op)
-        return Request(self, op, None)
+        return Request(
+            self, self._account(issue, win, ((target, offset, data),)), None
+        )
 
     def iget(self, win: Window, target: int, offset: int, nbytes: int) -> "Request":
         """Non-blocking get: data is valid after wait()/flush."""
-        rt = self.rt
-        rt._step(self.rank)
-        if rt.faults is not None:
-            rt.faults.before_op(
-                rt, self.rank, target, rt.cost.profile.alpha_local
-            )
+        issue = self._admit("get", ((target, nbytes, 1),), pending=True)
         data = win.read(target, offset, nbytes)
-        rt.trace.record("get", self.rank, target, win.name, offset, nbytes)
-        rt._charge(self.rank, rt.cost.profile.alpha_local)
-        rt._serve(self.rank, target, nbytes)
-        op = _PendingOp(win.name, target, nbytes)
-        rt._pending[self.rank].append(op)
-        return Request(self, op, data)
+        return Request(
+            self, self._account(issue, win, ((target, offset, nbytes),)), [data]
+        )
 
     def _complete_pending(self, selector) -> None:
         """Charge and retire the pending ops matched by ``selector``.
@@ -786,30 +641,21 @@ class RankContext:
         fence), as in MPI RMA.
         """
         rt = self.rt
+        at = self.rank if target is None else target
+        cost = rt.cost.flush(self.rank, target)
         if rt.faults is not None:
-            rt.faults.before_op(
-                rt,
-                self.rank,
-                target if target is not None else self.rank,
-                rt.cost.flush(self.rank, target),
+            rt.faults.before_batch(rt, self.rank, (at,), cost)
+        rt.trace.record("flush", self.rank, at, win.name, 0, 0)
+
+        def covered(op: _PendingOp) -> bool:
+            return op.win_name == win.name and (
+                target is None or op.target == target
             )
-        rt.trace.record(
-            "flush", self.rank, target if target is not None else self.rank,
-            win.name, 0, 0,
-        )
-        pending = rt._pending[self.rank]
-        has_pending = any(
-            op.win_name == win.name
-            and (target is None or op.target == target)
-            for op in pending
-        )
-        if has_pending:
-            self._complete_pending(
-                lambda op: op.win_name == win.name
-                and (target is None or op.target == target)
-            )
+
+        if any(covered(op) for op in rt._pending[self.rank]):
+            self._complete_pending(covered)
         else:
-            rt._charge(self.rank, rt.cost.flush(self.rank, target))
+            rt._charge(self.rank, cost)
 
     # -- local compute cost -------------------------------------------------------
     def compute(self, nops: int) -> None:

@@ -164,27 +164,28 @@ class TraceRecorder:
         that need per-element log entries record the elements one by one.
         """
         c = self.counters[origin]
-        if kind == "put":
-            c.puts += count
-            c.bytes_put += nbytes
-        elif kind == "get":
-            c.gets += count
-            c.bytes_got += nbytes
-        elif kind == "atomic":
-            c.atomics += count
-        elif kind == "flush":
-            c.flushes += count
-        elif kind == "collective":
-            c.collectives += count
-        if kind in ("put", "get", "atomic"):
-            if origin == target:
-                c.local_ops += count
-            else:
-                c.remote_ops += count
-            self.shard_ops[target] += count
-            self.shard_bytes[target] += nbytes
         if self.log_ops:
             self.ops.append((kind, origin, target, window, offset, nbytes))
+        if kind == "get":
+            c.gets += count
+            c.bytes_got += nbytes
+        elif kind == "put":
+            c.puts += count
+            c.bytes_put += nbytes
+        elif kind == "atomic":
+            c.atomics += count
+        else:  # an event at the origin, not a message: no shard counter
+            if kind == "flush":
+                c.flushes += count
+            elif kind == "collective":
+                c.collectives += count
+            return
+        if origin == target:
+            c.local_ops += count
+        else:
+            c.remote_ops += count
+        self.shard_ops[target] += count
+        self.shard_bytes[target] += nbytes
 
     def record_batch(
         self, origin: int, nops: int, nmsgs: int, nbytes: int

@@ -15,11 +15,10 @@ generated schema, and :func:`bi2_style_query` instantiates it the way the
 evaluation uses "BI2" — a group-by-free aggregate over a filtered two-hop
 pattern, which is the communication-relevant core of LDBC SNB BI query 2.
 
-Every function also has a declarative path: with ``use_engine=True`` the
-query runs through :mod:`repro.query` on rank 0 (the engine executes
-single-process plans) and the result is broadcast, preserving each
-function's return contract.  ``tests/workloads`` asserts both paths
-produce identical answers.
+These hand-coded collective kernels are what the OLAP benchmarks time
+and the oracle the declarative engine (:mod:`repro.query`) is held to:
+``tests/workloads/test_engine_parity.py`` issues the equivalent
+Cypher-lite text and asserts identical answers.
 """
 
 from __future__ import annotations
@@ -33,17 +32,6 @@ from ..gda.index_impl import ExplicitIndex
 from ..gda.metadata import Label, PropertyType
 from ..generator.lpg import GeneratedGraph
 from ..rma.runtime import RankContext
-
-#: workload comparison ops -> Cypher-lite comparison ops
-_OP_TEXT = {"==": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
-
-
-def _engine_for(graph: GeneratedGraph, engine):
-    if engine is not None:
-        return engine
-    from ..query import QueryEngine
-
-    return QueryEngine(graph.db)
 
 __all__ = [
     "filtered_two_hop_count",
@@ -68,8 +56,6 @@ def filtered_two_hop_count(
     dst_value: Any = None,
     index: ExplicitIndex | None = None,
     orientation: EdgeOrientation = EdgeOrientation.OUTGOING,
-    use_engine: bool = False,
-    engine=None,
 ) -> int:
     """Count source vertices matching a filtered two-hop pattern.
 
@@ -79,39 +65,9 @@ def filtered_two_hop_count(
     constrained by ``edge_label``, checks the neighbor's label and
     property, and the per-rank counts are combined with a global reduce.
 
-    With ``use_engine=True`` rank 0 runs the equivalent declarative
-    query (``MATCH (per:SRC)-[:EL]->(v:DST) WHERE ... RETURN
-    count(DISTINCT per)``) — the planner routes the anchor through the
-    explicit index automatically when one covers the source label.
-    Returns the total on rank 0 and ``0`` elsewhere, like the
-    hand-coded path.
+    Returns the total on rank 0 and ``0`` elsewhere.
     """
     db = graph.db
-    if use_engine:
-        total = 0
-        if ctx.rank == 0:
-            from .interactive import _rel_pattern
-
-            engine = _engine_for(graph, engine)
-            rel = _rel_pattern(edge_label, orientation)
-            where = []
-            params: dict[str, Any] = {}
-            if src_ptype is not None:
-                where.append(f"per.{src_ptype.name} {_OP_TEXT[src_op]} $sv")
-                params["sv"] = src_value
-            if dst_ptype is not None:
-                where.append(f"v.{dst_ptype.name} {_OP_TEXT[dst_op]} $dv")
-                params["dv"] = dst_value
-            text = (
-                f"MATCH (per:{src_label.name}){rel}"
-                f"(v{':' + dst_label.name if dst_label else ''})"
-            )
-            if where:
-                text += " WHERE " + " AND ".join(where)
-            text += " RETURN count(DISTINCT per)"
-            total = engine.run(ctx, text, params=params).scalar()
-        ctx.barrier()
-        return total if ctx.rank == 0 else 0
     # BI traversals run on one frozen watermark when MVCC is enabled:
     # lock-free, abort-free, and consistent under concurrent OLTP
     tx = db.start_collective_transaction(
@@ -188,8 +144,6 @@ def bi2_style_query(
     *,
     min_score: float = 50.0,
     index: ExplicitIndex | None = None,
-    use_engine: bool = False,
-    engine=None,
 ) -> int:
     """The evaluation's BI2-shaped aggregate over the generated schema.
 
@@ -217,8 +171,6 @@ def bi2_style_query(
         dst_op="==",
         dst_value=True,
         index=index,
-        use_engine=use_engine,
-        engine=engine,
     )
     # broadcast the root's total so every rank returns the global answer
     return ctx.bcast(count, root=0)
@@ -235,11 +187,7 @@ def _merge_dicts(a: dict, b: dict) -> dict:
 
 
 def group_count_by_label(
-    ctx: RankContext,
-    graph: GeneratedGraph,
-    *,
-    use_engine: bool = False,
-    engine=None,
+    ctx: RankContext, graph: GeneratedGraph
 ) -> dict[str, int]:
     """OLSP summarization: vertex counts grouped by label.
 
@@ -248,23 +196,8 @@ def group_count_by_label(
     a collective transaction, builds a partial group-by, and the partials
     merge in a dict-valued allreduce.  Returns the same result on every
     rank.
-
-    With ``use_engine=True`` rank 0 issues one ``MATCH (v:L) RETURN
-    count(*)`` per known label and the result dict is broadcast.
     """
     db = graph.db
-    if use_engine:
-        counts: dict[str, int] | None = None
-        if ctx.rank == 0:
-            engine = _engine_for(graph, engine)
-            counts = {}
-            for label in db.all_labels(ctx):
-                n = engine.run(
-                    ctx, f"MATCH (v:{label.name}) RETURN count(*)"
-                ).scalar()
-                if n:
-                    counts[label.name] = n
-        return ctx.bcast(counts, root=0)
     replica = db.replica(ctx)
     tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
     local_vids = tx.visible_vertices(db.directory.local_vertices(ctx), ctx.rank)
@@ -286,47 +219,14 @@ def aggregate_property_by_label(
     graph: GeneratedGraph,
     ptype: PropertyType,
     group_label: Label | None = None,
-    *,
-    use_engine: bool = False,
-    engine=None,
 ) -> dict[str, dict[str, float]]:
     """OLSP aggregate: count/sum/min/max/mean of a numeric property,
     grouped by vertex label (or one ``group_label`` only).
 
     Returns ``{label_name: {"count", "sum", "min", "max", "mean"}}`` on
     every rank.
-
-    With ``use_engine=True`` rank 0 issues one aggregate query per
-    label and the result dict is broadcast.
     """
     db = graph.db
-    if use_engine:
-        stats: dict[str, dict[str, float]] | None = None
-        if ctx.rank == 0:
-            engine = _engine_for(graph, engine)
-            stats = {}
-            labels = (
-                [group_label]
-                if group_label is not None
-                else db.all_labels(ctx)
-            )
-            p = ptype.name
-            for label in labels:
-                row = engine.run(
-                    ctx,
-                    f"MATCH (v:{label.name}) RETURN count(v.{p}), "
-                    f"sum(v.{p}), min(v.{p}), max(v.{p})",
-                ).rows[0]
-                c, s, mn, mx = row
-                if c:
-                    stats[label.name] = {
-                        "count": c,
-                        "sum": s,
-                        "min": mn,
-                        "max": mx,
-                        "mean": s / c,
-                    }
-        return ctx.bcast(stats, root=0)
     tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
     local_vids = tx.visible_vertices(db.directory.local_vertices(ctx), ctx.rank)
     partial: dict[str, tuple] = {}

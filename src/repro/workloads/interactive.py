@@ -14,11 +14,10 @@ graph.  This module implements the two canonical shapes:
 Both use only GDI handle operations (translate/associate/neighbors), so
 every hop is a real one-sided fetch with the corresponding charge.
 
-Each function is also expressible through the declarative query engine
-(:mod:`repro.query`): pass ``use_engine=True`` (and optionally a shared
-:class:`~repro.query.QueryEngine` to reuse its plan cache) to run the
-equivalent Cypher-lite query instead of the hand-coded traversal.  The
-results are identical; ``tests/workloads`` asserts so.
+Each function is also expressible as Cypher-lite text through the
+declarative query engine (:mod:`repro.query`); the hand-coded
+traversals here are the oracle ``tests/workloads/test_engine_parity.py``
+holds the engine to.
 """
 
 from __future__ import annotations
@@ -31,27 +30,6 @@ from ..rma.runtime import RankContext
 
 __all__ = ["friends_of_friends", "transactional_path_search"]
 
-# relationship-pattern arrows per traversal orientation
-_ARROWS = {
-    EdgeOrientation.OUTGOING: ("-", "->"),
-    EdgeOrientation.INCOMING: ("<-", "-"),
-    EdgeOrientation.ANY: ("-", "-"),
-}
-
-
-def _rel_pattern(
-    edge_label: Label | None,
-    orientation: EdgeOrientation,
-    hops: tuple[int, int | None] | None = None,
-) -> str:
-    """Render ``-[:LBL*lo..hi]->`` for the given label/orientation/hops."""
-    left, right = _ARROWS[orientation]
-    inner = f":{edge_label.name}" if edge_label is not None else ""
-    if hops is not None:
-        lo, hi = hops
-        inner += f"*{lo}..{hi}" if hi is not None else f"*{lo}.."
-    return f"{left}[{inner}]{right}" if inner else f"{left}{right}"
-
 
 def friends_of_friends(
     ctx: RankContext,
@@ -61,29 +39,13 @@ def friends_of_friends(
     *,
     edge_label: Label | None = None,
     orientation: EdgeOrientation = EdgeOrientation.ANY,
-    use_engine: bool = False,
-    engine=None,
 ) -> set[int]:
     """Application IDs within ``hops`` hops of ``app_id`` (excluding it).
 
     One single-process read transaction; BFS over handle fetches.
     Returns an empty set if the start vertex does not exist.
-
-    With ``use_engine=True`` the same k-hop neighborhood runs as one
-    variable-length-expand query through the declarative engine.
     """
     db = graph.db
-    if use_engine:
-        from ..query import QueryEngine
-
-        engine = engine or QueryEngine(db)
-        rel = _rel_pattern(edge_label, orientation, hops=(1, hops))
-        result = engine.run(
-            ctx,
-            f"MATCH (a {{id = $src}}){rel}(b) RETURN b.id",
-            params={"src": app_id},
-        )
-        return {row[0] for row in result.rows}
     constraint = (
         Constraint.has_label(edge_label.int_id) if edge_label else None
     )
@@ -124,41 +86,14 @@ def transactional_path_search(
     dst_app: int,
     max_depth: int = 6,
     orientation: EdgeOrientation = EdgeOrientation.ANY,
-    *,
-    use_engine: bool = False,
-    engine=None,
 ) -> int | None:
     """Length of a shortest path between two vertices, or ``None``.
 
     Bidirectional BFS inside one read transaction (the structure of LDBC
     IC13): expand the smaller frontier each round, stop when the
     frontiers meet or the combined depth exceeds ``max_depth``.
-
-    With ``use_engine=True`` the search runs as a ladder of exact-depth
-    variable-length queries (``*d..d`` has shortest-path-distance
-    semantics, so the first depth with a hit is the answer).
     """
     db = graph.db
-    if use_engine:
-        from ..query import QueryEngine
-
-        engine = engine or QueryEngine(db)
-        params = {"s": src_app, "t": dst_app}
-        if src_app == dst_app:
-            result = engine.run(
-                ctx, "MATCH (a {id = $s}) RETURN count(*)", params=params
-            )
-            return 0 if result.scalar() else None
-        for depth in range(1, max_depth + 1):
-            rel = _rel_pattern(None, orientation, hops=(depth, depth))
-            result = engine.run(
-                ctx,
-                f"MATCH (a {{id = $s}}){rel}(b {{id = $t}}) RETURN count(b)",
-                params=params,
-            )
-            if result.scalar():
-                return depth
-        return None
     tx = db.start_transaction(ctx)
     try:
         try:

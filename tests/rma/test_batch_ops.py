@@ -22,7 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rma import RmaError, RmaRuntime, TraceRecorder, UNIFORM, run_spmd
+from repro.rma import (
+    FaultInjector,
+    FaultPlan,
+    RmaError,
+    RmaRuntime,
+    TraceRecorder,
+    UNIFORM,
+    run_spmd,
+)
 
 WIN_BYTES = 512
 NRANKS = 3
@@ -200,6 +208,114 @@ class TestBatchScalarEquivalence:
         req = c.iget_batch(win, [])
         assert req.results() == []
         assert c.clock == t0
+
+
+# one step of a program: a scalar verb and the plural verb of one element
+# that does the same thing, both returning what the scalar returns
+_word = st.integers(min_value=INT64_MIN, max_value=INT64_MAX)
+_target = st.integers(min_value=0, max_value=NRANKS - 1)
+_offset = st.integers(min_value=0, max_value=WIN_BYTES // 8 - 3).map(lambda i: 8 * i)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), _target, _offset, st.binary(max_size=16)),
+        st.tuples(st.just("get"), _target, _offset, st.integers(0, 16)),
+        st.tuples(st.just("cas"), _target, _offset, _word, _word),
+        st.tuples(st.just("faa"), _target, _offset, _word),
+        st.tuples(st.just("aget"), _target, _offset),
+        st.tuples(st.just("aput"), _target, _offset, _word),
+        st.tuples(st.just("iput"), _target, _offset, st.binary(max_size=16)),
+        st.tuples(st.just("iget"), _target, _offset, st.integers(0, 16)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _waited(req):
+    req.wait()
+    return req
+
+
+def _discard(_found):
+    return None
+
+
+_SCALAR = {
+    "put": lambda c, w, t, o, d: c.put(w, t, o, d),
+    "get": lambda c, w, t, o, n: c.get(w, t, o, n),
+    "cas": lambda c, w, t, o, cmp, new: c.cas(w, t, o, cmp, new),
+    "faa": lambda c, w, t, o, d: c.faa(w, t, o, d),
+    "aget": lambda c, w, t, o: c.aget(w, t, o),
+    "aput": lambda c, w, t, o, v: c.aput(w, t, o, v),
+    "iput": lambda c, w, t, o, d: _waited(c.iput(w, t, o, d)).completed,
+    "iget": lambda c, w, t, o, n: _waited(c.iget(w, t, o, n)).result(),
+}
+
+# AGET is a fetch-and-add of zero; APUT a compare-and-swap that cannot
+# miss (the compare is the word just found there, and nobody else runs)
+_PLURAL = {
+    "put": lambda c, w, t, o, d: c.put_batch(w, [(t, o, d)]),
+    "get": lambda c, w, t, o, n: c.get_batch(w, [(t, o, n)])[0],
+    "cas": lambda c, w, t, o, cmp, new: c.cas_batch(w, [(t, o, cmp, new)])[0],
+    "faa": lambda c, w, t, o, d: c.faa_batch(w, [(t, o, d)])[0],
+    "aget": lambda c, w, t, o: c.faa_batch(w, [(t, o, 0)])[0],
+    "aput": lambda c, w, t, o, v: _discard(
+        c.cas_batch(w, [(t, o, w.read_i64(t, o), v)])
+    ),
+    "iput": lambda c, w, t, o, d: _waited(c.iput_batch(w, [(t, o, d)])).completed,
+    "iget": lambda c, w, t, o, n: _waited(c.iget_batch(w, [(t, o, n)])).results()[0],
+}
+
+_BATCH_ONLY = ("batches", "batched_ops", "msgs_saved", "bytes_batched")
+
+
+class TestScalarIsPluralOfOne:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        steps=_steps,
+        blob=st.binary(min_size=WIN_BYTES, max_size=WIN_BYTES),
+        feedback=st.sampled_from([0.0, 1.0]),
+        fault_seed=st.one_of(st.none(), st.integers(0, 1 << 16)),
+    )
+    def test_scalar_verb_equals_its_plural_verb_of_one_element(
+        self, steps, blob, feedback, fault_seed
+    ):
+        """Bytes, return values, clocks, receiver service, shard counters,
+        op log and every counter but the ``batch*`` ones: a scalar verb
+        leaves exactly what its plural verb leaves for one element — with
+        congestion feedback on, and drawing the same transient faults."""
+        profile = dataclasses.replace(UNIFORM, congestion_feedback=feedback)
+        state = []
+        for verbs in (_SCALAR, _PLURAL):
+            faults = None
+            if fault_seed is not None:
+                faults = FaultInjector(
+                    FaultPlan(seed=fault_seed, transient_rate=0.2)
+                )
+            rt = RmaRuntime(
+                nranks=NRANKS, profile=profile, log_ops=True, faults=faults
+            )
+            win = rt.allocate_window("w", WIN_BYTES)
+            for r in range(NRANKS):
+                win.write(r, 0, blob[r:] + blob[:r])
+            c = rt.context(0)
+            returned = [verbs[verb](c, win, *args) for verb, *args in steps]
+            summary = rt.trace.summary()
+            state.append(
+                (
+                    [win.read(r, 0, WIN_BYTES) for r in range(NRANKS)],
+                    returned,
+                    rt.clocks,
+                    rt.service,
+                    rt.trace.shard_snapshot(),
+                    rt.trace.ops,
+                    {k: v for k, v in summary.items() if k not in _BATCH_ONLY},
+                )
+            )
+            if verbs is _PLURAL:
+                assert summary["batches"] == summary["batched_ops"] == len(steps)
+                assert summary["msgs_saved"] == 0
+        assert state[0] == state[1]
 
 
 class TestFlushWaitAccounting:

@@ -3,13 +3,20 @@
 ROADMAP item 3 asks for no catch-all modules; a file over the cap is the
 sign that two concerns share it.  A grandfathered module may only
 shrink: lower its entry when it does, delete the entry once it fits.
+Modules that a simplification PR brought down are recorded at their new
+count the same way, so the duplication it removed cannot grow back
+unnoticed.
 """
 
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 CAP = 1000
-GRANDFATHERED = {"gda/holder.py": 1470}
+GRANDFATHERED = {
+    "gda/holder.py": 1458,
+    "rma/runtime.py": 724,
+    "gda/locks.py": 322,
+}
 
 
 def test_no_module_outgrows_the_cap():
