@@ -45,17 +45,27 @@ def results_dir() -> pathlib.Path:
     return RESULTS_DIR
 
 
+@pytest.fixture(scope="session")
+def _started() -> set[pathlib.Path]:
+    """Report files this session has already written to."""
+    return set()
+
+
 @pytest.fixture()
-def report(results_dir, request):
-    """Callable writing a named report section to disk and stdout."""
-    written: list[pathlib.Path] = []
+def report(results_dir, _started):
+    """Callable writing a named report section to disk and stdout.
+
+    The first section a session writes to a file replaces its content,
+    later ones append: a run of one benchmark file leaves the results of
+    all the others as they are.
+    """
 
     def _report(name: str, text: str) -> pathlib.Path:
         path = results_dir / f"{name}.txt"
-        with path.open("a") as fh:
+        with path.open("a" if path in _started else "w") as fh:
             fh.write(text.rstrip() + "\n\n")
+        _started.add(path)
         print(f"\n===== {name} =====\n{text}")
-        written.append(path)
         return path
 
     return _report
@@ -77,14 +87,3 @@ def metrics(results_dir):
         return path
 
     return _metrics
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _fresh_results():
-    """Start each benchmark session with empty report files."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    for f in RESULTS_DIR.glob("*.txt"):
-        f.unlink()
-    for f in RESULTS_DIR.glob("*.json"):
-        f.unlink()
-    yield

@@ -19,6 +19,10 @@ choice).  This module provides the machinery the rank-crash fault model
   ``snapshot(recovered)`` equals the snapshot of a fault-free twin that
   executed the same committed transactions, and
   :func:`repro.gda.consistency.check_consistency` passes.
+* :func:`replay_entries_idempotent` — the failover redo of one record
+  that may be partly applied.  It and :func:`recover` run the same
+  applier; they differ only in what an unmet precondition means
+  (``_UNMET``).
 
 Replay entry vocabulary (everything is identified by *application* IDs and
 metadata *names*, never internal DPtrs, which differ after restore):
@@ -161,256 +165,28 @@ def recover(
     db: "GdaDatabase",
     checkpoint: Checkpoint,
     commit_log: CommitLog,
-    parallel: bool = False,
 ) -> dict[int, int]:
     """Collectively rebuild ``checkpoint`` + the log tail into empty ``db``.
 
     ``db`` is a fresh database in a fresh (post-crash) runtime;
     ``commit_log`` is the surviving log of the crashed instance.  The
-    checkpoint is restored first, then the tail replays, one ordinary
-    write transaction per commit record (the sequence order is a
+    checkpoint is restored first, then rank 0 replays the tail, one
+    ordinary write transaction per commit record (the sequence order is a
     serialization order, so sequential replay reproduces the committed
-    state).  Returns the application-ID -> internal-ID map of the
-    restored vertices.
-
-    With ``parallel=True`` the tail is greedily grouped into batches of
-    records with pairwise-disjoint write sets (the application IDs each
-    record locks); records inside a batch replay concurrently across the
-    ranks, with a barrier between batches to preserve the serialization
-    order across conflicting records.  Vertex deletions lock their (only
-    dynamically known) neighbor set, so a record containing ``del_v``
-    forms a batch of its own.  The result is identical to sequential
-    replay: within a batch no record reads or writes another's vertices,
-    so any interleaving commutes.
+    state).  Replay is strict: an entry whose precondition does not hold
+    raises (see ``_UNMET``).  Returns the application-ID -> internal-ID
+    map of the restored vertices.
     """
     from .checkpoint import restore
 
     vid_map = restore(ctx, db, checkpoint.snap)
-    tail = [rec for rec in commit_log.tail(checkpoint.log_pos) if rec.entries]
-    if not parallel:
-        if ctx.rank == 0:
-            for rec in tail:
-                _replay_record(ctx, db, rec)
-        ctx.barrier()
-        return vid_map
-    # Pre-create every label the tail references (rank 0, before fanning
-    # out) so concurrent replayers never race label creation.
     if ctx.rank == 0:
-        replica = db.replica(ctx)
-        replica.sync()
-        known = {l.name for l in replica.labels}
-        for name in _tail_label_names(tail):
-            if name not in known:
-                db.create_label(ctx, name)
-                known.add(name)
+        tail = commit_log.tail(checkpoint.log_pos)
+        _replay(ctx, db, [r.entries for r in tail if r.entries], redo=False)
     ctx.barrier()
-    for batch in _conflict_free_batches(tail):
-        for j, rec in enumerate(batch):
-            if j % ctx.nranks == ctx.rank:
-                _replay_record(ctx, db, rec)
-        ctx.barrier()
     return vid_map
 
 
-def _record_write_set(rec: CommitRecord) -> "set[int] | None":
-    """Application IDs a record's replay locks; None = unbounded (del_v)."""
-    apps: set[int] = set()
-    for e in rec.entries:
-        if e[0] == "del_v":
-            return None  # locks every (dynamically known) neighbor too
-        if e[0] in ("new_v", "upd_v"):
-            apps.add(e[1])
-        else:  # edge+/edge-/hedge+/hedge-/hedge*: locks both endpoints
-            apps.add(e[1])
-            apps.add(e[2])
-    return apps
-
-
-def _conflict_free_batches(
-    tail: "list[CommitRecord]",
-) -> "list[list[CommitRecord]]":
-    """Greedy in-order grouping into batches with disjoint write sets.
-
-    Pure function of the tail, so every rank computes the same batches.
-    """
-    batches: list[list[CommitRecord]] = []
-    current: list[CommitRecord] = []
-    busy: set[int] = set()
-    for rec in tail:
-        ws = _record_write_set(rec)
-        if ws is None:  # del_v: unbounded write set, isolate the record
-            if current:
-                batches.append(current)
-            batches.append([rec])
-            current, busy = [], set()
-            continue
-        if busy & ws:
-            batches.append(current)
-            current, busy = [], set()
-        current.append(rec)
-        busy |= ws
-    if current:
-        batches.append(current)
-    return batches
-
-
-def _tail_label_names(tail: "list[CommitRecord]") -> "set[str]":
-    names: set[str] = set()
-    for rec in tail:
-        for e in rec.entries:
-            kind = e[0]
-            if kind in ("new_v", "upd_v"):
-                names.update(e[2])
-            elif kind in ("edge+", "edge-"):
-                if e[4]:
-                    names.add(e[4])
-            elif kind in ("hedge+", "hedge*"):
-                names.update(e[4])
-    return names
-
-
-# -- replay ----------------------------------------------------------------
-def _replay_record(ctx: RankContext, db: "GdaDatabase", rec: CommitRecord) -> None:
-    replica = db.replica(ctx)
-    replica.sync()
-    label_by_name = {l.name: l for l in replica.labels}
-    ptype_by_name = {p.name: p for p in replica.ptypes}
-
-    def label_of(name: str):
-        if name not in label_by_name:
-            label_by_name[name] = db.create_label(ctx, name)
-        return label_by_name[name]
-
-    tx = db.start_transaction(ctx, write=True)
-    try:
-        for entry in rec.entries:
-            _apply_entry(tx, entry, label_of, ptype_by_name)
-        tx.commit()
-    except BaseException:
-        if tx.open:
-            tx.abort()
-        raise
-
-
-def _apply_entry(tx, entry: tuple, label_of, ptype_by_name) -> None:
-    kind = entry[0]
-    if kind == "del_v":
-        h = tx.find_vertex(entry[1])
-        if h is None:
-            raise GdiStateError(f"replay del_v: vertex {entry[1]} missing")
-        tx.delete_vertex(h)
-    elif kind in ("new_v", "upd_v"):
-        _, app, label_names, props = entry
-        if kind == "new_v":
-            h = tx.create_vertex(app)
-            holder = h._txv.holder
-        else:
-            h = tx.find_vertex(app)
-            if h is None:
-                raise GdiStateError(f"replay upd_v: vertex {app} missing")
-            holder = tx._mutate(h._txv)
-        # post-image splice: payload blobs are stored verbatim
-        holder.labels = [label_of(n).int_id for n in label_names]
-        holder.properties = [
-            (ptype_by_name[n].int_id, blob) for n, blob in props
-        ]
-    elif kind == "edge+":
-        _, src, dst, directed, label_name = entry
-        a, b = _endpoints(tx, src, dst, kind)
-        tx.create_edge(
-            a,
-            b,
-            directed=directed,
-            label=label_of(label_name) if label_name else None,
-        )
-    elif kind == "edge-":
-        _, src, dst, directed, label_name = entry
-        a, b = _endpoints(tx, src, dst, kind)
-        want_lid = label_of(label_name).int_id if label_name else 0
-        want_dir = DIR_OUT if directed else DIR_UNDIR
-        for e in a.edges():
-            s = e._slot
-            if (
-                not s.heavy
-                and s.direction == want_dir
-                and s.dptr == b.vid
-                and s.label_id == want_lid
-            ):
-                tx.delete_edge(e)
-                break
-        else:
-            raise GdiStateError(
-                f"replay edge-: no matching edge {src}->{dst}"
-            )
-    elif kind == "hedge+":
-        _, src, dst, directed, label_names, props = entry
-        a, b = _endpoints(tx, src, dst, kind)
-        e = tx.create_edge(
-            a,
-            b,
-            directed=directed,
-            labels=[label_of(n) for n in label_names],
-            force_heavy=True,
-        )
-        holder = tx._load_edge_holder(e._slot.dptr).holder
-        holder.properties = [
-            (ptype_by_name[n].int_id, blob) for n, blob in props
-        ]
-    elif kind == "hedge-":
-        _, src, dst, directed = entry
-        a, b = _endpoints(tx, src, dst, kind)
-        e = _find_heavy(tx, a, b, directed)
-        if e is None:
-            raise GdiStateError(
-                f"replay hedge-: no matching heavy edge {src}->{dst}"
-            )
-        tx.delete_edge(e)
-    elif kind == "hedge*":
-        _, src, dst, directed, label_names, props = entry
-        a, b = _endpoints(tx, src, dst, kind)
-        e = _find_heavy(tx, a, b, directed)
-        if e is None:
-            raise GdiStateError(
-                f"replay hedge*: no matching heavy edge {src}->{dst}"
-            )
-        tx._mutate(a._txv)  # take the source vertex's write lock
-        txe = tx._load_edge_holder(e._slot.dptr)
-        txe.holder.labels = [label_of(n).int_id for n in label_names]
-        txe.holder.properties = [
-            (ptype_by_name[n].int_id, blob) for n, blob in props
-        ]
-        txe.dirty = True
-    else:  # pragma: no cover - defensive
-        raise GdiStateError(f"unknown commit-log entry kind {kind!r}")
-
-
-def _endpoints(tx, src_app: int, dst_app: int, kind: str):
-    a = tx.find_vertex(src_app)
-    b = tx.find_vertex(dst_app) if dst_app != src_app else a
-    if a is None or b is None:
-        raise GdiNotFound(
-            f"replay {kind}: endpoint {src_app if a is None else dst_app} "
-            "missing"
-        )
-    return a, b
-
-
-def _find_heavy(tx, a, b, directed: bool):
-    for e in a.edges():
-        s = e._slot
-        if not s.heavy or s.direction == DIR_IN:
-            continue
-        h = tx._load_edge_holder(s.dptr).holder
-        if h.directed != directed:
-            continue
-        if (h.src == a.vid and h.dst == b.vid) or (
-            not directed and h.src == b.vid and h.dst == a.vid
-        ):
-            return e
-    return None
-
-
-# -- idempotent replay (failover roll-forward) ------------------------------
 def replay_entries_idempotent(
     ctx: RankContext, db: "GdaDatabase", entries: tuple
 ) -> None:
@@ -419,162 +195,152 @@ def replay_entries_idempotent(
     A crashed rank may have applied any part of its in-flight commit
     before dying: its own shard is rebuilt from the mirror (pre-commit
     image) while healthy shards may already carry the commit's writes and
-    publications.  Each entry is therefore applied *tolerantly* — effects
-    already present are skipped, missing prerequisites are recreated from
-    the post-images the entries carry.  The redo transaction does not
-    re-log (the record is already in the commit log under the dead rank's
-    sequence number).
+    publications.  Each entry is therefore applied *tolerantly* (the
+    second column of ``_UNMET``): effects already present are skipped,
+    missing prerequisites are recreated from the post-images the entries
+    carry.  The redo transaction does not re-log (the record is already
+    in the commit log under the dead rank's sequence number).
 
     Exactness caveat: a ``edge+`` entry identical to an edge that already
     exists is treated as already applied; graphs relying on identical
     parallel lightweight edges within one torn commit may lose one copy.
     """
-    replica = db.replica(ctx)
-    replica.sync()
-    label_by_name = {l.name: l for l in replica.labels}
-    ptype_by_name = {p.name: p for p in replica.ptypes}
-
-    def label_of(name: str):
-        if name not in label_by_name:
-            label_by_name[name] = db.create_label(ctx, name)
-        return label_by_name[name]
-
-    tx = db.start_transaction(ctx, write=True)
-    tx._no_log = True
-    try:
-        for entry in entries:
-            _apply_entry_idempotent(tx, entry, label_of, ptype_by_name)
-        tx.commit()
-    except BaseException:
-        if tx.open:
-            tx.abort()
-        raise
+    _replay(ctx, db, [entries], redo=True)
 
 
-def _apply_entry_idempotent(tx, entry: tuple, label_of, ptype_by_name) -> None:
+# -- replay ----------------------------------------------------------------
+# Every entry kind names one target (a vertex, a lightweight slot, a heavy
+# edge) that it needs present (removals, post-images) or absent (adds).
+# What it means when that precondition is unmet is the whole difference
+# between offline recovery (strict: the log replays onto exactly the state
+# it was written against) and failover redo (tolerant: any part of the
+# record may already be applied).  An exception type is raised; ``None``
+# skips the entry (already applied, or moot); a kind runs that kind's
+# mutation instead: its own where strict replay does not check at all
+# (``create_vertex`` rejects a duplicate itself, a second identical edge
+# is a legal parallel edge), another's where the redo rebuilds the target
+# from the post-image the entry carries.
+_UNMET = {
+    # kind       strict          tolerant
+    "del_v": (GdiStateError, None),
+    "new_v": ("new_v", "upd_v"),
+    "upd_v": (GdiStateError, "new_v"),
+    "edge+": ("edge+", None),
+    "edge-": (GdiStateError, None),
+    "hedge+": ("hedge+", None),
+    "hedge-": (GdiStateError, None),
+    "hedge*": (GdiStateError, "hedge+"),
+    "endpoint": (GdiNotFound, None),  # of any edge kind
+}
+_WANTS_ABSENT = ("new_v", "edge+", "hedge+")
+
+
+def _replay(
+    ctx: RankContext, db: "GdaDatabase", records: "list[tuple]", redo: bool
+) -> None:
+    """Apply each record's entries in one write transaction of its own.
+
+    ``redo`` says the records are already in the commit log and may be
+    partly applied: entries are applied tolerantly and nothing is logged.
+    """
+    db.replica(ctx).sync()
+    for entries in records:
+        tx = db.start_transaction(ctx, write=True)
+        tx._no_log = redo
+        try:
+            for entry in entries:
+                _apply_entry(tx, entry, redo)
+            tx.commit()
+        except BaseException:
+            if tx.open:
+                tx.abort()
+            raise
+
+
+def _apply_entry(tx, entry: tuple, tolerant: bool) -> None:
+    """Resolve the entry's target, settle its precondition, mutate."""
     kind = entry[0]
-    if kind == "del_v":
-        h = tx.find_vertex(entry[1])
-        if h is not None:
-            tx.delete_vertex(h)
-    elif kind in ("new_v", "upd_v"):
-        _, app, label_names, props = entry
-        h = tx.find_vertex(app)
-        if h is None:
-            h = tx.create_vertex(app)
-            holder = h._txv.holder
+    unmet = _UNMET[kind][tolerant]
+    on_vertex = kind.endswith("_v")
+    ends = target = None
+    met = True
+    if not on_vertex:
+        a = tx.find_vertex(entry[1])
+        b = a if entry[2] == entry[1] else tx.find_vertex(entry[2])
+        ends = a, b
+        if a is None or b is None:
+            met, unmet = False, _UNMET["endpoint"][tolerant]
+    if met and unmet != kind:  # what nothing hangs on is not looked up
+        if on_vertex:
+            target = tx.find_vertex(entry[1])
         else:
-            holder = tx._mutate(h._txv)
-        # post-image splice: idempotent by construction
-        holder.labels = [label_of(n).int_id for n in label_names]
-        holder.properties = [
-            (ptype_by_name[n].int_id, blob) for n, blob in props
-        ]
-    elif kind == "edge+":
-        _, src, dst, directed, label_name = entry
-        pair = _endpoints_tolerant(tx, src, dst)
-        if pair is None:
-            return  # an endpoint is gone (later deleted); nothing to add
-        a, b = pair
-        want_lid = label_of(label_name).int_id if label_name else 0
-        want_dir = DIR_OUT if directed else DIR_UNDIR
-        for e in a.edges():
-            s = e._slot
-            if (
-                not s.heavy
-                and s.direction == want_dir
-                and s.dptr == b.vid
-                and s.label_id == want_lid
-            ):
-                return  # already applied before the crash
-        tx.create_edge(
-            a,
-            b,
-            directed=directed,
-            label=label_of(label_name) if label_name else None,
-        )
-    elif kind == "edge-":
-        _, src, dst, directed, label_name = entry
-        pair = _endpoints_tolerant(tx, src, dst)
-        if pair is None:
-            return
-        a, b = pair
-        want_lid = label_of(label_name).int_id if label_name else 0
-        want_dir = DIR_OUT if directed else DIR_UNDIR
-        for e in a.edges():
-            s = e._slot
-            if (
-                not s.heavy
-                and s.direction == want_dir
-                and s.dptr == b.vid
-                and s.label_id == want_lid
-            ):
-                tx.delete_edge(e)
-                return
-        # already removed before the crash
-    elif kind == "hedge+":
-        _, src, dst, directed, label_names, props = entry
-        pair = _endpoints_tolerant(tx, src, dst)
-        if pair is None:
-            return
-        a, b = pair
-        if _find_heavy(tx, a, b, directed) is not None:
-            return  # already applied
-        e = tx.create_edge(
-            a,
-            b,
-            directed=directed,
-            labels=[label_of(n) for n in label_names],
-            force_heavy=True,
-        )
-        holder = tx._load_edge_holder(e._slot.dptr).holder
-        holder.properties = [
-            (ptype_by_name[n].int_id, blob) for n, blob in props
-        ]
-    elif kind == "hedge-":
-        _, src, dst, directed = entry
-        pair = _endpoints_tolerant(tx, src, dst)
-        if pair is None:
-            return
-        a, b = pair
-        e = _find_heavy(tx, a, b, directed)
-        if e is not None:
-            tx.delete_edge(e)
-    elif kind == "hedge*":
-        _, src, dst, directed, label_names, props = entry
-        pair = _endpoints_tolerant(tx, src, dst)
-        if pair is None:
-            return
-        a, b = pair
-        e = _find_heavy(tx, a, b, directed)
-        if e is None:
-            # the holder vanished with the crash: recreate the post-image
-            e = tx.create_edge(
-                a,
-                b,
-                directed=directed,
-                labels=[label_of(n) for n in label_names],
-                force_heavy=True,
-            )
-            holder = tx._load_edge_holder(e._slot.dptr).holder
-            holder.properties = [
-                (ptype_by_name[n].int_id, blob) for n, blob in props
-            ]
-            return
-        tx._mutate(a._txv)  # take the source vertex's write lock
-        txe = tx._load_edge_holder(e._slot.dptr)
-        txe.holder.labels = [label_of(n).int_id for n in label_names]
-        txe.holder.properties = [
-            (ptype_by_name[n].int_id, blob) for n, blob in props
-        ]
-        txe.dirty = True
-    else:  # pragma: no cover - defensive
-        raise GdiStateError(f"unknown commit-log entry kind {kind!r}")
+            target = _find_edge(tx, a, b, entry)
+        met = (target is None) == (kind in _WANTS_ABSENT)
+    run = kind if met else unmet
+    if isinstance(run, type):
+        raise run(f"replay {entry[:3]}: vertex, endpoint or edge missing")
+    if run is not None:
+        _run_mutation(run, tx, ends, target, entry)
 
 
-def _endpoints_tolerant(tx, src_app: int, dst_app: int):
-    a = tx.find_vertex(src_app)
-    b = tx.find_vertex(dst_app) if dst_app != src_app else a
-    if a is None or b is None:
+def _find_edge(tx, a, b, entry: tuple):
+    """The edge ``a -> b`` the entry is about, or None."""
+    directed = entry[3]
+    if not entry[0].startswith("h"):  # the slot with this direction and label
+        want = (
+            DIR_OUT if directed else DIR_UNDIR,
+            b.vid,
+            _label(tx, entry[4]).int_id if entry[4] else 0,
+        )
+        for e in a.edges():
+            s = e._slot
+            if not s.heavy and (s.direction, s.dptr, s.label_id) == want:
+                return e
         return None
-    return a, b
+    for e in a.edges():  # the heavy edge between the two
+        s = e._slot
+        if not s.heavy or s.direction == DIR_IN:
+            continue
+        h = tx._load_edge_holder(s.dptr).holder
+        if h.directed == directed and (
+            (h.src, h.dst) == (a.vid, b.vid)
+            or (not directed and (h.src, h.dst) == (b.vid, a.vid))
+        ):
+            return e
+    return None
+
+
+def _run_mutation(kind: str, tx, ends, target, entry: tuple) -> None:
+    if kind == "del_v":
+        tx.delete_vertex(target)
+    elif kind in ("edge-", "hedge-"):
+        tx.delete_edge(target)
+    elif kind == "edge+":
+        label = _label(tx, entry[4]) if entry[4] else None
+        tx.create_edge(*ends, directed=entry[3], label=label)
+    elif kind.endswith("_v"):  # new_v / upd_v: vertex post-image
+        if kind == "new_v":
+            target = tx.create_vertex(entry[1])
+        _splice(tx, tx._mutate(target._txv), *entry[2:])
+    else:  # hedge+ / hedge*: heavy-edge post-image
+        if kind == "hedge+":
+            target = tx.create_edge(*ends, directed=entry[3], force_heavy=True)
+        tx._mutate(ends[0]._txv)  # take the source vertex's write lock
+        txe = tx._load_edge_holder(target._slot.dptr)
+        _splice(tx, txe.holder, *entry[4:])
+        txe.dirty = True
+
+
+def _label(tx, name: str):
+    """The label of that name; one born after the checkpoint (metadata
+    changes are not logged) is created on demand."""
+    label = tx.db.replica(tx.ctx).labels.by_name(name)
+    return label if label is not None else tx.db.create_label(tx.ctx, name)
+
+
+def _splice(tx, holder, label_names, props) -> None:
+    """Post-image onto a holder; payload blobs are stored verbatim."""
+    holder.labels = [_label(tx, n).int_id for n in label_names]
+    holder.properties = [
+        (tx.db.property_type(tx.ctx, n).int_id, blob) for n, blob in props
+    ]

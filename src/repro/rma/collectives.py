@@ -18,6 +18,7 @@ semantics of a synchronizing MPI collective.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Any, Callable, Sequence
 
@@ -291,17 +292,28 @@ class CollectiveEngine:
                 self._ready.discard(gen)
             return result
 
-    def _entry_clock(self, rank: int) -> float:
-        """A rank enters a collective no earlier than its NIC is drained."""
-        return self._rt.effective_clock(rank)
+    def _rendezvous(
+        self,
+        rank: int,
+        value: Any,
+        price: "Callable[[dict[int, Any]], float]",
+        root: int | None = None,
+    ) -> "dict[int, Any]":
+        """Exchange ``value``, then advance this rank's clock to
+        ``max(entry clocks) + price(live)``.
 
-    def _sync_clocks(self, rank: int, cost: float, clocks: Sequence[float]) -> None:
-        """Advance this rank's clock to ``max(entry clocks) + cost``.
-
-        Entry clocks already include receiver-side NIC service, so the
-        rank's service horizon is absorbed into the synchronized clock.
+        Returns ``live``: the contributions as ``{rank: value}`` in rank
+        order, without those of crashed, excluded ranks (a crashed
+        ``root`` raises).
         """
-        self._rt.clocks[rank] = max(clocks) + cost
+        # a rank enters a collective no earlier than its NIC is drained
+        entry = self._rt.effective_clock(rank)
+        contribs = self._exchange(rank, (entry, value))
+        if root is not None and contribs[root] is _DEAD:
+            self._raise_dead(f"collective root {root} crashed mid-collective")
+        live = {i: c[1] for i, c in enumerate(contribs) if c is not _DEAD}
+        clocks = [c[0] for c in contribs if c is not _DEAD]
+        self._rt.clocks[rank] = max(clocks) + price(live)
         # The NIC-busy horizon was included in the entry clocks, so after
         # the synchronization the NIC is considered drained: advance the
         # horizon to the synced clock (future service extends from here).
@@ -310,71 +322,44 @@ class CollectiveEngine:
                 self._rt.service[rank], self._rt.clocks[rank]
             )
         self._rt.trace.record("collective", rank, rank, "-", 0, 0)
+        return live
 
-    @staticmethod
-    def _live_pairs(contribs: list) -> list[tuple[int, Any]]:
-        """(rank, (clock, value)) pairs of the live contributions."""
-        return [(i, c) for i, c in enumerate(contribs) if c is not _DEAD]
+    def _tree(self, operand: Any) -> float:
+        return self._rt.cost.tree_collective(
+            self._nranks, payload_nbytes(operand)
+        )
 
     # -- collectives -------------------------------------------------------
     def barrier(self, rank: int) -> None:
-        contribs = self._exchange(rank, self._entry_clock(rank))
-        clocks = [c for c in contribs if c is not _DEAD]
-        self._sync_clocks(rank, self._rt.cost.barrier(self._nranks), clocks)
+        self._rendezvous(
+            rank, None, lambda live: self._rt.cost.barrier(self._nranks)
+        )
 
     def bcast(self, rank: int, value: Any, root: int = 0) -> Any:
-        contribs = self._exchange(rank, (self._entry_clock(rank), value))
-        if contribs[root] is _DEAD:
-            self._raise_dead(f"bcast root {root} crashed mid-collective")
-        clocks = [c for _, (c, _v) in self._live_pairs(contribs)]
-        result = contribs[root][1]
-        cost = self._rt.cost.tree_collective(self._nranks, payload_nbytes(result))
-        self._sync_clocks(rank, cost, clocks)
-        return result
+        live = self._rendezvous(
+            rank, value, lambda live: self._tree(live[root]), root
+        )
+        return live[root]
 
     def reduce(self, rank: int, value: Any, op="sum", root: int = 0) -> Any:
-        fn = _resolve_op(op)
-        contribs = self._exchange(rank, (self._entry_clock(rank), value))
-        pairs = self._live_pairs(contribs)
-        clocks = [c for _, (c, _v) in pairs]
-        cost = self._rt.cost.tree_collective(self._nranks, payload_nbytes(value))
-        self._sync_clocks(rank, cost, clocks)
-        if rank != root:
-            return None
-        acc = pairs[0][1][1]
-        for _, (_, v) in pairs[1:]:
-            acc = fn(acc, v)
-        return acc
+        result = self.allreduce(rank, value, op)
+        return result if rank == root else None
 
     def allreduce(self, rank: int, value: Any, op="sum") -> Any:
         fn = _resolve_op(op)
-        contribs = self._exchange(rank, (self._entry_clock(rank), value))
-        pairs = self._live_pairs(contribs)
-        clocks = [c for _, (c, _v) in pairs]
-        cost = self._rt.cost.tree_collective(self._nranks, payload_nbytes(value))
-        self._sync_clocks(rank, cost, clocks)
-        acc = pairs[0][1][1]
-        for _, (_, v) in pairs[1:]:
-            acc = fn(acc, v)
-        return acc
+        live = self._rendezvous(rank, value, lambda live: self._tree(value))
+        return functools.reduce(fn, live.values())
 
     def gather(self, rank: int, value: Any, root: int = 0) -> list | None:
-        contribs = self._exchange(rank, (self._entry_clock(rank), value))
-        pairs = self._live_pairs(contribs)
-        clocks = [c for _, (c, _v) in pairs]
-        cost = self._rt.cost.gather(self._nranks, payload_nbytes(value))
-        self._sync_clocks(rank, cost, clocks)
-        if rank != root:
-            return None
-        return [v for _, (_, v) in pairs]
+        result = self.allgather(rank, value)
+        return result if rank == root else None
 
     def allgather(self, rank: int, value: Any) -> list:
-        contribs = self._exchange(rank, (self._entry_clock(rank), value))
-        pairs = self._live_pairs(contribs)
-        clocks = [c for _, (c, _v) in pairs]
-        cost = self._rt.cost.gather(self._nranks, payload_nbytes(value))
-        self._sync_clocks(rank, cost, clocks)
-        return [v for _, (_, v) in pairs]
+        nbytes = payload_nbytes(value)
+        live = self._rendezvous(
+            rank, value, lambda live: self._rt.cost.gather(self._nranks, nbytes)
+        )
+        return list(live.values())
 
     def scatter(self, rank: int, values: Sequence | None, root: int = 0) -> Any:
         if rank == root:
@@ -382,16 +367,10 @@ class CollectiveEngine:
                 raise ValueError(
                     "scatter root must supply exactly one value per rank"
                 )
-        contribs = self._exchange(rank, (self._entry_clock(rank), values))
-        if contribs[root] is _DEAD:
-            self._raise_dead(f"scatter root {root} crashed mid-collective")
-        clocks = [c for _, (c, _v) in self._live_pairs(contribs)]
-        root_values = contribs[root][1]
-        cost = self._rt.cost.tree_collective(
-            self._nranks, payload_nbytes(root_values[rank])
+        live = self._rendezvous(
+            rank, values, lambda live: self._tree(live[root][rank]), root
         )
-        self._sync_clocks(rank, cost, clocks)
-        return root_values[rank]
+        return live[root][rank]
 
     def alltoall(self, rank: int, values: Sequence) -> list:
         """Personalized exchange: ``values[j]`` is sent to rank ``j``.
@@ -401,41 +380,27 @@ class CollectiveEngine:
         """
         if len(values) != self._nranks:
             raise ValueError("alltoall requires exactly one value per peer")
-        contribs = self._exchange(rank, (self._entry_clock(rank), list(values)))
-        clocks = [c for _, (c, _v) in self._live_pairs(contribs)]
         per_pair = max(payload_nbytes(v) for v in values) if values else 0
-        cost = self._rt.cost.alltoall(self._nranks, per_pair)
-        self._sync_clocks(rank, cost, clocks)
+        live = self._rendezvous(
+            rank,
+            list(values),
+            lambda live: self._rt.cost.alltoall(self._nranks, per_pair),
+        )
         return [
-            contribs[src][1][rank] if contribs[src] is not _DEAD else None
+            live[src][rank] if src in live else None
             for src in range(self._nranks)
         ]
 
     def scan(self, rank: int, value: Any, op="sum") -> Any:
         """Inclusive prefix reduction over live ranks in rank order."""
         fn = _resolve_op(op)
-        contribs = self._exchange(rank, (self._entry_clock(rank), value))
-        pairs = self._live_pairs(contribs)
-        clocks = [c for _, (c, _v) in pairs]
-        cost = self._rt.cost.tree_collective(self._nranks, payload_nbytes(value))
-        self._sync_clocks(rank, cost, clocks)
-        mine = [(i, v) for i, (_, v) in pairs if i <= rank]
-        acc = mine[0][1]
-        for _, v in mine[1:]:
-            acc = fn(acc, v)
-        return acc
+        live = self._rendezvous(rank, value, lambda live: self._tree(value))
+        return functools.reduce(fn, [v for i, v in live.items() if i <= rank])
 
     def exscan(self, rank: int, value: Any, op="sum", initial: Any = 0) -> Any:
         """Exclusive prefix reduction; the first live rank receives ``initial``."""
         fn = _resolve_op(op)
-        contribs = self._exchange(rank, (self._entry_clock(rank), value))
-        pairs = self._live_pairs(contribs)
-        clocks = [c for _, (c, _v) in pairs]
-        cost = self._rt.cost.tree_collective(self._nranks, payload_nbytes(value))
-        self._sync_clocks(rank, cost, clocks)
-        acc = initial
-        for i, (_, v) in pairs:
-            if i >= rank:
-                break
-            acc = fn(acc, v)
-        return acc
+        live = self._rendezvous(rank, value, lambda live: self._tree(value))
+        return functools.reduce(
+            fn, [v for i, v in live.items() if i < rank], initial
+        )

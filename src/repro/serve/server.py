@@ -278,23 +278,16 @@ class GraphServer:
             served += 1
 
     def _execute(self, ctx, req: Request) -> None:
-        trace = ctx.rt.trace
         with self._lock:
             vt = self._assigned.pop(id(req), 0.0)
         start = max(vt, req.arrival)
         wait = start - req.arrival
         if self.breaker is not None and self.breaker.observe_wait(start, wait):
-            trace.record_breaker_trip(ctx.rank)
+            ctx.rt.trace.record_breaker_trip(ctx.rank)
         if req.deadline is not None and start >= req.deadline:
             # doomed before it ran: shed the work, don't burn a worker
-            self._return_slot(ctx.rank, vt)
-            trace.record_deadline_miss(ctx.rank)
-            self._finish(
-                req,
-                DEADLINE,
-                completion=start,
-                rank=ctx.rank,
-                queue_wait=wait,
+            self._complete(
+                ctx, req, DEADLINE, vt, completion=start, queue_wait=wait
             )
             return
         policy = self.config.retry
@@ -304,9 +297,10 @@ class GraphServer:
                 policy = replace(policy, deadline=budget)
         restarts0 = self.db.stats[ctx.rank].restarts
         c0 = ctx.clock
+        status, error, rows = OK, None, None
         try:
             plan = self.engine.prepare(ctx, req.text)
-            result = run_transaction(
+            rows = run_transaction(
                 ctx,
                 self.db,
                 lambda tx: self.engine.run(ctx, req.text, req.params, tx=tx),
@@ -317,67 +311,40 @@ class GraphServer:
                 # concurrent OLTP write traffic
                 snapshot=not plan.query.writes,
                 policy=policy,
-            )
+            ).rows
         except RmaRankDead:
             # this worker just died: hand the request back so a survivor
             # serves it, then let the crash propagate to the executor
             self.queue.requeue_front(req)
             raise
         except RetryDeadlineExceeded as exc:
-            completion = start + (ctx.clock - c0)
-            self._return_slot(ctx.rank, completion)
-            trace.record_deadline_miss(ctx.rank)
-            self._finish(
-                req,
-                DEADLINE,
-                completion=completion,
-                rank=ctx.rank,
-                error=exc,
-                queue_wait=wait,
-                service=ctx.clock - c0,
-                attempts=self.db.stats[ctx.rank].restarts - restarts0,
-            )
-            return
+            status, error = DEADLINE, exc
         except (GdiTransactionCritical, RmaTransientError) as exc:
-            completion = start + (ctx.clock - c0)
-            self._return_slot(ctx.rank, completion)
-            self._finish(
-                req,
-                FAILED,
-                completion=completion,
-                rank=ctx.rank,
-                error=exc,
-                queue_wait=wait,
-                service=ctx.clock - c0,
-                attempts=self.db.stats[ctx.rank].restarts - restarts0,
-            )
-            return
+            status, error = FAILED, exc
         except QueryError as exc:
-            completion = start + (ctx.clock - c0)
-            self._return_slot(ctx.rank, completion)
-            self._finish(
-                req,
-                ERROR,
-                completion=completion,
-                rank=ctx.rank,
-                error=exc,
-                queue_wait=wait,
-                service=ctx.clock - c0,
-            )
-            return
+            status, error = ERROR, exc
         service = ctx.clock - c0
-        completion = start + service
-        self._return_slot(ctx.rank, completion)
-        self._finish(
+        self._complete(
+            ctx,
             req,
-            OK,
-            completion=completion,
-            rank=ctx.rank,
-            rows=result.rows,
+            status,
+            start + service,
+            completion=start + service,
+            rows=rows,
+            error=error,
             queue_wait=wait,
             service=service,
             attempts=self.db.stats[ctx.rank].restarts - restarts0,
         )
+
+    def _complete(self, ctx, req: Request, status: str, slot: float, **kw) -> None:
+        """Terminal step of a dequeued request: its virtual server is free
+        again from ``slot`` on, a missed deadline is counted, and the
+        request finishes on this rank."""
+        self._return_slot(ctx.rank, slot)
+        if status == DEADLINE:
+            ctx.rt.trace.record_deadline_miss(ctx.rank)
+        self._finish(req, status, rank=ctx.rank, **kw)
 
     # -- drain / resume (quiesced maintenance windows) ---------------------
     def drain(self, timeout: float = 10.0) -> bool:

@@ -214,40 +214,6 @@ def test_checkpoint_alone_recovers_when_tail_is_empty():
     assert canon(res[0]) == canon(state["final"])
 
 
-def test_parallel_recover_matches_sequential():
-    """Satellite: the parallelized tail replay (disjoint write-set
-    batches spread over the ranks) must produce exactly the state the
-    sequential replay produces."""
-    state = {}
-
-    def prog(ctx):
-        db = GdaDatabase.create(ctx, CFG)
-        _build_base(ctx, db)
-        cp = take_checkpoint(ctx, db)
-        _mutate_tail(ctx, db)  # every entry kind, incl. del_v singletons
-        final = snapshot(ctx, db)
-        if ctx.rank == 0:
-            state.update(cp=cp, log=db.commit_log, final=final)
-
-    run_spmd(3, prog)
-    assert state["log"].position() > state["cp"].log_pos
-
-    def recovered_snapshot(parallel):
-        def recover_prog(ctx):
-            db2 = GdaDatabase.create(ctx, CFG)
-            recover(ctx, db2, state["cp"], state["log"], parallel=parallel)
-            report = check_consistency(ctx, db2)
-            assert report.ok, report.problems[:5]
-            return snapshot(ctx, db2)
-
-        _, res = run_spmd(3, recover_prog)
-        return canon(res[0])
-
-    sequential = recovered_snapshot(parallel=False)
-    parallel = recovered_snapshot(parallel=True)
-    assert parallel == sequential == canon(state["final"])
-
-
 # -- rank crash -------------------------------------------------------------
 def test_rank_crash_recovery_matches_fault_free_reference():
     """The acceptance scenario: build, checkpoint, commit a tail, crash a

@@ -13,9 +13,12 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 CAP = 1000
 GRANDFATHERED = {
-    "gda/holder.py": 1458,
+    "gda/holder.py": 1454,
     "rma/runtime.py": 724,
     "gda/locks.py": 322,
+    "gda/recovery.py": 346,
+    "rma/collectives.py": 406,
+    "serve/server.py": 378,
 }
 
 
