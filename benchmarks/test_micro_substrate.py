@@ -239,6 +239,73 @@ def test_oltp_transaction_wall_time(benchmark):
     benchmark(op)
 
 
+#: Python-level calls per single-op RM-mix transaction that
+#: :func:`test_point_read_stays_within_its_call_budget` allows: what the
+#: wire-form point-read change reached on CPython 3.11 (136.3, from 216.8
+#: before it) plus 10 %.  3.12 inlines comprehensions and reads lower.
+POINT_READ_CALL_BUDGET = 150.0
+
+
+def test_point_read_stays_within_its_call_budget():
+    """The OLTP hot path cannot quietly grow back: Python function calls
+    per point-read transaction on a seeded graph with seeded ops.  A
+    count, not a timing — identical on every run of one interpreter, so
+    a slow runner cannot flake it."""
+    import random
+    import sys
+
+    from repro.gdi import EdgeOrientation
+    from repro.generator import KroneckerParams, build_lpg, default_schema
+    from repro.rma import XC40, run_spmd
+
+    params = KroneckerParams(scale=7, edge_factor=8, seed=3)
+    rt2, graphs = run_spmd(
+        2,
+        lambda c: build_lpg(
+            c, GdaDatabase.create(c, GdaConfig(blocks_per_rank=16384)),
+            params, default_schema(),
+        ),
+        profile=XC40,
+        seed=7,
+    )
+    rt2.scheduler = None  # single issuer from here on
+    g, ctx0 = graphs[0], rt2.context(0)
+    ts = g.ptypes["p_ts"]
+    rng = random.Random(7)
+    # Table 3 RM mix, reads only: get_props / count_edges / get_edges
+    ops = rng.choices(range(3), weights=(0.288, 0.117, 0.593), k=250)
+    keys = [rng.randrange(g.n_vertices) for _ in ops]
+
+    def run(op, key):
+        tx = g.db.start_transaction(ctx0)
+        v = tx.find_vertex(key)
+        if op == 0:
+            v.property(ts)
+        elif op == 1:
+            v.degree()
+        else:
+            for e in v.edges(EdgeOrientation.OUTGOING):
+                e.endpoints()
+        tx.commit()
+
+    for op, key in zip(ops[:50], keys[:50]):  # first-use caches
+        run(op, key)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for op, key in zip(ops[50:], keys[50:]):
+            run(op, key)
+    finally:
+        sys.setprofile(None)
+    per_op = calls / 200 - 1  # less the call of ``run`` itself
+    assert per_op <= POINT_READ_CALL_BUDGET, per_op
+
+
 def test_batched_vs_scalar_remote_reads(benchmark, report):
     """Doorbell coalescing: one ``get_batch`` vs a scalar ``get`` loop.
 

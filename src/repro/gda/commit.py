@@ -409,16 +409,13 @@ def frozen_copy(stored: StoredHolder) -> StoredHolder:
     """
     h = stored.holder
     if h.kind == KIND_VERTEX:
-        ch = VertexHolder(
-            app_id=h.app_id,
-            labels=list(h.labels),
-            properties=list(h.properties),
-        )
+        # a part still in wire form is immutable bytes: shared as it is
+        ch = VertexHolder._from_wire(h.app_id, h._entry_buf, h._slot_buf)
+        if h._entry_buf is None:
+            ch.labels = list(h.labels)
+            ch.properties = list(h.properties)
         if h._edges is not None:
             ch._edges = list(h._edges)
-        else:  # still in wire form; the buffer is immutable bytes
-            ch._edges = None
-            ch._slot_buf = h._slot_buf
     else:
         ch = EdgeHolder(
             src=h.src,

@@ -27,6 +27,7 @@ when the paper's volatile IDs expire, Section 3.4).
 
 from __future__ import annotations
 
+import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -46,6 +47,8 @@ __all__ = ["DistributedHashTable", "ENTRY_BYTES"]
 
 #: Heap entry layout: key (8) | value (8) | next pointer (8).
 ENTRY_BYTES = 24
+_ENTRY = struct.Struct("<qqq")
+assert _ENTRY.size == ENTRY_BYTES
 _KEY_OFF = 0
 _VAL_OFF = 8
 _NEXT_OFF = 16
@@ -137,21 +140,15 @@ class DistributedHashTable:
     def _read_entry(self, ctx: RankContext, ptr: int) -> tuple[int, int, int]:
         """Fetch one 24-byte heap entry with a single one-sided get."""
         d = unpack_dptr(ptr)
-        blob = ctx.get(self.heap.data_win, d.rank, d.offset, ENTRY_BYTES)
-        key = int.from_bytes(blob[0:8], "little", signed=True)
-        val = int.from_bytes(blob[8:16], "little", signed=True)
-        nxt = int.from_bytes(blob[16:24], "little", signed=True)
-        return key, val, nxt
+        return _ENTRY.unpack(
+            ctx.get(self.heap.data_win, d.rank, d.offset, ENTRY_BYTES)
+        )
 
     def _write_entry(
         self, ctx: RankContext, ptr: int, key: int, value: int, nxt: int
     ) -> None:
         d = unpack_dptr(ptr)
-        blob = (
-            key.to_bytes(8, "little", signed=True)
-            + value.to_bytes(8, "little", signed=True)
-            + nxt.to_bytes(8, "little", signed=True)
-        )
+        blob = _ENTRY.pack(key, value, nxt)
         ctx.iput(self.heap.data_win, d.rank, d.offset, blob)
         ctx.flush(self.heap.data_win, d.rank)
 
@@ -240,15 +237,16 @@ class DistributedHashTable:
         restarts from its bucket, joining the next wave — the same restart
         rule as the scalar path.
         """
-        n = len(keys)
         keys = [int(k) for k in keys]
-        results: list[int | None] = [None] * n
-        locs = [self.bucket_of(k) for k in keys]
-        heads = ctx.get_batch(
-            self.table_win, [(rank, boff, 8) for rank, boff in locs]
-        )
-        ptrs = [int.from_bytes(b, "little", signed=True) for b in heads]
-        active = [i for i in range(n) if not is_null(ptrs[i])]
+        results: list[int | None] = [None] * len(keys)
+        # the bucket-head read of every key (again on a restart); the
+        # pointers come back signed, so NULL is DPTR_NULL itself
+        heads = [(rank, boff, 8) for rank, boff in map(self.bucket_of, keys)]
+        ptrs = [
+            int.from_bytes(b, "little", signed=True)
+            for b in ctx.get_batch(self.table_win, heads)
+        ]
+        active = [i for i, ptr in enumerate(ptrs) if ptr != DPTR_NULL]
         while active:
             specs = []
             for i in active:
@@ -258,26 +256,21 @@ class DistributedHashTable:
             nxt_active: list[int] = []
             restart: list[int] = []
             for i, blob in zip(active, blobs):
-                k = int.from_bytes(blob[0:8], "little", signed=True)
-                v = int.from_bytes(blob[8:16], "little", signed=True)
-                nxt = int.from_bytes(blob[16:24], "little", signed=True)
+                k, v, nxt = _ENTRY.unpack(blob)
                 if nxt == ptrs[i]:  # entry is being deleted: restart
                     restart.append(i)
                 elif k == keys[i]:
                     results[i] = v
-                elif not is_null(nxt):
+                elif nxt != DPTR_NULL:
                     ptrs[i] = nxt
                     nxt_active.append(i)
                 # else: chain exhausted — the key is absent.
             if restart:
-                heads = ctx.get_batch(
-                    self.table_win,
-                    [(locs[i][0], locs[i][1], 8) for i in restart],
-                )
-                for i, b in zip(restart, heads):
+                blobs = ctx.get_batch(self.table_win, [heads[i] for i in restart])
+                for i, b in zip(restart, blobs):
                     results[i] = None
                     ptrs[i] = int.from_bytes(b, "little", signed=True)
-                    if not is_null(ptrs[i]):
+                    if ptrs[i] != DPTR_NULL:
                         nxt_active.append(i)
             active = nxt_active
         return results

@@ -80,14 +80,14 @@ def pack_dptr(rank: int, offset: int) -> int:
 
 def unpack_dptr(value: int) -> DPtr:
     """Decode a signed or unsigned 64-bit word into a :class:`DPtr`."""
-    if is_null(value):
+    u = value & _U64
+    if u == _U64:
         raise ValueError("cannot unpack DPTR_NULL")
-    u = _to_unsigned(value)
-    return DPtr(rank=u >> OFFSET_BITS, offset=u & MAX_OFFSET)
+    return DPtr(u >> OFFSET_BITS, u & MAX_OFFSET)
 
 
 def is_null(value: int) -> bool:
-    return _to_unsigned(value) == _U64
+    return value & _U64 == _U64
 
 
 # -- tagged pointers for the BGDL free lists -------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -185,14 +186,15 @@ class VertexHandle:
         constraint: Constraint | None = None,
     ) -> list["EdgeHandle"]:
         """``GDI_GetEdgesOfVertex`` with an optional constraint filter."""
-        out = []
-        for slot in self._holder(NEED_TOPO).edges:
-            if not _orientation_matches(slot.direction, orientation):
-                continue
-            handle = EdgeHandle(self._tx, self._txv, slot)
-            if constraint is not None and not handle._satisfies(constraint):
-                continue
-            out.append(handle)
+        tx, txv = self._tx, self._txv
+        dirs = _matching_directions(orientation)
+        out = [
+            EdgeHandle(tx, txv, slot)
+            for slot in self._holder(NEED_TOPO).edges
+            if dirs[slot.flags & DIR_MASK]
+        ]
+        if constraint is not None:
+            out = [e for e in out if e._satisfies(constraint)]
         return out
 
     def neighbors(
@@ -230,11 +232,8 @@ class VertexHandle:
         if holder._edges is None:
             _, _, flags = holder.edges_as_arrays()
             return int(np.count_nonzero(_orientation_mask(flags, orientation)))
-        return sum(
-            1
-            for slot in holder.edges
-            if _orientation_matches(slot.direction, orientation)
-        )
+        dirs = _matching_directions(orientation)
+        return sum(1 for slot in holder.edges if dirs[slot.flags & DIR_MASK])
 
     def delete(self) -> None:
         self._tx.delete_vertex(self)
@@ -456,17 +455,16 @@ def _orientation_matches(direction: int, wanted: EdgeOrientation) -> bool:
     )
 
 
+@cache
+def _matching_directions(wanted: EdgeOrientation) -> tuple[bool, ...]:
+    """:func:`_orientation_matches` as a truth table indexed by
+    ``flags & DIR_MASK``: fixed per call, so a slot loop tests an int."""
+    return tuple(_orientation_matches(d, wanted) for d in range(DIR_MASK + 1))
+
+
 def _orientation_mask(flags: np.ndarray, wanted: EdgeOrientation) -> np.ndarray:
     """Vectorized :func:`_orientation_matches` over a slot flags array."""
-    d = flags & DIR_MASK
-    want_out = bool(wanted & EdgeOrientation.OUTGOING)
-    want_in = bool(wanted & EdgeOrientation.INCOMING)
-    want_any = want_out or want_in or bool(wanted & EdgeOrientation.UNDIRECTED)
-    return (
-        ((d == DIR_OUT) & want_out)
-        | ((d == DIR_IN) & want_in)
-        | ((d == DIR_UNDIR) & want_any)
-    )
+    return np.array(_matching_directions(wanted))[flags & DIR_MASK]
 
 
 def _constraint_label_id(constraint: Constraint) -> int | None:
@@ -521,7 +519,7 @@ class EdgeHandle:
 
     @property
     def heavy(self) -> bool:
-        return self._slot.heavy
+        return bool(self._slot.flags & SLOT_HEAVY)
 
     @property
     def directed(self) -> bool:
@@ -531,13 +529,14 @@ class EdgeHandle:
 
     def endpoints(self) -> tuple[int, int]:
         """``GDI_GetVerticesOfEdge``: (origin vid, target vid)."""
-        base_vid = self._base.vid
-        if self._slot.heavy:
-            h = self._tx._load_edge_holder(self._slot.dptr).holder
+        slot = self._slot
+        flags = slot.flags
+        if flags & SLOT_HEAVY:
+            h = self._tx._load_edge_holder(slot.dptr).holder
             return h.src, h.dst
-        if self._slot.direction == DIR_IN:
-            return self._slot.dptr, base_vid
-        return base_vid, self._slot.dptr
+        if flags & DIR_MASK == DIR_IN:
+            return slot.dptr, self._base.vid
+        return self._base.vid, slot.dptr
 
     def other_endpoint(self) -> int:
         return self._tx._slot_other_endpoint(self._base.vid, self._slot)

@@ -1,9 +1,14 @@
-"""Vertex and edge holder objects: the Logical Layout level (Section 5.4).
+"""Holder storage: the Logical Layout level on BGDL blocks (Section 5.4).
 
 A *holder* is the variable-sized structure describing one vertex or one
 heavyweight edge: selected metadata, the addresses of the blocks storing
 the data, lightweight edges (stored inline in the source vertex holder,
 Section 5.4.2), and the label/property entry stream (Section 5.4.3).
+The in-memory holders and the constants of their wire form live in
+:mod:`repro.gda.holder_model`, the columnar result of a bulk read in
+:mod:`repro.gda.holder_batch`; this module re-exports both and holds
+:class:`HolderStorage`, the reader and writer over
+:class:`~repro.gda.blocks.BlockManager`.
 
 The holder is serialized into fixed-size BGDL blocks:
 
@@ -26,18 +31,6 @@ Edge slots pack ``(target DPtr, label integer ID, flags)`` where flags
 carry the direction (OUT/IN/UNDIRECTED) and a HEAVY bit marking slots
 whose DPtr points at an edge holder instead of a neighbor vertex.
 
-Zero-copy codec
----------------
-
-The on-wire layouts are mirrored by numpy structured dtypes
-(:data:`SLOT_DTYPE`, :data:`HEADER_DTYPE`) so decoded holders keep the
-raw slot region as an opaque buffer instead of eagerly unpacking one
-:class:`EdgeSlot` per edge.  :meth:`VertexHolder.edges_as_arrays` views
-that buffer directly (no per-edge Python objects); the ``edges`` list is
-materialized lazily only when slot-granular mutation is needed, at which
-point the buffer is dropped so the two representations can never
-diverge.
-
 Projected reads
 ---------------
 
@@ -53,26 +46,45 @@ bandwidth (the block headers still catch stale/freed blocks).
 
 from __future__ import annotations
 
-import struct
 import zlib
-from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gdi.errors import GdiChecksumError, GdiNoMemory, GdiStateError
+from ..gdi.errors import GdiChecksumError, GdiStateError
 from ..rma.runtime import RankContext
 from .blocks import BlockManager
-from .entries import (
-    ENTRY_EMPTY,
-    ENTRY_LABEL,
-    ENTRY_LAST,
-    EntryFormatError,
-    decode_entries,
-    encode_entries,
-    entries_nbytes,
+from .holder_batch import HolderBatch, csr_indptr, ragged_index
+from .holder_model import (  # every name of the former single module
+    _BLOCK_HEADER,
+    _ENDPOINTS,
+    _HEADER,
+    _SLOT,
+    FLAG_DIRECTED,
+    DIR_IN,
+    DIR_MASK,
+    DIR_OUT,
+    DIR_UNDIR,
+    FLAG_INDIRECT,
+    HEADER_BYTES,
+    HEADER_DTYPE,
+    KIND_EDGE,
+    KIND_VERTEX,
+    NEED_ALL,
+    NEED_ENTRIES,
+    NEED_IDENT,
+    NEED_TOPO,
+    SLOT_BYTES,
+    SLOT_DTYPE,
+    SLOT_HEAVY,
+    VERSION_OFFSET,
+    EdgeHolder,
+    EdgeSlot,
+    StoredHolder,
+    VertexHolder,
+    _decode_payload,
+    _decode_span,
+    plan_layout,
 )
-from .dptr import unpack_dptr
 
 __all__ = [
     "HEADER_BYTES",
@@ -102,66 +114,6 @@ __all__ = [
     "ragged_index",
 ]
 
-HEADER_BYTES = 40
-SLOT_BYTES = 16
-
-KIND_VERTEX = 1
-KIND_EDGE = 2
-
-# flags byte
-FLAG_DIRECTED = 1  # edge holders: the edge is directed
-FLAG_INDIRECT = 2  # address area holds index-block addresses
-
-# edge-slot flags word
-DIR_OUT = 1
-DIR_IN = 2
-DIR_UNDIR = 3
-DIR_MASK = 3
-SLOT_HEAVY = 4
-
-# holder-part needs mask (projected reads)
-NEED_IDENT = 1  # header only: kind, app_id, edge count
-NEED_TOPO = 2  # the edge-slot region
-NEED_ENTRIES = 4  # the label/property entry stream
-NEED_ALL = NEED_IDENT | NEED_TOPO | NEED_ENTRIES
-
-_HEADER = struct.Struct("<BBHIIqIIII")  # 36 bytes, padded to 40
-_SLOT = struct.Struct("<qii")
-_ENDPOINTS = struct.Struct("<qq")
-
-#: numpy mirror of the 16-byte edge slot (``<qii``).
-SLOT_DTYPE = np.dtype(
-    [("dptr", "<i8"), ("label", "<i4"), ("flags", "<i4")]
-)
-
-#: numpy mirror of the 36-byte packed header (``<BBHIIqIIII``).
-HEADER_DTYPE = np.dtype(
-    [
-        ("kind", "u1"),
-        ("flags", "u1"),
-        ("pad", "<u2"),
-        ("ndata", "<u4"),
-        ("nindex", "<u4"),
-        ("app_id", "<i8"),
-        ("edge_count", "<u4"),
-        ("entries_len", "<u4"),
-        ("payload_len", "<u4"),
-        ("crc", "<u4"),
-    ]
-)
-
-# The dtypes must mirror the struct layouts bit-for-bit, and the packed
-# header must pad to exactly the documented HEADER_BYTES — the writers
-# assume it, and a silent drift would corrupt every stored holder.
-assert SLOT_DTYPE.itemsize == _SLOT.size == SLOT_BYTES
-assert HEADER_DTYPE.itemsize == _HEADER.size == 36
-assert HEADER_BYTES - _HEADER.size == 4, "header pads 36 -> 40 bytes"
-
-#: byte offset of the MVCC commit version inside the 40-byte header: the
-#: u32 occupying what used to be the trailing pad (bytes 36..40).  Holders
-#: written before MVCC decode as version 0 — visible to every snapshot.
-VERSION_OFFSET = _HEADER.size
-
 #: bytes of address area fetched speculatively with every header read;
 #: covers holders with up to 8 continuation/index addresses in one round.
 _ADDR_HINT = 64
@@ -180,291 +132,6 @@ _HEADER_FIRST_MIN_BATCH = 8
 _COLUMNAR_MIN_BATCH = 64
 
 
-@dataclass
-class EdgeSlot:
-    """One edge slot inside a vertex holder.
-
-    For lightweight edges ``dptr`` addresses the neighbor vertex and
-    ``label_id`` is the (single, optional — 0 means none) edge label.
-    For heavy slots (``flags & SLOT_HEAVY``) ``dptr`` addresses the edge
-    holder and ``label_id`` is unused.
-    """
-
-    dptr: int
-    label_id: int
-    flags: int
-
-    @property
-    def direction(self) -> int:
-        return self.flags & DIR_MASK
-
-    @property
-    def heavy(self) -> bool:
-        return bool(self.flags & SLOT_HEAVY)
-
-
-class VertexHolder:
-    """Decoded vertex: application ID, labels, properties, edge slots.
-
-    The edge slots live in exactly one of two representations:
-
-    * ``_slot_buf`` — the raw 16-byte-per-slot region as read off the
-      wire (zero-copy; served to bulk consumers as numpy views);
-    * ``_edges`` — a materialized ``list[EdgeSlot]`` for slot-granular
-      mutation.
-
-    Reading :attr:`edges` materializes the list and *drops the buffer*,
-    so a mutated list can never coexist with a stale buffer.  Holders
-    from projected reads may carry neither (topology not fetched);
-    touching :attr:`edges` then raises :class:`GdiStateError` — the
-    transaction layer hydrates missing parts before handing out slots.
-    """
-
-    kind = KIND_VERTEX
-
-    __slots__ = ("app_id", "labels", "properties", "_edges", "_slot_buf")
-
-    def __init__(
-        self,
-        app_id: int,
-        labels: list[int] | None = None,
-        properties: list[tuple[int, bytes]] | None = None,
-        edges: list[EdgeSlot] | None = None,
-    ) -> None:
-        self.app_id = app_id
-        self.labels = [] if labels is None else labels
-        self.properties = [] if properties is None else properties
-        self._edges: list[EdgeSlot] | None = (
-            [] if edges is None else edges
-        )
-        self._slot_buf: bytes | None = None
-
-    @classmethod
-    def _from_wire(
-        cls,
-        app_id: int,
-        labels: list[int] | None,
-        properties: list[tuple[int, bytes]] | None,
-        slot_buf: bytes | None,
-    ) -> "VertexHolder":
-        """Build a decoded holder, possibly with unfetched parts."""
-        h = cls(app_id)
-        h.labels = labels  # type: ignore[assignment]  # None = not fetched
-        h.properties = properties  # type: ignore[assignment]
-        h._edges = None
-        h._slot_buf = slot_buf
-        return h
-
-    # -- edge-slot access --------------------------------------------------
-    @property
-    def edges(self) -> list[EdgeSlot]:
-        if self._edges is None:
-            if self._slot_buf is None:
-                raise GdiStateError(
-                    "vertex holder topology not loaded (projected read)"
-                )
-            self._edges = [
-                EdgeSlot(dptr, label_id, flags)
-                for dptr, label_id, flags in _SLOT.iter_unpack(self._slot_buf)
-            ]
-            self._slot_buf = None  # single source of truth from here on
-        return self._edges
-
-    @edges.setter
-    def edges(self, value: list[EdgeSlot]) -> None:
-        self._edges = value
-        self._slot_buf = None
-
-    @property
-    def has_topology(self) -> bool:
-        return self._edges is not None or self._slot_buf is not None
-
-    @property
-    def edge_count(self) -> int:
-        if self._edges is not None:
-            return len(self._edges)
-        if self._slot_buf is not None:
-            return len(self._slot_buf) // SLOT_BYTES
-        raise GdiStateError(
-            "vertex holder topology not loaded (projected read)"
-        )
-
-    def edges_as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(dptr, label, flags)`` arrays over the edge slots, zero-copy.
-
-        When the holder still carries its wire buffer the arrays are
-        read-only views straight over it (no per-edge objects, no
-        copies); a materialized list is packed on the fly.
-        """
-        if self._slot_buf is not None:
-            view = np.frombuffer(self._slot_buf, dtype=SLOT_DTYPE)
-            return view["dptr"], view["label"], view["flags"]
-        edges = self.edges
-        n = len(edges)
-        arr = np.empty(n, dtype=SLOT_DTYPE)
-        if n:
-            arr["dptr"] = [s.dptr for s in edges]
-            arr["label"] = [s.label_id for s in edges]
-            arr["flags"] = [s.flags for s in edges]
-        return arr["dptr"], arr["label"], arr["flags"]
-
-    def targets(self, label_id: int | None = None) -> np.ndarray:
-        """DPtrs of lightweight neighbors, optionally for one edge label.
-
-        Heavy slots are excluded (their DPtr addresses an edge holder,
-        not a neighbor); bulk analytics consumers resolve those rarely
-        and separately.
-        """
-        dptr, label, flags = self.edges_as_arrays()
-        mask = (flags & SLOT_HEAVY) == 0
-        if label_id is not None:
-            mask &= label == label_id
-        return dptr[mask]
-
-    # -- serialization -----------------------------------------------------
-    def _slot_bytes(self) -> bytes:
-        if self._edges is None and self._slot_buf is not None:
-            return self._slot_buf
-        edges = self.edges
-        if len(edges) >= 64:
-            arr = np.empty(len(edges), dtype=SLOT_DTYPE)
-            arr["dptr"] = [s.dptr for s in edges]
-            arr["label"] = [s.label_id for s in edges]
-            arr["flags"] = [s.flags for s in edges]
-            return arr.tobytes()
-        return b"".join(
-            _SLOT.pack(s.dptr, s.label_id, s.flags) for s in edges
-        )
-
-    def payload(self) -> tuple[bytes, int]:
-        stream = encode_entries(self.labels, self.properties)
-        return self._slot_bytes() + stream, 0
-
-    def payload_nbytes(self) -> int:
-        return SLOT_BYTES * self.edge_count + entries_nbytes(
-            self.labels, self.properties
-        )
-
-    # -- value semantics (kept from the dataclass era) ---------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VertexHolder):
-            return NotImplemented
-        return (
-            self.app_id == other.app_id
-            and self.labels == other.labels
-            and self.properties == other.properties
-            and self.edges == other.edges
-        )
-
-    def __repr__(self) -> str:
-        edges = (
-            f"<{len(self._slot_buf) // SLOT_BYTES} packed slots>"
-            if self._edges is None and self._slot_buf is not None
-            else self._edges
-        )
-        return (
-            f"VertexHolder(app_id={self.app_id!r}, labels={self.labels!r}, "
-            f"properties={self.properties!r}, edges={edges!r})"
-        )
-
-
-@dataclass
-class EdgeHolder:
-    """Decoded heavyweight edge: endpoints, direction, labels, properties."""
-
-    src: int
-    dst: int
-    directed: bool = True
-    labels: list[int] = field(default_factory=list)
-    properties: list[tuple[int, bytes]] = field(default_factory=list)
-
-    kind = KIND_EDGE
-    app_id = 0
-    edges: list = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def payload(self) -> tuple[bytes, int]:
-        stream = encode_entries(self.labels, self.properties)
-        flags = FLAG_DIRECTED if self.directed else 0
-        return _ENDPOINTS.pack(self.src, self.dst) + stream, flags
-
-    def payload_nbytes(self) -> int:
-        return 16 + entries_nbytes(self.labels, self.properties)
-
-
-def plan_layout(payload_len: int, block_size: int) -> tuple[int, int]:
-    """Choose (nindex, ndata) for a holder of ``payload_len`` bytes.
-
-    Returns ``nindex == 0`` for direct addressing.  Raises
-    :class:`GdiNoMemory` if the holder cannot be represented even with
-    full indirection (the user should raise the block size).
-    """
-    head_room = block_size - HEADER_BYTES
-    if head_room < 8:
-        raise GdiNoMemory(f"block size {block_size} below holder minimum")
-    # Direct: primary holds ndata addresses + leading payload bytes.
-    if payload_len <= head_room:
-        return 0, 0
-    # smallest ndata such that (head_room - 8*ndata) + ndata*block_size >= payload_len
-    ndata = -(-(payload_len - head_room) // (block_size - 8))
-    if HEADER_BYTES + 8 * ndata <= block_size:
-        return 0, ndata
-    # Indirect: primary holds nindex index-block addresses.
-    per_index = block_size // 8
-    max_index = head_room // 8
-    for nindex in range(1, max_index + 1):
-        cap_primary = head_room - 8 * nindex
-        remaining = payload_len - cap_primary
-        ndata = -(-remaining // block_size)
-        if ndata <= nindex * per_index:
-            return nindex, ndata
-    raise GdiNoMemory(
-        f"holder payload of {payload_len} B exceeds the addressing capacity "
-        f"of {block_size}-byte blocks; increase the block size"
-    )
-
-
-@dataclass
-class StoredHolder:
-    """A holder together with its block placement (transaction cache unit)."""
-
-    holder: VertexHolder | EdgeHolder
-    primary: int
-    data_blocks: list[int] = field(default_factory=list)
-    index_blocks: list[int] = field(default_factory=list)
-    #: which holder parts were actually fetched (projected reads); holders
-    #: built locally or read in full carry NEED_ALL.
-    parts: int = NEED_ALL
-    #: commit timestamp of the transaction that last wrote this holder
-    #: (the MVCC version in the header pad bytes); 0 for pre-MVCC data
-    #: and for databases running without :mod:`repro.mvcc`.
-    version: int = 0
-
-    @property
-    def all_blocks(self) -> list[int]:
-        return [self.primary, *self.index_blocks, *self.data_blocks]
-
-    @property
-    def home_rank(self) -> int:
-        return unpack_dptr(self.primary).rank
-
-
-def csr_indptr(counts) -> np.ndarray:
-    """``[0, c0, c0 + c1, ...]``: the row boundaries of a ragged array
-    whose rows hold ``counts`` elements."""
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
-def ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices ``starts[i] .. starts[i] + counts[i]`` for every ``i``,
-    concatenated (the gather index of a ragged selection)."""
-    ends = np.cumsum(counts)
-    idx = np.repeat(starts - (ends - counts), counts)
-    idx += np.arange(idx.size)
-    return idx
-
-
 def _specs(dptr, offset, nbytes) -> np.ndarray:
     """``(dptr, offset, nbytes)`` rows for :meth:`BlockManager.read_blocks`
     (scalars broadcast)."""
@@ -473,217 +140,6 @@ def _specs(dptr, offset, nbytes) -> np.ndarray:
     out[:, 1] = offset
     out[:, 2] = nbytes
     return out
-
-
-def _i32_at(words: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Little-endian int32 at each (unaligned) byte position ``pos`` of
-    a buffer, given its 4-byte ``sliding_window_view``."""
-    return words[pos].view("<i4")[:, 0].astype(np.int64)
-
-
-class HolderBatch(Sequence):
-    """Columnar result of one large :meth:`HolderStorage.read_many`.
-
-    Row ``i`` describes ``primaries[i]``.  Header fields are int64
-    columns, zero where ``present`` is false (the block holds no
-    holder).  Payload bytes stay in one shared buffer: the span fetched
-    for row ``i`` is ``span[span_indptr[i]:span_indptr[i + 1]]`` and
-    begins at payload offset ``start[i]``; ``parts[i]`` says which
-    holder parts it covers.  Direct continuation blocks are
-    ``data_blocks[data_indptr[i]:data_indptr[i + 1]]``.
-
-    Bulk readers take arrays — :meth:`slot_columns` for the topology,
-    :meth:`entry_table` / :meth:`has_label` / :meth:`property_spans` for
-    labels and properties, which stay undecoded bytes until asked for.
-    As a sequence the batch yields, per row, the very
-    :class:`StoredHolder` the per-holder decode produces (``None`` for a
-    hole), built on first access and then kept.
-    """
-
-    def __init__(
-        self,
-        primaries: np.ndarray,
-        header: dict[str, np.ndarray],
-        need: np.ndarray,
-        start: np.ndarray,
-        span: np.ndarray,
-        span_indptr: np.ndarray,
-        data_blocks: np.ndarray,
-        data_indptr: np.ndarray,
-        index_blocks: dict[int, list[int]],
-    ) -> None:
-        self.primaries = primaries
-        self.present = header["present"]
-        self.kind = header["kind"]
-        self.flags = header["flags"]
-        self.app_id = header["app_id"]
-        self.edge_count = header["edge_count"]
-        self.version = header["version"]
-        self.need = need
-        self.start = start
-        self.span = span
-        self.span_indptr = span_indptr
-        self.data_blocks = data_blocks
-        self.data_indptr = data_indptr
-        #: index blocks of the (rare) indirect rows, by row
-        self.index_blocks = index_blocks
-        vertex = self.kind == KIND_VERTEX
-        self.parts = np.where(
-            vertex,
-            NEED_IDENT | (need & (NEED_TOPO | NEED_ENTRIES)),
-            np.where(self.present, NEED_ALL, 0),
-        )
-        self._vertex = vertex
-        self._rows: dict[int, StoredHolder | None] = {}
-        self._lists: list[list] | None = None
-        self._slots: tuple[np.ndarray, np.ndarray] | None = None
-        self._entries: tuple[np.ndarray, ...] | None = None
-
-    # -- sequence of StoredHolder ------------------------------------------
-    def __len__(self) -> int:
-        return len(self.primaries)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("holder batch row out of range")
-        try:
-            return self._rows[i]
-        except KeyError:
-            stored = self._rows[i] = self._materialize(i)
-            return stored
-
-    def _materialize(self, i: int) -> "StoredHolder | None":
-        if self._lists is None:
-            self._lists = [
-                col.tolist()
-                for col in (
-                    self.present, self.kind, self.flags, self.app_id,
-                    self.edge_count, self.need, self.version, self.primaries,
-                    self.start, self.span_indptr, self.data_indptr,
-                )
-            ]
-        (present, kind, flags, app_id, edge_count, need, version, primaries,
-         start, span_indptr, data_indptr) = self._lists
-        if not present[i]:
-            return None
-        info = {
-            "kind": kind[i],
-            "flags": flags[i],
-            "app_id": app_id[i],
-            "edge_count": edge_count[i],
-            "need": need[i],
-            "version": version[i],
-            "primary": primaries[i],
-            "data_blocks": self.data_blocks[
-                data_indptr[i] : data_indptr[i + 1]
-            ].tolist(),
-            "index_blocks": self.index_blocks.get(i, []),
-        }
-        span = self.span[span_indptr[i] : span_indptr[i + 1]].tobytes()
-        return HolderStorage._decode_span(info, start[i], span)
-
-    # -- topology columns ----------------------------------------------------
-    def slot_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, slots)``: the edge slots of all vertex rows read
-        with ``NEED_TOPO`` as one :data:`SLOT_DTYPE` array; row ``i``
-        owns ``slots[indptr[i]:indptr[i + 1]]`` (nothing for holes, edge
-        holders and rows read without their topology)."""
-        if self._slots is None:
-            counts = np.where(
-                self._vertex & ((self.need & NEED_TOPO) != 0),
-                self.edge_count,
-                0,
-            )
-            indptr = csr_indptr(counts)
-            rows = np.flatnonzero(counts)
-            # topology spans start at payload offset 0: the slot region
-            # is the head of the row's span
-            lo = self.span_indptr[rows]
-            hi = lo + SLOT_BYTES * counts[rows]
-            buf = memoryview(self.span)
-            packed = b"".join(
-                [buf[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
-            )
-            self._slots = (indptr, np.frombuffer(packed, dtype=SLOT_DTYPE))
-        return self._slots
-
-    # -- label / property columns ----------------------------------------------
-    def entry_table(self) -> tuple[np.ndarray, ...]:
-        """``(row, entry_id, offset, value)`` of every label and property
-        entry of the vertex rows read with ``NEED_ENTRIES``.
-
-        For a label entry ``value`` is the label ID; for a property
-        entry it is the byte length of the encoded value, which sits at
-        ``span[offset:offset + value]``.  All rows' entry streams are
-        parsed in lock step (one numpy pass per entry position, not per
-        holder); within a row, entries keep their stream order.
-        """
-        if self._entries is None:
-            self._entries = self._parse_entries()
-        return self._entries
-
-    def _parse_entries(self) -> tuple[np.ndarray, ...]:
-        rows = np.flatnonzero(self._vertex & ((self.need & NEED_ENTRIES) != 0))
-        topo = SLOT_BYTES * self.edge_count[rows]
-        pos = self.span_indptr[rows] + topo - self.start[rows]
-        end = self.span_indptr[rows + 1]
-        out: list[tuple[np.ndarray, ...]] = []
-        if rows.size:
-            if len(self.span) < 4:
-                raise EntryFormatError("entry stream missing terminator")
-            words = np.lib.stride_tricks.sliding_window_view(self.span, 4)
-        while rows.size:
-            if (pos + 4 > end).any():
-                raise EntryFormatError("entry stream missing terminator")
-            eid = _i32_at(words, pos)
-            if (eid < 0).any():
-                raise EntryFormatError("corrupt entry ID")
-            live = eid != ENTRY_LAST
-            rows, pos, end, eid = rows[live], pos[live], end[live], eid[live]
-            step = np.full(rows.size, 4, dtype=np.int64)  # ENTRY_EMPTY
-            valued = np.flatnonzero(eid != ENTRY_EMPTY)
-            if valued.size:
-                at = pos[valued]
-                if (at + 8 > end[valued]).any():
-                    raise EntryFormatError("truncated entry header")
-                # the label ID, or the property value's length
-                value = _i32_at(words, at + 4)
-                is_label = eid[valued] == ENTRY_LABEL
-                if (value[is_label] <= 0).any():
-                    raise EntryFormatError("corrupt label ID")
-                plen = np.where(is_label, 0, value)
-                if (plen < 0).any() or (at + 8 + plen > end[valued]).any():
-                    raise EntryFormatError("truncated property payload")
-                step[valued] = 8 + plen
-                out.append((rows[valued], eid[valued], at + 8, value))
-            pos = pos + step
-        if not out:
-            empty = np.empty(0, dtype=np.int64)
-            return (empty, empty, empty, empty)
-        return tuple(np.concatenate(cols) for cols in zip(*out))
-
-    def has_label(self, label_id: int) -> np.ndarray:
-        """Per row: does the holder carry label ``label_id``?"""
-        row, eid, _, value = self.entry_table()
-        out = np.zeros(len(self), dtype=bool)
-        out[row[(eid == ENTRY_LABEL) & (value == label_id)]] = True
-        return out
-
-    def property_spans(
-        self, ptype_id: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, offsets, lengths)``: where in :attr:`span` the first
-        ``ptype_id`` property value of each row that has one sits."""
-        row, eid, offset, value = self.entry_table()
-        sel = np.flatnonzero(eid == ptype_id)
-        # entries of one row appear in stream order: keep the first
-        rows, first = np.unique(row[sel], return_index=True)
-        sel = sel[first]
-        return rows, offset[sel], value[sel]
 
 
 class HolderStorage:
@@ -711,11 +167,13 @@ class HolderStorage:
         crc: int = 0,
         version: int = 0,
     ) -> bytes:
-        entries_len = entries_nbytes(holder.labels, holder.properties)
         edge_count = (
             holder.edge_count if holder.kind == KIND_VERTEX else 0
         )
-        hdr = _HEADER.pack(
+        # the payload is the slot region (a vertex) or the two endpoints
+        # (an edge), then the entry stream
+        topo_len = SLOT_BYTES * edge_count if holder.kind == KIND_VERTEX else 16
+        return _BLOCK_HEADER.pack(
             holder.kind,
             flags,
             0,
@@ -723,35 +181,11 @@ class HolderStorage:
             nindex,
             holder.app_id,
             edge_count,
-            entries_len,
+            payload_len - topo_len,
             payload_len,
             crc,
+            version & 0xFFFFFFFF,
         )
-        assert HEADER_BYTES - len(hdr) == 4
-        # the former pad bytes carry the MVCC commit version
-        return hdr + (version & 0xFFFFFFFF).to_bytes(4, "little")
-
-    @staticmethod
-    def _parse_payload(kind: int, flags: int, edge_count: int, payload: bytes):
-        if kind == KIND_VERTEX:
-            topo_len = SLOT_BYTES * edge_count
-            labels, props = decode_entries(payload[topo_len:])
-            # app_id is filled in by the caller from the header; the raw
-            # slot region is kept as-is (zero-copy decode).
-            return VertexHolder._from_wire(
-                0, labels, props, payload[:topo_len]
-            )
-        if kind == KIND_EDGE:
-            src, dst = _ENDPOINTS.unpack_from(payload, 0)
-            labels, props = decode_entries(payload[16:])
-            return EdgeHolder(
-                src=src,
-                dst=dst,
-                directed=bool(flags & FLAG_DIRECTED),
-                labels=labels,
-                properties=props,
-            )
-        raise GdiStateError(f"corrupt holder kind {kind}")
 
     # -- write -----------------------------------------------------------------
     def write_new(
@@ -937,7 +371,8 @@ class HolderStorage:
             entries_len,
             payload_len,
             crc,
-        ) = _HEADER.unpack_from(blob, 0)
+            version,
+        ) = _BLOCK_HEADER.unpack_from(blob, 0)
         if kind not in (KIND_VERTEX, KIND_EDGE):
             if missing_ok:
                 return None
@@ -953,9 +388,7 @@ class HolderStorage:
             "entries_len": entries_len,
             "payload_len": payload_len,
             "crc": crc,
-            "version": int.from_bytes(
-                blob[VERSION_OFFSET : VERSION_OFFSET + 4], "little"
-            ),
+            "version": version,
             "blob": blob,
             "index_blocks": [],
             "data_blocks": [],
@@ -1009,23 +442,18 @@ class HolderStorage:
             if info is None:
                 infos.append(None)
                 continue
-            pos = HEADER_BYTES
-            addrs = np.frombuffer(
-                blob,
-                dtype="<i8",
-                count=(
-                    info["nindex"]
-                    if info["flags"] & FLAG_INDIRECT
-                    else info["ndata"]
-                ),
-                offset=pos,
-            )
-            if info["flags"] & FLAG_INDIRECT:
-                info["index_blocks"] = addrs.tolist()
-                indirect.append(info)
-            else:
-                info["data_blocks"] = addrs.tolist()
-            info["pos"] = pos + 8 * len(addrs)
+            in_index = info["flags"] & FLAG_INDIRECT
+            naddr = info["nindex"] if in_index else info["ndata"]
+            if naddr:  # none when the holder fits its primary block
+                addrs = np.frombuffer(
+                    blob, dtype="<i8", count=naddr, offset=HEADER_BYTES
+                ).tolist()
+                if in_index:
+                    info["index_blocks"] = addrs
+                    indirect.append(info)
+                else:
+                    info["data_blocks"] = addrs
+            info["pos"] = HEADER_BYTES + 8 * naddr
             infos.append(info)
         # Round 2: index blocks of indirect holders, all in one batch.
         if indirect:
@@ -1058,7 +486,7 @@ class HolderStorage:
                 continue
             payload = b"".join(info["pieces"])
             self._check_crc(ctx, info, payload)
-            holder = self._parse_payload(
+            holder = _decode_payload(
                 info["kind"], info["flags"], info["edge_count"], payload
             )
             holder.app_id = info["app_id"]
@@ -1389,38 +817,7 @@ class HolderStorage:
         if start == 0 and end == info["payload_len"]:
             # the CRC covers the whole payload; only verifiable here
             self._check_crc(ctx, info, span)
-        return self._decode_span(info, start, span)
-
-    @classmethod
-    def _decode_span(cls, info: dict, start: int, span: bytes) -> StoredHolder:
-        """Build the holder of one header ``info`` from its fetched span
-        (the payload bytes from offset ``start`` on)."""
-        if info["kind"] == KIND_EDGE:
-            holder = cls._parse_payload(
-                info["kind"], info["flags"], info["edge_count"], span
-            )
-            holder.app_id = info["app_id"]
-            parts = NEED_ALL
-        else:
-            topo_len = SLOT_BYTES * info["edge_count"]
-            n = info["need"]
-            slot_buf = span[: topo_len - start] if n & NEED_TOPO else None
-            if n & NEED_ENTRIES:
-                labels, props = decode_entries(span[topo_len - start :])
-            else:
-                labels = props = None
-            holder = VertexHolder._from_wire(
-                info["app_id"], labels, props, slot_buf
-            )
-            parts = NEED_IDENT | (n & (NEED_TOPO | NEED_ENTRIES))
-        return StoredHolder(
-            holder=holder,
-            primary=info["primary"],
-            data_blocks=info["data_blocks"],
-            index_blocks=info["index_blocks"],
-            parts=parts,
-            version=info["version"],
-        )
+        return _decode_span(info, start, span)
 
     # -- delete --------------------------------------------------------------------
     def delete(self, ctx: RankContext, stored: StoredHolder) -> None:

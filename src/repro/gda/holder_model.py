@@ -1,0 +1,486 @@
+"""Vertex and edge holders in memory, and the constants of their wire form.
+
+The Logical Layout objects of Section 5.4 as a transaction holds them —
+:class:`VertexHolder`, :class:`EdgeHolder`, the edge slots of a vertex
+and :class:`StoredHolder` (a holder plus its block placement) — with the
+struct layouts, numpy dtypes and flag values the on-wire form is made
+of.  :mod:`repro.gda.holder` (which re-exports every name here) moves
+these to and from BGDL blocks; :mod:`repro.gda.holder_batch` is the
+columnar form of a bulk read.
+
+Zero-copy codec
+---------------
+
+The on-wire layouts are mirrored by numpy structured dtypes
+(:data:`SLOT_DTYPE`, :data:`HEADER_DTYPE`) so decoded holders keep the
+raw slot region as an opaque buffer instead of eagerly unpacking one
+:class:`EdgeSlot` per edge.  :meth:`VertexHolder.edges_as_arrays` views
+that buffer directly (no per-edge Python objects); the ``edges`` list is
+materialized lazily only when slot-granular mutation is needed, at which
+point the buffer is dropped so the two representations can never
+diverge.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass, field
+from itertools import starmap
+
+import numpy as np
+
+from ..gdi.errors import GdiNoMemory, GdiStateError
+from .dptr import unpack_dptr
+from .entries import decode_entries, encode_entries, entries_nbytes
+
+__all__ = [
+    "HEADER_BYTES",
+    "VERSION_OFFSET",
+    "SLOT_BYTES",
+    "DIR_OUT",
+    "DIR_IN",
+    "DIR_UNDIR",
+    "DIR_MASK",
+    "SLOT_HEAVY",
+    "KIND_VERTEX",
+    "KIND_EDGE",
+    "NEED_IDENT",
+    "NEED_TOPO",
+    "NEED_ENTRIES",
+    "NEED_ALL",
+    "SLOT_DTYPE",
+    "HEADER_DTYPE",
+    "EdgeSlot",
+    "VertexHolder",
+    "EdgeHolder",
+    "StoredHolder",
+    "plan_layout",
+]
+
+HEADER_BYTES = 40
+SLOT_BYTES = 16
+
+KIND_VERTEX = 1
+KIND_EDGE = 2
+
+# flags byte
+FLAG_DIRECTED = 1  # edge holders: the edge is directed
+FLAG_INDIRECT = 2  # address area holds index-block addresses
+
+# edge-slot flags word
+DIR_OUT = 1
+DIR_IN = 2
+DIR_UNDIR = 3
+DIR_MASK = 3
+SLOT_HEAVY = 4
+
+# holder-part needs mask (projected reads)
+NEED_IDENT = 1  # header only: kind, app_id, edge count
+NEED_TOPO = 2  # the edge-slot region
+NEED_ENTRIES = 4  # the label/property entry stream
+NEED_ALL = NEED_IDENT | NEED_TOPO | NEED_ENTRIES
+
+_HEADER = struct.Struct("<BBHIIqIIII")  # 36 bytes, padded to 40
+_SLOT = struct.Struct("<qii")
+_ENDPOINTS = struct.Struct("<qq")
+
+#: numpy mirror of the 16-byte edge slot (``<qii``).
+SLOT_DTYPE = np.dtype(
+    [("dptr", "<i8"), ("label", "<i4"), ("flags", "<i4")]
+)
+
+#: numpy mirror of the 36-byte packed header (``<BBHIIqIIII``).
+HEADER_DTYPE = np.dtype(
+    [
+        ("kind", "u1"),
+        ("flags", "u1"),
+        ("pad", "<u2"),
+        ("ndata", "<u4"),
+        ("nindex", "<u4"),
+        ("app_id", "<i8"),
+        ("edge_count", "<u4"),
+        ("entries_len", "<u4"),
+        ("payload_len", "<u4"),
+        ("crc", "<u4"),
+    ]
+)
+
+# The dtypes must mirror the struct layouts bit-for-bit, and the packed
+# header must pad to exactly the documented HEADER_BYTES — the writers
+# assume it, and a silent drift would corrupt every stored holder.
+assert SLOT_DTYPE.itemsize == _SLOT.size == SLOT_BYTES
+assert HEADER_DTYPE.itemsize == _HEADER.size == 36
+assert HEADER_BYTES - _HEADER.size == 4, "header pads 36 -> 40 bytes"
+
+#: byte offset of the MVCC commit version inside the 40-byte header: the
+#: u32 occupying what used to be the trailing pad (bytes 36..40).  Holders
+#: written before MVCC decode as version 0 — visible to every snapshot.
+VERSION_OFFSET = _HEADER.size
+
+#: the 40 bytes a primary block starts with: the packed header, then the
+#: MVCC commit version
+_BLOCK_HEADER = struct.Struct(_HEADER.format + "I")
+assert _BLOCK_HEADER.size == HEADER_BYTES
+
+
+@dataclass
+class EdgeSlot:
+    """One edge slot inside a vertex holder.
+
+    For lightweight edges ``dptr`` addresses the neighbor vertex and
+    ``label_id`` is the (single, optional — 0 means none) edge label.
+    For heavy slots (``flags & SLOT_HEAVY``) ``dptr`` addresses the edge
+    holder and ``label_id`` is unused.
+    """
+
+    dptr: int
+    label_id: int
+    flags: int
+
+    @property
+    def direction(self) -> int:
+        return self.flags & DIR_MASK
+
+    @property
+    def heavy(self) -> bool:
+        return bool(self.flags & SLOT_HEAVY)
+
+
+class VertexHolder:
+    """Decoded vertex: application ID, labels, properties, edge slots.
+
+    The edge slots live in exactly one of two representations:
+
+    * ``_slot_buf`` — the raw 16-byte-per-slot region as read off the
+      wire (zero-copy; served to bulk consumers as numpy views);
+    * ``_edges`` — a materialized ``list[EdgeSlot]`` for slot-granular
+      mutation.
+
+    Reading :attr:`edges` materializes the list and *drops the buffer*,
+    so a mutated list can never coexist with a stale buffer.  Holders
+    from projected reads may carry neither (topology not fetched);
+    touching :attr:`edges` then raises :class:`GdiStateError` — the
+    transaction layer hydrates missing parts before handing out slots.
+
+    The label/property entry stream is kept the same way: ``_entry_buf``
+    holds the bytes as read (checksummed with the rest of the payload on
+    a full read) until :attr:`labels` or :attr:`properties` is first
+    touched, which decodes them into the two lists and drops the buffer
+    (a malformed stream raises :class:`~repro.gda.entries.EntryFormatError`
+    there).  A stream nobody touched is written back as the bytes it
+    was read as.  Both lists are ``None`` when the stream was not
+    fetched.
+    """
+
+    kind = KIND_VERTEX
+
+    __slots__ = (
+        "app_id", "_labels", "_properties", "_entry_buf", "_edges", "_slot_buf"
+    )
+
+    def __init__(
+        self,
+        app_id: int,
+        labels: list[int] | None = None,
+        properties: list[tuple[int, bytes]] | None = None,
+        edges: list[EdgeSlot] | None = None,
+    ) -> None:
+        self.app_id = app_id
+        self._labels = [] if labels is None else labels
+        self._properties = [] if properties is None else properties
+        self._entry_buf: bytes | None = None
+        self._edges: list[EdgeSlot] | None = (
+            [] if edges is None else edges
+        )
+        self._slot_buf: bytes | None = None
+
+    @classmethod
+    def _from_wire(
+        cls, app_id: int, entry_buf: bytes | None, slot_buf: bytes | None
+    ) -> "VertexHolder":
+        """A holder still in wire form; ``None`` for a part not fetched."""
+        h = cls.__new__(cls)
+        h.app_id = app_id
+        h._labels = h._properties = h._edges = None
+        h._entry_buf = entry_buf
+        h._slot_buf = slot_buf
+        return h
+
+    # -- label/property access ---------------------------------------------
+    def _decode_entries(self) -> None:
+        """Decode the fetched entry stream: the first touch of either list."""
+        # an MVCC pre-image is served to many readers: whoever comes
+        # second must find either the buffer or both lists
+        buf = self._entry_buf
+        if buf is not None:
+            self._labels, self._properties = decode_entries(buf)
+            self._entry_buf = None  # single source of truth from here on
+
+    @property
+    def labels(self) -> list[int]:
+        if self._entry_buf is not None:
+            self._decode_entries()
+        return self._labels
+
+    @labels.setter
+    def labels(self, value: list[int]) -> None:
+        if self._entry_buf is not None:
+            self._decode_entries()
+        self._labels = value
+
+    @property
+    def properties(self) -> list[tuple[int, bytes]]:
+        if self._entry_buf is not None:
+            self._decode_entries()
+        return self._properties
+
+    @properties.setter
+    def properties(self, value: list[tuple[int, bytes]]) -> None:
+        if self._entry_buf is not None:
+            self._decode_entries()
+        self._properties = value
+
+    # -- edge-slot access --------------------------------------------------
+    @property
+    def edges(self) -> list[EdgeSlot]:
+        if self._edges is None:
+            if self._slot_buf is None:
+                raise GdiStateError(
+                    "vertex holder topology not loaded (projected read)"
+                )
+            self._edges = list(
+                starmap(EdgeSlot, _SLOT.iter_unpack(self._slot_buf))
+            )
+            self._slot_buf = None  # single source of truth from here on
+        return self._edges
+
+    @edges.setter
+    def edges(self, value: list[EdgeSlot]) -> None:
+        self._edges = value
+        self._slot_buf = None
+
+    @property
+    def has_topology(self) -> bool:
+        return self._edges is not None or self._slot_buf is not None
+
+    @property
+    def edge_count(self) -> int:
+        if self._edges is not None:
+            return len(self._edges)
+        if self._slot_buf is not None:
+            return len(self._slot_buf) // SLOT_BYTES
+        raise GdiStateError(
+            "vertex holder topology not loaded (projected read)"
+        )
+
+    def edges_as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dptr, label, flags)`` arrays over the edge slots, zero-copy.
+
+        When the holder still carries its wire buffer the arrays are
+        read-only views straight over it (no per-edge objects, no
+        copies); a materialized list is packed on the fly.
+        """
+        if self._slot_buf is not None:
+            view = np.frombuffer(self._slot_buf, dtype=SLOT_DTYPE)
+            return view["dptr"], view["label"], view["flags"]
+        edges = self.edges
+        n = len(edges)
+        arr = np.empty(n, dtype=SLOT_DTYPE)
+        if n:
+            arr["dptr"] = [s.dptr for s in edges]
+            arr["label"] = [s.label_id for s in edges]
+            arr["flags"] = [s.flags for s in edges]
+        return arr["dptr"], arr["label"], arr["flags"]
+
+    def targets(self, label_id: int | None = None) -> np.ndarray:
+        """DPtrs of lightweight neighbors, optionally for one edge label.
+
+        Heavy slots are excluded (their DPtr addresses an edge holder,
+        not a neighbor); bulk analytics consumers resolve those rarely
+        and separately.
+        """
+        dptr, label, flags = self.edges_as_arrays()
+        mask = (flags & SLOT_HEAVY) == 0
+        if label_id is not None:
+            mask &= label == label_id
+        return dptr[mask]
+
+    # -- serialization -----------------------------------------------------
+    def _slot_bytes(self) -> bytes:
+        if self._edges is None and self._slot_buf is not None:
+            return self._slot_buf
+        edges = self.edges
+        if len(edges) >= 64:
+            arr = np.empty(len(edges), dtype=SLOT_DTYPE)
+            arr["dptr"] = [s.dptr for s in edges]
+            arr["label"] = [s.label_id for s in edges]
+            arr["flags"] = [s.flags for s in edges]
+            return arr.tobytes()
+        return b"".join(
+            _SLOT.pack(s.dptr, s.label_id, s.flags) for s in edges
+        )
+
+    def payload(self) -> tuple[bytes, int]:
+        stream = self._entry_buf
+        if stream is None:
+            stream = encode_entries(self._labels, self._properties)
+        return self._slot_bytes() + stream, 0
+
+    def payload_nbytes(self) -> int:
+        if self._entry_buf is not None:
+            return SLOT_BYTES * self.edge_count + len(self._entry_buf)
+        return SLOT_BYTES * self.edge_count + entries_nbytes(
+            self._labels, self._properties
+        )
+
+    # -- value semantics (kept from the dataclass era) ---------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VertexHolder):
+            return NotImplemented
+        return (
+            self.app_id == other.app_id
+            and self.labels == other.labels
+            and self.properties == other.properties
+            and self.edges == other.edges
+        )
+
+    def __repr__(self) -> str:
+        edges = (
+            f"<{len(self._slot_buf) // SLOT_BYTES} packed slots>"
+            if self._edges is None and self._slot_buf is not None
+            else self._edges
+        )
+        return (
+            f"VertexHolder(app_id={self.app_id!r}, labels={self.labels!r}, "
+            f"properties={self.properties!r}, edges={edges!r})"
+        )
+
+
+@dataclass
+class EdgeHolder:
+    """Decoded heavyweight edge: endpoints, direction, labels, properties."""
+
+    src: int
+    dst: int
+    directed: bool = True
+    labels: list[int] = field(default_factory=list)
+    properties: list[tuple[int, bytes]] = field(default_factory=list)
+
+    kind = KIND_EDGE
+    app_id = 0
+    edges: list = field(default=None, repr=False)  # type: ignore[assignment]
+
+    def payload(self) -> tuple[bytes, int]:
+        stream = encode_entries(self.labels, self.properties)
+        flags = FLAG_DIRECTED if self.directed else 0
+        return _ENDPOINTS.pack(self.src, self.dst) + stream, flags
+
+    def payload_nbytes(self) -> int:
+        return 16 + entries_nbytes(self.labels, self.properties)
+
+
+def plan_layout(payload_len: int, block_size: int) -> tuple[int, int]:
+    """Choose (nindex, ndata) for a holder of ``payload_len`` bytes.
+
+    Returns ``nindex == 0`` for direct addressing.  Raises
+    :class:`GdiNoMemory` if the holder cannot be represented even with
+    full indirection (the user should raise the block size).
+    """
+    head_room = block_size - HEADER_BYTES
+    if head_room < 8:
+        raise GdiNoMemory(f"block size {block_size} below holder minimum")
+    # Direct: primary holds ndata addresses + leading payload bytes.
+    if payload_len <= head_room:
+        return 0, 0
+    # smallest ndata such that (head_room - 8*ndata) + ndata*block_size >= payload_len
+    ndata = -(-(payload_len - head_room) // (block_size - 8))
+    if HEADER_BYTES + 8 * ndata <= block_size:
+        return 0, ndata
+    # Indirect: primary holds nindex index-block addresses.
+    per_index = block_size // 8
+    max_index = head_room // 8
+    for nindex in range(1, max_index + 1):
+        cap_primary = head_room - 8 * nindex
+        remaining = payload_len - cap_primary
+        ndata = -(-remaining // block_size)
+        if ndata <= nindex * per_index:
+            return nindex, ndata
+    raise GdiNoMemory(
+        f"holder payload of {payload_len} B exceeds the addressing capacity "
+        f"of {block_size}-byte blocks; increase the block size"
+    )
+
+
+@dataclass
+class StoredHolder:
+    """A holder together with its block placement (transaction cache unit)."""
+
+    holder: VertexHolder | EdgeHolder
+    primary: int
+    data_blocks: list[int] = field(default_factory=list)
+    index_blocks: list[int] = field(default_factory=list)
+    #: which holder parts were actually fetched (projected reads); holders
+    #: built locally or read in full carry NEED_ALL.
+    parts: int = NEED_ALL
+    #: commit timestamp of the transaction that last wrote this holder
+    #: (the MVCC version in the header pad bytes); 0 for pre-MVCC data
+    #: and for databases running without :mod:`repro.mvcc`.
+    version: int = 0
+
+    @property
+    def all_blocks(self) -> list[int]:
+        return [self.primary, *self.index_blocks, *self.data_blocks]
+
+    @property
+    def home_rank(self) -> int:
+        return unpack_dptr(self.primary).rank
+
+
+def _decode_payload(
+    kind: int, flags: int, edge_count: int, payload: bytes
+) -> "VertexHolder | EdgeHolder":
+    """The holder of one whole payload; the caller fills in ``app_id``
+    from the header.  A vertex keeps both payload regions as the bytes
+    they are (zero-copy decode)."""
+    if kind == KIND_VERTEX:
+        topo_len = SLOT_BYTES * edge_count
+        return VertexHolder._from_wire(0, payload[topo_len:], payload[:topo_len])
+    if kind == KIND_EDGE:
+        src, dst = _ENDPOINTS.unpack_from(payload, 0)
+        labels, props = decode_entries(payload[16:])
+        return EdgeHolder(
+            src=src,
+            dst=dst,
+            directed=bool(flags & FLAG_DIRECTED),
+            labels=labels,
+            properties=props,
+        )
+    raise GdiStateError(f"corrupt holder kind {kind}")
+
+
+def _decode_span(info: dict, start: int, span: bytes) -> StoredHolder:
+    """Build the holder of one header ``info`` from its fetched span
+    (the payload bytes from offset ``start`` on)."""
+    if info["kind"] == KIND_EDGE:
+        holder = _decode_payload(
+            info["kind"], info["flags"], info["edge_count"], span
+        )
+        holder.app_id = info["app_id"]
+        parts = NEED_ALL
+    else:
+        topo_len = SLOT_BYTES * info["edge_count"]
+        n = info["need"]
+        holder = VertexHolder._from_wire(
+            info["app_id"],
+            span[topo_len - start :] if n & NEED_ENTRIES else None,
+            span[: topo_len - start] if n & NEED_TOPO else None,
+        )
+        parts = NEED_IDENT | (n & (NEED_TOPO | NEED_ENTRIES))
+    return StoredHolder(
+        holder=holder,
+        primary=info["primary"],
+        data_blocks=info["data_blocks"],
+        index_blocks=info["index_blocks"],
+        parts=parts,
+        version=info["version"],
+    )

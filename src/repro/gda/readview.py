@@ -252,8 +252,10 @@ class ReadView:
             fholder = fresh.holder
             got = fresh.parts
             if got & NEED_ENTRIES and not txv.stored.parts & NEED_ENTRIES:
-                holder.labels = fholder.labels
-                holder.properties = fholder.properties
+                # as fetched: still wire bytes unless something decoded them
+                holder._entry_buf = fholder._entry_buf
+                holder._labels = fholder._labels
+                holder._properties = fholder._properties
             if (
                 got & NEED_TOPO
                 and not txv.stored.parts & NEED_TOPO

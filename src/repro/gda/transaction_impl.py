@@ -105,13 +105,15 @@ _LOCK_BACKOFF_BASE = 2e-6
 
 
 class _LockTable:
-    """The lock words one transaction holds: ``vid -> (mode, epoch)``.
+    """The lock words one transaction holds: ``vid -> (mode, epoch, lock)``.
 
     One RW lock word per vertex (Section 5.6), taken try-lock style and
     kept until the transaction ends (two-phase locking).  ``epoch`` is
     the membership epoch at acquisition: a shard rehosted after it
-    rebuilt its lock words, so the release must be skipped.  Collective
-    and snapshot transactions are lock-free: their table stays empty.
+    rebuilt its lock words, so the release must be skipped; ``lock`` is
+    the handle the word was taken through, used again to upgrade and
+    release.  Collective and snapshot transactions are lock-free: their
+    table stays empty.
     """
 
     def __init__(self, tx: "Transaction") -> None:
@@ -119,16 +121,14 @@ class _LockTable:
         # leave every finished transaction to the cyclic collector
         self._db, self._ctx, self._mem = tx.db, tx.ctx, tx._mem
         self._lock_free = tx.collective or tx.snapshot
-        self._held: dict[int, tuple[int, int]] = {}
+        self._held: dict[int, tuple[int, int, RWLock]] = {}
 
     def _lock_of(self, vid: int) -> RWLock:
-        db = self._db
-        rank, offset = db.blocks.lock_location(vid)
+        blocks = self._db.blocks
         return RWLock(
-            db.blocks.system_win,
-            rank=rank,
-            offset=offset,
-            max_retries=db.config.lock_max_retries,
+            blocks.system_win,
+            *blocks.lock_location(vid),
+            max_retries=self._db.config.lock_max_retries,
             backoff_base=_LOCK_BACKOFF_BASE,
         )
 
@@ -148,51 +148,46 @@ class _LockTable:
             return
         want = _LOCK_WRITE if want_write else _LOCK_READ
         held = self._held
-        todo = [
-            (vid, vid in held)
-            for vid in dict.fromkeys(vids)
-            if held.get(vid, (_LOCK_NONE,))[0] < want
-        ]
+        # (vid, its lock, upgrade of a word already held?)
+        todo: list[tuple[int, RWLock, bool]] = []
+        for vid in dict.fromkeys(vids):
+            have = held.get(vid)
+            if have is None:
+                todo.append((vid, self._lock_of(vid), False))
+            elif have[0] < want:
+                todo.append((vid, have[2], True))
         if not todo:
             return
-        ctx, mem, db = self._ctx, self._mem, self._db
+        ctx, mem, registry = self._ctx, self._mem, self._db.lock_registry
         taken: list[int] = []  # newly acquired by this call
 
-        def note(vid: int) -> None:
-            held[vid] = (want, mem.epoch if mem is not None else 0)
-            if db.lock_registry is not None:
-                lrank, loff = db.blocks.lock_location(vid)
-                db.lock_registry.note_acquire(ctx.rank, lrank, loff, want)
+        def note(vid: int, lock: RWLock) -> None:
+            held[vid] = (want, mem.epoch if mem is not None else 0, lock)
+            if registry is not None:
+                registry.note_acquire(ctx.rank, lock.rank, lock.offset, want)
 
         try:
             if mem is not None or len(todo) == 1:
-                for vid, upgrade in todo:
-                    lock = self._lock_of(vid)
+                for vid, lock, upgrade in todo:
                     if upgrade:
                         lock.upgrade(ctx)
                     elif want_write:
                         lock.acquire_write(ctx)
                     else:
                         lock.acquire_read(ctx)
-                    note(vid)
+                    note(vid, lock)
                     if not upgrade:
                         taken.append(vid)
             else:
-                fresh = [vid for vid, upgrade in todo if not upgrade]
-                if fresh:
-                    locks = [self._lock_of(vid) for vid in fresh]
-                    if want_write:
-                        acquire_write_batch(ctx, locks)
-                    else:
-                        acquire_read_batch(ctx, locks)
-                    taken = fresh
-                    for vid in fresh:
-                        note(vid)
-                upg = [vid for vid, upgrade in todo if upgrade]
-                if upg:
-                    upgrade_batch(ctx, [self._lock_of(vid) for vid in upg])
-                    for vid in upg:
-                        note(vid)
+                take = acquire_write_batch if want_write else acquire_read_batch
+                for upgrade, batch in ((False, take), (True, upgrade_batch)):
+                    part = [(vid, lock) for vid, lock, u in todo if u is upgrade]
+                    if part:
+                        batch(ctx, [lock for _, lock in part])
+                        if not upgrade:
+                            taken = [vid for vid, _ in part]
+                        for vid, lock in part:
+                            note(vid, lock)
         except BaseException as exc:
             for vid in taken:
                 self.drop(vid)
@@ -208,11 +203,10 @@ class _LockTable:
         had its lock words zeroed, so our contribution is already gone;
         issuing the release anyway would corrupt the fresh word.
         """
-        mode, epoch = self._held.pop(vid, (_LOCK_NONE, 0))
+        mode, epoch, lock = self._held.pop(vid, (_LOCK_NONE, 0, None))
         if mode == _LOCK_NONE:
             return
         ctx, mem, db = self._ctx, self._mem, self._db
-        lock = self._lock_of(vid)
         lrank = lock.rank
 
         def rebuilt() -> bool:
@@ -248,8 +242,7 @@ class _LockTable:
         # keeps one, arms a view), and every release direction is an FAA —
         # the whole vector rides one batched atomic round per lock shard.
         pending = [
-            (self._lock_of(vid), mode == _LOCK_WRITE)
-            for vid, (mode, _) in self._held.items()
+            (lock, mode == _LOCK_WRITE) for mode, _, lock in self._held.values()
         ]
         self._held.clear()
         release_batch(self._ctx, pending)
@@ -387,10 +380,10 @@ class Transaction:
         rewrites need the complete payload); cached entries missing a
         requested part are hydrated in place with one batched re-read.
         """
-        self._load(vids, for_write, expected_app_ids, missing_ok, need)
-        loaded = map(self._cached, vids)
+        recycled = self._load(vids, for_write, expected_app_ids, missing_ok, need)
         return [
-            None if txv is None or txv.deleted else txv for txv in loaded
+            None if txv is None or txv.deleted or vid in recycled else txv
+            for vid, txv in zip(vids, map(self._cached, vids))
         ]
 
     def _cached(self, vid: int) -> "_TxVertex | None":
@@ -409,9 +402,10 @@ class Transaction:
         expected_app_ids: "dict[int, int] | None",
         missing_ok: bool,
         need: int,
-    ) -> None:
+    ) -> "set[int]":
         """Bring ``vids`` into the transaction cache (see
-        :meth:`load_vertices`, which also hands back the entries)."""
+        :meth:`load_vertices`, which also hands back the entries);
+        returns those cached as another vertex than the expected one."""
         self._check_open()
         if for_write:
             self._check_write()
@@ -428,6 +422,7 @@ class Transaction:
         # Pass 1: serve cache hits (and fail fast on in-txn deletions)
         # before taking any new locks.
         cached: list[_TxVertex] = []
+        recycled: set[int] = set()
         reloc = self.db.relocations
         scanned = self._scanned
         for vid in vids:
@@ -443,19 +438,30 @@ class Transaction:
                 )
             txv = self._vertices.get(vid)
             if txv is None and vid in scanned:
-                if (scanned[vid][2] & need) == need:
+                if (scanned[vid][2] & need) == need and not expected_app_ids:
                     continue  # cached, still a row of its columnar batch
                 txv = self._cached(vid)
-            if txv is not None:
-                if txv.deleted:
-                    if missing_ok:
-                        continue
-                    raise GdiNotFound(
-                        f"vertex {vid:#x} deleted in this transaction"
-                    )
-                cached.append(txv)
-            else:
+            if txv is None:
                 fetch_vids.append(vid)
+                continue
+            if txv.deleted:
+                if missing_ok:
+                    continue
+                raise GdiNotFound(
+                    f"vertex {vid:#x} deleted in this transaction"
+                )
+            want = expected_app_ids.get(vid) if expected_app_ids else None
+            if want is not None and txv.holder.app_id != want:
+                # translated to a reused block: the vertex cached there is
+                # valid for its own ID (ReadView.fetch's *recycled* row)
+                if not missing_ok:
+                    raise GdiNotFound(
+                        f"vertex {vid:#x} was recycled (expected application "
+                        f"ID {want}, found {txv.holder.app_id})"
+                    )
+                recycled.add(vid)
+                continue
+            cached.append(txv)
         if cached:
             self._lock_cached(cached, for_write)
             self._view.hydrate(cached, need)
@@ -463,7 +469,7 @@ class Transaction:
         # makes it stable first (locks before the read under 2PL, the
         # version chains under a snapshot) and drops what it cannot serve.
         if not fetch_vids:
-            return
+            return recycled
         try:
             for vid, stored in self._view.fetch(
                 "v", fetch_vids, for_write, need, expected_app_ids, missing_ok
@@ -474,6 +480,7 @@ class Transaction:
         except GdiLockFailed:
             self._fail("lock")
             raise
+        return recycled
 
     @property
     def snapshot_watermark(self) -> int | None:
@@ -537,6 +544,8 @@ class Transaction:
         lookup, then — under a snapshot — the unpublish tombstones, which
         recover the vid that carried an ID deleted after the watermark."""
         created = self._created_app_ids
+        if not created and not self.snapshot:
+            return self.db.dht.lookup_many(self.ctx, app_ids)
         vids = [created.get(app_id) for app_id in app_ids]
         unknown = [i for i, vid in enumerate(vids) if vid is None]
         if unknown:

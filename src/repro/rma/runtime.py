@@ -39,6 +39,7 @@ term plus the summed bandwidth terms.
 from __future__ import annotations
 
 import threading
+from itertools import starmap
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -46,23 +47,13 @@ import numpy as np
 from .collectives import CollectiveEngine
 from .costmodel import UNIFORM, CostModel, MachineProfile
 from .trace import TraceRecorder
-from .window import Window, WindowError
+from .window import Window, WindowError, _wrap_i64
 
 __all__ = ["RmaRuntime", "RankContext", "Request", "BatchRequest", "RmaError"]
-
-_I64_MAX = (1 << 63) - 1
 
 
 class RmaError(RuntimeError):
     """Raised on invalid use of the RMA runtime."""
-
-
-def _wrap_i64(value: int) -> int:
-    """Wrap a Python int to signed 64-bit two's complement."""
-    value &= (1 << 64) - 1
-    if value > _I64_MAX:
-        value -= 1 << 64
-    return value
 
 
 #: payload bytes of one element of a verb's ``ops``, by trace kind; an
@@ -74,14 +65,17 @@ _NBYTES = {
 }
 
 
-def _tally(kind: str, ops) -> list[tuple[int, int, int]]:
+def _tally(kind: str, ops) -> Sequence[tuple[int, int, int]]:
     """The coalesced messages of a vector of ``ops``: one ``(target,
     payload bytes, element count)`` per distinct target.
 
     Targets keep their order of first appearance: it fixes the order of
-    the float additions in the charge.
+    the float additions in the charge.  A vector of one — every verb of
+    a point read — is its one message.
     """
     nbytes_of = _NBYTES[kind]
+    if len(ops) == 1:
+        return ((ops[0][0], nbytes_of(ops[0]), 1),)
     acc: dict[int, list[int]] = {}
     for op in ops:
         msg = acc.get(op[0])
@@ -359,30 +353,24 @@ class RankContext:
     ) -> "list[_PendingOp] | None":
         """Account an admitted issue after its bytes moved.
 
-        Counters per message (and one op-log entry per element of
-        ``ops`` when the log is on), one clock charge, receiver service
-        per remote message, the ``batches`` counters for a ``plural``
-        verb, and one pending message per target (returned) for a
-        non-blocking one.
+        One op-log entry per element of ``ops`` when the log is on,
+        one clock charge, the counters of all its messages (and the
+        ``batches`` counters of a ``plural`` verb) in one call, receiver
+        service per remote message, and one pending message per target
+        (returned) for a non-blocking one.
         """
         kind, msgs, cost, pending = issue
         rt, rank, name = self.rt, self.rank, win.name
         trace = rt.trace
-        log = trace.log_ops
-        if log:
+        if trace.log_ops:
             nbytes_of = _NBYTES[kind]
             for op in ops.tolist() if isinstance(ops, np.ndarray) else ops:
-                trace.record(kind, rank, op[0], name, op[1], nbytes_of(op))
-        rt._charge(rank, cost)
-        total = 0
-        for target, nbytes, count in msgs:
-            if not log:
-                trace.record(kind, rank, target, name, 0, nbytes, count)
+                trace.ops.append((kind, rank, op[0], name, op[1], nbytes_of(op)))
+        rt.clocks[rank] += cost
+        trace._record_issue(kind, rank, msgs, len(ops) if plural else 0)
+        for target, nbytes, _ in msgs:
             if target != rank:
                 rt._serve(rank, target, nbytes)
-            total += nbytes
-        if plural:
-            trace.record_batch(rank, len(ops), len(msgs), total)
         if not pending:
             return None
         waiting = [_PendingOp(name, target, nbytes) for target, nbytes, _ in msgs]
@@ -409,11 +397,8 @@ class RankContext:
     ) -> int:
         """Remote compare-and-swap; returns the value found at the target."""
         issue = self._admit("atomic", ((target, 8, 1),))
-        compare = _wrap_i64(compare)
         with self.rt._atomic_locks[target]:
-            old = win.read_i64(target, offset)
-            if old == compare:
-                win.write_i64(target, offset, _wrap_i64(new))
+            old = win._cas_i64(target, offset, compare, new)
         self._account(issue, win, ((target, offset),))
         return old
 
@@ -421,8 +406,7 @@ class RankContext:
         """Remote fetch-and-add; returns the pre-add value."""
         issue = self._admit("atomic", ((target, 8, 1),))
         with self.rt._atomic_locks[target]:
-            old = win.read_i64(target, offset)
-            win.write_i64(target, offset, _wrap_i64(old + delta))
+            old = win._faa_i64(target, offset, delta)
         self._account(issue, win, ((target, offset),))
         return old
 
@@ -460,9 +444,7 @@ class RankContext:
         out: list[int] = []
         for target, offset, delta in ops:
             with self.rt._atomic_locks[target]:
-                old = win.read_i64(target, offset)
-                win.write_i64(target, offset, _wrap_i64(old + delta))
-            out.append(old)
+                out.append(win._faa_i64(target, offset, delta))
         self._account(issue, win, ops, plural=True)
         return out
 
@@ -480,12 +462,8 @@ class RankContext:
         issue = self._admit("atomic", _tally("atomic", ops))
         out: list[int] = []
         for target, offset, compare, new in ops:
-            compare = _wrap_i64(compare)
             with self.rt._atomic_locks[target]:
-                old = win.read_i64(target, offset)
-                if old == compare:
-                    win.write_i64(target, offset, _wrap_i64(new))
-            out.append(old)
+                out.append(win._cas_i64(target, offset, compare, new))
         self._account(issue, win, ops, plural=True)
         return out
 
@@ -530,7 +508,7 @@ class RankContext:
         if columnar:
             out = win.gather(ops[:, 0], ops[:, 1], ops[:, 2])
         else:
-            out = [win.read(t, offset, nbytes) for t, offset, nbytes in ops]
+            out = list(starmap(win.read, ops))
         self._account(issue, win, ops, plural=True)
         return out
 
@@ -562,7 +540,7 @@ class RankContext:
         if not ops:
             return BatchRequest(self, [], [])
         issue = self._admit("get", _tally("get", ops), pending=True)
-        out = [win.read(t, offset, nbytes) for t, offset, nbytes in ops]
+        out = list(starmap(win.read, ops))
         return BatchRequest(
             self, self._account(issue, win, ops, plural=True), out
         )

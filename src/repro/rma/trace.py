@@ -163,40 +163,46 @@ class TraceRecorder:
         single calls.  The op log keeps one entry per call, so callers
         that need per-element log entries record the elements one by one.
         """
-        c = self.counters[origin]
         if self.log_ops:
             self.ops.append((kind, origin, target, window, offset, nbytes))
-        if kind == "get":
-            c.gets += count
-            c.bytes_got += nbytes
-        elif kind == "put":
-            c.puts += count
-            c.bytes_put += nbytes
-        elif kind == "atomic":
-            c.atomics += count
-        else:  # an event at the origin, not a message: no shard counter
-            if kind == "flush":
-                c.flushes += count
-            elif kind == "collective":
-                c.collectives += count
-            return
-        if origin == target:
-            c.local_ops += count
-        else:
-            c.remote_ops += count
-        self.shard_ops[target] += count
-        self.shard_bytes[target] += nbytes
+        if kind in ("get", "put", "atomic"):
+            self._record_issue(kind, origin, ((target, nbytes, count),))
+        elif kind == "flush":  # an event at the origin, not a message
+            self.counters[origin].flushes += count
+        elif kind == "collective":
+            self.counters[origin].collectives += count
 
-    def record_batch(
-        self, origin: int, nops: int, nmsgs: int, nbytes: int
+    def _record_issue(
+        self, kind: str, origin: int, msgs, batched_ops: int = 0
     ) -> None:
-        """Account one batch call that coalesced ``nops`` logical operations
-        into ``nmsgs`` network messages carrying ``nbytes`` total payload."""
+        """Counters of one issued verb in one call: its coalesced
+        messages, ``(target, payload bytes, element count)`` each, and —
+        for a plural verb — one batch call that coalesced
+        ``batched_ops`` logical operations into those messages."""
         c = self.counters[origin]
-        c.batches += 1
-        c.batched_ops += nops
-        c.msgs_saved += nops - nmsgs
-        c.bytes_batched += nbytes
+        shard_ops, shard_bytes = self.shard_ops, self.shard_bytes
+        total = 0
+        for target, nbytes, count in msgs:
+            if kind == "get":
+                c.gets += count
+                c.bytes_got += nbytes
+            elif kind == "put":
+                c.puts += count
+                c.bytes_put += nbytes
+            else:
+                c.atomics += count
+            if origin == target:
+                c.local_ops += count
+            else:
+                c.remote_ops += count
+            shard_ops[target] += count
+            shard_bytes[target] += nbytes
+            total += nbytes
+        if batched_ops:
+            c.batches += 1
+            c.batched_ops += batched_ops
+            c.msgs_saved += batched_ops - len(msgs)
+            c.bytes_batched += total
 
     # -- fault-injection accounting ---------------------------------------
     def record_fault(self, origin: int) -> None:

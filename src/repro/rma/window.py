@@ -9,13 +9,26 @@ backing the distributed hash table.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 __all__ = ["Window", "WindowError"]
 
+_I64 = struct.Struct("<q")
+_I64_MAX = (1 << 63) - 1
+
 
 class WindowError(RuntimeError):
     """Raised on out-of-bounds or misaligned window accesses."""
+
+
+def _wrap_i64(value: int) -> int:
+    """Wrap a Python int to signed 64-bit two's complement."""
+    value &= (1 << 64) - 1
+    if value > _I64_MAX:
+        value -= 1 << 64
+    return value
 
 
 class Window:
@@ -34,8 +47,9 @@ class Window:
     -----
     Segments are plain ``bytearray`` objects.  Bulk puts/gets use slice
     assignment; 8-byte atomics go through :meth:`read_i64`/:meth:`write_i64`
-    under the owning runtime's per-target atomic lock, mimicking the NIC's
-    atomic unit on RDMA hardware.
+    (or, read-modify-write, one fused step) under the owning runtime's
+    per-target atomic lock, mimicking the NIC's atomic unit on RDMA
+    hardware.
     """
 
     __slots__ = ("name", "nranks", "size", "_segments", "freed")
@@ -52,7 +66,11 @@ class Window:
         self.freed = False
 
     # -- raw access (used only by the runtime) ---------------------------
-    def _check(self, rank: int, offset: int, nbytes: int) -> None:
+    def _check(
+        self, rank: int, offset: int, nbytes: int, granule: bool = False
+    ) -> bytearray:
+        """Validate one access — as a whole atomic ``granule``, also its
+        alignment — and return the segment it falls in."""
         if self.freed:
             raise WindowError(f"window {self.name!r} already freed")
         if not 0 <= rank < self.nranks:
@@ -62,10 +80,14 @@ class Window:
                 f"window {self.name!r}: access [{offset}, {offset + nbytes})"
                 f" outside segment of size {self.size}"
             )
+        if granule and offset % 8 != 0:
+            raise WindowError(
+                f"window {self.name!r}: misaligned atomic at offset {offset}"
+            )
+        return self._segments[rank]
 
     def read(self, rank: int, offset: int, nbytes: int) -> bytes:
-        self._check(rank, offset, nbytes)
-        return bytes(self._segments[rank][offset : offset + nbytes])
+        return bytes(self._check(rank, offset, nbytes)[offset : offset + nbytes])
 
     def gather(
         self, ranks: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
@@ -119,35 +141,38 @@ class Window:
         return out.reshape(-1)
 
     def write(self, rank: int, offset: int, data: bytes) -> None:
-        self._check(rank, offset, len(data))
-        self._segments[rank][offset : offset + len(data)] = data
+        nbytes = len(data)
+        self._check(rank, offset, nbytes)[offset : offset + nbytes] = data
 
     def read_i64(self, rank: int, offset: int) -> int:
         """Read an aligned signed 64-bit integer (atomic granule)."""
-        self._check(rank, offset, 8)
-        if offset % 8 != 0:
-            raise WindowError(
-                f"window {self.name!r}: misaligned atomic at offset {offset}"
-            )
-        return int.from_bytes(
-            self._segments[rank][offset : offset + 8], "little", signed=True
-        )
+        return _I64.unpack_from(self._check(rank, offset, 8, True), offset)[0]
 
     def write_i64(self, rank: int, offset: int, value: int) -> None:
         """Write an aligned signed 64-bit integer (atomic granule)."""
-        self._check(rank, offset, 8)
-        if offset % 8 != 0:
-            raise WindowError(
-                f"window {self.name!r}: misaligned atomic at offset {offset}"
-            )
-        self._segments[rank][offset : offset + 8] = value.to_bytes(
-            8, "little", signed=True
-        )
+        _I64.pack_into(self._check(rank, offset, 8, True), offset, value)
+
+    # The read-modify-write atomics validate their granule once; the
+    # runtime calls them under the target's atomic lock.
+    def _faa_i64(self, rank: int, offset: int, delta: int) -> int:
+        """Add ``delta`` (wrapping) to a granule; returns the old value."""
+        seg = self._check(rank, offset, 8, True)
+        (old,) = _I64.unpack_from(seg, offset)
+        _I64.pack_into(seg, offset, _wrap_i64(old + delta))
+        return old
+
+    def _cas_i64(self, rank: int, offset: int, compare: int, new: int) -> int:
+        """Store ``new`` in a granule iff it holds ``compare`` (both
+        wrapping); returns the value found."""
+        seg = self._check(rank, offset, 8, True)
+        (old,) = _I64.unpack_from(seg, offset)
+        if old == _wrap_i64(compare):
+            _I64.pack_into(seg, offset, _wrap_i64(new))
+        return old
 
     def fill(self, rank: int, value: int = 0) -> None:
         """Reset a rank's whole segment (used by database bootstrap)."""
-        self._check(rank, 0, self.size)
-        seg = self._segments[rank]
+        seg = self._check(rank, 0, self.size)
         for i in range(0, self.size, 1 << 20):
             seg[i : min(i + (1 << 20), self.size)] = b"\x00" * (
                 min(i + (1 << 20), self.size) - i

@@ -12,7 +12,7 @@ injected RMA transient faults and after a rank crash + live failover.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.gda import GdaConfig, GdaDatabase
@@ -129,6 +129,10 @@ def _verify_oracle(ctx, db, stx, frozen, xprop):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ops=OPS, granularity=st.integers(min_value=1, max_value=6))
+# vid reuse (ROADMAP item 1(a)): a later create lands in the block of a
+# vertex the snapshot still sees — as another ID, and as the same ID
+@example(ops=[("create", 0, 0), ("delete", 0, 0), ("create", 2, 0)], granularity=1)
+@example(ops=[("create", 0, 0), ("delete", 0, 0), ("create", 0, 0)], granularity=1)
 def test_snapshot_reads_equal_full_scan_oracle(ops, granularity):
     def prog(ctx):
         db = GdaDatabase.create(
@@ -185,6 +189,14 @@ def test_snapshot_reads_equal_full_scan_oracle(ops, granularity):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(ops=OPS, seed=st.integers(min_value=0, max_value=2**16))
+# the same vid-reuse sequence, padded with no-ops (deletes of an absent
+# ID) so that each step commits on its own: this test commits every 4 ops
+@example(
+    ops=[("create", 0, 0)] + [("delete", 5, 0)] * 3
+    + [("delete", 0, 0)] + [("delete", 5, 0)] * 3
+    + [("create", 2, 0)],
+    seed=0,
+)
 def test_snapshot_oracle_holds_under_transient_faults(ops, seed):
     """Same property with injected RMA transients: writer transactions
     retry through the standard loop, snapshot scans re-run in place (a
