@@ -245,16 +245,17 @@ def test_oltp_transaction_wall_time(benchmark):
 #: before it) plus 10 %.  3.12 inlines comprehensions and reads lower.
 POINT_READ_CALL_BUDGET = 150.0
 
+#: the same for a single-op WI-mix write transaction
+#: (:func:`test_write_transaction_stays_within_its_call_budget`): what
+#: the one-pre-image commit reached on 3.11 (670.0; the five eager
+#: captures it replaced read 673.1 — that change removed a fifth of the
+#: bytecodes, loops rather than calls) plus 10 %.
+WRITE_TX_CALL_BUDGET = 737.0
 
-def test_point_read_stays_within_its_call_budget():
-    """The OLTP hot path cannot quietly grow back: Python function calls
-    per point-read transaction on a seeded graph with seeded ops.  A
-    count, not a timing — identical on every run of one interpreter, so
-    a slow runner cannot flake it."""
-    import random
-    import sys
 
-    from repro.gdi import EdgeOrientation
+def _seeded_graph():
+    """The seeded two-rank build both call budgets run on, rank 0's
+    view of it, and that rank's context with the scheduler off."""
     from repro.generator import KroneckerParams, build_lpg, default_schema
     from repro.rma import XC40, run_spmd
 
@@ -269,7 +270,41 @@ def test_point_read_stays_within_its_call_budget():
         seed=7,
     )
     rt2.scheduler = None  # single issuer from here on
-    g, ctx0 = graphs[0], rt2.context(0)
+    return graphs[0], rt2.context(0)
+
+
+def _calls_per_op(run, inputs):
+    """Python function calls per ``run(*input)`` after 50 warm-up ops
+    (first-use caches).  A count, not a timing — identical on every run
+    of one interpreter, so a slow runner cannot flake it."""
+    import sys
+
+    warm = 50
+    for inp in inputs[:warm]:
+        run(*inp)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        for inp in inputs[warm:]:
+            run(*inp)
+    finally:
+        sys.setprofile(None)
+    return calls / (len(inputs) - warm) - 1  # less the call of ``run`` itself
+
+
+def test_point_read_stays_within_its_call_budget():
+    """The OLTP hot path cannot quietly grow back: Python function calls
+    per point-read transaction on a seeded graph with seeded ops."""
+    import random
+
+    from repro.gdi import EdgeOrientation
+
+    g, ctx0 = _seeded_graph()
     ts = g.ptypes["p_ts"]
     rng = random.Random(7)
     # Table 3 RM mix, reads only: get_props / count_edges / get_edges
@@ -288,22 +323,44 @@ def test_point_read_stays_within_its_call_budget():
                 e.endpoints()
         tx.commit()
 
-    for op, key in zip(ops[:50], keys[:50]):  # first-use caches
-        run(op, key)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        for op, key in zip(ops[50:], keys[50:]):
-            run(op, key)
-    finally:
-        sys.setprofile(None)
-    per_op = calls / 200 - 1  # less the call of ``run`` itself
+    per_op = _calls_per_op(run, list(zip(ops, keys)))
     assert per_op <= POINT_READ_CALL_BUDGET, per_op
+
+
+def test_write_transaction_stays_within_its_call_budget():
+    """The write path cannot quietly re-grow either: the same count over
+    200 seeded single-op write transactions in the Table 3 WI mix's
+    proportions (add_vertex / del_vertex / upd_prop / add_edge)."""
+    import random
+
+    g, ctx0 = _seeded_graph()
+    ts, label = g.ptypes["p_ts"], g.edge_label(0)
+    rng = random.Random(7)
+    ops = rng.choices(range(4), weights=(0.20, 0.067, 0.133, 0.40), k=250)
+    alive = list(range(g.n_vertices))
+    inputs = []
+    for i, op in enumerate(ops):
+        if op == 0:
+            inputs.append((op, g.n_vertices + i, 0))
+        elif op == 1:
+            inputs.append((op, alive.pop(rng.randrange(len(alive))), 0))
+        else:
+            inputs.append((op, *rng.sample(alive, 2)))
+
+    def run(op, a, b):
+        tx = g.db.start_transaction(ctx0, write=True)
+        if op == 0:
+            tx.create_vertex(a, properties=[(ts, 0)])
+        elif op == 1:
+            tx.delete_vertex(tx.find_vertex(a))
+        elif op == 2:
+            tx.find_vertex(a).set_property(ts, b)
+        else:
+            tx.create_edge(tx.find_vertex(a), tx.find_vertex(b), label=label)
+        tx.commit()
+
+    per_op = _calls_per_op(run, inputs)
+    assert per_op <= WRITE_TX_CALL_BUDGET, per_op
 
 
 def test_batched_vs_scalar_remote_reads(benchmark, report):

@@ -115,10 +115,6 @@ class BlockManager:
         self.system_win.write_i64(me, SYS_COUNT_OFF, 0)
 
     # -- address arithmetic ---------------------------------------------------
-    def block_index(self, dptr: int) -> int:
-        """Block index within its owner rank for a block DPtr."""
-        return unpack_dptr(dptr).offset // self.block_size
-
     def lock_location(self, dptr: int) -> tuple[int, int]:
         """(rank, system-window offset) of the lock word guarding ``dptr``.
 

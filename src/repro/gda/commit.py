@@ -5,10 +5,19 @@ the order is the protocol, and each stage says why it sits where it
 does.  :func:`append_log` is the commit point a crash rolls forward
 from; until :func:`finish` an apply failure can still take the record
 back (:func:`withdraw`), after it the record is permanent.
+
+A write transaction remembers one pre-image per vertex — the holder as
+read (:attr:`_TxVertex.loaded`), sharing the fetched bytes — and three
+flags.  The stages derive the rest, for dirty vertices only, by one rule:
+a part of the live holder *still in wire form is unchanged*, so it is the
+pre-image's.  An untouched slot region yields no edge entries; an
+untouched entry stream is logged from the pre-image, written back as
+read, and moves no label count and no index posting.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -17,11 +26,12 @@ from ..rma.faults import RmaStaleEpoch
 from .dptr import unpack_dptr
 from .holder import (
     DIR_IN,
+    DIR_MASK,
     DIR_OUT,
     DIR_UNDIR,
     KIND_VERTEX,
+    SLOT_HEAVY,
     EdgeHolder,
-    EdgeSlot,
     StoredHolder,
     VertexHolder,
 )
@@ -92,6 +102,10 @@ def derive_log_entries(plan: CommitPlan) -> None:
         elif txv.created or txv.dirty:
             plan.survivors.append(txv)
             holder = txv.holder
+            if holder._entry_buf is not None:
+                # untouched: decode the pre-image's stream instead, so the
+                # live holder is written back as the bytes it was read as
+                holder = txv.loaded.holder
             upserts.append(
                 (
                     "new_v" if txv.created else "upd_v",
@@ -157,7 +171,7 @@ def install_versions(plan: CommitPlan) -> None:
             entry.deleted or entry.created or entry.dirty
         ):
             continue
-        image = None if entry.created else entry.mvcc_preimage
+        image = None if entry.created else entry.loaded
         installed += mvcc.versions.install((tag, oid), ts, image)
         if not entry.deleted:
             entry.stored.version = ts
@@ -202,15 +216,7 @@ def unpublish_deleted(plan: CommitPlan) -> None:
             db.blocks.release_block(ctx, txv.stored.primary)
             continue
         db.dht.delete(ctx, txv.holder.app_id)
-        db.directory.remove(
-            ctx,
-            txv.vid,
-            labels=(
-                txv.label_preimage
-                if txv.label_preimage is not None
-                else txv.holder.labels
-            ),
-        )
+        db.directory.remove(ctx, txv.vid, labels=txv.loaded.holder.labels)
         _apply_index_updates(tx, txv, deleted=True)
         freed.append(txv.stored)
     db.storage.delete_many(ctx, freed)
@@ -231,12 +237,13 @@ def publish(plan: CommitPlan) -> None:
     tx = plan.tx
     ctx, db = tx.ctx, tx.db
     for txv in plan.survivors:
+        holder = txv.holder
         if txv.created:
-            db.dht.insert(ctx, txv.holder.app_id, txv.vid)
-            db.directory.add(ctx, txv.vid, labels=txv.holder.labels)
-        elif txv.label_preimage is not None:
+            db.dht.insert(ctx, holder.app_id, txv.vid)
+            db.directory.add(ctx, txv.vid, labels=holder.labels)
+        elif holder._entry_buf is None:  # else untouched: same labels
             db.directory.update_labels(
-                ctx, txv.vid, txv.label_preimage, txv.holder.labels
+                ctx, txv.vid, txv.loaded.holder.labels, holder.labels
             )
         _apply_index_updates(tx, txv)
 
@@ -330,25 +337,21 @@ def release_created(tx: "Transaction") -> None:
 # -- what a transaction remembers per cached object until it commits ------
 @dataclass
 class _TxVertex:
-    """Transaction-cache entry of one vertex."""
+    """Transaction-cache entry of one vertex: holder, pre-image, flags."""
 
     vid: int
     stored: StoredHolder
     dirty: bool = False
     created: bool = False
     deleted: bool = False
-    index_preimage: dict[str, bool] = field(default_factory=dict)
+    #: the holder as a write transaction read it (:func:`frozen_copy`);
+    #: ``None`` for a vertex created here and in read transactions.  Commit
+    #: derives the edge log, label and index diffs and MVCC version from it.
+    loaded: "StoredHolder | None" = None
+    #: edge index name -> did a slot match at load; the one before-image
+    #: evaluated eagerly, because its answer for a heavy slot needs the
+    #: edge holder before this transaction may delete it
     edge_index_preimage: dict[str, bool] = field(default_factory=dict)
-    #: edge-slot list as loaded (write txns only) — identity-diffed at
-    #: commit to derive the replayable commit-log edge entries
-    edge_preimage: "list[EdgeSlot] | None" = None
-    #: label ids as loaded (write txns only) — diffed at commit to keep
-    #: the directory's per-label histogram current
-    label_preimage: "list[int] | None" = None
-    #: holder state as loaded, copied deep enough to be immutable under
-    #: this transaction's own mutations — installed in the MVCC version
-    #: chain at commit (write txns with MVCC enabled only)
-    mvcc_preimage: "StoredHolder | None" = None
 
     @property
     def holder(self) -> VertexHolder:
@@ -364,11 +367,8 @@ class _TxEdge:
     dirty: bool = False
     created: bool = False
     deleted: bool = False
-    #: (src_app, dst_app) when supplied by the bulk loader, so commit
-    #: logging needs no remote reads to resolve application IDs
-    app_ids: "tuple[int, int] | None" = None
-    #: holder state as loaded (see :attr:`_TxVertex.mvcc_preimage`)
-    mvcc_preimage: "StoredHolder | None" = None
+    #: as :attr:`_TxVertex.loaded`; kept in MVCC databases only
+    loaded: "StoredHolder | None" = None
 
     @property
     def holder(self) -> EdgeHolder:
@@ -376,34 +376,22 @@ class _TxEdge:
 
 
 def capture_preimages(tx: "Transaction", txv: "_TxVertex") -> None:
-    """Note the loaded state of a vertex the commit will diff against."""
-    holder = txv.holder
-    if tx.db.mvcc is not None:
-        # the pre-image this commit will chain-install
-        txv.mvcc_preimage = frozen_copy(txv.stored)
-    # capture the slot identities for the commit-log diff
-    txv.edge_preimage = list(holder.edges)
-    txv.label_preimage = list(holder.labels)
-    # index preimages are only consulted by the apply stages, so read
-    # transactions skip them (their holders may be projections without
-    # entries anyway)
-    dtype_of = tx.db.replica(tx.ctx).dtype_of
-    txv.index_preimage = {
-        name: idx.matches(holder, dtype_of)
-        for name, idx in tx.db.indexes.items()
-    }
-    txv.edge_index_preimage = {
-        name: idx.source_matches(tx, txv)
-        for name, idx in tx.db.edge_indexes.items()
-    }
+    """Keep the holder a write transaction just fetched as the pre-image
+    its commit diffs against: O(1), a fresh fetch is still wire bytes."""
+    txv.loaded = frozen_copy(txv.stored)
+    if tx.db.edge_indexes:
+        txv.edge_index_preimage = {
+            name: idx.source_matches(tx, txv)
+            for name, idx in tx.db.edge_indexes.items()
+        }
 
 
 def frozen_copy(stored: StoredHolder) -> StoredHolder:
-    """Copy a holder deep enough to serve as an MVCC pre-image.
+    """Copy a holder deep enough to serve as a pre-image.
 
     The committing transaction mutates its cached holders in place
-    (labels/properties/edge-slot lists), so the chain image must own
-    those containers.  Slot objects and property blobs are shared: the
+    (labels/properties/edge-slot lists), so the image must own those
+    containers.  Slot objects and property blobs are shared: the
     transaction layer replaces them, it never mutates them.  Block lists
     are dropped — an image is only ever *served*, never rewritten.
     """
@@ -436,47 +424,53 @@ def frozen_copy(stored: StoredHolder) -> StoredHolder:
 def _edge_log_entries(
     tx: "Transaction", replica, survivors: "list[_TxVertex]"
 ) -> tuple[list[tuple], list[tuple]]:
-    """Replayable edge entries: identity-diff of slots vs. load time.
+    """Replayable edge entries: each survivor's slots diffed *by value*,
+    as a multiset, against the slots it was loaded with.
 
-    Each logical edge is emitted exactly once, from its canonical
-    side, matching :func:`repro.gda.checkpoint.snapshot`: the OUT
-    slot for directed edges, the smaller application-ID endpoint for
-    undirected ones.  Edges whose other endpoint is deleted in this
-    transaction are skipped — their ``del_v`` entry removes incident
-    edges on replay.  Heavyweight edges are logged from the cached
-    edge holders instead of the slots.
+    A slot region nobody materialised is unchanged and skipped outright.
+    Removals come in pre-image slot order, additions in live slot order
+    (a seeded run logs the same bytes); a slot removed and re-added
+    identically nets to nothing.  Each logical edge is emitted exactly
+    once, from its canonical side, matching
+    :func:`repro.gda.checkpoint.snapshot`: the OUT slot for directed
+    edges, the smaller application-ID endpoint for undirected ones.
+    Edges whose other endpoint is deleted in this transaction are
+    skipped — their ``del_v`` entry removes incident edges on replay.
+    Heavyweight edges are logged from the cached edge holders instead.
     """
     edge_rm: list[tuple] = []
     edge_add: list[tuple] = []
 
-    def emit(out: list[tuple], tag: str, txv: "_TxVertex", slot) -> None:
-        direction = slot.direction
-        if slot.heavy or direction == DIR_IN:
+    def emit(out: list[tuple], tag: str, app: int, value: tuple) -> None:
+        dptr, label_id, flags = value
+        direction = flags & DIR_MASK
+        if flags & SLOT_HEAVY or direction == DIR_IN:
             return
-        if tx._deleted_in_txn(slot.dptr):
+        if tx._deleted_in_txn(dptr):
             return
-        app = txv.holder.app_id
-        other_app = tx._bulk_slot_apps.get(id(slot))
-        if other_app is None:
-            other_app = _log_app_of(tx, slot.dptr)
+        other_app = _log_app_of(tx, dptr)
         if direction == DIR_UNDIR and app > other_app:
             return  # the smaller endpoint's side emits
-        label_name = (
-            replica.label_by_id(slot.label_id).name if slot.label_id else None
-        )
+        label_name = replica.label_by_id(label_id).name if label_id else None
         out.append((tag, app, other_app, direction == DIR_OUT, label_name))
 
     for txv in survivors:
-        pre = txv.edge_preimage if txv.edge_preimage is not None else []
-        cur = txv.holder.edges
-        pre_ids = {id(s) for s in pre}
-        cur_ids = {id(s) for s in cur}
-        for slot in pre:
-            if id(slot) not in cur_ids:
-                emit(edge_rm, "edge-", txv, slot)
-        for slot in cur:
-            if id(slot) not in pre_ids:
-                emit(edge_add, "edge+", txv, slot)
+        holder = txv.holder
+        if holder._edges is None:
+            continue  # still the bytes it was read as
+        pre = txv.loaded.holder if txv.loaded is not None else VertexHolder(0)
+        # (created here: loaded with no slots)  Both multisets are built at
+        # C speed; only the (value, count) pairs they disagree on are walked
+        was, now = Counter(pre._slot_values()), Counter(holder._slot_values())
+        surplus = {v: now[v] - was[v] for v, _ in was.items() ^ now.items()}
+        for value in filter(surplus.__contains__, pre._slot_values()):
+            if surplus[value] < 0:
+                surplus[value] += 1
+                emit(edge_rm, "edge-", holder.app_id, value)
+        for value in filter(surplus.__contains__, holder._slot_values()):
+            if surplus[value] > 0:
+                surplus[value] -= 1
+                emit(edge_add, "edge+", holder.app_id, value)
     for txe in tx._edges.values():
         h = txe.holder
         if _vanishes(txe):
@@ -485,11 +479,8 @@ def _edge_log_entries(
             continue
         if tx._deleted_in_txn(h.src) or tx._deleted_in_txn(h.dst):
             continue  # del_v covers the removal on replay
-        if txe.app_ids is not None:
-            src_app, dst_app = txe.app_ids
-        else:
-            src_app = _log_app_of(tx, h.src)
-            dst_app = _log_app_of(tx, h.dst)
+        src_app = _log_app_of(tx, h.src)
+        dst_app = _log_app_of(tx, h.dst)
         if txe.deleted:
             edge_rm.append(("hedge-", src_app, dst_app, h.directed))
             continue
@@ -506,25 +497,34 @@ def _edge_log_entries(
 def _log_app_of(tx: "Transaction", vid: int) -> int:
     """Application ID of ``vid`` for commit logging.
 
-    Served from the transaction cache in every ordinary path (both
-    endpoints of a mutated edge are cached); the storage read is a
-    fallback for exotic callers only.
+    Served from the transaction cache (``create_edge``, ``delete_edge``
+    and ``delete_vertex`` cache both endpoints), else from the bulk
+    loader's hint.  The storage read is the last resort; it is reached by
+    ``EdgeHandle.set_property`` on a heavy edge (``hedge*`` loads no far
+    endpoint) and by ``bulk_append_half_edge`` without ``other_app_id``.
     """
     txv = tx._vertices.get(vid)
     if txv is not None:
         return txv.holder.app_id
+    app_id = tx._app_id_hints.get(vid)
+    if app_id is not None:
+        return app_id
     return tx.db.storage.read(tx.ctx, vid).holder.app_id
 
 
 def _apply_index_updates(
     tx: "Transaction", txv: "_TxVertex", deleted: bool = False
 ) -> None:
-    dtype_of = tx.db.replica(tx.ctx).dtype_of
-    for name, idx in tx.db.indexes.items():
-        before = txv.index_preimage.get(name, False)
-        after = False if deleted else idx.matches(txv.holder, dtype_of)
-        idx.update_on_commit(tx.ctx, txv.vid, before, after)
+    """Index postings: matched as loaded → matches now (deleted: nothing)."""
+    holder = txv.holder
+    if tx.db.indexes and (deleted or holder._entry_buf is None):
+        # else the entry stream is untouched: it matches what it matched
+        dtype_of, pre = tx.db.replica(tx.ctx).dtype_of, txv.loaded
+        for idx in tx.db.indexes.values():
+            before = pre is not None and idx.matches(pre.holder, dtype_of)
+            after = not deleted and idx.matches(holder, dtype_of)
+            idx.update_on_commit(tx.ctx, txv.vid, before, after)
     for name, eidx in tx.db.edge_indexes.items():
         before = txv.edge_index_preimage.get(name, False)
-        after = False if deleted else eidx.source_matches(tx, txv)
+        after = not deleted and eidx.source_matches(tx, txv)
         eidx.update_on_commit(tx.ctx, txv.vid, before, after)

@@ -79,10 +79,6 @@ class TxStats:
     restarts: int = 0  # automatic retries by repro.gda.retry.run_transaction
     by_cause: dict = field(default_factory=dict)  # failure cause -> count
 
-    @property
-    def failure_fraction(self) -> float:
-        return self.failed / self.started if self.started else 0.0
-
     def count_failure(self, cause: str) -> None:
         self.by_cause[cause] = self.by_cause.get(cause, 0) + 1
 
@@ -409,26 +405,12 @@ class GdaDatabase:
             raise
         return index
 
-    def edge_index(self, name: str) -> ExplicitEdgeIndex:
-        with self._index_lock:
-            try:
-                return self.edge_indexes[name]
-            except KeyError:
-                raise GdiNotFound(f"no edge index named {name!r}") from None
-
     def index(self, name: str) -> ExplicitIndex:
         with self._index_lock:
             try:
                 return self.indexes[name]
             except KeyError:
                 raise GdiNotFound(f"no index named {name!r}") from None
-
-    def drop_index(self, ctx: RankContext, name: str) -> None:
-        ctx.barrier()
-        if ctx.rank == 0:
-            with self._index_lock:
-                self.indexes.pop(name, None)
-        ctx.barrier()
 
     # -- availability: failover healing ------------------------------------------------
     def heal(self, ctx: RankContext) -> None:

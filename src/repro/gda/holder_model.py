@@ -26,6 +26,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import starmap
+from operator import attrgetter
 
 import numpy as np
 
@@ -144,6 +145,9 @@ class EdgeSlot:
     @property
     def heavy(self) -> bool:
         return bool(self.flags & SLOT_HEAVY)
+
+
+_SLOT_VALUE = attrgetter("dptr", "label_id", "flags")
 
 
 class VertexHolder:
@@ -291,6 +295,13 @@ class VertexHolder:
             arr["label"] = [s.label_id for s in edges]
             arr["flags"] = [s.flags for s in edges]
         return arr["dptr"], arr["label"], arr["flags"]
+
+    def _slot_values(self):
+        """``(dptr, label_id, flags)`` per slot, in slot order, at C speed
+        and without building slot objects for a region still packed."""
+        if self._edges is None:
+            return _SLOT.iter_unpack(self._slot_buf)
+        return map(_SLOT_VALUE, self._edges)
 
     def targets(self, label_id: int | None = None) -> np.ndarray:
         """DPtrs of lightweight neighbors, optionally for one edge label.

@@ -29,6 +29,7 @@ from typing import Iterable
 from ..gdi.constraint import Constraint
 from ..rma.runtime import RankContext
 from .dptr import unpack_dptr
+from .handles import EdgeHandle
 
 __all__ = ["VertexDirectory", "ExplicitIndex", "ExplicitEdgeIndex"]
 
@@ -332,8 +333,6 @@ class ExplicitEdgeIndex:
 
     def source_matches(self, tx, txv) -> bool:
         """Does any edge slot of this vertex satisfy the constraint?"""
-        from .transaction_impl import EdgeHandle
-
         for slot in txv.holder.edges:
             if EdgeHandle(tx, txv, slot)._satisfies(self.constraint):
                 return True
@@ -379,14 +378,6 @@ class ExplicitEdgeIndex:
     def local_source_vertices(self, ctx: RankContext) -> list[int]:
         with self._locks[ctx.rank]:
             snap = list(self._shards[ctx.rank])
-        ctx.compute(len(snap))
-        return snap
-
-    def shard_source_vertices(self, ctx: RankContext, shard: int) -> list[int]:
-        """One shard's source-vertex postings (proportional message)."""
-        with self._locks[shard]:
-            snap = list(self._shards[shard])
-        _charge_shard_access(ctx, shard, 8 * max(1, len(snap)))
         ctx.compute(len(snap))
         return snap
 

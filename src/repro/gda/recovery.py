@@ -201,9 +201,9 @@ def replay_entries_idempotent(
     carry.  The redo transaction does not re-log (the record is already
     in the commit log under the dead rank's sequence number).
 
-    Exactness caveat: a ``edge+`` entry identical to an edge that already
-    exists is treated as already applied; graphs relying on identical
-    parallel lightweight edges within one torn commit may lose one copy.
+    Exactness caveat: an ``edge+`` matching an existing edge counts as
+    applied, so a torn commit adding a further identical parallel edge may
+    lose that copy (the log itself carries their exact multiplicity).
     """
     _replay(ctx, db, [entries], redo=True)
 

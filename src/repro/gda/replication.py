@@ -415,8 +415,3 @@ class ReplicationManager:
             db.blocks.release_block(ctx, dptr)  # hook drops journal + meta
             swept += 1
         return swept
-
-    # -- diagnostics --------------------------------------------------------
-    def mirrored_block_count(self, shard: int) -> int:
-        with self._meta_mu:
-            return len(self.meta[shard])

@@ -280,7 +280,9 @@ class Transaction:
         self._edges: dict[int, _TxEdge] = {}
         self._created_app_ids: dict[int, int] = {}  # app_id -> vid
         self._volatile_ids: dict[int, int] = {}  # volatile token -> vid
-        self._bulk_slot_apps: dict[int, int] = {}  # id(slot) -> other app ID
+        #: vid -> application ID, where the bulk loader supplied it, so
+        #: commit logging resolves an uncached endpoint without a read
+        self._app_id_hints: dict[int, int] = {}
         #: availability-layer state (all inert without a membership view)
         self._mem = getattr(ctx.rt, "membership", None)
         self._start_epoch = self._mem.epoch if self._mem is not None else 0
@@ -376,8 +378,8 @@ class Transaction:
         ``need`` is a holder-parts projection mask (see
         :mod:`repro.gda.holder`): read-only callers that will only follow
         edges pass ``NEED_TOPO`` and skip the property bytes entirely.
-        Write transactions always load full holders (preimages and
-        rewrites need the complete payload); cached entries missing a
+        Write transactions always load full holders (the pre-image and
+        the rewrite need the complete payload); cached entries missing a
         requested part are hydrated in place with one batched re-read.
         """
         recycled = self._load(vids, for_write, expected_app_ids, missing_ok, need)
@@ -410,7 +412,7 @@ class Transaction:
         if for_write:
             self._check_write()
         if self.write:
-            # preimage capture and commit rewrites need whole holders
+            # the pre-image and the commit rewrite need whole holders
             need = NEED_ALL
         if self.snapshot:
             # full-span reads carry the CRC end to end, so a torn read
@@ -876,7 +878,7 @@ class Transaction:
         else:
             slot = EdgeSlot(other_vid, label_id, direction)
             if other_app_id is not None:
-                self._bulk_slot_apps[id(slot)] = int(other_app_id)
+                self._app_id_hints[other_vid] = int(other_app_id)
         txv.holder.edges.append(slot)
         self._mark_dirty(txv)
 
@@ -910,15 +912,13 @@ class Transaction:
                 for pt, value in properties
             ],
         )
-        if src_app_id is None or dst_app_id is None:
-            return self._new_edge_holder(holder)
-        return self._new_edge_holder(
-            holder, app_ids=(int(src_app_id), int(dst_app_id))
-        )
+        if src_app_id is not None:
+            self._app_id_hints[src_vid] = int(src_app_id)
+        if dst_app_id is not None:
+            self._app_id_hints[dst_vid] = int(dst_app_id)
+        return self._new_edge_holder(holder)
 
-    def _new_edge_holder(
-        self, holder: EdgeHolder, app_ids: "tuple[int, int] | None" = None
-    ) -> int:
+    def _new_edge_holder(self, holder: EdgeHolder) -> int:
         """Cache a new heavyweight edge holder, private until commit, in
         a block at its source vertex's home; returns its DPtr."""
         eptr = self._acquire_or_fail(unpack_dptr(holder.src).rank)
@@ -927,7 +927,6 @@ class Transaction:
             stored=StoredHolder(holder=holder, primary=eptr),
             created=True,
             dirty=True,
-            app_ids=app_ids,
         )
         return eptr
 
@@ -947,7 +946,7 @@ class Transaction:
             ):
                 txe = self._edges[eptr] = _TxEdge(dptr=eptr, stored=stored)
                 if self.write and self.db.mvcc is not None:
-                    txe.mvcc_preimage = _commit.frozen_copy(stored)
+                    txe.loaded = _commit.frozen_copy(stored)
         elif txe.deleted:
             raise GdiNotFound("edge deleted in this transaction")
         return txe

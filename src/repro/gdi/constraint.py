@@ -129,10 +129,6 @@ class Constraint:
         return cls.of([LabelCondition(label_id)])
 
     @classmethod
-    def lacks_label(cls, label_id: int) -> "Constraint":
-        return cls.of([LabelCondition(label_id, present=False)])
-
-    @classmethod
     def prop(cls, ptype_id: int, op: str = "exists", value: Any = None) -> "Constraint":
         return cls.of([PropertyCondition(ptype_id, op, value)])
 

@@ -33,10 +33,6 @@ class GdiError(Exception):
 
     code: ErrorCode = ErrorCode.ERROR_STATE
 
-    @property
-    def transaction_critical(self) -> bool:
-        return isinstance(self, GdiTransactionCritical)
-
 
 class GdiInvalidArgument(GdiError):
     code = ErrorCode.ERROR_ARGUMENT
