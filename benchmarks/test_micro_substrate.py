@@ -273,13 +273,12 @@ def _seeded_graph():
     return graphs[0], rt2.context(0)
 
 
-def _calls_per_op(run, inputs):
-    """Python function calls per ``run(*input)`` after 50 warm-up ops
-    (first-use caches).  A count, not a timing — identical on every run
-    of one interpreter, so a slow runner cannot flake it."""
+def _calls_per_op(run, inputs, warm=50):
+    """Python function calls per ``run(*input)`` after ``warm`` warm-up
+    ops (first-use caches).  A count, not a timing — identical on every
+    run of one interpreter, so a slow runner cannot flake it."""
     import sys
 
-    warm = 50
     for inp in inputs[:warm]:
         run(*inp)
     calls = 0
@@ -361,6 +360,40 @@ def test_write_transaction_stays_within_its_call_budget():
 
     per_op = _calls_per_op(run, inputs)
     assert per_op <= WRITE_TX_CALL_BUDGET, per_op
+
+
+def _kernel_calls(edge_factor):
+    """Python calls ``wcc`` and ``lcc`` each make on one pre-loaded
+    single-rank shard (one rank: no rendezvous wait loops to count)."""
+    from repro.gdi import EdgeOrientation
+    from repro.generator import KroneckerParams, build_lpg, default_schema
+    from repro.rma import run_spmd
+    from repro.workloads import lcc, load_local_adjacency, wcc
+
+    params = KroneckerParams(scale=8, edge_factor=edge_factor, seed=3)
+
+    def prog(c):
+        db = GdaDatabase.create(c, GdaConfig(blocks_per_rank=32768))
+        g = build_lpg(c, db, params, default_schema())
+        adj = load_local_adjacency(c, g, EdgeOrientation.ANY)
+        return {
+            kernel.__name__: _calls_per_op(
+                lambda: kernel(c, g, adj=adj), [()] * 2, warm=1
+            )
+            for kernel in (wcc, lcc)
+        }
+
+    return run_spmd(1, prog)[1][0]
+
+
+def test_olap_kernels_make_no_per_edge_python_calls():
+    """The Fig. 6 kernels stay in array form: four times the edges on
+    the same vertices must not mean more Python calls (a per-edge or
+    per-message loop with a call in it would quadruple them; a denser
+    graph converges in no more rounds).  A ratio of exact counts."""
+    sparse, dense = _kernel_calls(4), _kernel_calls(16)
+    for kernel, calls in sparse.items():
+        assert dense[kernel] <= 1.25 * calls, (kernel, calls, dense[kernel])
 
 
 def test_batched_vs_scalar_remote_reads(benchmark, report):

@@ -367,6 +367,26 @@ class VertexScan(Sequence):
             lambda h: h.has_label(label),
         )
 
+    @property
+    def has_heavy_edges(self) -> np.ndarray:
+        """Per position: does the vertex hold a heavyweight edge slot
+        (whose neighbor and properties sit behind an edge holder)?"""
+
+        def of_batch(batch):
+            indptr, slots = batch.slot_columns()
+            row = np.repeat(np.arange(len(batch)), np.diff(indptr))
+            heavy = row[(slots["flags"] & SLOT_HEAVY) != 0]
+            return np.bincount(heavy, minlength=len(batch)) > 0
+
+        return self._column(
+            bool,
+            NEED_TOPO,
+            of_batch,
+            lambda h: bool(
+                (h._holder(NEED_TOPO).edges_as_arrays()[2] & SLOT_HEAVY).any()
+            ),
+        )
+
     def property(self, ptype: PropertyType) -> "list[Any | None]":
         """Per position: the (first) ``ptype`` value, ``None`` if absent."""
         out: list[Any | None] = [None] * len(self._vids)

@@ -199,11 +199,6 @@ class LogicalPlan:
     query: Query
     ops: tuple
     columns: tuple[str, ...]
-    #: ``ops``-index ranges ``[start, end)`` of each MATCH path, in plan
-    #: order.  The executor checks observed vs. estimated cardinality at
-    #: these boundaries and re-plans the remaining paths when they
-    #: diverge (adaptive mid-query re-planning).
-    match_spans: tuple[tuple[int, int], ...] = ()
 
     def explain(self, profile: "dict[int, dict] | None" = None) -> str:
         """Render the pipeline, one operator per line.

@@ -15,7 +15,7 @@ calls —
   prefetches it with one ``associate_vertices`` batch per hop level —
   the PR-1 read-pipelining path — instead of one round trip per row.
 
-Three raw-speed mechanisms layer on top of the batching:
+Two raw-speed mechanisms layer on top of the batching:
 
 * **Needs-projected reads** — :func:`_plan_needs` walks the whole plan
   once and computes, per node variable, which holder parts any operator
@@ -28,12 +28,6 @@ Three raw-speed mechanisms layer on top of the batching:
   *before* the expensive second-stage topology hydration and before the
   cross-join materializes rows.  Fusion is disabled under ``PROFILE`` so
   per-operator deltas stay aligned with the rendered plan.
-* **Adaptive re-planning** — at MATCH-path boundaries
-  (:attr:`~repro.query.logical.LogicalPlan.match_spans`) the executor
-  compares observed vs. estimated cardinality; on >=4x divergence the
-  remaining paths are re-planned with the true row count
-  (:func:`~repro.query.planner.replan_tail`), which can flip join
-  anchors a stale estimate got wrong.
 
 Write operators batch too: ``CREATE`` funnels all fresh vertices of all
 rows through one :meth:`Transaction.create_vertices` call (one DHT probe
@@ -94,7 +88,7 @@ from .logical import (
     SetOp,
     SkipLimitOp,
 )
-from .planner import _free_vars, replan_tail
+from .planner import _free_vars
 
 __all__ = ["ExecState", "execute_plan", "VertexVal", "EdgeVal"]
 
@@ -359,24 +353,6 @@ def _plan_needs(ops) -> dict[str, int]:
     return needs
 
 
-def _bound_vars(ops) -> set[str]:
-    """Variables bound by an already-executed operator prefix."""
-    bound: set[str] = set()
-    for op in ops:
-        if isinstance(op, ScanOp):
-            bound.add(op.spec.var)
-        elif isinstance(op, ExpandOp):
-            bound.add(op.dst.var)
-            if op.rel.var is not None:
-                bound.add(op.rel.var)
-    return bound
-
-
-def _diverged(observed: int, est: float) -> bool:
-    ratio = max(float(observed), 1.0) / max(float(est), 1.0)
-    return ratio >= 4.0 or ratio <= 0.25
-
-
 def _emit(rows, ex: ExecState, filt, project):
     """Finish one fused operator: residual filter, then projection."""
     if filt is not None:
@@ -394,41 +370,11 @@ def execute_plan(
     rows: list = [{}]
     prof: dict[int, dict] = {}
     projected = False
-    ops = list(plan.ops)
-    spans = list(plan.match_spans)
+    ops = plan.ops
     needs = _plan_needs(ops)
     fuse = not profile  # PROFILE keeps op deltas aligned with plan.ops
-    span_i = 0
     i = 0
     while i < len(ops):
-        # adaptive re-planning: at each MATCH-path boundary compare the
-        # observed cardinality against the planner's estimate for the
-        # path just finished; on >=4x divergence re-plan the remaining
-        # paths with the true row count (at most once per boundary).
-        while fuse and span_i < len(spans) - 1 and i >= spans[span_i][1]:
-            start, end = spans[span_i]
-            span_i += 1
-            if end <= start or not rows:
-                continue  # empty span (fully-bound path) or dead pipeline
-            est = getattr(ops[end - 1], "est", None)
-            if est is None or not _diverged(len(rows), est):
-                continue
-            tail_end = spans[-1][1]
-            new_ops, rel_spans = replan_tail(
-                ex.db,
-                ex.ctx,
-                plan.query,
-                span_i,
-                float(len(rows)),
-                _bound_vars(ops[:i]),
-            )
-            ops = ops[:i] + new_ops + list(ops[tail_end:])
-            spans = spans[:span_i] + [
-                (i + s, i + e) for s, e in rel_spans
-            ]
-            needs = _plan_needs(ops)
-            ex.bump("replans")
-            ex.ctx.rt.trace.record_replan(ex.ctx.rank)
         op = ops[i]
         before = (
             ex.ctx.rt.trace.counters[ex.ctx.rank].snapshot()

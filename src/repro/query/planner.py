@@ -72,7 +72,7 @@ from .logical import (
     expr_text,
 )
 
-__all__ = ["plan_query", "replan_tail", "plan_is_current", "DEFAULT_FANOUT"]
+__all__ = ["plan_query", "plan_is_current", "DEFAULT_FANOUT"]
 
 #: assumed average out-degree when no finer statistic exists
 DEFAULT_FANOUT = 8.0
@@ -123,11 +123,8 @@ def plan_query(db, ctx, query: Query) -> LogicalPlan:
     ops: list = []
     bound: set[str] = set()
     est = 1.0
-    spans: list[tuple[int, int]] = []
     for path in query.matches:
-        start = len(ops)
         est = _plan_path(db, ctx, stats, path, pushdowns, bound, ops, est)
-        spans.append((start, len(ops)))
     if residual is not None:
         _check_vars(residual, bound, "WHERE")
         est = max(1.0, est * 0.5)
@@ -145,38 +142,7 @@ def plan_query(db, ctx, query: Query) -> LogicalPlan:
                 raise QueryPlanError(f"DELETE references unbound {var!r}")
         ops.append(DeleteOp(vars=query.deletes))
     columns = _plan_returns(query, bound, ops)
-    return LogicalPlan(
-        query=query,
-        ops=tuple(ops),
-        columns=columns,
-        match_spans=tuple(spans),
-    )
-
-
-def replan_tail(
-    db, ctx, query: Query, path_idx: int, est_in: float, bound: set[str]
-) -> tuple[list, list[tuple[int, int]]]:
-    """Re-plan MATCH paths ``path_idx``.. with a corrected cardinality.
-
-    Called by the executor when the observed row count at a MATCH-path
-    boundary diverges from the planner's estimate: the remaining paths
-    are re-ordered with ``est_in`` as the true input cardinality (and
-    fresh statistics), which can flip anchor choices the stale estimate
-    got wrong.  Returns the replacement operator list and its path spans
-    (``ops``-relative, same convention as
-    :attr:`~repro.query.logical.LogicalPlan.match_spans`).
-    """
-    pushdowns, _ = _pushdown(db, ctx, query)
-    stats = _get_stats(db, ctx)
-    ops: list = []
-    spans: list[tuple[int, int]] = []
-    bound = set(bound)
-    est = max(float(est_in), 1.0)
-    for path in query.matches[path_idx:]:
-        start = len(ops)
-        est = _plan_path(db, ctx, stats, path, pushdowns, bound, ops, est)
-        spans.append((start, len(ops)))
-    return ops, spans
+    return LogicalPlan(query=query, ops=tuple(ops), columns=columns)
 
 
 def plan_is_current(db, ctx, plan: LogicalPlan) -> bool:

@@ -59,13 +59,10 @@ class RankCounters:
     shard_repairs: int = 0
     #: query-layer accounting (:mod:`repro.query.engine`): a cache *hit*
     #: re-executes a previously built physical plan, skipping parse+plan;
-    #: ``replans`` counts mid-query adaptive re-planning events (observed
-    #: cardinality diverged >=4x from the planner's estimate);
     #: ``plan_cache_evictions`` counts LRU evictions from the bounded
     #: plan cache.
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    replans: int = 0
     plan_cache_evictions: int = 0
     #: serving-layer accounting (:mod:`repro.serve`): admission outcomes
     #: of the front-end — ``requests_admitted`` entered the bounded queue,
@@ -252,10 +249,6 @@ class TraceRecorder:
             c.plan_cache_hits += 1
         else:
             c.plan_cache_misses += 1
-
-    def record_replan(self, origin: int) -> None:
-        """Account one adaptive mid-query re-planning event at ``origin``."""
-        self.counters[origin].replans += 1
 
     def record_plan_cache_eviction(self, origin: int) -> None:
         """Account one LRU eviction from the bounded plan cache."""

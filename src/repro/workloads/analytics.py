@@ -1,31 +1,31 @@
 """OLAP graph analytics over collective transactions (paper Section 6.5).
 
 Implements the Graphalytics-style kernels the paper evaluates in Figure 6:
-BFS, PageRank (PR), Community Detection by Label Propagation (CDLP),
-Weakly Connected Components (WCC), Local Clustering Coefficient (LCC), and
-k-hop counts.
+BFS and k-hop counts, PageRank (PR), Community Detection by Label
+Propagation (CDLP), Weakly Connected Components (WCC), Local Clustering
+Coefficient (LCC), plus SSSP and triangle count on the same exchanges.
 
 Structure of every kernel (Table 2's recommendation): graph data is
 accessed through *collective read transactions* — each rank reads all
 its local vertices in one batched, columnar scan and keeps the adjacency
-as CSR arrays (:class:`LocalAdjacency`) — and the iterative phases
-exchange values with collectives (alltoall routed by the owning rank,
-allreduce for convergence).  All communication and per-edge compute is
-charged to the simulated clocks, so the Figure 6 scaling shapes emerge
-from the algorithms' real communication structure.
+as CSR arrays (:class:`LocalAdjacency`, the only form a kernel reads) —
+and the iterative phases exchange value arrays with collectives
+(alltoall routed by the owning rank, allreduce for convergence).  All
+communication and per-edge compute is charged to the simulated clocks,
+so the Figure 6 scaling shapes emerge from the algorithms' real
+communication structure.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from ..gda.holder import csr_indptr, ragged_index
-from ..gda.transaction_impl import VertexScan
 from ..gdi import EdgeOrientation
+from ..gdi.errors import GdiStateError
 from ..generator.lpg import GeneratedGraph
 from ..rma.runtime import RankContext
 
@@ -53,75 +53,73 @@ def _lookup(sorted_keys: np.ndarray, keys: np.ndarray):
     return sorted_keys[at] == keys, at
 
 
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Mask of the entries that open a run: those differing from their
+    predecessor in any of the equally long, jointly sorted ``columns``."""
+    first = np.zeros(len(columns[0]), dtype=bool)
+    first[:1] = True
+    for column in columns:
+        first[1:] |= column[1:] != column[:-1]
+    return first
+
+
+def _by_rank(owner: np.ndarray, nranks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(order, cuts)`` that route entries to their ``owner`` ranks
+    (see :func:`_boxes`), every rank's entries kept in their order."""
+    order = np.argsort(owner, kind="stable")
+    return order, np.searchsorted(owner[order], np.arange(1, nranks))
+
+
+def _boxes(order: np.ndarray, cuts: np.ndarray, *columns: np.ndarray) -> list:
+    """One alltoall box per rank: its slice of every column."""
+    return list(zip(*(np.split(column[order], cuts) for column in columns)))
+
+
 class LocalAdjacency:
     """This rank's shard of the adjacency, in application-ID space.
 
-    The shard is held as CSR arrays: local vertex ``vertices[i]`` has the
+    The shard is CSR arrays: local vertex ``vertices[i]`` has the
     neighbors ``targets[indptr[i]:indptr[i + 1]]``, and
     ``target_owner[k]`` is the rank owning ``targets[k]`` (vertices can
     spill off their round-robin home under memory pressure, Section
-    5.3), so the array kernels route a whole edge array with one mask.
-    :attr:`neighbors` and :meth:`home` give the same data as a dict and
-    a per-vertex lookup for the kernels written against those.
+    5.3), so a kernel routes a whole edge array at once.
 
-    Built by :func:`load_local_adjacency`, or directly from a
-    ``{app_id: [neighbor app_ids]}`` dict (plus an optional
-    ``{app_id: rank}`` ownership dict; unlisted vertices live on
-    ``app_id % nranks``).
+    :func:`load_local_adjacency` passes those four arrays and the global
+    ownership map ``(sorted app_ids, their ranks)``; a hand-built shard
+    may give ``{app_id: [neighbor app_ids]}`` and ``{app_id: rank}``
+    dicts instead (unlisted vertices live on ``app_id % nranks``).
     """
 
     def __init__(
         self,
-        neighbors: "dict[int, list[int]]",
+        neighbors: "tuple[np.ndarray, ...] | dict[int, list[int]]",
         n_local_edges: int | None = None,
         nranks: int = 1,
-        owner: "dict[int, int] | None" = None,
+        owner: "tuple[np.ndarray, np.ndarray] | dict[int, int] | None" = None,
     ) -> None:
         self.nranks = nranks
-        self.vertices = np.fromiter(neighbors, dtype=np.int64, count=len(neighbors))
-        self.indptr = csr_indptr([len(n) for n in neighbors.values()])
-        self.targets = np.fromiter(
-            (v for nbrs in neighbors.values() for v in nbrs),
-            dtype=np.int64,
-            count=int(self.indptr[-1]),
-        )
-        self._owner_ids = np.fromiter(sorted(owner or ()), dtype=np.int64)
-        self._owner_ranks = np.fromiter(
-            (owner[a] for a in self._owner_ids.tolist()), dtype=np.int64
-        )
-        self.target_owner = self.home_of(self.targets)
+        if not isinstance(owner, tuple):
+            pairs = np.array(sorted((owner or {}).items()), dtype=np.int64)
+            owner = tuple(pairs.reshape(-1, 2).T)
+        self._owner_ids, self._owner_ranks = owner
+        if isinstance(neighbors, dict):
+            targets = np.array(
+                [v for nbrs in neighbors.values() for v in nbrs], dtype=np.int64
+            )
+            neighbors = (
+                np.array(list(neighbors), dtype=np.int64),
+                csr_indptr([len(nbrs) for nbrs in neighbors.values()]),
+                targets,
+                self.home_of(targets),
+            )
+        self.vertices, self.indptr, self.targets, self.target_owner = neighbors
         self.n_local_edges = (
             len(self.targets) if n_local_edges is None else n_local_edges
         )
-        self.__dict__["neighbors"] = neighbors  # what the cached property would derive
 
-    @classmethod
-    def from_csr(
-        cls,
-        vertices: np.ndarray,
-        indptr: np.ndarray,
-        targets: np.ndarray,
-        target_owner: np.ndarray,
-        nranks: int,
-        owner_ids: np.ndarray,
-        owner_ranks: np.ndarray,
-    ) -> "LocalAdjacency":
-        """Wrap ready CSR arrays; ``owner_ids`` (sorted) and
-        ``owner_ranks`` are the global application-ID ownership map."""
-        adj = cls.__new__(cls)
-        adj.nranks = nranks
-        adj.vertices = vertices
-        adj.indptr = indptr
-        adj.targets = targets
-        adj.target_owner = target_owner
-        adj.n_local_edges = len(targets)
-        adj._owner_ids = owner_ids
-        adj._owner_ranks = owner_ranks
-        return adj
-
-    @cached_property
+    @property
     def neighbors(self) -> "dict[int, list[int]]":
-        """``{local app_id: [neighbor app_ids]}``, derived from the CSR."""
+        """The shard as ``{local app_id: [neighbor app_ids]}``."""
         targets = self.targets.tolist()
         bounds = self.indptr.tolist()
         return {
@@ -129,13 +127,9 @@ class LocalAdjacency:
             for i, v in enumerate(self.vertices.tolist())
         }
 
-    @cached_property
-    def _owner_map(self) -> "dict[int, int]":
-        return dict(zip(self._owner_ids.tolist(), self._owner_ranks.tolist()))
-
     def home(self, app_id: int) -> int:
         """The rank owning ``app_id``."""
-        return self._owner_map.get(app_id, app_id % self.nranks)
+        return int(self.home_of(np.array([app_id], dtype=np.int64))[0])
 
     def home_of(self, app_ids: np.ndarray) -> np.ndarray:
         """:meth:`home` of a whole array."""
@@ -150,19 +144,27 @@ class LocalAdjacency:
         return order, self.vertices[order]
 
     def rows_of(self, app_ids: np.ndarray) -> np.ndarray:
-        """CSR row of each local application ID (-1 if not local)."""
+        """CSR row of each application ID an exchange routed here (all
+        must be local, or the shards disagree about who owns what)."""
         order, sorted_ids = self._by_id
         known, at = _lookup(sorted_ids, app_ids)
-        rows = np.full(len(app_ids), -1, dtype=np.int64)
-        rows[known] = order[at[known]]
-        return rows
+        if not known.all():
+            raise GdiStateError(
+                f"application ID {int(app_ids[~known][0])} was routed to a "
+                "rank that holds no such vertex"
+            )
+        return order[at]
 
-    def frontier_edges(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(targets, owners)`` of all edges leaving the CSR ``rows``."""
-        at = ragged_index(
+    @cached_property
+    def edge_rows(self) -> np.ndarray:
+        """The CSR row every edge leaves from (aligned with ``targets``)."""
+        return np.repeat(np.arange(len(self.vertices)), np.diff(self.indptr))
+
+    def edges_of(self, rows: np.ndarray) -> np.ndarray:
+        """Indices (into ``targets``) of all edges leaving the CSR ``rows``."""
+        return ragged_index(
             self.indptr[rows], self.indptr[rows + 1] - self.indptr[rows]
         )
-        return self.targets[at], self.target_owner[at]
 
 
 def _open_read(ctx: RankContext, graph: GeneratedGraph):
@@ -172,48 +174,6 @@ def _open_read(ctx: RankContext, graph: GeneratedGraph):
     # every rank reads the same committed prefix, so a concurrent OLTP
     # storm can neither tear the adjacency nor abort the collective.
     return db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
-
-
-class _LocalScan(NamedTuple):
-    """What both adjacency loaders start from (see
-    :func:`_scan_local_vertices`)."""
-
-    scan: VertexScan  # the visible local vertices, one position each
-    local: np.ndarray  # the positions that hold a vertex ...
-    local_apps: np.ndarray  # ... and their application IDs
-    vids: np.ndarray  # every rank's vertices: internal IDs, sorted,
-    apps: np.ndarray  # their application IDs
-    ranks: np.ndarray  # and the ranks that own them
-
-
-def _scan_local_vertices(ctx: RankContext, tx) -> _LocalScan:
-    """Read every local vertex in one batch and exchange the
-    vid -> application-ID map.
-
-    The map is rebuilt from the live database (not from the generator's
-    snapshot), so adjacency loads stay correct after OLTP mutations added
-    or removed vertices.
-    """
-    local_vids = tx.visible_vertices(
-        tx.db.directory.local_vertices(ctx), ctx.rank
-    )
-    # One batched read pipelines every local holder fetch (coalesced
-    # per home rank) instead of one round trip per vertex.
-    scan = tx.associate_vertices(local_vids, missing_ok=True)
-    local = np.flatnonzero(scan.present)
-    local_apps = scan.app_ids[local]
-    # 16 bytes per vertex on the wire, as two int64 columns
-    parts = ctx.allgather((scan.vids[local], local_apps))
-    vids = np.concatenate([p[0] for p in parts])
-    order = np.argsort(vids, kind="stable")
-    return _LocalScan(
-        scan,
-        local,
-        local_apps,
-        vids[order],
-        np.concatenate([p[1] for p in parts])[order],
-        np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])[order],
-    )
 
 
 def load_local_adjacency(
@@ -232,58 +192,57 @@ def load_local_adjacency(
 def _csr_adjacency(
     ctx: RankContext, tx, orientation: EdgeOrientation, dedup: bool
 ) -> LocalAdjacency:
-    """The adjacency shard as seen by the open collective ``tx``.
+    """The adjacency shard as seen by the open collective ``tx``."""
+    return _weighted_csr(ctx, tx, orientation, dedup)[0]
 
-    One orientation mask over the scan's slot columns and one
-    vid -> application-ID ``searchsorted`` turn the batch into CSR; no
+
+def _weighted_csr(
+    ctx: RankContext, tx, orientation: EdgeOrientation, dedup: bool, weigh=None
+) -> "tuple[LocalAdjacency, np.ndarray | None]":
+    """The shard as seen by ``tx`` and, if ``weigh(scan, indptr)`` prices
+    every edge slot of the scan, the weights of the shard's ``targets``.
+
+    Every local vertex is read in one batch (coalesced per home rank)
+    and the vid -> application-ID map is exchanged: rebuilt from the live
+    database, so loads stay correct after OLTP mutations.  One
+    ``searchsorted`` over it turns the scan's slot columns into CSR; no
     per-vertex handle is created.
     """
-    s = _scan_local_vertices(ctx, tx)
-    indptr, nbr_vids = s.scan.neighbors(orientation)
-    row = np.repeat(np.arange(len(s.scan)), np.diff(indptr))
+    local_vids = tx.visible_vertices(
+        tx.db.directory.local_vertices(ctx), ctx.rank
+    )
+    scan = tx.associate_vertices(local_vids, missing_ok=True)
+    local = np.flatnonzero(scan.present)
+    local_apps = scan.app_ids[local]
+    # 16 bytes per vertex on the wire, as two int64 columns
+    parts = ctx.allgather((scan.vids[local], local_apps))
+    vids = np.concatenate([p[0] for p in parts])
+    apps = np.concatenate([p[1] for p in parts])
+    ranks = np.repeat(np.arange(len(parts)), [len(p[0]) for p in parts])
+    order = np.argsort(vids, kind="stable")
+    vids, apps, ranks = vids[order], apps[order], ranks[order]
+    indptr, nbr_vids = scan.neighbors(orientation)
+    row = np.repeat(np.arange(len(scan)), np.diff(indptr))
     # Skip dangling slots whose target vanished mid-snapshot.
-    known, at = _lookup(s.vids, nbr_vids)
-    row, targets, owners = row[known], s.apps[at[known]], s.ranks[at[known]]
+    known, at = _lookup(vids, nbr_vids)
+    slot = np.flatnonzero(known)
+    row, targets, owners = row[slot], apps[at[slot]], ranks[at[slot]]
     if dedup:
         order = np.lexsort((targets, row))
+        order = order[_run_starts(row[order], targets[order])]
         row, targets, owners = row[order], targets[order], owners[order]
-        first = np.ones(len(row), dtype=bool)
-        first[1:] = (row[1:] != row[:-1]) | (targets[1:] != targets[:-1])
-        row, targets, owners = row[first], targets[first], owners[first]
-    out_indptr = csr_indptr(np.bincount(row, minlength=len(s.scan))[s.local])
-    by_app = np.argsort(s.apps, kind="stable")
-    return LocalAdjacency.from_csr(
-        s.local_apps,
-        out_indptr,
-        targets,
-        owners,
-        ctx.nranks,
-        s.apps[by_app],
-        s.ranks[by_app],
+        slot = slot[order]
+    out_indptr = csr_indptr(np.bincount(row, minlength=len(scan))[local])
+    by_app = np.argsort(apps, kind="stable")
+    adj = LocalAdjacency(
+        (local_apps, out_indptr, targets, owners),
+        nranks=ctx.nranks,
+        owner=(apps[by_app], ranks[by_app]),
     )
+    return adj, None if weigh is None else weigh(scan, indptr)[slot]
 
 
 # ------------------------------------------------------------------- BFS --
-def _expand_frontier(
-    ctx: RankContext, adj: LocalAdjacency, frontier: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """One BFS level: ship the frontier rows' neighbors to their owners
-    and return the distinct local vertices (CSR rows) that were named,
-    with the number of IDs received.
-
-    Per-destination dedup: a frontier reaching the same remote vertex
-    through many edges sends its ID once, shrinking both the alltoall
-    payload and the receiver-side scan.
-    """
-    targets, owners = adj.frontier_edges(frontier)
-    ctx.compute(len(targets))
-    received = ctx.alltoall(
-        [np.unique(targets[owners == r]) for r in range(ctx.nranks)]
-    )
-    named = np.unique(np.concatenate(received))
-    return adj.rows_of(named), sum(len(box) for box in received)
-
-
 def bfs(
     ctx: RankContext,
     graph: GeneratedGraph,
@@ -312,21 +271,27 @@ def _bfs_levels(
     """Depth per CSR row (-1 = not reached) of a BFS from ``root``,
     stopped after ``max_level`` levels when given."""
     depth = np.full(len(adj.vertices), -1, dtype=np.int64)
-    frontier = np.empty(0, dtype=np.int64)
-    if adj.home(root) == ctx.rank:
-        frontier = adj.rows_of(np.array([root], dtype=np.int64))
-        frontier = frontier[frontier >= 0]
-        depth[frontier] = 0
+    # the root's row on the rank that holds it, nothing elsewhere
+    frontier = np.flatnonzero(adj.vertices == root)
+    depth[frontier] = 0
     level = 0
     while max_level is None or level < max_level:
         if not ctx.allreduce(len(frontier)):
             break
-        rows, n_received = _expand_frontier(ctx, adj, frontier)
+        # Ship the frontier's neighbors to their owners, each ID once per
+        # destination: a smaller alltoall payload and receiver-side scan.
+        edges = adj.edges_of(frontier)
+        targets, owners = adj.targets[edges], adj.target_owner[edges]
+        ctx.compute(len(targets))
+        received = ctx.alltoall(
+            [np.unique(targets[owners == r]) for r in range(ctx.nranks)]
+        )
+        rows = adj.rows_of(np.unique(np.concatenate(received)))
         level += 1
         frontier = rows[depth[rows] < 0]
         depth[frontier] = level
         if charge_receive:
-            ctx.compute(n_received)
+            ctx.compute(sum(len(box) for box in received))
     return depth
 
 
@@ -346,6 +311,17 @@ def khop_count(
 
 
 # -------------------------------------------------------------- PageRank --
+def _exchange(
+    ctx: RankContext, adj: LocalAdjacency, boxes: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exchange step of every value-passing kernel: one alltoall of
+    ``(app_ids, values)`` columns (16 B an entry, an empty box 8 B),
+    returned as the local CSR rows named and the values sent to them."""
+    received = ctx.alltoall(boxes)
+    rows = adj.rows_of(np.concatenate([box[0] for box in received]))
+    return rows, np.concatenate([box[1] for box in received])
+
+
 def pagerank(
     ctx: RankContext,
     graph: GeneratedGraph,
@@ -361,37 +337,41 @@ def pagerank(
     # graph was generated), so the rank mass sums to exactly 1
     n = max(1, ctx.allreduce(n_local))
     degree = np.diff(adj.indptr)
-    source = np.repeat(np.arange(n_local), degree)
+    source = adj.edge_rows
     dangling_rows = degree == 0
     # Combiner aggregation: sum all shares headed for one destination
     # vertex locally, then ship (ids, sums) as packed numpy vectors —
     # the alltoall payload scales with distinct targets, not edges.
-    routes = []
-    for r in range(ctx.nranks):
-        edges = np.flatnonzero(adj.target_owner == r)
-        ids, slot = np.unique(adj.targets[edges], return_inverse=True)
-        routes.append((edges, ids, slot))
+    ids, slot = np.unique(adj.targets, return_inverse=True)
+    owner = np.empty(len(ids), dtype=np.int64)
+    owner[slot] = adj.target_owner
+    route = _by_rank(owner, ctx.nranks)
     pr = np.full(n_local, 1.0 / n)
     for _ in range(iterations):
         share = (pr / np.maximum(degree, 1))[source]
         ctx.compute(adj.n_local_edges)
-        received = ctx.alltoall(
-            [
-                (ids, np.bincount(slot, weights=share[edges], minlength=len(ids)))
-                for edges, ids, slot in routes
-            ]
-        )
+        sums = np.bincount(slot, weights=share, minlength=len(ids))
+        rows, sums = _exchange(ctx, adj, _boxes(*route, ids, sums))
         dangling_total = ctx.allreduce(float(pr[dangling_rows].sum()))
         incoming = np.zeros(n_local)
-        for ids, sums in received:
-            np.add.at(incoming, adj.rows_of(ids), sums)
+        np.add.at(incoming, rows, sums)
         base = (1.0 - damping) / n + damping * dangling_total / n
         pr = base + damping * incoming
         ctx.compute(n_local)
     return dict(zip(adj.vertices.tolist(), pr.tolist()))
 
 
-# ------------------------------------------------------------------ WCC --
+# ------------------------------------------------------------ WCC, CDLP --
+def _push(
+    ctx: RankContext, adj: LocalAdjacency, route, value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every local vertex sends its ``value`` (one per CSR row) to each
+    neighbor's owner, one message per edge; returns the local rows the
+    messages routed here name and the values sent to them."""
+    ctx.compute(adj.n_local_edges)
+    return _exchange(ctx, adj, _boxes(*route, adj.targets, value[adj.edge_rows]))
+
+
 def wcc(
     ctx: RankContext,
     graph: GeneratedGraph,
@@ -404,27 +384,17 @@ def wcc(
     """
     if adj is None:
         adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY)
-    comp = {u: u for u in adj.neighbors}
+    route = _by_rank(adj.target_owner, ctx.nranks)
+    comp = adj.vertices.copy()
     while True:
-        outboxes: list[list[tuple[int, int]]] = [[] for _ in range(ctx.nranks)]
-        for u, nbrs in adj.neighbors.items():
-            cu = comp[u]
-            for v in nbrs:
-                outboxes[adj.home(v)].append((v, cu))
-        ctx.compute(adj.n_local_edges)
-        received = ctx.alltoall(outboxes)
-        changed = 0
-        for box in received:
-            for v, c in box:
-                if c < comp[v]:
-                    comp[v] = c
-                    changed += 1
-        ctx.compute(sum(len(b) for b in received))
-        if not ctx.allreduce(changed):
-            return comp
+        rows, offered = _push(ctx, adj, route, comp)
+        before = comp.copy()
+        np.minimum.at(comp, rows, offered)
+        ctx.compute(len(rows))
+        if not ctx.allreduce(int(np.count_nonzero(comp != before))):
+            return dict(zip(adj.vertices.tolist(), comp.tolist()))
 
 
-# ----------------------------------------------------------------- CDLP --
 def cdlp(
     ctx: RankContext,
     graph: GeneratedGraph,
@@ -438,33 +408,98 @@ def cdlp(
     """
     if adj is None:
         adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY)
-    label = {u: u for u in adj.neighbors}
+    route = _by_rank(adj.target_owner, ctx.nranks)
+    label = adj.vertices.copy()
     for _ in range(iterations):
-        # Every vertex sends its current label to each neighbor's owner.
-        outboxes: list[list[tuple[int, int]]] = [[] for _ in range(ctx.nranks)]
-        for u, nbrs in adj.neighbors.items():
-            lu = label[u]
-            for v in nbrs:
-                outboxes[adj.home(v)].append((v, lu))
-        ctx.compute(adj.n_local_edges)
-        received = ctx.alltoall(outboxes)
-        votes: dict[int, Counter] = {}
-        for box in received:
-            for v, l in box:
-                votes.setdefault(v, Counter())[l] += 1
-        new_label = {}
-        for u in adj.neighbors:
-            if u in votes:
-                best = max(votes[u].items(), key=lambda kv: (kv[1], -kv[0]))
-                new_label[u] = best[0]
-            else:
-                new_label[u] = label[u]
-        ctx.compute(sum(len(c) for c in votes.values()))
-        label = new_label
-    return label
+        rows, voted = _push(ctx, adj, route, label)
+        # one vote per (vertex, label) run of the sorted messages
+        order = np.lexsort((voted, rows))
+        rows, voted = rows[order], voted[order]
+        runs = np.flatnonzero(_run_starts(rows, voted))
+        count = np.diff(np.append(runs, len(rows)))
+        rows, voted = rows[runs], voted[runs]
+        # highest count first within a vertex, then smallest label
+        best = np.lexsort((voted, -count, rows))
+        best = best[_run_starts(rows[best])]
+        label[rows[best]] = voted[best]
+        ctx.compute(len(runs))
+    return dict(zip(adj.vertices.tolist(), label.tolist()))
 
 
-# ------------------------------------------------------------------ LCC --
+# ------------------------------------------------- LCC, triangle count --
+class _Wedges(NamedTuple):
+    """A shard's deduplicated, loop-free, sorted neighborhoods: row ``i``
+    has ``nbrs[start[i] : start[i] + degree[i]]``, and ``keys`` holds the
+    same edges as sorted scalars ``row * len(ids) + (position of the
+    neighbor in ids)`` (application IDs need not fit 32 bits).  Shipped,
+    it also holds the questions put to the receiver: how many neighbors
+    of row ``asker[k]`` are neighbors of the receiver's ``asked[k]``?
+    A box refers to the sender's whole shard, so a neighborhood is held
+    once however many messages quote it; ``nbytes`` states the size the
+    LogGP model is charged, where every message carries its own copy.
+    """
+
+    vertices: np.ndarray
+    start: np.ndarray
+    degree: np.ndarray
+    nbrs: np.ndarray
+    ids: np.ndarray
+    keys: np.ndarray
+    asked: np.ndarray | None = None
+    asker: np.ndarray | None = None
+    nbytes: int = 8
+
+    def common(self, rows, other: "_Wedges", other_rows, walk) -> np.ndarray:
+        """Per pair ``k`` with ``walk[k]`` set: how many neighbors of my
+        ``rows[k]`` are neighbors of ``other_rows[k]`` in ``other``."""
+        degree = self.degree[rows] * walk
+        pair = np.repeat(np.arange(len(rows)), degree)
+        walked = self.nbrs[ragged_index(self.start[rows], degree)]
+        known, at = _lookup(other.ids, walked)
+        hit = _lookup(other.keys, other_rows[pair] * len(other.ids) + at)[0]
+        return np.bincount(pair[hit & known], minlength=len(rows))
+
+
+def _wedge_round(
+    ctx: RankContext, adj: LocalAdjacency, header: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The wedge-check exchange :func:`lcc` and :func:`triangle_count`
+    share: every local ``u`` asks the owner of each neighbor ``v`` for
+    ``|N(v) ∩ N(u)|``.  A message is charged ``header + 8 * |N(u)|``
+    bytes and its answer ``min(|N(v)|, |N(u)|)`` operations (the owner
+    walks the smaller neighborhood).  Returns the local simple degrees
+    and, per asking rank, ``(asker app_ids, counts)``.
+    """
+    row = adj.edge_rows
+    simple = np.flatnonzero(adj.targets != adj.vertices[row])
+    simple = simple[np.lexsort((adj.targets[simple], row[simple]))]
+    simple = simple[_run_starts(row[simple], adj.targets[simple])]
+    row, nbrs, owner = row[simple], adj.targets[simple], adj.target_owner[simple]
+    degree = np.bincount(row, minlength=len(adj.vertices))
+    ids = np.unique(nbrs)
+    keys = row * len(ids) + np.searchsorted(ids, nbrs)
+    mine = _Wedges(adj.vertices, csr_indptr(degree), degree, nbrs, ids, keys)
+    ctx.compute(len(nbrs))
+    sizes = np.bincount(owner, header + 8 * degree[row], minlength=ctx.nranks)
+    boxes = [
+        mine._replace(asked=asked, asker=asker, nbytes=int(size) or 8)
+        for (asked, asker), size in zip(
+            _boxes(*_by_rank(owner, ctx.nranks), nbrs, row), sizes
+        )
+    ]
+    answers = []
+    work = 0
+    for box in ctx.alltoall(boxes):
+        v = adj.rows_of(box.asked)
+        theirs = box.degree[box.asker] <= degree[v]
+        counts = box.common(box.asker, mine, v, theirs)
+        counts += mine.common(v, box, box.asker, ~theirs)
+        answers.append((box.vertices[box.asker], counts))
+        work += int(np.minimum(degree[v], box.degree[box.asker]).sum())
+    ctx.compute(work)
+    return degree, answers
+
+
 def lcc(
     ctx: RankContext,
     graph: GeneratedGraph,
@@ -479,39 +514,31 @@ def lcc(
     """
     if adj is None:
         adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY, dedup=True)
-    nbr_sets = {
-        u: {v for v in nbrs if v != u} for u, nbrs in adj.neighbors.items()
-    }
-    # round 1: ask each neighbor's owner to intersect neighborhoods
-    outboxes: list[list[tuple[int, int, tuple[int, ...]]]] = [
-        [] for _ in range(ctx.nranks)
-    ]
-    for u, nbrs in nbr_sets.items():
-        frozen = tuple(sorted(nbrs))
-        for v in nbrs:
-            outboxes[adj.home(v)].append((v, u, frozen))
-    ctx.compute(sum(len(b) for b in outboxes))
-    received = ctx.alltoall(outboxes)
-    # round 2: owners of v compute |N(v) ∩ N(u)| and reply to u's owner
-    replies: list[list[tuple[int, int]]] = [[] for _ in range(ctx.nranks)]
-    work = 0
-    for box in received:
-        for v, u, frozen in box:
-            common = len(nbr_sets[v].intersection(frozen))
-            work += min(len(nbr_sets[v]), len(frozen))
-            replies[adj.home(u)].append((u, common))
-    ctx.compute(work)
-    received2 = ctx.alltoall(replies)
-    triangles: dict[int, int] = {u: 0 for u in nbr_sets}
-    for box in received2:
-        for u, common in box:
-            triangles[u] += common
-    out: dict[int, float] = {}
-    for u, nbrs in nbr_sets.items():
-        d = len(nbrs)
-        out[u] = triangles[u] / (d * (d - 1)) if d >= 2 else 0.0
+    degree, answers = _wedge_round(ctx, adj, header=16)  # (v, u, N(u))
+    # reply round: each count goes back to the rank that asked
+    triangles = np.zeros(len(adj.vertices), dtype=np.int64)
+    np.add.at(triangles, *_exchange(ctx, adj, answers))
+    pairs = degree * (degree - 1)
+    out = np.where(pairs > 0, triangles / np.maximum(pairs, 1), 0.0)
     ctx.compute(len(out))
-    return out
+    return dict(zip(adj.vertices.tolist(), out.tolist()))
+
+
+def triangle_count(
+    ctx: RankContext,
+    graph: GeneratedGraph,
+    adj: LocalAdjacency | None = None,
+) -> int:
+    """Global triangle count (undirected, simple-graph semantics).
+
+    Uses the wedge-check exchange of :func:`lcc`:
+    ``sum_v sum_{u in N(v)} |N(v) ∩ N(u)|`` counts each triangle six
+    times.  Returns the global total on every rank.
+    """
+    if adj is None:
+        adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY, dedup=True)
+    _, answers = _wedge_round(ctx, adj, header=8)  # (v, N(u))
+    return ctx.allreduce(sum(int(counts.sum()) for _, counts in answers)) // 6
 
 
 # ----------------------------------------------------------------- SSSP --
@@ -521,42 +548,30 @@ def load_local_weighted_adjacency(
     weight_ptype,
     orientation: EdgeOrientation = EdgeOrientation.ANY,
     default_weight: float = 1.0,
-) -> tuple[LocalAdjacency, dict[int, list[float]]]:
+) -> tuple[LocalAdjacency, np.ndarray]:
     """Adjacency plus per-edge weights read from an edge property.
 
-    Lightweight edges (which carry no properties, Section 5.4.2) get
-    ``default_weight``; heavyweight edges contribute their stored value.
-    Returns ``(adjacency, weights)`` with parallel neighbor/weight lists.
-    The weights live behind edge handles, so this loader walks the
-    scan's handles instead of its slot columns.
+    Returns ``(adjacency, weights)``: one float64 array aligned with
+    ``adjacency.targets``.  Lightweight edges (which carry no properties,
+    Section 5.4.2) get ``default_weight``; heavyweight edges contribute
+    their stored value, which lives behind an edge handle, so the rows
+    that hold a heavy slot — and only those — are walked through handles
+    (the scan has read their edge holders already).
     """
+
+    def weigh(scan, indptr):
+        weights = np.full(indptr[-1], float(default_weight))
+        if weight_ptype is not None:
+            for pos in np.flatnonzero(scan.has_heavy_edges).tolist():
+                for k, e in enumerate(scan[pos].edges(orientation), indptr[pos]):
+                    stored = e.property(weight_ptype) if e.heavy else None
+                    if stored is not None:
+                        weights[k] = float(stored)
+        return weights
+
     tx = _open_read(ctx, graph)
-    s = _scan_local_vertices(ctx, tx)
-    app_of = dict(zip(s.vids.tolist(), s.apps.tolist()))
-    neighbors: dict[int, list[int]] = {}
-    weights: dict[int, list[float]] = {}
-    for v in (s.scan[i] for i in s.local.tolist()):
-        nbrs: list[int] = []
-        wts: list[float] = []
-        for e in v.edges(orientation):
-            other = e.other_endpoint()
-            if other not in app_of:
-                continue
-            w = default_weight
-            if e.heavy and weight_ptype is not None:
-                stored = e.property(weight_ptype)
-                if stored is not None:
-                    w = float(stored)
-            nbrs.append(app_of[other])
-            wts.append(w)
-        neighbors[v.app_id] = nbrs
-        weights[v.app_id] = wts
+    adj, weights = _weighted_csr(ctx, tx, orientation, False, weigh)
     tx.commit()
-    adj = LocalAdjacency(
-        neighbors,
-        nranks=ctx.nranks,
-        owner=dict(zip(s.apps.tolist(), s.ranks.tolist())),
-    )
     return adj, weights
 
 
@@ -567,92 +582,39 @@ def sssp(
     weight_ptype=None,
     orientation: EdgeOrientation = EdgeOrientation.ANY,
     adj: LocalAdjacency | None = None,
-    weights: dict[int, list[float]] | None = None,
+    weights: np.ndarray | None = None,
 ) -> dict[int, float]:
     """Single-source shortest paths (distributed Bellman-Ford).
 
-    Non-negative weights; unweighted edges count as 1.  Returns this
-    rank's local ``{app_id: distance}`` map.  Level-synchronous relaxation
-    rounds run until a global no-change round (allreduce), the standard
+    Non-negative weights; unweighted edges count as 1.  ``weights`` is a
+    float64 array aligned with ``adj.targets`` (both as returned by
+    :func:`load_local_weighted_adjacency`).  Returns this rank's local
+    ``{app_id: distance}`` map.  Level-synchronous relaxation rounds run
+    until a global no-change round (allreduce), the standard
     frontier-driven Bellman-Ford used by Graphalytics reference codes.
     """
     if adj is None or weights is None:
         adj, weights = load_local_weighted_adjacency(
             ctx, graph, weight_ptype, orientation
         )
-    INF = float("inf")
-    dist: dict[int, float] = {u: INF for u in adj.neighbors}
-    active: set[int] = set()
-    if adj.home(root) == ctx.rank and root in dist:
-        dist[root] = 0.0
-        active.add(root)
+    dist = np.full(len(adj.vertices), np.inf)
+    active = np.flatnonzero(adj.vertices == root)
+    dist[active] = 0.0
     while True:
         if not ctx.allreduce(len(active)):
-            return dist
+            return dict(zip(adj.vertices.tolist(), dist.tolist()))
+        edges = adj.edges_of(active)
+        offered = dist[adj.edge_rows[edges]] + weights[edges]
+        ctx.compute(len(edges))
         # Min-combine per destination: only the best tentative distance
         # for each remote vertex crosses the network, packed as numpy
         # (ids, dists) vectors.
-        outacc: list[dict[int, float]] = [{} for _ in range(ctx.nranks)]
-        relaxed = 0
-        for u in active:
-            du = dist[u]
-            for v, w in zip(adj.neighbors[u], weights[u]):
-                acc = outacc[adj.home(v)]
-                cand = du + w
-                if cand < acc.get(v, INF):
-                    acc[v] = cand
-                relaxed += 1
-        ctx.compute(relaxed)
-        packed = [
-            (
-                np.fromiter(acc.keys(), dtype=np.int64, count=len(acc)),
-                np.fromiter(acc.values(), dtype=np.float64, count=len(acc)),
-            )
-            for acc in outacc
-        ]
-        received = ctx.alltoall(packed)
-        active = set()
-        for ids, cands in received:
-            for v, cand in zip(ids, cands):
-                v = int(v)
-                if cand < dist[v]:
-                    dist[v] = float(cand)
-                    active.add(v)
-        ctx.compute(sum(len(ids) for ids, _ in received))
-
-
-# ------------------------------------------------------------ triangles --
-def triangle_count(
-    ctx: RankContext,
-    graph: GeneratedGraph,
-    adj: LocalAdjacency | None = None,
-) -> int:
-    """Global triangle count (undirected, simple-graph semantics).
-
-    Uses the same two-round wedge-check exchange as :func:`lcc`:
-    ``sum_v sum_{u in N(v)} |N(v) ∩ N(u)|`` counts each triangle six
-    times.  Returns the global total on every rank.
-    """
-    if adj is None:
-        adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY, dedup=True)
-    nbr_sets = {
-        u: {v for v in nbrs if v != u} for u, nbrs in adj.neighbors.items()
-    }
-    outboxes: list[list[tuple[int, tuple[int, ...]]]] = [
-        [] for _ in range(ctx.nranks)
-    ]
-    for u, nbrs in nbr_sets.items():
-        frozen = tuple(sorted(nbrs))
-        for v in nbrs:
-            outboxes[adj.home(v)].append((v, frozen))
-    ctx.compute(sum(len(b) for b in outboxes))
-    received = ctx.alltoall(outboxes)
-    local_sum = 0
-    work = 0
-    for box in received:
-        for v, frozen in box:
-            local_sum += len(nbr_sets[v].intersection(frozen))
-            work += min(len(nbr_sets[v]), len(frozen))
-    ctx.compute(work)
-    total = ctx.allreduce(local_sum)
-    return total // 6
+        targets, owners = adj.targets[edges], adj.target_owner[edges]
+        best = np.lexsort((offered, targets, owners))
+        best = best[_run_starts(owners[best], targets[best])]
+        cuts = np.searchsorted(owners[best], np.arange(1, ctx.nranks))
+        rows, offered = _exchange(ctx, adj, _boxes(best, cuts, targets, offered))
+        before = dist.copy()
+        np.minimum.at(dist, rows, offered)
+        active = np.flatnonzero(dist < before)
+        ctx.compute(len(rows))

@@ -17,7 +17,7 @@ transaction model for free — a nice consequence the paper alludes to.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +44,35 @@ def random_gcn_weights(
     ]
 
 
+def _aggregate(
+    ctx: RankContext, tx, ptype, orientation: EdgeOrientation, normalize: bool
+) -> Iterator[tuple[object, np.ndarray]]:
+    """Listing 2's read half: ``(handle, own + summed neighbor features)``
+    of every local vertex that has the feature, read through ``tx``."""
+    handles = tx.associate_vertices(tx.db.directory.local_vertices(ctx))
+    work: list[tuple[object, object, list[int]]] = []
+    frontier: list[int] = []
+    for v in handles:
+        feature = v.property(ptype)
+        if feature is None:
+            continue
+        nbr_vids = v.neighbors(orientation)
+        work.append((v, feature, nbr_vids))
+        frontier.extend(nbr_vids)
+    # One batched read pipelines the whole layer's neighborhood —
+    # subsequent associate_vertex calls are transaction-cache hits.
+    tx.associate_vertices(frontier)
+    for v, feature, nbr_vids in work:
+        agg = np.array(feature, dtype=np.float64)
+        for nvid in nbr_vids:
+            nf = tx.associate_vertex(nvid).property(ptype)
+            if nf is not None:
+                agg += nf
+        if normalize and nbr_vids:
+            agg /= len(nbr_vids) + 1
+        yield v, agg
+
+
 def gcn_forward(
     ctx: RankContext,
     graph: GeneratedGraph,
@@ -65,27 +94,7 @@ def gcn_forward(
     for W in weights:
         tx = db.start_collective_transaction(ctx, write=True)
         updates: list[tuple[object, np.ndarray]] = []
-        handles = tx.associate_vertices(db.directory.local_vertices(ctx))
-        work: list[tuple[object, object, list[int]]] = []
-        frontier: list[int] = []
-        for v in handles:
-            feature = v.property(ptype)
-            if feature is None:
-                continue
-            nbr_vids = v.neighbors(orientation)
-            work.append((v, feature, nbr_vids))
-            frontier.extend(nbr_vids)
-        # One batched read pipelines the whole layer's neighborhood —
-        # subsequent associate_vertex calls are transaction-cache hits.
-        tx.associate_vertices(frontier)
-        for v, feature, nbr_vids in work:
-            agg = np.array(feature, dtype=np.float64)
-            for nvid in nbr_vids:
-                nf = tx.associate_vertex(nvid).property(ptype)
-                if nf is not None:
-                    agg += nf
-            if normalize and nbr_vids:
-                agg /= len(nbr_vids) + 1
+        for v, agg in _aggregate(ctx, tx, ptype, orientation, normalize):
             new_feature = sigma(W @ agg)
             ctx.compute(W.size + agg.size)
             updates.append((v, new_feature))
@@ -137,27 +146,10 @@ def gcn_train(
     for _ in range(epochs):
         # ---- forward (Listing 2 structure, activations cached) --------
         tx = db.start_collective_transaction(ctx)
-        agg0: dict[int, np.ndarray] = {}
-        handles = tx.associate_vertices(db.directory.local_vertices(ctx))
-        work: list[tuple[object, object, list[int]]] = []
-        frontier: list[int] = []
-        for v in handles:
-            feature = v.property(ptype)
-            if feature is None:
-                continue
-            nbr_vids = v.neighbors(orientation)
-            work.append((v, feature, nbr_vids))
-            frontier.extend(nbr_vids)
-        tx.associate_vertices(frontier)  # batched neighborhood prefetch
-        for v, feature, nbr_vids in work:
-            acc = np.array(feature, dtype=np.float64)
-            for nvid in nbr_vids:
-                nf = tx.associate_vertex(nvid).property(ptype)
-                if nf is not None:
-                    acc += nf
-            if nbr_vids:
-                acc /= len(nbr_vids) + 1
-            agg0[v.app_id] = acc
+        agg0 = {
+            v.app_id: agg
+            for v, agg in _aggregate(ctx, tx, ptype, orientation, True)
+        }
         tx.commit()
 
         # local layer stack (aggregation happens once, at the input —

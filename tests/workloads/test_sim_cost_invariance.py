@@ -3,11 +3,14 @@
 Fig. 6's scaling shapes rest on the LogGP accounting (``ctx.clock`` and
 the ``RankCounters``), not on how fast our Python runs.  A wall-clock
 optimisation of the bulk-scan path must therefore leave every charge
-where it was: this test replays ``load_local_adjacency``, ``pagerank``,
-``bfs`` and ``bi2_style_query`` on a fixed scale-8 graph and compares the
-clock delta, the counter diff and the per-shard access diff with values
-recorded before the columnar read path existed (``EXPECTED`` below; run
-this file as a script to print a fresh literal).
+where it was: this test replays the loaders and the Fig. 6 kernels on a
+fixed scale-8 graph and compares the clock delta, the counter diff and
+the per-shard access diff with recorded values (``EXPECTED`` below; run
+this file as a script to print a fresh literal).  ``load_local_adjacency``,
+``pagerank``, ``bfs`` and ``bi2_style_query`` were recorded before the
+columnar read path existed; ``wcc``, ``cdlp``, ``lcc``, ``triangle_count``,
+``sssp`` and ``load_local_weighted_adjacency`` while those kernels still
+ran per-edge Python loops over a dict adjacency (commit ed6935c).
 """
 
 import pytest
@@ -16,7 +19,18 @@ from repro.gda import GdaConfig, GdaDatabase
 from repro.gdi import EdgeOrientation
 from repro.generator import KroneckerParams, build_lpg, default_schema
 from repro.rma import XC40, run_spmd
-from repro.workloads import bfs, bi2_style_query, load_local_adjacency, pagerank
+from repro.workloads import (
+    bfs,
+    bi2_style_query,
+    cdlp,
+    lcc,
+    load_local_adjacency,
+    load_local_weighted_adjacency,
+    pagerank,
+    sssp,
+    triangle_count,
+    wcc,
+)
 
 NRANKS = 2  # one remote peer per rank: every float sum has a fixed order
 PARAMS = KroneckerParams(scale=8, edge_factor=16, seed=5)
@@ -39,6 +53,14 @@ KERNELS = {
     "pagerank": lambda ctx, g: pagerank(ctx, g, iterations=3),
     "bfs": lambda ctx, g: bfs(ctx, g, 1),
     "bi2_style_query": lambda ctx, g: bi2_style_query(ctx, g, min_score=40.0),
+    "wcc": wcc,
+    "cdlp": lambda ctx, g: cdlp(ctx, g, iterations=5),
+    "lcc": lcc,
+    "triangle_count": triangle_count,
+    "sssp": lambda ctx, g: sssp(ctx, g, 1),
+    "load_local_weighted_adjacency": lambda ctx, g: load_local_weighted_adjacency(
+        ctx, g, None
+    ),
 }
 
 
@@ -114,6 +136,38 @@ EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-
                                            'msgs_saved': 1015,
                                            'snapshot_reads': 0}],
                              'shards': {'bytes': [143400, 98671], 'ops': [1334, 985]}},
+         'cdlp': {'clock': [0.0007902475000000002, 0.000707296],
+                  'counters': [{'batched_ops': 998,
+                                'batches': 4,
+                                'bytes_got': 105720,
+                                'collectives': 10,
+                                'gets': 998,
+                                'msgs_saved': 994,
+                                'snapshot_reads': 0},
+                               {'batched_ops': 687,
+                                'batches': 4,
+                                'bytes_got': 67584,
+                                'collectives': 10,
+                                'gets': 687,
+                                'msgs_saved': 683,
+                                'snapshot_reads': 0}],
+                  'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+         'lcc': {'clock': [0.0034605603999999994, 0.0033982371999999998],
+                 'counters': [{'batched_ops': 998,
+                               'batches': 4,
+                               'bytes_got': 105720,
+                               'collectives': 7,
+                               'gets': 998,
+                               'msgs_saved': 994,
+                               'snapshot_reads': 0},
+                              {'batched_ops': 687,
+                               'batches': 4,
+                               'bytes_got': 67584,
+                               'collectives': 7,
+                               'gets': 687,
+                               'msgs_saved': 683,
+                               'snapshot_reads': 0}],
+                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
          'load_local_adjacency': {'clock': [2.4243999999999438e-05, 2.4243999999999438e-05],
                                   'counters': [{'batched_ops': 998,
                                                 'batches': 4,
@@ -130,6 +184,22 @@ EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-
                                                 'msgs_saved': 683,
                                                 'snapshot_reads': 0}],
                                   'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+         'load_local_weighted_adjacency': {'clock': [2.424400000000139e-05, 2.424400000000139e-05],
+                                           'counters': [{'batched_ops': 998,
+                                                         'batches': 4,
+                                                         'bytes_got': 105720,
+                                                         'collectives': 5,
+                                                         'gets': 998,
+                                                         'msgs_saved': 994,
+                                                         'snapshot_reads': 0},
+                                                        {'batched_ops': 687,
+                                                         'batches': 4,
+                                                         'bytes_got': 67584,
+                                                         'collectives': 5,
+                                                         'gets': 687,
+                                                         'msgs_saved': 683,
+                                                         'snapshot_reads': 0}],
+                                           'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
          'pagerank': {'clock': [5.806649999999937e-05, 5.806649999999937e-05],
                       'counters': [{'batched_ops': 998,
                                     'batches': 4,
@@ -145,7 +215,55 @@ EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-
                                     'gets': 687,
                                     'msgs_saved': 683,
                                     'snapshot_reads': 0}],
-                      'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}},
+                      'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+         'sssp': {'clock': [5.418420000000146e-05, 5.418420000000146e-05],
+                  'counters': [{'batched_ops': 998,
+                                'batches': 4,
+                                'bytes_got': 105720,
+                                'collectives': 14,
+                                'gets': 998,
+                                'msgs_saved': 994,
+                                'snapshot_reads': 0},
+                               {'batched_ops': 687,
+                                'batches': 4,
+                                'bytes_got': 67584,
+                                'collectives': 14,
+                                'gets': 687,
+                                'msgs_saved': 683,
+                                'snapshot_reads': 0}],
+                  'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+         'triangle_count': {'clock': [0.0032834052000000023, 0.0032834052000000023],
+                            'counters': [{'batched_ops': 998,
+                                          'batches': 4,
+                                          'bytes_got': 105720,
+                                          'collectives': 7,
+                                          'gets': 998,
+                                          'msgs_saved': 994,
+                                          'snapshot_reads': 0},
+                                         {'batched_ops': 687,
+                                          'batches': 4,
+                                          'bytes_got': 67584,
+                                          'collectives': 7,
+                                          'gets': 687,
+                                          'msgs_saved': 683,
+                                          'snapshot_reads': 0}],
+                            'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+         'wcc': {'clock': [0.0004925752000000008, 0.0004925752000000008],
+                 'counters': [{'batched_ops': 998,
+                               'batches': 4,
+                               'bytes_got': 105720,
+                               'collectives': 11,
+                               'gets': 998,
+                               'msgs_saved': 994,
+                               'snapshot_reads': 0},
+                              {'batched_ops': 687,
+                               'batches': 4,
+                               'bytes_got': 67584,
+                               'collectives': 11,
+                               'gets': 687,
+                               'msgs_saved': 683,
+                               'snapshot_reads': 0}],
+                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}},
  True: {'bfs': {'clock': [4.8269000000001824e-05, 4.8269000000001824e-05],
                 'counters': [{'batched_ops': 998,
                               'batches': 4,
@@ -178,6 +296,38 @@ EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-
                                           'msgs_saved': 1015,
                                           'snapshot_reads': 152}],
                             'shards': {'bytes': [143400, 98671], 'ops': [1334, 985]}},
+        'cdlp': {'clock': [0.0007918779000000002, 0.0007089264000000005],
+                 'counters': [{'batched_ops': 998,
+                               'batches': 4,
+                               'bytes_got': 105720,
+                               'collectives': 11,
+                               'gets': 998,
+                               'msgs_saved': 994,
+                               'snapshot_reads': 128},
+                              {'batched_ops': 687,
+                               'batches': 4,
+                               'bytes_got': 67584,
+                               'collectives': 11,
+                               'gets': 687,
+                               'msgs_saved': 683,
+                               'snapshot_reads': 128}],
+                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+        'lcc': {'clock': [0.0034621908, 0.0033998676],
+                'counters': [{'batched_ops': 998,
+                              'batches': 4,
+                              'bytes_got': 105720,
+                              'collectives': 8,
+                              'gets': 998,
+                              'msgs_saved': 994,
+                              'snapshot_reads': 128},
+                             {'batched_ops': 687,
+                              'batches': 4,
+                              'bytes_got': 67584,
+                              'collectives': 8,
+                              'gets': 687,
+                              'msgs_saved': 683,
+                              'snapshot_reads': 128}],
+                'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
         'load_local_adjacency': {'clock': [2.5874399999999435e-05, 2.5874399999999435e-05],
                                  'counters': [{'batched_ops': 998,
                                                'batches': 4,
@@ -194,6 +344,22 @@ EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-
                                                'msgs_saved': 683,
                                                'snapshot_reads': 128}],
                                  'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+        'load_local_weighted_adjacency': {'clock': [2.5874400000002254e-05, 2.5874400000002254e-05],
+                                          'counters': [{'batched_ops': 998,
+                                                        'batches': 4,
+                                                        'bytes_got': 105720,
+                                                        'collectives': 6,
+                                                        'gets': 998,
+                                                        'msgs_saved': 994,
+                                                        'snapshot_reads': 128},
+                                                       {'batched_ops': 687,
+                                                        'batches': 4,
+                                                        'bytes_got': 67584,
+                                                        'collectives': 6,
+                                                        'gets': 687,
+                                                        'msgs_saved': 683,
+                                                        'snapshot_reads': 128}],
+                                          'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
         'pagerank': {'clock': [5.9696899999999364e-05, 5.9696899999999364e-05],
                      'counters': [{'batched_ops': 998,
                                    'batches': 4,
@@ -209,7 +375,55 @@ EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-
                                    'gets': 687,
                                    'msgs_saved': 683,
                                    'snapshot_reads': 128}],
-                     'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}}}
+                     'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+        'sssp': {'clock': [5.5814600000002323e-05, 5.5814600000002323e-05],
+                 'counters': [{'batched_ops': 998,
+                               'batches': 4,
+                               'bytes_got': 105720,
+                               'collectives': 15,
+                               'gets': 998,
+                               'msgs_saved': 994,
+                               'snapshot_reads': 128},
+                              {'batched_ops': 687,
+                               'batches': 4,
+                               'bytes_got': 67584,
+                               'collectives': 15,
+                               'gets': 687,
+                               'msgs_saved': 683,
+                               'snapshot_reads': 128}],
+                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+        'triangle_count': {'clock': [0.003285035600000003, 0.003285035600000003],
+                           'counters': [{'batched_ops': 998,
+                                         'batches': 4,
+                                         'bytes_got': 105720,
+                                         'collectives': 8,
+                                         'gets': 998,
+                                         'msgs_saved': 994,
+                                         'snapshot_reads': 128},
+                                        {'batched_ops': 687,
+                                         'batches': 4,
+                                         'bytes_got': 67584,
+                                         'collectives': 8,
+                                         'gets': 687,
+                                         'msgs_saved': 683,
+                                         'snapshot_reads': 128}],
+                           'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+        'wcc': {'clock': [0.0004942056000000008, 0.0004942056000000008],
+                'counters': [{'batched_ops': 998,
+                              'batches': 4,
+                              'bytes_got': 105720,
+                              'collectives': 12,
+                              'gets': 998,
+                              'msgs_saved': 994,
+                              'snapshot_reads': 128},
+                             {'batched_ops': 687,
+                              'batches': 4,
+                              'bytes_got': 67584,
+                              'collectives': 12,
+                              'gets': 687,
+                              'msgs_saved': 683,
+                              'snapshot_reads': 128}],
+                'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}}}
 # fmt: on
 
 
