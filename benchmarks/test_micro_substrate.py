@@ -396,6 +396,79 @@ def test_olap_kernels_make_no_per_edge_python_calls():
         assert dense[kernel] <= 1.25 * calls, (kernel, calls, dense[kernel])
 
 
+def _rank_calls(nranks):
+    """Python calls per rank (the most any rank makes) of the routed
+    kernels on one pre-loaded graph, without the calls inside the
+    rendezvous (``CollectiveEngine._exchange``): how often its wait loop
+    spins follows thread timing, everything else is exact."""
+    import sys
+
+    from repro.baselines import build_csr_shard, graph500_bfs
+    from repro.gdi import EdgeOrientation
+    from repro.generator import KroneckerParams, build_lpg, default_schema
+    from repro.rma import run_spmd
+    from repro.rma.collectives import CollectiveEngine
+    from repro.workloads import (
+        bfs,
+        khop_count,
+        load_local_adjacency,
+        load_local_weighted_adjacency,
+        pagerank,
+        sssp,
+        wcc,
+    )
+
+    params = KroneckerParams(scale=11, edge_factor=8, seed=3)
+    rendezvous = CollectiveEngine._exchange.__code__
+
+    def calls_of(run):
+        calls = inside = 0
+
+        def count(frame, event, arg):
+            nonlocal calls, inside
+            if frame.f_code is rendezvous:
+                inside += (event == "call") - (event == "return")
+            elif event == "call" and not inside:
+                calls += 1
+
+        run()  # warm-up: first-use caches
+        sys.setprofile(count)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def prog(c):
+        db = GdaDatabase.create(c, GdaConfig(blocks_per_rank=8192))
+        g = build_lpg(c, db, params, default_schema())
+        adj = load_local_adjacency(c, g, EdgeOrientation.ANY)
+        weighted = load_local_weighted_adjacency(c, g, None)
+        shard = build_csr_shard(c, params)
+        kernels = {
+            "bfs": lambda: bfs(c, g, 0, adj=adj),
+            "khop_count": lambda: khop_count(c, g, 0, 3, adj=adj),
+            "pagerank": lambda: pagerank(c, g, 5, adj=adj),
+            "wcc": lambda: wcc(c, g, adj=adj),
+            "sssp": lambda: sssp(c, g, 0, adj=weighted[0], weights=weighted[1]),
+            "graph500_bfs": lambda: graph500_bfs(c, shard, 0),
+        }
+        return {name: calls_of(run) for name, run in kernels.items()}
+
+    per_rank = run_spmd(nranks, prog)[1]
+    return {name: max(r[name] for r in per_rank) for name in per_rank[0]}
+
+
+def test_routed_kernels_make_no_per_rank_python_calls():
+    """The exchanges stay in array form over ranks too: the same graph on
+    four times the ranks must not mean more Python calls per rank (a loop
+    over peers with a call in it would quadruple them; a BFS or a
+    propagation takes no more levels).  A ratio of exact counts."""
+    few, many = _rank_calls(4), _rank_calls(16)
+    for kernel, calls in few.items():
+        assert many[kernel] <= 1.25 * calls, (kernel, calls, many[kernel])
+
+
 def test_batched_vs_scalar_remote_reads(benchmark, report):
     """Doorbell coalescing: one ``get_batch`` vs a scalar ``get`` loop.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..gda.holder import csr_indptr, ragged_index
 from ..generator.kronecker import KroneckerParams, generate_edges
 from ..rma.runtime import RankContext
 
@@ -28,23 +29,17 @@ __all__ = ["CsrShard", "build_csr_shard", "graph500_bfs"]
 
 @dataclass
 class CsrShard:
-    """This rank's CSR shard: vertices ``app % nranks == rank``.
-
-    ``index[u]`` gives the row of local vertex ``u`` in ``offsets``.
-    """
+    """This rank's CSR shard: vertices ``app % nranks == rank``, local
+    vertex ``u`` at row ``u // nranks`` of ``offsets``."""
 
     nranks: int
     local_vertices: np.ndarray  # app ids, sorted
     offsets: np.ndarray  # len = n_local + 1
     targets: np.ndarray  # concatenated neighbor app ids
-    index: dict[int, int]
 
     def neighbors(self, app_id: int) -> np.ndarray:
-        row = self.index[app_id]
+        row = app_id // self.nranks
         return self.targets[self.offsets[row] : self.offsets[row + 1]]
-
-    def home(self, app_id: int) -> int:
-        return app_id % self.nranks
 
 
 def build_csr_shard(
@@ -54,38 +49,26 @@ def build_csr_shard(
 ) -> CsrShard:
     """Exchange generated edges and compress this rank's shard to CSR.
 
-    Charges the alltoall and the (vectorized) local sort to the simulated
+    Charges the exchange and the (vectorized) local sort to the simulated
     clock; this mirrors Graph500's timed graph-construction phase, which
     the paper's BFS comparison excludes — benchmarks therefore time
     :func:`graph500_bfs` separately.
     """
-    edges = generate_edges(params, ctx.rank, ctx.nranks)
-    outboxes: list[list[tuple[int, int]]] = [[] for _ in range(ctx.nranks)]
-    for s, d in edges.tolist():
-        outboxes[s % ctx.nranks].append((s, d))
-        if undirected and s != d:
-            outboxes[d % ctx.nranks].append((d, s))
-    received = ctx.alltoall(outboxes)
-    pairs = [p for box in received for p in box]
+    src, dst = generate_edges(params, ctx.rank, ctx.nranks).T
+    if undirected:
+        # every edge from both ends, the reverse right after the forward
+        keep = np.stack([np.ones(len(src), dtype=bool), src != dst], 1).ravel()
+        src, dst = np.stack([src, dst], 1).ravel(), np.stack([dst, src], 1).ravel()
+        src, dst = src[keep], dst[keep]
+    src, dst = ctx.alltoallv(src % ctx.nranks, src, dst)
     local_vertices = np.arange(ctx.rank, params.n_vertices, ctx.nranks)
-    index = {int(u): i for i, u in enumerate(local_vertices)}
-    counts = np.zeros(len(local_vertices) + 1, dtype=np.int64)
-    for s, _ in pairs:
-        counts[index[s] + 1] += 1
-    offsets = np.cumsum(counts)
-    targets = np.zeros(len(pairs), dtype=np.int64)
-    cursor = offsets[:-1].copy()
-    for s, d in pairs:
-        row = index[s]
-        targets[cursor[row]] = d
-        cursor[row] += 1
-    ctx.compute(len(pairs) * 2)
+    rows = src // ctx.nranks
+    ctx.compute(len(src) * 2)
     return CsrShard(
         nranks=ctx.nranks,
         local_vertices=local_vertices,
-        offsets=offsets,
-        targets=targets,
-        index=index,
+        offsets=csr_indptr(np.bincount(rows, minlength=len(local_vertices))),
+        targets=dst[np.argsort(rows, kind="stable")],
     )
 
 
@@ -95,32 +78,23 @@ def graph500_bfs(
     """Level-synchronous BFS on the raw CSR shard; returns local depths.
 
     One local scalar op per scanned edge (the tuned-kernel cost), one
-    alltoall per level — the minimal communication structure a
+    exchange per level — the minimal communication structure a
     distributed BFS can have.
     """
-    depth: dict[int, int] = {}
-    frontier: list[int] = []
-    if shard.home(root) == ctx.rank and root in shard.index:
-        depth[root] = 0
-        frontier = [root]
+    depth = np.full(len(shard.local_vertices), -1, dtype=np.int64)
+    # the root's row on the rank that holds it, nothing elsewhere
+    frontier = np.flatnonzero(shard.local_vertices == root)
+    depth[frontier] = 0
     level = 0
-    while True:
-        if not ctx.allreduce(len(frontier)):
-            break
-        outboxes: list[list[int]] = [[] for _ in range(ctx.nranks)]
-        scanned = 0
-        for u in frontier:
-            for nbr in shard.neighbors(u).tolist():
-                outboxes[nbr % shard.nranks].append(nbr)
-                scanned += 1
-        ctx.compute(scanned)
-        received = ctx.alltoall(outboxes)
+    while ctx.allreduce(len(frontier)):
+        starts = shard.offsets[frontier]
+        nbrs = shard.targets[ragged_index(starts, shard.offsets[frontier + 1] - starts)]
+        ctx.compute(len(nbrs))
+        (received,) = ctx.alltoallv(nbrs % shard.nranks, nbrs)
         level += 1
-        frontier = []
-        for box in received:
-            for v in box:
-                if v not in depth:
-                    depth[v] = level
-                    frontier.append(v)
-        ctx.compute(sum(len(b) for b in received))
-    return depth
+        rows = np.unique(received // shard.nranks)
+        frontier = rows[depth[rows] < 0]
+        depth[frontier] = level
+        ctx.compute(len(received))
+    seen = np.flatnonzero(depth >= 0)
+    return dict(zip(shard.local_vertices[seen].tolist(), depth[seen].tolist()))

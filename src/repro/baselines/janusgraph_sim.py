@@ -31,6 +31,8 @@ import random
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..generator.kronecker import KroneckerParams, generate_edges
 from ..generator.schema import LpgSchema
 from ..rma.runtime import RankContext
@@ -111,13 +113,10 @@ class JanusGraphSim:
             self._vertices[me][app_id] = props
             self._adj[me][app_id] = []
         ctx.barrier()
-        edges = generate_edges(params, ctx.rank, ctx.nranks)
-        outboxes: list[list[tuple[int, int]]] = [[] for _ in range(ctx.nranks)]
-        for s, d in edges.tolist():
-            outboxes[self.home(s)].append((s, d))
-        for box in ctx.alltoall(outboxes):
-            for s, d in box:
-                self._adj[me][s].append(d)
+        src, dst = generate_edges(params, ctx.rank, ctx.nranks).T
+        src, dst = ctx.alltoallv(self.home(src), src, dst)
+        for s, d in zip(src.tolist(), dst.tolist()):
+            self._adj[me][s].append(d)
         ctx.barrier()
 
     def get_vertex(self, ctx: RankContext, app_id: int, rng) -> dict | None:
@@ -235,19 +234,13 @@ def janus_bfs(
         depth[root] = 0
         frontier = [root]
     level = 0
-    while True:
-        if not ctx.allreduce(len(frontier)):
-            break
-        outboxes: list[list[int]] = [[] for _ in range(ctx.nranks)]
-        for u in frontier:
-            for nbr in sim.get_edges(ctx, u, rng):  # one RPC per vertex
-                outboxes[sim.home(nbr)].append(nbr)
-        received = ctx.alltoall(outboxes)
+    while ctx.allreduce(len(frontier)):
+        # one RPC per frontier vertex
+        nbrs = [nbr for u in frontier for nbr in sim.get_edges(ctx, u, rng)]
+        nbrs = np.array(nbrs, dtype=np.int64)
+        (received,) = ctx.alltoallv(sim.home(nbrs), nbrs)
         level += 1
-        frontier = []
-        for box in received:
-            for v in box:
-                if v not in depth:
-                    depth[v] = level
-                    frontier.append(v)
+        # first arrival order: the next level's RPCs draw their jitter in it
+        frontier = [v for v in dict.fromkeys(received.tolist()) if v not in depth]
+        depth.update(dict.fromkeys(frontier, level))
     return depth

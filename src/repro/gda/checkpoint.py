@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from ..gdi.errors import GdiStateError
 from ..rma.runtime import RankContext
-from .database_impl import GdaDatabase
-from .holder import DIR_IN, DIR_OUT, DIR_UNDIR
+from .database_impl import GdaDatabase, _route_half_edges
+from .holder import DIR_IN, DIR_UNDIR
 from .metadata import PropertyType
 
 __all__ = ["snapshot", "restore"]
@@ -200,29 +202,21 @@ def restore(ctx: RankContext, db: GdaDatabase, snap: dict[str, Any]) -> dict[int
             vid_map.update(part)
 
     # -- lightweight edges: bulk half-edge exchange -------------------------
-    outboxes: list[list[tuple]] = [[] for _ in range(ctx.nranks)]
-    for i, (src, dst, directed, label_name) in enumerate(snap["light_edges"]):
-        if i % ctx.nranks != ctx.rank:
-            continue  # shard the replay work
-        lid = label_by_name[label_name].int_id if label_name else 0
-        if directed:
-            outboxes[db.home_rank(src)].append((src, dst, DIR_OUT, lid))
-            outboxes[db.home_rank(dst)].append((src, dst, DIR_IN, lid))
-        else:
-            outboxes[db.home_rank(src)].append((src, dst, DIR_UNDIR, lid))
-            if src != dst:
-                outboxes[db.home_rank(dst)].append((dst, src, DIR_UNDIR, lid))
-    received = ctx.alltoall(outboxes)
+    mine = snap["light_edges"][ctx.rank :: ctx.nranks]  # shard the replay work
+    edges = np.array(
+        [
+            (src, dst, directed, label_by_name[name].int_id if name else 0)
+            for src, dst, directed, name in mine
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    rows = np.stack(_route_half_edges(ctx, db, *edges.T), 1)
     tx = db.start_collective_transaction(ctx, write=True)
-    for box in received:
-        if box is None:
-            continue  # part from a crashed rank
-        for a, b, direction, lid in box:
-            base, other = (b, a) if direction == DIR_IN else (a, b)
-            tx.bulk_append_half_edge(
-                vid_map[base], vid_map[other], direction, lid,
-                other_app_id=other,
-            )
+    for a, b, direction, lid in rows.tolist():
+        base, other = (b, a) if direction == DIR_IN else (a, b)
+        tx.bulk_append_half_edge(
+            vid_map[base], vid_map[other], direction, lid, other_app_id=other
+        )
     tx.commit()
 
     # -- heavyweight edges: ordinary transactions on rank 0 -------------------

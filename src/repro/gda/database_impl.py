@@ -25,6 +25,8 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..gdi.constants import EntityType, Multiplicity, SizeType
 from ..gdi.constraint import Constraint
 from ..gdi.errors import GdiInvalidArgument, GdiNotFound
@@ -32,7 +34,7 @@ from ..gdi.types import Datatype
 from ..rma.runtime import RankContext
 from .blocks import BlockManager
 from .dht import DistributedHashTable
-from .holder import HolderStorage
+from .holder import DIR_IN, DIR_OUT, DIR_UNDIR, HolderStorage
 from .index_impl import ExplicitEdgeIndex, ExplicitIndex, VertexDirectory
 from .metadata import Label, MetadataReplica, MetadataStore, PropertyType
 from .recovery import CommitLog
@@ -504,3 +506,29 @@ class GdaDatabase:
             if self.replication is not None:
                 ctx.rt.free_window(self.replication.mirror_win)
         ctx.barrier()
+
+
+def _route_half_edges(ctx: RankContext, db: GdaDatabase, src, dst, directed, label):
+    """The bulk half-edge exchange (Section 4): every edge ``src -> dst``
+    becomes the slot its source keeps and, right after it, the one its
+    destination keeps (an undirected self-loop has one), each routed to
+    its vertex's home rank.  ``directed`` is one flag or one per edge.
+    Returns the received half-edges as int64 columns ``(a, b, direction,
+    label)``; a ``DIR_IN`` half belongs to ``b``, any other to ``a``.
+    """
+    directed = np.broadcast_to(np.asarray(directed, dtype=bool), src.shape)
+    keep = np.stack([np.ones_like(directed), directed | (src != dst)], 1).ravel()
+
+    def halves(first, second):
+        return np.stack([first, second], 1).ravel()[keep]
+
+    return ctx.alltoallv(
+        db.home_rank(halves(src, dst)),
+        halves(src, np.where(directed, src, dst)),
+        halves(dst, np.where(directed, dst, src)),
+        halves(
+            np.where(directed, DIR_OUT, DIR_UNDIR),
+            np.where(directed, DIR_IN, DIR_UNDIR),
+        ),
+        halves(label, label),
+    )

@@ -502,9 +502,9 @@ class Transaction:
         if not self.snapshot:
             return vids
         extra = self.db.mvcc.deleted_vids(shard, self._view.watermark)
-        if extra:
-            seen = set(vids)
-            vids.extend(v for v in extra if v not in seen)
+        seen = set(vids)
+        # a recycled vid is listed once per deleted incarnation
+        vids.extend(v for v in dict.fromkeys(extra) if v not in seen)
         return vids
 
     def _ensure_parts(self, txv: _TxVertex, need: int) -> None:

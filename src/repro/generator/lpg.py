@@ -9,8 +9,8 @@ using the bulk data-loading collectives of Section 4 (BULK):
 2. the application-ID → internal-ID map is allgathered (the bulk loader's
    one-shot replacement for per-edge DHT lookups);
 3. every rank generates its Kronecker edge shard and routes *half-edges*
-   with a single alltoall so that each rank appends only to vertices it
-   owns — making the lock-free collective write transaction safe.
+   with a single ``alltoallv`` so that each rank appends only to vertices
+   it owns — making the lock-free collective write transaction safe.
 
 The result is deterministic in ``(params, schema, nranks)``.
 """
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gda.database_impl import GdaDatabase
+import numpy as np
+
+from ..gda.database_impl import GdaDatabase, _route_half_edges
 from ..gda.holder import DIR_IN, DIR_OUT, DIR_UNDIR
 from ..gda.metadata import Label, PropertyType
 from ..gdi.constants import EntityType
@@ -97,7 +99,7 @@ def build_lpg(
         ctx,
         db,
         n_vertices=params.n_vertices,
-        edges_local=edges.tolist(),
+        edges_local=edges,
         schema=schema,
         directed=directed,
         dedup=dedup,
@@ -113,7 +115,7 @@ def build_lpg_from_edges(
     db: GdaDatabase,
     *,
     n_vertices: int,
-    edges_local: list,
+    edges_local: "np.ndarray | list",
     schema: LpgSchema | None = None,
     directed: bool = True,
     dedup: bool = True,
@@ -153,55 +155,40 @@ def build_lpg_from_edges(
 
     # -- phase 3: edges (half-edge exchange, collective write txn) -----------
     elabel_names = schema.edge_label_names
-    outboxes: list[list[tuple[int, int, int, int]]] = [
-        [] for _ in range(ctx.nranks)
-    ]
-    heavy_out: list[list[tuple[int, int]]] = [[] for _ in range(ctx.nranks)]
-    for src, dst in edges_local:
-        if drop_self_loops and src == dst:
-            continue
-        if schema.edge_is_heavy(src, dst):
-            # heavyweight edges are created at the source owner and their
-            # holder pointers shipped to the destination owner afterwards
-            heavy_out[db.home_rank(src)].append((src, dst))
-            continue
-        li = schema.edge_label_index(src, dst)
-        label_id = labels[elabel_names[li]].int_id if li is not None else 0
-        if directed:
-            outboxes[db.home_rank(src)].append((src, dst, DIR_OUT, label_id))
-            outboxes[db.home_rank(dst)].append((src, dst, DIR_IN, label_id))
-        else:
-            outboxes[db.home_rank(src)].append((src, dst, DIR_UNDIR, label_id))
-            if src != dst:
-                outboxes[db.home_rank(dst)].append(
-                    (dst, src, DIR_UNDIR, label_id)
-                )
-    received = ctx.alltoall(outboxes)
-    half_edges = [he for box in received for he in box]
-    if dedup:
-        half_edges = sorted(set(half_edges))
-    heavy_received = [e for box in ctx.alltoall(heavy_out) for e in box]
-    if dedup:
-        heavy_received = sorted(set(heavy_received))
-    n_loaded_local = 0
+    edges = np.asarray(edges_local, dtype=np.int64).reshape(-1, 2)
+    if drop_self_loops:
+        edges = edges[edges[:, 0] != edges[:, 1]]
+    # heavyweight edges are created at the source owner and their holder
+    # pointers shipped to the destination owner afterwards
+    heavy = np.array(
+        [schema.edge_is_heavy(s, d) for s, d in edges.tolist()], dtype=bool
+    )
+    light = edges[~heavy]
+    label = np.zeros(len(light), dtype=np.int64)
+    if elabel_names:
+        label_ids = np.array([labels[name].int_id for name in elabel_names])
+        label = label_ids[[schema.edge_label_index(s, d) for s, d in light.tolist()]]
+    half_edges = np.stack(
+        _route_half_edges(ctx, db, light[:, 0], light[:, 1], directed, label), 1
+    )
+    src, dst = edges[heavy].T
+    heavy_received = np.stack(ctx.alltoallv(db.home_rank(src), src, dst), 1)
+    if dedup:  # rows sort lexicographically, as tuples do
+        half_edges = np.unique(half_edges, axis=0)
+        heavy_received = np.unique(heavy_received, axis=0)
+    # Count each logical edge exactly once across all ranks.
+    a, b, direction = half_edges[:, :3].T
+    once = (direction == DIR_OUT) | ((direction == DIR_UNDIR) & (a <= b))
+    n_loaded_local = int(np.count_nonzero(once)) + len(heavy_received)
     tx = db.start_collective_transaction(ctx, write=True)
-    for a, b, direction, label_id in half_edges:
-        if direction == DIR_OUT or direction == DIR_UNDIR:
-            base, other = a, b
-        else:  # DIR_IN half lives on the destination vertex
-            base, other = b, a
+    for a, b, direction, label_id in half_edges.tolist():
+        base, other = (b, a) if direction == DIR_IN else (a, b)
         tx.bulk_append_half_edge(
-            vid_map[base], vid_map[other], direction, label_id,
-            other_app_id=other,
+            vid_map[base], vid_map[other], direction, label_id, other_app_id=other
         )
-        # Count each logical edge exactly once across all ranks.
-        if direction == DIR_OUT or (direction == DIR_UNDIR and a <= b):
-            n_loaded_local += 1
     # heavyweight edges, round 1: create holders + source-side slots
-    reverse_out: list[list[tuple[int, int, int]]] = [
-        [] for _ in range(ctx.nranks)
-    ]
-    for src, dst in heavy_received:
+    reverse = []
+    for src, dst in heavy_received.tolist():
         li = schema.edge_label_index(src, dst)
         elabels = [labels[elabel_names[li]]] if li is not None else []
         props = [
@@ -219,19 +206,16 @@ def build_lpg_from_edges(
         )
         fwd = DIR_OUT if directed else DIR_UNDIR
         tx.bulk_append_half_edge(vid_map[src], vid_map[dst], fwd, 0, eptr)
-        n_loaded_local += 1
         if src != dst:
-            rev = DIR_IN if directed else DIR_UNDIR
-            reverse_out[db.home_rank(dst)].append((dst, src, eptr))
+            reverse.append((dst, src, eptr))
         elif directed:
             tx.bulk_append_half_edge(vid_map[src], vid_map[dst], DIR_IN, 0, eptr)
     # heavyweight edges, round 2: destination-side slots
     rev = DIR_IN if directed else DIR_UNDIR
-    for box in ctx.alltoall(reverse_out):
-        for base, other, eptr in box:
-            tx.bulk_append_half_edge(
-                vid_map[base], vid_map[other], rev, 0, eptr
-            )
+    base, other, eptr = np.array(reverse, dtype=np.int64).reshape(-1, 3).T
+    received = ctx.alltoallv(db.home_rank(base), base, other, eptr)
+    for base, other, eptr in np.stack(received, 1).tolist():
+        tx.bulk_append_half_edge(vid_map[base], vid_map[other], rev, 0, eptr)
     tx.commit()
     n_loaded = ctx.allreduce(n_loaded_local)
     if db.mvcc is not None and ctx.rank == 0:

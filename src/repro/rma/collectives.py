@@ -3,8 +3,8 @@
 GDI prescribes collective routines with MPI semantics (paper Section 3.2);
 GDI-RMA uses them for collective transactions, bulk ingestion, and global
 reductions in OLAP queries.  This module provides barrier, bcast, reduce,
-allreduce, gather, allgather, scatter, alltoall, and scan over the ranks of
-one :class:`repro.rma.runtime.RmaRuntime`.
+allreduce, gather, allgather, scatter, alltoall, alltoallv, and scan over
+the ranks of one :class:`repro.rma.runtime.RmaRuntime`.
 
 Implementation: rank threads rendezvous through a generation-numbered
 exchange (every participant deposits a contribution, the last arrival
@@ -19,8 +19,11 @@ semantics of a synchronizing MPI collective.
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 __all__ = ["CollectiveEngine", "CollectiveAbort", "REDUCE_OPS", "payload_nbytes"]
 
@@ -41,20 +44,12 @@ class _Dead:
 _DEAD = _Dead()
 
 
-def _sum(a, b):
-    return a + b
-
-
 def _max(a, b):
     return a if a >= b else b
 
 
 def _min(a, b):
     return a if a <= b else b
-
-
-def _prod(a, b):
-    return a * b
 
 
 def _land(a, b):
@@ -67,10 +62,10 @@ def _lor(a, b):
 
 #: Named reduction operators accepted wherever an ``op`` is expected.
 REDUCE_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": _sum,
+    "sum": operator.add,
     "max": _max,
     "min": _min,
-    "prod": _prod,
+    "prod": operator.mul,
     "land": _land,
     "lor": _lor,
 }
@@ -390,6 +385,36 @@ class CollectiveEngine:
             live[src][rank] if src in live else None
             for src in range(self._nranks)
         ]
+
+    def alltoallv(
+        self, rank: int, owner: np.ndarray, columns: Sequence, min_nbytes: int = 8
+    ) -> tuple:
+        """Routed exchange (``MPI_Alltoallv``): row ``i`` of every column
+        goes to rank ``owner[i]``.
+
+        Returns the received columns, each the concatenation of every
+        source's rows in source-rank order, a source's rows in the order
+        it sent them; a crashed, excluded source contributes none.  Priced
+        like :meth:`alltoall` of per-peer column slices: the most rows any
+        one peer gets times the row width, at least ``min_nbytes`` per
+        pair (8 B: what an empty box is charged).
+        """
+        order = np.argsort(owner, kind="stable")
+        counts = np.bincount(owner, minlength=self._nranks)
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        width = sum(column.itemsize for column in columns)
+        per_pair = max(min_nbytes, int(counts.max()) * width)
+        live = self._rendezvous(
+            rank,
+            (bounds, [column[order] for column in columns]),
+            lambda live: self._rt.cost.alltoall(self._nranks, per_pair),
+        )
+        # one comprehension per column, none per source
+        received = live.values()
+        return tuple(
+            np.concatenate([sent[j][b[rank] : b[rank + 1]] for b, sent in received])
+            for j in range(len(columns))
+        )
 
     def scan(self, rank: int, value: Any, op="sum") -> Any:
         """Inclusive prefix reduction over live ranks in rank order."""

@@ -299,9 +299,6 @@ class RmaRuntime:
         """Makespan: the latest simulated per-rank clock."""
         return max(self.clocks)
 
-    def reset_clocks(self) -> None:
-        self.clocks = [0.0] * self.nranks
-
 
 class RankContext:
     """Per-rank facade over the runtime: the SPMD programmer's API.
@@ -673,6 +670,9 @@ class RankContext:
 
     def alltoall(self, values: Sequence) -> list:
         return self.rt.collectives.alltoall(self.rank, values)
+
+    def alltoallv(self, owner, *columns, min_nbytes: int = 8) -> tuple:
+        return self.rt.collectives.alltoallv(self.rank, owner, columns, min_nbytes)
 
     def scan(self, value: Any, op="sum") -> Any:
         return self.rt.collectives.scan(self.rank, value, op)

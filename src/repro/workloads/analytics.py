@@ -10,7 +10,7 @@ accessed through *collective read transactions* — each rank reads all
 its local vertices in one batched, columnar scan and keeps the adjacency
 as CSR arrays (:class:`LocalAdjacency`, the only form a kernel reads) —
 and the iterative phases exchange value arrays with collectives
-(alltoall routed by the owning rank, allreduce for convergence).  All
+(alltoallv routed by the owning rank, allreduce for convergence).  All
 communication and per-edge compute is charged to the simulated clocks,
 so the Figure 6 scaling shapes emerge from the algorithms' real
 communication structure.
@@ -61,18 +61,6 @@ def _run_starts(*columns: np.ndarray) -> np.ndarray:
     for column in columns:
         first[1:] |= column[1:] != column[:-1]
     return first
-
-
-def _by_rank(owner: np.ndarray, nranks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(order, cuts)`` that route entries to their ``owner`` ranks
-    (see :func:`_boxes`), every rank's entries kept in their order."""
-    order = np.argsort(owner, kind="stable")
-    return order, np.searchsorted(owner[order], np.arange(1, nranks))
-
-
-def _boxes(order: np.ndarray, cuts: np.ndarray, *columns: np.ndarray) -> list:
-    """One alltoall box per rank: its slice of every column."""
-    return list(zip(*(np.split(column[order], cuts) for column in columns)))
 
 
 class LocalAdjacency:
@@ -278,20 +266,21 @@ def _bfs_levels(
     while max_level is None or level < max_level:
         if not ctx.allreduce(len(frontier)):
             break
-        # Ship the frontier's neighbors to their owners, each ID once per
-        # destination: a smaller alltoall payload and receiver-side scan.
+        # Ship the frontier's neighbors to their owners, each ID once (an
+        # ID has one owner): a smaller payload and receiver-side scan.  A
+        # frontier list is priced as a bare array: a rank with nothing to
+        # send pays no bytes.
         edges = adj.edges_of(frontier)
-        targets, owners = adj.targets[edges], adj.target_owner[edges]
-        ctx.compute(len(targets))
-        received = ctx.alltoall(
-            [np.unique(targets[owners == r]) for r in range(ctx.nranks)]
-        )
-        rows = adj.rows_of(np.unique(np.concatenate(received)))
+        ctx.compute(len(edges))
+        targets, first = np.unique(adj.targets[edges], return_index=True)
+        owners = adj.target_owner[edges][first]
+        (received,) = ctx.alltoallv(owners, targets, min_nbytes=0)
+        rows = adj.rows_of(np.unique(received))
         level += 1
         frontier = rows[depth[rows] < 0]
         depth[frontier] = level
         if charge_receive:
-            ctx.compute(sum(len(box) for box in received))
+            ctx.compute(len(received))
     return depth
 
 
@@ -312,14 +301,17 @@ def khop_count(
 
 # -------------------------------------------------------------- PageRank --
 def _exchange(
-    ctx: RankContext, adj: LocalAdjacency, boxes: list
+    ctx: RankContext,
+    adj: LocalAdjacency,
+    owner: np.ndarray,
+    ids: np.ndarray,
+    values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The exchange step of every value-passing kernel: one alltoall of
-    ``(app_ids, values)`` columns (16 B an entry, an empty box 8 B),
-    returned as the local CSR rows named and the values sent to them."""
-    received = ctx.alltoall(boxes)
-    rows = adj.rows_of(np.concatenate([box[0] for box in received]))
-    return rows, np.concatenate([box[1] for box in received])
+    """The exchange step of every value-passing kernel: ``(ids, values)``
+    routed to the ranks that ``owner`` names (16 B a row), returned as
+    the local CSR rows named and the values sent to them."""
+    ids, values = ctx.alltoallv(owner, ids, values)
+    return adj.rows_of(ids), values
 
 
 def pagerank(
@@ -341,17 +333,16 @@ def pagerank(
     dangling_rows = degree == 0
     # Combiner aggregation: sum all shares headed for one destination
     # vertex locally, then ship (ids, sums) as packed numpy vectors —
-    # the alltoall payload scales with distinct targets, not edges.
+    # the exchanged payload scales with distinct targets, not edges.
     ids, slot = np.unique(adj.targets, return_inverse=True)
     owner = np.empty(len(ids), dtype=np.int64)
     owner[slot] = adj.target_owner
-    route = _by_rank(owner, ctx.nranks)
     pr = np.full(n_local, 1.0 / n)
     for _ in range(iterations):
         share = (pr / np.maximum(degree, 1))[source]
         ctx.compute(adj.n_local_edges)
         sums = np.bincount(slot, weights=share, minlength=len(ids))
-        rows, sums = _exchange(ctx, adj, _boxes(*route, ids, sums))
+        rows, sums = _exchange(ctx, adj, owner, ids, sums)
         dangling_total = ctx.allreduce(float(pr[dangling_rows].sum()))
         incoming = np.zeros(n_local)
         np.add.at(incoming, rows, sums)
@@ -363,13 +354,13 @@ def pagerank(
 
 # ------------------------------------------------------------ WCC, CDLP --
 def _push(
-    ctx: RankContext, adj: LocalAdjacency, route, value: np.ndarray
+    ctx: RankContext, adj: LocalAdjacency, value: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every local vertex sends its ``value`` (one per CSR row) to each
     neighbor's owner, one message per edge; returns the local rows the
     messages routed here name and the values sent to them."""
     ctx.compute(adj.n_local_edges)
-    return _exchange(ctx, adj, _boxes(*route, adj.targets, value[adj.edge_rows]))
+    return _exchange(ctx, adj, adj.target_owner, adj.targets, value[adj.edge_rows])
 
 
 def wcc(
@@ -384,10 +375,9 @@ def wcc(
     """
     if adj is None:
         adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY)
-    route = _by_rank(adj.target_owner, ctx.nranks)
     comp = adj.vertices.copy()
     while True:
-        rows, offered = _push(ctx, adj, route, comp)
+        rows, offered = _push(ctx, adj, comp)
         before = comp.copy()
         np.minimum.at(comp, rows, offered)
         ctx.compute(len(rows))
@@ -408,10 +398,9 @@ def cdlp(
     """
     if adj is None:
         adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY)
-    route = _by_rank(adj.target_owner, ctx.nranks)
     label = adj.vertices.copy()
     for _ in range(iterations):
-        rows, voted = _push(ctx, adj, route, label)
+        rows, voted = _push(ctx, adj, label)
         # one vote per (vertex, label) run of the sorted messages
         order = np.lexsort((voted, rows))
         rows, voted = rows[order], voted[order]
@@ -462,13 +451,13 @@ class _Wedges(NamedTuple):
 
 def _wedge_round(
     ctx: RankContext, adj: LocalAdjacency, header: int
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The wedge-check exchange :func:`lcc` and :func:`triangle_count`
     share: every local ``u`` asks the owner of each neighbor ``v`` for
     ``|N(v) ∩ N(u)|``.  A message is charged ``header + 8 * |N(u)|``
     bytes and its answer ``min(|N(v)|, |N(u)|)`` operations (the owner
     walks the smaller neighborhood).  Returns the local simple degrees
-    and, per asking rank, ``(asker app_ids, counts)``.
+    and the answers as columns ``(asking rank, asker app_id, count)``.
     """
     row = adj.edge_rows
     simple = np.flatnonzero(adj.targets != adj.vertices[row])
@@ -480,24 +469,26 @@ def _wedge_round(
     keys = row * len(ids) + np.searchsorted(ids, nbrs)
     mine = _Wedges(adj.vertices, csr_indptr(degree), degree, nbrs, ids, keys)
     ctx.compute(len(nbrs))
+    order = np.argsort(owner, kind="stable")
+    cuts = np.cumsum(np.bincount(owner, minlength=ctx.nranks))[:-1]
     sizes = np.bincount(owner, header + 8 * degree[row], minlength=ctx.nranks)
     boxes = [
         mine._replace(asked=asked, asker=asker, nbytes=int(size) or 8)
-        for (asked, asker), size in zip(
-            _boxes(*_by_rank(owner, ctx.nranks), nbrs, row), sizes
+        for asked, asker, size in zip(
+            np.split(nbrs[order], cuts), np.split(row[order], cuts), sizes
         )
     ]
     answers = []
     work = 0
-    for box in ctx.alltoall(boxes):
+    for src, box in enumerate(ctx.alltoall(boxes)):
         v = adj.rows_of(box.asked)
         theirs = box.degree[box.asker] <= degree[v]
         counts = box.common(box.asker, mine, v, theirs)
         counts += mine.common(v, box, box.asker, ~theirs)
-        answers.append((box.vertices[box.asker], counts))
+        answers.append((np.full(len(v), src), box.vertices[box.asker], counts))
         work += int(np.minimum(degree[v], box.degree[box.asker]).sum())
     ctx.compute(work)
-    return degree, answers
+    return degree, tuple(map(np.concatenate, zip(*answers)))
 
 
 def lcc(
@@ -517,7 +508,7 @@ def lcc(
     degree, answers = _wedge_round(ctx, adj, header=16)  # (v, u, N(u))
     # reply round: each count goes back to the rank that asked
     triangles = np.zeros(len(adj.vertices), dtype=np.int64)
-    np.add.at(triangles, *_exchange(ctx, adj, answers))
+    np.add.at(triangles, *_exchange(ctx, adj, *answers))
     pairs = degree * (degree - 1)
     out = np.where(pairs > 0, triangles / np.maximum(pairs, 1), 0.0)
     ctx.compute(len(out))
@@ -537,8 +528,8 @@ def triangle_count(
     """
     if adj is None:
         adj = load_local_adjacency(ctx, graph, EdgeOrientation.ANY, dedup=True)
-    _, answers = _wedge_round(ctx, adj, header=8)  # (v, N(u))
-    return ctx.allreduce(sum(int(counts.sum()) for _, counts in answers)) // 6
+    _, (_, _, counts) = _wedge_round(ctx, adj, header=8)  # (v, N(u))
+    return ctx.allreduce(int(counts.sum())) // 6
 
 
 # ----------------------------------------------------------------- SSSP --
@@ -609,11 +600,11 @@ def sssp(
         # Min-combine per destination: only the best tentative distance
         # for each remote vertex crosses the network, packed as numpy
         # (ids, dists) vectors.
-        targets, owners = adj.targets[edges], adj.target_owner[edges]
-        best = np.lexsort((offered, targets, owners))
-        best = best[_run_starts(owners[best], targets[best])]
-        cuts = np.searchsorted(owners[best], np.arange(1, ctx.nranks))
-        rows, offered = _exchange(ctx, adj, _boxes(best, cuts, targets, offered))
+        targets = adj.targets[edges]
+        best = np.lexsort((offered, targets))
+        best = best[_run_starts(targets[best])]
+        owners = adj.target_owner[edges[best]]
+        rows, offered = _exchange(ctx, adj, owners, targets[best], offered[best])
         before = dist.copy()
         np.minimum.at(dist, rows, offered)
         active = np.flatnonzero(dist < before)

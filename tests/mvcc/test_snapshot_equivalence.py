@@ -133,6 +133,9 @@ def _verify_oracle(ctx, db, stx, frozen, xprop):
 # vertex the snapshot still sees — as another ID, and as the same ID
 @example(ops=[("create", 0, 0), ("delete", 0, 0), ("create", 2, 0)], granularity=1)
 @example(ops=[("create", 0, 0), ("delete", 0, 0), ("create", 0, 0)], granularity=1)
+# ... and deleted again: the tombstones list that vid once per deleted
+# incarnation, and the sweep must still enumerate it once
+@example(ops=[("create", 0, 0), ("delete", 0, 0)] * 2, granularity=1)
 def test_snapshot_reads_equal_full_scan_oracle(ops, granularity):
     def prog(ctx):
         db = GdaDatabase.create(
@@ -195,6 +198,11 @@ def test_snapshot_reads_equal_full_scan_oracle(ops, granularity):
     ops=[("create", 0, 0)] + [("delete", 5, 0)] * 3
     + [("delete", 0, 0)] + [("delete", 5, 0)] * 3
     + [("create", 2, 0)],
+    seed=0,
+)
+@example(
+    ops=([("create", 0, 0)] + [("delete", 5, 0)] * 3
+         + [("delete", 0, 0)] + [("delete", 5, 0)] * 3) * 2,
     seed=0,
 )
 def test_snapshot_oracle_holds_under_transient_faults(ops, seed):

@@ -135,3 +135,24 @@ def test_cached_vertex_is_a_miss_for_another_expected_id(columnar):
         return hit[0].holder.app_id
 
     assert _on_rank0(body) == 1
+
+
+def test_sweep_lists_a_vid_deleted_twice_once():
+    """``create 0 | S | delete 0 | create 0 | delete 0`` in one block: the
+    tombstones list the vid once per deleted incarnation, and the
+    directory sweep of S (``visible_vertices``) enumerates it once."""
+
+    def body(ctx, db, xprop):
+        vid = _create(ctx, db, xprop, 0, 10)
+        snap = db.start_transaction(ctx, snapshot=True)
+        _delete(ctx, db, 0)
+        assert _create(ctx, db, xprop, 0, 11) == vid
+        _delete(ctx, db, 0)
+        tombstones = db.mvcc.deleted_vids(ctx.rank, snap.snapshot_watermark)
+        swept = snap.visible_vertices(db.directory.local_vertices(ctx), ctx.rank)
+        snap.commit()
+        return vid, tombstones, swept
+
+    vid, tombstones, swept = _on_rank0(body)
+    assert tombstones == [vid, vid]
+    assert swept == [vid]

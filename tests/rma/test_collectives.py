@@ -1,8 +1,9 @@
 """Tests for collective operations: correctness vs sequential reference."""
 
+import numpy as np
 import pytest
 
-from repro.rma import SpmdError, run_spmd
+from repro.rma import UNIFORM, SpmdError, run_spmd
 
 
 NRANKS = 5
@@ -104,6 +105,49 @@ def test_alltoall_transpose():
     _, res = run_spmd(4, prog)
     for rank, received in enumerate(res):
         assert received == [(src, rank) for src in range(4)]
+
+
+def test_alltoallv_concatenates_sources_in_rank_then_send_order():
+    def prog(ctx):
+        # row k of rank r goes to rank (3 - k) % 4, tagged (r, k)
+        k = np.arange(6)
+        return ctx.alltoallv((3 - k) % 4, np.full(6, ctx.rank), k * 1.5)
+
+    _, res = run_spmd(4, prog)
+    for rank, (src, value) in enumerate(res):
+        sent = [k * 1.5 for k in range(6) if (3 - k) % 4 == rank]
+        assert src.tolist() == [s for s in range(4) for _ in sent]
+        assert value.tolist() == sent * 4
+        assert src.dtype == np.int64 and value.dtype == np.float64
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_alltoallv_charges_what_alltoall_charges_for_column_slices(rows):
+    """The per-pair size is the most rows one peer gets times the row
+    width, 8 B at least: exactly the charge of an alltoall of tuples of
+    column slices.  With ``min_nbytes=0`` it is that of bare arrays."""
+
+    def prog(ctx):
+        owner = np.zeros(rows if ctx.rank == 1 else 0, dtype=np.int64)
+        ids = np.arange(len(owner), dtype=np.int64)
+        charges = []
+        for exchange in (
+            lambda: ctx.alltoallv(owner, ids, ids * 0.5),
+            lambda: ctx.alltoall([(ids[owner == r], ids[owner == r] * 0.5)
+                                  for r in range(ctx.nranks)]),
+            lambda: ctx.alltoallv(owner, ids, min_nbytes=0),
+            lambda: ctx.alltoall([ids[owner == r] for r in range(ctx.nranks)]),
+        ):
+            ctx.barrier()
+            t0 = ctx.clock
+            exchange()
+            charges.append(ctx.clock - t0)
+        return charges
+
+    _, res = run_spmd(3, prog, profile=UNIFORM)
+    for routed, tuples, routed_bare, bare in res:
+        assert routed == pytest.approx(tuples, rel=1e-12)
+        assert routed_bare == pytest.approx(bare, rel=1e-12)
 
 
 def test_scan_inclusive_prefix():

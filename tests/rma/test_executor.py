@@ -142,14 +142,6 @@ class TestInterleavingScheduler:
 
 
 class TestClockSemantics:
-    def test_max_clock_and_reset(self):
-        rt = RmaRuntime(2)
-        win = rt.allocate_window("w", 64)
-        rt.context(0).put(win, 1, 0, b"x" * 8)
-        assert rt.max_clock() > 0
-        rt.reset_clocks()
-        assert rt.max_clock() == 0.0
-
     def test_ranks_advance_independently(self):
         rt = RmaRuntime(3)
         win = rt.allocate_window("w", 64)

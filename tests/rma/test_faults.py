@@ -1,5 +1,6 @@
 """Unit tests for the seeded fault-injection substrate."""
 
+import numpy as np
 import pytest
 
 from repro.rma import RmaRuntime, run_spmd
@@ -189,6 +190,25 @@ def test_mid_collective_crash_excluded_with_membership():
     assert results[1] == results[2] == [1, 2]  # live-view contributions
     assert rt.membership.degraded()
     assert 0 not in rt.membership.live
+
+
+def test_alltoallv_skips_the_rows_of_an_excluded_source():
+    """A routed exchange over the live view: the crashed rank's rows
+    never arrive, every live source's do, in source-rank order."""
+    from repro.rma.membership import ClusterMembership
+
+    def prog(ctx):
+        win = ctx.rt.window("w")
+        if ctx.rank == 0:
+            for _ in range(20):
+                ctx.put(win, ctx.rank, 0, b"\x00" * 8)
+        (src,) = ctx.alltoallv(np.arange(3), np.full(3, ctx.rank))
+        return src.tolist()
+
+    rt = _make_rt(3, FaultPlan(crash_rank=0, crash_at_op=10))
+    rt.membership = ClusterMembership(3)
+    _, results = run_spmd(3, prog, runtime=rt, seed=5)
+    assert results == [None, [1, 2], [1, 2]]
 
 
 # -- payload corruption ------------------------------------------------------
