@@ -2,8 +2,8 @@
 
 Every one-sided operation and collective increments per-rank counters.
 Benchmarks use these to report message/byte volumes alongside simulated
-time, and the work-depth tests in :mod:`repro.gda.workdepth` assert that
-GDA routines issue the operation counts the paper's analysis promises.
+time, and the work-depth tests (``tests/gda/test_workdepth.py``) assert
+that GDA routines issue the operation counts the paper's analysis promises.
 """
 
 from __future__ import annotations
