@@ -396,6 +396,73 @@ def test_olap_kernels_make_no_per_edge_python_calls():
         assert dense[kernel] <= 1.25 * calls, (kernel, calls, dense[kernel])
 
 
+def _query_calls(scale):
+    """Python calls of one engine run of the benchmark's label count,
+    aggregate and BI2 texts on rank 0 of a seeded two-rank MVCC build
+    (snapshot reads, so bulk reads stay columnar batches).  Four vertex
+    labels keep even the smaller graph's label scans at 64 vertices or
+    more, the columnar read size; 4 KiB blocks leave no holder with
+    indirect index blocks, whose walk is per holder by design."""
+    import sys
+
+    from repro.generator import KroneckerParams, build_lpg, default_schema
+    from repro.query import QueryEngine
+    from repro.rma import XC40, run_spmd
+
+    params = KroneckerParams(scale=scale, edge_factor=8, seed=3)
+    config = GdaConfig(blocks_per_rank=1 << 15, block_size=4096, mvcc=True)
+    rt2, graphs = run_spmd(
+        2,
+        lambda c: build_lpg(
+            c, GdaDatabase.create(c, config), params, default_schema(n_vertex_labels=4)
+        ),
+        profile=XC40,
+        seed=7,
+    )
+    rt2.scheduler = None  # single issuer from here on
+    ctx0, engine = rt2.context(0), QueryEngine(graphs[0].db)
+    texts = {
+        "label_count": ("MATCH (v:VL1) RETURN count(*)", None),
+        "agg": (
+            "MATCH (v:VL1) RETURN count(v.p_age), sum(v.p_age), "
+            "min(v.p_age), max(v.p_age)",
+            None,
+        ),
+        "bi2": (
+            "MATCH (per:VL0)-[:EL0]->(v:VL1) WHERE per.p_score > $minscore "
+            "AND v.p_active = true RETURN count(DISTINCT per)",
+            {"minscore": 50.0},
+        ),
+    }
+    out = {}
+    for name, (text, params_) in texts.items():
+        engine.run(ctx0, text, params_)  # warm-up: plan cache, first-use caches
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            engine.run(ctx0, text, params_)
+        finally:
+            sys.setprofile(None)
+        out[name] = calls
+    return out
+
+
+def test_engine_queries_make_no_per_row_python_calls():
+    """The engine's scans, filters, expansions and aggregates stay on
+    columns: four times the vertices per label must not mean more
+    Python calls per query (a call per candidate row, per reached
+    vertex or per aggregated value would quadruple them).  A ratio of
+    exact counts."""
+    small, large = _query_calls(10), _query_calls(12)
+    for query, calls in small.items():
+        assert large[query] <= 1.25 * calls, (query, calls, large[query])
+
+
 def _rank_calls(nranks):
     """Python calls per rank (the most any rank makes) of the routed
     kernels on one pre-loaded graph, without the calls inside the

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -27,7 +29,7 @@ from ..gdi.errors import (
     GdiSizeLimit,
     GdiStateError,
 )
-from ..gdi.types import decode_value, encode_value, value_nbytes
+from ..gdi.types import Datatype, decode_value, encode_value, value_nbytes
 from .dptr import pack_edge_uid
 from .holder import (
     DIR_IN,
@@ -218,7 +220,7 @@ class VertexHandle:
             vectorized = lid is not None
         if vectorized:
             dptr, label, flags = holder.edges_as_arrays()
-            if not np.any(flags & SLOT_HEAVY):
+            if not (flags & SLOT_HEAVY).any():
                 mask = _orientation_mask(flags, orientation)
                 if lid is not None:
                     mask = mask & (label == lid)
@@ -387,28 +389,33 @@ class VertexScan(Sequence):
             ),
         )
 
-    def property(self, ptype: PropertyType) -> "list[Any | None]":
-        """Per position: the (first) ``ptype`` value, ``None`` if absent."""
-        out: list[Any | None] = [None] * len(self._vids)
+    def property(self, ptype: PropertyType) -> "tuple[np.ndarray, np.ndarray]":
+        """``(values, has)``: per position the (first) ``ptype`` value and
+        whether the vertex carries one.  INT64, DOUBLE and BOOL values
+        form a typed column (zero where absent), decoded from batch rows
+        with one gather; other datatypes an object column (``None``
+        where absent)."""
+        dtype = _TYPED_COLUMNS.get(ptype.dtype, object)
+        values = np.full(len(self._vids), None if dtype is object else 0, dtype=dtype)
+        has = np.zeros(len(self._vids), dtype=bool)
         batches, handles = self._sources(NEED_ENTRIES)
         for batch, pos, rows in batches:
-            has, offsets, lengths = batch.property_spans(ptype.int_id)
-            offset_of = np.full(len(batch), -1, dtype=np.int64)
-            offset_of[has] = offsets
-            length_of = np.zeros(len(batch), dtype=np.int64)
-            length_of[has] = lengths
-            at = offset_of[rows]
-            found = at >= 0
-            buf = memoryview(batch.span)
-            for p, a, n in zip(
-                pos[found].tolist(),
-                at[found].tolist(),
-                length_of[rows][found].tolist(),
-            ):
-                out[p] = decode_value(ptype.dtype, bytes(buf[a : a + n]))
+            got, offsets, lengths = batch.property_spans(ptype.int_id)
+            k = np.full(len(batch), -1, dtype=np.int64)
+            k[got] = np.arange(got.size)
+            k = k[rows]
+            found = k >= 0
+            pos, k = pos[found], k[found]
+            values[pos] = _decode_column(
+                ptype.dtype, batch.span, offsets[k], lengths[k]
+            )
+            has[pos] = True
         for pos, handle in handles:
-            out[pos] = handle.property(ptype)
-        return out
+            value = handle.property(ptype)
+            if value is not None:
+                values[pos] = value
+                has[pos] = True
+        return values, has
 
     def neighbors(
         self,
@@ -431,33 +438,63 @@ class VertexScan(Sequence):
         found: list[np.ndarray] = []
         for batch, pos, rows in batches:
             indptr, slots = batch.slot_columns()
-            degree = np.diff(indptr)[rows]
+            degree = (indptr[1:] - indptr[:-1])[rows]
             at = ragged_index(indptr[rows], degree)
-            owner = np.repeat(pos, degree)
+            owner = pos.repeat(degree)
             flags = slots["flags"][at]
             mask = _orientation_mask(flags, orientation)
             if label is not None:
                 mask &= slots["label"][at] == label.int_id
-            heavy = np.unique(owner[(flags & SLOT_HEAVY) != 0])
-            if heavy.size:
+            heavy = (flags & SLOT_HEAVY) != 0
+            if heavy.any():
+                heavy = np.unique(owner[heavy])
                 mask &= ~np.isin(owner, heavy)
                 handles.extend((p, self[p]) for p in heavy.tolist())
             owners.append(owner[mask])
             found.append(slots["dptr"][at][mask])
-        constraint = (
-            Constraint.has_label(label.int_id) if label is not None else None
-        )
-        for pos, handle in handles:
-            nbrs = handle.neighbors(orientation, constraint)
-            owners.append(np.full(len(nbrs), pos, dtype=np.int64))
-            found.append(np.asarray(nbrs, dtype=np.int64))
-        owner = np.concatenate(owners) if owners else np.empty(0, np.int64)
-        vids = np.concatenate(found) if found else np.empty(0, np.int64)
-        if (owner[1:] < owner[:-1]).any():
-            # several sources interleave: a stable sort brings the entries
-            # into position order and keeps each position's slot order
+        if handles:
+            constraint = (
+                Constraint.has_label(label.int_id) if label is not None else None
+            )
+            handles.sort(key=itemgetter(0))
+            lists = [h.neighbors(orientation, constraint) for _, h in handles]
+            at = np.fromiter(map(itemgetter(0), handles), np.int64, len(handles))
+            owners.append(at.repeat(np.fromiter(map(len, lists), np.int64, len(lists))))
+            found.append(np.fromiter(chain.from_iterable(lists), dtype=np.int64))
+        if len(owners) == 1:  # one part is in position order already
+            owner, vids = owners[0], found[0]
+        else:
+            owner = np.concatenate(owners) if owners else np.empty(0, np.int64)
+            vids = np.concatenate(found) if found else np.empty(0, np.int64)
+            # parts interleave: a stable sort brings the entries into
+            # position order and keeps each position's slot order
             vids = vids[np.argsort(owner, kind="stable")]
         return csr_indptr(np.bincount(owner, minlength=n)), vids
+
+
+#: property datatypes :meth:`VertexScan.property` returns as typed columns
+_TYPED_COLUMNS = {Datatype.INT64: np.int64, Datatype.DOUBLE: np.float64, Datatype.BOOL: bool}
+
+
+def _decode_column(dtype: Datatype, span: np.ndarray, offsets, lengths) -> np.ndarray:
+    """:func:`decode_value` of the payloads ``span[offsets:offsets +
+    lengths]``, as one column: one gather for the fixed-width types."""
+    if dtype is Datatype.BOOL:
+        # any payload but a single zero byte is true; a terminator always
+        # follows a value, so ``span[offsets]`` is in bounds
+        return (lengths != 1) | (span[offsets] != 0)
+    if dtype in _TYPED_COLUMNS:
+        if (lengths != 8).any():
+            raise GdiInvalidArgument(
+                f"cannot decode {int(lengths[lengths != 8][0])}-byte payload "
+                f"as {dtype.value}"
+            )
+        words = span[offsets[:, None] + np.arange(8)]
+        return words.view("<i8" if dtype is Datatype.INT64 else "<f8")[:, 0]
+    out = np.empty(len(offsets), dtype=object)
+    for i, (a, n) in enumerate(zip(offsets.tolist(), lengths.tolist())):
+        out[i] = decode_value(dtype, span[a : a + n].tobytes())
+    return out
 
 
 def _orientation_matches(direction: int, wanted: EdgeOrientation) -> bool:

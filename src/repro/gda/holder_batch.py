@@ -35,15 +35,15 @@ def csr_indptr(counts) -> np.ndarray:
     """``[0, c0, c0 + c1, ...]``: the row boundaries of a ragged array
     whose rows hold ``counts`` elements."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.add.accumulate(counts, dtype=np.int64, out=indptr[1:])
     return indptr
 
 
 def ragged_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices ``starts[i] .. starts[i] + counts[i]`` for every ``i``,
     concatenated (the gather index of a ragged selection)."""
-    ends = np.cumsum(counts)
-    idx = np.repeat(starts - (ends - counts), counts)
+    ends = np.add.accumulate(counts, dtype=np.int64)
+    idx = (starts - (ends - counts)).repeat(counts)
     idx += np.arange(idx.size)
     return idx
 

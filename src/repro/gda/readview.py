@@ -296,7 +296,7 @@ class ReadView:
         if self.watermark is not None:
             ok &= rows.version <= self.watermark
         kept = np.flatnonzero(ok).tolist()
-        self.scanned.update((ids[row], (rows, row, need)) for row in kept)
+        self.scanned.update({ids[row]: (rows, row, need) for row in kept})
         if self.watermark is not None:
             self.ctx.rt.trace.record_snapshot_read(self.ctx.rank, len(kept))
         return np.flatnonzero(~ok).tolist()

@@ -715,9 +715,9 @@ class Transaction:
         missing) that also answers whole-batch questions as arrays — see
         :class:`VertexScan`.
         """
-        if isinstance(vids, np.ndarray):
-            vids = vids.tolist()
-        resolved = [self._resolve_vid(v) for v in vids]
+        # an int array holds internal IDs only: nothing volatile to resolve
+        resolved = vids.tolist() if isinstance(vids, np.ndarray) else [
+            self._resolve_vid(v) for v in vids]
         self._load(resolved, False, None, missing_ok, need)
         return VertexScan(self, resolved)
 

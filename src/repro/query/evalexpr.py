@@ -22,6 +22,7 @@ Null semantics (documented in docs/GDI_SPEC.md §11):
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 from .ast import (
@@ -136,6 +137,10 @@ def eval_expr(expr: Expr, row: dict, params: dict | None) -> Any:
     raise QueryPlanError(f"cannot evaluate expression {expr!r}")
 
 
+_CMP_OPS = dict(zip(("=", "<>", "<", "<=", ">", ">="), (
+    operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)))
+
+
 def truthy(value: Any) -> bool:
     return bool(value) if value is not None else False
 
@@ -147,22 +152,12 @@ def _compare(op: str, left: Any, right: Any) -> bool:
         left = left.cmp_key()
     if isinstance(right, Binding):
         right = right.cmp_key()
+    if op not in _CMP_OPS:
+        raise QueryPlanError(f"unknown comparison operator {op!r}")
     try:
-        if op == "=":
-            return bool(left == right)
-        if op == "<>":
-            return bool(left != right)
-        if op == "<":
-            return bool(left < right)
-        if op == "<=":
-            return bool(left <= right)
-        if op == ">":
-            return bool(left > right)
-        if op == ">=":
-            return bool(left >= right)
+        return bool(_CMP_OPS[op](left, right))
     except TypeError:
         return False
-    raise QueryPlanError(f"unknown comparison operator {op!r}")
 
 
 def to_output(value: Any) -> Any:
@@ -207,7 +202,11 @@ def aggregate_value(
         return len(rows)
     arg = func.args[0]
     values = [to_output(evalfn(arg, row, params)) for row in rows]
-    values = [v for v in values if v is not None]
+    return _reduce(func, [v for v in values if v is not None])
+
+
+def _reduce(func: FuncCall, values: list) -> Any:
+    """One aggregate over the non-null values of a group, in row order."""
     if func.distinct:
         seen: set = set()
         unique = []

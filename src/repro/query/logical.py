@@ -16,8 +16,10 @@ are materialized per execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
+from ..gda.holder import NEED_ENTRIES, NEED_IDENT, NEED_TOPO
 from .ast import (
     And,
     Cmp,
@@ -200,6 +202,46 @@ class LogicalPlan:
     ops: tuple
     columns: tuple[str, ...]
 
+    @cached_property
+    def _needs(self) -> dict[str, int]:
+        """Per node variable, the union of holder parts any operator
+        touches, so the *first* fetch of a variable already requests
+        everything later operators read — no second round trip, and
+        nothing the plan never touches.  Variables missing here take
+        whole holders at the use sites."""
+        needs: dict[str, int] = {}
+
+        def add(var: str, mask: int) -> None:
+            needs[var] = needs.get(var, NEED_IDENT) | mask
+
+        def spec_parts(spec: NodeSpec) -> int:
+            if spec.labels or any(p.key != "id" for p in spec.preds):
+                return NEED_ENTRIES
+            return NEED_IDENT
+
+        exprs = []
+        for op in self.ops:
+            if isinstance(op, ScanOp):
+                add(op.spec.var, spec_parts(op.spec))
+            elif isinstance(op, ExpandOp):
+                add(op.src_var, NEED_TOPO)
+                add(op.dst.var, spec_parts(op.dst))
+            elif isinstance(op, FilterOp):
+                exprs.append(op.expr)
+            elif isinstance(op, (ProjectOp, AggregateOp)):
+                items = op.items if isinstance(op, ProjectOp) else op.keys + op.aggs
+                exprs.extend(item.expr for item in items)
+        while exprs:
+            expr = exprs.pop()
+            if isinstance(expr, PropRef):
+                add(expr.var, NEED_IDENT if expr.key == "id" else NEED_ENTRIES)
+            elif isinstance(expr, HasLabel):
+                add(expr.var, NEED_ENTRIES)
+            elif isinstance(expr, VarRef):
+                add(expr.name, NEED_IDENT)
+            exprs.extend(_children(expr))
+        return needs
+
     def explain(self, profile: "dict[int, dict] | None" = None) -> str:
         """Render the pipeline, one operator per line.
 
@@ -220,6 +262,17 @@ class LogicalPlan:
                 )
             lines.append("  " + desc)
         return "\n".join(lines)
+
+
+def _children(expr: Expr) -> tuple:
+    """The direct sub-expressions of ``expr``."""
+    if isinstance(expr, Cmp):
+        return (expr.left, expr.right)
+    if isinstance(expr, (And, Or)):
+        return expr.items
+    if isinstance(expr, (Not, IsNull)):
+        return (expr.operand,)
+    return expr.args if isinstance(expr, FuncCall) else ()
 
 
 def _spec_text(spec: NodeSpec) -> str:

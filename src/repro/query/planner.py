@@ -35,17 +35,13 @@ import dataclasses
 from ..gdi.constants import Multiplicity
 from ..gdi.constraint import LabelCondition, PropertyCondition
 from .ast import (
-    AGGREGATE_FUNCS,
     And,
     Cmp,
     Expr,
     FuncCall,
     HasLabel,
-    IsNull,
     Literal,
-    Not,
     NodePattern,
-    Or,
     Param,
     ParamRef,
     PathPattern,
@@ -69,6 +65,7 @@ from .logical import (
     ScanOp,
     SetOp,
     SkipLimitOp,
+    _children,
     expr_text,
 )
 
@@ -456,40 +453,16 @@ def _plan_creates(query: Query, bound: set[str], ops: list) -> set[str]:
 def _has_aggregate(expr: Expr) -> bool:
     if isinstance(expr, FuncCall) and expr.aggregate:
         return True
-    children: tuple = ()
-    if isinstance(expr, Cmp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, (And, Or)):
-        children = expr.items
-    elif isinstance(expr, Not):
-        children = (expr.operand,)
-    elif isinstance(expr, IsNull):
-        children = (expr.operand,)
-    elif isinstance(expr, FuncCall):
-        children = expr.args
-    return any(_has_aggregate(c) for c in children)
+    return any(_has_aggregate(c) for c in _children(expr))
 
 
 def _free_vars(expr: Expr, out: set[str]) -> None:
     if isinstance(expr, VarRef):
         out.add(expr.name)
-    elif isinstance(expr, PropRef):
+    elif isinstance(expr, (PropRef, HasLabel)):
         out.add(expr.var)
-    elif isinstance(expr, HasLabel):
-        out.add(expr.var)
-    elif isinstance(expr, Cmp):
-        _free_vars(expr.left, out)
-        _free_vars(expr.right, out)
-    elif isinstance(expr, (And, Or)):
-        for item in expr.items:
-            _free_vars(item, out)
-    elif isinstance(expr, Not):
-        _free_vars(expr.operand, out)
-    elif isinstance(expr, IsNull):
-        _free_vars(expr.operand, out)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            _free_vars(arg, out)
+    for child in _children(expr):
+        _free_vars(child, out)
 
 
 def _check_vars(expr: Expr, bound: set[str], clause: str) -> None:

@@ -23,6 +23,7 @@ from .ast import NodePattern, PathPattern, Query, RelPattern
 from .engine import QueryResult
 from .errors import QueryPlanError
 from .evalexpr import Binding, eval_expr, resolve_value, truthy
+from .logical import AggregateOp, DistinctOp, OrderByOp, ProjectOp, SkipLimitOp
 from .parser import parse_query
 from .physical import (
     run_aggregate,
@@ -353,14 +354,6 @@ def run_reference(
     tail: list = []
     columns = _plan_returns(query, bound, tail)
     out: list = rows
-    from .logical import (
-        AggregateOp,
-        DistinctOp,
-        OrderByOp,
-        ProjectOp,
-        SkipLimitOp,
-    )
-
     for op in tail:
         if isinstance(op, ProjectOp):
             out = run_project(op, out, params)

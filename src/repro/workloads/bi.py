@@ -113,10 +113,12 @@ def filtered_two_hop_count(
     return total if ctx.rank == 0 else 0
 
 
-def _matches(values: list, op: str, ref: Any) -> np.ndarray:
-    """Per value: present and ``value <op> ref``."""
+def _matches(column: tuple, op: str, ref: Any) -> np.ndarray:
+    """Per value of a ``VertexScan.property`` column: present and
+    ``value <op> ref``."""
+    values, has = column
     return np.fromiter(
-        (v is not None and _compare(op, v, ref) for v in values),
+        (h and _compare(op, v, ref) for v, h in zip(values.tolist(), has.tolist())),
         dtype=bool,
         count=len(values),
     )

@@ -826,8 +826,10 @@ def test_vertex_scan_columns_agree_with_handle_verbs():
                 assert [bool(got[i]) for i, _ in live] == [
                     h.has_label(label) for _, h in live
                 ]
-            ages = scan.property(age)
-            assert [ages[i] for i, _ in live] == [h.property(age) for _, h in live]
+            ages, has = scan.property(age)
+            assert [ages[i] if has[i] else None for i, _ in live] == [
+                h.property(age) for _, h in live
+            ]
             for orientation in (EdgeOrientation.OUTGOING, EdgeOrientation.ANY):
                 for label in (None, knows):
                     indptr, nbrs = scan.neighbors(orientation, label)

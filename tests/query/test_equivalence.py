@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.gda import GdaConfig, GdaDatabase
 from repro.gda.retry import RetryPolicy, run_transaction
-from repro.gdi import Datatype
+from repro.gdi import Constraint, Datatype
 from repro.query import QueryEngine, run_reference
 from repro.rma import run_spmd
 from repro.rma.faults import FaultPlan, RmaTransientError
@@ -239,3 +239,48 @@ def test_retry_wrapper_equivalence_under_faults():
     )
     got, want = res[0]
     assert got == want
+
+
+def test_snapshot_scans_see_vertices_deleted_after_the_watermark():
+    """Label, index and full scans under a snapshot enumerate what the
+    snapshot sees: the live directory no longer lists a vertex deleted
+    after the watermark, the snapshot's tombstones do."""
+    texts = (
+        "MATCH (n:L) RETURN count(n)",  # label scan
+        "MATCH (n:M) RETURN count(n)",  # index scan
+        "MATCH (n) RETURN count(n)",  # full scan
+        "MATCH (n:L) RETURN n.id ORDER BY n.id",
+    )
+
+    def prog(ctx):
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096, mvcc=True))
+        if ctx.rank == 0:
+            db.create_label(ctx, "L")
+            db.create_label(ctx, "M")
+        ctx.barrier()
+        db.replica(ctx).sync()
+        labels = [db.label(ctx, "L"), db.label(ctx, "M")]
+        db.create_index(ctx, "m_idx", Constraint.has_label(labels[1].int_id))
+        out = None
+        if ctx.rank == 0:
+            tx = db.start_transaction(ctx, write=True)
+            for app in range(4):
+                tx.create_vertex(app, labels=labels)
+            tx.commit()
+            snap = db.start_transaction(ctx, snapshot=True)
+            tx = db.start_transaction(ctx, write=True)
+            for app in (1, 2):
+                tx.delete_vertex(tx.find_vertex(app))
+            tx.commit()
+            engine = QueryEngine(db)
+            assert engine.prepare(ctx, texts[1]).ops[0].source == "index"
+            out = [engine.run(ctx, text, tx=snap).rows for text in texts]
+            snap.commit()
+            out += [engine.run(ctx, text).rows for text in texts]
+        ctx.barrier()
+        return out
+
+    _, res = run_spmd(NRANKS, prog)
+    at_snapshot, now = res[0][:4], res[0][4:]
+    assert at_snapshot == [[(4,)]] * 3 + [[(0,), (1,), (2,), (3,)]]
+    assert now == [[(2,)]] * 3 + [[(0,), (3,)]]

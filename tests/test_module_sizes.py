@@ -24,6 +24,9 @@ GRANDFATHERED = {
     "baselines/janusgraph_sim.py": 246,
     "gda/checkpoint.py": 243,
     "generator/lpg.py": 241,
+    # held where it shrank when scans, expansions and aggregates moved
+    # onto VertexScan columns (query/columnar.py)
+    "query/physical.py": 390,
 }
 
 
