@@ -438,6 +438,8 @@ class VertexScan(Sequence):
         found: list[np.ndarray] = []
         for batch, pos, rows in batches:
             indptr, slots = batch.slot_columns()
+            # slices and array methods: the np.diff/np.repeat/np.any
+            # wrappers cost ~1 us a call, a share of a one-vertex hop
             degree = (indptr[1:] - indptr[:-1])[rows]
             at = ragged_index(indptr[rows], degree)
             owner = pos.repeat(degree)

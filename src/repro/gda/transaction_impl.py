@@ -715,9 +715,10 @@ class Transaction:
         missing) that also answers whole-batch questions as arrays — see
         :class:`VertexScan`.
         """
-        # an int array holds internal IDs only: nothing volatile to resolve
-        resolved = vids.tolist() if isinstance(vids, np.ndarray) else [
-            self._resolve_vid(v) for v in vids]
+        if isinstance(vids, np.ndarray) and vids.dtype.kind in "iu":
+            resolved = vids.tolist()  # internal IDs: nothing to resolve
+        else:
+            resolved = [self._resolve_vid(v) for v in vids]
         self._load(resolved, False, None, missing_ok, need)
         return VertexScan(self, resolved)
 

@@ -1,5 +1,5 @@
-"""Column operators: scan, expand, filter, project and aggregate on
-``VertexScan`` columns.
+"""Column operators: scan, expand, filter and aggregate on ``VertexScan``
+columns.
 
 Between operators the read pipeline carries a :class:`Frame`: each node
 variable is bound to a :class:`~repro.gda.handles.VertexScan` plus an
@@ -34,7 +34,7 @@ from .errors import QueryPlanError
 from .evalexpr import Binding, _compare, _reduce, eval_expr, hashable, truthy
 
 __all__ = ["Frame", "VertexVal", "EdgeVal", "run_scan", "run_expand", "filter_mask",
-           "run_project_frame", "run_aggregate_frame"]
+           "run_aggregate_frame"]
 
 ORIENTATION = {
     "out": EdgeOrientation.OUTGOING,
@@ -160,12 +160,6 @@ class Frame:
         return rows
 
 
-def _true(n: int) -> np.ndarray:
-    out = np.empty(n, dtype=bool)
-    out.fill(True)
-    return out
-
-
 def _distinct(pos: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """The distinct values of ``pos`` in order of first appearance, and
     each row's index into them (hashing, not sorting)."""
@@ -283,14 +277,17 @@ def run_scan(op, frame: Frame, ex, need: int, pre=None) -> Frame:
     spec = op.spec
     if op.source == "bound":
         scan, pos = frame.cols[spec.var]
-        return frame.take(_spec_rows(ex, spec, scan, pos).nonzero()[0])
+        keep = _spec_rows(ex, spec, scan, pos)
+        if pre is not None:
+            keep[keep] = filter_mask(pre.expr, frame.take(keep.nonzero()[0]), ex)
+        return frame.take(keep.nonzero()[0])
     two_stage = False
     if op.source == "dht":
         found = ex.tx.find_vertices([int(ex.resolve(op.detail))], need=need)
         cands = VertexScan(ex.tx, [h.vid for h in found if h is not None])
         # what the lookup found is there and carries the application ID
         # it seeks: only the rest of the spec is left to test
-        keep = _true(len(cands))
+        keep = np.ones(len(cands), dtype=bool)
         if spec.labels or len(spec.preds) > 1:
             seek = next(p for p in spec.preds if p.key == "id" and p.op == "=")
             keep = spec_mask(ex, spec, cands, seek)
@@ -352,6 +349,8 @@ def run_expand(op, frame: Frame, ex, need: int) -> Frame:
     indptr, nbrs, edges = neighbor_csr(ex, scan.take(srcs), op.rel)
     frontier = np.unique(nbrs)
     dst = ex.tx.associate_vertices(frontier, missing_ok=True, need=need)
+    # slices and array methods, not the np.diff/np.repeat wrappers (~1 us
+    # each): every one-hop query runs this on a one-row frame
     deg = (indptr[1:] - indptr[:-1])[inv]
     row = np.arange(frame.n).repeat(deg)
     slot = ragged_index(indptr[inv], deg)
@@ -375,7 +374,8 @@ def _var_expand(op, frame: Frame, ex, dst_need: int) -> Frame:
     From each distinct source, every vertex whose shortest distance over
     matching edges lies in ``[min_hops, max_hops]`` binds exactly once.
     Level-synchronous over all sources at once: reached ``(source, vid)``
-    pairs are kept as sorted keys, and each level's union frontier (what
+    pairs are kept as columns in discovery order (deduplicated through
+    one integer key per pair), and each level's union frontier (what
     no earlier level or source fetched) is read in one batch — with
     topology below ``max_hops``, only what the destination needs on the
     last level, so a ``count(DISTINCT b)`` friends-of-friends query
@@ -398,11 +398,12 @@ def _var_expand(op, frame: Frame, ex, dst_need: int) -> Frame:
         deg = np.diff(indptr)[at]
         universe = np.unique(np.concatenate([vv, nbrs]))
         width = universe.size
-        new = np.unique(
-            fs.repeat(deg) * width
-            + universe.searchsorted(nbrs[ragged_index(indptr[at], deg)])
+        cand = fs.repeat(deg) * width + universe.searchsorted(
+            nbrs[ragged_index(indptr[at], deg)]
         )
-        new = new[~np.isin(new, vs * width + universe.searchsorted(vv))]
+        new, first = np.unique(cand, return_index=True)
+        # each pair's first discovery, in discovery order
+        new = cand[np.sort(first[~np.isin(new, vs * width + universe.searchsorted(vv))])]
         ns, nv = new // width, universe[new % width]
         union = np.unique(nv)
         union = union[~np.isin(union, known)]
@@ -431,7 +432,7 @@ def _var_expand(op, frame: Frame, ex, dst_need: int) -> Frame:
     vs, at = vs[ok], at[ok]
     start = csr_indptr(np.bincount(vs, minlength=srcs.size))
     cnt = np.diff(start)[inv]
-    # within a source: by depth, then by vid
+    # within a source: by depth, then in discovery order (as a BFS emits)
     picked = at[np.argsort(vs, kind="stable")][ragged_index(start[inv], cnt)]
     return frame.take(np.arange(frame.n).repeat(cnt)).bind(op.dst.var, reached, picked)
 
@@ -445,7 +446,7 @@ class _Columns:
     def __init__(self, frame: Frame, ex) -> None:
         self.frame, self.ex = frame, ex
         self._props: dict = {}
-        self._every = _true(frame.n)  # shared "valid everywhere"; never written
+        self._every = np.ones(frame.n, dtype=bool)  # shared "valid everywhere"; never written
 
     def value(self, expr, output: bool = False):
         frame, ex, n, every = self.frame, self.ex, self.frame.n, self._every
@@ -493,7 +494,8 @@ class _Columns:
             v, valid = got
             return (np.full(n, v is None) if valid is None else ~valid) != expr.negated, every
         if isinstance(expr, (And, Or, Not)):
-            parts = [self.truth(x) for x in getattr(expr, "items", (expr.operand,))]
+            items = (expr.operand,) if isinstance(expr, Not) else expr.items
+            parts = [self.truth(x) for x in items]
             if any(p is None for p in parts):
                 return None
             if isinstance(expr, Not):
@@ -537,22 +539,12 @@ def filter_mask(expr, frame: Frame, ex) -> np.ndarray:
     )
 
 
+# -- aggregation -----------------------------------------------------------------
 def _output(values: np.ndarray, valid: np.ndarray) -> list:
     """A column as the row form outputs it (``None`` for null)."""
     return [x if ok else None for x, ok in zip(values.tolist(), valid.tolist())]
 
 
-def run_project_frame(op, frame: Frame, ex) -> "list[tuple] | None":
-    """RETURN without aggregates: one tuple per row; ``None`` when an
-    item needs rows."""
-    cols = _Columns(frame, ex)
-    items = [cols.column(item.expr) for item in op.items]
-    if None in items:
-        return None
-    return list(zip(*[_output(*col) for col in items]))
-
-
-# -- aggregation -----------------------------------------------------------------
 def _codes(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """A code per row, equal where the row form's keys are equal (-1
     for null)."""

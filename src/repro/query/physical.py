@@ -8,10 +8,11 @@ shards and associates every candidate in one pipelined
 :meth:`Transaction.associate_vertices` batch, and an expansion fetches
 each hop's whole frontier in one batch.
 
-Scans, expansions, filters, projections and aggregates run on columns
+Scans, expansions, filters and aggregates run on columns
 (:mod:`repro.query.columnar`); rows of :class:`VertexVal`/:class:`EdgeVal`
 bindings are built only for the writes, for expressions the columns do
-not cover, and for DISTINCT/ORDER BY/SKIP/LIMIT, which shape output rows.
+not cover, and for RETURN/DISTINCT/ORDER BY/SKIP/LIMIT, which shape
+output rows.
 
 * **Needs-projected reads** — the plan's ``_needs`` say, per node
   variable, which holder parts any operator of the plan touches
@@ -48,7 +49,6 @@ from .columnar import (
     filter_mask,
     run_aggregate_frame,
     run_expand,
-    run_project_frame,
     run_scan,
 )
 from .errors import QueryPlanError
@@ -207,16 +207,15 @@ def _run_op(op, data, ex: ExecState, projected: bool, needs, pre=None):
         return run_expand(op, data, ex, needs.get(op.dst.var, NEED_ALL)), projected
     if isinstance(op, FilterOp):
         return data.take(filter_mask(op.expr, data, ex).nonzero()[0]), projected
-    if isinstance(op, (ProjectOp, AggregateOp)):
-        agg = isinstance(op, AggregateOp)
-        out = None
-        if isinstance(data, Frame):
-            out = (run_aggregate_frame if agg else run_project_frame)(op, data, ex)
+    if isinstance(op, AggregateOp):
+        out = run_aggregate_frame(op, data, ex) if isinstance(data, Frame) else None
         if out is None:
             rows = data if isinstance(data, list) else data.rows(ex)
-            out = (run_aggregate if agg else run_project)(op, rows, ex.params)
+            out = run_aggregate(op, rows, ex.params)
         return out, True
     rows = data if isinstance(data, list) else data.rows(ex)
+    if isinstance(op, ProjectOp):
+        return run_project(op, rows, ex.params), True
     if isinstance(op, CreateOp):
         return _run_create(op, rows, ex), projected
     if isinstance(op, SetOp):

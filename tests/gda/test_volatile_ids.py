@@ -1,5 +1,6 @@
 """Tests for volatile vs permanent internal IDs (paper Section 3.4)."""
 
+import numpy as np
 import pytest
 
 from repro.gda import GdaDatabase, VolatileVertexId
@@ -45,6 +46,11 @@ def test_volatile_id_rejected_in_other_transaction():
             tx2 = db.start_transaction(ctx)
             with pytest.raises(GdiStateError):
                 tx2.associate_vertex(vid)
+            # ... in a batch too, even one passed as an object array
+            batch = np.empty(1, dtype=object)
+            batch[0] = vid
+            with pytest.raises(GdiStateError):
+                tx2.associate_vertices(batch)
             tx2.commit()
         ctx.barrier()
         return True

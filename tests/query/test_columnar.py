@@ -4,7 +4,8 @@ The scans, expansions, filters and aggregates of the read pipeline run
 on ``VertexScan`` columns (:mod:`repro.query.columnar`).  Each query
 below targets one shape the columns must get exactly right — nulls,
 float sums, booleans, multi-source variable-length expansion, bound
-destinations, a missing start vertex, heavy edge slots — and must equal
+destinations, a residual filter on a re-scanned variable, a missing
+start vertex, heavy edge slots — and must equal
 :func:`run_reference` row for row, float bits included.  The graph has
 160 vertices, so a full or label scan under a snapshot reads columnar
 batches; in lock mode every position is answered through its handle.
@@ -37,12 +38,21 @@ QUERIES = [
     ("MATCH (v:A) WHERE v.f RETURN count(*), sum(v.x)", None),
     ("MATCH (v) RETURN count(v.f), sum(v.f), min(v.f), max(v.f)", None),
     ("MATCH (v:C) WHERE NOT v.f RETURN v.id ORDER BY v.id", None),
+    ("MATCH (v:A) WHERE v.x > 40 OR (v.f AND NOT v:C) RETURN count(*), sum(v.x)", None),
     # variable-length expansion from many sources
     ("MATCH (a:A)-[*1..2]->(b) RETURN count(DISTINCT b), count(*)", None),
     ("MATCH (a:C)-[:E*0..2]-(b:B) RETURN a.id, count(DISTINCT b) ORDER BY a.id", None),
+    # ... whose rows come in BFS discovery order: the double sums see it
+    ("MATCH (a {id = 5})-[*1..2]-(b) RETURN count(b.x), sum(b.d)", None),
+    ("MATCH (a:C)-[*1..3]->(b) RETURN a.id, sum(b.d) ORDER BY a.id", None),
     # bound destinations: a cycle back to the anchor, a var-length check
     ("MATCH (a:A)-[:E]->(b)-[:E]->(a) RETURN a.id, b.id ORDER BY a.id, b.id", None),
     ("MATCH (a:C)-[]->(b), (a)-[*1..2]-(b:B) RETURN count(*)", None),
+    # a bound re-scan followed by a residual filter on its variable
+    ("MATCH (a:C)-[]->(b), (b:B) WHERE b.x IS NULL RETURN count(*)", None),
+    ("MATCH (a:C)-[]->(b), (b:B) WHERE b.x > 10 OR b.f RETURN count(*), sum(b.x)", None),
+    ("MATCH (a:A)-[:E]->(b), (b) WHERE NOT b.f RETURN a.id, b.id ORDER BY a.id", None),
+    ("MATCH (a:C)-[]->(b), (b) WHERE b.tag = 't1' RETURN count(*)", None),
     # a start vertex that does not exist
     ("MATCH (a {id = $src})-[*1..2]-(b) RETURN count(DISTINCT b)", {"src": 12345}),
     ("MATCH (a {id = $src})-[]->(b) RETURN count(*), sum(b.x)", {"src": 12345}),
