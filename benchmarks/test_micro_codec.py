@@ -4,9 +4,9 @@ Measures the real (wall-clock) cost of turning a raw edge-slot region
 into usable topology, the hot inner decode of every vertex fetch:
 
 * **struct loop** — ``_SLOT.iter_unpack`` into per-edge ``EdgeSlot``
-  objects (the slot-granular mutation path),
+  values (what ``VertexHolder.edges`` decodes for handle iteration),
 * **numpy view** — ``np.frombuffer`` with :data:`SLOT_DTYPE` giving
-  zero-copy column arrays (the bulk read path used by ``targets()`` /
+  zero-copy column arrays (the bulk read path used by
   ``edges_as_arrays()``).
 
 This is the one benchmark in the suite where wall-clock, not simulated
@@ -35,7 +35,7 @@ def _slot_buf(n: int) -> bytes:
 
 
 def _decode_struct(buf: bytes) -> list[EdgeSlot]:
-    # mirrors VertexHolder.edges materialization
+    # what VertexHolder.edges decodes, one Python constructor call a slot
     return [
         EdgeSlot(dptr, label_id, flags)
         for dptr, label_id, flags in _SLOT.iter_unpack(buf)

@@ -9,10 +9,12 @@ back (:func:`withdraw`), after it the record is permanent.
 A write transaction remembers one pre-image per vertex — the holder as
 read (:attr:`_TxVertex.loaded`), sharing the fetched bytes — and three
 flags.  The stages derive the rest, for dirty vertices only, by one rule:
-a part of the live holder *still in wire form is unchanged*, so it is the
-pre-image's.  An untouched slot region yields no edge entries; an
-untouched entry stream is logged from the pre-image, written back as
-read, and moves no label count and no index posting.
+a part of the live holder that is *still the object read is unchanged*,
+so it is the pre-image's — the same slot-region buffer (a slot change
+rebinds it, never edits it), or an entry stream still in wire form.  An
+untouched slot region yields no edge entries; an untouched entry stream
+is logged from the pre-image, written back as read, and moves no label
+count and no index posting.
 """
 
 from __future__ import annotations
@@ -389,21 +391,20 @@ def capture_preimages(tx: "Transaction", txv: "_TxVertex") -> None:
 def frozen_copy(stored: StoredHolder) -> StoredHolder:
     """Copy a holder deep enough to serve as a pre-image.
 
-    The committing transaction mutates its cached holders in place
-    (labels/properties/edge-slot lists), so the image must own those
-    containers.  Slot objects and property blobs are shared: the
-    transaction layer replaces them, it never mutates them.  Block lists
-    are dropped — an image is only ever *served*, never rewritten.
+    The committing transaction mutates the label and property lists of
+    its cached holders in place, so the image must own those containers.
+    Property blobs and the slot region are shared: the transaction layer
+    replaces them, it never mutates them.  Block lists are dropped — an
+    image is only ever *served*, never rewritten.
     """
     h = stored.holder
     if h.kind == KIND_VERTEX:
-        # a part still in wire form is immutable bytes: shared as it is
+        # the slot region and a stream still in wire form are immutable
+        # bytes: shared as they are
         ch = VertexHolder._from_wire(h.app_id, h._entry_buf, h._slot_buf)
         if h._entry_buf is None:
             ch.labels = list(h.labels)
             ch.properties = list(h.properties)
-        if h._edges is not None:
-            ch._edges = list(h._edges)
     else:
         ch = EdgeHolder(
             src=h.src,
@@ -427,7 +428,8 @@ def _edge_log_entries(
     """Replayable edge entries: each survivor's slots diffed *by value*,
     as a multiset, against the slots it was loaded with.
 
-    A slot region nobody materialised is unchanged and skipped outright.
+    A slot region that is still the buffer read is unchanged and skipped
+    outright.
     Removals come in pre-image slot order, additions in live slot order
     (a seeded run logs the same bytes); a slot removed and re-added
     identically nets to nothing.  Each logical edge is emitted exactly
@@ -456,11 +458,12 @@ def _edge_log_entries(
 
     for txv in survivors:
         holder = txv.holder
-        if holder._edges is None:
-            continue  # still the bytes it was read as
+        # (created here: loaded with no slots)
         pre = txv.loaded.holder if txv.loaded is not None else VertexHolder(0)
-        # (created here: loaded with no slots)  Both multisets are built at
-        # C speed; only the (value, count) pairs they disagree on are walked
+        if holder._slot_buf is pre._slot_buf:
+            continue  # still the bytes it was read as
+        # Both multisets are built at C speed; only the (value, count)
+        # pairs they disagree on are walked
         was, now = Counter(pre._slot_values()), Counter(holder._slot_values())
         surplus = {v: now[v] - was[v] for v, _ in was.items() ^ now.items()}
         for value in filter(surplus.__contains__, pre._slot_values()):

@@ -86,12 +86,10 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
         local_holders[vid] = stored
 
     # replicate (vid -> app_id, slot summary) for reciprocity checking
-    slot_summary = {}
-    for vid, stored in local_holders.items():
-        slots = []
-        for slot in stored.holder.edges:
-            slots.append((slot.dptr, slot.label_id, slot.flags))
-        slot_summary[vid] = (stored.holder.app_id, slots)
+    slot_summary = {
+        vid: (stored.holder.app_id, list(stored.holder._slot_values()))
+        for vid, stored in local_holders.items()
+    }
     global_slots: dict[int, tuple[int, list]] = {}
     for part in ctx.allgather(slot_summary):
         if part is not None:  # crashed ranks contribute None

@@ -206,36 +206,29 @@ class VertexHandle:
     ) -> list[int]:
         """``GDI_GetNeighborVerticesOfVertex``: neighbor internal IDs.
 
-        Holders still in wire form take a vectorized path over the raw
-        slot array (one numpy pass instead of per-slot ``EdgeHandle``
-        objects); heavy slots or constraints beyond a single has-label
-        fall back to the handle loop, which matches semantics exactly.
+        One numpy pass over the slot region instead of per-slot
+        ``EdgeHandle`` objects; heavy slots or constraints beyond a
+        single has-label fall back to the handle loop, which matches
+        semantics exactly.
         """
-        holder = self._holder(NEED_TOPO)
+        dptr, label, flags = self._holder(NEED_TOPO).edges_as_arrays()
+        vectorized = not (flags & SLOT_HEAVY).any()
         lid: int | None = None
-        # slots already materialized as objects: the scalar loop wins
-        vectorized = holder._edges is None
         if vectorized and constraint is not None and not constraint.is_true():
             lid = _constraint_label_id(constraint)
             vectorized = lid is not None
-        if vectorized:
-            dptr, label, flags = holder.edges_as_arrays()
-            if not (flags & SLOT_HEAVY).any():
-                mask = _orientation_mask(flags, orientation)
-                if lid is not None:
-                    mask = mask & (label == lid)
-                return dptr[mask].tolist()
-        return [
-            e.other_endpoint() for e in self.edges(orientation, constraint)
-        ]
+        if not vectorized:
+            return [
+                e.other_endpoint() for e in self.edges(orientation, constraint)
+            ]
+        mask = _orientation_mask(flags, orientation)
+        if lid is not None:
+            mask = mask & (label == lid)
+        return dptr[mask].tolist()
 
     def degree(self, orientation: EdgeOrientation = EdgeOrientation.ANY) -> int:
-        holder = self._holder(NEED_TOPO)
-        if holder._edges is None:
-            _, _, flags = holder.edges_as_arrays()
-            return int(np.count_nonzero(_orientation_mask(flags, orientation)))
-        dirs = _matching_directions(orientation)
-        return sum(1 for slot in holder.edges if dirs[slot.flags & DIR_MASK])
+        _, _, flags = self._holder(NEED_TOPO).edges_as_arrays()
+        return int(np.count_nonzero(_orientation_mask(flags, orientation)))
 
     def delete(self) -> None:
         self._tx.delete_vertex(self)
@@ -549,10 +542,15 @@ def _constraint_label_id(constraint: Constraint) -> int | None:
 
 
 class EdgeHandle:
-    """Opaque per-process edge access object.
+    """Opaque per-process edge access object: a base vertex and one of
+    its slots, as a value.
 
     Valid only within its transaction (edge UIDs are volatile: the slot
     offset may change when the source holder is rewritten, Section 3.4).
+    Two handles are equal when they name an equal slot of the same
+    vertex: lightweight parallel edges with the same target, label and
+    direction are identical on the wire, so they behave as a multiset —
+    deleting through either handle removes one of them.
     """
 
     __slots__ = ("_tx", "_base", "_slot")
@@ -563,18 +561,26 @@ class EdgeHandle:
         self._slot = slot
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, EdgeHandle) and other._slot is self._slot
+        return (
+            isinstance(other, EdgeHandle)
+            and other._base is self._base
+            and other._slot == self._slot
+        )
 
     def __hash__(self) -> int:
-        return hash(id(self._slot))
+        return hash((id(self._base), self._slot))
 
     @property
     def uid(self) -> bytes:
-        """The 12-byte edge UID (Section 5.4.2), relative to the base vertex."""
-        for idx, s in enumerate(self._base.holder.edges):
-            if s is self._slot:  # identity, not value equality
-                return pack_edge_uid(self._base.vid, idx)
-        raise GdiNotFound("edge slot no longer present on its base vertex")
+        """The 12-byte edge UID (Section 5.4.2): the base vertex and the
+        offset of the first slot equal to this handle's."""
+        try:
+            index = self._base.holder.edges.index(self._slot)
+        except ValueError:
+            raise GdiNotFound(
+                "edge slot no longer present on its base vertex"
+            ) from None
+        return pack_edge_uid(self._base.vid, index)
 
     @property
     def heavy(self) -> bool:
@@ -665,35 +671,19 @@ class EdgeHandle:
 def remove_reciprocal_slot(
     other: "_TxVertex", base_vid: int, slot: EdgeSlot
 ) -> None:
-    """Remove one slot on ``other`` matching the reciprocal of ``slot``."""
-    want_dir = _RECIPROCAL[slot.direction]
+    """Remove the slot on ``other`` that is the reciprocal of ``slot``."""
     # both slots of a heavyweight edge point at its holder; a lightweight
     # slot points at the other endpoint
     target = slot.dptr if slot.heavy else base_vid
-    edges = other.holder.edges
-    for i, cand in enumerate(edges):
-        if cand is slot or cand.heavy != slot.heavy or cand.dptr != target:
-            continue
-        if slot.heavy or (
-            cand.label_id == slot.label_id and cand.direction == want_dir
-        ):
-            del edges[i]
-            return
-    # The reciprocal slot must exist if the graph is consistent.
-    raise GdiStateError(
-        f"reciprocal edge slot missing on vertex {other.vid:#x}"
-    )
+    flags = _RECIPROCAL[slot.direction] | (slot.flags & SLOT_HEAVY)
+    if not other.holder.remove_slot(EdgeSlot(target, slot.label_id, flags)):
+        # The reciprocal slot must exist if the graph is consistent.
+        raise GdiStateError(
+            f"reciprocal edge slot missing on vertex {other.vid:#x}"
+        )
 
 
 _RECIPROCAL = {DIR_OUT: DIR_IN, DIR_IN: DIR_OUT, DIR_UNDIR: DIR_UNDIR}
-
-
-def remove_by_identity(slots: list[EdgeSlot], victim: EdgeSlot) -> bool:
-    for i, s in enumerate(slots):
-        if s is victim:
-            del slots[i]
-            return True
-    return False
 
 
 def encode_property(ptype: PropertyType, value: Any) -> bytes:

@@ -12,21 +12,22 @@ Zero-copy codec
 ---------------
 
 The on-wire layouts are mirrored by numpy structured dtypes
-(:data:`SLOT_DTYPE`, :data:`HEADER_DTYPE`) so decoded holders keep the
-raw slot region as an opaque buffer instead of eagerly unpacking one
-:class:`EdgeSlot` per edge.  :meth:`VertexHolder.edges_as_arrays` views
-that buffer directly (no per-edge Python objects); the ``edges`` list is
-materialized lazily only when slot-granular mutation is needed, at which
-point the buffer is dropped so the two representations can never
-diverge.
+(:data:`SLOT_DTYPE`, :data:`HEADER_DTYPE`).  A vertex keeps its edge
+slots in one form only: the packed 16-byte-per-slot region, as read off
+the wire or as last rebuilt.  :meth:`VertexHolder.edges_as_arrays` views
+it without copying; :attr:`VertexHolder.edges` decodes it into a tuple of
+:class:`EdgeSlot` values; adding or removing a slot rebinds the holder to
+a new bytes object, so a buffer once read is never changed and a
+pre-image may share it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import starmap
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,9 +125,8 @@ _BLOCK_HEADER = struct.Struct(_HEADER.format + "I")
 assert _BLOCK_HEADER.size == HEADER_BYTES
 
 
-@dataclass
-class EdgeSlot:
-    """One edge slot inside a vertex holder.
+class EdgeSlot(NamedTuple):
+    """One edge slot inside a vertex holder, as a value.
 
     For lightweight edges ``dptr`` addresses the neighbor vertex and
     ``label_id`` is the (single, optional — 0 means none) edge label.
@@ -147,40 +147,37 @@ class EdgeSlot:
         return bool(self.flags & SLOT_HEAVY)
 
 
-_SLOT_VALUE = attrgetter("dptr", "label_id", "flags")
+#: one unpacked ``(dptr, label_id, flags)`` row as an :class:`EdgeSlot`,
+#: built at C speed (what ``EdgeSlot._make`` does, without its frame)
+_as_slot = partial(tuple.__new__, EdgeSlot)
 
 
 class VertexHolder:
     """Decoded vertex: application ID, labels, properties, edge slots.
 
-    The edge slots live in exactly one of two representations:
+    The edge slots are ``_slot_buf``: the raw 16-byte-per-slot region,
+    in slot order, as read off the wire (served to bulk consumers as
+    numpy views).  It is ``None`` for a projected read that did not
+    fetch the topology; touching the slots then raises
+    :class:`GdiStateError` — the transaction layer hydrates missing
+    parts before handing out slots.  :attr:`edges` is a read-only tuple
+    decoded from it; :meth:`add_slot` and :meth:`remove_slot` rebind it
+    to a new bytes object, never change one in place, so "the same
+    buffer object" means "the bytes read".
 
-    * ``_slot_buf`` — the raw 16-byte-per-slot region as read off the
-      wire (zero-copy; served to bulk consumers as numpy views);
-    * ``_edges`` — a materialized ``list[EdgeSlot]`` for slot-granular
-      mutation.
-
-    Reading :attr:`edges` materializes the list and *drops the buffer*,
-    so a mutated list can never coexist with a stale buffer.  Holders
-    from projected reads may carry neither (topology not fetched);
-    touching :attr:`edges` then raises :class:`GdiStateError` — the
-    transaction layer hydrates missing parts before handing out slots.
-
-    The label/property entry stream is kept the same way: ``_entry_buf``
-    holds the bytes as read (checksummed with the rest of the payload on
-    a full read) until :attr:`labels` or :attr:`properties` is first
-    touched, which decodes them into the two lists and drops the buffer
-    (a malformed stream raises :class:`~repro.gda.entries.EntryFormatError`
-    there).  A stream nobody touched is written back as the bytes it
-    was read as.  Both lists are ``None`` when the stream was not
-    fetched.
+    The label/property entry stream is kept in wire form the same way:
+    ``_entry_buf`` holds the bytes as read (checksummed with the rest of
+    the payload on a full read) until :attr:`labels` or
+    :attr:`properties` is first touched, which decodes them into the two
+    lists and drops the buffer (a malformed stream raises
+    :class:`~repro.gda.entries.EntryFormatError` there).  A stream nobody
+    touched is written back as the bytes it was read as.  Both lists are
+    ``None`` when the stream was not fetched.
     """
 
     kind = KIND_VERTEX
 
-    __slots__ = (
-        "app_id", "_labels", "_properties", "_entry_buf", "_edges", "_slot_buf"
-    )
+    __slots__ = ("app_id", "_labels", "_properties", "_entry_buf", "_slot_buf")
 
     def __init__(
         self,
@@ -193,10 +190,7 @@ class VertexHolder:
         self._labels = [] if labels is None else labels
         self._properties = [] if properties is None else properties
         self._entry_buf: bytes | None = None
-        self._edges: list[EdgeSlot] | None = (
-            [] if edges is None else edges
-        )
-        self._slot_buf: bytes | None = None
+        self._slot_buf: bytes | None = b"".join(starmap(_SLOT.pack, edges or ()))
 
     @classmethod
     def _from_wire(
@@ -205,7 +199,7 @@ class VertexHolder:
         """A holder still in wire form; ``None`` for a part not fetched."""
         h = cls.__new__(cls)
         h.app_id = app_id
-        h._labels = h._properties = h._edges = None
+        h._labels = h._properties = None
         h._entry_buf = entry_buf
         h._slot_buf = slot_buf
         return h
@@ -245,102 +239,62 @@ class VertexHolder:
         self._properties = value
 
     # -- edge-slot access --------------------------------------------------
-    @property
-    def edges(self) -> list[EdgeSlot]:
-        if self._edges is None:
-            if self._slot_buf is None:
-                raise GdiStateError(
-                    "vertex holder topology not loaded (projected read)"
-                )
-            self._edges = list(
-                starmap(EdgeSlot, _SLOT.iter_unpack(self._slot_buf))
+    def _slots(self) -> bytes:
+        if self._slot_buf is None:
+            raise GdiStateError(
+                "vertex holder topology not loaded (projected read)"
             )
-            self._slot_buf = None  # single source of truth from here on
-        return self._edges
+        return self._slot_buf
 
-    @edges.setter
-    def edges(self, value: list[EdgeSlot]) -> None:
-        self._edges = value
-        self._slot_buf = None
+    @property
+    def edges(self) -> "tuple[EdgeSlot, ...]":
+        return tuple(map(_as_slot, _SLOT.iter_unpack(self._slots())))
 
     @property
     def has_topology(self) -> bool:
-        return self._edges is not None or self._slot_buf is not None
+        return self._slot_buf is not None
 
     @property
     def edge_count(self) -> int:
-        if self._edges is not None:
-            return len(self._edges)
-        if self._slot_buf is not None:
-            return len(self._slot_buf) // SLOT_BYTES
-        raise GdiStateError(
-            "vertex holder topology not loaded (projected read)"
-        )
+        return len(self._slots()) // SLOT_BYTES
+
+    def add_slot(self, slot: EdgeSlot) -> None:
+        self._slot_buf = self._slots() + _SLOT.pack(*slot)
+
+    def remove_slot(self, slot: EdgeSlot) -> bool:
+        """Splice out the first slot equal to ``slot``, keeping slot
+        order; ``False`` if there is none."""
+        buf, packed = self._slots(), _SLOT.pack(*slot)
+        at = buf.find(packed)
+        while at > 0 and at % SLOT_BYTES:  # a match straddling two slots
+            at = buf.find(packed, at + 1)
+        if at < 0:
+            return False
+        self._slot_buf = buf[:at] + buf[at + SLOT_BYTES :]
+        return True
 
     def edges_as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(dptr, label, flags)`` arrays over the edge slots, zero-copy.
-
-        When the holder still carries its wire buffer the arrays are
-        read-only views straight over it (no per-edge objects, no
-        copies); a materialized list is packed on the fly.
-        """
-        if self._slot_buf is not None:
-            view = np.frombuffer(self._slot_buf, dtype=SLOT_DTYPE)
-            return view["dptr"], view["label"], view["flags"]
-        edges = self.edges
-        n = len(edges)
-        arr = np.empty(n, dtype=SLOT_DTYPE)
-        if n:
-            arr["dptr"] = [s.dptr for s in edges]
-            arr["label"] = [s.label_id for s in edges]
-            arr["flags"] = [s.flags for s in edges]
-        return arr["dptr"], arr["label"], arr["flags"]
+        """``(dptr, label, flags)`` arrays over the edge slots: read-only
+        views straight over the slot region (no per-edge objects, no
+        copies)."""
+        view = np.frombuffer(self._slots(), dtype=SLOT_DTYPE)
+        return view["dptr"], view["label"], view["flags"]
 
     def _slot_values(self):
-        """``(dptr, label_id, flags)`` per slot, in slot order, at C speed
-        and without building slot objects for a region still packed."""
-        if self._edges is None:
-            return _SLOT.iter_unpack(self._slot_buf)
-        return map(_SLOT_VALUE, self._edges)
-
-    def targets(self, label_id: int | None = None) -> np.ndarray:
-        """DPtrs of lightweight neighbors, optionally for one edge label.
-
-        Heavy slots are excluded (their DPtr addresses an edge holder,
-        not a neighbor); bulk analytics consumers resolve those rarely
-        and separately.
-        """
-        dptr, label, flags = self.edges_as_arrays()
-        mask = (flags & SLOT_HEAVY) == 0
-        if label_id is not None:
-            mask &= label == label_id
-        return dptr[mask]
+        """``(dptr, label_id, flags)`` per slot, in slot order, at C speed."""
+        return _SLOT.iter_unpack(self._slots())
 
     # -- serialization -----------------------------------------------------
-    def _slot_bytes(self) -> bytes:
-        if self._edges is None and self._slot_buf is not None:
-            return self._slot_buf
-        edges = self.edges
-        if len(edges) >= 64:
-            arr = np.empty(len(edges), dtype=SLOT_DTYPE)
-            arr["dptr"] = [s.dptr for s in edges]
-            arr["label"] = [s.label_id for s in edges]
-            arr["flags"] = [s.flags for s in edges]
-            return arr.tobytes()
-        return b"".join(
-            _SLOT.pack(s.dptr, s.label_id, s.flags) for s in edges
-        )
-
     def payload(self) -> tuple[bytes, int]:
         stream = self._entry_buf
         if stream is None:
             stream = encode_entries(self._labels, self._properties)
-        return self._slot_bytes() + stream, 0
+        return self._slots() + stream, 0
 
     def payload_nbytes(self) -> int:
         if self._entry_buf is not None:
-            return SLOT_BYTES * self.edge_count + len(self._entry_buf)
-        return SLOT_BYTES * self.edge_count + entries_nbytes(
+            return len(self._slots()) + len(self._entry_buf)
+        return len(self._slots()) + entries_nbytes(
             self._labels, self._properties
         )
 
@@ -352,15 +306,11 @@ class VertexHolder:
             self.app_id == other.app_id
             and self.labels == other.labels
             and self.properties == other.properties
-            and self.edges == other.edges
+            and self._slot_buf == other._slot_buf
         )
 
     def __repr__(self) -> str:
-        edges = (
-            f"<{len(self._slot_buf) // SLOT_BYTES} packed slots>"
-            if self._edges is None and self._slot_buf is not None
-            else self._edges
-        )
+        edges = self.edges if self.has_topology else None
         return (
             f"VertexHolder(app_id={self.app_id!r}, labels={self.labels!r}, "
             f"properties={self.properties!r}, edges={edges!r})"
@@ -379,7 +329,6 @@ class EdgeHolder:
 
     kind = KIND_EDGE
     app_id = 0
-    edges: list = field(default=None, repr=False)  # type: ignore[assignment]
 
     def payload(self) -> tuple[bytes, int]:
         stream = encode_entries(self.labels, self.properties)

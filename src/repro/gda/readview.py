@@ -231,8 +231,8 @@ class ReadView:
         Re-reads only the missing payload parts (the holders are stable:
         this transaction holds their locks, or runs collectively under
         the no-concurrent-writer contract) and merges them into the
-        *existing* holder objects, so handles and edge-slot identities
-        held by the caller stay valid.
+        *existing* holder objects, so handles held by the caller stay
+        valid.
         """
         want = list(
             {
@@ -256,15 +256,11 @@ class ReadView:
                 holder._entry_buf = fholder._entry_buf
                 holder._labels = fholder._labels
                 holder._properties = fholder._properties
-            if (
-                got & NEED_TOPO
-                and not txv.stored.parts & NEED_TOPO
-                and holder._edges is None
-            ):
-                if fholder._edges is not None:
-                    holder._edges = fholder._edges
-                else:
-                    holder._slot_buf = fholder._slot_buf
+            if got & NEED_TOPO and not txv.stored.parts & NEED_TOPO:
+                # the pre-image shares the region read: still unchanged
+                holder._slot_buf = fholder._slot_buf
+                if txv.loaded is not None:
+                    txv.loaded.holder._slot_buf = fholder._slot_buf
             txv.stored.data_blocks = fresh.data_blocks
             txv.stored.index_blocks = fresh.index_blocks
             txv.stored.parts |= got

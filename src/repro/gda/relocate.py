@@ -59,11 +59,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..rma.faults import RmaStaleEpoch
 from ..rma.runtime import RankContext
 from .database_impl import GdaDatabase
 from .dptr import unpack_dptr
-from .holder import KIND_EDGE
+from .holder import KIND_EDGE, SLOT_DTYPE, SLOT_HEAVY
 
 __all__ = ["plan_balance", "plan_offload", "rebalance", "MoveIntent"]
 
@@ -360,26 +362,27 @@ def _patch_references(
             if stored is None:
                 return
             holder = stored.holder
-            dirty = False
-            for slot in holder.edges:
-                if slot.heavy:
-                    eh_stored = db.storage.read(ctx, slot.dptr)
-                    eh = eh_stored.holder
-                    if eh.kind != KIND_EDGE:
-                        continue
-                    patched = False
-                    if eh.src in mapping:
-                        eh.src = mapping[eh.src]
-                        patched = True
-                    if eh.dst in mapping:
-                        eh.dst = mapping[eh.dst]
-                        patched = True
-                    if patched:
-                        db.storage.rewrite(ctx, eh_stored)
-                elif slot.dptr in mapping:
-                    slot.dptr = mapping[slot.dptr]
-                    dirty = True
-            if dirty:
+            slots = np.frombuffer(holder._slot_buf, dtype=SLOT_DTYPE).copy()
+            heavy = (slots["flags"] & SLOT_HEAVY) != 0
+            for eptr in slots["dptr"][heavy].tolist():
+                eh_stored = db.storage.read(ctx, eptr)
+                eh = eh_stored.holder
+                if eh.kind != KIND_EDGE:
+                    continue
+                patched = False
+                if eh.src in mapping:
+                    eh.src = mapping[eh.src]
+                    patched = True
+                if eh.dst in mapping:
+                    eh.dst = mapping[eh.dst]
+                    patched = True
+                if patched:
+                    db.storage.rewrite(ctx, eh_stored)
+            dptr = slots["dptr"]  # a view: writes land in ``slots``
+            moved = ~heavy & np.isin(dptr, list(mapping))
+            if moved.any():
+                dptr[moved] = [mapping[d] for d in dptr[moved].tolist()]
+                holder._slot_buf = slots.tobytes()
                 db.storage.rewrite(ctx, stored)
 
         _with_heal(ctx, db, _patch_one)

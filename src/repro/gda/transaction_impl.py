@@ -53,7 +53,6 @@ from .handles import (
     VertexScan,
     VolatileVertexId,
     encode_property,
-    remove_by_identity,
     remove_reciprocal_slot,
 )
 from .holder import (
@@ -734,7 +733,7 @@ class Transaction:
         self._check_write()
         txv = handle._txv
         self._lock_cached([txv], want_write=True)
-        slots = list(txv.holder.edges)
+        slots = txv.holder.edges
         # resolve every far endpoint first (heavy slots read their edge
         # holder, and two slots of a directed self-loop share one), only
         # then mark the holders deleted and pull every distinct neighbor
@@ -751,7 +750,6 @@ class Transaction:
                 other = self._vertices[other_vid]
                 remove_reciprocal_slot(other, txv.vid, slot)
                 self._mark_dirty(other)
-        txv.holder.edges.clear()
         txv.deleted = True
         self._mark_dirty(txv)
 
@@ -812,14 +810,13 @@ class Transaction:
             lid = label_list[0].int_id if label_list else 0
             fwd = EdgeSlot(dst_txv.vid, lid, DIR_OUT if directed else DIR_UNDIR)
             rev = EdgeSlot(src._txv.vid, lid, DIR_IN if directed else DIR_UNDIR)
-        src_holder.edges.append(fwd)
+        src_holder.add_slot(fwd)
         if dst_txv.vid != src._txv.vid:
-            dst_holder = self._mutate(dst_txv)
-            dst_holder.edges.append(rev)
+            self._mutate(dst_txv).add_slot(rev)
         elif directed:
             # directed self-loop: the vertex sees it both outgoing and
             # incoming; undirected self-loops keep a single slot.
-            src_holder.edges.append(rev)
+            src_holder.add_slot(rev)
         return EdgeHandle(self, src._txv, fwd)
 
     def associate_edge(self, uid: bytes) -> "EdgeHandle":
@@ -827,18 +824,17 @@ class Transaction:
         self._check_open()
         vid, slot_idx = unpack_edge_uid(uid)
         txv = self._load_vertex(vid, for_write=False)
-        if slot_idx >= len(txv.holder.edges):
+        slots = txv.holder.edges
+        if slot_idx >= len(slots):
             raise GdiNotFound(f"edge slot {slot_idx} out of range")
-        return EdgeHandle(self, txv, txv.holder.edges[slot_idx])
+        return EdgeHandle(self, txv, slots[slot_idx])
 
     def delete_edge(self, handle: "EdgeHandle") -> None:
         """``GDI_FreeEdge`` (delete): remove both endpoint slots."""
         self._check_write()
         txv = handle._base
         slot = handle._slot
-        holder = self._mutate(txv)
-        removed = remove_by_identity(holder.edges, slot)
-        if not removed:
+        if not self._mutate(txv).remove_slot(slot):
             raise GdiNotFound("edge already removed in this transaction")
         other_vid = self._slot_other_endpoint(txv.vid, slot)
         if slot.heavy:
@@ -880,7 +876,7 @@ class Transaction:
             slot = EdgeSlot(other_vid, label_id, direction)
             if other_app_id is not None:
                 self._app_id_hints[other_vid] = int(other_app_id)
-        txv.holder.edges.append(slot)
+        txv.holder.add_slot(slot)
         self._mark_dirty(txv)
 
     def bulk_create_edge_holder(

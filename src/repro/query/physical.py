@@ -327,9 +327,9 @@ def _run_delete(op: DeleteOp, rows: list, ex: ExecState) -> list:
         for var in op.vars:
             binding = row[var]
             if binding.is_edge:
-                if id(binding.e._slot) in deleted_e:
+                if id(binding.e) in deleted_e:  # rows sharing one handle
                     continue
-                deleted_e.add(id(binding.e._slot))
+                deleted_e.add(id(binding.e))
                 try:
                     ex.tx.delete_edge(binding.e)
                 except GdiNotFound:

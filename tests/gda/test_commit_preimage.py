@@ -19,6 +19,7 @@ from repro.gda.checkpoint import snapshot
 from repro.gda.consistency import check_consistency
 from repro.gda.holder import DIR_IN, DIR_OUT, DIR_UNDIR
 from repro.gdi import Constraint, EdgeOrientation
+from repro.gdi.errors import GdiNotFound
 from repro.rma import run_spmd
 
 from .test_recovery import CFG, _make_metadata, canon
@@ -90,7 +91,7 @@ def test_set_property_writes_the_slot_region_back_as_read():
         holder, slots_read = v._txv.holder, v._txv.holder._slot_buf
         v.set_property(ts, 77)
         tx.commit()
-        assert holder._edges is None  # no EdgeSlot was ever built
+        assert holder._slot_buf is v._txv.loaded.holder._slot_buf  # unchanged
         assert holder._slot_buf is slots_read
         tx = db.start_transaction(ctx)
         v = tx.find_vertex(1)
@@ -154,6 +155,64 @@ def test_parallel_identical_edges_log_their_exact_multiplicity():
     ]
     assert live == replayed
     assert live["light_edges"] == [(0, 1, True, "knows")]
+
+
+def test_identical_parallel_edges_are_a_multiset_of_equal_handles():
+    """Two lightweight edges with one target, label and direction are the
+    same 16 bytes twice: their handles are equal, and each delete through
+    one removes one slot on both endpoints until none is left."""
+
+    def base(ctx, db):
+        knows = db.label(ctx, "knows")
+
+        def make(tx):
+            a, b = tx.create_vertex(0), tx.create_vertex(1)
+            tx.create_edge(a, b, label=knows)
+            tx.create_edge(a, b, label=knows)
+
+        _commit(ctx, db, make)
+
+    def body(ctx, db):
+        tx = db.start_transaction(ctx, write=True)
+        a, b = tx.find_vertices([0, 1])
+        first, second = a.edges(EdgeOrientation.OUTGOING)
+        equal = first == second and hash(first) == hash(second)
+        resolved = tx.associate_edge(first.uid) == first
+        degrees = []
+        for e in (first, second):
+            tx.delete_edge(e)
+            degrees.append((a.degree(), b.degree()))
+        with pytest.raises(GdiNotFound):
+            tx.delete_edge(first)
+        tx.commit()
+        return equal, resolved, degrees
+
+    out, tail, live, replayed = _two_ranks(body, base)
+    assert out == (True, True, [(1, 1), (0, 0)])
+    assert [e for e in tail[0] if e[0].startswith("edge")] == [
+        ("edge-", 0, 1, True, "knows")
+    ] * 2
+    assert live == replayed
+    assert live["light_edges"] == []
+
+
+def test_an_edge_added_and_removed_again_writes_the_slots_read():
+    def body(ctx, db):
+        knows = db.label(ctx, "knows")
+        tx = db.start_transaction(ctx, write=True)
+        a, b = tx.find_vertices([0, 1])
+        read = [h._txv.holder._slot_buf for h in (a, b)]
+        tx.delete_edge(tx.create_edge(a, b, label=knows))
+        tx.commit()
+        now = [h._txv.holder._slot_buf for h in (a, b)]
+        stored = [db.storage.read(ctx, h.vid).holder._slot_buf for h in (a, b)]
+        return [n is not r and n == r for n, r in zip(now, read)], stored == read
+
+    (rebound, same), tail, live, replayed = _two_ranks(body, _chain(2))
+    assert rebound == [True, True]  # new buffers of the bytes read: diffed
+    assert same
+    assert [_kinds(r) for r in tail] == [["upd_v", "upd_v"]]
+    assert live == replayed
 
 
 def test_delete_and_recreate_of_an_identical_edge_is_replay_neutral():

@@ -255,39 +255,33 @@ def test_edge_verbs_filter_as_orientation_matches_does(app):
         kinds = set()  # (direction, heavy?) of every slot some mask matched
         for mask in range(8):
             wanted = EdgeOrientation(mask)
-            for materialize_first in (False, True):
-                tx = db.start_transaction(ctx)
-                v = tx.find_vertex(app)
-                holder = v._txv.holder
-                if materialize_first:
-                    holder.edges
-                else:  # wire form: the vectorized paths answer
-                    assert holder._edges is None
-                degree = v.degree(wanted)
-                nbrs = v.neighbors(wanted)
-                want = [
-                    s
-                    for s in holder.edges
-                    if _orientation_matches(s.flags & DIR_MASK, wanted)
-                ]
-                assert [e._slot for e in v.edges(wanted)] == want
-                assert all(
-                    e._slot is s for e, s in zip(v.edges(wanted), want)
-                ), "handles wrap the holder's own slot objects"
-                assert degree == v.degree(wanted) == len(want)
-                assert nbrs == v.neighbors(wanted)
-                assert nbrs == [tx._slot_other_endpoint(v.vid, s) for s in want]
-                kinds |= {(s.flags & DIR_MASK, e.heavy) for s, e in zip(want, v.edges(wanted))}
-                for e in v.edges(wanted):
-                    s = e._slot
-                    assert e.heavy == bool(s.flags & SLOT_HEAVY)
-                    src, dst = e.endpoints()
-                    other = tx._slot_other_endpoint(v.vid, s)
-                    if s.flags & DIR_MASK == DIR_IN:
-                        assert (src, dst) == (other, v.vid)
-                    else:
-                        assert {src, dst} == {v.vid, other}
-                tx.commit()
+            tx = db.start_transaction(ctx)
+            v = tx.find_vertex(app)
+            holder = v._txv.holder
+            read = holder._slot_buf
+            degree = v.degree(wanted)
+            nbrs = v.neighbors(wanted)
+            want = [
+                s
+                for s in holder.edges
+                if _orientation_matches(s.flags & DIR_MASK, wanted)
+            ]
+            assert [e._slot for e in v.edges(wanted)] == want
+            assert degree == v.degree(wanted) == len(want)
+            assert nbrs == v.neighbors(wanted)
+            assert nbrs == [tx._slot_other_endpoint(v.vid, s) for s in want]
+            kinds |= {(s.flags & DIR_MASK, e.heavy) for s, e in zip(want, v.edges(wanted))}
+            for e in v.edges(wanted):
+                s = e._slot
+                assert e.heavy == bool(s.flags & SLOT_HEAVY)
+                src, dst = e.endpoints()
+                other = tx._slot_other_endpoint(v.vid, s)
+                if s.flags & DIR_MASK == DIR_IN:
+                    assert (src, dst) == (other, v.vid)
+                else:
+                    assert {src, dst} == {v.vid, other}
+            assert holder._slot_buf is read  # reading left the bytes read
+            tx.commit()
         return kinds
 
     _, out = run_spmd(2, prog)

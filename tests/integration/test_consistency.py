@@ -116,7 +116,7 @@ def test_checker_detects_injected_corruption():
             # corrupt: remove b's reciprocal slot behind the engine's back
             tx = db.start_transaction(ctx, write=True)
             bb = tx.associate_vertex(tx.translate_vertex_id(2))
-            bb._txv.holder.edges.clear()
+            bb._txv.holder.remove_slot(bb._txv.holder.edges[0])
             tx._mark_dirty(bb._txv)
             tx.commit()
         ctx.barrier()

@@ -27,6 +27,11 @@ GRANDFATHERED = {
     # held where it shrank when scans, expansions and aggregates moved
     # onto VertexScan columns (query/columnar.py)
     "query/physical.py": 389,
+    # held where they shrank when a vertex holder's edge slots became its
+    # packed wire bytes only (no slot-object list beside the buffer)
+    "gda/transaction_impl.py": 996,
+    "gda/handles.py": 701,
+    "gda/holder_model.py": 446,
 }
 
 
