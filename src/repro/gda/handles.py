@@ -302,9 +302,9 @@ class VertexScan(Sequence):
             for pos, vid in enumerate(self._vids):
                 if vid in scanned:
                     batch, row, parts = scanned[vid]
-                    group = groups.get(id(batch))
+                    group = groups.get((id(batch), parts))
                     if group is None:
-                        group = groups[id(batch)] = (batch, [], [], parts)
+                        group = groups[id(batch), parts] = (batch, [], [], parts)
                     group[1].append(pos)
                     group[2].append(row)
                 else:

@@ -40,8 +40,11 @@ touch.  Partial reads fetch the 40-byte header plus a small
 address-area hint first, then only the exact payload spans covering the
 requested parts — a 2-hop traversal that only follows edges never pays
 for property bytes.  The CRC covers the whole payload, so it is only
-verified on full-payload reads; partial reads trade that check for
-bandwidth (the block headers still catch stale/freed blocks).
+verified on full-payload reads.  Partial reads do not need it to catch
+a concurrent rewrite: under locks nothing rewrites the holder, and a
+snapshot reader checks the version chains after its read returns (a
+commit installs its pre-image before it touches a block; see
+:mod:`repro.gda.readview`).
 """
 
 from __future__ import annotations

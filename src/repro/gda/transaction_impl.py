@@ -290,6 +290,8 @@ class Transaction:
         self._locks = _LockTable(self)
         #: locking | lock-free collective | snapshot-at-W, fixed here
         self._view = ReadView(self)
+        #: vid -> cache entry, turning a columnar row into one on first touch
+        self._cached = self._view.cached
 
     # -- context manager: abort on error, commit must be explicit ------------
     def __enter__(self) -> "Transaction":
@@ -387,15 +389,6 @@ class Transaction:
             for vid, txv in zip(vids, map(self._cached, vids))
         ]
 
-    def _cached(self, vid: int) -> "_TxVertex | None":
-        """The cache entry of ``vid``; a row a bulk scan left in its
-        columnar batch becomes an entry on this first touch."""
-        txv = self._vertices.get(vid)
-        if txv is None and vid in self._scanned:
-            batch, row, _ = self._scanned[vid]
-            txv = self._vertices[vid] = _TxVertex(vid=vid, stored=batch[row])
-        return txv
-
     def _load(
         self,
         vids: list[int],
@@ -413,16 +406,12 @@ class Transaction:
         if self.write:
             # the pre-image and the commit rewrite need whole holders
             need = NEED_ALL
-        if self.snapshot:
-            # full-span reads carry the CRC end to end, so a torn read
-            # under a concurrent lock-free rewrite surfaces as a checksum
-            # failure and retries against the version chain
-            need = NEED_ALL
         need |= NEED_IDENT
         fetch_vids: list[int] = []
         # Pass 1: serve cache hits (and fail fast on in-txn deletions)
         # before taking any new locks.
         cached: list[_TxVertex] = []
+        widen: list[int] = []
         recycled: set[int] = set()
         reloc = self.db.relocations
         scanned = self._scanned
@@ -439,8 +428,12 @@ class Transaction:
                 )
             txv = self._vertices.get(vid)
             if txv is None and vid in scanned:
-                if (scanned[vid][2] & need) == need and not expected_app_ids:
-                    continue  # cached, still a row of its columnar batch
+                if not expected_app_ids:
+                    # cached, still a row of its columnar batch; one that
+                    # lacks a part is widened as a column (ReadView.hydrate)
+                    if (scanned[vid][2] & need) != need:
+                        widen.append(vid)
+                    continue
                 txv = self._cached(vid)
             if txv is None:
                 fetch_vids.append(vid)
@@ -463,9 +456,9 @@ class Transaction:
                 recycled.add(vid)
                 continue
             cached.append(txv)
-        if cached:
+        if cached or widen:
             self._lock_cached(cached, for_write)
-            self._view.hydrate(cached, need)
+            self._view.hydrate(cached, need, widen)
         # Pass 2: everything else comes through the read view, which
         # makes it stable first (locks before the read under 2PL, the
         # version chains under a snapshot) and drops what it cannot serve.

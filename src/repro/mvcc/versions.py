@@ -14,10 +14,10 @@ visibility rule snapshot readers rely on:
   else it would have installed its own entry — and entries above a live
   watermark are never pruned);
 * no such entry means no commit after ``W`` modified the object, so the
-  *live* blocks are the state at ``W``.  The reader validates that by
-  checking the version stamped in the holder header is ``<= W`` and
-  re-resolving the chain when it is not (the racing writer installed
-  the pre-image before it touched the blocks).
+  *live* blocks are the state at ``W``.  The reader validates that
+  with one more pass over the chains *after* its read returns: a writer
+  racing the read installed its pre-image before it touched the blocks,
+  so every holder it tore is covered by then and served from the chain.
 
 Keys are opaque hashables — the transaction layer uses ``("v", vid)``
 for vertex holders and ``("e", eptr)`` for heavyweight-edge holders so

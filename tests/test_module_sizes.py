@@ -28,8 +28,10 @@ GRANDFATHERED = {
     # onto VertexScan columns (query/columnar.py)
     "query/physical.py": 389,
     # held where they shrank when a vertex holder's edge slots became its
-    # packed wire bytes only (no slot-object list beside the buffer)
-    "gda/transaction_impl.py": 996,
+    # packed wire bytes only (no slot-object list beside the buffer);
+    # transaction_impl.py again when snapshot reads stopped forcing
+    # whole-holder fetches
+    "gda/transaction_impl.py": 989,
     "gda/handles.py": 701,
     "gda/holder_model.py": 446,
 }
