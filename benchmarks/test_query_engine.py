@@ -1,12 +1,14 @@
-"""Declarative query engine vs hand-coded workloads (ISSUE 5).
+"""Declarative query engine: local and collective execution.
 
-Runs the same interactive and BI workload shapes twice — once through the
-hand-coded GDI traversals and once through the Cypher-lite engine — and
-compares simulated latencies.  The engine's plans ride the same batched
-one-sided read paths, so the expectation is parity within a small
-constant factor, with identical results.  Also demonstrates that cached
-plan re-execution skips parse+plan (plan-cache hit counters) and that
-point-lookup queries are planned index-backed, never as full scans.
+The interactive and BI workloads are engine texts.  This benchmark times
+the 2-hop friends-of-friends query (local, on rank 0), BI2 run
+collectively (``bi2_style_query``: every rank sweeps its own shard and
+the engine combines the rows) against the same text run locally on rank
+0, and the hand-coded group-by-label sweep against one engine
+``count(*)`` per label, locally and collectively.  Also demonstrates
+that cached plan re-execution skips parse+plan (plan-cache hit counters)
+and that point-lookup queries are planned index-backed, never as full
+scans.
 """
 
 import json
@@ -17,7 +19,7 @@ from repro.analysis import summarize
 from repro.analysis.scaling import format_table
 from repro.gda import GdaConfig, GdaDatabase
 from repro.generator import KroneckerParams, build_lpg, default_schema
-from repro.query import QueryEngine
+from repro.query import QueryEngine, run_reference
 from repro.rma import XC40, run_spmd
 from repro.workloads import friends_of_friends
 from repro.workloads.bi import bi2_style_query, group_count_by_label
@@ -26,10 +28,6 @@ from conftest import bench_ops
 
 PARAMS = KroneckerParams(scale=8, edge_factor=8, seed=67)
 NRANKS = 4
-
-
-#: the Cypher-lite texts of the hand-coded workloads they are timed against
-FOF_TEXT = "MATCH (a {id = $src})-[*1..2]-(b) RETURN b.id"
 
 
 def bi2_text(g) -> str:
@@ -45,71 +43,72 @@ def bi2_text(g) -> str:
 BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "perf_smoke.json"
 
 
-def test_query_engine_vs_handcoded(benchmark, report, metrics):
+def _label_counts(ctx, db, engine, tx=None):
+    """One engine ``count(*)`` per label (collective when ``tx`` is)."""
+    counts = {}
+    for label in db.all_labels(ctx):
+        n = engine.run(ctx, f"MATCH (v:{label.name}) RETURN count(*)", tx=tx).scalar()
+        if n:
+            counts[label.name] = n
+    return counts
+
+
+def test_query_engine_local_and_collective(benchmark, report, metrics):
     n_queries = max(10, bench_ops() // 8)
 
     def run_all():
         def prog(ctx):
             db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=16384))
             g = build_lpg(ctx, db, PARAMS, default_schema())
-            engine = QueryEngine(db)
+            engine = QueryEngine.of(db)  # friends_of_friends' engine
             rng = random.Random(f"qe/{ctx.rank}")
-            hand_fof, eng_fof = [], []
+            fof = []
             cache = None
             if ctx.rank == 0:
                 for _ in range(n_queries):
                     src = rng.randrange(PARAMS.n_vertices)
                     t0 = ctx.clock
-                    a = friends_of_friends(ctx, g, src, hops=2)
-                    hand_fof.append(ctx.clock - t0)
-                    t0 = ctx.clock
-                    b = {
-                        row[0]
-                        for row in engine.run(ctx, FOF_TEXT, params={"src": src}).rows
-                    }
-                    eng_fof.append(ctx.clock - t0)
-                    assert a == b
+                    friends_of_friends(ctx, g, src, hops=2)
+                    fof.append(ctx.clock - t0)
                 # the loop reuses one query text: all but the first run hit
                 cache = dict(engine.cache_info(ctx))
             ctx.barrier()
             t0 = ctx.clock
-            bi_hand = bi2_style_query(ctx, g, min_score=50.0)
-            dt_bi_hand = ctx.clock - t0
-            t0 = ctx.clock
-            bi_eng = None
+            bi_coll = bi2_style_query(ctx, g, min_score=50.0)
+            dt_bi_coll = ctx.clock - t0
+            bi_local = dt_bi_local = None
+            params = {"sv": 50.0, "dv": True}
             if ctx.rank == 0:
-                bi_eng = engine.run(
-                    ctx, bi2_text(g), params={"sv": 50.0, "dv": True}
-                ).scalar()
+                t0 = ctx.clock
+                bi_local = engine.run(ctx, bi2_text(g), params).scalar()
+                dt_bi_local = ctx.clock - t0
+                assert bi_local == bi_coll
+                assert run_reference(ctx, db, bi2_text(g), params).scalar() == bi_coll
             ctx.barrier()
-            bi_eng = ctx.bcast(bi_eng, root=0)
-            dt_bi_eng = ctx.clock - t0
-            assert bi_hand == bi_eng
             t0 = ctx.clock
             gc_hand = group_count_by_label(ctx, g)
             dt_gc_hand = ctx.clock - t0
-            t0 = ctx.clock
-            gc_eng = None
+            gc_local = dt_gc_local = None
             if ctx.rank == 0:
-                gc_eng = {}
-                for label in db.all_labels(ctx):
-                    n = engine.run(
-                        ctx, f"MATCH (v:{label.name}) RETURN count(*)"
-                    ).scalar()
-                    if n:
-                        gc_eng[label.name] = n
-            gc_eng = ctx.bcast(gc_eng, root=0)
-            dt_gc_eng = ctx.clock - t0
-            assert gc_hand == gc_eng
+                t0 = ctx.clock
+                gc_local = _label_counts(ctx, db, engine)
+                dt_gc_local = ctx.clock - t0
+                assert gc_local == gc_hand
+            ctx.barrier()
+            t0 = ctx.clock
+            tx = db.start_collective_transaction(ctx)
+            gc_coll = _label_counts(ctx, db, engine, tx)
+            tx.commit()
+            dt_gc_coll = ctx.clock - t0
+            assert gc_coll == gc_hand
             # every point lookup plans index-backed (DHT seek, no scans)
             if ctx.rank == 0:
                 plan = engine.explain(ctx, "MATCH (v {id = 0}) RETURN v.id")
                 assert "NodeByIdSeek" in plan
                 assert "AllNodeScan" not in plan and "LabelScan" not in plan
             return (
-                hand_fof,
-                eng_fof,
-                (dt_bi_hand, dt_bi_eng, dt_gc_hand, dt_gc_eng),
+                fof,
+                (dt_bi_coll, dt_bi_local, dt_gc_hand, dt_gc_local, dt_gc_coll),
                 cache,
             )
 
@@ -117,32 +116,27 @@ def test_query_engine_vs_handcoded(benchmark, report, metrics):
         return res
 
     res = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    hand_fof, eng_fof, bi_times, cache = res[0]
-    dt_bi_hand, dt_bi_eng, dt_gc_hand, dt_gc_eng = bi_times
+    fof, times, cache = res[0]
+    dt_bi_coll, dt_bi_local, dt_gc_hand, dt_gc_local, dt_gc_coll = times
 
-    rows = []
-    fof_us = {}
-    for name, key, vals in (
-        ("hand-coded 2-hop FOF", "hand_fof_us", hand_fof),
-        ("engine 2-hop FOF", "eng_fof_us", eng_fof),
-    ):
-        s = summarize([v * 1e6 for v in vals], warmup_fraction=0.0)
-        fof_us[key] = {"mean": round(s.mean, 3), "p95": round(s.p95, 3)}
-        rows.append([name, s.n, f"{s.mean:.1f}", f"{s.p95:.1f}"])
+    s = summarize([v * 1e6 for v in fof], warmup_fraction=0.0)
+    fof_us = {"mean": round(s.mean, 3), "p95": round(s.p95, 3)}
+    rows = [["engine 2-hop FOF, local", s.n, f"{s.mean:.1f}", f"{s.p95:.1f}"]]
     for name, dt in (
-        ("hand-coded BI2 aggregate", dt_bi_hand),
-        ("engine BI2 aggregate", dt_bi_eng),
-        ("hand-coded group-by-label", dt_gc_hand),
-        ("engine group-by-label", dt_gc_eng),
+        ("engine BI2, collective", dt_bi_coll),
+        ("engine BI2, local on rank 0", dt_bi_local),
+        ("hand-coded group-by-label, collective", dt_gc_hand),
+        ("engine group-by-label, local on rank 0", dt_gc_local),
+        ("engine group-by-label, collective", dt_gc_coll),
     ):
         rows.append([name, 1, f"{dt * 1e6:.1f}", "-"])
     report(
         "query_engine",
-        f"Declarative engine vs hand-coded ({NRANKS} ranks, scale "
+        f"Query engine, local and collective ({NRANKS} ranks, scale "
         f"{PARAMS.scale}) — latencies in us (simulated)\n"
         + format_table(["workload", "n", "mean", "p95"], rows)
         + f"\nplan cache: {cache['hits']} hits / {cache['misses']} misses "
-        f"({cache['entries']} cached plans)",
+        f"({cache['entries']} cached plans after the FOF loop)",
     )
     metrics(
         "query_engine",
@@ -151,15 +145,15 @@ def test_query_engine_vs_handcoded(benchmark, report, metrics):
             "scale": PARAMS.scale,
             "edge_factor": PARAMS.edge_factor,
             "n_queries": n_queries,
-            "hand_fof_us": fof_us["hand_fof_us"],
-            "eng_fof_us": fof_us["eng_fof_us"],
+            "eng_fof_us": fof_us,
             "bi2_us": {
-                "hand": round(dt_bi_hand * 1e6, 3),
-                "engine": round(dt_bi_eng * 1e6, 3),
+                "collective": round(dt_bi_coll * 1e6, 3),
+                "local": round(dt_bi_local * 1e6, 3),
             },
             "group_by_label_us": {
                 "hand": round(dt_gc_hand * 1e6, 3),
-                "engine": round(dt_gc_eng * 1e6, 3),
+                "local": round(dt_gc_local * 1e6, 3),
+                "collective": round(dt_gc_coll * 1e6, 3),
             },
             "plan_cache": cache,
         },
@@ -168,27 +162,24 @@ def test_query_engine_vs_handcoded(benchmark, report, metrics):
     # cached-plan re-execution skips parse+plan entirely
     assert cache["misses"] == 1
     assert cache["hits"] == n_queries - 1
-    # declarative execution rides the same batched read paths: parity
-    # within a small constant factor of the hand-coded traversals.  The
-    # hand-coded BI2 is a collective scan (every rank sweeps its local
-    # shards in parallel) while the engine runs the whole query on rank
-    # 0 over remote reads, so its bound is ~nranks times looser.
-    mean = lambda xs: sum(xs) / len(xs)
-    assert mean(eng_fof) < 6 * mean(hand_fof)
-    assert dt_bi_eng < 12 * NRANKS * dt_bi_hand
+    # every rank sweeps its own shard: the collective run beats one rank
+    # reading every shard
+    assert dt_bi_coll < dt_bi_local
+    assert dt_gc_coll < dt_gc_local
 
     # perf-smoke gate: engine latencies must stay within tolerance of the
     # committed baseline (simulated time, so fully reproducible in CI)
+    mean = lambda xs: sum(xs) / len(xs)
     if BASELINE_PATH.exists():
         base = json.loads(BASELINE_PATH.read_text())
         tol = 1.0 + base.get("tolerance_pct", 25) / 100.0
-        eng_fof_us = mean(eng_fof) * 1e6
+        eng_fof_us = mean(fof) * 1e6
         assert eng_fof_us <= base["eng_fof_us_mean"] * tol, (
             f"engine FOF regressed: {eng_fof_us:.1f}us vs baseline "
             f"{base['eng_fof_us_mean']:.1f}us (+{base.get('tolerance_pct', 25)}%)"
         )
         if "bi2_eng_us" in base:
-            assert dt_bi_eng * 1e6 <= base["bi2_eng_us"] * tol, (
-                f"engine BI2 regressed: {dt_bi_eng * 1e6:.1f}us vs baseline "
+            assert dt_bi_local * 1e6 <= base["bi2_eng_us"] * tol, (
+                f"engine BI2 regressed: {dt_bi_local * 1e6:.1f}us vs baseline "
                 f"{base['bi2_eng_us']:.1f}us (+{base.get('tolerance_pct', 25)}%)"
             )

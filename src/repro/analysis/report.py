@@ -31,7 +31,7 @@ SECTION_ORDER: list[tuple[str, str]] = [
     ("sec67_realworld", "Section 6.7 — real-world graphs"),
     ("sec68_extreme_scale", "Section 6.8 — extreme scales"),
     ("interactive_complex", "Extension — interactive complex queries"),
-    ("query_engine", "Extension — declarative query engine vs hand-coded"),
+    ("query_engine", "Extension — declarative query engine, local and collective"),
     ("serve_overload", "Extension — serving under overload"),
     ("traffic_storm", "Extension — adversarial skew storm & live rebalance"),
     ("htap_storm", "Extension — HTAP: snapshot OLAP under OLTP storm"),

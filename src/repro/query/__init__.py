@@ -17,6 +17,8 @@ one-sided reads):
 3. :mod:`repro.query.physical` — batched, vectorized operators that run
    inside a single GDI transaction and prefetch whole frontiers through
    the batched RMA read paths (``find_vertices``/``associate_vertices``);
+   :mod:`repro.query.shaping` shapes the result rows and, in a
+   collective transaction, combines the ranks' shard-local rows;
 4. :mod:`repro.query.engine` — the :class:`QueryEngine` facade with a
    plan cache (hits skip parse+plan), ``EXPLAIN``/``PROFILE`` output and
    per-operator RMA counters wired into the trace recorder;

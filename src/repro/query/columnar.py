@@ -245,8 +245,8 @@ def _compare_values(op: str, left, right, compare: Callable) -> np.ndarray:
 
 
 # -- scans -----------------------------------------------------------------------
-def _candidates(op, ex) -> "list[int]":
-    """The vids a label, index or full scan sweeps, shard by shard —
+def _candidates(op, ex, shards) -> "list[int]":
+    """The vids a label, index or full scan sweeps on ``shards`` —
     under a snapshot with the vertices deleted after its watermark."""
     tx, db = ex.tx, ex.db
     sweep, kw = db.directory.shard_vertices, {}
@@ -264,16 +264,18 @@ def _candidates(op, ex) -> "list[int]":
         kw = {"label_id": label.int_id}
     return [
         vid
-        for shard in range(db.nranks)
+        for shard in shards
         for vid in tx.visible_vertices(sweep(ex.ctx, shard, **kw), shard)
     ]
 
 
-def run_scan(op, frame: Frame, ex, need: int, pre=None) -> Frame:
+def run_scan(op, frame: Frame, ex, need: int, pre=None, shard=None) -> Frame:
     """Bind ``op.spec.var`` for every row of ``frame`` (a cross join),
     or, for a bound variable, keep the rows whose vertex satisfies the
     spec.  ``pre`` is a fused single-variable filter: it prunes the
-    candidates before a two-stage scan hydrates their topology."""
+    candidates before a two-stage scan hydrates their topology.  With
+    ``shard`` (a collective execution's first scan) a sweep reads that
+    shard only, and a seek binds only on its ID's home rank."""
     spec = op.spec
     if op.source == "bound":
         scan, pos = frame.cols[spec.var]
@@ -283,7 +285,10 @@ def run_scan(op, frame: Frame, ex, need: int, pre=None) -> Frame:
         return frame.take(keep.nonzero()[0])
     two_stage = False
     if op.source == "dht":
-        found = ex.tx.find_vertices([int(ex.resolve(op.detail))], need=need)
+        app_id = int(ex.resolve(op.detail))
+        found = []
+        if shard in (None, ex.db.home_rank(app_id)):
+            found = ex.tx.find_vertices([app_id], need=need)
         cands = VertexScan(ex.tx, [h.vid for h in found if h is not None])
         # what the lookup found is there and carries the application ID
         # it seeks: only the rest of the spec is left to test
@@ -292,7 +297,7 @@ def run_scan(op, frame: Frame, ex, need: int, pre=None) -> Frame:
             seek = next(p for p in spec.preds if p.key == "id" and p.op == "=")
             keep = spec_mask(ex, spec, cands, seek)
     else:
-        vids = _candidates(op, ex)
+        vids = _candidates(op, ex, range(ex.db.nranks) if shard is None else (shard,))
         # entries first, prune, then hydrate the survivors' adjacency
         two_stage = bool(
             (need & NEED_TOPO)

@@ -1,12 +1,13 @@
 """The :class:`QueryEngine` facade: plan cache, EXPLAIN/PROFILE, execution.
 
 ``run()`` is the single entry point: parse → plan → execute inside one
-GDI transaction.  Parsed-and-planned queries are cached keyed on the
-whitespace-normalized query text plus a fingerprint of the database's
-index set, so re-executing a query skips both parse and plan entirely —
-cache hits/misses are recorded per rank in the RMA trace recorder
-(``plan_cache_hits`` / ``plan_cache_misses``), which is how benchmarks
-verify that the cache engages.
+GDI transaction (the caller's, when it passes one: a collective one
+makes the call collective).  Parsed-and-planned queries are cached
+keyed on the whitespace-normalized query text plus a fingerprint of the
+database's index set, so re-executing a query skips both parse and plan
+entirely — cache hits/misses are recorded per rank in the RMA trace
+recorder (``plan_cache_hits`` / ``plan_cache_misses``), which is how
+benchmarks verify that the cache engages.
 
 Cache entries carry the vertex-directory version they were planned
 against.  Staleness never affects correctness (every operator
@@ -26,7 +27,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from .errors import QueryPlanError
+from .errors import QueryError, QueryPlanError
 from .logical import LogicalPlan
 from .parser import parse_query
 from .physical import ExecState, execute_plan
@@ -88,6 +89,12 @@ class QueryEngine:
             OrderedDict()
         )
         self._lock = threading.Lock()
+
+    @classmethod
+    def of(cls, db) -> "QueryEngine":
+        """The engine of ``db`` that library callers without their own
+        share (one plan cache per database, kept on the database)."""
+        return vars(db).get("_query_engine") or vars(db).setdefault("_query_engine", cls(db))
 
     # -- plan cache --------------------------------------------------------
     def _cache_key(self, text: str) -> tuple:
@@ -172,8 +179,23 @@ class QueryEngine:
         the caller's open transaction, which the caller commits — that
         is how :func:`repro.gda.retry.run_transaction` retry loops wrap
         engine queries.
+
+        A collective ``tx`` makes the call collective: every rank passes
+        the same read query and gets the same result (see
+        :func:`~repro.query.physical.execute_plan`).
         """
-        plan = self._get_plan(ctx, text)
+        if tx is None or not tx.collective:
+            plan = self._get_plan(ctx, text)
+        else:  # rank 0's plan for every rank; its errors raise everywhere
+            try:
+                plan = self._get_plan(ctx, text) if ctx.rank == 0 else None
+            except QueryError as exc:
+                plan = exc
+            plan = ctx.bcast(plan, root=0)
+            if isinstance(plan, QueryError):
+                raise plan
+            if plan.query.writes:
+                raise QueryPlanError("a collective transaction runs read queries only")
         query = plan.query
         if query.mode == "explain":
             return QueryResult(

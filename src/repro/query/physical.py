@@ -41,25 +41,9 @@ from ..gdi.constraint import Constraint
 from ..gdi.errors import GdiNotFound
 from ..gdi.types import Datatype
 from .ast import SetLabel
-from .columnar import (
-    OP_TO_GDI,
-    EdgeVal,
-    Frame,
-    VertexVal,
-    filter_mask,
-    run_aggregate_frame,
-    run_expand,
-    run_scan,
-)
+from .columnar import OP_TO_GDI, EdgeVal, Frame, VertexVal, filter_mask, run_expand, run_scan
 from .errors import QueryPlanError
-from .evalexpr import (
-    aggregate_value,
-    eval_expr,
-    hashable,
-    resolve_value,
-    sort_key,
-    to_output,
-)
+from .evalexpr import eval_expr, resolve_value, to_output
 from .logical import (
     AggregateOp,
     CreateOp,
@@ -75,6 +59,7 @@ from .logical import (
     SkipLimitOp,
 )
 from .planner import _free_vars
+from .shaping import aggregate, combine, shape
 
 __all__ = ["ExecState", "execute_plan", "VertexVal", "EdgeVal"]
 
@@ -165,15 +150,27 @@ def execute_plan(
 
     The read pipeline runs on a :class:`~repro.query.columnar.Frame`;
     the first operator that needs rows of bindings turns it into them.
+
+    In a collective transaction the first scan (a read query starts
+    with one) binds only this rank's part of the graph, and the first
+    aggregate or projection combines the ranks' rows
+    (:func:`~repro.query.shaping.combine`).
     """
+    ops, needs = plan.ops, plan._needs
+    ctx, collective = ex.ctx, ex.tx.collective
+    shard = ctx.rank if collective else None
     data: Frame | list = Frame({}, 1)  # one empty row
     prof: dict[int, dict] = {}
     projected = False
-    ops, needs = plan.ops, plan._needs
     i = 0
     while i < len(ops):
         op = ops[i]
-        before = ex.ctx.rt.trace.counters[ex.ctx.rank].snapshot() if profile else None
+        before = ctx.rt.trace.counters[ctx.rank].snapshot() if profile else None
+        if collective and isinstance(op, (AggregateOp, ProjectOp)):
+            data, projected = combine(ops[i:], data, ex), True
+            if before is not None:
+                prof[i] = _profiled(ex, before, data)
+            break
         # operator fusion: a filter over just the scanned variable prunes
         # the candidates before a two-stage scan hydrates their topology
         # (off under PROFILE, so per-op deltas stay aligned with plan.ops)
@@ -183,51 +180,45 @@ def execute_plan(
         ):
             _free_vars(ops[i + 1].expr, free)
             pre = ops[i + 1] if free <= {op.spec.var} else None
-        data, projected = _run_op(op, data, ex, projected, needs, pre)
+        data, projected = _run_op(op, data, ex, projected, needs, pre, shard)
+        shard = None  # only the first scan partitions
         if before is not None:
-            delta = ex.ctx.rt.trace.counters[ex.ctx.rank].diff(before)
-            prof[i] = {
-                "rows": len(data),
-                "msgs": delta["remote_ops"] + delta["local_ops"],
-                "rma_bytes": delta["bytes_put"]
-                + delta["bytes_got"]
-                + delta["bytes_batched"],
-                "snapshot_reads": delta["snapshot_reads"],
-            }
+            prof[i] = _profiled(ex, before, data)
         i += 1 if pre is None else 2
     if not projected:
         data = []  # write-only query: no result rows
     return data, ex.stats, prof
 
 
-def _run_op(op, data, ex: ExecState, projected: bool, needs, pre=None):
+def _profiled(ex: ExecState, before, data) -> dict:
+    delta = ex.ctx.rt.trace.counters[ex.ctx.rank].diff(before)
+    return {
+        "rows": len(data),
+        "msgs": delta["remote_ops"] + delta["local_ops"],
+        "rma_bytes": delta["bytes_put"] + delta["bytes_got"] + delta["bytes_batched"],
+        "snapshot_reads": delta["snapshot_reads"],
+    }
+
+
+def _run_op(op, data, ex: ExecState, projected: bool, needs, pre=None, shard=None):
     if isinstance(op, ScanOp):
-        return run_scan(op, data, ex, needs.get(op.spec.var, NEED_ALL), pre), projected
+        need = needs.get(op.spec.var, NEED_ALL)
+        return run_scan(op, data, ex, need, pre, shard), projected
     if isinstance(op, ExpandOp):
         return run_expand(op, data, ex, needs.get(op.dst.var, NEED_ALL)), projected
     if isinstance(op, FilterOp):
         return data.take(filter_mask(op.expr, data, ex).nonzero()[0]), projected
     if isinstance(op, AggregateOp):
-        out = run_aggregate_frame(op, data, ex) if isinstance(data, Frame) else None
-        if out is None:
-            rows = data if isinstance(data, list) else data.rows(ex)
-            out = run_aggregate(op, rows, ex.params)
-        return out, True
+        return aggregate(op, data, ex), True
     rows = data if isinstance(data, list) else data.rows(ex)
-    if isinstance(op, ProjectOp):
-        return run_project(op, rows, ex.params), True
     if isinstance(op, CreateOp):
         return _run_create(op, rows, ex), projected
     if isinstance(op, SetOp):
         return _run_set(op, rows, ex), projected
     if isinstance(op, DeleteOp):
         return _run_delete(op, rows, ex), projected
-    if isinstance(op, DistinctOp):
-        return run_distinct(rows), projected
-    if isinstance(op, OrderByOp):
-        return run_orderby(op, rows), projected
-    if isinstance(op, SkipLimitOp):
-        return run_skiplimit(op, rows, ex.params), projected
+    if isinstance(op, (ProjectOp, DistinctOp, OrderByOp, SkipLimitOp)):
+        return shape(op, rows, ex.params), True
     raise QueryPlanError(f"unknown operator {op!r}")
 
 
@@ -342,48 +333,3 @@ def _run_delete(op: DeleteOp, rows: list, ex: ExecState) -> list:
                 ex.tx.delete_vertex(binding.h)
                 ex.bump("vertices_deleted")
     return rows
-
-
-# -- result shaping (shared with the reference interpreter) ------------------
-def run_project(op: ProjectOp, rows: list, params: dict | None) -> list:
-    return [
-        tuple(to_output(eval_expr(item.expr, row, params)) for item in op.items)
-        for row in rows
-    ]
-
-
-def run_aggregate(op: AggregateOp, rows: list, params: dict | None) -> list:
-    groups: dict[tuple, tuple[tuple, list]] = {} if op.keys else {(): ((), list(rows))}
-    for row in rows if op.keys else ():
-        values = tuple(to_output(eval_expr(item.expr, row, params)) for item in op.keys)
-        groups.setdefault(hashable(values), (values, []))[1].append(row)
-    out = []
-    for key_values, group_rows in groups.values():
-        aggs = iter([aggregate_value(item.expr, group_rows, params) for item in op.aggs])
-        keys = iter(key_values)
-        out.append(tuple(next(aggs) if is_agg else next(keys) for is_agg in op.agg_mask))
-    return out
-
-
-def run_distinct(rows: list) -> list:
-    first: dict = {}
-    for row in rows:
-        first.setdefault(hashable(row), row)
-    return list(first.values())
-
-
-def run_orderby(op: OrderByOp, rows: list) -> list:
-    # stable sorts applied last-key-first give multi-key mixed-direction
-    out = list(rows)
-    for col, desc in reversed(op.keys):
-        out.sort(key=lambda r: sort_key(r[col]), reverse=desc)
-    return out
-
-
-def run_skiplimit(op: SkipLimitOp, rows: list, params: dict | None) -> list:
-    skip = resolve_value(op.skip, params) if op.skip is not None else 0
-    skip = max(0, int(skip))
-    if op.limit is None:
-        return rows[skip:]
-    limit = max(0, int(resolve_value(op.limit, params)))
-    return rows[skip : skip + limit]

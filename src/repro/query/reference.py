@@ -23,15 +23,8 @@ from .ast import NodePattern, PathPattern, Query, RelPattern
 from .engine import QueryResult
 from .errors import QueryPlanError
 from .evalexpr import Binding, eval_expr, resolve_value, truthy
-from .logical import AggregateOp, DistinctOp, OrderByOp, ProjectOp, SkipLimitOp
 from .parser import parse_query
-from .physical import (
-    run_aggregate,
-    run_distinct,
-    run_orderby,
-    run_project,
-    run_skiplimit,
-)
+from .shaping import shape
 from .planner import _plan_returns
 
 __all__ = ["run_reference"]
@@ -355,14 +348,5 @@ def run_reference(
     columns = _plan_returns(query, bound, tail)
     out: list = rows
     for op in tail:
-        if isinstance(op, ProjectOp):
-            out = run_project(op, out, params)
-        elif isinstance(op, AggregateOp):
-            out = run_aggregate(op, out, params)
-        elif isinstance(op, DistinctOp):
-            out = run_distinct(out)
-        elif isinstance(op, OrderByOp):
-            out = run_orderby(op, out)
-        elif isinstance(op, SkipLimitOp):
-            out = run_skiplimit(op, out, params)
+        out = shape(op, out, params)
     return QueryResult(columns=columns, rows=out)

@@ -6,32 +6,35 @@ The paper's BI example is the Cypher query
       AND per-[:OWN]->vehicle(:Car) AND vehicle.color = red
     RETURN count(per)
 
-implemented with a collective transaction: fetch the label-indexed vertex
-set, filter by a property predicate, traverse constraint-filtered edges,
-check the neighbor's label and property, and reduce the count globally.
+run as one collective transaction: every rank sweeps its shard of the
+label-indexed vertex set, filters by a property predicate, traverses
+constraint-filtered edges with one-sided reads, checks the neighbor's
+label and property, and the counts are combined once.
 
-:func:`filtered_two_hop_count` is that exact shape, parameterized over the
+:func:`filtered_two_hop_count` is that shape, parameterized over the
 generated schema, and :func:`bi2_style_query` instantiates it the way the
 evaluation uses "BI2" — a group-by-free aggregate over a filtered two-hop
 pattern, which is the communication-relevant core of LDBC SNB BI query 2.
+Both are Cypher-lite texts the query engine (:mod:`repro.query`) runs in
+a collective transaction, where each rank executes the plan on its own
+shard and the engine combines the rows.
 
-These hand-coded collective kernels are what the OLAP benchmarks time
-and the oracle the declarative engine (:mod:`repro.query`) is held to:
-``tests/workloads/test_engine_parity.py`` issues the equivalent
-Cypher-lite text and asserts identical answers.
+The label summaries (:func:`group_count_by_label`,
+:func:`aggregate_property_by_label`) stay hand-coded collective sweeps:
+the grammar has no label-valued grouping key, and one engine query per
+label costs far more than one sweep.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from ..gdi import EdgeOrientation
-from ..gda.index_impl import ExplicitIndex
 from ..gda.metadata import Label, PropertyType
 from ..generator.lpg import GeneratedGraph
+from ..query import QueryEngine
 from ..rma.runtime import RankContext
+from .interactive import _ARROWS
 
 __all__ = [
     "filtered_two_hop_count",
@@ -39,6 +42,9 @@ __all__ = [
     "group_count_by_label",
     "aggregate_property_by_label",
 ]
+
+#: the keyword API's comparison operators Cypher-lite spells otherwise
+_CYPHER_OPS = {"==": "=", "!=": "<>"}
 
 
 def filtered_two_hop_count(
@@ -54,138 +60,90 @@ def filtered_two_hop_count(
     dst_ptype: PropertyType | None = None,
     dst_op: str = "==",
     dst_value: Any = None,
-    index: ExplicitIndex | None = None,
     orientation: EdgeOrientation = EdgeOrientation.OUTGOING,
 ) -> int:
     """Count source vertices matching a filtered two-hop pattern.
 
-    Follows Listing 3: every rank scans its local shard of the source set
-    (via the explicit ``index`` when provided, else the vertex directory),
-    applies the source property predicate, traverses edges optionally
-    constrained by ``edge_label``, checks the neighbor's label and
-    property, and the per-rank counts are combined with a global reduce.
-
-    Returns the total on rank 0 and ``0`` elsewhere.
+    Follows Listing 3: the ``src_label`` vertices whose ``src_ptype``
+    satisfies ``src_op src_value`` with an edge (``edge_label`` if given,
+    in ``orientation``) to a ``dst_label`` neighbor whose ``dst_ptype``
+    satisfies ``dst_op dst_value``.  A collective: every rank calls it,
+    and every rank returns the global count.
     """
+    conds, params = [], {}
+    for var, ptype, op, value in (
+        ("per", src_ptype, src_op, src_value),
+        ("v", dst_ptype, dst_op, dst_value),
+    ):
+        if ptype is not None:
+            conds.append(f"{var}.{ptype.name} {_CYPHER_OPS.get(op, op)} ${var}")
+            params[var] = value
+    left, right = _ARROWS[orientation]
+    rel = f"[:{edge_label.name}]" if edge_label is not None else ""
+    dst = f"(v:{dst_label.name})" if dst_label is not None else "(v)"
+    where = " WHERE " + " AND ".join(conds) if conds else ""
+    text = f"MATCH (per:{src_label.name}){left}{rel}{right}{dst}{where} RETURN count(DISTINCT per)"
     db = graph.db
     # BI traversals run on one frozen watermark when MVCC is enabled:
     # lock-free, abort-free, and consistent under concurrent OLTP
-    tx = db.start_collective_transaction(
-        ctx, snapshot=db.mvcc is not None
-    )
-    if index is not None:
-        candidates = index.local_vertices(ctx)
-    else:
-        candidates = tx.visible_vertices(
-            db.directory.local_vertices(ctx), ctx.rank
-        )
-    # Both hops read whole-batch columns of their scan (labels, one
-    # property, label-constrained neighbor IDs): no per-vertex handles.
-    scan = tx.associate_vertices(candidates, missing_ok=True)
-    keep = scan.present
-    if index is None:
-        keep &= scan.has_label(src_label)
-    if src_ptype is not None:
-        keep &= _matches(scan.property(src_ptype), src_op, src_value)
-    sources = scan.take(np.flatnonzero(keep))
-    indptr, nvids = sources.neighbors(orientation, edge_label)
-    source = np.repeat(np.arange(len(sources)), np.diff(indptr))
-    # Batched second hop: every surviving source's neighborhood is
-    # pipelined in one read, each neighbor once, in the order the
-    # sources name them.  A neighbor can be absent at the snapshot's
-    # watermark (created after it, or adjacency observed ahead of the
-    # frozen vertex state) — those simply don't match.
-    frontier, first, slot = np.unique(
-        nvids, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    hop2 = tx.associate_vertices(frontier[order], missing_ok=True)
-    ok = hop2.present
-    if dst_label is not None:
-        ok &= hop2.has_label(dst_label)
-    if dst_ptype is not None:
-        ok &= _matches(hop2.property(dst_ptype), dst_op, dst_value)
-    ok_of = np.empty(len(frontier), dtype=bool)
-    ok_of[order] = ok
-    local_count = len(np.unique(source[ok_of[slot]]))
+    tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
+    result = QueryEngine.of(db).run(ctx, text, params, tx=tx)
     tx.commit()
-    total = ctx.reduce(local_count, op="sum", root=0)
-    return total if ctx.rank == 0 else 0
-
-
-def _matches(column: tuple, op: str, ref: Any) -> np.ndarray:
-    """Per value of a ``VertexScan.property`` column: present and
-    ``value <op> ref``."""
-    values, has = column
-    return np.fromiter(
-        (h and _compare(op, v, ref) for v, h in zip(values.tolist(), has.tolist())),
-        dtype=bool,
-        count=len(values),
-    )
-
-
-def _compare(op: str, a: Any, b: Any) -> bool:
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown operator {op!r}")
+    return result.scalar()
 
 
 def bi2_style_query(
-    ctx: RankContext,
-    graph: GeneratedGraph,
-    *,
-    min_score: float = 50.0,
-    index: ExplicitIndex | None = None,
+    ctx: RankContext, graph: GeneratedGraph, *, min_score: float = 50.0
 ) -> int:
     """The evaluation's BI2-shaped aggregate over the generated schema.
 
     "How many VL0-labelled vertices with p_score > ``min_score`` have an
     EL0-labelled edge to a VL1-labelled neighbor with p_active = true?" —
-    the same index-scan + filter + constrained-traversal + neighbor-check
-    + global-reduce pipeline as the paper's red-car query.
+    the same scan + filter + constrained-traversal + neighbor-check +
+    global-combine pipeline as the paper's red-car query.
 
     Returns the global count on every rank.
     """
     schema = graph.schema
-    src_label = graph.vertex_label(0)
-    dst_label = graph.vertex_label(1 % max(1, schema.n_vertex_labels))
-    edge_label = graph.edge_label(0) if schema.n_edge_labels else None
-    count = filtered_two_hop_count(
+    return filtered_two_hop_count(
         ctx,
         graph,
-        src_label=src_label,
+        src_label=graph.vertex_label(0),
         src_ptype=graph.ptypes.get("p_score"),
-        src_op=">",
         src_value=min_score,
-        edge_label=edge_label,
-        dst_label=dst_label,
+        edge_label=graph.edge_label(0) if schema.n_edge_labels else None,
+        dst_label=graph.vertex_label(1 % max(1, schema.n_vertex_labels)),
         dst_ptype=graph.ptypes.get("p_active"),
-        dst_op="==",
         dst_value=True,
-        index=index,
     )
-    # broadcast the root's total so every rank returns the global answer
-    return ctx.bcast(count, root=0)
 
 
-def _merge_dicts(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        if k in out:
-            out[k] = tuple(x + y for x, y in zip(out[k], v))
-        else:
-            out[k] = v
-    return out
+def _shard_vertices(ctx: RankContext, graph: GeneratedGraph):
+    """This rank's vertex handles, read in one collective transaction
+    (a snapshot when MVCC is on), which commits once they are consumed."""
+    db = graph.db
+    tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
+    vids = tx.visible_vertices(db.directory.local_vertices(ctx), ctx.rank)
+    yield from (v for v in tx.associate_vertices(vids, missing_ok=True) if v is not None)
+    tx.commit()
+
+
+def _merged(ctx: RankContext, partial: dict, fold) -> dict:
+    """The ranks' ``partial`` dicts in one allreduce, values under one
+    key combined by ``fold``."""
+
+    def merge(a: dict, b: dict) -> dict:
+        out = dict(a)
+        for k, v in b.items():
+            out[k] = fold(out[k], v) if k in out else v
+        return out
+
+    return ctx.allreduce(partial, op=merge)
+
+
+def _fold(a: tuple, b: tuple) -> tuple:
+    """Two ``(count, sum, min, max)`` partials as one."""
+    return (a[0] + b[0], a[1] + b[1], min(a[2], b[2]), max(a[3], b[3]))
 
 
 def group_count_by_label(
@@ -199,21 +157,11 @@ def group_count_by_label(
     merge in a dict-valued allreduce.  Returns the same result on every
     rank.
     """
-    db = graph.db
-    replica = db.replica(ctx)
-    tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
-    local_vids = tx.visible_vertices(db.directory.local_vertices(ctx), ctx.rank)
-    partial: dict[str, tuple[int]] = {}
-    for v in tx.associate_vertices(local_vids, missing_ok=True):
-        if v is None:
-            continue
+    partial: dict[str, int] = {}
+    for v in _shard_vertices(ctx, graph):
         for label in v.labels():
-            key = label.name
-            partial[key] = (partial.get(key, (0,))[0] + 1,)
-    tx.commit()
-    merged = ctx.allreduce(partial, op=_merge_dicts)
-    del replica
-    return {k: v[0] for k, v in merged.items()}
+            partial[label.name] = partial.get(label.name, 0) + 1
+    return _merged(ctx, partial, lambda a, b: a + b)
 
 
 def aggregate_property_by_label(
@@ -228,50 +176,17 @@ def aggregate_property_by_label(
     Returns ``{label_name: {"count", "sum", "min", "max", "mean"}}`` on
     every rank.
     """
-    db = graph.db
-    tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
-    local_vids = tx.visible_vertices(db.directory.local_vertices(ctx), ctx.rank)
     partial: dict[str, tuple] = {}
-    for v in tx.associate_vertices(local_vids, missing_ok=True):
-        if v is None:
-            continue
+    for v in _shard_vertices(ctx, graph):
         value = v.property(ptype)
         if value is None:
             continue
         for label in v.labels():
             if group_label is not None and label.int_id != group_label.int_id:
                 continue
-            key = label.name
-            if key in partial:
-                c, s, mn, mx = partial[key]
-                partial[key] = (
-                    c + 1,
-                    s + value,
-                    min(mn, value),
-                    max(mx, value),
-                )
-            else:
-                partial[key] = (1, value, value, value)
-    tx.commit()
-
-    def merge(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for k, (c, s, mn, mx) in b.items():
-            if k in out:
-                c0, s0, mn0, mx0 = out[k]
-                out[k] = (c0 + c, s0 + s, min(mn0, mn), max(mx0, mx))
-            else:
-                out[k] = (c, s, mn, mx)
-        return out
-
-    merged = ctx.allreduce(partial, op=merge)
+            one, key = (1, value, value, value), label.name
+            partial[key] = _fold(partial[key], one) if key in partial else one
     return {
-        k: {
-            "count": c,
-            "sum": s,
-            "min": mn,
-            "max": mx,
-            "mean": s / c,
-        }
-        for k, (c, s, mn, mx) in merged.items()
+        k: {"count": c, "sum": s, "min": mn, "max": mx, "mean": s / c}
+        for k, (c, s, mn, mx) in _merged(ctx, partial, _fold).items()
     }

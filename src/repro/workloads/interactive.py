@@ -7,28 +7,33 @@ as single-process transactions because they touch a bounded region of the
 graph.  This module implements the two canonical shapes:
 
 * :func:`friends_of_friends` — the k-hop neighborhood of one vertex with
-  optional label filtering and deduplication (LDBC IC-style);
+  optional label filtering and deduplication (LDBC IC-style), the query
+  engine's variable-length expansion (:mod:`repro.query`);
 * :func:`transactional_path_search` — bidirectional BFS between two
-  vertices inside one read transaction (LDBC IC13 "shortest path").
+  vertices inside one read transaction (LDBC IC13 "shortest path"),
+  hand-coded over GDI handle operations (translate/associate/neighbors)
+  because Cypher-lite has no shortest-path form.
 
-Both use only GDI handle operations (translate/associate/neighbors), so
-every hop is a real one-sided fetch with the corresponding charge.
-
-Each function is also expressible as Cypher-lite text through the
-declarative query engine (:mod:`repro.query`); the hand-coded
-traversals here are the oracle ``tests/workloads/test_engine_parity.py``
-holds the engine to.
+Every hop is a real one-sided fetch with the corresponding charge.
 """
 
 from __future__ import annotations
 
 from ..gda.metadata import Label
-from ..gdi import Constraint, EdgeOrientation
+from ..gdi import EdgeOrientation
 from ..gdi.errors import GdiNotFound
 from ..generator.lpg import GeneratedGraph
+from ..query import QueryEngine
 from ..rma.runtime import RankContext
 
 __all__ = ["friends_of_friends", "transactional_path_search"]
+
+#: a relationship pattern's two ends per orientation, around ``[...]``
+_ARROWS = {
+    EdgeOrientation.OUTGOING: ("-", "->"),
+    EdgeOrientation.INCOMING: ("<-", "-"),
+    EdgeOrientation.ANY: ("-", "-"),
+}
 
 
 def friends_of_friends(
@@ -42,41 +47,20 @@ def friends_of_friends(
 ) -> set[int]:
     """Application IDs within ``hops`` hops of ``app_id`` (excluding it).
 
-    One single-process read transaction; BFS over handle fetches.
-    Returns an empty set if the start vertex does not exist.
+    One variable-length expansion query in a single-process read
+    transaction.  Returns an empty set if the start vertex does not
+    exist.
     """
-    db = graph.db
-    constraint = (
-        Constraint.has_label(edge_label.int_id) if edge_label else None
+    if hops < 1:
+        return set()
+    left, right = _ARROWS[orientation]
+    label = f":{edge_label.name}" if edge_label is not None else ""
+    result = QueryEngine.of(graph.db).run(
+        ctx,
+        f"MATCH (a {{id = $src}}){left}[{label}*1..{hops}]{right}(b) RETURN b.id",
+        {"src": app_id},
     )
-    tx = db.start_transaction(ctx)
-    try:
-        try:
-            start = tx.translate_vertex_id(app_id)
-        except GdiNotFound:
-            return set()
-        seen_vids = {start}
-        frontier = [start]
-        result: set[int] = set()
-        for _ in range(hops):
-            next_frontier = []
-            # The whole frontier is fetched with one pipelined read; a
-            # concurrently deleted vertex simply drops out (missing_ok).
-            for v in tx.associate_vertices(frontier, missing_ok=True):
-                if v is None:
-                    continue
-                for nvid in v.neighbors(orientation, constraint=constraint):
-                    if nvid not in seen_vids:
-                        seen_vids.add(nvid)
-                        next_frontier.append(nvid)
-            frontier = next_frontier
-            for v in tx.associate_vertices(frontier, missing_ok=True):
-                if v is not None:
-                    result.add(v.app_id)
-        return result
-    finally:
-        if tx.open:
-            tx.commit()
+    return {row[0] for row in result.rows}
 
 
 def transactional_path_search(

@@ -118,8 +118,8 @@ def queries(draw, n):
     return f"MATCH {pattern}{where}{ret}"
 
 
-def _build(ctx, spec):
-    db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096))
+def _build(ctx, spec, mvcc=False):
+    db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096, mvcc=mvcc))
     if ctx.rank == 0:
         for name in VLABELS + ELABELS:
             db.create_label(ctx, name)

@@ -25,8 +25,13 @@ GRANDFATHERED = {
     "gda/checkpoint.py": 243,
     "generator/lpg.py": 241,
     # held where it shrank when scans, expansions and aggregates moved
-    # onto VertexScan columns (query/columnar.py)
-    "query/physical.py": 389,
+    # onto VertexScan columns (query/columnar.py), and again when the
+    # RETURN tail moved to query/shaping.py
+    "query/physical.py": 335,
+    # held where they shrank when the hand-coded BI2 and friends-of-friends
+    # kernels became engine texts
+    "workloads/bi.py": 192,
+    "workloads/interactive.py": 124,
     # held where they shrank when a vertex holder's edge slots became its
     # packed wire bytes only (no slot-object list beside the buffer);
     # transaction_impl.py again when snapshot reads stopped forcing

@@ -1,17 +1,19 @@
-"""The declarative engine produces the hand-coded workloads' results.
+"""The workloads agree with every way the engine answers their texts.
 
-Each test runs a hand-coded workload from :mod:`repro.workloads` (the
-oracle) and issues the equivalent Cypher-lite text through
-``QueryEngine.run`` itself.  The engine executes single-process plans, so
-the text runs on rank 0 and is broadcast where the hand-coded kernel is
-collective.
+A Cypher-lite text has three independent answers: the engine in a local
+transaction on one rank, the engine in a collective transaction on every
+rank (each rank sweeps its own shard, the engine combines the rows), and
+the full-scan reference interpreter (:func:`repro.query.run_reference`).
+The workloads that are engine texts — friends-of-friends (local) and
+BI2 (collective) — must match all three; the hand-coded ones — path
+search and the label summaries — must match the engine.
 """
 
 import pytest
 
 from repro.gda import GdaConfig, GdaDatabase
 from repro.generator import KroneckerParams, build_lpg, default_schema
-from repro.query import QueryEngine
+from repro.query import QueryEngine, run_reference
 from repro.rma import run_spmd
 from repro.workloads.bi import (
     aggregate_property_by_label,
@@ -39,15 +41,18 @@ def _run_all(fn):
     return res
 
 
-def _engine_fof(ctx, engine, src, hops, edge_label=None):
-    """The k-hop neighborhood as one variable-length-expand query."""
-    rel = f":{edge_label.name}*1..{hops}" if edge_label else f"*1..{hops}"
-    result = engine.run(
-        ctx,
-        f"MATCH (a {{id = $src}})-[{rel}]-(b) RETURN b.id",
-        params={"src": src},
-    )
-    return {row[0] for row in result.rows}
+def _three_ways(ctx, engine, text, params=None):
+    """``(collective rows, local rows, reference rows)`` of one text; the
+    local and reference rows on rank 0 only (``None`` elsewhere)."""
+    db = engine.db
+    tx = db.start_collective_transaction(ctx)
+    collective = engine.run(ctx, text, params, tx=tx).rows
+    tx.commit()
+    local = ref = None
+    if ctx.rank == 0:
+        local = engine.run(ctx, text, params).rows
+        ref = run_reference(ctx, db, text, params).rows
+    return collective, local, ref
 
 
 def _engine_path_search(ctx, engine, src, dst, max_depth):
@@ -72,82 +77,56 @@ def _engine_path_search(ctx, engine, src, dst, max_depth):
     return None
 
 
-def _engine_bi2(ctx, g, engine, min_score):
-    """The BI2 pattern as one declarative query on rank 0, broadcast."""
-    total = None
-    if ctx.rank == 0:
-        where, params = [], {}
-        if "p_score" in g.ptypes:
-            where.append("per.p_score > $sv")
-            params["sv"] = min_score
-        if "p_active" in g.ptypes:
-            where.append("v.p_active = $dv")
-            params["dv"] = True
-        text = (
-            f"MATCH (per:{g.vertex_label(0).name})"
-            f"-[:{g.edge_label(0).name}]->(v:{g.vertex_label(1).name})"
-        )
-        if where:
-            text += " WHERE " + " AND ".join(where)
-        text += " RETURN count(DISTINCT per)"
-        total = engine.run(ctx, text, params=params).scalar()
-    return ctx.bcast(total, root=0)
-
-
 def _engine_group_count(ctx, g, engine):
-    """One ``count(*)`` per known label on rank 0, broadcast."""
-    counts = None
-    if ctx.rank == 0:
-        counts = {}
-        for label in g.db.all_labels(ctx):
-            n = engine.run(
-                ctx, f"MATCH (v:{label.name}) RETURN count(*)"
-            ).scalar()
-            if n:
-                counts[label.name] = n
-    return ctx.bcast(counts, root=0)
+    """One collective ``count(*)`` per known label."""
+    counts = {}
+    for label in g.db.all_labels(ctx):
+        tx = g.db.start_collective_transaction(ctx)
+        n = engine.run(ctx, f"MATCH (v:{label.name}) RETURN count(*)", tx=tx).scalar()
+        tx.commit()
+        if n:
+            counts[label.name] = n
+    return counts
 
 
 def _engine_aggregate(ctx, g, engine, ptype, group_label=None):
-    """One aggregate query per label on rank 0, broadcast."""
-    stats = None
-    if ctx.rank == 0:
-        stats = {}
-        labels = [group_label] if group_label else g.db.all_labels(ctx)
-        p = ptype.name
-        for label in labels:
-            c, s, mn, mx = engine.run(
-                ctx,
-                f"MATCH (v:{label.name}) RETURN count(v.{p}), "
-                f"sum(v.{p}), min(v.{p}), max(v.{p})",
-            ).rows[0]
-            if c:
-                stats[label.name] = {
-                    "count": c, "sum": s, "min": mn, "max": mx, "mean": s / c,
-                }
-    return ctx.bcast(stats, root=0)
+    """One collective aggregate query per label."""
+    stats = {}
+    labels = [group_label] if group_label else g.db.all_labels(ctx)
+    p = ptype.name
+    for label in labels:
+        tx = g.db.start_collective_transaction(ctx)
+        c, s, mn, mx = engine.run(
+            ctx,
+            f"MATCH (v:{label.name}) RETURN count(v.{p}), "
+            f"sum(v.{p}), min(v.{p}), max(v.{p})",
+            tx=tx,
+        ).rows[0]
+        tx.commit()
+        if c:
+            stats[label.name] = {
+                "count": c, "sum": s, "min": mn, "max": mx, "mean": s / c,
+            }
+    return stats
 
 
 def test_fof_engine_parity():
     def body(ctx, g, engine):
-        out = None
-        if ctx.rank == 0:
-            for src, hops in ((0, 1), (0, 2), (3, 3)):
-                hand = friends_of_friends(ctx, g, src, hops=hops)
-                decl = _engine_fof(ctx, engine, src, hops)
-                assert hand == decl, (src, hops)
-            # edge-label filtered
-            lbl = g.edge_label(0)
-            hand = friends_of_friends(ctx, g, 0, hops=2, edge_label=lbl)
-            decl = _engine_fof(ctx, engine, 0, 2, edge_label=lbl)
-            assert hand == decl
-            # missing start vertex
-            assert _engine_fof(ctx, engine, 10**9, 2) == set()
-            out = True
-        ctx.barrier()
-        return out
+        lbl = g.edge_label(0)
+        cases = [(0, 1, None), (0, 2, None), (3, 3, None), (0, 2, lbl), (10**9, 2, None)]
+        for src, hops, label in cases:
+            rel = f":{label.name}*1..{hops}" if label else f"*1..{hops}"
+            text = f"MATCH (a {{id = $src}})-[{rel}]-(b) RETURN b.id"
+            collective, local, ref = _three_ways(ctx, engine, text, {"src": src})
+            want = {row[0] for row in collective}
+            assert len(want) == len(collective)  # each vertex once
+            if ctx.rank == 0:
+                fof = friends_of_friends(ctx, g, src, hops=hops, edge_label=label)
+                assert fof == want == {r[0] for r in local} == {r[0] for r in ref}
+                assert (fof == set()) == (src == 10**9)
+        return True
 
-    assert _run_all(body)[0]
+    assert all(_run_all(body))
 
 
 def test_path_search_engine_parity():
@@ -167,13 +146,23 @@ def test_path_search_engine_parity():
 
 def test_bi2_engine_parity():
     def body(ctx, g, engine):
-        hand = bi2_style_query(ctx, g, min_score=50.0)
-        decl = _engine_bi2(ctx, g, engine, 50.0)
-        assert hand == decl
-        return hand
+        count = bi2_style_query(ctx, g, min_score=50.0)
+        # the schema's two properties are p_id and p_score: no p_active
+        # test on the neighbor
+        assert "p_active" not in g.ptypes
+        text = (
+            f"MATCH (per:{g.vertex_label(0).name})"
+            f"-[:{g.edge_label(0).name}]->(v:{g.vertex_label(1).name}) "
+            "WHERE per.p_score > $sv RETURN count(DISTINCT per)"
+        )
+        collective, local, ref = _three_ways(ctx, engine, text, {"sv": 50.0})
+        assert collective == [(count,)]
+        if ctx.rank == 0:
+            assert local == ref == [(count,)]
+        return count
 
     res = _run_all(body)
-    assert res[0] == res[1]  # broadcast: same answer on every rank
+    assert res[0] == res[1] > 0  # the same answer on every rank
 
 
 def test_group_count_engine_parity():
