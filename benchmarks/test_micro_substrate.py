@@ -531,10 +531,69 @@ def test_routed_kernels_make_no_per_rank_python_calls():
     """The exchanges stay in array form over ranks too: the same graph on
     four times the ranks must not mean more Python calls per rank (a loop
     over peers with a call in it would quadruple them; a BFS or a
-    propagation takes no more levels).  A ratio of exact counts."""
+    propagation takes no more levels).  A ratio of exact counts.  The
+    bulk load scales weakly: four times the ranks load four times the
+    graph, the same vertices per rank."""
     few, many = _rank_calls(4), _rank_calls(16)
+    few["build_lpg"] = max(_build_calls(4, 9))
+    many["build_lpg"] = max(_build_calls(16, 11))
     for kernel, calls in few.items():
         assert many[kernel] <= 1.25 * calls, (kernel, calls, many[kernel])
+
+
+#: Python calls per loaded vertex that
+#: :func:`test_bulk_load_stays_within_its_call_budget` allows: what the
+#: array writer (``repro.gda.bulk``) reached on CPython 3.11 (190 on
+#: 2 ranks at scale 10, from 994 when the load went through the
+#: transaction verbs; at 4 and 16 ranks 188 and 197-202, from 980 and
+#: 1,004) plus 10 %.  Most of what is left is one DHT insert per vertex
+#: and one allocation per block, both still scalar verbs.
+BULK_LOAD_CALL_BUDGET = 209.0
+
+
+def _build_calls(nranks, scale):
+    """Python calls each rank makes in ``build_lpg`` (edge factor 8),
+    without the calls inside the rendezvous, whose wait loop spins with
+    thread timing."""
+    import sys
+
+    from repro.generator import KroneckerParams, build_lpg, default_schema
+    from repro.rma import run_spmd
+    from repro.rma.collectives import CollectiveEngine
+
+    params = KroneckerParams(scale=scale, edge_factor=8, seed=3)
+    rendezvous = CollectiveEngine._exchange.__code__
+
+    def prog(c):
+        db = GdaDatabase.create(c, GdaConfig(blocks_per_rank=4096))
+        calls = inside = 0
+
+        def count(frame, event, arg):
+            nonlocal calls, inside
+            if frame.f_code is rendezvous:
+                inside += (event == "call") - (event == "return")
+            elif event == "call" and not inside:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            build_lpg(c, db, params, default_schema())
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    return run_spmd(nranks, prog)[1]
+
+
+def test_bulk_load_stays_within_its_call_budget():
+    """The bulk load cannot quietly grow back into per-edge or
+    per-property Python: calls per vertex over both ranks of a scale-10
+    build.  The headroom, 19 calls per vertex, is about one call per
+    slot (~14 per vertex), so a per-edge helper with a call of its own
+    trips it; a DHT CAS that loses a race retries, which moves the count
+    by ~2 % between runs."""
+    calls = sum(_build_calls(2, 10)) / 1024
+    assert calls <= BULK_LOAD_CALL_BUDGET, calls
 
 
 def test_batched_vs_scalar_remote_reads(benchmark, report):

@@ -12,9 +12,10 @@ checkpoint side:
   restore), vertices with labels/properties, and each logical edge
   exactly once (lightweight and heavyweight, with edge properties).
 * :func:`restore` — a collective that rebuilds an equivalent database:
-  metadata first, vertices via a lock-free collective write transaction
-  (each rank creates the vertices it owns), lightweight edges via the
-  bulk half-edge exchange, heavyweight edges via ordinary transactions.
+  metadata first, then vertices and lightweight edges as one bulk load
+  (:func:`repro.gda.bulk.load`: each rank writes the vertices it owns,
+  the half-edges routed to them), heavyweight edges via an ordinary
+  transaction.
 
 ``snapshot(restore(snapshot(db)))`` is asserted equal to
 ``snapshot(db)`` by the test suite.
@@ -28,7 +29,10 @@ import numpy as np
 
 from ..gdi.errors import GdiStateError
 from ..rma.runtime import RankContext
+from . import bulk
+from .bulk import Entries
 from .database_impl import GdaDatabase, _route_half_edges
+from .entries import ENTRY_LABEL
 from .holder import DIR_IN, DIR_UNDIR
 from .metadata import PropertyType
 
@@ -153,7 +157,7 @@ def _edge_key(edge: tuple) -> tuple:
     return (edge[0], edge[1], str(edge[3]))
 
 
-def restore(ctx: RankContext, db: GdaDatabase, snap: dict[str, Any]) -> dict[int, int]:
+def restore(ctx: RankContext, db: GdaDatabase, snap: dict[str, Any]) -> bulk.VidMap:
     """Collectively rebuild the snapshot's content into an empty ``db``.
 
     Returns the application-ID -> internal-ID map of the restored graph.
@@ -180,28 +184,27 @@ def restore(ctx: RankContext, db: GdaDatabase, snap: dict[str, Any]) -> dict[int
     label_by_name = {l.name: l for l in replica.labels}
     ptype_by_name: dict[str, PropertyType] = {p.name: p for p in replica.ptypes}
 
-    # -- vertices: lock-free collective write txn, local creation ----------
-    tx = db.start_collective_transaction(ctx, write=True)
-    local_map: dict[int, int] = {}
-    for app_id, desc in snap["vertices"].items():
-        if db.home_rank(app_id) != ctx.rank:
-            continue
-        h = tx.create_vertex(app_id)
-        for name in desc["labels"]:
-            h.add_label(label_by_name[name])
-        for pt_name, blob in desc["props"]:
-            # payloads are stored verbatim: splice them in directly
-            h._txv.holder.properties.append(
-                (ptype_by_name[pt_name].int_id, blob)
-            )
-        local_map[app_id] = h.vid
-    tx.commit()
-    vid_map: dict[int, int] = {}
-    for part in ctx.allgather(local_map):
-        if part is not None:
-            vid_map.update(part)
-
-    # -- lightweight edges: bulk half-edge exchange -------------------------
+    # -- vertices and lightweight edges: one bulk load ------------------------
+    apps = np.fromiter(snap["vertices"], dtype=np.int64, count=len(snap["vertices"]))
+    apps = np.sort(apps[db.home_rank(apps) == ctx.rank])
+    rows, eids, words, blobs = [], [], [], []
+    for row, app_id in enumerate(apps.tolist()):
+        desc = snap["vertices"][app_id]
+        for name in dict.fromkeys(desc["labels"]):  # a label once
+            rows.append(row)
+            eids.append(ENTRY_LABEL)
+            words.append(label_by_name[name].int_id)
+        for pt_name, blob in desc["props"]:  # payloads verbatim
+            rows.append(row)
+            eids.append(ptype_by_name[pt_name].int_id)
+            words.append(len(blob))
+            blobs.append(blob)
+    entries = Entries(
+        np.array(rows, dtype=np.int64),
+        np.array(eids, dtype=np.int64),
+        np.array(words, dtype=np.int64),
+        np.frombuffer(b"".join(blobs), dtype=np.uint8),
+    )
     mine = snap["light_edges"][ctx.rank :: ctx.nranks]  # shard the replay work
     edges = np.array(
         [
@@ -211,13 +214,7 @@ def restore(ctx: RankContext, db: GdaDatabase, snap: dict[str, Any]) -> dict[int
         dtype=np.int64,
     ).reshape(-1, 4)
     rows = np.stack(_route_half_edges(ctx, db, *edges.T), 1)
-    tx = db.start_collective_transaction(ctx, write=True)
-    for a, b, direction, lid in rows.tolist():
-        base, other = (b, a) if direction == DIR_IN else (a, b)
-        tx.bulk_append_half_edge(
-            vid_map[base], vid_map[other], direction, lid, other_app_id=other
-        )
-    tx.commit()
+    vid_map = bulk.load(ctx, db, apps, entries, rows)
 
     # -- heavyweight edges: ordinary transactions on rank 0 -------------------
     if ctx.rank == 0 and snap["heavy_edges"]:

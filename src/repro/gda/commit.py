@@ -501,17 +501,13 @@ def _log_app_of(tx: "Transaction", vid: int) -> int:
     """Application ID of ``vid`` for commit logging.
 
     Served from the transaction cache (``create_edge``, ``delete_edge``
-    and ``delete_vertex`` cache both endpoints), else from the bulk
-    loader's hint.  The storage read is the last resort; it is reached by
-    ``EdgeHandle.set_property`` on a heavy edge (``hedge*`` loads no far
-    endpoint) and by ``bulk_append_half_edge`` without ``other_app_id``.
+    and ``delete_vertex`` cache both endpoints).  The storage read is the
+    last resort; ``EdgeHandle.set_property`` on a heavy edge reaches it
+    (``hedge*`` loads no far endpoint).
     """
     txv = tx._vertices.get(vid)
     if txv is not None:
         return txv.holder.app_id
-    app_id = tx._app_id_hints.get(vid)
-    if app_id is not None:
-        return app_id
     return tx.db.storage.read(tx.ctx, vid).holder.app_id
 
 

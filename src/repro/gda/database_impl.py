@@ -355,21 +355,7 @@ class GdaDatabase:
             with self._index_lock:
                 self.indexes[name] = index
         index = ctx.bcast(index, root=0)
-        # Build: every rank scans its local vertices inside a collective
-        # read transaction and fills its own shard.
-        tx = self.start_collective_transaction(ctx, write=False)
-        try:
-            matched = []
-            dtype_of = self.replicas[ctx.rank].dtype_of
-            for vid in self.directory.local_vertices(ctx):
-                holder = tx._load_vertex(vid, for_write=False).holder
-                if index.matches(holder, dtype_of):
-                    matched.append(vid)
-            index.bulk_add_local(ctx, matched)
-            tx.commit()
-        except BaseException:
-            tx.abort()
-            raise
+        self.fill_index(ctx, index)
         return index
 
     def create_edge_index(
@@ -393,19 +379,39 @@ class GdaDatabase:
             with self._index_lock:
                 self.edge_indexes[name] = index
         index = ctx.bcast(index, root=0)
+        self.fill_index(ctx, index)
+        return index
+
+    def fill_index(
+        self,
+        ctx: RankContext,
+        index: "ExplicitIndex | ExplicitEdgeIndex",
+        vids: "list[int] | None" = None,
+    ) -> None:
+        """Collectively post the vertices among this rank's ``vids`` (by
+        default all its local vertices) that ``index`` matches: every
+        rank scans its own inside a collective read transaction and
+        fills its own shard (an index's build, and a bulk load into a
+        database that has indexes)."""
         tx = self.start_collective_transaction(ctx, write=False)
         try:
+            dtype_of = self.replicas[ctx.rank].dtype_of
+            if vids is None:
+                vids = self.directory.local_vertices(ctx)
             matched = []
-            for vid in self.directory.local_vertices(ctx):
+            for vid in vids:
                 txv = tx._load_vertex(vid, for_write=False)
-                if index.source_matches(tx, txv):
+                if (
+                    index.source_matches(tx, txv)
+                    if isinstance(index, ExplicitEdgeIndex)
+                    else index.matches(txv.holder, dtype_of)
+                ):
                     matched.append(vid)
             index.bulk_add_local(ctx, matched)
             tx.commit()
         except BaseException:
             tx.abort()
             raise
-        return index
 
     def index(self, name: str) -> ExplicitIndex:
         with self._index_lock:

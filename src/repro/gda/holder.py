@@ -49,6 +49,7 @@ commit installs its pre-image before it touches a block; see
 
 from __future__ import annotations
 
+import struct
 import zlib
 
 import numpy as np
@@ -133,6 +134,12 @@ _HEADER_FIRST_MIN_BATCH = 8
 #: back into a ``StoredHolder``, so mid-sized OLTP batches (a one-hop
 #: frontier, the neighbors of a deleted vertex) stay per-holder.
 _COLUMNAR_MIN_BATCH = 64
+
+
+def _addresses(dptrs: list[int]) -> bytes:
+    """Block addresses as the address area stores them: signed 64-bit,
+    little-endian, back to back."""
+    return struct.pack(f"<{len(dptrs)}q", *dptrs)
 
 
 def _specs(dptr, offset, nbytes) -> np.ndarray:
@@ -280,21 +287,14 @@ class HolderStorage:
         )
         items: list[tuple[int, bytes]] = []
         if nindex:
-            addr_area = b"".join(
-                p.to_bytes(8, "little", signed=True) for p in stored.index_blocks
-            )
+            addr_area = _addresses(stored.index_blocks)
             # index blocks hold the data-block addresses, packed.
             per_index = bs // 8
             for j, iptr in enumerate(stored.index_blocks):
                 chunk = stored.data_blocks[j * per_index : (j + 1) * per_index]
-                blob = b"".join(
-                    p.to_bytes(8, "little", signed=True) for p in chunk
-                )
-                items.append((iptr, blob))
+                items.append((iptr, _addresses(chunk)))
         else:
-            addr_area = b"".join(
-                p.to_bytes(8, "little", signed=True) for p in stored.data_blocks
-            )
+            addr_area = _addresses(stored.data_blocks)
         cap_primary = bs - HEADER_BYTES - len(addr_area)
         head = payload[:cap_primary]
         primary_blob = header + addr_area + head

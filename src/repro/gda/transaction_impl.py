@@ -279,9 +279,6 @@ class Transaction:
         self._edges: dict[int, _TxEdge] = {}
         self._created_app_ids: dict[int, int] = {}  # app_id -> vid
         self._volatile_ids: dict[int, int] = {}  # volatile token -> vid
-        #: vid -> application ID, where the bulk loader supplied it, so
-        #: commit logging resolves an uncached endpoint without a read
-        self._app_id_hints: dict[int, int] = {}
         #: availability-layer state (all inert without a membership view)
         self._mem = getattr(ctx.rt, "membership", None)
         self._start_epoch = self._mem.epoch if self._mem is not None else 0
@@ -314,10 +311,6 @@ class Transaction:
         self._check_open()
         if not self.write:
             raise GdiReadOnly("mutation inside a read-only transaction")
-
-    def _check_collective(self, what: str) -> None:
-        if not self.collective:
-            raise GdiStateError(f"{what} requires a collective transaction")
 
     def _fail(self, cause: str = "other") -> None:
         self.failed = True
@@ -839,74 +832,6 @@ class Transaction:
         elif slot.direction != DIR_UNDIR:
             # directed self-loop: drop the complementary slot too
             remove_reciprocal_slot(txv, txv.vid, slot)
-
-    def bulk_append_half_edge(
-        self,
-        vid: int,
-        other_vid: int,
-        direction: int,
-        label_id: int = 0,
-        heavy_dptr: int | None = None,
-        other_app_id: int | None = None,
-    ) -> None:
-        """Bulk-ingestion fast path: append one edge slot to ``vid``.
-
-        Used by the bulk data-loading collectives (Section 4, BULK): the
-        loader exchanges edges so that each rank appends only to vertices
-        it owns, making lock-free collective write transactions safe.  The
-        caller is responsible for appending the reciprocal slot on the
-        other endpoint (usually in a second exchange phase).  When
-        ``heavy_dptr`` is given the slot references that heavyweight edge
-        holder instead of the neighbor vertex.  Pass ``other_app_id``
-        (the loader already knows it) so commit logging resolves the
-        neighbor's application ID without a remote read.
-        """
-        self._check_collective("bulk_append_half_edge")
-        txv = self._load_vertex(vid, for_write=True)
-        if heavy_dptr is not None:
-            slot = EdgeSlot(heavy_dptr, 0, direction | SLOT_HEAVY)
-        else:
-            slot = EdgeSlot(other_vid, label_id, direction)
-            if other_app_id is not None:
-                self._app_id_hints[other_vid] = int(other_app_id)
-        txv.holder.add_slot(slot)
-        self._mark_dirty(txv)
-
-    def bulk_create_edge_holder(
-        self,
-        src_vid: int,
-        dst_vid: int,
-        *,
-        directed: bool = True,
-        labels: Iterable[Label] = (),
-        properties: Iterable[tuple[PropertyType, Any]] = (),
-        src_app_id: int | None = None,
-        dst_app_id: int | None = None,
-    ) -> int:
-        """Bulk-ingestion fast path: materialize a heavyweight edge holder.
-
-        Returns its DPtr; the caller routes it to both endpoints' owners,
-        which attach the slots with :meth:`bulk_append_half_edge`.  Pass
-        the endpoint application IDs (the loader already knows them) so
-        commit logging needs no remote reads to resolve them.
-        """
-        self._check_collective("bulk_create_edge_holder")
-        self._check_write()
-        holder = EdgeHolder(
-            src=src_vid,
-            dst=dst_vid,
-            directed=directed,
-            labels=[l.int_id for l in labels],
-            properties=[
-                (pt.int_id, encode_property(pt, value))
-                for pt, value in properties
-            ],
-        )
-        if src_app_id is not None:
-            self._app_id_hints[src_vid] = int(src_app_id)
-        if dst_app_id is not None:
-            self._app_id_hints[dst_vid] = int(dst_app_id)
-        return self._new_edge_holder(holder)
 
     def _new_edge_holder(self, holder: EdgeHolder) -> int:
         """Cache a new heavyweight edge holder, private until commit, in

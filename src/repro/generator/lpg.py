@@ -3,28 +3,29 @@
 Builds a labeled property graph inside a GDA database, fully in memory,
 using the bulk data-loading collectives of Section 4 (BULK):
 
-1. every rank creates the vertices it owns (round-robin by application
-   ID, so creation is purely local) inside one collective write
-   transaction, attaching schema-derived labels and properties;
-2. the application-ID → internal-ID map is allgathered (the bulk loader's
-   one-shot replacement for per-edge DHT lookups);
-3. every rank generates its Kronecker edge shard and routes *half-edges*
+1. every rank derives the labels and properties of the vertices it owns
+   (round-robin by application ID) from the schema's column rules;
+2. every rank generates its Kronecker edge shard and routes *half-edges*
    with a single ``alltoallv`` so that each rank appends only to vertices
-   it owns — making the lock-free collective write transaction safe.
+   it owns (heavyweight edges go to their source's owner);
+3. :func:`repro.gda.bulk.load` writes each rank's holders in one batch
+   and allgathers the application-ID → internal-ID map as arrays.
 
 The result is deterministic in ``(params, schema, nranks)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..gda import bulk
 from ..gda.database_impl import GdaDatabase, _route_half_edges
-from ..gda.holder import DIR_IN, DIR_OUT, DIR_UNDIR
+from ..gda.entries import ENTRY_LABEL
+from ..gda.holder import DIR_OUT, DIR_UNDIR
 from ..gda.metadata import Label, PropertyType
-from ..gdi.constants import EntityType
 from ..rma.runtime import RankContext
 from .kronecker import KroneckerParams, generate_edges
 from .schema import LpgSchema, default_schema
@@ -41,7 +42,7 @@ class GeneratedGraph:
     schema: LpgSchema
     labels: dict[str, Label]
     ptypes: dict[str, PropertyType]
-    vid_map: dict[int, int]  # application ID -> internal ID (replicated)
+    vid_map: Mapping[int, int]  # application ID -> internal ID (replicated)
     directed: bool
     n_vertices: int
     n_edges_requested: int
@@ -131,97 +132,69 @@ def build_lpg_from_edges(
     schema = schema if schema is not None else default_schema()
     labels, ptypes = create_schema_metadata(ctx, db, schema)
     n = n_vertices
+    apps = np.arange(ctx.rank, n, ctx.nranks, dtype=np.int64)
+    # label integer IDs by schema index; index -1 (no label) stays -1
+    vlabel_ids = np.array(
+        [labels[name].int_id for name in schema.vertex_label_names] + [-1]
+    )
+    elabel_ids = np.array(
+        [labels[name].int_id for name in schema.edge_label_names], dtype=np.int64
+    )
 
-    # -- phase 1: vertices (local creation, collective write txn) ----------
-    tx = db.start_collective_transaction(ctx, write=True)
-    local_map: dict[int, int] = {}
-    vlabel_names = schema.vertex_label_names
-    for app_id in range(ctx.rank, n, ctx.nranks):
-        vlabels = [
-            labels[vlabel_names[i]] for i in schema.vertex_label_indices(app_id)
-        ]
-        vprops = [
-            (ptypes[name], value)
-            for name, value in schema.vertex_property_values(app_id)
-        ]
-        handle = tx.create_vertex(app_id, labels=vlabels, properties=vprops)
-        local_map[app_id] = handle.vid
-    tx.commit()
-
-    # -- phase 2: replicate the application-ID map --------------------------
-    vid_map: dict[int, int] = {}
-    for part in ctx.allgather(local_map):
-        vid_map.update(part)
-
-    # -- phase 3: edges (half-edge exchange, collective write txn) -----------
-    elabel_names = schema.edge_label_names
     edges = np.asarray(edges_local, dtype=np.int64).reshape(-1, 2)
     if drop_self_loops:
         edges = edges[edges[:, 0] != edges[:, 1]]
-    # heavyweight edges are created at the source owner and their holder
-    # pointers shipped to the destination owner afterwards
-    heavy = np.array(
-        [schema.edge_is_heavy(s, d) for s, d in edges.tolist()], dtype=bool
-    )
-    light = edges[~heavy]
-    label = np.zeros(len(light), dtype=np.int64)
-    if elabel_names:
-        label_ids = np.array([labels[name].int_id for name in elabel_names])
-        label = label_ids[[schema.edge_label_index(s, d) for s, d in light.tolist()]]
-    half_edges = np.stack(
-        _route_half_edges(ctx, db, light[:, 0], light[:, 1], directed, label), 1
-    )
-    src, dst = edges[heavy].T
-    heavy_received = np.stack(ctx.alltoallv(db.home_rank(src), src, dst), 1)
+    # heavyweight edges are created at the source owner, which routes
+    # their holder pointers to the destination owner
+    heavy = schema.edge_heavy_column(edges[:, 0], edges[:, 1])
+    src, dst = edges[~heavy].T
+    label = schema.edge_label_column(src, dst)
+    label = np.zeros(len(src), dtype=np.int64) if label is None else elabel_ids[label]
+    half_edges = np.stack(_route_half_edges(ctx, db, src, dst, directed, label), 1)
     if dedup:  # rows sort lexicographically, as tuples do
         half_edges = np.unique(half_edges, axis=0)
-        heavy_received = np.unique(heavy_received, axis=0)
+    heavy_edges, n_heavy = None, 0
+    if schema.heavy_edge_fraction > 0 and schema.edge_properties_specs():
+        src, dst = edges[heavy].T
+        hs, hd = ctx.alltoallv(db.home_rank(src), src, dst)
+        if dedup:
+            hs, hd = np.unique(np.stack([hs, hd], 1), axis=0).reshape(-1, 2).T
+        label = schema.edge_label_column(hs, hd)
+        heavy_edges = (
+            hs,
+            hd,
+            _entries(
+                len(hs),
+                None if label is None else elabel_ids[label][:, None],
+                schema.edge_property_columns(hs, hd),
+                ptypes,
+            ),
+        )
+        n_heavy = len(hs)
     # Count each logical edge exactly once across all ranks.
     a, b, direction = half_edges[:, :3].T
     once = (direction == DIR_OUT) | ((direction == DIR_UNDIR) & (a <= b))
-    n_loaded_local = int(np.count_nonzero(once)) + len(heavy_received)
-    tx = db.start_collective_transaction(ctx, write=True)
-    for a, b, direction, label_id in half_edges.tolist():
-        base, other = (b, a) if direction == DIR_IN else (a, b)
-        tx.bulk_append_half_edge(
-            vid_map[base], vid_map[other], direction, label_id, other_app_id=other
-        )
-    # heavyweight edges, round 1: create holders + source-side slots
-    reverse = []
-    for src, dst in heavy_received.tolist():
-        li = schema.edge_label_index(src, dst)
-        elabels = [labels[elabel_names[li]]] if li is not None else []
-        props = [
-            (ptypes[name], value)
-            for name, value in schema.edge_property_values(src, dst)
-        ]
-        eptr = tx.bulk_create_edge_holder(
-            vid_map[src],
-            vid_map[dst],
-            directed=directed,
-            labels=elabels,
-            properties=props,
-            src_app_id=src,
-            dst_app_id=dst,
-        )
-        fwd = DIR_OUT if directed else DIR_UNDIR
-        tx.bulk_append_half_edge(vid_map[src], vid_map[dst], fwd, 0, eptr)
-        if src != dst:
-            reverse.append((dst, src, eptr))
-        elif directed:
-            tx.bulk_append_half_edge(vid_map[src], vid_map[dst], DIR_IN, 0, eptr)
-    # heavyweight edges, round 2: destination-side slots
-    rev = DIR_IN if directed else DIR_UNDIR
-    base, other, eptr = np.array(reverse, dtype=np.int64).reshape(-1, 3).T
-    received = ctx.alltoallv(db.home_rank(base), base, other, eptr)
-    for base, other, eptr in np.stack(received, 1).tolist():
-        tx.bulk_append_half_edge(vid_map[base], vid_map[other], rev, 0, eptr)
-    tx.commit()
+    n_loaded_local = int(np.count_nonzero(once)) + n_heavy
+    vid_map = bulk.load(
+        ctx,
+        db,
+        apps,
+        _entries(
+            len(apps),
+            vlabel_ids[schema.vertex_label_columns(apps)],
+            schema.vertex_property_columns(apps),
+            ptypes,
+        ),
+        half_edges,
+        heavy_edges,
+        directed=directed,
+        round_robin=True,
+    )
     n_loaded = ctx.allreduce(n_loaded_local)
     if db.mvcc is not None and ctx.rank == 0:
-        # The load is a handful of collective commits, far below the
-        # per-commit GC trigger, yet each left a pre-image per vertex it
-        # touched.  Every rank is past its commit here (the allreduce
+        # The load is two commits per rank, far below the per-commit GC
+        # trigger, yet it installed an "absent" image per vertex and edge
+        # holder.  Every rank is past its load here (the allreduce
         # synchronized them), so whatever no open snapshot pins goes now
         # instead of shadowing every later snapshot read.
         db.mvcc.collect(ctx)
@@ -239,3 +212,19 @@ def build_lpg_from_edges(
         n_edges_requested=ctx.allreduce(n_edges_local),
         n_edges_loaded=n_loaded,
     )
+
+
+def _entries(n: int, label_ids, prop_columns, ptypes) -> bulk.Entries:
+    """The schema's columns for ``n`` holders as entries: the label
+    columns (``-1``: none), then each p-type in schema order — the order
+    the scalar rules list a holder's labels and properties in."""
+    parts = [
+        bulk.Entries.of_column(np.flatnonzero(col >= 0), ENTRY_LABEL, col[col >= 0])
+        for col in (() if label_ids is None else label_ids.T)
+    ]
+    for spec, carries, payload in prop_columns:
+        rows = np.flatnonzero(carries)
+        parts.append(
+            bulk.Entries.of_column(rows, ptypes[spec.name].int_id, payload=payload)
+        )
+    return bulk.Entries.merge(parts)

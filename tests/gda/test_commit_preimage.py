@@ -4,9 +4,8 @@ A write transaction keeps the holder it read (``_TxVertex.loaded``) and
 the commit stages diff the live holder against it, for dirty vertices
 only, by one rule: a part still in wire form is unchanged.  These tests
 pin what that promises — untouched parts stay wire bytes end to end, the
-value diff of the slots replays to the live state in every corner, the
-bulk loader's hint keeps commit logging off the network, and with MVCC
-on a snapshot is served the pre-image the commit installed.
+value diff of the slots replays to the live state in every corner, and
+with MVCC on a snapshot is served the pre-image the commit installed.
 """
 
 import random
@@ -17,7 +16,6 @@ from mvcc.test_vid_reuse import _commit, _create, _on_rank0
 from repro.gda import GdaDatabase, recover, take_checkpoint
 from repro.gda.checkpoint import snapshot
 from repro.gda.consistency import check_consistency
-from repro.gda.holder import DIR_IN, DIR_OUT, DIR_UNDIR
 from repro.gdi import Constraint, EdgeOrientation
 from repro.gdi.errors import GdiNotFound
 from repro.rma import run_spmd
@@ -383,106 +381,7 @@ def test_seeded_wi_run_replays_to_the_live_state_and_repeats():
     assert seeded_wi_run()[0] == tail
 
 
-# -- (iv): the bulk loader's hint -------------------------------------------
-class _ReadCounter:
-    """Per-rank count of ``HolderStorage.read`` calls made while that rank
-    is inside :meth:`commit` — there, the last resort of commit logging
-    and nothing else."""
-
-    def __init__(self):
-        self.counts, self.armed = [0, 0], [False, False]
-
-    def install(self, ctx, db):
-        if ctx.rank == 0:
-            read = db.storage.read
-
-            def counting(c, primary, *args, **kw):
-                self.counts[c.rank] += self.armed[c.rank]
-                return read(c, primary, *args, **kw)
-
-            db.storage.read = counting
-        ctx.barrier()
-
-    def commit(self, tx):
-        self.armed[tx.ctx.rank] = True
-        tx.commit()
-        self.armed[tx.ctx.rank] = False
-
-
-@pytest.mark.parametrize("hinted", [True, False])
-def test_bulk_half_edges_commit_without_reading_the_far_endpoint(hinted):
-    """Each rank appends to the vertex it owns; the neighbour lives on
-    the other rank and is not in this transaction's cache."""
-    reads = _ReadCounter()
-
-    def prog(ctx):
-        db = GdaDatabase.create(ctx, CFG)
-        _make_metadata(ctx, db)
-        reads.install(ctx, db)
-        knows = db.label(ctx, "knows")
-        tx = db.start_collective_transaction(ctx, write=True)
-        tx.create_vertex(ctx.rank)  # application ID r is homed on rank r
-        tx.commit()
-        tx = db.start_collective_transaction(ctx)
-        vids = tx._translate([0, 1])
-        tx.commit()
-        mine, other = vids[ctx.rank], vids[1 - ctx.rank]
-        tx = db.start_collective_transaction(ctx, write=True)
-        tx.bulk_append_half_edge(
-            mine, other, DIR_OUT if ctx.rank == 0 else DIR_IN, knows.int_id,
-            other_app_id=(1 - ctx.rank) if hinted else None,
-        )
-        tx.bulk_append_half_edge(
-            mine, other, DIR_UNDIR, 0,
-            other_app_id=(1 - ctx.rank) if hinted else None,
-        )
-        reads.commit(tx)
-        assert check_consistency(ctx, db).ok
-        return canon(snapshot(ctx, db))["light_edges"]
-
-    _, res = run_spmd(2, prog)
-    assert res[0] == [(0, 1, False, None), (0, 1, True, "knows")]
-    # unhinted, rank 0 resolves vertex 1 for its OUT and its UNDIR slot and
-    # rank 1 vertex 0 for its UNDIR slot; an IN slot is never logged
-    assert reads.counts == ([0, 0] if hinted else [2, 1])
-
-
-def test_bulk_edge_holder_commits_without_reading_its_endpoints():
-    reads = _ReadCounter()
-
-    def prog(ctx):
-        db = GdaDatabase.create(ctx, CFG)
-        _make_metadata(ctx, db)
-        reads.install(ctx, db)
-        w = db.property_type(ctx, "w")
-        tx = db.start_collective_transaction(ctx, write=True)
-        tx.create_vertex(ctx.rank)
-        tx.commit()
-        tx = db.start_collective_transaction(ctx)
-        vids = tx._translate([0, 1])
-        tx.commit()
-        tx = db.start_collective_transaction(ctx, write=True)
-        eptr = None
-        if ctx.rank == 1:
-            eptr = tx.bulk_create_edge_holder(
-                vids[0], vids[1], properties=[(w, 0.5)],
-                src_app_id=0, dst_app_id=1,
-            )
-        eptr = ctx.bcast(eptr, root=1)
-        tx.bulk_append_half_edge(
-            vids[ctx.rank], vids[1 - ctx.rank],
-            DIR_OUT if ctx.rank == 0 else DIR_IN, 0, eptr,
-        )
-        reads.commit(tx)
-        assert check_consistency(ctx, db).ok
-        return [e[:3] for e in canon(snapshot(ctx, db))["heavy_edges"]]
-
-    _, res = run_spmd(2, prog)
-    assert res[0] == [(0, 1, True)]
-    assert reads.counts == [0, 0]
-
-
-# -- (v): the pre-image a commit installs is what a snapshot is served -------
+# -- (iv): the pre-image a commit installs is what a snapshot is served -------
 def _update(ctx, db, xprop):
     _commit(ctx, db, lambda tx: tx.find_vertex(0).set_property(xprop, 99))
 

@@ -33,7 +33,13 @@ def test_probes_hook_the_lock_and_commit_layers():
     tracer = probes.Tracer()
     probes.install(tracer)
     try:
-        assert tracer.missing == []
+        # the bulk loader's two transaction verbs are gone (the bulk writer
+        # in repro.gda.bulk replaced them); their rows leave the probe
+        # table with the next change to bench/, and nothing else may miss
+        assert tracer.missing == [
+            "repro.gda.transaction_impl.Transaction.bulk_append_half_edge",
+            "repro.gda.transaction_impl.Transaction.bulk_create_edge_holder",
+        ]
 
         def prog(ctx):
             db = GdaDatabase.create(ctx)
