@@ -167,8 +167,9 @@ class GdaDatabase:
     ) -> "GdaDatabase":
         """Collectively create a database (``GDI_CreateDatabase``)."""
         config = config or GdaConfig()
-        name = ctx.bcast(
-            f"gdadb{next(_db_counter)}" if ctx.rank == 0 else None, root=0
+        # the number is the payload: its price is the same for every name
+        name = "gdadb%d" % ctx.bcast(
+            next(_db_counter) if ctx.rank == 0 else None, root=0
         )
         blocks = BlockManager.create(
             ctx,
@@ -428,16 +429,12 @@ class GdaDatabase:
         fenced (:class:`~repro.rma.faults.RmaStaleEpoch`).  The first rank
         to claim a failed shard rebuilds it
         (:meth:`~repro.gda.replication.ReplicationManager.repair_shard`);
-        everyone else waits (bounded) for the repair to publish, then
-        adopts the current epoch so the retried transaction runs against
-        the reconfigured view.  A repair that fails (e.g. a mirror CRC
-        mismatch) returns the shard to FAILED and re-raises; waiters time
-        out and surface the fence to their caller.
+        everyone else parks, with no bounded wait, until that repair
+        publishes or aborts, then adopts the current epoch so the retried
+        transaction runs against the reconfigured view.  A repair that
+        fails (e.g. a mirror CRC mismatch) returns the shard to FAILED and
+        re-raises; its released waiters' retries meet the fence again.
         """
-        import time
-
-        from ..rma.membership import SHARD_FAILED, SHARD_REPAIRING
-
         mem = getattr(ctx.rt, "membership", None)
         if mem is None or self.replication is None:
             return
@@ -449,14 +446,7 @@ class GdaDatabase:
                     mem.abort_repair(shard)
                     raise
                 mem.finish_repair(shard)
-        # Bounded real-time wait for repairs owned by other rank threads.
-        for _ in range(2000):
-            if not any(
-                mem.shard_state(s) in (SHARD_FAILED, SHARD_REPAIRING)
-                for s in range(self.nranks)
-            ):
-                break
-            time.sleep(0.001)
+        mem.await_repairs(ctx.rt.scheduler, ctx.rank)
         mem.adopt_epoch(ctx.rank)
         if self.mvcc is not None:
             # a commit that allocated its timestamp on a now-dead rank

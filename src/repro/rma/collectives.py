@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import functools
 import operator
-import threading
 from typing import Any, Callable, Sequence
 
 import numpy as np
+
+from .parking import Parking
 
 __all__ = ["CollectiveEngine", "CollectiveAbort", "REDUCE_OPS", "payload_nbytes"]
 
@@ -110,7 +111,7 @@ class CollectiveEngine:
     def __init__(self, runtime) -> None:
         self._rt = runtime
         self._nranks = runtime.nranks
-        self._cond = threading.Condition()
+        self._parking = Parking()
         self._generation = 0
         self._arrived = 0
         self._slots: dict[int, list] = {}
@@ -124,8 +125,6 @@ class CollectiveEngine:
         #: populated when the runtime has a membership view: collectives
         #: then complete over the live view instead of aborting)
         self._excluded: set[int] = set()
-        #: generation -> ranks marked blocked at the interleaving scheduler
-        self._parked: dict[int, list[int]] = {}
         self._poisoned: BaseException | None = None
 
     # -- failure handling -------------------------------------------------
@@ -135,15 +134,26 @@ class CollectiveEngine:
         Called by the executor when any rank raises, so sibling ranks do
         not hang forever inside a half-entered collective.
         """
-        with self._cond:
+        with self._parking.cond:
             self._poisoned = exc
-            self._cond.notify_all()
+            self._parking.cond.notify_all()
 
-    def _check_poison(self) -> None:
+    def rank_exited(self) -> None:
+        """Rescan the open generation: a thread exit is how a crash shows."""
+        with self._parking.cond:
+            self._scan_for_dead(self._generation)
+
+    def _check_open(self, gen: int) -> bool:
+        """Raise if poisoned or ``gen`` aborted; else: has it published?"""
         if self._poisoned is not None:
             raise CollectiveAbort(
                 f"collective aborted: peer rank failed ({self._poisoned!r})"
             )
+        if gen in self._aborted:
+            self._raise_dead(
+                "collective aborted: a participant crashed mid-collective"
+            )
+        return gen in self._ready
 
     def reset_for_new_run(self) -> None:
         """Drop the poison and half-entered rendezvous state of an
@@ -156,7 +166,7 @@ class CollectiveEngine:
         generation counter also keeps advancing, so a stale ``gen`` can
         never collide with a live one).
         """
-        with self._cond:
+        with self._parking.cond:
             self._poisoned = None
             self._arrived = 0
             self._slots.clear()
@@ -164,7 +174,6 @@ class CollectiveEngine:
             self._left.clear()
             self._readers.clear()
             self._aborted.clear()
-            self._parked.clear()
 
     # -- core rendezvous ---------------------------------------------------
     def _raise_dead(self, detail: str):
@@ -181,24 +190,21 @@ class CollectiveEngine:
         self._generation += 1
         self._ready.add(gen)
         self._readers[gen] = expected
-        # Unpark every waiter here, before the publisher leaves: were each
+        # Release every waiter here, before the publisher leaves: were each
         # one to unblock itself on waking, the publisher (never blocked)
         # could win op-grant rounds while its peers still count as
         # blocked, and the OS wake-up order would pick the interleaving.
-        for rank in self._parked.pop(gen, ()):
-            self._rt.scheduler.unblock(rank)
-        self._cond.notify_all()
+        self._parking.release()
         return True
 
     def _scan_for_dead(self, gen: int) -> None:
         """Detect participants that died before arriving in ``gen``.
 
         Without a membership view the whole generation is aborted and
-        every participant deterministically observes ``RmaRankDead``
-        (satellite fix: a mid-collective crash used to hang waiters until
-        an external poison).  With a membership view the dead rank is
-        excluded, its shard fails over, and the collective completes over
-        the live view with a sentinel in the dead rank's slot.
+        every participant deterministically observes ``RmaRankDead``.
+        With a membership view the dead rank is excluded, its shard fails
+        over, and the collective completes over the live view with a
+        sentinel in the dead rank's slot.
         """
         faults = getattr(self._rt, "faults", None)
         if faults is None or not faults.dead:
@@ -222,7 +228,7 @@ class CollectiveEngine:
                 # generation for everyone, deterministically
                 self._aborted.add(gen)
                 self._arrived = 0
-                self._cond.notify_all()
+                self._parking.release()
                 return
             self._excluded.add(r)
         self._try_publish(gen)
@@ -238,46 +244,19 @@ class CollectiveEngine:
         if faults is not None:
             # a crashed rank must not keep participating in collectives
             faults.check_alive(rank)
-        with self._cond:
-            self._check_poison()
+        with self._parking.cond:
             gen = self._generation
-            if gen in self._aborted:
-                self._raise_dead(
-                    "collective aborted: a participant crashed mid-collective"
-                )
+            self._check_open(gen)
             slots = self._slots.setdefault(gen, [_DEAD] * self._nranks)
             slots[rank] = value
             self._arrived += 1
-            if not self._try_publish(gen):
-                # parked until the last participant arrives: tell the
-                # interleaving scheduler this rank cannot issue ops, so
-                # op-grant rounds must not stall waiting for it
-                sched = getattr(self._rt, "scheduler", None)
-                if sched is not None:
-                    sched.block(rank)
-                    self._parked.setdefault(gen, []).append(rank)
-                try:
-                    while gen not in self._ready:
-                        self._check_poison()
-                        if gen in self._aborted:
-                            self._raise_dead(
-                                "collective aborted: a participant crashed "
-                                "mid-collective"
-                            )
-                        self._scan_for_dead(gen)
-                        if gen in self._ready or gen in self._aborted:
-                            continue
-                        self._cond.wait(timeout=0.05)
-                finally:
-                    # the publisher already did this; an aborted or
-                    # poisoned generation has no publisher
-                    if sched is not None:
-                        sched.unblock(rank)
-                if gen in self._aborted:
-                    self._raise_dead(
-                        "collective aborted: a participant crashed "
-                        "mid-collective"
-                    )
+            # a peer that died before arriving shows here or at its thread's
+            # exit (rank_exited): the generation publishes without it or aborts
+            self._scan_for_dead(gen)
+            self._try_publish(gen)
+            self._parking.wait(
+                self._rt.scheduler, rank, lambda: self._check_open(gen)
+            )
             result = self._slots[gen]
             self._left[gen] = self._left.get(gen, 0) + 1
             if self._left[gen] >= self._readers.get(gen, self._nranks):

@@ -18,11 +18,10 @@ such programs:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .costmodel import UNIFORM, MachineProfile
-from .faults import FaultInjector, FaultPlan
+from .faults import FaultInjector, FaultPlan, RmaRankDead
 from .runtime import RankContext, RmaRuntime
 
 __all__ = [
@@ -59,8 +58,8 @@ class InterleavingScheduler:
     Each rank calls :meth:`step` (via the runtime hook) before every
     one-sided operation and blocks until picked.  A grant round closes
     only once every *runnable* registered rank is waiting — ranks parked
-    in a collective (or dead, or done with their SPMD body) are marked
-    blocked and excluded — and the pick among them is a deterministic
+    (:mod:`repro.rma.parking`), dead or done with their SPMD body are
+    excluded — and the pick among them is a deterministic
     hash of ``(seed, round)``.  Gating rounds on the full runnable set
     is what makes the interleaving a pure function of the seed: picking
     among whichever ranks happened to have arrived would let the OS
@@ -92,8 +91,8 @@ class InterleavingScheduler:
             self._cond.notify_all()
 
     def block(self, rank: int) -> None:
-        """Mark ``rank`` parked in a real wait (collective rendezvous):
-        it cannot issue ops, so rounds must not stall on it."""
+        """Mark ``rank`` parked (:mod:`repro.rma.parking`, its only
+        caller): it cannot issue ops, so rounds must not stall on it."""
         with self._cond:
             self._blocked.add(rank)
             self._cond.notify_all()
@@ -105,8 +104,6 @@ class InterleavingScheduler:
 
     def step(self, rank: int) -> None:
         with self._cond:
-            if self._stopped:
-                return
             self._waiting.add(rank)
             self._cond.notify_all()
             while True:
@@ -127,7 +124,7 @@ class InterleavingScheduler:
                         self._round += 1
                         self._cond.notify_all()
                         return
-                self._cond.wait(timeout=0.05)
+                self._cond.wait()
 
     def stop(self) -> None:
         """Release all waiters unconditionally (used on failure)."""
@@ -142,7 +139,6 @@ class InterleavingScheduler:
             self._stopped = False
 
 
-@dataclass
 class ThreadExecutor:
     """Runs an SPMD function with one OS thread per rank.
 
@@ -150,8 +146,6 @@ class ThreadExecutor:
     in a collective abort instead of hanging) and the first failure is
     re-raised as :class:`SpmdError`.
     """
-
-    daemon: bool = True
 
     def run(
         self,
@@ -170,8 +164,6 @@ class ThreadExecutor:
             try:
                 results[rank] = fn(ctx, *args)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
-                from .faults import RmaRankDead
-
                 if (
                     isinstance(exc, RmaRankDead)
                     and getattr(runtime, "membership", None) is not None
@@ -189,11 +181,13 @@ class ThreadExecutor:
                 if runtime.scheduler is not None:
                     runtime.scheduler.stop()
             finally:
+                # a crash shows to parked peers before rounds stop waiting
+                runtime.collectives.rank_exited()
                 if runtime.scheduler is not None:
                     runtime.scheduler.deregister(rank)
 
         threads = [
-            threading.Thread(target=body, args=(r,), daemon=self.daemon)
+            threading.Thread(target=body, args=(r,), daemon=True)
             for r in range(nranks)
         ]
         # every rank joins the runnable set before any thread starts:

@@ -36,12 +36,13 @@ fencing errors is the :class:`~repro.rma.faults.FaultInjector`'s job, and
 
 While a shard is FAILED or REPAIRING, only the repairing rank may touch
 it; everyone else is fenced and must call the database's ``heal`` hook
-(single-flight) before retrying.
+(single-flight) before retrying; a healer that finds another rank's repair
+in flight parks (:mod:`repro.rma.parking`) until it finishes or aborts.
 """
 
 from __future__ import annotations
 
-import threading
+from .parking import Parking
 
 __all__ = [
     "SHARD_NORMAL",
@@ -85,7 +86,8 @@ class ClusterMembership:
         #: per-issuer adopted epoch ("the epoch every op carries")
         self.issuer_epoch = [0] * nranks
         self.last_heartbeat = [0.0] * nranks
-        self._lock = threading.Lock()
+        self._healers = Parking()
+        self._lock = self._healers.cond
 
     # -- failure detector --------------------------------------------------
     def heartbeat(self, rank: int, clock: float) -> None:
@@ -171,6 +173,7 @@ class ClusterMembership:
             if self.state[shard] == SHARD_REPAIRING:
                 self.state[shard] = SHARD_FAILED
                 self.repairer[shard] = None
+            self._healers.release()
 
     def finish_repair(self, shard: int) -> None:
         """Publish the rebuilt shard: serviceable again, epoch bumped."""
@@ -179,6 +182,14 @@ class ClusterMembership:
             self.repairer[shard] = None
             self.epoch += 1
             self.rehosted_at[shard] = self.epoch
+            self._healers.release()
+
+    def await_repairs(self, scheduler, rank: int) -> None:
+        """Park ``rank`` until no shard is being repaired."""
+        with self._lock:
+            self._healers.wait(
+                scheduler, rank, lambda: SHARD_REPAIRING not in self.state
+            )
 
     # -- planned reconfiguration (rebalance) -------------------------------
     def bump_epoch(self, fence_all: bool = True) -> int:

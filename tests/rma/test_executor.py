@@ -11,6 +11,7 @@ from repro.rma import (
     ThreadExecutor,
     run_spmd,
 )
+from repro.rma.parking import Parking
 
 
 class TestThreadExecutor:
@@ -139,6 +140,32 @@ class TestInterleavingScheduler:
 
         with pytest.raises(SpmdError):
             run_spmd(3, prog, seed=5)  # must not hang
+
+    def test_parked_rank_is_runnable_again_when_release_returns(self):
+        """A parked rank stops holding up grant rounds, and the releaser
+        makes it runnable again before it can issue its own next op."""
+        sched = InterleavingScheduler(seed=0)
+        for r in (0, 1):
+            sched.register(r)
+        parking, ready = Parking(), []
+
+        def waiter():
+            with parking.cond:
+                parking.wait(sched, 1, lambda: bool(ready))
+
+        t = threading.Thread(target=waiter, daemon=True)
+        t.start()
+        # rank 0's round closes only once rank 1 is parked
+        stepper = threading.Thread(target=sched.step, args=(0,), daemon=True)
+        stepper.start()
+        stepper.join(timeout=10)
+        assert not stepper.is_alive()
+        with parking.cond:
+            ready.append(True)
+            parking.release()
+            assert sched._blocked == set()
+        t.join(timeout=10)
+        assert not t.is_alive()
 
 
 class TestClockSemantics:
