@@ -541,6 +541,46 @@ def test_routed_kernels_make_no_per_rank_python_calls():
         assert many[kernel] <= 1.25 * calls, (kernel, calls, many[kernel])
 
 
+def _grant_round_calls(nranks):
+    """Python calls per grant round, over every rank thread, of a seeded
+    run where each rank creates a small database and commits 20
+    vertices (about 260 one-sided ops per rank)."""
+    import itertools
+    import threading
+
+    from repro.rma import run_spmd
+
+    def prog(c):
+        db = GdaDatabase.create(c, GdaConfig(blocks_per_rank=64))
+        tx = db.start_transaction(c, write=True)
+        for i in range(20):
+            tx.create_vertex(c.rank * 20 + i)
+        tx.commit()
+
+    counter = itertools.count()
+
+    def count(frame, event, arg):
+        if event == "call":
+            next(counter)  # one C call: no increment lost between threads
+
+    threading.setprofile(count)
+    try:
+        rt2, _ = run_spmd(nranks, prog, seed=5)
+    finally:
+        threading.setprofile(None)
+    return next(counter) / rt2.scheduler._round
+
+
+def test_seeded_grant_wakes_only_the_picked_rank():
+    """A grant hands off to the one rank it picks: eight times the ranks
+    must not mean more Python calls per grant round (waking every gated
+    rank to re-check the pick cost calls in proportion to the ranks:
+    1,019 per round at 32 ranks against 55 at 4; the hand-off makes 30.8
+    and 30.4).  A ratio of exact counts."""
+    few, many = _grant_round_calls(4), _grant_round_calls(32)
+    assert many <= 1.25 * few, (few, many)
+
+
 #: Python calls per loaded vertex that
 #: :func:`test_bulk_load_stays_within_its_call_budget` allows: what the
 #: array writer (``repro.gda.bulk``) reached on CPython 3.11 (190 on

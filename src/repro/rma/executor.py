@@ -7,12 +7,11 @@ such programs:
 * :class:`ThreadExecutor` — one OS thread per rank.  Concurrency (and thus
   contention on the lock-free structures) is real; this is the default for
   integration tests and benchmarks.
-* :class:`InterleavingScheduler` + :func:`run_spmd` with a ``seed`` — rank
-  threads additionally rendezvous with a seeded scheduler before every
-  one-sided operation, which serializes operations in a pseudo-random but
-  reproducible-in-distribution order.  Property-based tests use many seeds
-  to explore interleavings of the lock-free DHT, block allocator, and
-  reader-writer locks.
+* :class:`InterleavingScheduler` + :func:`run_spmd` with a ``seed`` — a rank
+  thread sleeps on its own gate before every one-sided operation, and the
+  scheduler opens one gate at a time in an order that replays exactly
+  from the seed.  Property-based tests use many seeds to explore
+  interleavings of the lock-free DHT, block allocator, and RW locks.
 """
 
 from __future__ import annotations
@@ -20,8 +19,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 from .costmodel import UNIFORM, MachineProfile
-from .faults import FaultInjector, FaultPlan, RmaRankDead
+from .faults import FaultInjector, FaultPlan, RmaRankDead, _mix64_column
 from .runtime import RankContext, RmaRuntime
 
 __all__ = [
@@ -41,36 +42,28 @@ class SpmdError(RuntimeError):
         self.original = original
 
 
-def _mix(seed: int, round_no: int, rank: int) -> int:
-    """Cheap deterministic integer hash used for scheduler picks."""
-    x = (seed * 0x9E3779B97F4A7C15 + round_no * 0xBF58476D1CE4E5B9 + rank + 1) & (
-        (1 << 64) - 1
-    )
-    x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & ((1 << 64) - 1)
-    x ^= x >> 29
-    return x
-
-
 class InterleavingScheduler:
     """Serializes one-sided operations in a seeded pseudo-random order.
 
     Each rank calls :meth:`step` (via the runtime hook) before every
-    one-sided operation and blocks until picked.  A grant round closes
-    only once every *runnable* registered rank is waiting — ranks parked
-    (:mod:`repro.rma.parking`), dead or done with their SPMD body are
-    excluded — and the pick among them is a deterministic
-    hash of ``(seed, round)``.  Gating rounds on the full runnable set
-    is what makes the interleaving a pure function of the seed: picking
-    among whichever ranks happened to have arrived would let the OS
-    scheduler (a late-woken thread misses a round) leak real-time
-    nondeterminism into the serialization order.
+    one-sided operation and sleeps on its own gate until picked.  A grant
+    round closes only once every *runnable* registered rank is gated —
+    ranks parked (:mod:`repro.rma.parking`), dead or done with their SPMD
+    body are excluded — and only the gate of the pick opens: the gated
+    rank with the smallest ``_mix64(seed, round, rank)``.  Gating rounds
+    on the full runnable set is what makes the interleaving a pure
+    function of the seed: picking among whichever ranks happened to have
+    arrived would let the OS scheduler (a late-woken thread misses a
+    round) leak real-time nondeterminism into the serialization order.
+    Only an arrival, a park or an exit can close a round; the rank that
+    closes it opens the pick's gate, and no other rank wakes.
+    Unregistered callers (no executor) are granted among the gated.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._cond = threading.Condition()
-        self._waiting: set[int] = set()
+        self._lock = threading.Lock()
+        self._gates: dict[int, Any] = {}  # gated rank -> its held lock
         self._active: set[int] = set()
         self._blocked: set[int] = set()
         self._round = 0
@@ -78,64 +71,61 @@ class InterleavingScheduler:
 
     def register(self, rank: int) -> None:
         """Declare ``rank``'s thread live: rounds now wait for it."""
-        with self._cond:
+        with self._lock:
             self._active.add(rank)
-            self._cond.notify_all()
 
     def deregister(self, rank: int) -> None:
         """Declare ``rank`` finished (or dead): stop waiting for it."""
-        with self._cond:
+        with self._lock:
             self._active.discard(rank)
             self._blocked.discard(rank)
-            self._waiting.discard(rank)
-            self._cond.notify_all()
+            self._grant()
 
     def block(self, rank: int) -> None:
         """Mark ``rank`` parked (:mod:`repro.rma.parking`, its only
         caller): it cannot issue ops, so rounds must not stall on it."""
-        with self._cond:
+        with self._lock:
             self._blocked.add(rank)
-            self._cond.notify_all()
+            self._grant()
 
     def unblock(self, rank: int) -> None:
-        with self._cond:
+        with self._lock:
             self._blocked.discard(rank)
-            self._cond.notify_all()
 
     def step(self, rank: int) -> None:
-        with self._cond:
-            self._waiting.add(rank)
-            self._cond.notify_all()
-            while True:
-                if self._stopped:
-                    self._waiting.discard(rank)
-                    return
-                # unregistered callers (no executor) fall back to picking
-                # among present waiters; under an executor every runnable
-                # rank must have arrived before the round closes
-                runnable = (self._active - self._blocked) or self._waiting
-                if self._waiting >= runnable:
-                    pick = min(
-                        self._waiting,
-                        key=lambda r: _mix(self.seed, self._round, r),
-                    )
-                    if pick == rank:
-                        self._waiting.discard(rank)
-                        self._round += 1
-                        self._cond.notify_all()
-                        return
-                self._cond.wait()
+        gate = threading.Lock()
+        gate.acquire()
+        with self._lock:
+            if self._stopped:
+                return
+            self._gates[rank] = gate
+            self._grant()
+        gate.acquire()  # until a grant (or stop) releases it
+
+    def _grant(self) -> None:
+        """Open the pick's gate for every round that closes now (one,
+        under an executor); the caller holds ``_lock``."""
+        gates = self._gates
+        while gates:
+            runnable = (self._active - self._blocked) or gates.keys()
+            if not gates.keys() >= runnable:
+                return
+            ranks = np.fromiter(gates, np.int64, len(gates))
+            pick = ranks[_mix64_column(self.seed, self._round, ranks).argmin()]
+            self._round += 1
+            gates.pop(int(pick)).release()
 
     def stop(self) -> None:
         """Release all waiters unconditionally (used on failure)."""
-        with self._cond:
+        with self._lock:
             self._stopped = True
-            self._cond.notify_all()
+            while self._gates:
+                self._gates.popitem()[1].release()
 
     def restart(self) -> None:
         """Re-arm a scheduler stopped by a failed phase (no waiters exist
         between phases, so flipping the flag back is safe)."""
-        with self._cond:
+        with self._lock:
             self._stopped = False
 
 

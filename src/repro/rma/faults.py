@@ -42,6 +42,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .membership import SHARD_NORMAL
 from .runtime import RmaError
 
@@ -87,15 +89,26 @@ class RmaRankDead(RmaError):
     """
 
 
+_MASK64 = (1 << 64) - 1
+_K_SEED, _K_A, _K_MUL = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
 def _mix64(seed: int, a: int, b: int) -> int:
-    """Deterministic 64-bit hash (same construction as the scheduler's)."""
-    x = (seed * 0x9E3779B97F4A7C15 + a * 0xBF58476D1CE4E5B9 + b + 1) & (
-        (1 << 64) - 1
-    )
+    """Deterministic 64-bit hash: fault draws and the scheduler's picks."""
+    x = (seed * _K_SEED + a * _K_A + b + 1) & _MASK64
     x ^= x >> 31
-    x = (x * 0x94D049BB133111EB) & ((1 << 64) - 1)
+    x = (x * _K_MUL) & _MASK64
     x ^= x >> 29
     return x
+
+
+def _mix64_column(seed: int, a: int, b: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` of every element of the integer column ``b`` at once
+    (uint64 array arithmetic wraps mod 2**64, as the masks do)."""
+    x = b.astype(np.uint64) + np.uint64((seed * _K_SEED + a * _K_A + 1) & _MASK64)
+    x ^= x >> np.uint64(31)
+    x *= np.uint64(_K_MUL)
+    return x ^ (x >> np.uint64(29))
 
 
 def _uniform(seed: int, a: int, b: int) -> float:

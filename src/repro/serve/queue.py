@@ -50,7 +50,9 @@ class BoundedQueue:
         #: id(item) -> admission seq of dequeued-but-unfinished items
         self._leases: dict[int, int] = {}
         self._seq = 0
-        self._cond = threading.Condition()
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)  # workers wait for items
+        self._idle = threading.Condition(lock)  # drainers wait for quiescence
         self._closed = False
         self._paused = False
         self._peak = 0
@@ -128,7 +130,7 @@ class BoundedQueue:
             self._items.insert(pos, (seq, item))
             self._cond.notify()
 
-    def get(self, poll_interval: float = 0.05, on_pop=None) -> Any | None:
+    def get(self, on_pop=None) -> Any | None:
         """Dequeue the next item; ``None`` once closed and drained.
 
         The caller holds the item's lease until :meth:`task_done` (or
@@ -149,13 +151,19 @@ class BoundedQueue:
                     return item
                 if self._closed:
                     return None
-                self._cond.wait(poll_interval)
+                self._cond.wait()
 
     def task_done(self, item: Any) -> None:
         """Release ``item``'s lease, freeing its capacity slot."""
         with self._cond:
             self._leases.pop(id(item), None)
-            self._cond.notify()
+            if not self._items and not self._leases:
+                self._idle.notify_all()
+
+    def wait_quiescent(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` seconds for :meth:`quiescent`; return it."""
+        with self._idle:
+            return self._idle.wait_for(self.quiescent, timeout)
 
     def pause(self) -> None:
         """Shed new arrivals (drain mode); waiting items still serve."""

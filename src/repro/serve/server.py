@@ -358,15 +358,8 @@ class GraphServer:
         ``timeout`` wall-clock seconds (admission stays paused so the
         caller can decide).
         """
-        import time
-
         self.queue.pause()
-        deadline = time.monotonic() + timeout
-        while not self.queue.quiescent():
-            if time.monotonic() > deadline:
-                return False
-            time.sleep(0.001)
-        return True
+        return self.queue.wait_quiescent(timeout)
 
     def resume(self) -> None:
         """Re-open admission after a :meth:`drain`."""

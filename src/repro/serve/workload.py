@@ -147,25 +147,19 @@ class ClosedLoopLoad:
         """
         while True:
             with self._cond:
-                if self._issued >= self.n_requests:
-                    if self._outstanding == 0:
-                        break
-                    self._cond.wait(0.05)
-                    continue
-                if not self._ready:
-                    if self._outstanding == 0:
-                        break  # users exhausted below the budget
-                    self._cond.wait(0.05)
-                    continue
-                t = self._ready[0][0]
-                if (
+                idle = self._issued >= self.n_requests or not self._ready
+                if idle and self._outstanding == 0:
+                    break  # budget spent, or users exhausted below it
+                if idle or (
+                    # stay within the pacing window
                     self.horizon is not None
                     and self._outstanding > 0
-                    and t > self.server.virtual_now() + self.horizon
+                    and self._ready[0][0] > self.server.virtual_now() + self.horizon
                 ):
-                    # stay within the pacing window; completions advance
-                    # the workers' virtual clocks and notify us
-                    self._cond.wait(0.05)
+                    # every completion re-arms its user and advances the
+                    # workers' virtual clocks (the slot returns before
+                    # ``on_done`` runs), then notifies
+                    self._cond.wait()
                     continue
                 t, user = heapq.heappop(self._ready)
                 self._issued += 1

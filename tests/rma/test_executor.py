@@ -1,9 +1,12 @@
 """Tests for the SPMD executors and the interleaving scheduler."""
 
+import hashlib
 import threading
 
+import numpy as np
 import pytest
 
+from repro.gda import GdaConfig, GdaDatabase
 from repro.rma import (
     InterleavingScheduler,
     RmaRuntime,
@@ -11,6 +14,7 @@ from repro.rma import (
     ThreadExecutor,
     run_spmd,
 )
+from repro.rma.faults import _mix64, _mix64_column
 from repro.rma.parking import Parking
 
 
@@ -97,11 +101,6 @@ class TestInterleavingScheduler:
     def test_different_seeds_yield_different_interleavings(self):
         def prog(ctx):
             win = ctx.win_allocate("w", 8)
-            # all ranks must be alive before anyone issues ops: the
-            # scheduler only interleaves among concurrently waiting
-            # ranks, so without this barrier a loaded machine can start
-            # the threads sequentially and serialize every seed the
-            # same way
             ctx.barrier()
             order = []
             for _ in range(5):
@@ -192,3 +191,64 @@ def test_same_seed_replays_the_same_interleaving_after_a_barrier():
 
     outcomes = {tuple(run_spmd(3, prog, seed=5)[1]) for _ in range(20)}
     assert len(outcomes) == 1
+
+
+def test_column_hash_is_the_scalar_hash():
+    """The scheduler's pick hashes every gated rank as one column: it
+    must equal the scalar hash (fault draws) bit for bit, on seeds and
+    rounds of any size and sign and on ranks up to 2**62."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        seed = int(rng.integers(-(2**62), 2**62)) * int(rng.integers(1, 64))
+        round_no = int(rng.integers(0, 2**40))
+        ranks = rng.integers(0, 2**62, size=int(rng.integers(1, 300)))
+        column = _mix64_column(seed, round_no, ranks)
+        assert column.dtype == np.uint64
+        assert column.tolist() == [_mix64(seed, round_no, int(r)) for r in ranks]
+
+
+def _recipe(ctx):
+    """Every rank creates a small database and commits 20 vertices."""
+    db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=64))
+    tx = db.start_transaction(ctx, write=True)
+    for i in range(20):
+        tx.create_vertex(ctx.rank * 20 + i)
+    tx.commit()
+
+
+def _replay(nranks, seed):
+    """Grant rounds of a seeded run of the recipe, and a digest of its
+    per-rank clocks and trace counters."""
+    rt, _ = run_spmd(nranks, _recipe, seed=seed)
+    state = (
+        [float(c).hex() for c in rt.clocks],
+        sorted(rt.trace.summary().items()),
+    )
+    return rt.scheduler._round, hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+#: (ranks, seed) -> (grant rounds, digest) of the recipe.  A change to
+#: how grants are delivered must reproduce these exactly: the same
+#: schedule, not merely a deterministic one
+REPLAYS = {
+    (3, 1): (774, "b91b1be6f2a15821"),
+    (3, 5): (760, "5b2e3a2ca9ef71e4"),
+    (3, 9): (774, "598ce116f3e5a823"),
+    (8, 1): (2080, "4ee4538109aac041"),
+    (8, 5): (2086, "9945f223f6ca422f"),
+    (8, 9): (2096, "425ceeaa4ef5e2ce"),
+    (16, 1): (4250, "f3268758fbf5ef25"),
+    (16, 5): (4160, "446211b156833c03"),
+    (16, 9): (4213, "6436ec6d7cee5b83"),
+}
+
+
+@pytest.mark.parametrize("nranks,seed", sorted(REPLAYS))
+def test_seeded_schedule_is_the_recorded_one(nranks, seed):
+    assert _replay(nranks, seed) == REPLAYS[nranks, seed]
+
+
+def test_seeded_run_at_32_ranks_replays_bit_identically():
+    first = _replay(32, 5)
+    assert first[0] > 32 * 200  # every rank's ops were granted one by one
+    assert _replay(32, 5) == first

@@ -5,6 +5,7 @@ counters); the remaining ranks run :meth:`GraphServer.serve` worker
 loops pulling from the shared bounded queue.
 """
 
+import threading
 import time
 
 import pytest
@@ -15,8 +16,10 @@ from repro.rma.faults import FaultPlan
 
 from repro.serve import (
     ClientSession,
+    ClosedLoopLoad,
     GraphServer,
     ServeConfig,
+    ServeMix,
 )
 from repro.serve.request import ANALYTICS, TERMINAL_STATUSES
 
@@ -327,3 +330,51 @@ def test_drain_quiesces_then_resume_readmits():
         assert r.wait_done(timeout=30) and r.status == "ok"
     outcomes = state["server"].stats()["outcomes"]
     assert outcomes["ok"] == 7 and outcomes["shed"] == 1
+
+
+def test_closed_loop_run_and_drain_wait_without_timers(monkeypatch):
+    """Every serve wait sleeps until the state it needs changes: workers
+    waiting for work, a closed-loop driver waiting for completions or for
+    its pacing window, and a drain waiting for quiescence.  None polls on
+    a fixed interval or sleeps; a drain's only timeout is its caller's."""
+    polls = []
+    wait, sleep = threading.Condition.wait, time.sleep
+
+    def untimed_wait(self, timeout=None):
+        if timeout is not None and timeout < 1.0:
+            polls.append(timeout)
+        return wait(self, timeout)
+
+    def no_sleep(seconds):
+        polls.append(seconds)
+        sleep(seconds)
+
+    monkeypatch.setattr(threading.Condition, "wait", untimed_wait)
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    state = {}
+
+    def drive(ctx, server):
+        load = ClosedLoopLoad(
+            server,
+            [ClientSession(server)],
+            # IDs 0..109: the people (100-104) and misses; the analytics
+            # text needs the generated schema's labels
+            ServeMix(n_vertices=110, analytics_fraction=0.0),
+            n_users=4,
+            arrival_rate=1e4,
+            n_requests=24,
+            horizon=1e-5,
+        )
+        records = load.run(ctx)
+        assert server.drain(timeout=30.0)
+        return records
+
+    def prog(ctx):
+        return _serve_phase(
+            ctx, state, drive, config=ServeConfig(queue_capacity=8)
+        )
+
+    _, res = run_spmd(NRANKS, prog)
+    assert len(res[0]) == 24
+    assert {r.status for r in res[0]} == {"ok"}
+    assert polls == []

@@ -17,7 +17,7 @@ GRANDFATHERED = {
     "gda/locks.py": 322,
     "gda/recovery.py": 346,
     "rma/collectives.py": 410,
-    "serve/server.py": 378,
+    "serve/server.py": 371,
     # held where they shrank when ``ctx.alltoallv`` took their routing loops
     "workloads/analytics.py": 611,
     "baselines/graph500_bfs.py": 100,
