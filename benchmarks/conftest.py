@@ -21,6 +21,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -37,6 +38,29 @@ def bench_ranks() -> list[int]:
 
 def bench_ops() -> int:
     return int(os.environ.get("REPRO_BENCH_OPS", "120"))
+
+
+@contextlib.contextmanager
+def served_reads_under_locks():
+    """Serve read-only requests under read locks instead of on a snapshot.
+
+    ``GraphServer`` runs every read-only request on an MVCC snapshot; the
+    experiments that contrast lock-mode serving with it (the HTAP storm's
+    lock twin, the skew storm's hot-shard lock traffic) wrap their
+    serving phases in this instead of configuring the database.
+    """
+    from repro.serve import server
+
+    run = server.run_transaction
+
+    def locking(*args, **kwargs):
+        return run(*args, **{**kwargs, "snapshot": False})
+
+    server.run_transaction = locking
+    try:
+        yield
+    finally:
+        server.run_transaction = run
 
 
 @pytest.fixture(scope="session")

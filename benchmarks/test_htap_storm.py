@@ -11,10 +11,11 @@ same time.
   never abort, and never force an OLTP writer to wait.  Acceptance:
   *zero* snapshot-read aborts and admitted-OLTP p99 within 1.5x of the
   no-OLAP baseline.
-* **HTAP, snapshots off** — the identical request stream against a
-  database built without MVCC.  Scans read-lock every vertex they
-  touch, writers conflict with them, and both sides burn restarts: the
-  lock-contended collapse the paper's Section 2 HTAP motivation
+* **HTAP, snapshots off** — the identical request stream, with every
+  read-only request served under read locks
+  (``conftest.served_reads_under_locks``).  Scans read-lock every vertex
+  they touch, writers conflict with them, and both sides burn restarts:
+  the lock-contended collapse the paper's Section 2 HTAP motivation
   describes.
 
 A final OLAP phase quiesces serving and demonstrates the collective
@@ -28,6 +29,7 @@ All latencies are simulated seconds.  Environment knobs:
 ``REPRO_HTAP_USERS`` (closed-loop population, default 3000).
 """
 
+import contextlib
 import json
 import os
 import pathlib
@@ -39,6 +41,7 @@ import numpy as np
 
 import pytest
 
+from conftest import served_reads_under_locks
 from repro.gda import GdaConfig, GdaDatabase, RetryPolicy
 from repro.generator import KroneckerParams, build_lpg, default_schema
 from repro.rma import UNIFORM, run_spmd
@@ -152,16 +155,16 @@ def _stats(records, qclass=OLTP):
     }
 
 
-def _run_htap(mvcc: bool):
-    """Build a database (with or without MVCC) and drive the two serving
-    windows: OLTP-only baseline, then the mixed HTAP window at the same
-    offered rate.  Returns (runtime, state, drive-result)."""
+def _run_htap(snapshots: bool):
+    """Build a database and drive the two serving windows, read-only
+    requests on snapshots or under read locks: OLTP-only baseline, then
+    the mixed HTAP window at the same offered rate.  Returns (runtime,
+    state, drive-result)."""
     users, n_req = htap_users(), htap_requests()
     state = {}
     cfg = GdaConfig(
         blocks_per_rank=16384,
         replication=True,
-        mvcc=mvcc,
         mvcc_gc_interval=64,
     )
     oltp_mix = HtapMix(n_vertices=PARAMS.n_vertices, seed=11)
@@ -243,14 +246,15 @@ def _run_htap(mvcc: bool):
             "drained": drained,
         }
 
-    rt, res = run_spmd(NRANKS, serve_phase, runtime=rt)
+    with contextlib.nullcontext() if snapshots else served_reads_under_locks():
+        rt, res = run_spmd(NRANKS, serve_phase, runtime=rt)
     return rt, state, res[0]
 
 
 def test_htap_storm_snapshots_vs_locks(report, metrics):
     # -- the same storm against both databases ----------------------------
-    rt_mv, state_mv, drive_mv = _run_htap(mvcc=True)
-    rt_lk, _, drive_lk = _run_htap(mvcc=False)
+    rt_mv, state_mv, drive_mv = _run_htap(snapshots=True)
+    rt_lk, _, drive_lk = _run_htap(snapshots=False)
 
     base_mv = _stats(drive_mv["windows"]["oltp"])
     htap_mv = _stats(drive_mv["windows"]["htap"])
@@ -452,7 +456,7 @@ def test_htap_storm_snapshots_vs_locks(report, metrics):
     assert htap_mv["p99_latency"] <= max(
         1.5 * base_mv["p99_latency"], noise_floor
     ), (htap_mv["p99_latency"], base_mv["p99_latency"], noise_floor)
-    # ...while the identical stream on the lock-only database degrades:
+    # ...while the identical stream served under read locks degrades:
     # writers colliding with in-flight locking scans burn the full lock
     # retry budget (a millisecond-scale stall each) and restart, so the
     # worst admitted-OLTP request is orders of magnitude slower than

@@ -411,7 +411,7 @@ def _query_calls(scale):
     from repro.rma import XC40, run_spmd
 
     params = KroneckerParams(scale=scale, edge_factor=8, seed=3)
-    config = GdaConfig(blocks_per_rank=1 << 15, block_size=4096, mvcc=True)
+    config = GdaConfig(blocks_per_rank=1 << 15, block_size=4096)
     rt2, graphs = run_spmd(
         2,
         lambda c: build_lpg(

@@ -43,6 +43,7 @@ import numpy as np
 
 import pytest
 
+from conftest import served_reads_under_locks
 from repro.gda import GdaConfig, GdaDatabase, RetryPolicy, plan_offload, rebalance
 from repro.gda.checkpoint import snapshot
 from repro.generator import KroneckerParams, build_lpg, default_schema
@@ -306,7 +307,10 @@ def test_traffic_storm_detect_drain_rebalance_resume(report, metrics):
     # sheds).  Retry the full experiment on a fresh database rather than
     # loosening the thresholds until noise passes them.
     for _attempt in range(3):
-        ex = _run_storm_experiment(users, n_req, n_windows)
+        # the hot shard's load is lock traffic: served reads take their
+        # read locks there instead of reading a snapshot
+        with served_reads_under_locks():
+            ex = _run_storm_experiment(users, n_req, n_windows)
         drive, post_recs = ex["drive"], ex["post_recs"]
         win_stats = [
             (name, _window_stats(recs), rep)

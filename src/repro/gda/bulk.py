@@ -327,12 +327,11 @@ def load(
 
     # -- MVCC: nothing of the load is visible below its timestamps ----------
     mvcc = db.mvcc
-    if mvcc is not None:
-        for vid in primaries:
-            mvcc.versions.install(("v", vid), ts_v, None)
-        for eptr_k in eptrs:
-            mvcc.versions.install(("e", eptr_k), ts_e, None)
-        ctx.rt.trace.record_versions_installed(rank, n + len(eptrs))
+    for vid in primaries:
+        mvcc.versions.install(("v", vid), ts_v, None)
+    for eptr_k in eptrs:
+        mvcc.versions.install(("e", eptr_k), ts_e, None)
+    ctx.rt.trace.record_versions_installed(rank, n + len(eptrs))
     version = np.full(n, ts_v, dtype=np.int64)
     version[touched] = ts_e
 
@@ -357,7 +356,7 @@ def load(
         db.fill_index(ctx, idx, primaries)
     if db.replication is not None:
         db.replication.commit_mirrors(ctx, seq if seq_e is None else seq_e)
-    for ts in (ts_v, ts_e) if mvcc is not None else ():
+    for ts in (ts_v, ts_e):
         if ts:
             mvcc.note_applied(ts)
             mvcc.maybe_collect(ctx)
@@ -376,5 +375,5 @@ def _commit_point(ctx, db, record: list, versioned: bool, intent: list) -> tuple
         seq = db.log_commit(ctx.rank, tuple(record))
         if repl is not None:
             repl.note_logged(ctx.rank, seq)
-    ts = db.mvcc.begin_commit(ctx.rank) if db.mvcc is not None and versioned else 0
+    ts = db.mvcc.begin_commit(ctx.rank) if versioned else 0
     return seq, ts

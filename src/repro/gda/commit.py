@@ -145,7 +145,7 @@ def append_log(plan: CommitPlan) -> None:
         plan.seq = tx._logged_seq = tx.db.log_commit(rank, plan.log_entries)
         if repl is not None:
             repl.note_logged(rank, plan.seq)
-    if tx.db.mvcc is not None and (
+    if (
         plan.survivors
         or any(txv.deleted and not txv.created for txv in plan.ordered)
         or any(e.created or e.dirty or e.deleted for e in tx._edges.values())
@@ -299,7 +299,7 @@ def withdraw(tx: "Transaction") -> None:
     if tx._logged_seq is not None:
         tx.db.commit_log.mark_aborted(tx._logged_seq)
         tx._logged_seq = None
-    if tx._commit_ts is not None and tx.db.mvcc is not None:
+    if tx._commit_ts is not None:
         # Retire the timestamp so the watermark is never pinned by an
         # aborted commit.  Its chain entries stay: they correctly
         # record the pre-abort state, and snapshots below the ts read
@@ -369,7 +369,7 @@ class _TxEdge:
     dirty: bool = False
     created: bool = False
     deleted: bool = False
-    #: as :attr:`_TxVertex.loaded`; kept in MVCC databases only
+    #: as :attr:`_TxVertex.loaded`
     loaded: "StoredHolder | None" = None
 
     @property

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ..gdi.constants import EntityType, Multiplicity, SizeType
 from ..gdi.constraint import Constraint
 from ..gdi.errors import GdiInvalidArgument, GdiNotFound
 from ..gdi.types import Datatype
+from ..mvcc import SnapshotManager
 from ..rma.runtime import RankContext
 from .blocks import BlockManager
 from .dht import DistributedHashTable
@@ -49,7 +50,11 @@ class GdaConfig:
     """Tunables of one database instance.
 
     ``block_size`` is the paper's central communication/memory tradeoff
-    (Section 5.5); benchmarks sweep it as an ablation.
+    (Section 5.5); benchmarks sweep it as an ablation.  There is one
+    database configuration as far as isolation goes: every write commit
+    installs MVCC pre-images, and each read-only transaction chooses
+    between read locks and a snapshot (``snapshot=`` of
+    :meth:`GdaDatabase.start_transaction`).
     """
 
     block_size: int = 512
@@ -61,13 +66,15 @@ class GdaConfig:
     #: runtime to carry a :class:`~repro.rma.membership.ClusterMembership`).
     #: Off by default: fault-free workloads pay no mirroring traffic.
     replication: bool = False
-    #: MVCC snapshot reads (:mod:`repro.mvcc`): write commits install
-    #: pre-image version chains and read-only transactions opened with
-    #: ``snapshot=True`` read a frozen watermark without taking read
-    #: locks.  Off by default: OLTP-only workloads pay no versioning cost.
-    mvcc: bool = False
+    #: accepted for old callers only: every database runs MVCC
+    #: (:mod:`repro.mvcc`), so ``False`` is refused
+    mvcc: InitVar[bool] = True
     #: applied commits between opportunistic watermark-GC passes.
     mvcc_gc_interval: int = 32
+
+    def __post_init__(self, mvcc: bool) -> None:
+        if not mvcc:
+            raise ValueError("every database runs MVCC: mvcc must be True")
 
 
 @dataclass
@@ -125,14 +132,9 @@ class GdaDatabase:
         self.relocations: dict[int, int] = {}
         #: bumped once per completed rebalance (diagnostics / tests)
         self.placement_epoch = 0
-        #: :class:`~repro.mvcc.SnapshotManager` when the config enables
-        #: MVCC; None keeps the lock-only seed behavior.  A control-path
-        #: shared structure like the commit log.
-        self.mvcc = None
-        if config.mvcc:
-            from ..mvcc import SnapshotManager
-
-            self.mvcc = SnapshotManager(gc_interval=config.mvcc_gc_interval)
+        #: commit timestamps, version chains and snapshots: a control-path
+        #: shared structure like the commit log
+        self.mvcc = SnapshotManager(gc_interval=config.mvcc_gc_interval)
 
     def note_relocations(self, mapping: dict[int, int]) -> None:
         """Publish one rebalance's ``{old_vid: new_vid}`` map.
@@ -151,10 +153,9 @@ class GdaDatabase:
             self.relocations.pop(fresh, None)
         self.relocations.update(mapping)
         self.placement_epoch += 1
-        if self.mvcc is not None:
-            # version chains and unpublish tombstones follow their
-            # vertices to the new placement
-            self.mvcc.rekey(mapping)
+        # version chains and unpublish tombstones follow their vertices
+        # to the new placement
+        self.mvcc.rekey(mapping)
 
     def fresh_vid(self, vid: int) -> int | None:
         """Current internal ID of a relocated vertex (None if never moved)."""
@@ -290,11 +291,9 @@ class GdaDatabase:
     ):
         """``GDI_StartTransaction``: a local, single-process transaction.
 
-        With ``snapshot=True`` (read-only databases running MVCC) the
-        transaction reads a frozen watermark without taking read locks;
-        on a database without :mod:`repro.mvcc` the flag degrades to a
-        plain read transaction, so callers can request snapshots
-        unconditionally.
+        Reads take read locks (2PL, Section 5.6) unless ``snapshot=True``
+        asks for a read-only transaction that reads a frozen watermark
+        without touching a lock word (:mod:`repro.mvcc`).
         """
         from .transaction_impl import Transaction
 
@@ -307,7 +306,7 @@ class GdaDatabase:
             ctx,
             write=write,
             collective=False,
-            snapshot=snapshot and self.mvcc is not None,
+            snapshot=snapshot,
         )
 
     def start_collective_transaction(
@@ -331,7 +330,7 @@ class GdaDatabase:
             ctx,
             write=write,
             collective=True,
-            snapshot=snapshot and self.mvcc is not None,
+            snapshot=snapshot,
         )
 
     # -- sharding policy ------------------------------------------------------------
@@ -448,12 +447,11 @@ class GdaDatabase:
                 mem.finish_repair(shard)
         mem.await_repairs(ctx.rt.scheduler, ctx.rank)
         mem.adopt_epoch(ctx.rank)
-        if self.mvcc is not None:
-            # a commit that allocated its timestamp on a now-dead rank
-            # can never call note_applied; retire those orphans so the
-            # snapshot watermark is not pinned forever (replayed effects
-            # re-install under fresh timestamps)
-            self.mvcc.force_apply(set(range(self.nranks)) - mem.live)
+        # a commit that allocated its timestamp on a now-dead rank can
+        # never call note_applied; retire those orphans so the snapshot
+        # watermark is not pinned forever (replayed effects re-install
+        # under fresh timestamps)
+        self.mvcc.force_apply(set(range(self.nranks)) - mem.live)
 
     # -- durability (in-memory redo log; the paper's system is in-memory) ----------------
     def log_commit(self, rank: int, entries: tuple) -> int:

@@ -293,8 +293,6 @@ class DistributedHashTable:
     def _try_delete(self, ctx: RankContext, key: int) -> bool | None:
         """One delete attempt; ``None`` means restart from the bucket."""
         rank, boff = self.bucket_of(key)
-        prev_is_bucket = True
-        prev_ptr = 0  # entry holding the pointer to `ptr` when not bucket
         ptr = ctx.aget(self.table_win, rank, boff)
         while not is_null(ptr):
             k, _, nxt = self._read_entry(ctx, ptr)
@@ -312,10 +310,7 @@ class DistributedHashTable:
                 self._park(ptr)
                 self._mirror_drop(rank, key)
                 return True
-            prev_is_bucket = False
-            prev_ptr = ptr
-            ptr = nxt
-        del prev_is_bucket, prev_ptr  # walk state only; unlink re-walks
+            ptr = nxt  # no predecessor kept: the unlink re-walks
         return False
 
     def _unlink(

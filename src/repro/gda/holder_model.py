@@ -383,8 +383,8 @@ class StoredHolder:
     #: built locally or read in full carry NEED_ALL.
     parts: int = NEED_ALL
     #: commit timestamp of the transaction that last wrote this holder
-    #: (the MVCC version in the header pad bytes); 0 for pre-MVCC data
-    #: and for databases running without :mod:`repro.mvcc`.
+    #: (the MVCC version in the header pad bytes); 0 until a commit
+    #: stamps it.
     version: int = 0
 
     @property

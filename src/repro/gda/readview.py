@@ -73,7 +73,7 @@ class ReadView:
         self.ctx = ctx
         self.storage = tx.db.storage
         self.locks = tx._locks
-        self._mvcc = mvcc if tx.snapshot else None
+        self._mvcc = mvcc
         self._snap = None
         if tx.snapshot and tx.collective:
             # every participant must read at the same watermark: rank 0
@@ -432,7 +432,7 @@ class ReadView:
         """``{(tag, oid): image}`` for the ids a chain entry serves at the
         watermark — one pass over the chains, under one lock, charged
         nothing (control path); empty outside a snapshot."""
-        if self._mvcc is None:
+        if self.watermark is None:
             return {}
         return self._mvcc.versions.resolve_many(
             ((tag, oid) for oid in oids), self.watermark

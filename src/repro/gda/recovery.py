@@ -153,7 +153,7 @@ def take_checkpoint(ctx: RankContext, db: "GdaDatabase") -> Checkpoint:
     ctx.barrier()
     pos = db.commit_log.position()
     snap = snapshot(ctx, db)
-    if db.mvcc is not None and ctx.rank == 0:
+    if ctx.rank == 0:
         # quiescent point: no open snapshots can pin the GC floor, so a
         # checkpoint doubles as a full version-chain reclamation pass
         db.mvcc.collect(ctx)

@@ -119,7 +119,7 @@ def run_transaction(
         kwargs = {"write": write}
         if snapshot:
             # only forwarded when set, so duck-typed stand-in databases
-            # without MVCC support keep working
+            # that take no ``snapshot`` keep working
             kwargs["snapshot"] = True
         if collective:
             tx = db.start_collective_transaction(ctx, **kwargs)

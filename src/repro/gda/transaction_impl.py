@@ -263,11 +263,11 @@ class Transaction:
         self.ctx = ctx
         self.write = write
         self.collective = collective
-        #: MVCC snapshot read mode: resolve every holder read against a
-        #: frozen watermark instead of taking read locks (lock-free, so
-        #: an OLTP storm never blocks — and is never blocked by — this
-        #: transaction).  Requires ``db.mvcc`` (GdaConfig.mvcc).
-        self.snapshot = bool(snapshot) and not write and db.mvcc is not None
+        #: MVCC snapshot read mode, chosen per transaction: resolve every
+        #: holder read against a frozen watermark instead of taking read
+        #: locks (lock-free, so an OLTP storm never blocks — and is never
+        #: blocked by — this transaction)
+        self.snapshot = bool(snapshot) and not write
         self._commit_ts: int | None = None
         self.open = True
         self.failed = False
@@ -860,7 +860,7 @@ class Transaction:
                 "e", [eptr], False, NEED_ALL, None, False
             ):
                 txe = self._edges[eptr] = _TxEdge(dptr=eptr, stored=stored)
-                if self.write and self.db.mvcc is not None:
+                if self.write:
                     txe.loaded = _commit.frozen_copy(stored)
         elif txe.deleted:
             raise GdiNotFound("edge deleted in this transaction")

@@ -191,7 +191,7 @@ def build_lpg_from_edges(
         round_robin=True,
     )
     n_loaded = ctx.allreduce(n_loaded_local)
-    if db.mvcc is not None and ctx.rank == 0:
+    if ctx.rank == 0:
         # The load is two commits per rank, far below the per-commit GC
         # trigger, yet it installed an "absent" image per vertex and edge
         # holder.  Every rank is past its load here (the allreduce

@@ -207,9 +207,9 @@ class QueryEngine:
         profile = query.mode == "profile"
         own_tx = tx is None
         if own_tx:
-            # read-only plans ride an MVCC snapshot when the database has
-            # one (GdaConfig.mvcc): lock-free scans at a frozen watermark
-            # instead of read-locking every touched vertex
+            # read-only plans ride an MVCC snapshot: lock-free scans at a
+            # frozen watermark instead of read-locking every touched
+            # vertex (pass a transaction to read under locks)
             tx = self.db.start_transaction(
                 ctx, write=query.writes, snapshot=not query.writes
             )

@@ -205,11 +205,6 @@ class FaultInjector:
         self._corrupt_done = False
         self._lock = threading.Lock()
 
-    @property
-    def op_count(self) -> int:
-        """Global number of one-sided operations observed so far."""
-        return self._n_ops
-
     # -- internals ---------------------------------------------------------
     def _tick(self, rt) -> int:
         """Advance the global op counter and trigger scheduled faults."""

@@ -153,20 +153,14 @@ class TraceRecorder:
         nbytes: int,
         count: int = 1,
     ) -> None:
-        """Account ``count`` operations of one kind towards one target.
-
-        With ``count > 1`` (the elements of a batch that share a target)
-        ``nbytes`` is their summed payload; the totals equal ``count``
-        single calls.  The op log keeps one entry per call, so callers
-        that need per-element log entries record the elements one by one.
-        """
+        """Account ``count`` events at the origin, not messages:
+        ``"flush"`` or ``"collective"`` (issued verbs are counted by
+        :meth:`_record_issue`)."""
         if self.log_ops:
             self.ops.append((kind, origin, target, window, offset, nbytes))
-        if kind in ("get", "put", "atomic"):
-            self._record_issue(kind, origin, ((target, nbytes, count),))
-        elif kind == "flush":  # an event at the origin, not a message
+        if kind == "flush":
             self.counters[origin].flushes += count
-        elif kind == "collective":
+        else:
             self.counters[origin].collectives += count
 
     def _record_issue(

@@ -306,9 +306,9 @@ class GraphServer:
                 lambda tx: self.engine.run(ctx, req.text, req.params, tx=tx),
                 write=plan.query.writes,
                 # read-only requests (the analytics class above all) run
-                # lock-free on an MVCC snapshot when the database has one:
-                # an OLAP scan then neither blocks nor aborts against the
-                # concurrent OLTP write traffic
+                # lock-free on an MVCC snapshot: an OLAP scan then neither
+                # blocks nor aborts against the concurrent OLTP write
+                # traffic
                 snapshot=not plan.query.writes,
                 policy=policy,
             ).rows

@@ -158,10 +158,10 @@ class LocalAdjacency:
 def _open_read(ctx: RankContext, graph: GeneratedGraph):
     """The collective read transaction an adjacency load runs in."""
     db = graph.db
-    # With MVCC enabled the whole load runs on one frozen watermark:
-    # every rank reads the same committed prefix, so a concurrent OLTP
-    # storm can neither tear the adjacency nor abort the collective.
-    return db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
+    # The whole load runs on one frozen watermark: every rank reads the
+    # same committed prefix, so a concurrent OLTP storm can neither tear
+    # the adjacency nor abort the collective.
+    return db.start_collective_transaction(ctx, snapshot=True)
 
 
 def load_local_adjacency(

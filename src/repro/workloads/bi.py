@@ -84,9 +84,9 @@ def filtered_two_hop_count(
     where = " WHERE " + " AND ".join(conds) if conds else ""
     text = f"MATCH (per:{src_label.name}){left}{rel}{right}{dst}{where} RETURN count(DISTINCT per)"
     db = graph.db
-    # BI traversals run on one frozen watermark when MVCC is enabled:
-    # lock-free, abort-free, and consistent under concurrent OLTP
-    tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
+    # BI traversals run on one frozen watermark: lock-free, abort-free,
+    # and consistent under concurrent OLTP
+    tx = db.start_collective_transaction(ctx, snapshot=True)
     result = QueryEngine.of(db).run(ctx, text, params, tx=tx)
     tx.commit()
     return result.scalar()
@@ -120,9 +120,9 @@ def bi2_style_query(
 
 def _shard_vertices(ctx: RankContext, graph: GeneratedGraph):
     """This rank's vertex handles, read in one collective transaction
-    (a snapshot when MVCC is on), which commits once they are consumed."""
+    (a snapshot), which commits once they are consumed."""
     db = graph.db
-    tx = db.start_collective_transaction(ctx, snapshot=db.mvcc is not None)
+    tx = db.start_collective_transaction(ctx, snapshot=True)
     vids = tx.visible_vertices(db.directory.local_vertices(ctx), ctx.rank)
     yield from (v for v in tx.associate_vertices(vids, missing_ok=True) if v is not None)
     tx.commit()

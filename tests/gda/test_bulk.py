@@ -22,8 +22,7 @@ from repro.rma import run_spmd
 from .test_recovery import canon
 
 
-@pytest.mark.parametrize("mvcc", [False, True])
-def test_the_loads_log_replays_to_the_load(mvcc):
+def test_the_loads_log_replays_to_the_load():
     """Checkpoint the empty database, load a graph with heavy edges, then
     recover the checkpoint plus the log into a fresh runtime: the same
     graph.  With replication on, every block the load wrote is on its
@@ -31,7 +30,7 @@ def test_the_loads_log_replays_to_the_load(mvcc):
 
     def live(ctx):
         db = GdaDatabase.create(
-            ctx, GdaConfig(blocks_per_rank=16384, mvcc=mvcc, replication=True)
+            ctx, GdaConfig(blocks_per_rank=16384, replication=True)
         )
         ckpt = take_checkpoint(ctx, db)
         build_lpg(ctx, db, PARAMS, HEAVY_SCHEMA)
@@ -56,7 +55,7 @@ def test_the_loads_log_replays_to_the_load(mvcc):
     assert kinds == [{"new_v"}] * 2 + [{"edge+", "hedge+"}] * 2
 
     def recovered(ctx):
-        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=16384, mvcc=mvcc))
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=16384))
         # the log names property types, which replay does not create
         create_schema_metadata(ctx, db, HEAVY_SCHEMA)
         recover(ctx, db, ckpt, log)

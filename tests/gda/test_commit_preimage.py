@@ -5,7 +5,7 @@ the commit stages diff the live holder against it, for dirty vertices
 only, by one rule: a part still in wire form is unchanged.  These tests
 pin what that promises — untouched parts stay wire bytes end to end, the
 value diff of the slots replays to the live state in every corner, and
-with MVCC on a snapshot is served the pre-image the commit installed.
+a snapshot is served the pre-image the commit installed.
 """
 
 import random

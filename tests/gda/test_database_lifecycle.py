@@ -2,10 +2,20 @@
 
 import pytest
 
-from repro.gda import GdaDatabase
+from repro.gda import GdaConfig, GdaDatabase
 from repro.gdi import Datatype, GdiStaleMetadata
 from repro.rma import run_spmd
 from repro.rma.window import WindowError
+
+
+def test_every_database_runs_mvcc():
+    """There is one database configuration: ``mvcc=False`` is refused,
+    and every database owns its snapshot manager."""
+    with pytest.raises(ValueError):
+        GdaConfig(mvcc=False)
+    assert GdaConfig(mvcc=True) == GdaConfig()
+    _, res = run_spmd(2, lambda ctx: GdaDatabase.create(ctx).mvcc is not None)
+    assert res == [True, True]
 
 
 def test_all_labels_and_ptypes_in_creation_order():

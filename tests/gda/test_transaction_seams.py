@@ -100,7 +100,7 @@ def test_locking_and_snapshot_views_classify_rows_identically(
         outcome = "skipped"  # a read miss is tolerated, a wrong kind never
 
     def prog(ctx):
-        db = GdaDatabase.create(ctx, GdaConfig(mvcc=True))
+        db = GdaDatabase.create(ctx, GdaConfig())
         oid = _scene(ctx, db)[block]
         expected = None if expected_app is None else {oid: expected_app}
         got = []

@@ -13,7 +13,7 @@ from repro.rma import run_spmd
 
 PARAMS = KroneckerParams(scale=6, edge_factor=4, seed=3)
 SCHEMA = default_schema(n_vertex_labels=4, n_edge_labels=2, n_properties=2)
-CFG = GdaConfig(blocks_per_rank=8192, mvcc=True)
+CFG = GdaConfig(blocks_per_rank=8192)
 
 
 def test_fresh_graph_holds_no_chain_entries():

@@ -16,7 +16,7 @@ from repro.rma import run_spmd
 from repro.rma.faults import FaultPlan
 from repro.rma.membership import SHARD_REHOSTED
 
-CFG = GdaConfig(blocks_per_rank=1024, replication=True, mvcc=True)
+CFG = GdaConfig(blocks_per_rank=1024, replication=True)
 N = 18
 VICTIM = 2
 

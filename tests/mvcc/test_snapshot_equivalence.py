@@ -139,7 +139,7 @@ def _verify_oracle(ctx, db, stx, frozen, xprop):
 def test_snapshot_reads_equal_full_scan_oracle(ops, granularity):
     def prog(ctx):
         db = GdaDatabase.create(
-            ctx, GdaConfig(blocks_per_rank=4096, mvcc=True)
+            ctx, GdaConfig(blocks_per_rank=4096)
         )
         if ctx.rank == 0:
             for name in ("L0", "L1"):
@@ -214,7 +214,7 @@ def test_snapshot_oracle_holds_under_transient_faults(ops, seed):
 
     def prog(ctx):
         db = GdaDatabase.create(
-            ctx, GdaConfig(blocks_per_rank=4096, mvcc=True)
+            ctx, GdaConfig(blocks_per_rank=4096)
         )
         if ctx.rank == 0:
             db.create_label(ctx, "L0")

@@ -15,7 +15,7 @@ from repro.gda.holder import NEED_ENTRIES, NEED_IDENT, NEED_TOPO, HolderBatch
 from repro.gdi import Datatype, EdgeOrientation
 from repro.rma import run_spmd
 
-CFG = GdaConfig(blocks_per_rank=2048, mvcc=True)
+CFG = GdaConfig(blocks_per_rank=2048)
 
 
 def _schema(ctx, db):
@@ -178,7 +178,7 @@ def test_watermark_gc_reclaims_superseded_versions():
     def prog(ctx):
         # a tiny GC interval so the opportunistic pass runs mid-test
         db = GdaDatabase.create(
-            ctx, GdaConfig(blocks_per_rank=2048, mvcc=True, mvcc_gc_interval=4)
+            ctx, GdaConfig(blocks_per_rank=2048, mvcc_gc_interval=4)
         )
         red, blue, owns, x = _schema(ctx, db)
         if ctx.rank == 0:

@@ -20,7 +20,7 @@ def _on_rank0(body):
     """Run ``body(ctx, db, xprop)`` on rank 0 of a two-rank MVCC database."""
 
     def prog(ctx):
-        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096, mvcc=True))
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096))
         if ctx.rank == 0:
             db.create_property_type(ctx, "x", dtype=Datatype.INT64)
         ctx.barrier()

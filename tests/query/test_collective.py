@@ -24,7 +24,7 @@ def _run_everywhere(spec, texts, nranks, params=None):
     every rank returned the same collective rows."""
 
     def prog(ctx):
-        db = _build(ctx, spec, mvcc=True)
+        db = _build(ctx, spec)
         engine = QueryEngine(db)
         out = []
         for text in texts:
@@ -147,7 +147,7 @@ def test_collective_scans_read_only_their_own_shard(snapshot):
     text = "MATCH (a:L0) WHERE a.p > 0 RETURN count(*), collect(DISTINCT a.p)"
 
     def prog(ctx):
-        db = _build(ctx, BI2_SPEC, mvcc=True)
+        db = _build(ctx, BI2_SPEC)
         tx = db.start_collective_transaction(ctx, snapshot=snapshot)
         counters = ctx.rt.trace.counters[ctx.rank]
         before = counters.snapshot()

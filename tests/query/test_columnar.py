@@ -79,8 +79,8 @@ def _d(i):
     return (i % 7) * 0.1 + (1e16 if i % 11 == 0 else 0.0) - (1e16 if i % 13 == 0 else 0.0)
 
 
-def _build(ctx, mvcc):
-    db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096, mvcc=mvcc))
+def _build(ctx):
+    db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096))
     if ctx.rank == 0:
         for name in ("A", "B", "C", "E", "F"):
             db.create_label(ctx, name)
@@ -145,19 +145,17 @@ WRITES = [
 @pytest.mark.parametrize("snapshot", [False, True], ids=["lock", "snapshot"])
 def test_column_shapes_match_the_reference(snapshot):
     def prog(ctx):
-        db = _build(ctx, mvcc=snapshot)
+        db = _build(ctx)
         out = None
         if ctx.rank == 0:
             engine = QueryEngine(db)
             want = [run_reference(ctx, db, t, p).rows for t, p in QUERIES]
+            tx = db.start_transaction(ctx, snapshot=snapshot)
             if snapshot:
-                tx = db.start_transaction(ctx, snapshot=True)
                 for text in WRITES:
                     engine.run(ctx, text)
-                got = [engine.run(ctx, t, p, tx=tx).rows for t, p in QUERIES]
-                tx.commit()
-            else:
-                got = [engine.run(ctx, t, p).rows for t, p in QUERIES]
+            got = [engine.run(ctx, t, p, tx=tx).rows for t, p in QUERIES]
+            tx.commit()
             out = (got, want)
         ctx.barrier()
         return out

@@ -118,8 +118,8 @@ def queries(draw, n):
     return f"MATCH {pattern}{where}{ret}"
 
 
-def _build(ctx, spec, mvcc=False):
-    db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096, mvcc=mvcc))
+def _build(ctx, spec):
+    db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096))
     if ctx.rank == 0:
         for name in VLABELS + ELABELS:
             db.create_label(ctx, name)
@@ -147,21 +147,32 @@ def _canon(rows):
     return sorted(rows, key=repr)
 
 
+def _engine_rows(ctx, engine, text, snapshot):
+    with engine.db.start_transaction(ctx, snapshot=snapshot) as tx:
+        rows = engine.run(ctx, text, tx=tx).rows
+        tx.commit()
+    return rows
+
+
 def _check_case(spec, texts, faults=None):
+    """The engine under read locks and on a snapshot against the
+    reference, text by text."""
+
     def prog(ctx):
         db = _build(ctx, spec)
         failures = []
         if ctx.rank == 0:
             engine = QueryEngine(db)
             for text in texts:
-                got = _with_retries(
-                    lambda: engine.run(ctx, text).rows, faults
-                )
                 want = _with_retries(
                     lambda: run_reference(ctx, db, text).rows, faults
                 )
-                if _canon(got) != _canon(want):
-                    failures.append((text, got, want))
+                for snapshot in (False, True):
+                    got = _with_retries(
+                        lambda: _engine_rows(ctx, engine, text, snapshot), faults
+                    )
+                    if _canon(got) != _canon(want):
+                        failures.append((text, snapshot, got, want))
         ctx.barrier()
         return failures
 
@@ -253,7 +264,7 @@ def test_snapshot_scans_see_vertices_deleted_after_the_watermark():
     )
 
     def prog(ctx):
-        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096, mvcc=True))
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=4096))
         if ctx.rank == 0:
             db.create_label(ctx, "L")
             db.create_label(ctx, "M")

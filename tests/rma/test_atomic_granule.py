@@ -106,8 +106,8 @@ def test_record_issue_adds_up_to_record_per_message(kind, msgs, plural):
     one, many = TraceRecorder(3), TraceRecorder(3)
     nops = sum(count for _, _, count in msgs)
     many._record_issue(kind, 1, msgs, nops if plural else 0)
-    for target, nbytes, count in msgs:
-        one.record(kind, 1, target, "w", 0, nbytes, count=count)
+    for msg in msgs:
+        one._record_issue(kind, 1, (msg,))
     want = one.summary()
     if plural:
         want["batches"] = 1

@@ -156,8 +156,8 @@ class TestBatchScalarEquivalence:
         sizes = [5, 0, 17, 8]
         for kind, target in (("get", 1), ("put", 0), ("atomic", 1)):
             for nbytes in sizes:
-                one.record(kind, 0, target, "w", 0, nbytes)
-            many.record(kind, 0, target, "w", 0, sum(sizes), count=len(sizes))
+                one._record_issue(kind, 0, ((target, nbytes, 1),))
+            many._record_issue(kind, 0, ((target, sum(sizes), len(sizes)),))
         for _ in sizes:
             one.record_snapshot_read(1)
         many.record_snapshot_read(1, len(sizes))

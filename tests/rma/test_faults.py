@@ -235,9 +235,12 @@ def test_corruption_flips_one_byte_and_is_counted():
 
 
 def test_injector_op_count_advances():
-    inj = FaultInjector(FaultPlan())
+    """Every one-sided operation advances the global counter that
+    schedules a crash: rank 1 dies at the second operation, not before."""
+    inj = FaultInjector(FaultPlan(crash_rank=1, crash_at_op=2))
     rt = RmaRuntime(2, faults=inj)
     win = rt.allocate_window("w", 64)
-    rt.context(0).put(win, 1, 0, b"x" * 8)
-    rt.context(0).get(win, 1, 0, 8)
-    assert inj.op_count >= 2
+    rt.context(0).put(win, 0, 0, b"x" * 8)
+    assert inj.dead == set()
+    rt.context(0).get(win, 0, 0, 8)
+    assert inj.dead == {1}

@@ -302,19 +302,19 @@ def _heavy_schema():
     )
 
 
-@pytest.mark.parametrize("mvcc", [False, True])
+@pytest.mark.parametrize("snapshot", [False, True])
 @pytest.mark.parametrize("schema", [SCHEMA, _heavy_schema()], ids=["light", "heavy"])
-def test_csr_adjacency_equals_handle_loop_after_oltp_mutations(mvcc, schema):
+def test_csr_adjacency_equals_handle_loop_after_oltp_mutations(snapshot, schema):
     from repro.workloads import analytics
 
     def prog(ctx):
-        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=8192, mvcc=mvcc))
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=8192))
         g = build_lpg(ctx, db, CSR_PARAMS, schema)
         _mutate(ctx, g)
         for orientation in (EdgeOrientation.OUTGOING, EdgeOrientation.ANY):
             # columns first (rows still live in their batch), then with every
             # row already a cache entry (the scan answers through handles)
-            tx = db.start_collective_transaction(ctx, snapshot=mvcc)
+            tx = db.start_collective_transaction(ctx, snapshot=snapshot)
             adj = analytics._csr_adjacency(ctx, tx, orientation, dedup=False)
             reference = _handle_loop_adjacency(ctx, tx, orientation)
             again = analytics._csr_adjacency(ctx, tx, orientation, dedup=False)
@@ -333,7 +333,7 @@ def test_csr_adjacency_under_a_frozen_snapshot_while_deletes_land():
     from repro.workloads import analytics
 
     def prog(ctx):
-        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=8192, mvcc=True))
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=8192))
         g = build_lpg(ctx, db, CSR_PARAMS, SCHEMA)
         before = load_local_adjacency(ctx, g, EdgeOrientation.ANY)
         tx = db.start_collective_transaction(ctx, snapshot=True)  # frozen here

@@ -16,12 +16,14 @@ ran per-edge Python loops over a dict adjacency (commit ed6935c);
 still routed its rows to their owners through its own outbox lists
 (commit f0b0483); the engine queries (``QUERIES``) while the engine
 still ran every operator row by row (commit 1deaa63).  The eight
-read-only engine queries under MVCC (``EXPECTED[True]``) were recorded
+read-only engine queries under MVCC were recorded
 again, on purpose, when snapshot reads began to fetch only the holder
 parts a query needs (a post-read pass over the version chains took over
 tear detection from full-span CRC reads): they now read the ``gets``
 and ``bytes_got`` of lock mode, which
-``test_snapshot_engine_reads_match_lock_mode`` holds them to.
+``test_snapshot_engine_reads_match_lock_mode`` holds them to (against
+their ``<name>_locked`` runs in a locking transaction, measured after
+every recorded entry).
 ``bi2_style_query`` was recorded again, on purpose, when the hand-coded
 Listing 3 kernel became an engine text run in a collective transaction
 (each rank sweeps its own shard): 151.44 → 47.92 µs in lock mode and
@@ -43,10 +45,14 @@ batches, 15 → 6 collectives, shard bytes 212,614 / 154,608 → 137,992 /
 1,543.24 µs, the same reads and batches gone, 12 → 5 collectives,
 shard bytes 212,550 / 154,656 → 137,992 / 89,736 (ops 6,176 / 4,616 →
 5,170 / 3,692).  What is left of both clocks is the DHT inserts and
-block acquisitions, one verb per vertex or block.  The ``*_collective`` entries run two ``QUERIES`` texts on both
-ranks in a collective transaction.  The build is seeded: the bulk loader's and the restore's lock and allocator
-traffic then interleaves the same way on every run, and the kernels'
-charges are the ones the threaded build gave.
+block acquisitions, one verb per vertex or block.  The ``*_collective``
+entries run two ``QUERIES`` texts on both ranks in a collective
+transaction.  The build is seeded: the bulk loader's and the restore's
+lock and allocator traffic then interleaves the same way on every run,
+and the kernels' charges are the ones the threaded build gave.  Every
+database runs MVCC, so the charges are those of one configuration: the
+lock-only twin of each entry, recorded beside it until the
+configuration flag went, is gone with the flag.
 """
 
 import functools
@@ -151,9 +157,21 @@ QUERIES = {
 #: (each rank reads its own shard; the engine combines the rows)
 COLLECTIVE_QUERIES = ("query_bi2", "query_label_count")
 
+#: the read-only ``QUERIES``, which the engine runs on a snapshot; each
+#: runs once more on rank 0 in a locking transaction (``<name>_locked``,
+#: measured last so no recorded entry's schedule moves)
+READ_QUERIES = [name for name in QUERIES if name != "query_update"]
 
-def _run_collective(ctx, engine, text, params, snapshot):
-    tx = engine.db.start_collective_transaction(ctx, snapshot=snapshot)
+
+def _run_collective(ctx, engine, text, params):
+    tx = engine.db.start_collective_transaction(ctx, snapshot=True)
+    rows = engine.run(ctx, text, params, tx=tx).rows
+    tx.commit()
+    return rows
+
+
+def _run_locked(ctx, engine, text, params):
+    tx = engine.db.start_transaction(ctx)
     rows = engine.run(ctx, text, params, tx=tx).rows
     tx.commit()
     return rows
@@ -166,7 +184,7 @@ def _janus_bfs(ctx):
 
 
 @functools.cache
-def measure(mvcc: bool) -> dict:
+def measure() -> dict:
     """``kernel -> {"clock": [per rank], "counters": [per rank], "shards"}``;
     the first entry, ``build_lpg``, is the load every other one runs on."""
 
@@ -193,7 +211,7 @@ def measure(mvcc: bool) -> dict:
             return result
 
         db = GdaDatabase.create(
-            ctx, GdaConfig(blocks_per_rank=16384, block_size=128, mvcc=mvcc)
+            ctx, GdaConfig(blocks_per_rank=16384, block_size=128)
         )
         g = measured("build_lpg", lambda: build_lpg(ctx, db, PARAMS, SCHEMA))
         for name, kernel in KERNELS.items():
@@ -215,7 +233,15 @@ def measure(mvcc: bool) -> dict:
             text, params = QUERIES[name]
             measured(
                 f"{name}_collective",
-                lambda: _run_collective(ctx, engine, text, params, mvcc),
+                lambda: _run_collective(ctx, engine, text, params),
+            )
+        for name in READ_QUERIES:
+            text, params = QUERIES[name]
+            measured(
+                f"{name}_locked",
+                lambda: _run_locked(ctx, engine, text, params)
+                if ctx.rank == 0
+                else None,
             )
         return out
 
@@ -231,845 +257,428 @@ def measure(mvcc: bool) -> dict:
 
 
 # fmt: off
-EXPECTED = {False: {'bfs': {'clock': [4.663860000000183e-05, 4.663860000000183e-05],
-                 'counters': [{'batched_ops': 998,
-                               'batches': 4,
-                               'bytes_got': 105720,
-                               'collectives': 14,
-                               'gets': 998,
-                               'msgs_saved': 994,
-                               'snapshot_reads': 0},
-                              {'batched_ops': 687,
-                               'batches': 4,
-                               'bytes_got': 67584,
-                               'collectives': 14,
-                               'gets': 687,
-                               'msgs_saved': 683,
-                               'snapshot_reads': 0}],
-                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'bi2_style_query': {'clock': [4.7920100000000375e-05, 4.7920100000000375e-05],
-                             'counters': [{'batched_ops': 341,
-                                           'batches': 11,
-                                           'bytes_got': 29894,
-                                           'collectives': 7,
-                                           'gets': 341,
-                                           'msgs_saved': 326,
-                                           'snapshot_reads': 0},
-                                          {'batched_ops': 317,
-                                           'batches': 8,
-                                           'bytes_got': 27347,
-                                           'collectives': 7,
-                                           'gets': 317,
-                                           'msgs_saved': 305,
-                                           'snapshot_reads': 0}],
-                             'shards': {'bytes': [31098, 26143], 'ops': [353, 305]}},
-         'build_lpg': {'clock': [0.0016773940799999214, 0.0016773940799999214],
-                       'counters': [{'batched_ops': 859,
-                                     'batches': 1,
-                                     'bytes_got': 0,
-                                     'collectives': 6,
-                                     'gets': 0,
-                                     'msgs_saved': 858,
-                                     'snapshot_reads': 0},
-                                    {'batched_ops': 555,
-                                     'batches': 1,
-                                     'bytes_got': 0,
-                                     'collectives': 6,
-                                     'gets': 0,
-                                     'msgs_saved': 554,
-                                     'snapshot_reads': 0}],
-                       'shards': {'bytes': [137992, 89736], 'ops': [5170, 3692]}},
-         'cdlp': {'clock': [0.0007902475000000002, 0.000707296],
-                  'counters': [{'batched_ops': 998,
-                                'batches': 4,
-                                'bytes_got': 105720,
-                                'collectives': 10,
-                                'gets': 998,
-                                'msgs_saved': 994,
-                                'snapshot_reads': 0},
-                               {'batched_ops': 687,
-                                'batches': 4,
-                                'bytes_got': 67584,
-                                'collectives': 10,
-                                'gets': 687,
-                                'msgs_saved': 683,
-                                'snapshot_reads': 0}],
-                  'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'graph500': {'clock': [0.00033554819999999895, 0.00033554819999999895],
-                      'counters': [{'batched_ops': 0,
-                                    'batches': 0,
-                                    'bytes_got': 0,
-                                    'collectives': 10,
-                                    'gets': 0,
-                                    'msgs_saved': 0,
-                                    'snapshot_reads': 0},
-                                   {'batched_ops': 0,
-                                    'batches': 0,
-                                    'bytes_got': 0,
-                                    'collectives': 10,
-                                    'gets': 0,
-                                    'msgs_saved': 0,
-                                    'snapshot_reads': 0}],
-                      'shards': {'bytes': [0, 0], 'ops': [0, 0]}},
-         'janus': {'clock': [0.04631533526191374, 0.04631533526191374],
-                   'counters': [{'batched_ops': 0,
-                                 'batches': 0,
-                                 'bytes_got': 0,
-                                 'collectives': 16,
-                                 'gets': 0,
-                                 'msgs_saved': 0,
-                                 'snapshot_reads': 0},
-                                {'batched_ops': 0,
-                                 'batches': 0,
-                                 'bytes_got': 0,
-                                 'collectives': 16,
-                                 'gets': 0,
-                                 'msgs_saved': 0,
-                                 'snapshot_reads': 0}],
-                   'shards': {'bytes': [0, 0], 'ops': [0, 0]}},
-         'khop_count': {'clock': [3.4709800000001095e-05, 3.4709800000001095e-05],
-                        'counters': [{'batched_ops': 998,
-                                      'batches': 4,
-                                      'bytes_got': 105720,
-                                      'collectives': 10,
-                                      'gets': 998,
-                                      'msgs_saved': 994,
-                                      'snapshot_reads': 0},
-                                     {'batched_ops': 687,
-                                      'batches': 4,
-                                      'bytes_got': 67584,
-                                      'collectives': 10,
-                                      'gets': 687,
-                                      'msgs_saved': 683,
-                                      'snapshot_reads': 0}],
-                        'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'lcc': {'clock': [0.0034605603999999994, 0.0033982371999999998],
-                 'counters': [{'batched_ops': 998,
-                               'batches': 4,
-                               'bytes_got': 105720,
-                               'collectives': 7,
-                               'gets': 998,
-                               'msgs_saved': 994,
-                               'snapshot_reads': 0},
-                              {'batched_ops': 687,
-                               'batches': 4,
-                               'bytes_got': 67584,
-                               'collectives': 7,
-                               'gets': 687,
-                               'msgs_saved': 683,
-                               'snapshot_reads': 0}],
-                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'load_local_adjacency': {'clock': [2.4243999999999438e-05, 2.4243999999999438e-05],
-                                  'counters': [{'batched_ops': 998,
-                                                'batches': 4,
-                                                'bytes_got': 105720,
-                                                'collectives': 5,
-                                                'gets': 998,
-                                                'msgs_saved': 994,
-                                                'snapshot_reads': 0},
-                                               {'batched_ops': 687,
-                                                'batches': 4,
-                                                'bytes_got': 67584,
-                                                'collectives': 5,
-                                                'gets': 687,
-                                                'msgs_saved': 683,
-                                                'snapshot_reads': 0}],
-                                  'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'load_local_weighted_adjacency': {'clock': [2.424400000000139e-05, 2.424400000000139e-05],
-                                           'counters': [{'batched_ops': 998,
-                                                         'batches': 4,
-                                                         'bytes_got': 105720,
-                                                         'collectives': 5,
-                                                         'gets': 998,
-                                                         'msgs_saved': 994,
-                                                         'snapshot_reads': 0},
-                                                        {'batched_ops': 687,
-                                                         'batches': 4,
-                                                         'bytes_got': 67584,
-                                                         'collectives': 5,
-                                                         'gets': 687,
-                                                         'msgs_saved': 683,
-                                                         'snapshot_reads': 0}],
-                                           'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'pagerank': {'clock': [5.806649999999937e-05, 5.806649999999937e-05],
-                      'counters': [{'batched_ops': 998,
-                                    'batches': 4,
-                                    'bytes_got': 105720,
-                                    'collectives': 12,
-                                    'gets': 998,
-                                    'msgs_saved': 994,
-                                    'snapshot_reads': 0},
-                                   {'batched_ops': 687,
-                                    'batches': 4,
-                                    'bytes_got': 67584,
-                                    'collectives': 12,
-                                    'gets': 687,
-                                    'msgs_saved': 683,
-                                    'snapshot_reads': 0}],
-                      'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'query_agg': {'clock': [6.665087999999791e-05, 0.0],
-                       'counters': [{'batched_ops': 396,
-                                     'batches': 6,
-                                     'bytes_got': 23430,
-                                     'collectives': 0,
-                                     'gets': 264,
-                                     'msgs_saved': 386,
-                                     'snapshot_reads': 0},
-                                    {'batched_ops': 0,
-                                     'batches': 0,
-                                     'bytes_got': 0,
-                                     'collectives': 0,
-                                     'gets': 0,
-                                     'msgs_saved': 0,
-                                     'snapshot_reads': 0}],
-                       'shards': {'bytes': [9982, 14504], 'ops': [162, 234]}},
-         'query_bi2': {'clock': [0.00011552665999999684, 0.0],
-                       'counters': [{'batched_ops': 759,
-                                     'batches': 14,
-                                     'bytes_got': 47834,
-                                     'collectives': 0,
-                                     'gets': 547,
-                                     'msgs_saved': 734,
-                                     'snapshot_reads': 0},
-                                    {'batched_ops': 0,
-                                     'batches': 0,
-                                     'bytes_got': 0,
-                                     'collectives': 0,
-                                     'gets': 0,
-                                     'msgs_saved': 0,
-                                     'snapshot_reads': 0}],
-                       'shards': {'bytes': [25471, 24059], 'ops': [379, 380]}},
-         'query_bi2_collective': {'clock': [4.481530000000067e-05, 4.481530000000067e-05],
-                                  'counters': [{'batched_ops': 341,
-                                                'batches': 11,
-                                                'bytes_got': 29894,
-                                                'collectives': 7,
-                                                'gets': 341,
-                                                'msgs_saved': 326,
-                                                'snapshot_reads': 0},
-                                               {'batched_ops': 317,
-                                                'batches': 8,
-                                                'bytes_got': 27347,
-                                                'collectives': 7,
-                                                'gets': 317,
-                                                'msgs_saved': 305,
-                                                'snapshot_reads': 0}],
-                                  'shards': {'bytes': [31098, 26143], 'ops': [353, 305]}},
-         'query_fof': {'clock': [6.85856800000037e-05, 0.0],
-                       'counters': [{'batched_ops': 649,
-                                     'batches': 13,
-                                     'bytes_got': 29440,
-                                     'collectives': 0,
-                                     'gets': 300,
-                                     'msgs_saved': 628,
-                                     'snapshot_reads': 0},
-                                    {'batched_ops': 0,
-                                     'batches': 0,
-                                     'bytes_got': 0,
-                                     'collectives': 0,
-                                     'gets': 0,
-                                     'msgs_saved': 0,
-                                     'snapshot_reads': 0}],
-                       'shards': {'bytes': [22984, 9256], 'ops': [423, 227]}},
-         'query_group': {'clock': [6.393815999999886e-05, 0.0],
-                         'counters': [{'batched_ops': 475,
-                                       'batches': 6,
-                                       'bytes_got': 27330,
-                                       'collectives': 0,
-                                       'gets': 319,
-                                       'msgs_saved': 464,
-                                       'snapshot_reads': 0},
-                                      {'batched_ops': 0,
-                                       'batches': 0,
-                                       'bytes_got': 0,
-                                       'collectives': 0,
-                                       'gets': 0,
-                                       'msgs_saved': 0,
-                                       'snapshot_reads': 0}],
-                         'shards': {'bytes': [15614, 12964], 'ops': [258, 217]}},
-         'query_label_count': {'clock': [6.665087999999791e-05, 0.0],
-                               'counters': [{'batched_ops': 396,
-                                             'batches': 6,
-                                             'bytes_got': 23430,
-                                             'collectives': 0,
-                                             'gets': 264,
-                                             'msgs_saved': 386,
-                                             'snapshot_reads': 0},
-                                            {'batched_ops': 0,
-                                             'batches': 0,
-                                             'bytes_got': 0,
-                                             'collectives': 0,
-                                             'gets': 0,
-                                             'msgs_saved': 0,
-                                             'snapshot_reads': 0}],
-                               'shards': {'bytes': [9982, 14504], 'ops': [162, 234]}},
-         'query_label_count_collective': {'clock': [1.0725279999991566e-05, 1.0725279999991566e-05],
-                                          'counters': [{'batched_ops': 110,
-                                                        'batches': 4,
-                                                        'bytes_got': 9566,
-                                                        'collectives': 7,
-                                                        'gets': 110,
-                                                        'msgs_saved': 106,
-                                                        'snapshot_reads': 0},
-                                                       {'batched_ops': 154,
-                                                        'batches': 2,
-                                                        'bytes_got': 13864,
-                                                        'collectives': 7,
-                                                        'gets': 154,
-                                                        'msgs_saved': 152,
-                                                        'snapshot_reads': 0}],
-                                          'shards': {'bytes': [9566, 13864], 'ops': [110, 154]}},
-         'query_onehop': {'clock': [8.550800000006742e-06, 0.0],
-                          'counters': [{'batched_ops': 26,
-                                        'batches': 9,
-                                        'bytes_got': 1128,
-                                        'collectives': 0,
-                                        'gets': 15,
-                                        'msgs_saved': 14,
-                                        'snapshot_reads': 0},
-                                       {'batched_ops': 0,
-                                        'batches': 0,
-                                        'bytes_got': 0,
-                                        'collectives': 0,
-                                        'gets': 0,
-                                        'msgs_saved': 0,
-                                        'snapshot_reads': 0}],
-                          'shards': {'bytes': [1080, 144], 'ops': [23, 4]}},
-         'query_point': {'clock': [4.027199999936948e-07, 0.0],
-                         'counters': [{'batched_ops': 3,
-                                       'batches': 3,
-                                       'bytes_got': 136,
-                                       'collectives': 0,
-                                       'gets': 3,
-                                       'msgs_saved': 0,
-                                       'snapshot_reads': 0},
-                                      {'batched_ops': 0,
-                                       'batches': 0,
-                                       'bytes_got': 0,
-                                       'collectives': 0,
-                                       'gets': 0,
-                                       'msgs_saved': 0,
-                                       'snapshot_reads': 0}],
-                         'shards': {'bytes': [152, 0], 'ops': [5, 0]}},
-         'query_topk': {'clock': [1.7642300000002276e-05, 0.0],
-                        'counters': [{'batched_ops': 34,
-                                      'batches': 9,
-                                      'bytes_got': 2024,
-                                      'collectives': 0,
-                                      'gets': 25,
-                                      'msgs_saved': 21,
-                                      'snapshot_reads': 0},
-                                     {'batched_ops': 0,
-                                      'batches': 0,
-                                      'bytes_got': 0,
-                                      'collectives': 0,
-                                      'gets': 0,
-                                      'msgs_saved': 0,
-                                      'snapshot_reads': 0}],
-                        'shards': {'bytes': [1443, 661], 'ops': [22, 13]}},
-         'query_update': {'clock': [7.382799999955392e-07, 0.0],
-                          'counters': [{'batched_ops': 10,
-                                        'batches': 5,
-                                        'bytes_got': 473,
-                                        'collectives': 0,
-                                        'gets': 6,
-                                        'msgs_saved': 5,
-                                        'snapshot_reads': 0},
-                                       {'batched_ops': 0,
-                                        'batches': 0,
-                                        'bytes_got': 0,
-                                        'collectives': 0,
-                                        'gets': 0,
-                                        'msgs_saved': 0,
-                                        'snapshot_reads': 0}],
-                          'shards': {'bytes': [938, 0], 'ops': [13, 0]}},
-         'restore': {'clock': [0.0015432374399970208, 0.0015432374399970208],
-                     'counters': [{'batched_ops': 859,
-                                   'batches': 1,
-                                   'bytes_got': 0,
-                                   'collectives': 5,
-                                   'gets': 0,
-                                   'msgs_saved': 858,
-                                   'snapshot_reads': 0},
-                                  {'batched_ops': 555,
-                                   'batches': 1,
-                                   'bytes_got': 0,
-                                   'collectives': 5,
-                                   'gets': 0,
-                                   'msgs_saved': 554,
-                                   'snapshot_reads': 0}],
-                     'shards': {'bytes': [137992, 89736], 'ops': [5170, 3692]}},
-         'sssp': {'clock': [5.418420000000146e-05, 5.418420000000146e-05],
-                  'counters': [{'batched_ops': 998,
-                                'batches': 4,
-                                'bytes_got': 105720,
-                                'collectives': 14,
-                                'gets': 998,
-                                'msgs_saved': 994,
-                                'snapshot_reads': 0},
-                               {'batched_ops': 687,
-                                'batches': 4,
-                                'bytes_got': 67584,
-                                'collectives': 14,
-                                'gets': 687,
-                                'msgs_saved': 683,
-                                'snapshot_reads': 0}],
-                  'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'triangle_count': {'clock': [0.0032834052000000023, 0.0032834052000000023],
-                            'counters': [{'batched_ops': 998,
-                                          'batches': 4,
-                                          'bytes_got': 105720,
-                                          'collectives': 7,
-                                          'gets': 998,
-                                          'msgs_saved': 994,
-                                          'snapshot_reads': 0},
-                                         {'batched_ops': 687,
-                                          'batches': 4,
-                                          'bytes_got': 67584,
-                                          'collectives': 7,
-                                          'gets': 687,
-                                          'msgs_saved': 683,
-                                          'snapshot_reads': 0}],
-                            'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-         'wcc': {'clock': [0.0004925752000000008, 0.0004925752000000008],
-                 'counters': [{'batched_ops': 998,
-                               'batches': 4,
-                               'bytes_got': 105720,
-                               'collectives': 11,
-                               'gets': 998,
-                               'msgs_saved': 994,
-                               'snapshot_reads': 0},
-                              {'batched_ops': 687,
-                               'batches': 4,
-                               'bytes_got': 67584,
-                               'collectives': 11,
-                               'gets': 687,
-                               'msgs_saved': 683,
-                               'snapshot_reads': 0}],
-                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}},
- True: {'bfs': {'clock': [4.8269000000001824e-05, 4.8269000000001824e-05],
+EXPECTED = {'bfs': {'clock': [4.8269000000001824e-05, 4.8269000000001824e-05],
+         'counters': [{'batched_ops': 998,
+                       'batches': 4,
+                       'bytes_got': 105720,
+                       'collectives': 15,
+                       'gets': 998,
+                       'msgs_saved': 994,
+                       'snapshot_reads': 128},
+                      {'batched_ops': 687,
+                       'batches': 4,
+                       'bytes_got': 67584,
+                       'collectives': 15,
+                       'gets': 687,
+                       'msgs_saved': 683,
+                       'snapshot_reads': 128}],
+         'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'bi2_style_query': {'clock': [4.955050000000037e-05, 4.955050000000037e-05],
+                     'counters': [{'batched_ops': 341,
+                                   'batches': 11,
+                                   'bytes_got': 29894,
+                                   'collectives': 8,
+                                   'gets': 341,
+                                   'msgs_saved': 326,
+                                   'snapshot_reads': 66},
+                                  {'batched_ops': 317,
+                                   'batches': 8,
+                                   'bytes_got': 27347,
+                                   'collectives': 8,
+                                   'gets': 317,
+                                   'msgs_saved': 305,
+                                   'snapshot_reads': 63}],
+                     'shards': {'bytes': [31098, 26143], 'ops': [353, 305]}},
+ 'build_lpg': {'clock': [0.0016773940799999214, 0.0016773940799999214],
+               'counters': [{'batched_ops': 859,
+                             'batches': 1,
+                             'bytes_got': 0,
+                             'collectives': 6,
+                             'gets': 0,
+                             'msgs_saved': 858,
+                             'snapshot_reads': 0},
+                            {'batched_ops': 555,
+                             'batches': 1,
+                             'bytes_got': 0,
+                             'collectives': 6,
+                             'gets': 0,
+                             'msgs_saved': 554,
+                             'snapshot_reads': 0}],
+               'shards': {'bytes': [137992, 89736], 'ops': [5170, 3692]}},
+ 'cdlp': {'clock': [0.0007918779000000002, 0.0007089264000000005],
+          'counters': [{'batched_ops': 998,
+                        'batches': 4,
+                        'bytes_got': 105720,
+                        'collectives': 11,
+                        'gets': 998,
+                        'msgs_saved': 994,
+                        'snapshot_reads': 128},
+                       {'batched_ops': 687,
+                        'batches': 4,
+                        'bytes_got': 67584,
+                        'collectives': 11,
+                        'gets': 687,
+                        'msgs_saved': 683,
+                        'snapshot_reads': 128}],
+          'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'graph500': {'clock': [0.00033554819999999895, 0.00033554819999999895],
+              'counters': [{'batched_ops': 0,
+                            'batches': 0,
+                            'bytes_got': 0,
+                            'collectives': 10,
+                            'gets': 0,
+                            'msgs_saved': 0,
+                            'snapshot_reads': 0},
+                           {'batched_ops': 0,
+                            'batches': 0,
+                            'bytes_got': 0,
+                            'collectives': 10,
+                            'gets': 0,
+                            'msgs_saved': 0,
+                            'snapshot_reads': 0}],
+              'shards': {'bytes': [0, 0], 'ops': [0, 0]}},
+ 'janus': {'clock': [0.04631533526191374, 0.04631533526191374],
+           'counters': [{'batched_ops': 0,
+                         'batches': 0,
+                         'bytes_got': 0,
+                         'collectives': 16,
+                         'gets': 0,
+                         'msgs_saved': 0,
+                         'snapshot_reads': 0},
+                        {'batched_ops': 0,
+                         'batches': 0,
+                         'bytes_got': 0,
+                         'collectives': 16,
+                         'gets': 0,
+                         'msgs_saved': 0,
+                         'snapshot_reads': 0}],
+           'shards': {'bytes': [0, 0], 'ops': [0, 0]}},
+ 'khop_count': {'clock': [3.634020000000196e-05, 3.634020000000196e-05],
                 'counters': [{'batched_ops': 998,
                               'batches': 4,
                               'bytes_got': 105720,
-                              'collectives': 15,
+                              'collectives': 11,
                               'gets': 998,
                               'msgs_saved': 994,
                               'snapshot_reads': 128},
                              {'batched_ops': 687,
                               'batches': 4,
                               'bytes_got': 67584,
-                              'collectives': 15,
+                              'collectives': 11,
                               'gets': 687,
                               'msgs_saved': 683,
                               'snapshot_reads': 128}],
                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'bi2_style_query': {'clock': [4.955050000000037e-05, 4.955050000000037e-05],
-                            'counters': [{'batched_ops': 341,
-                                          'batches': 11,
-                                          'bytes_got': 29894,
-                                          'collectives': 8,
-                                          'gets': 341,
-                                          'msgs_saved': 326,
-                                          'snapshot_reads': 66},
-                                         {'batched_ops': 317,
-                                          'batches': 8,
-                                          'bytes_got': 27347,
-                                          'collectives': 8,
-                                          'gets': 317,
-                                          'msgs_saved': 305,
-                                          'snapshot_reads': 63}],
-                            'shards': {'bytes': [31098, 26143], 'ops': [353, 305]}},
-        'build_lpg': {'clock': [0.0016773940799999214, 0.0016773940799999214],
-                      'counters': [{'batched_ops': 859,
-                                    'batches': 1,
-                                    'bytes_got': 0,
-                                    'collectives': 6,
-                                    'gets': 0,
-                                    'msgs_saved': 858,
-                                    'snapshot_reads': 0},
-                                   {'batched_ops': 555,
-                                    'batches': 1,
-                                    'bytes_got': 0,
-                                    'collectives': 6,
-                                    'gets': 0,
-                                    'msgs_saved': 554,
-                                    'snapshot_reads': 0}],
-                      'shards': {'bytes': [137992, 89736], 'ops': [5170, 3692]}},
-        'cdlp': {'clock': [0.0007918779000000002, 0.0007089264000000005],
-                 'counters': [{'batched_ops': 998,
+ 'lcc': {'clock': [0.0034621908, 0.0033998676],
+         'counters': [{'batched_ops': 998,
+                       'batches': 4,
+                       'bytes_got': 105720,
+                       'collectives': 8,
+                       'gets': 998,
+                       'msgs_saved': 994,
+                       'snapshot_reads': 128},
+                      {'batched_ops': 687,
+                       'batches': 4,
+                       'bytes_got': 67584,
+                       'collectives': 8,
+                       'gets': 687,
+                       'msgs_saved': 683,
+                       'snapshot_reads': 128}],
+         'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'load_local_adjacency': {'clock': [2.5874399999999435e-05, 2.5874399999999435e-05],
+                          'counters': [{'batched_ops': 998,
+                                        'batches': 4,
+                                        'bytes_got': 105720,
+                                        'collectives': 6,
+                                        'gets': 998,
+                                        'msgs_saved': 994,
+                                        'snapshot_reads': 128},
+                                       {'batched_ops': 687,
+                                        'batches': 4,
+                                        'bytes_got': 67584,
+                                        'collectives': 6,
+                                        'gets': 687,
+                                        'msgs_saved': 683,
+                                        'snapshot_reads': 128}],
+                          'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'load_local_weighted_adjacency': {'clock': [2.5874400000002254e-05, 2.5874400000002254e-05],
+                                   'counters': [{'batched_ops': 998,
+                                                 'batches': 4,
+                                                 'bytes_got': 105720,
+                                                 'collectives': 6,
+                                                 'gets': 998,
+                                                 'msgs_saved': 994,
+                                                 'snapshot_reads': 128},
+                                                {'batched_ops': 687,
+                                                 'batches': 4,
+                                                 'bytes_got': 67584,
+                                                 'collectives': 6,
+                                                 'gets': 687,
+                                                 'msgs_saved': 683,
+                                                 'snapshot_reads': 128}],
+                                   'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'pagerank': {'clock': [5.9696899999999364e-05, 5.9696899999999364e-05],
+              'counters': [{'batched_ops': 998,
+                            'batches': 4,
+                            'bytes_got': 105720,
+                            'collectives': 13,
+                            'gets': 998,
+                            'msgs_saved': 994,
+                            'snapshot_reads': 128},
+                           {'batched_ops': 687,
+                            'batches': 4,
+                            'bytes_got': 67584,
+                            'collectives': 13,
+                            'gets': 687,
+                            'msgs_saved': 683,
+                            'snapshot_reads': 128}],
+              'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'query_agg': {'clock': [5.5890879999999366e-05, 0.0],
+               'counters': [{'batched_ops': 264,
+                             'batches': 4,
+                             'bytes_got': 23430,
+                             'collectives': 0,
+                             'gets': 264,
+                             'msgs_saved': 258,
+                             'snapshot_reads': 66},
+                            {'batched_ops': 0,
+                             'batches': 0,
+                             'bytes_got': 0,
+                             'collectives': 0,
+                             'gets': 0,
+                             'msgs_saved': 0,
+                             'snapshot_reads': 0}],
+               'shards': {'bytes': [9566, 13864], 'ops': [110, 154]}},
+ 'query_bi2': {'clock': [9.86866599999997e-05, 0.0],
+               'counters': [{'batched_ops': 547,
+                             'batches': 11,
+                             'bytes_got': 47834,
+                             'collectives': 0,
+                             'gets': 547,
+                             'msgs_saved': 528,
+                             'snapshot_reads': 106},
+                            {'batched_ops': 0,
+                             'batches': 0,
+                             'bytes_got': 0,
+                             'collectives': 0,
+                             'gets': 0,
+                             'msgs_saved': 0,
+                             'snapshot_reads': 0}],
+               'shards': {'bytes': [24655, 23179], 'ops': [277, 270]}},
+ 'query_bi2_collective': {'clock': [4.644570000000153e-05, 4.644570000000153e-05],
+                          'counters': [{'batched_ops': 341,
+                                        'batches': 11,
+                                        'bytes_got': 29894,
+                                        'collectives': 8,
+                                        'gets': 341,
+                                        'msgs_saved': 326,
+                                        'snapshot_reads': 66},
+                                       {'batched_ops': 317,
+                                        'batches': 8,
+                                        'bytes_got': 27347,
+                                        'collectives': 8,
+                                        'gets': 317,
+                                        'msgs_saved': 305,
+                                        'snapshot_reads': 63}],
+                          'shards': {'bytes': [31098, 26143], 'ops': [353, 305]}},
+ 'query_fof': {'clock': [4.2795679999999003e-05, 0.0],
+               'counters': [{'batched_ops': 300,
+                             'batches': 10,
+                             'bytes_got': 29440,
+                             'collectives': 0,
+                             'gets': 300,
+                             'msgs_saved': 285,
+                             'snapshot_reads': 175},
+                            {'batched_ops': 0,
+                             'batches': 0,
+                             'bytes_got': 0,
+                             'collectives': 0,
+                             'gets': 0,
+                             'msgs_saved': 0,
+                             'snapshot_reads': 0}],
+               'shards': {'bytes': [21304, 8136], 'ops': [213, 87]}},
+ 'query_group': {'clock': [5.1978159999993556e-05, 0.0],
+                 'counters': [{'batched_ops': 319,
                                'batches': 4,
-                               'bytes_got': 105720,
-                               'collectives': 11,
-                               'gets': 998,
-                               'msgs_saved': 994,
-                               'snapshot_reads': 128},
-                              {'batched_ops': 687,
-                               'batches': 4,
-                               'bytes_got': 67584,
-                               'collectives': 11,
-                               'gets': 687,
-                               'msgs_saved': 683,
-                               'snapshot_reads': 128}],
-                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'graph500': {'clock': [0.00033554819999999895, 0.00033554819999999895],
-                     'counters': [{'batched_ops': 0,
-                                   'batches': 0,
-                                   'bytes_got': 0,
-                                   'collectives': 10,
-                                   'gets': 0,
-                                   'msgs_saved': 0,
-                                   'snapshot_reads': 0},
-                                  {'batched_ops': 0,
-                                   'batches': 0,
-                                   'bytes_got': 0,
-                                   'collectives': 10,
-                                   'gets': 0,
-                                   'msgs_saved': 0,
-                                   'snapshot_reads': 0}],
-                     'shards': {'bytes': [0, 0], 'ops': [0, 0]}},
-        'janus': {'clock': [0.04631533526191374, 0.04631533526191374],
-                  'counters': [{'batched_ops': 0,
+                               'bytes_got': 27330,
+                               'collectives': 0,
+                               'gets': 319,
+                               'msgs_saved': 312,
+                               'snapshot_reads': 78},
+                              {'batched_ops': 0,
+                               'batches': 0,
+                               'bytes_got': 0,
+                               'collectives': 0,
+                               'gets': 0,
+                               'msgs_saved': 0,
+                               'snapshot_reads': 0}],
+                 'shards': {'bytes': [14942, 12388], 'ops': [174, 145]}},
+ 'query_label_count': {'clock': [5.5890879999999366e-05, 0.0],
+                       'counters': [{'batched_ops': 264,
+                                     'batches': 4,
+                                     'bytes_got': 23430,
+                                     'collectives': 0,
+                                     'gets': 264,
+                                     'msgs_saved': 258,
+                                     'snapshot_reads': 66},
+                                    {'batched_ops': 0,
+                                     'batches': 0,
+                                     'bytes_got': 0,
+                                     'collectives': 0,
+                                     'gets': 0,
+                                     'msgs_saved': 0,
+                                     'snapshot_reads': 0}],
+                       'shards': {'bytes': [9566, 13864], 'ops': [110, 154]}},
+ 'query_label_count_collective': {'clock': [1.235567999999243e-05, 1.235567999999243e-05],
+                                  'counters': [{'batched_ops': 110,
+                                                'batches': 4,
+                                                'bytes_got': 9566,
+                                                'collectives': 8,
+                                                'gets': 110,
+                                                'msgs_saved': 106,
+                                                'snapshot_reads': 26},
+                                               {'batched_ops': 154,
+                                                'batches': 2,
+                                                'bytes_got': 13864,
+                                                'collectives': 8,
+                                                'gets': 154,
+                                                'msgs_saved': 152,
+                                                'snapshot_reads': 40}],
+                                  'shards': {'bytes': [9566, 13864], 'ops': [110, 154]}},
+ 'query_onehop': {'clock': [3.760800000002229e-06, 0.0],
+                  'counters': [{'batched_ops': 15,
+                                'batches': 7,
+                                'bytes_got': 1128,
+                                'collectives': 0,
+                                'gets': 15,
+                                'msgs_saved': 7,
+                                'snapshot_reads': 6},
+                               {'batched_ops': 0,
                                 'batches': 0,
                                 'bytes_got': 0,
-                                'collectives': 16,
+                                'collectives': 0,
                                 'gets': 0,
                                 'msgs_saved': 0,
+                                'snapshot_reads': 0}],
+                  'shards': {'bytes': [1000, 128], 'ops': [13, 2]}},
+ 'query_point': {'clock': [2.42719999994645e-07, 0.0],
+                 'counters': [{'batched_ops': 3,
+                               'batches': 3,
+                               'bytes_got': 136,
+                               'collectives': 0,
+                               'gets': 3,
+                               'msgs_saved': 0,
+                               'snapshot_reads': 1},
+                              {'batched_ops': 0,
+                               'batches': 0,
+                               'bytes_got': 0,
+                               'collectives': 0,
+                               'gets': 0,
+                               'msgs_saved': 0,
+                               'snapshot_reads': 0}],
+                 'shards': {'bytes': [136, 0], 'ops': [3, 0]}},
+ 'query_topk': {'clock': [1.0932300000002226e-05, 0.0],
+                'counters': [{'batched_ops': 25,
+                              'batches': 7,
+                              'bytes_got': 2024,
+                              'collectives': 0,
+                              'gets': 25,
+                              'msgs_saved': 16,
+                              'snapshot_reads': 5},
+                             {'batched_ops': 0,
+                              'batches': 0,
+                              'bytes_got': 0,
+                              'collectives': 0,
+                              'gets': 0,
+                              'msgs_saved': 0,
+                              'snapshot_reads': 0}],
+                'shards': {'bytes': [1395, 629], 'ops': [16, 9]}},
+ 'query_update': {'clock': [7.382799999955392e-07, 0.0],
+                  'counters': [{'batched_ops': 10,
+                                'batches': 5,
+                                'bytes_got': 473,
+                                'collectives': 0,
+                                'gets': 6,
+                                'msgs_saved': 5,
                                 'snapshot_reads': 0},
                                {'batched_ops': 0,
                                 'batches': 0,
                                 'bytes_got': 0,
-                                'collectives': 16,
+                                'collectives': 0,
                                 'gets': 0,
                                 'msgs_saved': 0,
                                 'snapshot_reads': 0}],
-                  'shards': {'bytes': [0, 0], 'ops': [0, 0]}},
-        'khop_count': {'clock': [3.634020000000196e-05, 3.634020000000196e-05],
-                       'counters': [{'batched_ops': 998,
-                                     'batches': 4,
-                                     'bytes_got': 105720,
-                                     'collectives': 11,
-                                     'gets': 998,
-                                     'msgs_saved': 994,
-                                     'snapshot_reads': 128},
-                                    {'batched_ops': 687,
-                                     'batches': 4,
-                                     'bytes_got': 67584,
-                                     'collectives': 11,
-                                     'gets': 687,
-                                     'msgs_saved': 683,
-                                     'snapshot_reads': 128}],
-                       'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'lcc': {'clock': [0.0034621908, 0.0033998676],
-                'counters': [{'batched_ops': 998,
-                              'batches': 4,
-                              'bytes_got': 105720,
-                              'collectives': 8,
-                              'gets': 998,
-                              'msgs_saved': 994,
-                              'snapshot_reads': 128},
-                             {'batched_ops': 687,
-                              'batches': 4,
-                              'bytes_got': 67584,
-                              'collectives': 8,
-                              'gets': 687,
-                              'msgs_saved': 683,
-                              'snapshot_reads': 128}],
-                'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'load_local_adjacency': {'clock': [2.5874399999999435e-05, 2.5874399999999435e-05],
-                                 'counters': [{'batched_ops': 998,
-                                               'batches': 4,
-                                               'bytes_got': 105720,
-                                               'collectives': 6,
-                                               'gets': 998,
-                                               'msgs_saved': 994,
-                                               'snapshot_reads': 128},
-                                              {'batched_ops': 687,
-                                               'batches': 4,
-                                               'bytes_got': 67584,
-                                               'collectives': 6,
-                                               'gets': 687,
-                                               'msgs_saved': 683,
-                                               'snapshot_reads': 128}],
-                                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'load_local_weighted_adjacency': {'clock': [2.5874400000002254e-05, 2.5874400000002254e-05],
-                                          'counters': [{'batched_ops': 998,
-                                                        'batches': 4,
-                                                        'bytes_got': 105720,
-                                                        'collectives': 6,
-                                                        'gets': 998,
-                                                        'msgs_saved': 994,
-                                                        'snapshot_reads': 128},
-                                                       {'batched_ops': 687,
-                                                        'batches': 4,
-                                                        'bytes_got': 67584,
-                                                        'collectives': 6,
-                                                        'gets': 687,
-                                                        'msgs_saved': 683,
-                                                        'snapshot_reads': 128}],
-                                          'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'pagerank': {'clock': [5.9696899999999364e-05, 5.9696899999999364e-05],
-                     'counters': [{'batched_ops': 998,
-                                   'batches': 4,
-                                   'bytes_got': 105720,
-                                   'collectives': 13,
-                                   'gets': 998,
-                                   'msgs_saved': 994,
-                                   'snapshot_reads': 128},
-                                  {'batched_ops': 687,
-                                   'batches': 4,
-                                   'bytes_got': 67584,
-                                   'collectives': 13,
-                                   'gets': 687,
-                                   'msgs_saved': 683,
-                                   'snapshot_reads': 128}],
-                     'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'query_agg': {'clock': [5.5890879999999366e-05, 0.0],
-                      'counters': [{'batched_ops': 264,
-                                    'batches': 4,
-                                    'bytes_got': 23430,
-                                    'collectives': 0,
-                                    'gets': 264,
-                                    'msgs_saved': 258,
-                                    'snapshot_reads': 66},
-                                   {'batched_ops': 0,
-                                    'batches': 0,
-                                    'bytes_got': 0,
-                                    'collectives': 0,
-                                    'gets': 0,
-                                    'msgs_saved': 0,
-                                    'snapshot_reads': 0}],
-                      'shards': {'bytes': [9566, 13864], 'ops': [110, 154]}},
-        'query_bi2': {'clock': [9.86866599999997e-05, 0.0],
-                      'counters': [{'batched_ops': 547,
-                                    'batches': 11,
-                                    'bytes_got': 47834,
-                                    'collectives': 0,
-                                    'gets': 547,
-                                    'msgs_saved': 528,
-                                    'snapshot_reads': 106},
-                                   {'batched_ops': 0,
-                                    'batches': 0,
-                                    'bytes_got': 0,
-                                    'collectives': 0,
-                                    'gets': 0,
-                                    'msgs_saved': 0,
-                                    'snapshot_reads': 0}],
-                      'shards': {'bytes': [24655, 23179], 'ops': [277, 270]}},
-        'query_bi2_collective': {'clock': [4.644570000000153e-05, 4.644570000000153e-05],
-                                 'counters': [{'batched_ops': 341,
-                                               'batches': 11,
-                                               'bytes_got': 29894,
-                                               'collectives': 8,
-                                               'gets': 341,
-                                               'msgs_saved': 326,
-                                               'snapshot_reads': 66},
-                                              {'batched_ops': 317,
-                                               'batches': 8,
-                                               'bytes_got': 27347,
-                                               'collectives': 8,
-                                               'gets': 317,
-                                               'msgs_saved': 305,
-                                               'snapshot_reads': 63}],
-                                 'shards': {'bytes': [31098, 26143], 'ops': [353, 305]}},
-        'query_fof': {'clock': [4.2795679999999003e-05, 0.0],
-                      'counters': [{'batched_ops': 300,
-                                    'batches': 10,
-                                    'bytes_got': 29440,
-                                    'collectives': 0,
-                                    'gets': 300,
-                                    'msgs_saved': 285,
-                                    'snapshot_reads': 175},
-                                   {'batched_ops': 0,
-                                    'batches': 0,
-                                    'bytes_got': 0,
-                                    'collectives': 0,
-                                    'gets': 0,
-                                    'msgs_saved': 0,
-                                    'snapshot_reads': 0}],
-                      'shards': {'bytes': [21304, 8136], 'ops': [213, 87]}},
-        'query_group': {'clock': [5.1978159999993556e-05, 0.0],
-                        'counters': [{'batched_ops': 319,
-                                      'batches': 4,
-                                      'bytes_got': 27330,
-                                      'collectives': 0,
-                                      'gets': 319,
-                                      'msgs_saved': 312,
-                                      'snapshot_reads': 78},
-                                     {'batched_ops': 0,
-                                      'batches': 0,
-                                      'bytes_got': 0,
-                                      'collectives': 0,
-                                      'gets': 0,
-                                      'msgs_saved': 0,
-                                      'snapshot_reads': 0}],
-                        'shards': {'bytes': [14942, 12388], 'ops': [174, 145]}},
-        'query_label_count': {'clock': [5.5890879999999366e-05, 0.0],
-                              'counters': [{'batched_ops': 264,
-                                            'batches': 4,
-                                            'bytes_got': 23430,
-                                            'collectives': 0,
-                                            'gets': 264,
-                                            'msgs_saved': 258,
-                                            'snapshot_reads': 66},
-                                           {'batched_ops': 0,
-                                            'batches': 0,
-                                            'bytes_got': 0,
-                                            'collectives': 0,
-                                            'gets': 0,
-                                            'msgs_saved': 0,
-                                            'snapshot_reads': 0}],
-                              'shards': {'bytes': [9566, 13864], 'ops': [110, 154]}},
-        'query_label_count_collective': {'clock': [1.235567999999243e-05, 1.235567999999243e-05],
-                                         'counters': [{'batched_ops': 110,
-                                                       'batches': 4,
-                                                       'bytes_got': 9566,
-                                                       'collectives': 8,
-                                                       'gets': 110,
-                                                       'msgs_saved': 106,
-                                                       'snapshot_reads': 26},
-                                                      {'batched_ops': 154,
-                                                       'batches': 2,
-                                                       'bytes_got': 13864,
-                                                       'collectives': 8,
-                                                       'gets': 154,
-                                                       'msgs_saved': 152,
-                                                       'snapshot_reads': 40}],
-                                         'shards': {'bytes': [9566, 13864], 'ops': [110, 154]}},
-        'query_onehop': {'clock': [3.760800000002229e-06, 0.0],
-                         'counters': [{'batched_ops': 15,
-                                       'batches': 7,
-                                       'bytes_got': 1128,
-                                       'collectives': 0,
-                                       'gets': 15,
-                                       'msgs_saved': 7,
-                                       'snapshot_reads': 6},
-                                      {'batched_ops': 0,
-                                       'batches': 0,
-                                       'bytes_got': 0,
-                                       'collectives': 0,
-                                       'gets': 0,
-                                       'msgs_saved': 0,
-                                       'snapshot_reads': 0}],
-                         'shards': {'bytes': [1000, 128], 'ops': [13, 2]}},
-        'query_point': {'clock': [2.42719999994645e-07, 0.0],
-                        'counters': [{'batched_ops': 3,
-                                      'batches': 3,
-                                      'bytes_got': 136,
-                                      'collectives': 0,
-                                      'gets': 3,
-                                      'msgs_saved': 0,
-                                      'snapshot_reads': 1},
-                                     {'batched_ops': 0,
-                                      'batches': 0,
-                                      'bytes_got': 0,
-                                      'collectives': 0,
-                                      'gets': 0,
-                                      'msgs_saved': 0,
-                                      'snapshot_reads': 0}],
-                        'shards': {'bytes': [136, 0], 'ops': [3, 0]}},
-        'query_topk': {'clock': [1.0932300000002226e-05, 0.0],
-                       'counters': [{'batched_ops': 25,
-                                     'batches': 7,
-                                     'bytes_got': 2024,
-                                     'collectives': 0,
-                                     'gets': 25,
-                                     'msgs_saved': 16,
-                                     'snapshot_reads': 5},
-                                    {'batched_ops': 0,
-                                     'batches': 0,
-                                     'bytes_got': 0,
-                                     'collectives': 0,
-                                     'gets': 0,
-                                     'msgs_saved': 0,
-                                     'snapshot_reads': 0}],
-                       'shards': {'bytes': [1395, 629], 'ops': [16, 9]}},
-        'query_update': {'clock': [7.382799999955392e-07, 0.0],
-                         'counters': [{'batched_ops': 10,
-                                       'batches': 5,
-                                       'bytes_got': 473,
-                                       'collectives': 0,
-                                       'gets': 6,
-                                       'msgs_saved': 5,
-                                       'snapshot_reads': 0},
-                                      {'batched_ops': 0,
-                                       'batches': 0,
-                                       'bytes_got': 0,
-                                       'collectives': 0,
-                                       'gets': 0,
-                                       'msgs_saved': 0,
-                                       'snapshot_reads': 0}],
-                         'shards': {'bytes': [938, 0], 'ops': [13, 0]}},
-        'restore': {'clock': [0.0015432374399970208, 0.0015432374399970208],
-                    'counters': [{'batched_ops': 859,
-                                  'batches': 1,
-                                  'bytes_got': 0,
-                                  'collectives': 5,
-                                  'gets': 0,
-                                  'msgs_saved': 858,
-                                  'snapshot_reads': 0},
-                                 {'batched_ops': 555,
-                                  'batches': 1,
-                                  'bytes_got': 0,
-                                  'collectives': 5,
-                                  'gets': 0,
-                                  'msgs_saved': 554,
-                                  'snapshot_reads': 0}],
-                    'shards': {'bytes': [137992, 89736], 'ops': [5170, 3692]}},
-        'sssp': {'clock': [5.5814600000002323e-05, 5.5814600000002323e-05],
-                 'counters': [{'batched_ops': 998,
-                               'batches': 4,
-                               'bytes_got': 105720,
-                               'collectives': 15,
-                               'gets': 998,
-                               'msgs_saved': 994,
-                               'snapshot_reads': 128},
-                              {'batched_ops': 687,
-                               'batches': 4,
-                               'bytes_got': 67584,
-                               'collectives': 15,
-                               'gets': 687,
-                               'msgs_saved': 683,
-                               'snapshot_reads': 128}],
-                 'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'triangle_count': {'clock': [0.003285035600000003, 0.003285035600000003],
-                           'counters': [{'batched_ops': 998,
-                                         'batches': 4,
-                                         'bytes_got': 105720,
-                                         'collectives': 8,
-                                         'gets': 998,
-                                         'msgs_saved': 994,
-                                         'snapshot_reads': 128},
-                                        {'batched_ops': 687,
-                                         'batches': 4,
-                                         'bytes_got': 67584,
-                                         'collectives': 8,
-                                         'gets': 687,
-                                         'msgs_saved': 683,
-                                         'snapshot_reads': 128}],
-                           'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
-        'wcc': {'clock': [0.0004942056000000008, 0.0004942056000000008],
-                'counters': [{'batched_ops': 998,
-                              'batches': 4,
-                              'bytes_got': 105720,
-                              'collectives': 12,
-                              'gets': 998,
-                              'msgs_saved': 994,
-                              'snapshot_reads': 128},
-                             {'batched_ops': 687,
-                              'batches': 4,
-                              'bytes_got': 67584,
-                              'collectives': 12,
-                              'gets': 687,
-                              'msgs_saved': 683,
-                              'snapshot_reads': 128}],
-                'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}}}
+                  'shards': {'bytes': [938, 0], 'ops': [13, 0]}},
+ 'restore': {'clock': [0.0015432374399970208, 0.0015432374399970208],
+             'counters': [{'batched_ops': 859,
+                           'batches': 1,
+                           'bytes_got': 0,
+                           'collectives': 5,
+                           'gets': 0,
+                           'msgs_saved': 858,
+                           'snapshot_reads': 0},
+                          {'batched_ops': 555,
+                           'batches': 1,
+                           'bytes_got': 0,
+                           'collectives': 5,
+                           'gets': 0,
+                           'msgs_saved': 554,
+                           'snapshot_reads': 0}],
+             'shards': {'bytes': [137992, 89736], 'ops': [5170, 3692]}},
+ 'sssp': {'clock': [5.5814600000002323e-05, 5.5814600000002323e-05],
+          'counters': [{'batched_ops': 998,
+                        'batches': 4,
+                        'bytes_got': 105720,
+                        'collectives': 15,
+                        'gets': 998,
+                        'msgs_saved': 994,
+                        'snapshot_reads': 128},
+                       {'batched_ops': 687,
+                        'batches': 4,
+                        'bytes_got': 67584,
+                        'collectives': 15,
+                        'gets': 687,
+                        'msgs_saved': 683,
+                        'snapshot_reads': 128}],
+          'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'triangle_count': {'clock': [0.003285035600000003, 0.003285035600000003],
+                    'counters': [{'batched_ops': 998,
+                                  'batches': 4,
+                                  'bytes_got': 105720,
+                                  'collectives': 8,
+                                  'gets': 998,
+                                  'msgs_saved': 994,
+                                  'snapshot_reads': 128},
+                                 {'batched_ops': 687,
+                                  'batches': 4,
+                                  'bytes_got': 67584,
+                                  'collectives': 8,
+                                  'gets': 687,
+                                  'msgs_saved': 683,
+                                  'snapshot_reads': 128}],
+                    'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}},
+ 'wcc': {'clock': [0.0004942056000000008, 0.0004942056000000008],
+         'counters': [{'batched_ops': 998,
+                       'batches': 4,
+                       'bytes_got': 105720,
+                       'collectives': 12,
+                       'gets': 998,
+                       'msgs_saved': 994,
+                       'snapshot_reads': 128},
+                      {'batched_ops': 687,
+                       'batches': 4,
+                       'bytes_got': 67584,
+                       'collectives': 12,
+                       'gets': 687,
+                       'msgs_saved': 683,
+                       'snapshot_reads': 128}],
+         'shards': {'bytes': [105720, 67584], 'ops': [998, 687]}}}
 # fmt: on
 
 
-@pytest.mark.parametrize("mvcc", [False, True])
-def test_olap_simulated_charges_match_recorded_constants(mvcc):
-    got = measure(mvcc)
-    for name, want in EXPECTED[mvcc].items():
+def test_olap_simulated_charges_match_recorded_constants():
+    got = measure()
+    for name, want in EXPECTED.items():
         assert got[name]["counters"] == want["counters"], name
         assert got[name]["shards"] == want["shards"], name
         # a delta of absolute clocks: equal to rounding (the older
@@ -1079,15 +688,13 @@ def test_olap_simulated_charges_match_recorded_constants(mvcc):
         assert got[name]["clock"] == pytest.approx(want["clock"], rel=1e-9), name
 
 
-@pytest.mark.parametrize(
-    "name", [name for name in QUERIES if name != "query_update"]
-)
+@pytest.mark.parametrize("name", READ_QUERIES)
 def test_snapshot_engine_reads_match_lock_mode(name):
     """A read-only query under a snapshot fetches the holder parts it
     needs and nothing more: the reads of lock mode.  Lock mode adds its
     lock-word atomics (batches of them, and ops and bytes on the shards
     holding the words) on top, so those may only be smaller here."""
-    lock, snap = measure(False)[name], measure(True)[name]
+    lock, snap = measure()[f"{name}_locked"], measure()[name]
     for key in ("gets", "bytes_got"):
         assert snap["counters"][0][key] == lock["counters"][0][key], key
     assert snap["counters"][0]["batches"] <= lock["counters"][0]["batches"]
@@ -1100,4 +707,5 @@ def test_snapshot_engine_reads_match_lock_mode(name):
 if __name__ == "__main__":
     import pprint
 
-    pprint.pprint({mvcc: measure(mvcc) for mvcc in (False, True)}, width=100)
+    fresh = {k: v for k, v in measure().items() if not k.endswith("_locked")}
+    print("EXPECTED = " + pprint.pformat(fresh, width=100))
