@@ -22,7 +22,23 @@ from repro.rma import run_spmd
 from .test_recovery import canon
 
 
-def test_the_loads_log_replays_to_the_load():
+def _assert_mirrored(ctx, db):
+    """Every block this rank allocated is on its backup, byte for byte."""
+    repl, bs = db.replication, db.blocks.block_size
+    mirrored = 0
+    for idx, (_, nbytes) in repl.meta[ctx.rank].items():
+        primary = db.blocks.data_win.read(ctx.rank, idx * bs, nbytes)
+        backup = repl.mirror_win.read(
+            repl.membership.backup_of(ctx.rank), idx * bs, nbytes
+        )
+        assert bytes(primary) == bytes(backup)
+        mirrored += 1
+    assert mirrored == db.blocks.allocated_count(ctx, ctx.rank)
+    assert repl.commit_lag(db, ctx.rank) == 0
+
+
+@pytest.mark.parametrize("replication", [False, True])
+def test_the_loads_log_replays_to_the_load(replication):
     """Checkpoint the empty database, load a graph with heavy edges, then
     recover the checkpoint plus the log into a fresh runtime: the same
     graph.  With replication on, every block the load wrote is on its
@@ -30,23 +46,14 @@ def test_the_loads_log_replays_to_the_load():
 
     def live(ctx):
         db = GdaDatabase.create(
-            ctx, GdaConfig(blocks_per_rank=16384, replication=True)
+            ctx, GdaConfig(blocks_per_rank=16384, replication=replication)
         )
         ckpt = take_checkpoint(ctx, db)
         build_lpg(ctx, db, PARAMS, HEAVY_SCHEMA)
         assert check_consistency(ctx, db).ok
         ctx.barrier()
-        repl, bs = db.replication, db.blocks.block_size
-        mirrored = 0
-        for idx, (_, nbytes) in repl.meta[ctx.rank].items():
-            primary = db.blocks.data_win.read(ctx.rank, idx * bs, nbytes)
-            backup = repl.mirror_win.read(
-                repl.membership.backup_of(ctx.rank), idx * bs, nbytes
-            )
-            assert bytes(primary) == bytes(backup)
-            mirrored += 1
-        assert mirrored == db.blocks.allocated_count(ctx, ctx.rank)
-        assert repl.commit_lag(db, ctx.rank) == 0
+        if replication:
+            _assert_mirrored(ctx, db)
         return ckpt, db.commit_log, canon(snapshot(ctx, db))
 
     _, res = run_spmd(2, live)
