@@ -104,15 +104,19 @@ class BlockManager:
         return mgr
 
     def _init_local_segment(self, ctx: RankContext) -> None:
-        me = ctx.rank
-        # free-list chain 0 -> 1 -> ... -> NULL, materialized as one
-        # vectorized array and stored with a single bulk slice write
-        # instead of blocks_per_rank scalar stores
+        self.usage_win.write(ctx.rank, 0, self.free_list_image())
+        self.system_win.write(ctx.rank, 0, self.system_image())
+
+    def free_list_image(self) -> bytes:
+        """A fresh usage segment: the free list ``0 -> 1 -> ... -> NULL``."""
         links = np.arange(1, self.blocks_per_rank + 1, dtype="<i8")
         links[-1] = TAG_NULL_INDEX
-        self.usage_win.write(me, 0, links.tobytes())
-        self.system_win.write_i64(me, SYS_HEAD_OFF, pack_tagged(0, 0))
-        self.system_win.write_i64(me, SYS_COUNT_OFF, 0)
+        return links.tobytes()
+
+    def system_image(self) -> bytes:
+        """A fresh system segment: head ``(tag 0, index 0)``, all else 0."""
+        head = pack_tagged(0, 0).to_bytes(8, "little", signed=True)
+        return head + bytes(SYS_LOCKS_OFF - 8 + 8 * self.blocks_per_rank)
 
     # -- address arithmetic ---------------------------------------------------
     def lock_location(self, dptr: int) -> tuple[int, int]:

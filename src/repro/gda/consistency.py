@@ -1,7 +1,7 @@
 """Global database consistency checker (test/diagnostic collective).
 
-Verifies the structural invariants that GDA's design promises hold at any
-quiescent point (no open transactions):
+Verifies the structural invariants that GDA's design promises hold
+whenever no transaction is open:
 
 1. **Directory ↔ DHT agreement** — every vertex in the directory has a
    DHT mapping from its application ID to its primary DPtr, and every DHT
@@ -15,9 +15,12 @@ quiescent point (no open transactions):
    referenced from both endpoints.
 4. **Storage accounting** — the number of allocated blocks equals the
    blocks reachable from live holders (no leaks, no double use).
-5. **No leaked locks** — at quiescence every per-block RW lock word is
-   zero (no reader counts or write bits left behind by aborted or
-   crashed transactions).
+5. **No leaked locks** — with no transaction open every per-block RW lock
+   word is zero (no reader counts or write bits left behind by aborted
+   or crashed transactions).
+6. **DHT heap accounting** — the allocated DHT heap entries are exactly
+   the entries reachable from the bucket chains plus the unlinked ones
+   parked until the GC floor passes them (no leak, no double free).
 
 Used by the integration tests after concurrent OLTP storms; returns a
 report object whose ``ok`` flag and ``problems`` list make failures
@@ -34,7 +37,8 @@ from ..rma.runtime import RankContext
 from .blocks import SYS_LOCKS_OFF
 from .checkpoint import _hosted_vertices
 from .database_impl import GdaDatabase
-from .holder import DIR_IN, DIR_OUT, DIR_UNDIR, KIND_EDGE, KIND_VERTEX
+from .dptr import unpack_dptr
+from .holder import DIR_IN, DIR_MASK, DIR_OUT, DIR_UNDIR, KIND_EDGE, KIND_VERTEX, SLOT_HEAVY
 
 __all__ = ["ConsistencyReport", "check_consistency"]
 
@@ -49,6 +53,8 @@ class ConsistencyReport:
     n_edge_holders: int = 0
     blocks_allocated: int = 0
     blocks_reachable: int = 0
+    dht_allocated: int = 0
+    dht_reachable: int = 0
     problems: list[str] = field(default_factory=list)
 
     @property
@@ -97,8 +103,9 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
     report.n_vertices = len(global_slots)
 
     # ---- invariant 1: directory <-> DHT --------------------------------
-    dht_items = dict(db.dht.items(ctx)) if ctx.rank == 0 else None
-    dht_items = ctx.bcast(dht_items, root=0)
+    chained = db.dht.items(ctx) if ctx.rank == 0 else None
+    chained = ctx.bcast(chained, root=0)
+    dht_items = dict(chained)
     for vid, (app_id, _) in global_slots.items():
         mapped = dht_items.get(app_id)
         if mapped != vid:
@@ -114,8 +121,6 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
             )
 
     # ---- invariants 3: edge reciprocity ---------------------------------
-    from .holder import DIR_MASK, SLOT_HEAVY
-
     heavy_refs: Counter = Counter()
     lw_multiset: Counter = Counter()
     for vid, (app_id, slots) in global_slots.items():
@@ -146,8 +151,6 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
     # holder's shard, per the membership translation table)
     local_heavy = {}
     for dptr in heavy_refs:
-        from .dptr import unpack_dptr
-
         owner = unpack_dptr(dptr).rank
         if degraded:
             owner = mem.host_of(owner)
@@ -184,8 +187,6 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
                 f"({src:#x}, {dst:#x})"
             )
         expected_refs = 1 if src == dst and not directed else 2
-        if src == dst and directed:
-            expected_refs = 2
         if refs != expected_refs:
             report.problems.append(
                 f"edge holder {dptr:#x}: referenced {refs}x, "
@@ -206,6 +207,17 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
         report.problems.append(
             f"storage leak: {report.blocks_allocated} blocks allocated, "
             f"{report.blocks_reachable} reachable from live holders"
+        )
+
+    # ---- invariant 6: DHT heap accounting ---------------------------------
+    report.dht_reachable = len(chained) + db.dht.parked_count()
+    report.dht_allocated = sum(
+        db.dht.heap.allocated_count(ctx, r) for r in range(ctx.nranks)
+    )
+    if report.dht_allocated != report.dht_reachable:
+        report.problems.append(
+            f"DHT heap leak: {report.dht_allocated} entries allocated, "
+            f"{report.dht_reachable} chained or parked"
         )
 
     # ---- invariant 5: no leaked lock words --------------------------------

@@ -133,8 +133,11 @@ class GdaDatabase:
         #: bumped once per completed rebalance (diagnostics / tests)
         self.placement_epoch = 0
         #: commit timestamps, version chains and snapshots: a control-path
-        #: shared structure like the commit log
+        #: shared structure like the commit log.  Its floor also returns
+        #: the DHT's unlinked entries, which its timestamps tag.
         self.mvcc = SnapshotManager(gc_interval=config.mvcc_gc_interval)
+        self.mvcc.reclaim = dht.reclaim
+        dht.epochs = self.mvcc
 
     def note_relocations(self, mapping: dict[int, int]) -> None:
         """Publish one rebalance's ``{old_vid: new_vid}`` map.
@@ -447,10 +450,9 @@ class GdaDatabase:
                 mem.finish_repair(shard)
         mem.await_repairs(ctx.rt.scheduler, ctx.rank)
         mem.adopt_epoch(ctx.rank)
-        # a commit that allocated its timestamp on a now-dead rank can
-        # never call note_applied; retire those orphans so the snapshot
-        # watermark is not pinned forever (replayed effects re-install
-        # under fresh timestamps)
+        # a dead rank never applies its timestamps or closes its pins:
+        # retire them so neither the watermark nor the GC floor stays
+        # pinned (replayed effects re-install under fresh timestamps)
         self.mvcc.force_apply(set(range(self.nranks)) - mem.live)
 
     # -- durability (in-memory redo log; the paper's system is in-memory) ----------------

@@ -16,13 +16,13 @@ design is the paper's Listing 4:
 * **delete**: two CASes — first mark the victim by pointing its next
   field at itself, then swing the predecessor's pointer past it.
 
-Memory reclamation: Listing 4 deallocates an entry immediately after the
-second CAS.  With immediate reuse a concurrent chain traversal holding a
-stale pointer could wander into a recycled entry, so — like production
-lock-free stores — we park unlinked entries on a per-rank *limbo list* and
-return them to the free list at quiescent points (:meth:`quiesce`, a
-collective, called by GDA between collective transactions; this is also
-when the paper's volatile IDs expire, Section 3.4).
+Memory reclamation: Listing 4 frees an entry right after the second CAS,
+but a concurrent traversal holding a stale pointer could then wander into
+a recycled entry.  An unlinked entry is *parked* instead, tagged with the
+last commit timestamp issued at its unlink, and the MVCC GC pass returns
+it once the floor (the smallest watermark an open transaction announced)
+is strictly above the tag: every transaction open then began after the
+unlink (epoch-based reclamation, Hart et al., JPDC 2007; :meth:`reclaim`).
 """
 
 from __future__ import annotations
@@ -30,18 +30,15 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..rma.runtime import RankContext
+from ..rma.runtime import RankContext, RmaError
 from ..rma.window import Window
 from .blocks import BlockManager
-from .dptr import (
-    DPTR_NULL,
-    TAG_NULL_INDEX,
-    is_null,
-    pack_dptr,
-    pack_tagged,
-    unpack_dptr,
-)
+from .dptr import DPTR_NULL, is_null, unpack_dptr
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..mvcc import SnapshotManager
 
 __all__ = ["DistributedHashTable", "ENTRY_BYTES"]
 
@@ -73,8 +70,10 @@ class DistributedHashTable:
     heap: BlockManager
     buckets_per_rank: int
     nranks: int
-    _limbo: list[list[int]] = field(default_factory=list, repr=False)
-    _limbo_locks: list[threading.Lock] = field(default_factory=list, repr=False)
+    #: the commit timestamps that tag an unlink (``None``: every tag is 0)
+    epochs: "SnapshotManager | None" = field(default=None, repr=False)
+    #: per heap shard, ``(tag, entry)`` of each unlinked entry not yet freed
+    _parked: list[list[tuple[int, int]]] = field(init=False, repr=False)
     #: optional per-bucket-shard mirror ``{key: value}`` maintained by
     #: insert/delete when replication is enabled.  The chain structure
     #: cannot be rebuilt from surviving ranks alone (chains are anchored in
@@ -83,9 +82,11 @@ class DistributedHashTable:
     #: substitution the directory and index layers use.  ``None`` when
     #: replication is off (zero overhead on the common path).
     _mirror: list[dict[int, int]] | None = field(default=None, repr=False)
-    _mirror_locks: list[threading.Lock] = field(
-        default_factory=list, repr=False
-    )
+    #: guards the parked lists and the mirror
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def __post_init__(self) -> None:
+        self._parked = [[] for _ in range(self.nranks)]
 
     @classmethod
     def create(
@@ -96,31 +97,21 @@ class DistributedHashTable:
         name_prefix: str = "dht",
     ) -> "DistributedHashTable":
         """Collectively allocate table and heap, init buckets to NULL."""
-        table_win = ctx.win_allocate(
-            f"{name_prefix}.table", 8 * buckets_per_rank
-        )
+        table_win = ctx.win_allocate(f"{name_prefix}.table", 8 * buckets_per_rank)
         heap = BlockManager.create(
             ctx,
             block_size=ENTRY_BYTES,
             blocks_per_rank=entries_per_rank,
             name_prefix=f"{name_prefix}.heap",
         )
-        # The DHT object carries shared mutable state (the limbo lists),
+        # The DHT object carries shared mutable state (the parked lists),
         # so exactly one instance exists: rank 0 builds it, everyone else
         # receives the same object via bcast (windows are shared anyway).
         dht = None
         if ctx.rank == 0:
-            dht = cls(
-                table_win=table_win,
-                heap=heap,
-                buckets_per_rank=buckets_per_rank,
-                nranks=ctx.nranks,
-                _limbo=[[] for _ in range(ctx.nranks)],
-                _limbo_locks=[threading.Lock() for _ in range(ctx.nranks)],
-            )
+            dht = cls(table_win, heap, buckets_per_rank, ctx.nranks)
         dht = ctx.bcast(dht, root=0)
-        for b in range(buckets_per_rank):
-            table_win.write_i64(ctx.rank, 8 * b, DPTR_NULL)
+        table_win.write(ctx.rank, 0, dht._empty_table())
         ctx.barrier()
         return dht
 
@@ -136,6 +127,10 @@ class DistributedHashTable:
             8 * (global_bucket % self.buckets_per_rank),
         )
 
+    def _empty_table(self) -> bytes:
+        """One shard's bucket array with every chain empty."""
+        return DPTR_NULL.to_bytes(8, "little", signed=True) * self.buckets_per_rank
+
     # -- entry I/O ------------------------------------------------------------
     def _read_entry(self, ctx: RankContext, ptr: int) -> tuple[int, int, int]:
         """Fetch one 24-byte heap entry with a single one-sided get."""
@@ -144,31 +139,20 @@ class DistributedHashTable:
             ctx.get(self.heap.data_win, d.rank, d.offset, ENTRY_BYTES)
         )
 
-    def _write_entry(
-        self, ctx: RankContext, ptr: int, key: int, value: int, nxt: int
-    ) -> None:
-        d = unpack_dptr(ptr)
-        blob = _ENTRY.pack(key, value, nxt)
-        ctx.iput(self.heap.data_win, d.rank, d.offset, blob)
-        ctx.flush(self.heap.data_win, d.rank)
-
     # -- replication support ------------------------------------------------
     def enable_mirror(self) -> None:
         """Arm the per-shard key mirror (before any inserts happen)."""
         if self._mirror is None:
             self._mirror = [dict() for _ in range(self.nranks)]
-            self._mirror_locks = [
-                threading.Lock() for _ in range(self.nranks)
-            ]
 
     def _mirror_set(self, shard: int, key: int, value: int) -> None:
         if self._mirror is not None:
-            with self._mirror_locks[shard]:
+            with self._lock:
                 self._mirror[shard][key] = value
 
     def _mirror_drop(self, shard: int, key: int) -> None:
         if self._mirror is not None:
-            with self._mirror_locks[shard]:
+            with self._lock:
                 self._mirror[shard].pop(key, None)
 
     def rebuild_shard(self, ctx: RankContext, shard: int) -> int:
@@ -183,24 +167,13 @@ class DistributedHashTable:
         """
         if self._mirror is None:
             raise RuntimeError("DHT mirror not enabled; cannot rebuild")
-        null8 = DPTR_NULL.to_bytes(8, "little", signed=True)
-        ctx.put(self.table_win, shard, 0, null8 * self.buckets_per_rank)
-        n = self.heap.blocks_per_rank
-        usage = b"".join(
-            (i + 1).to_bytes(8, "little") for i in range(n - 1)
-        ) + TAG_NULL_INDEX.to_bytes(8, "little")
-        ctx.put(self.heap.usage_win, shard, 0, usage)
-        sys_img = (
-            pack_tagged(0, 0).to_bytes(8, "little", signed=True)
-            + (0).to_bytes(8, "little")
-            + b"\x00" * (8 * n)
-        )
-        ctx.put(self.heap.system_win, shard, 0, sys_img)
-        # Parked (unlinked but unreclaimed) entries of the rebuilt heap no
-        # longer exist; dropping them prevents a double free at quiesce.
-        with self._limbo_locks[shard]:
-            self._limbo[shard] = []
-        with self._mirror_locks[shard]:
+        ctx.put(self.table_win, shard, 0, self._empty_table())
+        ctx.put(self.heap.usage_win, shard, 0, self.heap.free_list_image())
+        ctx.put(self.heap.system_win, shard, 0, self.heap.system_image())
+        with self._lock:
+            # the rebuilt heap's parked entries are free already; a new
+            # list, so a pass that took some out cannot put them back
+            self._parked[shard] = []
             entries = list(self._mirror[shard].items())
         for key, value in entries:
             self.insert(ctx, key, value)
@@ -211,9 +184,11 @@ class DistributedHashTable:
         """Prepend a (key, value) entry to the key's bucket chain."""
         rank, boff = self.bucket_of(key)
         entry_ptr = self.heap.acquire_block_anywhere(ctx, preferred=rank)
+        d, win = unpack_dptr(entry_ptr), self.heap.data_win
         head = ctx.aget(self.table_win, rank, boff)
         while True:
-            self._write_entry(ctx, entry_ptr, key, value, head)
+            ctx.iput(win, d.rank, d.offset, _ENTRY.pack(key, value, head))
+            ctx.flush(win, d.rank)
             found = ctx.cas(self.table_win, rank, boff, head, entry_ptr)
             if found == head:
                 self._mirror_set(rank, key, value)
@@ -276,7 +251,7 @@ class DistributedHashTable:
         return results
 
     def delete(self, ctx: RankContext, key: int) -> bool:
-        """Unlink and reclaim the first entry matching ``key``.
+        """Unlink and park the first entry matching ``key``.
 
         Returns ``True`` if an entry was deleted.  Implements the two-CAS
         protocol: CAS 1 marks the victim (next := self), CAS 2 swings the
@@ -318,50 +293,60 @@ class DistributedHashTable:
     ) -> None:
         """CAS 2 (with helping re-walks): bypass the marked ``victim``."""
         while True:
-            # Find the current predecessor location of `victim`.
-            cur = ctx.aget(self.table_win, rank, boff)
-            prev_loc: tuple[str, int, int] = ("bucket", rank, boff)
-            found_victim = False
-            while not is_null(cur):
-                if cur == victim:
-                    found_victim = True
-                    break
+            # find the word that currently points at `victim`
+            prev = (self.table_win, rank, boff)
+            cur = ctx.aget(*prev)
+            while cur != victim and not is_null(cur):
                 _, _, cnxt = self._read_entry(ctx, cur)
                 if cnxt == cur:
-                    break  # a marked entry in the path; re-walk
+                    break  # a marked entry in the path: re-walk
                 d = unpack_dptr(cur)
-                prev_loc = ("entry", d.rank, d.offset + _NEXT_OFF)
+                prev = (self.heap.data_win, d.rank, d.offset + _NEXT_OFF)
                 cur = cnxt
-            if not found_victim:
-                if is_null(cur):
-                    # Victim no longer reachable: already bypassed.
-                    return
-                continue  # re-walk past the marked entry
-            kind, trank, toff = prev_loc
-            win = self.table_win if kind == "bucket" else self.heap.data_win
-            if ctx.cas(win, trank, toff, victim, nxt) == victim:
+            if is_null(cur):
+                return  # victim no longer reachable: already bypassed
+            if cur == victim and ctx.cas(*prev, victim, nxt) == victim:
                 return
 
     # -- memory reclamation -------------------------------------------------------
     def _park(self, ptr: int) -> None:
-        d = unpack_dptr(ptr)
-        with self._limbo_locks[d.rank]:
-            self._limbo[d.rank].append(ptr)
+        # the tag is read after the unlink: a transaction that may still
+        # hold ``ptr`` announced a watermark no newer than it
+        tag = self.epochs.last_issued if self.epochs is not None else 0
+        with self._lock:
+            self._parked[unpack_dptr(ptr).rank].append((tag, ptr))
 
-    def quiesce(self, ctx: RankContext) -> int:
-        """Collective: return limbo entries of this rank to the free list.
+    def parked_count(self) -> int:
+        """Unlinked entries not yet back on a free list, over all shards."""
+        return sum(map(len, self._parked))
 
-        Must be called when no DHT traversal is in flight (GDA calls it at
-        collective-transaction boundaries).  Returns the number of entries
-        this rank reclaimed.
+    def reclaim(self, ctx: RankContext, floor: int) -> int:
+        """Free every parked entry tagged below ``floor``; returns how many.
+
+        Never raises: a shard this rank may not reach keeps its entries
+        parked (its rebuild drops them), and so does a shard whose
+        release failed, which then had no effect, unless the shard was
+        rebuilt meanwhile.
         """
-        ctx.barrier()
-        with self._limbo_locks[ctx.rank]:
-            parked, self._limbo[ctx.rank] = self._limbo[ctx.rank], []
-        for ptr in parked:
-            self.heap.release_block(ctx, ptr)
-        ctx.barrier()
-        return len(parked)
+        mem = getattr(ctx.rt, "membership", None)
+        released = 0
+        for shard in range(self.nranks):
+            if mem is not None and not mem.serviceable(shard, ctx.rank):
+                continue
+            with self._lock:
+                parked = self._parked[shard]
+                due = [e for e in parked if e[0] < floor]
+                parked[:] = [e for e in parked if e[0] >= floor]
+            for i, (_, ptr) in enumerate(due):
+                try:
+                    self.heap.release_block(ctx, ptr)
+                except RmaError:
+                    with self._lock:
+                        if self._parked[shard] is parked:  # not rebuilt
+                            parked[:0] = due[i:]
+                    break
+                released += 1
+        return released
 
     # -- diagnostics ----------------------------------------------------------------
     def items(self, ctx: RankContext) -> list[tuple[int, int]]:

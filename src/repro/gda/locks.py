@@ -283,7 +283,7 @@ class LockRegistry:
     registry records, Python-side, which ``(rank, offset)`` words each
     owner rank currently holds and in which mode; the failover healer uses
     :meth:`purge` to FAA the dead rank's contributions back out, restoring
-    invariant 5 (all lock words zero at quiescence).
+    invariant 5 (all lock words zero when no transaction is open).
 
     This is the repository's established substitution idiom for structures
     the paper keeps in NIC-accessible memory but whose content is only

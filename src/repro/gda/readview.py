@@ -74,19 +74,21 @@ class ReadView:
         self.storage = tx.db.storage
         self.locks = tx._locks
         self._mvcc = mvcc
-        self._snap = None
         if tx.snapshot and tx.collective:
             # every participant must read at the same watermark: rank 0
             # begins the snapshot and broadcasts the handle, the others
-            # join it (each rank holds its own refcount)
-            snap0 = mvcc.begin_snapshot() if ctx.rank == 0 else None
+            # join it (each rank holds its own handle)
+            snap0 = mvcc.begin_snapshot(0) if ctx.rank == 0 else None
             snap0 = ctx.bcast(snap0, root=0)
-            self._snap = snap0 if ctx.rank == 0 else mvcc.share(snap0)
-        elif tx.snapshot:
-            self._snap = mvcc.begin_snapshot()
+            self._snap = snap0 if ctx.rank == 0 else mvcc.share(snap0, ctx.rank)
+        else:
+            # every transaction announces the watermark it starts at, so
+            # the GC floor frees nothing it may still reach: no version a
+            # snapshot reads, no DHT entry a lookup walks into
+            self._snap = mvcc.begin_snapshot(ctx.rank)
         #: the frozen watermark of a snapshot view, else ``None``
         self.watermark: int | None = (
-            self._snap.watermark if self._snap is not None else None
+            self._snap.watermark if tx.snapshot else None
         )
         #: ``tx._scanned`` when fetched rows may stay columnar: a
         #: lock-free read-only transaction owes a freshly read vertex
@@ -108,9 +110,7 @@ class ReadView:
         return txv
 
     def close(self) -> None:
-        if self._snap is not None:
-            self._snap.close()
-            self._snap = None
+        self._snap.close()
 
     def unpublished(self, app_id: int) -> "int | None":
         """The vid a tombstone says carried ``app_id`` at the watermark."""

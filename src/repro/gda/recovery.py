@@ -135,9 +135,9 @@ class Checkpoint:
 
 
 def take_checkpoint(ctx: RankContext, db: "GdaDatabase") -> Checkpoint:
-    """Collectively capture a checkpoint of a quiescent database.
+    """Collectively capture a checkpoint of an idle database.
 
-    Must be called with no transactions open anywhere (quiescence), like
+    Must be called with no transactions open anywhere, like
     :func:`repro.gda.checkpoint.snapshot` itself.
     """
     from .checkpoint import snapshot
@@ -154,8 +154,8 @@ def take_checkpoint(ctx: RankContext, db: "GdaDatabase") -> Checkpoint:
     pos = db.commit_log.position()
     snap = snapshot(ctx, db)
     if ctx.rank == 0:
-        # quiescent point: no open snapshots can pin the GC floor, so a
-        # checkpoint doubles as a full version-chain reclamation pass
+        # nothing was open, so nothing pins the GC floor: a checkpoint
+        # doubles as a full reclamation pass
         db.mvcc.collect(ctx)
     return Checkpoint(snap=snap, log_pos=pos)
 

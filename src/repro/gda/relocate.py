@@ -49,7 +49,7 @@ through pre-move permanent IDs raise
 :class:`~repro.gdi.errors.GdiStaleDptr` carrying the fresh ID.
 
 Correctness contract: no transactions may be open during a rebalance
-(exactly the quiescent point between collective transactions the paper
+(exactly the idle point between collective transactions the paper
 describes).  Crash tolerance additionally requires block replication
 (the dead rank's shard must remain readable through its mirror); without
 it a mid-rebalance crash is fatal to the run, as in the seed.
@@ -324,7 +324,6 @@ def rebalance(
     if mapping:
         _patch_references(ctx, db, mapping)
     ctx.barrier()
-    db.dht.quiesce(ctx)
 
     # -- publish: stale-DPTR table + epoch fence --------------------------
     if ctx.rank == survivors[0]:

@@ -887,7 +887,7 @@ class Transaction:
             raise
         self._end(committed=True)
         if self.collective:
-            self.db.dht.quiesce(self.ctx)
+            self.ctx.barrier()
 
     def abort(self) -> None:
         """``GDI_AbortTransaction``: discard all local changes."""
@@ -900,9 +900,9 @@ class Transaction:
             self.ctx.barrier()
 
     def _end(self, committed: bool) -> None:
-        """Unlock, close the read view and count the outcome."""
-        self._locks.release_all()
+        """Close the read view, unlock and count the outcome."""
         self._view.close()
+        self._locks.release_all()
         self.open = False
         stats = self.db.stats[self.ctx.rank]
         if committed:

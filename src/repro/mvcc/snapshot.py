@@ -17,13 +17,14 @@ timestamp remembers its issuing rank; failover's heal step calls
 and the log replayed — the replay re-applies surviving effects under
 *fresh* timestamps, so the orphaned one is safe to retire.
 
-GC: the reclamation floor is the smallest live snapshot watermark (or
-the applied watermark when no snapshot is open).  :meth:`collect`
-prunes version chains and unpublish tombstones up to the floor; it runs
-automatically every ``gc_interval`` applied commits and from the
-checkpoint machinery (:func:`repro.gda.recovery.take_checkpoint`), so
-long-lived version history is bounded by snapshot lifetime, not run
-length.
+GC: every transaction announces the applied watermark it starts at (a
+snapshot reads at it, any other kind only pins it); the reclamation
+floor is the smallest one announced, or the applied watermark when no
+transaction is open.  :meth:`collect` prunes version chains and unpublish
+tombstones up to the floor and frees the DHT entries parked below it.
+It runs every ``gc_interval`` applied commits and from the checkpoint
+machinery, so history is bounded by transaction lifetime, not run
+length; a long transaction of any kind, lock mode too, holds it back.
 """
 
 from __future__ import annotations
@@ -37,23 +38,22 @@ __all__ = ["Snapshot", "SnapshotManager"]
 
 
 class Snapshot:
-    """A read-only transaction's frozen watermark (refcounted handle)."""
+    """A watermark one rank announced, held until the handle closes."""
 
-    __slots__ = ("watermark", "manager", "closed")
+    __slots__ = ("watermark", "rank", "manager", "closed")
 
-    def __init__(self, watermark: int, manager: "SnapshotManager") -> None:
+    def __init__(
+        self, watermark: int, rank: int, manager: "SnapshotManager"
+    ) -> None:
         self.watermark = watermark
+        self.rank = rank
         self.manager = manager
         self.closed = False
 
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            self.manager.release(self.watermark)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.closed else "open"
-        return f"Snapshot(watermark={self.watermark}, {state})"
+            self.manager.release(self)
 
 
 class SnapshotManager:
@@ -72,8 +72,10 @@ class SnapshotManager:
         self._pending: dict[int, int] = {}
         #: applied ts above the watermark, awaiting the contiguous prefix
         self._applied_ahead: set[int] = set()
-        #: live snapshot watermark -> refcount
-        self._live: dict[int, int] = {}
+        #: the open handles: every announced watermark
+        self._live: set[Snapshot] = set()
+        #: ranks retired by :meth:`force_apply`, whose pins never count
+        self._dead: set[int] = set()
         self.versions = VersionStore()
         #: unpublish tombstones for deleted vertices, so snapshots can
         #: still *find* and *enumerate* them: app_id -> [(delete_ts, vid)]
@@ -82,6 +84,8 @@ class SnapshotManager:
         self._unpublished: dict[int, list[tuple[int, int]]] = {}
         self._deleted_by_shard: dict[int, list[tuple[int, int]]] = {}
         self._applied_since_gc = 0
+        #: ``fn(ctx, floor)`` freeing the DHT entries parked below the floor
+        self.reclaim = None
         #: lifetime GC statistics (benchmark reporting)
         self.total_reclaimed = 0
         self.gc_floor_high = 0
@@ -108,14 +112,19 @@ class SnapshotManager:
             self._applied_since_gc += 1
 
     def force_apply(self, ranks) -> int:
-        """Retire pending timestamps issued by (now dead) ``ranks`` so
-        the watermark can advance past their orphaned commits.  Returns
-        how many were retired."""
+        """Retire the pending timestamps and announced watermarks of (now
+        dead) ``ranks``, and ignore any they announce later, so neither
+        the watermark nor the floor stays pinned.  Returns how many
+        timestamps were retired."""
         dead = set(ranks)
         with self._lock:
+            self._dead |= dead
             orphans = [t for t, r in self._pending.items() if r in dead]
+            pins = [s for s in self._live if s.rank in dead]
         for ts in orphans:
             self.note_applied(ts)
+        for snap in pins:
+            snap.close()
         return len(orphans)
 
     @property
@@ -129,31 +138,28 @@ class SnapshotManager:
             return self._last_ts
 
     # -- snapshot registry -------------------------------------------------
-    def begin_snapshot(self) -> Snapshot:
-        with self._lock:
-            w = self._watermark
-            self._live[w] = self._live.get(w, 0) + 1
-        return Snapshot(w, self)
+    def begin_snapshot(self, rank: int) -> Snapshot:
+        """Announce the current applied watermark on behalf of ``rank``."""
+        return self.share(None, rank)
 
-    def share(self, snap: Snapshot) -> Snapshot:
-        """Join an existing snapshot (collective transactions: rank 0
-        begins, the broadcast handle is shared by every other rank).
-        Returns a per-rank handle at the same watermark."""
+    def share(self, snap: Snapshot | None, rank: int) -> Snapshot:
+        """``rank``'s handle at ``snap``'s watermark (collective
+        transactions: rank 0 begins, every other rank joins the broadcast
+        handle), or at the current one for ``None``."""
         with self._lock:
-            self._live[snap.watermark] = self._live.get(snap.watermark, 0) + 1
-        return Snapshot(snap.watermark, self)
+            w = self._watermark if snap is None else snap.watermark
+            joined = Snapshot(w, rank, self)
+            if rank not in self._dead:
+                self._live.add(joined)
+        return joined
 
-    def release(self, watermark: int) -> None:
+    def release(self, snap: Snapshot) -> None:
         with self._lock:
-            n = self._live.get(watermark, 0) - 1
-            if n > 0:
-                self._live[watermark] = n
-            else:
-                self._live.pop(watermark, None)
+            self._live.discard(snap)
 
     def live_snapshots(self) -> int:
         with self._lock:
-            return sum(self._live.values())
+            return len(self._live)
 
     # -- unpublish tombstones ---------------------------------------------
     def note_unpublished(
@@ -163,12 +169,8 @@ class SnapshotManager:
         homed on ``shard``) was deleted by commit ``ts`` — snapshots at
         watermarks below ``ts`` still see it."""
         with self._lock:
-            insort(
-                self._unpublished.setdefault(app_id, []), (ts, vid)
-            )
-            insort(
-                self._deleted_by_shard.setdefault(shard, []), (ts, vid)
-            )
+            insort(self._unpublished.setdefault(app_id, []), (ts, vid))
+            insort(self._deleted_by_shard.setdefault(shard, []), (ts, vid))
 
     def lookup_unpublished(self, app_id: int, watermark: int) -> int | None:
         """The vid that carried ``app_id`` at ``watermark`` if a later
@@ -183,63 +185,57 @@ class SnapshotManager:
         """Vids homed on ``shard`` that existed at ``watermark`` but
         have since been deleted (missing from the live directory)."""
         with self._lock:
-            return [
-                vid
-                for ts, vid in self._deleted_by_shard.get(shard, ())
-                if ts > watermark
-            ]
+            entries = self._deleted_by_shard.get(shard, ())
+            return [vid for ts, vid in entries if ts > watermark]
 
     def rekey(self, mapping: dict[int, int]) -> None:
         """Follow a relocation: version chains and tombstones move with
         their vertices (``old vid -> new vid``)."""
         self.versions.rekey({("v", old): ("v", new) for old, new in mapping.items()})
         with self._lock:
-            for entries in self._unpublished.values():
-                for i, (ts, vid) in enumerate(entries):
-                    if vid in mapping:
-                        entries[i] = (ts, mapping[vid])
-            for entries in self._deleted_by_shard.values():
-                for i, (ts, vid) in enumerate(entries):
-                    if vid in mapping:
-                        entries[i] = (ts, mapping[vid])
+            for table in (self._unpublished, self._deleted_by_shard):
+                for entries in table.values():
+                    entries[:] = [(t, mapping.get(v, v)) for t, v in entries]
 
     # -- GC ----------------------------------------------------------------
     def gc_floor(self) -> int:
         """Reclamation floor: nothing at or below it is reachable."""
         with self._lock:
             if self._live:
-                return min(self._live)
+                return min(s.watermark for s in self._live)
             return self._watermark
 
     def collect(self, ctx=None) -> int:
         """Prune version chains and tombstones up to the floor.
 
-        With ``ctx`` the reclaimed-entry count and the floor gauge are
-        recorded in the rank's trace counters.  Returns the number of
-        entries reclaimed.
+        With ``ctx`` the pass also frees the DHT entries parked below the
+        floor (:attr:`reclaim`), pays one read of each rank's announced
+        watermarks, and records the reclaimed count and the floor gauge
+        in the rank's trace counters.  Returns the number of version
+        entries and tombstones reclaimed.
         """
         floor = self.gc_floor()
         reclaimed = self.versions.prune(floor)
         with self._lock:
-            for app_id in list(self._unpublished):
-                entries = self._unpublished[app_id]
-                kept = [(t, v) for t, v in entries if t > floor]
-                reclaimed += len(entries) - len(kept)
-                if kept:
-                    self._unpublished[app_id] = kept
-                else:
-                    del self._unpublished[app_id]
-            for shard in list(self._deleted_by_shard):
-                entries = self._deleted_by_shard[shard]
-                kept = [(t, v) for t, v in entries if t > floor]
-                if kept:
-                    self._deleted_by_shard[shard] = kept
-                else:
-                    del self._deleted_by_shard[shard]
+            # a tombstone sits in both tables: count it in the last
+            for table in (self._deleted_by_shard, self._unpublished):
+                dropped = 0
+                for key, entries in list(table.items()):
+                    kept = [e for e in entries if e[0] > floor]
+                    dropped += len(entries) - len(kept)
+                    if kept:
+                        table[key] = kept
+                    else:
+                        del table[key]
+            reclaimed += dropped
             self.total_reclaimed += reclaimed
             if floor > self.gc_floor_high:
                 self.gc_floor_high = floor
         if ctx is not None:
+            cost = ctx.rt.cost.onesided
+            ctx.charge(sum(cost(ctx.rank, r, 8) for r in range(ctx.nranks)))
+            if self.reclaim is not None:
+                self.reclaim(ctx, floor)
             if reclaimed:
                 ctx.rt.trace.record_versions_reclaimed(ctx.rank, reclaimed)
             ctx.rt.trace.record_gc_watermark(ctx.rank, floor)

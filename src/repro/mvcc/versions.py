@@ -127,8 +127,8 @@ class VersionStore:
     def rekey(self, mapping: dict) -> None:
         """Rename chain keys after a relocation (old key -> new key).
 
-        Relocation runs at a quiescent point (no open transactions, so
-        no live snapshots), but chains above the applied watermark must
+        Relocation runs with no transaction open (so no live
+        snapshots), but chains above the applied watermark must
         follow the object to its new home for *future* snapshots.
         """
         with self._lock:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gda.dht import DistributedHashTable
+from repro.mvcc import SnapshotManager
 from repro.rma import run_spmd
 
 
@@ -103,21 +104,35 @@ def test_delete_then_reinsert():
     _with_dht(1, body)
 
 
-def test_quiesce_reclaims_heap_entries():
+def test_parked_entries_return_once_the_floor_passes_their_tag():
+    """A deleted entry stays allocated while the GC floor is at or below
+    the commit timestamp last issued at its unlink, and goes back to the
+    free list once the floor passes it; a pin taken before the floor
+    moved holds it back until it closes."""
+
+    def allocated(ctx, dht):
+        return sum(dht.heap.allocated_count(ctx, r) for r in range(ctx.nranks))
+
     def body(ctx, dht):
         if ctx.rank == 0:
+            sm = SnapshotManager()
+            dht.epochs, sm.reclaim = sm, dht.reclaim
+            sm.note_applied(sm.begin_commit(0))  # tags start at 1
             for k in range(10):
                 dht.insert(ctx, k, k)
+            pin = sm.begin_snapshot(0)  # a transaction open across the unlinks
             for k in range(10):
                 assert dht.delete(ctx, k)
+            assert dht.parked_count() == 10
+            assert dht.reclaim(ctx, 1) == 0  # floor == tag: held
+            sm.note_applied(sm.begin_commit(0))
+            sm.collect(ctx)  # floor pinned at 1 by the open transaction
+            assert allocated(ctx, dht) == 10
+            pin.close()
+            assert sm.gc_floor() == 2
+            sm.collect(ctx)
+            assert allocated(ctx, dht) == 0 and dht.parked_count() == 0
         ctx.barrier()
-        before = sum(
-            dht.heap.allocated_count(ctx, r) for r in range(ctx.nranks)
-        )
-        assert before == 10  # deleted entries parked in limbo, not freed
-        dht.quiesce(ctx)
-        after = sum(dht.heap.allocated_count(ctx, r) for r in range(ctx.nranks))
-        assert after == 0
 
     _with_dht(2, body)
 
@@ -166,9 +181,15 @@ def test_concurrent_insert_delete_churn():
             assert dht.delete(ctx, k)
             assert dht.lookup(ctx, k) is None
         ctx.barrier()
-        dht.quiesce(ctx)
         if ctx.rank == 0:
             assert dht.items(ctx) == []
+            # without a timestamp source every tag is 0: held at floor 0,
+            # all returned once the floor passes it
+            assert dht.reclaim(ctx, 0) == 0
+            assert dht.reclaim(ctx, 1) == 40
+            assert sum(
+                dht.heap.allocated_count(ctx, r) for r in range(ctx.nranks)
+            ) == 0
 
     _with_dht(4, body, buckets=2, entries=64)
 
@@ -252,6 +273,8 @@ def test_sequential_ops_match_model_dict(ops):
                 got = dht.lookup(ctx, key)
                 if key in model:
                     assert got == model[key]
-        dht.quiesce(ctx)
+        parked = dht.parked_count()
+        assert dht.reclaim(ctx, 1) == parked
+        assert dht.heap.allocated_count(ctx, 0) == len(dht.items(ctx))
 
     _with_dht(1, body, buckets=4, entries=128)

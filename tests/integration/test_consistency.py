@@ -69,7 +69,6 @@ def test_consistent_after_concurrent_oltp_storm():
         ctx.barrier()
         run_oltp_rank(ctx, g, MIXES["WI"], 120, seed=4)
         ctx.barrier()
-        db.dht.quiesce(ctx)
         return check_consistency(ctx, db)
 
     _, res = run_spmd(4, prog)

@@ -42,7 +42,6 @@ def test_full_stack_at_scale():
         # mixed OLTP from all ranks
         oltp = run_oltp_rank(ctx, g, MIXES["LB"], 100, seed=12)
         ctx.barrier()
-        db.dht.quiesce(ctx)
 
         # analytics on the mutated graph
         adj = load_local_adjacency(ctx, g, EdgeOrientation.ANY)

@@ -36,7 +36,7 @@ def test_open_snapshot_still_pins_the_loads_pre_images():
         db = GdaDatabase.create(ctx, CFG)
         # taken before the load: every pre-image the load installs is the
         # state this snapshot must still be able to read
-        pin = db.mvcc.begin_snapshot() if ctx.rank == 0 else None
+        pin = db.mvcc.begin_snapshot(0) if ctx.rank == 0 else None
         ctx.barrier()
         g = build_lpg(ctx, db, PARAMS, SCHEMA)
         ctx.barrier()

@@ -112,18 +112,35 @@ def test_force_apply_retires_dead_ranks_orphans():
     assert sm.force_apply({2}) == 0  # nothing left to retire
 
 
+def test_force_apply_releases_dead_ranks_announced_watermarks():
+    """A rank that dies inside a transaction never closes its pin; heal
+    retires it with the rank's orphaned timestamps, so the floor moves."""
+    sm = SnapshotManager()
+    sm.note_applied(sm.begin_commit(rank=0))
+    dead, alive = sm.begin_snapshot(2), sm.begin_snapshot(0)
+    sm.note_applied(sm.begin_commit(rank=0))
+    alive.close()
+    assert sm.gc_floor() == 1  # pinned by the dead rank
+    sm.force_apply({2})
+    assert dead.closed and sm.live_snapshots() == 0
+    assert sm.gc_floor() == 2
+    sm.begin_snapshot(2)  # announced before its next op fails: ignored
+    sm.note_applied(sm.begin_commit(rank=0))
+    assert sm.live_snapshots() == 0 and sm.gc_floor() == 3
+
+
 # -- snapshots and GC floor --------------------------------------------------
 def test_snapshot_pins_gc_floor_until_released():
     sm = SnapshotManager()
     for _ in range(3):
         sm.note_applied(sm.begin_commit(0))
-    snap = sm.begin_snapshot()
+    snap = sm.begin_snapshot(0)
     assert snap.watermark == 3
     for _ in range(2):
         sm.note_applied(sm.begin_commit(0))
     assert sm.watermark == 5
     assert sm.gc_floor() == 3  # pinned by the live snapshot
-    shared = sm.share(snap)
+    shared = sm.share(snap, 1)
     assert isinstance(shared, Snapshot)
     assert sm.live_snapshots() == 2
     snap.close()
@@ -140,7 +157,7 @@ def test_collect_prunes_chains_and_tombstones_to_floor():
     sm.versions.install(("v", 7), t1, "old")
     sm.note_unpublished(app_id=70, vid=7, shard=1, ts=t1)
     sm.note_applied(t1)
-    snap = sm.begin_snapshot()  # W = 1: sees the post-t1 state
+    snap = sm.begin_snapshot(0)  # W = 1: sees the post-t1 state
     t2 = sm.begin_commit(0)
     sm.versions.install(("v", 8), t2, "newer-old")
     sm.note_unpublished(app_id=80, vid=8, shard=0, ts=t2)
