@@ -46,7 +46,7 @@ def _run_gda_cell(mode, nranks, profile, n_ops):
             ctx,
             GdaConfig(
                 blocks_per_rank=max(16384, 8 * params.n_edges // ctx.nranks),
-                dht_entries_per_rank=max(4096, 4 * params.n_vertices),
+                dht_entries_per_rank=max(4096, 4 * params.n_vertices // ctx.nranks),
             ),
         )
         g = build_lpg(ctx, db, params, default_schema())
@@ -86,7 +86,7 @@ def _run_replication_twin(mode, nranks, profile, n_ops):
             ctx,
             GdaConfig(
                 blocks_per_rank=max(16384, 8 * params.n_edges // ctx.nranks),
-                dht_entries_per_rank=max(4096, 4 * params.n_vertices),
+                dht_entries_per_rank=max(4096, 4 * params.n_vertices // ctx.nranks),
                 replication=True,
             ),
         )

@@ -31,7 +31,7 @@ def _collect(nranks, n_ops):
             ctx,
             GdaConfig(
                 blocks_per_rank=max(16384, 8 * PARAMS.n_edges // ctx.nranks),
-                dht_entries_per_rank=4 * PARAMS.n_vertices,
+                dht_entries_per_rank=max(4096, 4 * PARAMS.n_vertices // ctx.nranks),
             ),
         )
         g = build_lpg(ctx, db, PARAMS, default_schema())

@@ -67,7 +67,7 @@ def _run_cell(mode, nranks):
             ctx,
             GdaConfig(
                 blocks_per_rank=max(16384, 8 * params.n_edges // ctx.nranks),
-                dht_entries_per_rank=max(4096, 4 * params.n_vertices),
+                dht_entries_per_rank=max(4096, 4 * params.n_vertices // ctx.nranks),
             ),
         )
         g = build_lpg(ctx, db, params, schema)

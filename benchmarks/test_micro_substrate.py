@@ -113,11 +113,7 @@ def _make_blocks(rt, name="micro.bgdl"):
     data = rt.allocate_window(f"{name}.data{suffix}", 512 * 256)
     usage = rt.allocate_window(f"{name}.usage{suffix}", 8 * 256)
     system = rt.allocate_window(f"{name}.system{suffix}", 16 + 8 * 256)
-    mgr = BlockManager(data, usage, system, 512, 256)
-    for r in range(rt.nranks):
-        c = rt.context(r)
-        mgr._init_local_segment(c)
-    return mgr
+    return BlockManager(data, usage, system, 512, 256)
 
 
 _make_blocks._counter = __import__("itertools").count()
@@ -137,8 +133,6 @@ def test_dht_insert_lookup_delete(benchmark, rt, ctx):
         ENTRY_BYTES,
         512,
     )
-    for r in range(rt.nranks):
-        heap2._init_local_segment(rt.context(r))
     dht = DistributedHashTable(
         table_win=table,
         heap=heap2,

@@ -6,11 +6,17 @@ communication (larger blocks → one fetch covers more of a vertex) against
 memory (internal fragmentation).  Three RMA windows implement the pool:
 
 * the **data** window — the blocks themselves,
-* the **usage** window — a per-rank free list: element ``i`` holds the
-  index of the next free block after block ``i``,
+* the **usage** window — a per-rank free list, one link per block,
 * the **system** window — the tagged head pointer of the free list, an
   allocation counter, and the per-block lock words used by the
   reader-writer locks of Section 5.6.
+
+Free block ``i``'s link stores ``next - (i + 1)``, where ``next`` is the
+following free block and ``n = blocks_per_rank`` ends the list, as it
+does in the head ``(tag, first free block)`` of an empty pool.  So zeroed
+segments, which is how windows start, already hold a fresh pool: the
+chain ``0 -> 1 -> ... -> n-1 -> end``, head ``(0, 0)``, count and lock
+words zero.  No other module knows this encoding.
 
 ``acquire_block``/``release_block`` follow the paper's lock-free protocol:
 AGET the list head, AGET the successor, CAS the head forward; the 32-bit
@@ -22,7 +28,7 @@ value the CAS returned (no extra AGET), exactly as described in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -81,12 +87,8 @@ class BlockManager:
         blocks_per_rank: int,
         name_prefix: str = "bgdl",
     ) -> "BlockManager":
-        """Collectively allocate and initialize the BGDL windows.
-
-        Every rank initializes its own segment: blocks chained
-        ``0 -> 1 -> ... -> n-1 -> NULL``, head ``(tag=0, index=0)``,
-        counter zero, lock words zero.
-        """
+        """Collectively allocate the BGDL windows; zeroed, they already
+        hold an empty pool (module docstring), so nothing is written."""
         if block_size < 16 or block_size % 8 != 0:
             raise ValueError("block_size must be >= 16 and 8-byte aligned")
         if blocks_per_rank < 1 or blocks_per_rank >= TAG_NULL_INDEX:
@@ -98,25 +100,39 @@ class BlockManager:
         system_win = ctx.win_allocate(
             f"{name_prefix}.system", SYS_LOCKS_OFF + 8 * blocks_per_rank
         )
-        mgr = cls(data_win, usage_win, system_win, block_size, blocks_per_rank)
-        mgr._init_local_segment(ctx)
         ctx.barrier()
-        return mgr
+        return cls(data_win, usage_win, system_win, block_size, blocks_per_rank)
 
-    def _init_local_segment(self, ctx: RankContext) -> None:
-        self.usage_win.write(ctx.rank, 0, self.free_list_image())
-        self.system_win.write(ctx.rank, 0, self.system_image())
+    def reset_free_list(
+        self, ctx: RankContext, shard: int, live: Iterable[int] = ()
+    ) -> None:
+        """Put ``shard``'s usage and system segments back, with two puts,
+        to a pool whose allocated blocks are ``live``: the others chained
+        in ascending order, count ``|live|``, tag and lock words zero."""
+        n = self.blocks_per_rank
+        free = np.ones(n + 1, dtype=bool)  # index n: the end of the list
+        free[list(live)] = False
+        idx = np.flatnonzero(free)
+        links = np.zeros(n, dtype="<i8")
+        links[idx[:-1]] = np.diff(idx) - 1
+        system = np.zeros(SYS_LOCKS_OFF // 8 + n, dtype="<i8")
+        system[SYS_HEAD_OFF // 8] = pack_tagged(0, int(idx[0]))
+        system[SYS_COUNT_OFF // 8] = n + 1 - len(idx)
+        ctx.put(self.usage_win, shard, 0, links.tobytes())
+        ctx.put(self.system_win, shard, 0, system.tobytes())
 
-    def free_list_image(self) -> bytes:
-        """A fresh usage segment: the free list ``0 -> 1 -> ... -> NULL``."""
-        links = np.arange(1, self.blocks_per_rank + 1, dtype="<i8")
-        links[-1] = TAG_NULL_INDEX
-        return links.tobytes()
-
-    def system_image(self) -> bytes:
-        """A fresh system segment: head ``(tag 0, index 0)``, all else 0."""
-        head = pack_tagged(0, 0).to_bytes(8, "little", signed=True)
-        return head + bytes(SYS_LOCKS_OFF - 8 + 8 * self.blocks_per_rank)
+    def free_list(self, ctx: RankContext, shard: int) -> list[int]:
+        """``shard``'s free list walked from its head with one AGET and one
+        get (diagnostics).  A link out of the pool ends the walk, which
+        keeps it; a walk of more than ``n`` blocks has met a cycle."""
+        n = self.blocks_per_rank
+        idx = unpack_tagged(ctx.aget(self.system_win, shard, SYS_HEAD_OFF))[1]
+        raw = np.frombuffer(ctx.get(self.usage_win, shard, 0, 8 * n), dtype="<i8")
+        nxt, out = (raw + np.arange(1, n + 1)).tolist(), []
+        while 0 <= idx < n and len(out) <= n:
+            out.append(idx)
+            idx = nxt[idx]
+        return out if idx == n else out + [idx]
 
     # -- address arithmetic ---------------------------------------------------
     def lock_location(self, dptr: int) -> tuple[int, int]:
@@ -139,9 +155,9 @@ class BlockManager:
         head = ctx.aget(sw, target, SYS_HEAD_OFF)  # step 1
         while True:
             tag, idx = unpack_tagged(head)
-            if idx == TAG_NULL_INDEX:
+            if idx == self.blocks_per_rank:
                 return None
-            nxt = ctx.aget(uw, target, 8 * idx)  # step 2
+            nxt = ctx.aget(uw, target, 8 * idx) + idx + 1  # step 2
             new_head = pack_tagged(tag + 1, nxt)
             found = ctx.cas(sw, target, SYS_HEAD_OFF, head, new_head)  # step 3
             if found == head:
@@ -180,7 +196,8 @@ class BlockManager:
         head = ctx.aget(sw, d.rank, SYS_HEAD_OFF)
         while True:
             tag, hidx = unpack_tagged(head)
-            ctx.aput(uw, d.rank, 8 * idx, hidx)  # our block points at old head
+            # our block points at the old head
+            ctx.aput(uw, d.rank, 8 * idx, hidx - (idx + 1))
             ctx.flush(uw, d.rank)
             new_head = pack_tagged(tag + 1, idx)
             found = ctx.cas(sw, d.rank, SYS_HEAD_OFF, head, new_head)

@@ -21,6 +21,10 @@ whenever no transaction is open:
 6. **DHT heap accounting** — the allocated DHT heap entries are exactly
    the entries reachable from the bucket chains plus the unlinked ones
    parked until the GC floor passes them (no leak, no double free).
+7. **Sound free lists** — on every shard of the BGDL pool and of the DHT
+   heap, the free list walked from its head is acyclic and holds exactly
+   the blocks not counted as allocated; none of its BGDL blocks is one
+   that invariant 4 found reachable from a live holder.
 
 Used by the integration tests after concurrent OLTP storms; returns a
 report object whose ``ok`` flag and ``problems`` list make failures
@@ -34,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..rma.runtime import RankContext
-from .blocks import SYS_LOCKS_OFF
+from .blocks import SYS_LOCKS_OFF, BlockManager
 from .checkpoint import _hosted_vertices
 from .database_impl import GdaDatabase
 from .dptr import unpack_dptr
@@ -68,6 +72,25 @@ def _reciprocal(direction: int) -> int:
     if direction == DIR_IN:
         return DIR_OUT
     return DIR_UNDIR
+
+
+def _free_list_problems(
+    ctx: RankContext, pool: BlockManager, shard: int, used: list[int], what: str
+) -> list[str]:
+    """Invariant 7 on one shard of one pool; ``used``: the DPtrs in use."""
+    n, walk = pool.blocks_per_rank, pool.free_list(ctx, shard)
+    where = f"{what} free list on shard {shard}"
+    if len(set(walk)) < len(walk) or (walk and not 0 <= walk[-1] < n):
+        return [f"{where}: a cycle or a link out of the pool at {walk[-1]}"]
+    problems = []
+    want = n - pool.allocated_count(ctx, shard)
+    if len(walk) != want:
+        problems.append(f"{where}: {len(walk)} blocks, {want} not allocated")
+    on_shard = (unpack_dptr(p) for p in used)
+    taken = {d.offset // pool.block_size for d in on_shard if d.rank == shard}
+    if taken.intersection(walk):
+        problems.append(f"{where}: holds used {sorted(taken.intersection(walk))}")
+    return problems
 
 
 def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
@@ -168,7 +191,7 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
             stored.holder.src,
             stored.holder.dst,
             stored.holder.directed,
-            1 + len(stored.data_blocks) + len(stored.index_blocks),
+            stored.all_blocks,
         )
     global_heavy: dict[int, tuple] = {}
     for part in ctx.allgather(local_heavy):
@@ -194,12 +217,10 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
             )
 
     # ---- invariant 4: storage accounting ----------------------------------
-    local_reachable = 0
-    for stored in local_holders.values():
-        local_reachable += 1 + len(stored.data_blocks) + len(stored.index_blocks)
-    for meta in local_heavy.values():
-        local_reachable += meta[3]
-    report.blocks_reachable = ctx.allreduce(local_reachable)
+    local_reachable = [b for s in local_holders.values() for b in s.all_blocks]
+    local_reachable += [b for meta in local_heavy.values() for b in meta[3]]
+    reachable = [b for part in ctx.allgather(local_reachable) if part for b in part]
+    report.blocks_reachable = len(reachable)
     report.blocks_allocated = sum(
         db.blocks.allocated_count(ctx, r) for r in range(ctx.nranks)
     )
@@ -232,6 +253,12 @@ def check_consistency(ctx: RankContext, db: GdaDatabase) -> ConsistencyReport:
                     f"lock word for block {i} on shard {shard} leaked: "
                     f"{word:#x}"
                 )
+
+    # ---- invariant 7: sound free lists ------------------------------------
+    pools = ((db.blocks, reachable, "BGDL"), (db.dht.heap, [], "DHT heap"))
+    for shard in hosted:
+        for pool, used, what in pools:
+            report.problems += _free_list_problems(ctx, pool, shard, used, what)
 
     # every rank returns the merged problem list
     all_problems: list[str] = []

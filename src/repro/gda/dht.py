@@ -168,8 +168,7 @@ class DistributedHashTable:
         if self._mirror is None:
             raise RuntimeError("DHT mirror not enabled; cannot rebuild")
         ctx.put(self.table_win, shard, 0, self._empty_table())
-        ctx.put(self.heap.usage_win, shard, 0, self.heap.free_list_image())
-        ctx.put(self.heap.system_win, shard, 0, self.heap.system_image())
+        self.heap.reset_free_list(ctx, shard)
         with self._lock:
             # the rebuilt heap's parked entries are free already; a new
             # list, so a pass that took some out cannot put them back

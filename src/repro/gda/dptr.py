@@ -92,7 +92,7 @@ def is_null(value: int) -> bool:
 
 # -- tagged pointers for the BGDL free lists -------------------------------
 
-#: Index value that marks an empty free list inside a tagged word.
+#: The largest block index a tagged word holds.
 TAG_NULL_INDEX = (1 << 32) - 1
 
 

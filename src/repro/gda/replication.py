@@ -48,7 +48,7 @@ from ..gdi.errors import GdiChecksumError, GdiTransactionCritical
 from ..rma.faults import RmaRankDead, RmaTransientError
 from ..rma.runtime import RankContext
 from ..rma.window import Window
-from .dptr import TAG_NULL_INDEX, pack_tagged, unpack_dptr
+from .dptr import unpack_dptr
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rma.membership import ClusterMembership
@@ -96,7 +96,6 @@ class ReplicationManager:
         self.membership = membership
         self.blocks = blocks
         self.block_size = blocks.block_size
-        self.blocks_per_rank = blocks.blocks_per_rank
         self.nranks = nranks
         #: shard -> {block index: (crc32, nbytes)} of mirrored live blocks
         self.meta: list[dict[int, tuple[int, int]]] = [
@@ -271,7 +270,7 @@ class ReplicationManager:
         mem = self.membership
         rt.trace.record_repair(ctx.rank)
         mem.adopt_epoch(ctx.rank)
-        bs, n = self.block_size, self.blocks_per_rank
+        bs = self.block_size
 
         # 0. The dead rank's staged mirrors die with it; capture its intent.
         with self._staged_mu:
@@ -312,24 +311,11 @@ class ReplicationManager:
                     "verification at failover promotion"
                 )
 
-        # 3. Rebuild the shard's BGDL segments in place: data zeroed then
-        # restored at original offsets (DPtrs survive), free list = the
-        # complement of the live set, allocation count = |live|, lock
-        # words zero.
-        free = [i for i in range(n) if i not in dict(live)]
-        usage = bytearray(8 * n)
-        for pos, idx in enumerate(free):
-            nxt = free[pos + 1] if pos + 1 < len(free) else TAG_NULL_INDEX
-            usage[8 * idx : 8 * idx + 8] = nxt.to_bytes(8, "little")
-        head_idx = free[0] if free else TAG_NULL_INDEX
-        sys_img = (
-            pack_tagged(0, head_idx).to_bytes(8, "little", signed=True)
-            + len(live).to_bytes(8, "little", signed=True)
-            + b"\x00" * (8 * n)
-        )
-        ctx.put(db.blocks.data_win, shard, 0, b"\x00" * (bs * n))
-        ctx.put(db.blocks.usage_win, shard, 0, bytes(usage))
-        ctx.put(db.blocks.system_win, shard, 0, sys_img)
+        # 3. Rebuild the shard's BGDL segments in place: data zeroed, then
+        # restored at original offsets (DPtrs survive); the pool holds
+        # exactly the live set.
+        ctx.put(db.blocks.data_win, shard, 0, bytes(db.blocks.data_win.size))
+        db.blocks.reset_free_list(ctx, shard, (idx for idx, _ in live))
         if live:
             ctx.iput_batch(
                 db.blocks.data_win,

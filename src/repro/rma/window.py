@@ -9,6 +9,7 @@ backing the distributed hash table.
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 import numpy as np
@@ -45,14 +46,16 @@ class Window:
 
     Notes
     -----
-    Segments are plain ``bytearray`` objects.  Bulk puts/gets use slice
+    Like ``MPI_Win_allocate`` memory, the segments are zero-filled on
+    first touch: one anonymous mapping per window, sliced per rank, so a
+    page costs memory only once it is written.  Bulk puts/gets use slice
     assignment; 8-byte atomics go through :meth:`read_i64`/:meth:`write_i64`
     (or, read-modify-write, one fused step) under the owning runtime's
     per-target atomic lock, mimicking the NIC's atomic unit on RDMA
     hardware.
     """
 
-    __slots__ = ("name", "nranks", "size", "_segments", "freed")
+    __slots__ = ("name", "nranks", "size", "_backing", "_segments", "freed")
 
     def __init__(self, name: str, nranks: int, size: int) -> None:
         if nranks <= 0:
@@ -62,13 +65,16 @@ class Window:
         self.name = name
         self.nranks = nranks
         self.size = size
-        self._segments = [bytearray(size) for _ in range(nranks)]
+        # an anonymous mapping cannot be empty: a 0-byte window has none
+        backing = memoryview(mmap.mmap(-1, size * nranks) if size else bytearray())
+        self._backing = backing
+        self._segments = [backing[r * size : (r + 1) * size] for r in range(nranks)]
         self.freed = False
 
     # -- raw access (used only by the runtime) ---------------------------
     def _check(
         self, rank: int, offset: int, nbytes: int, granule: bool = False
-    ) -> bytearray:
+    ) -> memoryview:
         """Validate one access — as a whole atomic ``granule``, also its
         alignment — and return the segment it falls in."""
         if self.freed:
@@ -96,49 +102,38 @@ class Window:
         ``offsets[i]`` of rank ``ranks[i]``'s segment; the ranges come
         back as one ``uint8`` array, back to back in the given order.
 
-        Equal-sized ranges move in one strided gather per rank; ragged
-        ones in one join over zero-copy slices.  Each is a single C
-        call, so it observes a segment at a single instant.
+        Equal-sized ranges move in one strided gather, ragged ones in one
+        join over zero-copy slices.  Each is a single C call, so it
+        observes the window at a single instant.
         """
         if self.freed:
             raise WindowError(f"window {self.name!r} already freed")
-        n = len(offsets)
-        if n == 0:
+        if len(offsets) == 0:
             return np.empty(0, dtype=np.uint8)
-        ends = offsets + lengths
         if (
             int(ranks.min()) < 0
             or int(ranks.max()) >= self.nranks
             or int(offsets.min()) < 0
             or int(lengths.min()) < 0
-            or int(ends.max()) > self.size
+            or int((offsets + lengths).max()) > self.size
         ):
             raise WindowError(
                 f"window {self.name!r}: batched access outside the "
                 f"{self.nranks} segments of size {self.size}"
             )
+        starts = ranks * self.size + offsets  # into the one mapping
         width = int(lengths[0])
         if (lengths != width).any():
-            segs = [memoryview(s) for s in self._segments]
+            flat = self._backing
+            spans = zip(starts.tolist(), (starts + lengths).tolist())
             return np.frombuffer(
-                b"".join(
-                    [
-                        segs[r][a:b]
-                        for r, a, b in zip(
-                            ranks.tolist(), offsets.tolist(), ends.tolist()
-                        )
-                    ]
-                ),
-                dtype=np.uint8,
+                b"".join([flat[a:b] for a, b in spans]), dtype=np.uint8
             )
-        out = np.empty((n, width), dtype=np.uint8)
-        if width:
-            for r in np.unique(ranks).tolist():
-                seg = np.frombuffer(self._segments[r], dtype=np.uint8)
-                rows = np.lib.stride_tricks.sliding_window_view(seg, width)
-                sel = ranks == r
-                out[sel] = rows[offsets[sel]]
-        return out.reshape(-1)
+        if not width:
+            return np.empty(0, dtype=np.uint8)
+        # row i: the ``width`` bytes from byte i of the mapping (no copy)
+        rows = (len(self._backing) - width + 1, width)
+        return np.ndarray(rows, np.uint8, self._backing, strides=(1, 1))[starts].ravel()
 
     def write(self, rank: int, offset: int, data: bytes) -> None:
         nbytes = len(data)
@@ -170,20 +165,10 @@ class Window:
             _I64.pack_into(seg, offset, _wrap_i64(new))
         return old
 
-    def fill(self, rank: int, value: int = 0) -> None:
-        """Reset a rank's whole segment (used by database bootstrap)."""
-        seg = self._check(rank, 0, self.size)
-        for i in range(0, self.size, 1 << 20):
-            seg[i : min(i + (1 << 20), self.size)] = b"\x00" * (
-                min(i + (1 << 20), self.size) - i
-            )
-        if value:
-            seg[:] = bytes([value & 0xFF]) * self.size
-
     def free(self) -> None:
         """Release the window; subsequent accesses raise ``WindowError``."""
         self.freed = True
-        self._segments = []
+        self._backing, self._segments = memoryview(b""), []
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         state = "freed" if self.freed else f"{self.nranks}x{self.size}B"

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gda import GdaConfig, GdaDatabase
 from repro.gda.blocks import BlockManager, OutOfBlocksError
+from repro.gda.dht import DistributedHashTable
 from repro.gda.dptr import unpack_dptr
 from repro.rma import run_spmd
 
@@ -60,6 +62,95 @@ def test_allocated_counter_tracks_acquire_release():
         ctx.barrier()
 
     _with_manager(1, body)
+
+
+def _fresh_pool_is_the_chain(ctx, mgr):
+    """Every segment of a created pool reads back zero, and each rank's
+    free list hands out blocks 0 .. n-1 in order, then runs dry."""
+    n = mgr.blocks_per_rank
+    for win in (mgr.usage_win, mgr.system_win):
+        for r in range(ctx.nranks):
+            assert win.read(r, 0, win.size) == bytes(win.size)
+    ctx.barrier()
+    if ctx.rank == 0:
+        for r in range(ctx.nranks):
+            assert mgr.free_list(ctx, r) == list(range(n))
+            got = [mgr.acquire_block(ctx, r) for _ in range(n)]
+            assert [unpack_dptr(p) for p in got] == [
+                (r, i * mgr.block_size) for i in range(n)
+            ]
+            assert mgr.acquire_block(ctx, r) is None
+            assert mgr.free_list(ctx, r) == []
+    ctx.barrier()
+
+
+def test_fresh_pool_is_the_chain():
+    _with_manager(2, _fresh_pool_is_the_chain, blocks_per_rank=12)
+
+
+def test_fresh_dht_heap_is_the_chain():
+    def prog(ctx):
+        dht = DistributedHashTable.create(ctx, buckets_per_rank=4, entries_per_rank=9)
+        _fresh_pool_is_the_chain(ctx, dht.heap)
+
+    run_spmd(2, prog)
+
+
+def test_released_blocks_chain_back_in_front():
+    def body(ctx, mgr):
+        if ctx.rank == 0:
+            got = [mgr.acquire_block(ctx, 0) for _ in range(5)]
+            mgr.release_block(ctx, got[1])
+            mgr.release_block(ctx, got[3])
+            assert mgr.free_list(ctx, 0) == [3, 1, 5, 6, 7]
+        ctx.barrier()
+
+    _with_manager(1, body, blocks_per_rank=8)
+
+
+def test_reset_free_list_chains_the_complement():
+    def body(ctx, mgr):
+        if ctx.rank == 0:
+            mgr.acquire_block(ctx, 1)
+            mgr.reset_free_list(ctx, 1, [7, 2, 0])
+            assert mgr.free_list(ctx, 1) == [1, 3, 4, 5, 6]
+            assert mgr.allocated_count(ctx, 1) == 3
+            mgr.reset_free_list(ctx, 1, range(8))
+            assert mgr.free_list(ctx, 1) == []
+            assert mgr.acquire_block(ctx, 1) is None
+            mgr.reset_free_list(ctx, 1)
+            assert mgr.system_win.read(1, 0, mgr.system_win.size) == bytes(
+                mgr.system_win.size
+            )
+            assert mgr.usage_win.read(1, 0, mgr.usage_win.size) == bytes(
+                mgr.usage_win.size
+            )
+        ctx.barrier()
+
+    _with_manager(2, body, blocks_per_rank=8)
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    pytest.skip("no VmRSS in /proc/self/status")
+
+
+def test_empty_database_costs_what_it_holds():
+    """An empty database under the Fig. 6 weak cell's P=64 config
+    (scale 12) adds little RSS: window pages are paid on first touch,
+    and creating the pools touches none of them."""
+    cfg = GdaConfig(blocks_per_rank=16384, dht_entries_per_rank=4096)
+
+    def prog(ctx):
+        GdaDatabase.create(ctx, cfg)
+
+    before = _rss_mb()
+    rt, _ = run_spmd(64, prog)  # ``rt`` keeps the windows allocated
+    added = _rss_mb() - before
+    assert added <= 100, f"an empty P=64 database added {added:.0f} MB RSS"
 
 
 def test_acquire_anywhere_spills_to_other_ranks():

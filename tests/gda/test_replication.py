@@ -210,3 +210,52 @@ def test_failover_repairs_crashed_shard_and_serves_degraded():
     totals = [rt.trace.counters[r].snapshot() for r in range(3)]
     assert sum(t["epoch_fences"] for t in totals) > 0
     assert sum(t["shard_repairs"] for t in totals) == 1
+
+
+def test_repaired_pool_chains_the_complement_of_the_live_set():
+    """The repair of a crashed shard rebuilds its free list as the blocks
+    its mirror does not hold, in ascending order, whatever order the
+    dead rank's list was in."""
+    state = {}
+    victim = 2
+
+    def build(ctx):
+        db = GdaDatabase.create(ctx, CFG)
+        _make_graph(ctx, db, n=18)
+        if ctx.rank == 0:
+            tx = db.start_transaction(ctx, write=True)
+            for i in (5, 11, 17):  # on the victim's shard
+                tx.find_vertex(i).delete()
+            tx.commit()
+            state["db"] = db
+        ctx.barrier()
+
+    rt, _ = run_spmd(3, build)
+    mem = rt.membership
+
+    def degraded(ctx):
+        db = state["db"]
+        if ctx.rank != victim:
+            run_transaction(
+                ctx,
+                db,
+                lambda tx: [tx.find_vertex(i) for i in range(18)],
+                write=False,
+                policy=RetryPolicy(max_attempts=6),
+            )
+        ctx.barrier()
+        if ctx.rank != mem.host_of(victim):
+            return None
+        return db.blocks.free_list(ctx, victim), set(db.replication.meta[victim])
+
+    _, res = run_spmd(
+        3,
+        degraded,
+        runtime=rt,
+        faults=FaultPlan(crash_rank=victim, crash_at_op=1),
+    )
+    walk, live = res[mem.host_of(victim)]
+    assert mem.shard_state(victim) == SHARD_REHOSTED
+    assert max(live) + 1 > len(live), "the live set should have a hole"
+    n = state["db"].blocks.blocks_per_rank
+    assert walk == [i for i in range(n) if i not in live]

@@ -74,9 +74,7 @@ def _storage():
             BLOCK,
             NBLOCKS,
         )
-        ctx = rt.context(0)
-        mgr._init_local_segment(ctx)
-        _STORAGE.append((ctx, HolderStorage(mgr)))
+        _STORAGE.append((rt.context(0), HolderStorage(mgr)))
     return _STORAGE[0]
 
 

@@ -62,15 +62,6 @@ def test_freed_window_rejects_access():
     assert win.freed
 
 
-def test_fill_resets_segment():
-    win = Window("w", nranks=2, size=64)
-    win.write(1, 0, b"\xff" * 64)
-    win.fill(1)
-    assert win.read(1, 0, 64) == b"\x00" * 64
-    win.fill(0, value=0xAB)
-    assert win.read(0, 0, 4) == b"\xab" * 4
-
-
 def test_zero_size_window_allowed():
     win = Window("w", nranks=1, size=0)
     assert win.read(0, 0, 0) == b""

@@ -44,6 +44,12 @@ GRANDFATHERED = {
     # the bulk loader's one holder writer, recorded at its first size and
     # lowered when MVCC stopped being optional
     "gda/bulk.py": 379,
+    # held where a zero segment became an empty pool: window.py and
+    # replication.py shrank; blocks.py grew by the reset and walk verbs
+    # that make it the only module knowing the free-list format
+    "gda/blocks.py": 303,
+    "gda/replication.py": 403,
+    "rma/window.py": 175,
 }
 
 
