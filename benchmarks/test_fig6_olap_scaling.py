@@ -103,9 +103,10 @@ def _run_cell(mode, nranks):
         # baselines on the same network
         shard = timed("g500 build", lambda: build_csr_shard(ctx, params))
         timed("Graph500-BFS", lambda: graph500_bfs(ctx, shard, 0))
-        sim = JanusGraphSim.create(ctx)
-        sim.load_graph(ctx, params, schema)
-        timed("Janus-BFS", lambda: janus_bfs(ctx, sim, 0))
+        if ctx.nranks <= JanusGraphSim.MAX_SERVERS:  # absent above, as in Fig. 4
+            sim = JanusGraphSim.create(ctx)
+            sim.load_graph(ctx, params, schema)
+            timed("Janus-BFS", lambda: janus_bfs(ctx, sim, 0))
         # BFS including the GDI adjacency fetch: the fair one-shot
         # comparison against Graph500 (whose CSR is its native format).
         times["BFS+fetch"] = times["adjacency"] + times["BFS"]
@@ -151,7 +152,7 @@ def test_fig6(mode, benchmark, report, metrics):
         row = [kernel]
         for nranks in ranks:
             times, params, _ = data[nranks]
-            row.append(f"{times[kernel] * 1e3:.3f}")
+            row.append(f"{times[kernel] * 1e3:.3f}" if kernel in times else "-")
         rows.append(row)
     headers = ["kernel"] + [
         f"{r} ranks (2^{data[r][1].scale}V)" for r in ranks
@@ -195,8 +196,11 @@ def test_fig6(mode, benchmark, report, metrics):
     for nranks in ranks:
         times = data[nranks][0]
         assert times["BFS"] <= 6 * times["Graph500-BFS"] + 1e-4, nranks
-    # JanusGraph BFS is orders of magnitude slower than GDA BFS
-    assert t_last["Janus-BFS"] > 10 * t_last["BFS"]
+    # JanusGraph BFS is orders of magnitude slower than GDA BFS (at the
+    # most ranks it still runs on)
+    janus = [data[r][0] for r in ranks if "Janus-BFS" in data[r][0]]
+    if janus:
+        assert janus[-1]["Janus-BFS"] > 10 * janus[-1]["BFS"]
     if mode == "strong" and len(ranks) >= 2:
         # strong scaling: heavy bandwidth-bound kernels get faster with
         # more ranks.  PR is excluded here: combiner pre-aggregation cut

@@ -10,27 +10,30 @@ bit and a reader counter:
 Acquisition is try-lock style with bounded retries: GDA transactions that
 cannot obtain a lock fail (the paper reports failed-transaction percentages
 rather than blocking forever), and the GDI user starts a new transaction.
-Between attempts the contender backs off with a seeded exponential delay
-charged to its simulated clock (``ctx.charge``), so retries neither spin
-back-to-back (which would inflate CAS contention) nor come free in the
-cost model.  ``backoff_base = 0`` disables the backoff.
 
-Protocol (all via remote atomics, two network ops worst case per attempt):
+One protocol takes a vector of words, and the scalar verbs of
+:class:`RWLock` are its one-word calls.  Each attempt issues one atomic per
+word still wanted (one batched round; a one-word round is the scalar
+atomic), backs the failed read increments out, and counts a conflict per
+contended word.  It then waits one seeded exponential backoff (the first
+contended word's delay, charged to the simulated clock) and retries only
+the contended words, each for up to ``max_retries`` attempts in all:
 
 * **read acquire** — FAA(+1); if the fetched word had the write bit set,
-  FAA(-1) to back out and retry.
+  FAA(-1) to back out.
 * **write acquire** — CAS(0 → WRITE_BIT); succeeds only with no readers
   and no writer.
 * **upgrade read→write** — CAS(1 → WRITE_BIT): we are the sole reader and
   atomically become the writer.
-* **releases** — FAA(-1) / CAS(WRITE_BIT → 0).
+* **give-back** — one FAA per word of what its mode took: -1 (read),
+  -WRITE_BIT (write) or 1 - WRITE_BIT (upgrade: a gap-free downgrade).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from ..rma.faults import backoff_delay
 from ..rma.runtime import RankContext
@@ -41,6 +44,9 @@ __all__ = [
     "LockTimeout",
     "LockRegistry",
     "WRITE_BIT",
+    "READ",
+    "WRITE",
+    "UPGRADE",
     "acquire_read_batch",
     "acquire_write_batch",
     "upgrade_batch",
@@ -60,28 +66,36 @@ class LockTimeout(RuntimeError):
 
 
 class _Mode(NamedTuple):
-    """One way of taking a lock word: its atomic, success test and undo."""
+    """One way of taking a lock word: its atomic, success test and
+    give-back."""
 
-    #: the public scalar verb of the mode (looked up per call, so a probe
-    #: patched over it still sees the retries of a batch)
-    verb: str
     #: ``CAS(expect -> WRITE_BIT)``, held iff the word was ``expect``;
     #: ``None`` is the read side: ``FAA(+1)``, held unless the write bit
     #: was set (and then backed out with ``FAA(-1)``)
     expect: int | None
-    #: FAA delta that gives a held lock of this mode back
+    #: FAA delta that gives back what a take in this mode took
     undo: int
     busy: str
+    #: raised by a give-back of a word that did not hold it
+    misuse: str
 
 
-_READ = _Mode("acquire_read", None, -1, "read lock at rank {} offset {} busy")
-_WRITE = _Mode(
-    "acquire_write", 0, -WRITE_BIT, "write lock at rank {} offset {} busy"
+READ = _Mode(
+    None, -1, "read lock at rank {} offset {} busy",
+    "release_read without a held read lock",
 )
-_UPGRADE = _Mode(
-    "upgrade", 1, 1 - WRITE_BIT,
+WRITE = _Mode(
+    0, -WRITE_BIT, "write lock at rank {} offset {} busy",
+    "release_write without the write lock held",
+)
+UPGRADE = _Mode(
+    1, 1 - WRITE_BIT,
     "upgrade at rank {} offset {} failed (concurrent readers or writer)",
+    "downgrade without the write lock held",
 )
+
+#: called with the words each round took (see :func:`acquire_read_batch`)
+Note = Optional[Callable[[list["RWLock"]], None]]
 
 
 @dataclass
@@ -119,44 +133,18 @@ class RWLock:
         ctx.charge(delay)
         ctx.rt.trace.record_backoff(ctx.rank, delay)
 
-    def _acquire(self, ctx: RankContext, mode: _Mode) -> None:
-        """Bounded retry of one mode's atomic, backing off between tries."""
-        win, rank, offset = self.window, self.rank, self.offset
-        for attempt in range(self.max_retries):
-            if mode.expect is None:
-                if not ctx.faa(win, rank, offset, 1) & WRITE_BIT:
-                    return
-                ctx.faa(win, rank, offset, -1)  # back out
-            elif ctx.cas(win, rank, offset, mode.expect, WRITE_BIT) == mode.expect:
-                return
-            ctx.rt.trace.record_lock_conflict(ctx.rank, rank)
-            if attempt + 1 < self.max_retries:
-                self._backoff(ctx, attempt)
-        raise LockTimeout(mode.busy.format(rank, offset))
-
-    # -- read side --------------------------------------------------------
     def acquire_read(self, ctx: RankContext) -> None:
-        self._acquire(ctx, _READ)
+        _acquire(ctx, [self], READ)
 
     def release_read(self, ctx: RankContext) -> None:
-        old = ctx.faa(self.window, self.rank, self.offset, -1)
-        if old & WRITE_BIT or (old & ~WRITE_BIT) <= 0:
-            raise RuntimeError("release_read without a held read lock")
+        release_batch(ctx, [(self, READ)])
 
-    # -- write side -------------------------------------------------------
     def acquire_write(self, ctx: RankContext) -> None:
-        self._acquire(ctx, _WRITE)
+        _acquire(ctx, [self], WRITE)
 
     def release_write(self, ctx: RankContext) -> None:
-        # FAA, not CAS: while we hold the write bit, readers may be
-        # mid-backoff (their transient +1/-1 pairs race with the release),
-        # so the word is WRITE_BIT plus a small transient reader count.
-        old = ctx.faa(self.window, self.rank, self.offset, -WRITE_BIT)
-        if not old & WRITE_BIT:
-            ctx.faa(self.window, self.rank, self.offset, WRITE_BIT)  # undo
-            raise RuntimeError("release_write without the write lock held")
+        release_batch(ctx, [(self, WRITE)])
 
-    # -- upgrade / downgrade -----------------------------------------------
     def upgrade(self, ctx: RankContext) -> None:
         """Atomically turn a held read lock into the write lock.
 
@@ -164,14 +152,11 @@ class RWLock:
         caller's transaction must abort (lock-order-free deadlock
         avoidance).
         """
-        self._acquire(ctx, _UPGRADE)
+        _acquire(ctx, [self], UPGRADE)
 
     def downgrade(self, ctx: RankContext) -> None:
         """Turn the held write lock into a read lock without a gap."""
-        old = ctx.faa(self.window, self.rank, self.offset, 1 - WRITE_BIT)
-        if not old & WRITE_BIT:
-            ctx.faa(self.window, self.rank, self.offset, WRITE_BIT - 1)  # undo
-            raise RuntimeError("downgrade without the write lock held")
+        release_batch(ctx, [(self, UPGRADE)])
 
     # -- introspection -----------------------------------------------------
     def peek(self, ctx: RankContext) -> tuple[bool, int]:
@@ -180,98 +165,110 @@ class RWLock:
         return bool(word & WRITE_BIT), word & ~WRITE_BIT
 
 
-def _one_window(locks: list[RWLock]) -> bool:
-    """Whether a vector is worth one batched atomic: two or more words,
-    all in one window."""
-    return len(locks) > 1 and len({id(lk.window) for lk in locks}) == 1
-
-
-def _acquire_batch(ctx: RankContext, locks: list[RWLock], mode: _Mode) -> None:
-    """Take every word of ``locks`` in ``mode``, all or nothing.
-
-    The optimistic atomics for the whole vector ride one doorbell batch
-    (one full atomic round per distinct target NIC); each contended word
-    is then retried through the scalar bounded-retry path (per-lock
-    backoff budget).  On :class:`LockTimeout` every word this call took
-    has been given back; what the caller held before is untouched.
-    """
-    if not _one_window(locks):
-        for lk in locks:
-            getattr(lk, mode.verb)(ctx)
-        return
-    win = locks[0].window
-    if mode.expect is None:
-        olds = ctx.faa_batch(win, [(lk.rank, lk.offset, 1) for lk in locks])
-        won = [not old & WRITE_BIT for old in olds]
-    else:
-        olds = ctx.cas_batch(
-            win, [(lk.rank, lk.offset, mode.expect, WRITE_BIT) for lk in locks]
-        )
-        won = [old == mode.expect for old in olds]
-    held = [lk for lk, ok in zip(locks, won) if ok]
-    contended = [lk for lk, ok in zip(locks, won) if not ok]
-    if contended and mode.expect is None:  # the failed +1s landed: back out
-        ctx.faa_batch(win, [(lk.rank, lk.offset, -1) for lk in contended])
-    try:
-        for lk in contended:
-            getattr(lk, mode.verb)(ctx)
-            held.append(lk)
-    except LockTimeout:
-        if held:
-            ctx.faa_batch(win, [(lk.rank, lk.offset, mode.undo) for lk in held])
-        raise
-
-
-def acquire_read_batch(ctx: RankContext, locks: list[RWLock]) -> None:
-    """Acquire read locks on all ``locks``: one batch of ``FAA(+1)``."""
-    _acquire_batch(ctx, locks, _READ)
-
-
-def acquire_write_batch(ctx: RankContext, locks: list[RWLock]) -> None:
-    """Acquire write locks on all ``locks``: one batch of
-    ``CAS(0 -> WRITE_BIT)``."""
-    _acquire_batch(ctx, locks, _WRITE)
-
-
-def upgrade_batch(ctx: RankContext, locks: list[RWLock]) -> None:
-    """Upgrade held read locks to write locks: one batch of
-    ``CAS(1 -> WRITE_BIT)``.  On timeout the words this call upgraded
-    are downgraded back (gap-free FAA), so the caller still holds
-    exactly its read locks."""
-    _acquire_batch(ctx, locks, _UPGRADE)
-
-
-def release_batch(
-    ctx: RankContext, locks: list[tuple[RWLock, bool]]
+def _acquire(
+    ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note = None
 ) -> None:
-    """Release a mixed vector of ``(lock, is_write)`` in one FAA batch.
+    """The lock protocol (see the module docstring): take every word of
+    ``locks`` (one window; the first handle's retry budget) in ``mode``;
+    ``note`` as :func:`acquire_read_batch` describes it."""
+    if not locks:
+        return
+    first = locks[0]
+    win, tries, expect = first.window, first.max_retries, mode.expect
+    taken: list[RWLock] = []
+    keep = taken.extend if note is None else note
+    wanted = locks
+    for attempt in range(tries):
+        if len(wanted) == 1:
+            lk = wanted[0]
+            olds = [
+                ctx.faa(win, lk.rank, lk.offset, 1) if expect is None
+                else ctx.cas(win, lk.rank, lk.offset, expect, WRITE_BIT)
+            ]
+        elif expect is None:
+            olds = ctx.faa_batch(win, [(lk.rank, lk.offset, 1) for lk in wanted])
+        else:
+            olds = ctx.cas_batch(
+                win, [(lk.rank, lk.offset, expect, WRITE_BIT) for lk in wanted]
+            )
+        got: list[RWLock] = []
+        missed: list[RWLock] = []
+        for lk, old in zip(wanted, olds):
+            won = not old & WRITE_BIT if expect is None else old == expect
+            (got if won else missed).append(lk)
+        if got:
+            keep(got)
+        if not missed:
+            return
+        wanted = missed
+        if expect is None:  # the failed +1s landed: back them out
+            if len(wanted) == 1:
+                ctx.faa(win, wanted[0].rank, wanted[0].offset, -1)
+            else:
+                ctx.faa_batch(win, [(lk.rank, lk.offset, -1) for lk in wanted])
+        for lk in wanted:
+            ctx.rt.trace.record_lock_conflict(ctx.rank, lk.rank)
+        if attempt + 1 < tries:
+            wanted[0]._backoff(ctx, attempt)
+    release_batch(ctx, [(lk, mode) for lk in taken])
+    raise LockTimeout(mode.busy.format(wanted[0].rank, wanted[0].offset))
 
-    Both release directions are FAAs (see :meth:`RWLock.release_write`
-    for why the write release is not a CAS), so the whole vector rides
-    one batched atomic round.  The scalar paths' held-lock sanity checks
-    are preserved per element.
+
+def acquire_read_batch(
+    ctx: RankContext, locks: list[RWLock], note: Note = None
+) -> None:
+    """Acquire read locks on all ``locks`` (``FAA(+1)`` rounds).
+
+    ``note``, when given, is called after each round with the words that
+    round took, before any further op: the caller owns them from then on
+    and gives them back if the call raises.  Without it the call is all
+    or nothing: a timeout gives back every word it took
+    (:func:`release_batch`).
     """
-    if len(locks) < 2 or not _one_window([lk for lk, _ in locks]):
-        for lk, is_write in locks:
-            (lk.release_write if is_write else lk.release_read)(ctx)
+    _acquire(ctx, locks, READ, note)
+
+
+def acquire_write_batch(
+    ctx: RankContext, locks: list[RWLock], note: Note = None
+) -> None:
+    """Acquire write locks on all ``locks`` (``CAS(0 -> WRITE_BIT)``)."""
+    _acquire(ctx, locks, WRITE, note)
+
+
+def upgrade_batch(
+    ctx: RankContext, locks: list[RWLock], note: Note = None
+) -> None:
+    """Upgrade held read locks to write locks (``CAS(1 -> WRITE_BIT)``);
+    a timeout without ``note`` downgrades what the call upgraded."""
+    _acquire(ctx, locks, UPGRADE, note)
+
+
+def release_batch(ctx: RankContext, locks: list[tuple[RWLock, _Mode]]) -> None:
+    """Give back each ``(lock, mode)`` word: what a take in ``mode`` took.
+
+    Every give-back is an FAA (a write release is not a CAS: while we
+    hold the write bit, readers mid-backoff have transient +1/-1 pairs on
+    the word), so the whole vector is one FAA round.  A word that did not
+    hold what is given back raises ``RuntimeError`` (a write bit given
+    back in error is restored first).
+    """
+    if not locks:
         return
     win = locks[0][0].window
-    olds = ctx.faa_batch(
-        win,
-        [
-            (lk.rank, lk.offset, -WRITE_BIT if is_write else -1)
-            for lk, is_write in locks
-        ],
-    )
-    for (lk, is_write), old in zip(locks, olds):
-        if is_write:
-            if not old & WRITE_BIT:
-                ctx.faa(win, lk.rank, lk.offset, WRITE_BIT)  # undo
-                raise RuntimeError(
-                    "release_write without the write lock held"
-                )
-        elif old & WRITE_BIT or (old & ~WRITE_BIT) <= 0:
-            raise RuntimeError("release_read without a held read lock")
+    if len(locks) == 1:  # the scalar atomic
+        lk, mode = locks[0]
+        olds = [ctx.faa(win, lk.rank, lk.offset, mode.undo)]
+    else:
+        olds = ctx.faa_batch(
+            win, [(lk.rank, lk.offset, mode.undo) for lk, mode in locks]
+        )
+    for (lk, mode), old in zip(locks, olds):
+        if mode.expect is None:
+            if old & WRITE_BIT or (old & ~WRITE_BIT) <= 0:
+                raise RuntimeError(mode.misuse)
+        elif not old & WRITE_BIT:
+            ctx.faa(win, lk.rank, lk.offset, -mode.undo)  # restore
+            raise RuntimeError(mode.misuse)
 
 
 class LockRegistry:
@@ -281,9 +278,10 @@ class LockRegistry:
     write bit), so when a rank crashes nobody can tell from the word alone
     which +1s and write bits the dead rank will never release.  The
     registry records, Python-side, which ``(rank, offset)`` words each
-    owner rank currently holds and in which mode; the failover healer uses
-    :meth:`purge` to FAA the dead rank's contributions back out, restoring
-    invariant 5 (all lock words zero when no transaction is open).
+    owner rank currently holds and in which mode (:data:`READ` or
+    :data:`WRITE`); the failover healer uses :meth:`purge` to FAA the dead
+    rank's contributions back out (``mode.undo``), restoring invariant 5
+    (all lock words zero when no transaction is open).
 
     This is the repository's established substitution idiom for structures
     the paper keeps in NIC-accessible memory but whose content is only
@@ -291,15 +289,11 @@ class LockRegistry:
     plane is untouched, only crash cleanup consults the registry.
     """
 
-    #: lock modes mirrored from the transaction layer
-    READ = 1
-    WRITE = 2
-
     def __init__(self) -> None:
-        self._held: dict[int, dict[tuple[int, int], int]] = {}
+        self._held: dict[int, dict[tuple[int, int], _Mode]] = {}
         self._mu = threading.Lock()
 
-    def note_acquire(self, owner: int, rank: int, offset: int, mode: int) -> None:
+    def note_acquire(self, owner: int, rank: int, offset: int, mode: _Mode) -> None:
         with self._mu:
             self._held.setdefault(owner, {})[(rank, offset)] = mode
 
@@ -309,14 +303,14 @@ class LockRegistry:
             if locks is not None:
                 locks.pop((rank, offset), None)
 
-    def purge(self, owner: int) -> list[tuple[int, int, int]]:
+    def purge(self, owner: int) -> list[tuple[int, int, _Mode]]:
         """Remove and return ``(rank, offset, mode)`` for all locks held by
         ``owner`` (used once when ``owner`` is declared dead)."""
         with self._mu:
             locks = self._held.pop(owner, {})
         return [(r, o, m) for (r, o), m in locks.items()]
 
-    def held_by(self, owner: int) -> list[tuple[int, int, int]]:
+    def held_by(self, owner: int) -> list[tuple[int, int, _Mode]]:
         with self._mu:
             locks = self._held.get(owner, {})
             return [(r, o, m) for (r, o), m in locks.items()]

@@ -329,7 +329,7 @@ def rebalance(
     if ctx.rank == survivors[0]:
         db.note_relocations(mapping)
         if mem is not None and mapping:
-            mem.bump_epoch(fence_all=True)
+            mem.bump_epoch()
     ctx.barrier()
     if mem is not None:
         # participants observed the new placement; adopt so only

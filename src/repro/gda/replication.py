@@ -283,13 +283,9 @@ class ReplicationManager:
         # 1. Undo the dead rank's held locks on healthy shards (its own
         # shard's lock words are rebuilt to zero below).
         if db.lock_registry is not None:
-            from .locks import WRITE_BIT, LockRegistry
-
             for lrank, loff, mode in db.lock_registry.purge(shard):
-                if lrank == shard:
-                    continue
-                delta = -1 if mode == LockRegistry.READ else -WRITE_BIT
-                ctx.faa(db.blocks.system_win, lrank, loff, delta)
+                if lrank != shard:
+                    ctx.faa(db.blocks.system_win, lrank, loff, mode.undo)
 
         # 2. Fetch and verify the mirrored live blocks (promotion gate).
         with self._meta_mu:

@@ -41,7 +41,7 @@ from ..gdi.errors import (
     GdiStateError,
 )
 from ..rma.faults import RmaStaleEpoch
-from ..rma.membership import SHARD_FAILED, SHARD_REPAIRING
+from ..rma.membership import STABLE
 from ..rma.runtime import RankContext
 from . import commit as _commit
 from .blocks import OutOfBlocksError
@@ -69,7 +69,9 @@ from .holder import (
     VertexHolder,
 )
 from .locks import (
-    LockRegistry,
+    READ,
+    UPGRADE,
+    WRITE,
     LockTimeout,
     RWLock,
     acquire_read_batch,
@@ -92,9 +94,6 @@ __all__ = [
 ]
 
 
-#: modes of a held lock word; the failover registry mirrors the last two
-_LOCK_NONE, _LOCK_READ, _LOCK_WRITE = 0, LockRegistry.READ, LockRegistry.WRITE
-
 #: seeded exponential backoff between lock attempts, charged as pure
 #: simulated time, never extra one-sided operations.  :class:`RWLock`'s
 #: cap (20 us) is ~10 lock-hold times: large enough to desynchronize
@@ -104,23 +103,26 @@ _LOCK_BACKOFF_BASE = 2e-6
 
 
 class _LockTable:
-    """The lock words one transaction holds: ``vid -> (mode, epoch, lock)``.
+    """The lock words one transaction holds: ``vid -> (mode, epoch, lock)``
+    (``mode`` is :data:`~repro.gda.locks.READ` or ``WRITE``).
 
-    One RW lock word per vertex (Section 5.6), taken try-lock style and
-    kept until the transaction ends (two-phase locking).  ``epoch`` is
-    the membership epoch at acquisition: a shard rehosted after it
-    rebuilt its lock words, so the release must be skipped; ``lock`` is
-    the handle the word was taken through, used again to upgrade and
-    release.  Collective and snapshot transactions are lock-free: their
-    table stays empty.
+    One RW lock word per vertex (Section 5.6), taken try-lock style
+    through the vector verbs of :mod:`repro.gda.locks` and kept until the
+    transaction ends (two-phase locking).  ``epoch`` is the membership
+    epoch when the word was taken: a shard rebuilt after it has a fresh
+    word, so the give-back must skip it (a cluster with no view armed
+    never rebuilds one); ``lock`` is the handle the word was taken
+    through, used again to upgrade and give back.  Collective and
+    snapshot transactions are lock-free: their table stays empty.
     """
 
     def __init__(self, tx: "Transaction") -> None:
         # no reference back to the owning transaction: the cycle would
         # leave every finished transaction to the cyclic collector
-        self._db, self._ctx, self._mem = tx.db, tx.ctx, tx._mem
+        self._db, self._ctx = tx.db, tx.ctx
+        self._mem = tx._mem or STABLE
         self._lock_free = tx.collective or tx.snapshot
-        self._held: dict[int, tuple[int, int, RWLock]] = {}
+        self._held: dict[int, tuple[Any, int, RWLock]] = {}
 
     def _lock_of(self, vid: int) -> RWLock:
         blocks = self._db.blocks
@@ -134,117 +136,104 @@ class _LockTable:
     def acquire(self, vids: "Iterable[int]", want_write: bool) -> None:
         """Hold every lock in ``vids`` in at least the wanted mode.
 
-        Words not held yet are acquired, words held for reading are
-        upgraded when writing is wanted.  With no membership view armed
-        and more than one word to touch, each kind rides one batched
-        atomic round; otherwise the scalar loop runs, which captures the
-        failover epoch per lock.  All-or-nothing for the words this call
-        newly acquires: a timeout releases them again and raises
-        :class:`GdiLockFailed`, on which the transaction fails itself (a
-        word the transaction held before stays held, upgraded or not).
+        Words not held yet are taken in one call of the lock protocol,
+        words held for reading are upgraded in a second when writing is
+        wanted.  Each word is noted (epoch, lock registry) right after the
+        round that took it.  All or nothing: a timeout or a fault gives
+        back exactly the words this call took, released or downgraded
+        back to read, through :meth:`_give_back`; a timeout then raises
+        :class:`GdiLockFailed`, on which the transaction fails itself.
         """
         if self._lock_free:
             return
-        want = _LOCK_WRITE if want_write else _LOCK_READ
+        want = WRITE if want_write else READ
         held = self._held
-        # (vid, its lock, upgrade of a word already held?)
-        todo: list[tuple[int, RWLock, bool]] = []
+        fresh: list[RWLock] = []
+        upgrades: list[RWLock] = []
+        vid_of: dict[int, int] = {}  # id(lock) -> vid
         for vid in dict.fromkeys(vids):
             have = held.get(vid)
             if have is None:
-                todo.append((vid, self._lock_of(vid), False))
-            elif have[0] < want:
-                todo.append((vid, have[2], True))
-        if not todo:
+                lock = self._lock_of(vid)
+                fresh.append(lock)
+            elif want_write and have[0] is READ:
+                lock = have[2]
+                upgrades.append(lock)
+            else:
+                continue
+            vid_of[id(lock)] = vid
+        if not vid_of:
             return
         ctx, mem, registry = self._ctx, self._mem, self._db.lock_registry
-        taken: list[int] = []  # newly acquired by this call
+        before: dict[int, "tuple[Any, int, RWLock] | None"] = {}
 
-        def note(vid: int, lock: RWLock) -> None:
-            held[vid] = (want, mem.epoch if mem is not None else 0, lock)
-            if registry is not None:
-                registry.note_acquire(ctx.rank, lock.rank, lock.offset, want)
+        def note(locks: list[RWLock]) -> None:
+            for lock in locks:
+                vid = vid_of[id(lock)]
+                before[vid] = held.get(vid)
+                held[vid] = (want, mem.epoch, lock)
+                if registry is not None:
+                    registry.note_acquire(ctx.rank, lock.rank, lock.offset, want)
 
         try:
-            if mem is not None or len(todo) == 1:
-                for vid, lock, upgrade in todo:
-                    if upgrade:
-                        lock.upgrade(ctx)
-                    elif want_write:
-                        lock.acquire_write(ctx)
-                    else:
-                        lock.acquire_read(ctx)
-                    note(vid, lock)
-                    if not upgrade:
-                        taken.append(vid)
-            else:
+            if fresh:
                 take = acquire_write_batch if want_write else acquire_read_batch
-                for upgrade, batch in ((False, take), (True, upgrade_batch)):
-                    part = [(vid, lock) for vid, lock, u in todo if u is upgrade]
-                    if part:
-                        batch(ctx, [lock for _, lock in part])
-                        if not upgrade:
-                            taken = [vid for vid, _ in part]
-                        for vid, lock in part:
-                            note(vid, lock)
+                take(ctx, fresh, note)
+            if upgrades:
+                upgrade_batch(ctx, upgrades, note)
         except BaseException as exc:
-            for vid in taken:
-                self.drop(vid)
+            self._give_back(before)
             if isinstance(exc, LockTimeout):
                 raise GdiLockFailed(str(exc)) from exc
             raise
 
     def drop(self, vid: int) -> None:
-        """Release one held lock word, failover-aware (a no-op for a
-        word this table does not hold).
-
-        A shard rebuilt by a failover repair after this lock was acquired
-        had its lock words zeroed, so our contribution is already gone;
-        issuing the release anyway would corrupt the fresh word.
-        """
-        mode, epoch, lock = self._held.pop(vid, (_LOCK_NONE, 0, None))
-        if mode == _LOCK_NONE:
-            return
-        ctx, mem, db = self._ctx, self._mem, self._db
-        lrank = lock.rank
-
-        def rebuilt() -> bool:
-            return mem is not None and (
-                mem.shard_state(lrank) in (SHARD_FAILED, SHARD_REPAIRING)
-                or mem.rehosted_at[lrank] > epoch
-            )
-
-        release = lock.release_read if mode == _LOCK_READ else lock.release_write
-        if not rebuilt():
-            try:
-                release(ctx)
-            except RmaStaleEpoch:
-                # Fenced exactly once per reconfiguration (adopt-once);
-                # the epoch is adopted now.  Re-check whether the word
-                # survived the reconfiguration before re-issuing.
-                if not rebuilt():
-                    release(ctx)
-        # only now: a rank that dies inside the release still holds the
-        # word, and the failover healer backs out what the registry lists
-        if db.lock_registry is not None:
-            db.lock_registry.note_release(ctx.rank, lrank, lock.offset)
+        """Release one held lock word (a no-op for a word this table does
+        not hold)."""
+        if vid in self._held:
+            self._give_back({vid: None})
 
     def release_all(self) -> None:
-        if self._lock_free:
-            return  # never held any
-        if self._mem is not None:
-            for vid in list(self._held):
-                self.drop(vid)
-            return
-        # With no membership view armed the failover-aware release checks
-        # are no-ops (and there is no lock registry: replication, which
-        # keeps one, arms a view), and every release direction is an FAA —
-        # the whole vector rides one batched atomic round per lock shard.
-        pending = [
-            (lock, mode == _LOCK_WRITE) for mode, _, lock in self._held.values()
-        ]
-        self._held.clear()
-        release_batch(self._ctx, pending)
+        if self._held:
+            self._give_back(dict.fromkeys(self._held))
+
+    def _give_back(self, words: "dict[int, tuple | None]") -> None:
+        """Give back held words, each to the entry it had before (``None``:
+        released; a read entry: downgraded), in one failover-aware round.
+
+        A word whose shard a failover repair rebuilt after it was taken is
+        zero again, so our part is already gone and is skipped (issuing it
+        would corrupt the fresh word).  A stale-epoch fence is raised
+        before any word moves and exactly once per reconfiguration; the
+        epoch is adopted then, so the rebuilt check is re-run once before
+        the round is issued again.  The registry forgets a word only after
+        its give-back: a rank that dies inside it still holds the word, and
+        the failover healer backs out what the registry lists.
+        """
+        held, mem, ctx = self._held, self._mem, self._ctx
+        back: list[tuple[RWLock, int, Any]] = []  # (lock, epoch, give-back)
+        for vid, entry in words.items():
+            mode, epoch, lock = held.pop(vid)
+            if entry is not None:
+                held[vid] = entry
+            back.append((lock, epoch, mode if entry is None else UPGRADE))
+        for fenced in (False, True):
+            try:
+                release_batch(ctx, [
+                    (lock, how) for lock, epoch, how in back
+                    if not mem.rebuilt_since(lock.rank, epoch)
+                ])
+                break
+            except RmaStaleEpoch:
+                if fenced:
+                    raise
+        registry = self._db.lock_registry
+        if registry is not None:
+            for (lock, _, _), entry in zip(back, words.values()):
+                if entry is None:
+                    registry.note_release(ctx.rank, lock.rank, lock.offset)
+                else:
+                    registry.note_acquire(ctx.rank, lock.rank, lock.offset, entry[0])
 
 
 class Transaction:

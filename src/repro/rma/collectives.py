@@ -135,7 +135,7 @@ class CollectiveEngine:
         not hang forever inside a half-entered collective.
         """
         with self._parking.cond:
-            self._poisoned = exc
+            self._poisoned = self._poisoned or exc  # the root cause, not its aborts
             self._parking.cond.notify_all()
 
     def rank_exited(self) -> None:

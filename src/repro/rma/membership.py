@@ -50,12 +50,28 @@ __all__ = [
     "SHARD_REPAIRING",
     "SHARD_REHOSTED",
     "ClusterMembership",
+    "STABLE",
 ]
 
 SHARD_NORMAL = "normal"
 SHARD_FAILED = "failed"
 SHARD_REPAIRING = "repairing"
 SHARD_REHOSTED = "rehosted"
+
+
+class _Stable:
+    """The membership of a cluster that never reconfigures: what a reader
+    of epochs sees when no view is armed."""
+
+    epoch = 0
+
+    @staticmethod
+    def rebuilt_since(shard: int, epoch: int) -> bool:
+        return False
+
+
+#: the one :class:`_Stable` view
+STABLE = _Stable()
 
 
 class ClusterMembership:
@@ -119,6 +135,15 @@ class ClusterMembership:
 
     def shard_state(self, shard: int) -> str:
         return self.state[shard]
+
+    def rebuilt_since(self, shard: int, epoch: int) -> bool:
+        """Has ``shard`` failed or been rebuilt since ``epoch``?  A repair
+        rebuilds its lock words from zero, so a word taken before it holds
+        nothing of ours any more."""
+        return (
+            self.state[shard] in (SHARD_FAILED, SHARD_REPAIRING)
+            or self.rehosted_at[shard] > epoch
+        )
 
     def serviceable(self, shard: int, origin: int) -> bool:
         """May ``origin`` issue operations against ``shard`` right now?"""
@@ -192,13 +217,13 @@ class ClusterMembership:
             )
 
     # -- planned reconfiguration (rebalance) -------------------------------
-    def bump_epoch(self, fence_all: bool = True) -> int:
+    def bump_epoch(self) -> int:
         """Advance the epoch for a *planned* reconfiguration (rebalance).
 
         Unlike a crash failover, a rebalance changes where *vertices*
         live without moving any shard to a different host, so the
-        translation table is untouched.  With ``fence_all`` every shard's
-        ``rehosted_at`` is stamped with the new epoch: each issuer's next
+        translation table is untouched.  Every shard's ``rehosted_at`` is
+        stamped with the new epoch: each issuer's next
         operation against *any* shard fails the :meth:`check_epoch` fence
         exactly once (:class:`~repro.rma.faults.RmaStaleEpoch`), forcing
         it through the database's heal hook where it drops stale DPTR
@@ -206,9 +231,7 @@ class ClusterMembership:
         """
         with self._lock:
             self.epoch += 1
-            if fence_all:
-                for s in range(self.nranks):
-                    self.rehosted_at[s] = self.epoch
+            self.rehosted_at[:] = [self.epoch] * self.nranks
             return self.epoch
 
     # -- epoch fencing -----------------------------------------------------

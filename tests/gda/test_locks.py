@@ -230,3 +230,144 @@ def test_mutual_exclusion_under_interleavings(seed):
         return True
 
     _with_lock(3, body, max_retries=8, seed=seed)
+
+
+# ------------------------------------------------------ vector protocol --
+@pytest.mark.parametrize("noted", [False, True])
+def test_batch_retries_only_the_contended_words(noted):
+    """Three words, the middle one write-held by a peer: the first round
+    takes the other two in one batch, each later attempt (after one
+    backoff) touches only the contended word, which times out after
+    ``max_retries`` attempts.  With ``note`` the words taken are the
+    caller's to give back; without, the call gives them back itself."""
+    from repro.gda.locks import acquire_read_batch
+    from repro.rma import XC40, RmaRuntime
+
+    rt = RmaRuntime(2, profile=XC40)
+    win = rt.allocate_window("vector", 64)
+    me, peer = rt.context(0), rt.context(1)
+    locks = [
+        RWLock(win, 1, 8 * i, max_retries=3, backoff_base=2e-6)
+        for i in range(3)
+    ]
+    locks[1].acquire_write(peer)
+    rounds = []
+    with pytest.raises(LockTimeout):
+        acquire_read_batch(me, locks, rounds.append if noted else None)
+    assert rounds == ([[locks[0], locks[2]]] if noted else [])
+    c = rt.trace.counters[0]
+    assert (c.lock_conflicts, c.batches) == (3, 1 + (not noted))
+    # 3 attempts of (+1, back-out -1) on the middle word plus the two
+    # first-round +1s, and without note the batched give-back of those
+    assert c.atomics == 8 + 2 * (not noted)
+    assert c.backoff_time > 0
+    held = int(noted)
+    assert [lk.peek(me) for lk in locks] == [
+        (False, held), (True, 0), (False, held)
+    ]
+
+
+# ------------------------------------------------- one-word protocol --
+def _one_word_run(contended):
+    """Read-acquire, write-acquire, upgrade and release one remote word
+    with the seeded backoff on; ``contended``: a peer holds the word in
+    the conflicting mode across every attempt, so each take times out.
+    Returns the op log ``(kind, origin, target, offset)``, both clocks
+    and the nonzero trace summary."""
+    from repro.rma import XC40, RmaRuntime
+
+    rt = RmaRuntime(2, profile=XC40, log_ops=True)
+    win = rt.allocate_window("one-word", 64)
+    me, peer = rt.context(0), rt.context(1)
+    lock = RWLock(win, 1, 8, max_retries=4, backoff_base=2e-6, seed=3)
+
+    def take(verb, peer_holds):
+        if contended:
+            getattr(lock, peer_holds)(peer)
+        try:
+            getattr(lock, verb)(me)
+        except LockTimeout:
+            assert contended
+        if contended:
+            (lock.release_write if peer_holds == "acquire_write"
+             else lock.release_read)(peer)
+
+    take("acquire_read", "acquire_write")
+    if not contended:
+        lock.release_read(me)
+    take("acquire_write", "acquire_read")
+    if not contended:
+        lock.release_write(me)
+    lock.acquire_read(me)
+    take("upgrade", "acquire_read")
+    if contended:
+        lock.release_read(me)
+    else:
+        lock.downgrade(me)
+        lock.release_read(me)
+    assert lock.peek(me) == (False, 0)
+    ops = [(kind, origin, target, offset)
+           for kind, origin, target, _, offset, _ in rt.trace.ops]
+    summary = {k: v for k, v in rt.trace.summary().items() if v}
+    return ops, list(rt.clocks), summary
+
+
+#: :func:`_one_word_run` as recorded before the lock verbs became
+#: one-word calls of the batched protocol (run this file as a script to
+#: print a fresh literal)
+ONE_WORD = {False: ([('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8),
+          ('atomic', 0, 1, 8)],
+         [1.89e-05, 0.0],
+         {'atomics': 9, 'remote_ops': 9}),
+ True: ([('atomic', 1, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 1, 1, 8),
+         ('atomic', 1, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 1, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 1, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 1, 1, 8),
+         ('atomic', 0, 1, 8),
+         ('atomic', 0, 1, 8)],
+        [7.393616333432842e-05, 4.8e-07],
+        {'atomics': 25,
+         'backoff_time': 3.403616333432845e-05,
+         'local_ops': 6,
+         'lock_conflicts': 12,
+         'remote_ops': 19})}
+
+
+@pytest.mark.parametrize("contended", [False, True])
+def test_one_word_protocol_is_the_recorded_one(contended):
+    """A one-word call issues the scalar atomics, waits the scalar
+    backoff and counts what the scalar retry loop did, op for op."""
+    assert _one_word_run(contended) == ONE_WORD[contended]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    print("ONE_WORD = " + pprint.pformat(
+        {c: _one_word_run(c) for c in (False, True)}, width=79))

@@ -130,11 +130,14 @@ def test_locking_and_snapshot_views_classify_rows_identically(
 
 # ------------------------------------------------------ all-or-nothing --
 @pytest.mark.parametrize("replication", [False, True])
-@pytest.mark.parametrize("for_write", [False, True])
-def test_acquire_is_all_or_nothing(replication, for_write):
-    """A timeout on the k-th word leaves no word held and nothing in the
-    lock registry — on the batched path (no membership view) and on the
-    scalar epoch-capturing one (a view armed by replication)."""
+@pytest.mark.parametrize("take", [False, True, "upgrade"])
+def test_acquire_is_all_or_nothing(replication, take):
+    """A timeout on the k-th word gives back exactly the words that call
+    took, with or without a membership view (one armed by replication):
+    a fresh read or write take leaves no word held and nothing in the
+    lock registry, and a failed upgrade of a read-held set leaves it
+    exactly read-held, registry included."""
+    from repro.gda.locks import READ
 
     def prog(ctx):
         db = GdaDatabase.create(
@@ -145,20 +148,39 @@ def test_acquire_is_all_or_nothing(replication, for_write):
             tx = db.start_transaction(ctx, write=True)
             vids = [tx.create_vertex(i).vid for i in range(4)]
             tx.commit()
-            tx = db.start_transaction(ctx, write=for_write)
+            tx = db.start_transaction(ctx, write=take is not False)
             words = [tx._locks._lock_of(vid) for vid in vids]
-            words[2].acquire_write(ctx)  # somebody else holds the third
+            readers = 0
+            if take == "upgrade":
+                assert all(tx.load_vertices(vids))
+                readers = 1
+                words[2].acquire_read(ctx)  # a second reader of the third
+            else:
+                words[2].acquire_write(ctx)  # somebody else holds the third
             with pytest.raises(GdiLockFailed):
-                tx.load_vertices(vids, for_write=for_write)
-            assert tx.failed and tx._locks._held == {}
+                tx.load_vertices(vids, for_write=take is not False)
+            assert tx.failed
+            still = vids if readers else []  # read-held before the call
+            held = {vid: mode for vid, (mode, _, _) in tx._locks._held.items()}
+            assert held == {vid: READ for vid in still}
+            other = (False, 2) if readers else (True, 0)
             assert [w.peek(ctx) for w in words] == [
-                (False, 0), (False, 0), (True, 0), (False, 0)
+                (False, readers), (False, readers), other, (False, readers)
             ]
             if replication:
-                assert db.lock_registry.held_by(0) == []
+                assert sorted(db.lock_registry.held_by(0)) == sorted(
+                    (w.rank, w.offset, READ) for w in words if readers
+                )
             tx.abort()
-            assert ctx.aget(words[2].window, words[2].rank, words[2].offset) == WRITE_BIT
-            words[2].release_write(ctx)
+            if readers:
+                assert words[2].peek(ctx) == (False, 1)
+                words[2].release_read(ctx)
+            else:
+                assert ctx.aget(
+                    words[2].window, words[2].rank, words[2].offset
+                ) == WRITE_BIT
+                words[2].release_write(ctx)
+            assert [w.peek(ctx) for w in words] == [(False, 0)] * 4
         ctx.barrier()
 
     run_spmd(2, prog)

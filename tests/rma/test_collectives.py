@@ -201,6 +201,30 @@ def test_failed_rank_poisons_collective():
     assert ei.value.rank in (0, 1, 2)
 
 
+def test_poison_keeps_the_root_cause():
+    """Rank 0 fails while its peers wait in a barrier: every peer's abort
+    names the root cause once, instead of each abort embedding the one
+    before it (33 KB of nested text at P=16)."""
+    from repro.rma.collectives import CollectiveAbort
+
+    texts = {}
+
+    def prog(ctx):
+        if ctx.rank == 0:
+            raise ValueError("rank 0 failed")
+        try:
+            ctx.barrier()
+        except CollectiveAbort as exc:
+            texts[ctx.rank] = str(exc)
+            raise
+
+    with pytest.raises(SpmdError) as ei:
+        run_spmd(16, prog, seed=5)
+    assert isinstance(ei.value.__cause__, ValueError)
+    assert sorted(texts) == list(range(1, 16))
+    assert all(len(text) < 1024 for text in texts.values())
+
+
 def test_collectives_under_interleaving_scheduler():
     def prog(ctx):
         win = ctx.win_allocate("w", 64)
