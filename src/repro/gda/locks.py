@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from ..rma.faults import backoff_delay
 from ..rma.runtime import RankContext
@@ -94,8 +94,15 @@ UPGRADE = _Mode(
     "downgrade without the write lock held",
 )
 
-#: called with the words each round took (see :func:`acquire_read_batch`)
-Note = Optional[Callable[[list["RWLock"]], None]]
+#: called after each round with the positions (in the vector passed) of
+#: the words that round took (see :func:`acquire_read_batch`)
+Note = Callable[[list[int]], None]
+
+
+def _untracked(got: list[int]) -> None:
+    """The ``note`` of the scalar :class:`RWLock` verbs: their word is the
+    caller's once the call returns, and a one-word call that raises has
+    taken nothing."""
 
 
 @dataclass
@@ -134,13 +141,13 @@ class RWLock:
         ctx.rt.trace.record_backoff(ctx.rank, delay)
 
     def acquire_read(self, ctx: RankContext) -> None:
-        _acquire(ctx, [self], READ)
+        _acquire(ctx, [self], READ, _untracked)
 
     def release_read(self, ctx: RankContext) -> None:
         release_batch(ctx, [(self, READ)])
 
     def acquire_write(self, ctx: RankContext) -> None:
-        _acquire(ctx, [self], WRITE)
+        _acquire(ctx, [self], WRITE, _untracked)
 
     def release_write(self, ctx: RankContext) -> None:
         release_batch(ctx, [(self, WRITE)])
@@ -152,7 +159,7 @@ class RWLock:
         caller's transaction must abort (lock-order-free deadlock
         avoidance).
         """
-        _acquire(ctx, [self], UPGRADE)
+        _acquire(ctx, [self], UPGRADE, _untracked)
 
     def downgrade(self, ctx: RankContext) -> None:
         """Turn the held write lock into a read lock without a gap."""
@@ -165,9 +172,17 @@ class RWLock:
         return bool(word & WRITE_BIT), word & ~WRITE_BIT
 
 
-def _acquire(
-    ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note = None
-) -> None:
+def _round(ctx: RankContext, win: Window, ops: list[tuple], cas: bool) -> list[int]:
+    """Issue one round of lock atomics and return the fetched words:
+    ``(rank, offset, delta)`` FAAs or ``(rank, offset, expect, new)``
+    CASes.  A one-op round is the scalar atomic, so a one-word call is op
+    for op, clock and counters the scalar protocol."""
+    if len(ops) == 1:
+        return [ctx.cas(win, *ops[0]) if cas else ctx.faa(win, *ops[0])]
+    return ctx.cas_batch(win, ops) if cas else ctx.faa_batch(win, ops)
+
+
+def _acquire(ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note) -> None:
     """The lock protocol (see the module docstring): take every word of
     ``locks`` (one window; the first handle's retry budget) in ``mode``;
     ``note`` as :func:`acquire_read_batch` describes it."""
@@ -175,71 +190,56 @@ def _acquire(
         return
     first = locks[0]
     win, tries, expect = first.window, first.max_retries, mode.expect
-    taken: list[RWLock] = []
-    keep = taken.extend if note is None else note
-    wanted = locks
+    cas = expect is not None
+    take = [
+        (lk.rank, lk.offset, expect, WRITE_BIT) if cas else (lk.rank, lk.offset, 1)
+        for lk in locks
+    ]
+    wanted: "range | list[int]" = range(len(locks))  # positions in ``locks``
+    ops = take
     for attempt in range(tries):
-        if len(wanted) == 1:
-            lk = wanted[0]
-            olds = [
-                ctx.faa(win, lk.rank, lk.offset, 1) if expect is None
-                else ctx.cas(win, lk.rank, lk.offset, expect, WRITE_BIT)
-            ]
-        elif expect is None:
-            olds = ctx.faa_batch(win, [(lk.rank, lk.offset, 1) for lk in wanted])
-        else:
-            olds = ctx.cas_batch(
-                win, [(lk.rank, lk.offset, expect, WRITE_BIT) for lk in wanted]
-            )
-        got: list[RWLock] = []
-        missed: list[RWLock] = []
-        for lk, old in zip(wanted, olds):
-            won = not old & WRITE_BIT if expect is None else old == expect
-            (got if won else missed).append(lk)
+        got: list[int] = []
+        missed: list[int] = []
+        for i, old in zip(wanted, _round(ctx, win, ops, cas)):
+            won = old == expect if cas else not old & WRITE_BIT
+            (got if won else missed).append(i)
         if got:
-            keep(got)
+            note(got)
         if not missed:
             return
         wanted = missed
-        if expect is None:  # the failed +1s landed: back them out
-            if len(wanted) == 1:
-                ctx.faa(win, wanted[0].rank, wanted[0].offset, -1)
-            else:
-                ctx.faa_batch(win, [(lk.rank, lk.offset, -1) for lk in wanted])
-        for lk in wanted:
-            ctx.rt.trace.record_lock_conflict(ctx.rank, lk.rank)
+        ops = [take[i] for i in wanted]
+        if not cas:  # the failed +1s landed: back them out
+            _round(ctx, win, [(r, o, -1) for r, o, _ in ops], False)
+        for i in wanted:
+            ctx.rt.trace.record_lock_conflict(ctx.rank, locks[i].rank)
         if attempt + 1 < tries:
-            wanted[0]._backoff(ctx, attempt)
-    release_batch(ctx, [(lk, mode) for lk in taken])
-    raise LockTimeout(mode.busy.format(wanted[0].rank, wanted[0].offset))
+            locks[wanted[0]]._backoff(ctx, attempt)
+    lk = locks[wanted[0]]
+    raise LockTimeout(mode.busy.format(lk.rank, lk.offset))
 
 
-def acquire_read_batch(
-    ctx: RankContext, locks: list[RWLock], note: Note = None
-) -> None:
+def acquire_read_batch(ctx: RankContext, locks: list[RWLock], note: Note) -> None:
     """Acquire read locks on all ``locks`` (``FAA(+1)`` rounds).
 
-    ``note``, when given, is called after each round with the words that
-    round took, before any further op: the caller owns them from then on
-    and gives them back if the call raises.  Without it the call is all
-    or nothing: a timeout gives back every word it took
-    (:func:`release_batch`).
+    ``note`` is called after each round with the positions in ``locks``
+    of the words that round took, before any further op.  The caller owns
+    those words from then on and gives them back itself
+    (:func:`release_batch`), also when the call raises: a timeout gives
+    nothing back.
     """
     _acquire(ctx, locks, READ, note)
 
 
-def acquire_write_batch(
-    ctx: RankContext, locks: list[RWLock], note: Note = None
-) -> None:
+def acquire_write_batch(ctx: RankContext, locks: list[RWLock], note: Note) -> None:
     """Acquire write locks on all ``locks`` (``CAS(0 -> WRITE_BIT)``)."""
     _acquire(ctx, locks, WRITE, note)
 
 
-def upgrade_batch(
-    ctx: RankContext, locks: list[RWLock], note: Note = None
-) -> None:
+def upgrade_batch(ctx: RankContext, locks: list[RWLock], note: Note) -> None:
     """Upgrade held read locks to write locks (``CAS(1 -> WRITE_BIT)``);
-    a timeout without ``note`` downgrades what the call upgraded."""
+    the caller downgrades what a failed call upgraded (``UPGRADE``
+    give-back)."""
     _acquire(ctx, locks, UPGRADE, note)
 
 
@@ -255,14 +255,8 @@ def release_batch(ctx: RankContext, locks: list[tuple[RWLock, _Mode]]) -> None:
     if not locks:
         return
     win = locks[0][0].window
-    if len(locks) == 1:  # the scalar atomic
-        lk, mode = locks[0]
-        olds = [ctx.faa(win, lk.rank, lk.offset, mode.undo)]
-    else:
-        olds = ctx.faa_batch(
-            win, [(lk.rank, lk.offset, mode.undo) for lk, mode in locks]
-        )
-    for (lk, mode), old in zip(locks, olds):
+    ops = [(lk.rank, lk.offset, mode.undo) for lk, mode in locks]
+    for (lk, mode), old in zip(locks, _round(ctx, win, ops, False)):
         if mode.expect is None:
             if old & WRITE_BIT or (old & ~WRITE_BIT) <= 0:
                 raise RuntimeError(mode.misuse)

@@ -26,7 +26,7 @@ Implements Sections 3.3-3.5 and 5.6 of the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Container, Iterable
 
 import numpy as np
 
@@ -147,59 +147,58 @@ class _LockTable:
         if self._lock_free:
             return
         want = WRITE if want_write else READ
+        take = acquire_write_batch if want_write else acquire_read_batch
         held = self._held
-        fresh: list[RWLock] = []
-        upgrades: list[RWLock] = []
-        vid_of: dict[int, int] = {}  # id(lock) -> vid
+        fresh: list[int] = []
+        fresh_locks: list[RWLock] = []
+        ups: list[int] = []
         for vid in dict.fromkeys(vids):
             have = held.get(vid)
             if have is None:
-                lock = self._lock_of(vid)
-                fresh.append(lock)
+                fresh.append(vid)
+                fresh_locks.append(self._lock_of(vid))
             elif want_write and have[0] is READ:
-                lock = have[2]
-                upgrades.append(lock)
-            else:
-                continue
-            vid_of[id(lock)] = vid
-        if not vid_of:
+                ups.append(vid)
+        if not fresh and not ups:
             return
         ctx, mem, registry = self._ctx, self._mem, self._db.lock_registry
-        before: dict[int, "tuple[Any, int, RWLock] | None"] = {}
+        took: list[int] = []
 
-        def note(locks: list[RWLock]) -> None:
-            for lock in locks:
-                vid = vid_of[id(lock)]
-                before[vid] = held.get(vid)
+        def note(got: list[int]) -> None:
+            # ``batch[i]`` is the vid of ``locks[i]``, the call in flight
+            for i in got:
+                vid, lock = batch[i], locks[i]
                 held[vid] = (want, mem.epoch, lock)
+                took.append(vid)
                 if registry is not None:
                     registry.note_acquire(ctx.rank, lock.rank, lock.offset, want)
 
         try:
             if fresh:
-                take = acquire_write_batch if want_write else acquire_read_batch
-                take(ctx, fresh, note)
-            if upgrades:
-                upgrade_batch(ctx, upgrades, note)
+                batch, locks = fresh, fresh_locks
+                take(ctx, locks, note)
+            if ups:
+                batch, locks = ups, [held[vid][2] for vid in ups]
+                upgrade_batch(ctx, locks, note)
         except BaseException as exc:
-            self._give_back(before)
+            self._give_back(took, downgrade=set(ups))
             if isinstance(exc, LockTimeout):
                 raise GdiLockFailed(str(exc)) from exc
             raise
 
     def drop(self, vid: int) -> None:
-        """Release one held lock word (a no-op for a word this table does
-        not hold)."""
+        """Release one held lock word (a no-op for a word not held)."""
         if vid in self._held:
-            self._give_back({vid: None})
+            self._give_back((vid,))
 
     def release_all(self) -> None:
         if self._held:
-            self._give_back(dict.fromkeys(self._held))
+            self._give_back(list(self._held))
 
-    def _give_back(self, words: "dict[int, tuple | None]") -> None:
-        """Give back held words, each to the entry it had before (``None``:
-        released; a read entry: downgraded), in one failover-aware round.
+    def _give_back(self, vids: Iterable[int], downgrade: Container[int] = ()) -> None:
+        """Give back the held words of ``vids`` in one failover-aware
+        round: release each, except that a word in ``downgrade`` (upgraded
+        by a call that then failed) goes back to read.
 
         A word whose shard a failover repair rebuilt after it was taken is
         zero again, so our part is already gone and is skipped (issuing it
@@ -212,11 +211,12 @@ class _LockTable:
         """
         held, mem, ctx = self._held, self._mem, self._ctx
         back: list[tuple[RWLock, int, Any]] = []  # (lock, epoch, give-back)
-        for vid, entry in words.items():
+        for vid in vids:
             mode, epoch, lock = held.pop(vid)
-            if entry is not None:
-                held[vid] = entry
-            back.append((lock, epoch, mode if entry is None else UPGRADE))
+            if vid in downgrade:
+                held[vid] = (READ, epoch, lock)
+                mode = UPGRADE
+            back.append((lock, epoch, mode))
         for fenced in (False, True):
             try:
                 release_batch(ctx, [
@@ -229,11 +229,11 @@ class _LockTable:
                     raise
         registry = self._db.lock_registry
         if registry is not None:
-            for (lock, _, _), entry in zip(back, words.values()):
-                if entry is None:
-                    registry.note_release(ctx.rank, lock.rank, lock.offset)
+            for lock, _, how in back:
+                if how is UPGRADE:
+                    registry.note_acquire(ctx.rank, lock.rank, lock.offset, READ)
                 else:
-                    registry.note_acquire(ctx.rank, lock.rank, lock.offset, entry[0])
+                    registry.note_release(ctx.rank, lock.rank, lock.offset)
 
 
 class Transaction:

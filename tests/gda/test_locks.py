@@ -233,13 +233,12 @@ def test_mutual_exclusion_under_interleavings(seed):
 
 
 # ------------------------------------------------------ vector protocol --
-@pytest.mark.parametrize("noted", [False, True])
-def test_batch_retries_only_the_contended_words(noted):
+def test_batch_retries_only_the_contended_words():
     """Three words, the middle one write-held by a peer: the first round
     takes the other two in one batch, each later attempt (after one
     backoff) touches only the contended word, which times out after
-    ``max_retries`` attempts.  With ``note`` the words taken are the
-    caller's to give back; without, the call gives them back itself."""
+    ``max_retries`` attempts.  ``note`` hears the positions of the words
+    taken, which stay the caller's to give back."""
     from repro.gda.locks import acquire_read_batch
     from repro.rma import XC40, RmaRuntime
 
@@ -253,18 +252,15 @@ def test_batch_retries_only_the_contended_words(noted):
     locks[1].acquire_write(peer)
     rounds = []
     with pytest.raises(LockTimeout):
-        acquire_read_batch(me, locks, rounds.append if noted else None)
-    assert rounds == ([[locks[0], locks[2]]] if noted else [])
+        acquire_read_batch(me, locks, rounds.append)
+    assert rounds == [[0, 2]]
     c = rt.trace.counters[0]
-    assert (c.lock_conflicts, c.batches) == (3, 1 + (not noted))
+    assert (c.lock_conflicts, c.batches) == (3, 1)
     # 3 attempts of (+1, back-out -1) on the middle word plus the two
-    # first-round +1s, and without note the batched give-back of those
-    assert c.atomics == 8 + 2 * (not noted)
+    # first-round +1s
+    assert c.atomics == 8
     assert c.backoff_time > 0
-    held = int(noted)
-    assert [lk.peek(me) for lk in locks] == [
-        (False, held), (True, 0), (False, held)
-    ]
+    assert [lk.peek(me) for lk in locks] == [(False, 1), (True, 0), (False, 1)]
 
 
 # ------------------------------------------------- one-word protocol --

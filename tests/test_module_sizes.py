@@ -16,7 +16,7 @@ GRANDFATHERED = {
     "rma/runtime.py": 702,
     # held where they shrank when the vector lock verbs became the only
     # lock protocol and the lock table lost its membership-view fork
-    "gda/locks.py": 316,
+    "gda/locks.py": 310,
     "gda/recovery.py": 346,
     "rma/collectives.py": 410,
     "serve/server.py": 371,
