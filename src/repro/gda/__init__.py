@@ -43,7 +43,7 @@ from .recovery import (
     take_checkpoint,
 )
 from .relocate import plan_balance, plan_offload, rebalance
-from .replication import ReplicationLog, ReplicationManager
+from .replication import ReplicationManager
 from .retry import RetryDeadlineExceeded, RetryPolicy, run_transaction
 from .transaction_impl import (
     EdgeHandle,
@@ -81,7 +81,6 @@ __all__ = [
     "LockRegistry",
     "LockTimeout",
     "RWLock",
-    "ReplicationLog",
     "ReplicationManager",
     "replay_entries_idempotent",
     "Label",

@@ -121,6 +121,9 @@ class RWLock:
     backoff_base: float = 0.0
     backoff_cap: float = 20e-6
     seed: int = 0
+    #: the database's failover bookkeeping (``None`` without replication):
+    #: lists a failed read increment of this rank until it is backed out
+    registry: LockRegistry | None = None
 
     def _backoff(self, ctx: RankContext, attempt: int) -> None:
         """Charge one seeded backoff delay between lock attempts.
@@ -128,8 +131,6 @@ class RWLock:
         Pure simulated time — no extra one-sided operations, so the
         work-depth guarantees of the lock protocol are unchanged.
         """
-        if self.backoff_base <= 0.0:
-            return
         delay = backoff_delay(
             self.backoff_base,
             attempt,
@@ -189,7 +190,7 @@ def _acquire(ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note) -> 
     if not locks:
         return
     first = locks[0]
-    win, tries, expect = first.window, first.max_retries, mode.expect
+    win, tries, expect, reg = first.window, first.max_retries, mode.expect, first.registry
     cas = expect is not None
     take = [
         (lk.rank, lk.offset, expect, WRITE_BIT) if cas else (lk.rank, lk.offset, 1)
@@ -209,8 +210,12 @@ def _acquire(ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note) -> 
             return
         wanted = missed
         ops = [take[i] for i in wanted]
-        if not cas:  # the failed +1s landed: back them out
+        if not cas:  # the failed +1s landed: back them out, listed till then
+            for r, o, _ in ops if reg else ():
+                reg.note(ctx.rank, r, o, READ)
             _round(ctx, win, [(r, o, -1) for r, o, _ in ops], False)
+            for r, o, _ in ops if reg else ():
+                reg.note(ctx.rank, r, o, None)
         for i in wanted:
             ctx.rt.trace.record_lock_conflict(ctx.rank, locks[i].rank)
         if attempt + 1 < tries:
@@ -287,15 +292,15 @@ class LockRegistry:
         self._held: dict[int, dict[tuple[int, int], _Mode]] = {}
         self._mu = threading.Lock()
 
-    def note_acquire(self, owner: int, rank: int, offset: int, mode: _Mode) -> None:
+    def note(self, owner: int, rank: int, offset: int, mode: _Mode | None) -> None:
+        """List ``owner`` as holding the word at ``(rank, offset)`` in
+        ``mode``; ``None`` forgets it."""
         with self._mu:
-            self._held.setdefault(owner, {})[(rank, offset)] = mode
-
-    def note_release(self, owner: int, rank: int, offset: int) -> None:
-        with self._mu:
-            locks = self._held.get(owner)
-            if locks is not None:
-                locks.pop((rank, offset), None)
+            held = self._held.setdefault(owner, {})
+            if mode is None:
+                held.pop((rank, offset), None)
+            else:
+                held[rank, offset] = mode
 
     def purge(self, owner: int) -> list[tuple[int, int, _Mode]]:
         """Remove and return ``(rank, offset, mode)`` for all locks held by
@@ -303,8 +308,3 @@ class LockRegistry:
         with self._mu:
             locks = self._held.pop(owner, {})
         return [(r, o, m) for (r, o), m in locks.items()]
-
-    def held_by(self, owner: int) -> list[tuple[int, int, _Mode]]:
-        with self._mu:
-            locks = self._held.get(owner, {})
-            return [(r, o, m) for (r, o), m in locks.items()]

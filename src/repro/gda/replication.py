@@ -10,7 +10,7 @@ epoch-fenced membership view (:mod:`repro.rma.membership`):
   *mirror* window on the owning shard's deterministic backup rank
   ``(shard + 1) % P``, at the block's own offset.  The mirror flush rides
   the commit (one extra batched message per touched backup plus one
-  flush), and a per-shard :class:`ReplicationLog` records the highest
+  flush), and a per-committer high-water mark records the highest
   commit sequence number whose writes are fully mirrored.
 * **Commit intents** — a committing rank publishes its replayable entry
   list *before* appending to the commit log and withdraws it only after
@@ -55,31 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .blocks import BlockManager
     from .database_impl import GdaDatabase
 
-__all__ = ["ReplicationLog", "ReplicationManager"]
-
-
-class ReplicationLog:
-    """Per-shard and per-committer mirror high-water marks.
-
-    ``shard_high[s]`` is the highest commit sequence number whose writes
-    to shard ``s`` are known mirrored; ``rank_high[r]`` the highest
-    sequence number committer ``r`` has fully mirrored.  Together with the
-    commit-intent protocol these prove each backup is at most one commit
-    behind its primary.
-    """
-
-    def __init__(self, nranks: int) -> None:
-        self._mu = threading.Lock()
-        self.shard_high = [-1] * nranks
-        self.rank_high = [-1] * nranks
-
-    def advance(self, rank: int, seq: int, shards) -> None:
-        with self._mu:
-            if seq > self.rank_high[rank]:
-                self.rank_high[rank] = seq
-            for s in shards:
-                if seq > self.shard_high[s]:
-                    self.shard_high[s] = seq
+__all__ = ["ReplicationManager"]
 
 
 class ReplicationManager:
@@ -116,7 +92,10 @@ class ReplicationManager:
         #: acquired since that rank's last completed commit (sweep source)
         self._journal: dict[int, int] = {}
         self._journal_mu = threading.Lock()
-        self.log = ReplicationLog(nranks)
+        #: committer -> highest commit sequence number it has fully
+        #: mirrored (guarded by ``_meta_mu``); with the commit-intent
+        #: protocol this proves each backup at most one commit behind
+        self.rank_high = [-1] * nranks
 
     # -- allocation journal (installed as BlockManager hooks) ---------------
     def note_acquire(self, ctx: RankContext, dptr: int) -> None:
@@ -186,18 +165,21 @@ class ReplicationManager:
             ctx.flush(self.mirror_win)
         with self._staged_mu:
             staged, self._staged[ctx.rank] = self._staged[ctx.rank], []
-        touched: set[int] = set()
         nbytes = 0
         with self._meta_mu:
             for shard, idx, crc, n in staged:
                 self.meta[shard][idx] = (crc, n)
-                touched.add(shard)
                 nbytes += n
         if staged:
             ctx.rt.trace.record_mirror(ctx.rank, len(staged), nbytes)
         if seq is not None:
-            self.log.advance(ctx.rank, seq, touched)
+            self._mirrored(ctx.rank, seq)
         self.end_commit(ctx.rank)
+
+    def _mirrored(self, rank: int, seq: int) -> None:
+        """Raise committer ``rank``'s mirror high-water mark to ``seq``."""
+        with self._meta_mu:
+            self.rank_high[rank] = max(self.rank_high[rank], seq)
 
     def end_commit(self, rank: int) -> None:
         self.intent[rank] = None
@@ -249,7 +231,7 @@ class ReplicationManager:
         logs one record, and withdraws the intent only when the record's
         mirrors are flushed — it cannot log a second record in between.
         """
-        high = self.log.rank_high[rank]
+        high = self.rank_high[rank]
         return sum(
             1
             for rec in db.commit_log.tail(max(0, high + 1))
@@ -335,7 +317,7 @@ class ReplicationManager:
                 except GdiTransactionCritical:
                     if attempt == 7:
                         raise
-            self.log.advance(shard, intent_seq, range(self.nranks))
+            self._mirrored(shard, intent_seq)
 
         # 6. Sweep blocks the dead rank allocated but never published
         # (in-flight uncommitted creations, torn resizes).  Reachability

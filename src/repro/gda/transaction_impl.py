@@ -131,6 +131,7 @@ class _LockTable:
             *blocks.lock_location(vid),
             max_retries=self._db.config.lock_max_retries,
             backoff_base=_LOCK_BACKOFF_BASE,
+            registry=self._db.lock_registry,
         )
 
     def acquire(self, vids: "Iterable[int]", want_write: bool) -> None:
@@ -171,7 +172,7 @@ class _LockTable:
                 held[vid] = (want, mem.epoch, lock)
                 took.append(vid)
                 if registry is not None:
-                    registry.note_acquire(ctx.rank, lock.rank, lock.offset, want)
+                    registry.note(ctx.rank, lock.rank, lock.offset, want)
 
         try:
             if fresh:
@@ -230,10 +231,8 @@ class _LockTable:
         registry = self._db.lock_registry
         if registry is not None:
             for lock, _, how in back:
-                if how is UPGRADE:
-                    registry.note_acquire(ctx.rank, lock.rank, lock.offset, READ)
-                else:
-                    registry.note_release(ctx.rank, lock.rank, lock.offset)
+                mode = READ if how is UPGRADE else None  # a downgrade keeps a read
+                registry.note(ctx.rank, lock.rank, lock.offset, mode)
 
 
 class Transaction:

@@ -86,7 +86,8 @@ class SnapshotManager:
         self._applied_since_gc = 0
         #: ``fn(ctx, floor)`` freeing the DHT entries parked below the floor
         self.reclaim = None
-        #: lifetime GC statistics (benchmark reporting)
+        #: lifetime GC statistics, the one ledger of them: entries and
+        #: tombstones reclaimed, and the highest floor reached
         self.total_reclaimed = 0
         self.gc_floor_high = 0
 
@@ -208,11 +209,11 @@ class SnapshotManager:
     def collect(self, ctx=None) -> int:
         """Prune version chains and tombstones up to the floor.
 
-        With ``ctx`` the pass also frees the DHT entries parked below the
-        floor (:attr:`reclaim`), pays one read of each rank's announced
-        watermarks, and records the reclaimed count and the floor gauge
-        in the rank's trace counters.  Returns the number of version
-        entries and tombstones reclaimed.
+        Every pass adds its count to :attr:`total_reclaimed` and raises
+        :attr:`gc_floor_high` to its floor.  With ``ctx`` it also frees
+        the DHT entries parked below the floor (:attr:`reclaim`) and pays
+        one read of each rank's announced watermarks.  Returns the number
+        of version entries and tombstones reclaimed.
         """
         floor = self.gc_floor()
         reclaimed = self.versions.prune(floor)
@@ -236,9 +237,6 @@ class SnapshotManager:
             ctx.charge(sum(cost(ctx.rank, r, 8) for r in range(ctx.nranks)))
             if self.reclaim is not None:
                 self.reclaim(ctx, floor)
-            if reclaimed:
-                ctx.rt.trace.record_versions_reclaimed(ctx.rank, reclaimed)
-            ctx.rt.trace.record_gc_watermark(ctx.rank, floor)
         return reclaimed
 
     def maybe_collect(self, ctx=None) -> int:

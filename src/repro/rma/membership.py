@@ -9,7 +9,7 @@ substrate half of that story:
 * a **seeded heartbeat/timeout failure detector** — every one-sided
   operation doubles as a heartbeat of its issuing rank (there is no
   out-of-band messaging in an RMA-only machine), and a rank whose last
-  heartbeat is older than ``heartbeat_timeout`` on an observer's
+  heartbeat is older than :data:`HEARTBEAT_TIMEOUT` on an observer's
   simulated clock becomes *suspected*.  Suspicion alone never fences: in
   the simulation a suspect is only confirmed dead against the fault
   injector's ground truth, which models a perfect failure detector after
@@ -58,6 +58,10 @@ SHARD_FAILED = "failed"
 SHARD_REPAIRING = "repairing"
 SHARD_REHOSTED = "rehosted"
 
+#: simulated seconds without a heartbeat after which a rank is suspected
+#: (and, confirmed by the injector's ground truth, declared failed)
+HEARTBEAT_TIMEOUT = 1e-3
+
 
 class _Stable:
     """The membership of a cluster that never reconfigures: what a reader
@@ -81,15 +85,10 @@ class ClusterMembership:
     ----------
     nranks:
         Number of ranks (= number of logical shards).
-    heartbeat_timeout:
-        Simulated seconds without a heartbeat after which a rank becomes
-        suspected (and, confirmed against the injector's ground truth,
-        declared failed even if nobody ever targets its shard).
     """
 
-    def __init__(self, nranks: int, heartbeat_timeout: float = 1e-3) -> None:
+    def __init__(self, nranks: int) -> None:
         self.nranks = nranks
-        self.heartbeat_timeout = heartbeat_timeout
         self.epoch = 0
         self.live: set[int] = set(range(nranks))
         #: shard -> physical host rank (identity until a failover)
@@ -117,7 +116,7 @@ class ClusterMembership:
             r
             for r in range(self.nranks)
             if r in self.live
-            and now - self.last_heartbeat[r] > self.heartbeat_timeout
+            and now - self.last_heartbeat[r] > HEARTBEAT_TIMEOUT
         ]
 
     # -- view queries ------------------------------------------------------

@@ -64,22 +64,6 @@ class RankCounters:
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     plan_cache_evictions: int = 0
-    #: serving-layer accounting (:mod:`repro.serve`): admission outcomes
-    #: of the front-end — ``requests_admitted`` entered the bounded queue,
-    #: ``requests_shed`` were rejected queue-full, ``requests_throttled``
-    #: hit a per-tenant token bucket, ``requests_shed_analytics`` were
-    #: shed by the open circuit breaker; ``deadline_misses`` counts
-    #: requests that expired before or during execution,
-    #: ``breaker_trips`` the closed->open transitions observed, and
-    #: ``queue_depth_peak`` the deepest admission-queue occupancy seen
-    #: (a max gauge, not a sum).
-    requests_admitted: int = 0
-    requests_shed: int = 0
-    requests_throttled: int = 0
-    requests_shed_analytics: int = 0
-    deadline_misses: int = 0
-    breaker_trips: int = 0
-    queue_depth_peak: int = 0
     #: traffic-layer accounting (:mod:`repro.traffic`): ``congestion_time``
     #: is the receiver-queueing delay charged to this rank's one-sided ops
     #: when the profile enables ``congestion_feedback`` (a hot target NIC
@@ -90,15 +74,10 @@ class RankCounters:
     lock_conflicts: int = 0
     #: MVCC accounting (:mod:`repro.mvcc`): ``snapshot_reads`` counts
     #: holder reads served to snapshot transactions without touching lock
-    #: words, ``versions_installed`` the pre-image chain entries written
-    #: at commit write-back, ``versions_reclaimed`` the superseded
-    #: entries freed by the watermark GC, and ``gc_watermark`` the
-    #: highest reclamation floor the GC has advanced to (a max gauge,
-    #: not a sum).
+    #: words, and ``versions_installed`` the pre-image chain entries
+    #: written at commit write-back.
     snapshot_reads: int = 0
     versions_installed: int = 0
-    versions_reclaimed: int = 0
-    gc_watermark: int = 0
 
     @property
     def total_ops(self) -> int:
@@ -248,38 +227,6 @@ class TraceRecorder:
         """Account one LRU eviction from the bounded plan cache."""
         self.counters[origin].plan_cache_evictions += 1
 
-    # -- serving-layer accounting ------------------------------------------
-    #: admission outcome -> RankCounters field incremented by it
-    _ADMISSION_FIELDS = {
-        "admitted": "requests_admitted",
-        "shed": "requests_shed",
-        "throttled": "requests_throttled",
-        "shed_analytics": "requests_shed_analytics",
-    }
-
-    def record_admission(self, origin: int, outcome: str) -> None:
-        """Account one admission decision of the serving front-end."""
-        try:
-            fname = self._ADMISSION_FIELDS[outcome]
-        except KeyError:
-            raise ValueError(f"unknown admission outcome {outcome!r}") from None
-        c = self.counters[origin]
-        setattr(c, fname, getattr(c, fname) + 1)
-
-    def record_queue_depth(self, origin: int, depth: int) -> None:
-        """Track the deepest admission-queue occupancy seen (max gauge)."""
-        c = self.counters[origin]
-        if depth > c.queue_depth_peak:
-            c.queue_depth_peak = depth
-
-    def record_deadline_miss(self, origin: int) -> None:
-        """Account one request that expired before or during execution."""
-        self.counters[origin].deadline_misses += 1
-
-    def record_breaker_trip(self, origin: int) -> None:
-        """Account one circuit-breaker closed->open transition."""
-        self.counters[origin].breaker_trips += 1
-
     # -- traffic-layer accounting ------------------------------------------
     def record_congestion(self, origin: int, seconds: float) -> None:
         """Account receiver-queueing delay charged to ``origin``'s op."""
@@ -298,16 +245,6 @@ class TraceRecorder:
     def record_versions_installed(self, origin: int, n: int = 1) -> None:
         """Account ``n`` pre-image versions installed at commit write-back."""
         self.counters[origin].versions_installed += n
-
-    def record_versions_reclaimed(self, origin: int, n: int = 1) -> None:
-        """Account ``n`` superseded versions freed by the watermark GC."""
-        self.counters[origin].versions_reclaimed += n
-
-    def record_gc_watermark(self, origin: int, watermark: int) -> None:
-        """Track the highest GC reclamation floor reached (max gauge)."""
-        c = self.counters[origin]
-        if watermark > c.gc_watermark:
-            c.gc_watermark = watermark
 
     def shard_snapshot(self) -> dict[str, list[int]]:
         """Copy of the per-target-shard access counters (detector input)."""

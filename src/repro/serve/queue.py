@@ -70,6 +70,12 @@ class BoundedQueue:
             return len(self._leases)
 
     @property
+    def admitted(self) -> int:
+        """Items ever accepted by :meth:`try_put` (re-queues not counted)."""
+        with self._cond:
+            return self._seq
+
+    @property
     def peak_depth(self) -> int:
         """Deepest occupancy ever observed (bounded by ``capacity``)."""
         with self._cond:

@@ -189,6 +189,7 @@ class GraphServer:
             submitted = self._n_submitted
         return {
             "submitted": submitted,
+            "admitted": self.queue.admitted,
             "outcomes": outcomes,
             "queue_depth": self.queue.depth,
             "queue_in_flight": self.queue.in_flight,
@@ -204,11 +205,9 @@ class GraphServer:
         """Admit ``req`` (arriving at ``req.arrival``) or shed it.
 
         Rejections mark the request terminal (so closed-loop clients see
-        a completion either way) and raise the matching
-        :mod:`repro.serve.errors` exception; trace counters attribute the
-        decision to the submitting rank ``ctx``.
+        a completion either way, counted in :meth:`stats` ``outcomes``)
+        and raise the matching :mod:`repro.serve.errors` exception.
         """
-        trace = ctx.rt.trace
         now = req.arrival
         with self._lock:
             self._n_submitted += 1
@@ -217,11 +216,9 @@ class GraphServer:
         if self.queue.closed:
             # still a terminal completion: a closed-loop client blocked on
             # this request must wake up rather than hang on shutdown
-            trace.record_admission(ctx.rank, "shed")
             self._finish(req, SHED, completion=now, rank=ctx.rank)
             raise ServerClosed("server is shut down")
         if req.deadline is not None and now >= req.deadline:
-            trace.record_deadline_miss(ctx.rank)
             self._finish(
                 req, DEADLINE, completion=now, rank=ctx.rank
             )
@@ -233,7 +230,6 @@ class GraphServer:
             and req.qclass == ANALYTICS
             and not self.breaker.allow_analytics(now)
         ):
-            trace.record_admission(ctx.rank, "shed_analytics")
             self._finish(
                 req, SHED_ANALYTICS, completion=now, rank=ctx.rank
             )
@@ -241,20 +237,16 @@ class GraphServer:
                 f"{req.req_id}: breaker open, analytics shed"
             )
         if not self.limiter.allow(req.tenant, now):
-            trace.record_admission(ctx.rank, "throttled")
             self._finish(req, THROTTLED, completion=now, rank=ctx.rank)
             raise TenantThrottled(
                 f"{req.req_id}: tenant {req.tenant!r} over rate limit"
             )
         if not self.queue.try_put(req):
-            trace.record_admission(ctx.rank, "shed")
             self._finish(req, SHED, completion=now, rank=ctx.rank)
             raise ServerOverloaded(
                 f"{req.req_id}: admission queue full "
                 f"({self.config.queue_capacity})"
             )
-        trace.record_admission(ctx.rank, "admitted")
-        trace.record_queue_depth(ctx.rank, self.queue.depth)
         return req
 
     # -- execution ---------------------------------------------------------
@@ -282,8 +274,8 @@ class GraphServer:
             vt = self._assigned.pop(id(req), 0.0)
         start = max(vt, req.arrival)
         wait = start - req.arrival
-        if self.breaker is not None and self.breaker.observe_wait(start, wait):
-            ctx.rt.trace.record_breaker_trip(ctx.rank)
+        if self.breaker is not None:
+            self.breaker.observe_wait(start, wait)
         if req.deadline is not None and start >= req.deadline:
             # doomed before it ran: shed the work, don't burn a worker
             self._complete(
@@ -339,11 +331,8 @@ class GraphServer:
 
     def _complete(self, ctx, req: Request, status: str, slot: float, **kw) -> None:
         """Terminal step of a dequeued request: its virtual server is free
-        again from ``slot`` on, a missed deadline is counted, and the
-        request finishes on this rank."""
+        again from ``slot`` on, and the request finishes on this rank."""
         self._return_slot(ctx.rank, slot)
-        if status == DEADLINE:
-            ctx.rt.trace.record_deadline_miss(ctx.rank)
         self._finish(req, status, rank=ctx.rank, **kw)
 
     # -- drain / resume (quiesced maintenance windows) ---------------------

@@ -7,7 +7,7 @@ one request at a time (the worker opens/commits a transaction per
 request — see GDI_SPEC.md, "Sessions onto GDI transactions").  Sessions
 are deliberately thin: all policy (admission, throttling, shedding)
 lives in the server, so thousands of sessions cost nothing but their
-counters.
+request numbering.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class ClientSession:
         self.session_id = session_id
         self._seq = 0
         self._lock = threading.Lock()
-        #: requests this session submitted / got rejected at admission
-        self.n_submitted = 0
-        self.n_rejected = 0
 
     def build(
         self,
@@ -78,12 +75,8 @@ class ClientSession:
         closed-loop client needs to schedule its retry.
         """
         req = self.build(text, **kw)
-        with self._lock:
-            self.n_submitted += 1
         try:
             self.server.submit(ctx, req)
             return req, True
         except ServeError:
-            with self._lock:
-                self.n_rejected += 1
             return req, False

@@ -10,9 +10,10 @@ from repro.gda.consistency import check_consistency
 from repro.gda.dptr import unpack_dptr
 from repro.gda.retry import RetryPolicy, run_transaction
 from repro.gdi import Datatype
-from repro.gdi.errors import GdiChecksumError
+from repro.gda import locks
+from repro.gdi.errors import GdiChecksumError, GdiLockFailed
 from repro.rma import run_spmd
-from repro.rma.faults import FaultPlan
+from repro.rma.faults import FaultInjector, FaultPlan, RmaStaleEpoch
 from repro.rma.membership import SHARD_REHOSTED
 
 CFG = GdaConfig(blocks_per_rank=1024, replication=True)
@@ -210,6 +211,88 @@ def test_failover_repairs_crashed_shard_and_serves_degraded():
     totals = [rt.trace.counters[r].snapshot() for r in range(3)]
     assert sum(t["epoch_fences"] for t in totals) > 0
     assert sum(t["shard_repairs"] for t in totals) == 1
+
+
+def _backout_race(faults):
+    """Rank 1 write-locks vertex 0 (homed on rank 0) and holds it while
+    rank 2 read-locks it in a lock-mode read transaction, whose failed
+    ``FAA(+1)`` rounds are each backed out by a second round.  Rank 1
+    then commits and the survivors probe every shard, heal and check.
+    Returns each rank's consistency problems and whether rank 0 could
+    write-lock the vertex afterwards."""
+    state = {}
+
+    def build(ctx):
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=256, replication=True))
+        if ctx.rank == 0:
+            db.create_property_type(ctx, "ts", dtype=Datatype.INT64)
+            tx = db.start_transaction(ctx, write=True)
+            state.update(db=db, vid=tx.create_vertex(0).vid)
+            tx.commit()
+        ctx.barrier()
+        db.replica(ctx).sync()
+
+    rt, _ = run_spmd(3, build, seed=5)
+    db = state["db"]
+    assert db.blocks.lock_location(state["vid"])[0] == 0
+
+    def race(ctx):
+        ts = db.property_type(ctx, "ts")
+        if ctx.rank == 1:
+            tx = db.start_transaction(ctx, write=True)
+            tx.find_vertex(0).set_property(ts, 1)
+        ctx.barrier()
+        if ctx.rank == 2:
+            with db.start_transaction(ctx) as reader:
+                with pytest.raises(GdiLockFailed):
+                    reader.find_vertex(0)
+        ctx.barrier()
+        if ctx.rank == 1:
+            tx.commit()
+        for s in range(ctx.nranks):
+            try:
+                ctx.get(db.blocks.system_win, s, 0, 8)
+            except RmaStaleEpoch:
+                pass
+        db.heal(ctx)
+        ctx.barrier()
+        problems = check_consistency(ctx, db).problems
+        ctx.barrier()
+        wrote = None
+        if ctx.rank == 0:
+            with db.start_transaction(ctx, write=True) as tx:
+                try:
+                    tx.find_vertex(0).set_property(ts, 2)
+                    tx.commit()
+                    wrote = True
+                except GdiLockFailed:
+                    wrote = False
+        return problems, wrote
+
+    return run_spmd(3, race, runtime=rt, faults=faults)[1]
+
+
+def test_crash_between_read_increment_and_backout_leaks_no_reader(monkeypatch):
+    """A rank that dies after its failed ``FAA(+1)`` landed but before
+    the round backing it out leaves the +1 on the word; the lock
+    registry must list it so the failover healer backs it out, or the
+    vertex could never be write-locked again."""
+    injector = FaultInjector(FaultPlan(seed=5))
+    backouts = []
+    round_ = locks._round
+
+    def spy(ctx, win, ops, cas):
+        if ctx.rank == 2 and not cas and all(op[2] == -1 for op in ops):
+            backouts.append(injector._n_ops + 1)  # the global op it becomes
+        return round_(ctx, win, ops, cas)
+
+    monkeypatch.setattr(locks, "_round", spy)
+    assert _backout_race(injector) == [([], True), ([], None), ([], None)]
+    monkeypatch.undo()
+    assert backouts  # the first pass met the write bit and backed out
+    res = _backout_race(FaultPlan(seed=5, crash_rank=2, crash_at_op=backouts[0]))
+    assert res[2] is None  # the reader died inside its first back-out
+    assert res[:2] == [([], True), ([], None)]
 
 
 def test_repaired_pool_chains_the_complement_of_the_live_set():

@@ -168,7 +168,7 @@ def test_acquire_is_all_or_nothing(replication, take):
                 (False, readers), (False, readers), other, (False, readers)
             ]
             if replication:
-                assert sorted(db.lock_registry.held_by(0)) == sorted(
+                assert sorted(db.lock_registry.purge(0)) == sorted(
                     (w.rank, w.offset, READ) for w in words if readers
                 )
             tx.abort()

@@ -7,7 +7,7 @@ from repro.rma.trace import RankCounters, TraceRecorder
 
 def test_every_counter_field_reaches_snapshot_diff_and_summary():
     names = [f.name for f in fields(RankCounters)]
-    assert len(names) == 39
+    assert len(names) == 30
 
     counters = RankCounters()
     earlier = counters.snapshot()

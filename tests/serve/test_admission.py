@@ -64,6 +64,7 @@ def test_queue_requeue_front_bypasses_capacity_and_close():
     assert q.try_put("a")
     q.close()
     q.requeue_front("in-flight")  # a dying worker hands its request back
+    assert q.admitted == 1  # a re-queue is not an admission
     assert q.get() == "in-flight"
     assert q.get() == "a"
     assert q.get() is None
@@ -83,11 +84,10 @@ def test_queue_full_sheds_with_counters(ctx):
     with pytest.raises(ServerOverloaded):
         s.submit(ctx, shed)
     assert shed.status == "shed" and shed.done
-    c = ctx.rt.trace.counters[0]
-    assert c.requests_admitted == 2
-    assert c.requests_shed == 1
-    assert c.queue_depth_peak == 2
-    assert s.stats()["outcomes"] == {"shed": 1}
+    st = s.stats()
+    assert st["admitted"] == 2
+    assert st["outcomes"] == {"shed": 1}
+    assert st["queue_peak"] == 2
 
 
 def test_expired_deadline_rejected_at_admission(ctx):
@@ -96,7 +96,7 @@ def test_expired_deadline_rejected_at_admission(ctx):
     with pytest.raises(DeadlineExceeded):
         s.submit(ctx, dead)
     assert dead.status == "deadline"
-    assert ctx.rt.trace.counters[0].deadline_misses == 1
+    assert s.stats()["outcomes"] == {"deadline": 1}
     # nothing entered the queue
     assert s.queue.depth == 0
 
@@ -117,7 +117,7 @@ def test_tenant_throttled(ctx):
     assert throttled.status == "throttled"
     # another tenant's bucket is untouched
     s.submit(ctx, req(2, arrival=0.0, tenant="b"))
-    assert ctx.rt.trace.counters[0].requests_throttled == 1
+    assert s.stats()["outcomes"] == {"throttled": 1}
     assert s.stats()["throttles_by_tenant"] == {"a": 1}
 
 
@@ -132,14 +132,14 @@ def test_open_breaker_sheds_analytics_only(ctx):
     oltp = req(1, arrival=0.1)
     s.submit(ctx, oltp)
     assert oltp.status == "pending"
-    c = ctx.rt.trace.counters[0]
-    assert c.requests_shed_analytics == 1 and c.requests_admitted == 1
+    st = s.stats()
+    assert st["outcomes"] == {"shed_analytics": 1} and st["admitted"] == 1
 
 
 def test_no_breaker_admits_analytics(ctx):
     s = make_server()  # breaker disabled by default
     s.submit(ctx, req(0, arrival=0.0, qclass=ANALYTICS))
-    assert ctx.rt.trace.counters[0].requests_admitted == 1
+    assert s.stats()["admitted"] == 1
 
 
 def test_closed_server_finishes_request_terminal(ctx):
@@ -158,7 +158,8 @@ def test_session_counts_rejections(ctx):
     r1, ok1 = sess.submit(ctx, "MATCH (v {id = $src}) RETURN v.id", arrival=0.0)
     assert ok0 and not ok1
     assert r0.req_id == "t/3/0" and r1.req_id == "t/3/1"
-    assert sess.n_submitted == 2 and sess.n_rejected == 1
+    st = s.stats()
+    assert st["submitted"] == 2 and st["outcomes"] == {"shed": 1}
 
 
 def test_queue_multi_crash_requeue_preserves_order_and_capacity():

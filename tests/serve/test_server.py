@@ -72,7 +72,7 @@ def test_serve_mixed_requests_end_to_end():
             ctx, state, drive, config=ServeConfig(queue_capacity=64)
         )
 
-    rt, res = run_spmd(NRANKS, prog)
+    _, res = run_spmd(NRANKS, prog)
     reqs = res[0]
     for r in reqs:
         assert r.wait_done(timeout=30), f"{r.req_id} never completed"
@@ -87,11 +87,9 @@ def test_serve_mixed_requests_end_to_end():
     assert hop0 == {101, 200}  # KNOWS->101, LIVES_IN->zurich
     # workers split the load; the driver admitted everything
     assert res[1] + res[2] == n
-    c0 = rt.trace.counters[0].snapshot()
-    assert c0["requests_admitted"] == n
-    assert c0["requests_shed"] == 0
     server = state["server"]
-    assert server.stats()["outcomes"] == {"ok": n}
+    assert server.stats()["admitted"] == n
+    assert server.stats()["outcomes"] == {"ok": n}  # none shed
     assert server.virtual_now() > 0.0
 
 
@@ -121,13 +119,13 @@ def test_deadline_expires_while_queued():
     def prog(ctx):
         return _serve_phase(ctx, state, drive)
 
-    rt, res = run_spmd(2, prog)  # exactly one worker: FIFO is guaranteed
+    _, res = run_spmd(2, prog)  # exactly one worker: FIFO is guaranteed
     first, doomed = res[0]
     assert first.wait_done(timeout=30) and doomed.wait_done(timeout=30)
     assert first.status == "ok"
     assert doomed.status == "deadline"
     assert doomed.rows is None and doomed.attempts == 0
-    assert rt.trace.counters[1].snapshot()["deadline_misses"] == 1
+    assert state["server"].stats()["outcomes"] == {"ok": 1, "deadline": 1}
 
 
 def test_breaker_sheds_analytics_under_backlog():
@@ -167,13 +165,12 @@ def test_breaker_sheds_analytics_under_backlog():
     def prog(ctx):
         return _serve_phase(ctx, state, drive, config=cfg)
 
-    rt, res = run_spmd(2, prog)
+    _, res = run_spmd(2, prog)
     for r in res[0]:
         assert r.wait_done(timeout=30) and r.status == "ok"
-    c = [rt.trace.counters[r].snapshot() for r in range(2)]
-    assert c[1]["breaker_trips"] >= 1  # tripped by the worker
-    assert c[0]["requests_shed_analytics"] == 1
-    assert state["server"].stats()["outcomes"]["shed_analytics"] == 1
+    st = state["server"].stats()
+    assert st["breaker_trips"] >= 1  # tripped by the worker
+    assert st["outcomes"]["shed_analytics"] == 1
 
 
 def _build_phase(state, nranks=NRANKS, config=None):
