@@ -141,7 +141,7 @@ def test_micro_bulk_scan(benchmark, report, metrics):
             return batch, batch.slot_columns(), batch.entry_table()
 
         def per_holder(_):
-            return storage._read_many_projected(ctx, prims, needs, False)
+            return storage._read_per_holder(ctx, prims, needs, False)
 
         batch, (indptr, slots), (row, *_rest) = columnar(None)
         holders = per_holder(None)

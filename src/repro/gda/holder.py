@@ -31,20 +31,42 @@ Edge slots pack ``(target DPtr, label integer ID, flags)`` where flags
 carry the direction (OUT/IN/UNDIRECTED) and a HEAVY bit marking slots
 whose DPtr points at an edge holder instead of a neighbor vertex.
 
-Projected reads
----------------
+Reads
+-----
 
-:meth:`HolderStorage.read_many` accepts a *needs mask* (NEED_IDENT /
-NEED_TOPO / NEED_ENTRIES) describing which holder parts the caller will
-touch.  Partial reads fetch the 40-byte header plus a small
-address-area hint first, then only the exact payload spans covering the
-requested parts — a 2-hop traversal that only follows edges never pays
-for property bytes.  The CRC covers the whole payload, so it is only
-verified on full-payload reads.  Partial reads do not need it to catch
-a concurrent rewrite: under locks nothing rewrites the holder, and a
-snapshot reader checks the version chains after its read returns (a
-commit installs its pre-image before it touches a block; see
-:mod:`repro.gda.readview`).
+:meth:`HolderStorage.read_many` takes a *needs mask* (NEED_IDENT /
+NEED_TOPO / NEED_ENTRIES) naming the holder parts the caller will touch,
+and decodes the one wire format with one of two decoders, chosen by
+batch size alone:
+
+* below :data:`_COLUMNAR_MIN_BATCH` (64) holders, holder by holder,
+  header first: the 40-byte header plus a small address-area hint, then
+  only the exact payload spans covering the needed parts, so a 2-hop
+  traversal that only follows edges never pays for property bytes.  A
+  batch of fewer than :data:`_HEADER_FIRST_MIN_BATCH` (8) holders needed
+  whole (every point read) reads whole primary blocks instead, one
+  round fewer for a holder that fits its primary block;
+* from 64 on, the same rounds with the same elements as array
+  operations, returning a :class:`HolderBatch`.
+
+Each is the cheaper one on its side.  Microseconds per call with
+``NEED_ALL`` / ``NEED_IDENT | NEED_TOPO`` on the benchmark graph (512-byte
+blocks, rows not materialized; CPython 3.11, 2-vCPU Xeon; best of 7):
+
+=====  ===============  ===========
+batch  per holder       columnar
+=====  ===============  ===========
+1      7 / 7            212 / 166
+16     121 / 119        244 / 275
+64     415 / 339        336 / 243
+256    1,632 / 1,308    497 / 329
+=====  ===============  ===========
+
+The CRC covers the whole payload, so it is verified on every read whose
+span is all of it.  Partial reads do not need it to catch a concurrent
+rewrite: under locks nothing rewrites the holder, and a snapshot reader
+checks the version chains after its read returns (a commit installs its
+pre-image before it touches a block; see :mod:`repro.gda.readview`).
 """
 
 from __future__ import annotations
@@ -85,7 +107,6 @@ from .holder_model import (  # every name of the former single module
     EdgeSlot,
     StoredHolder,
     VertexHolder,
-    _decode_payload,
     _decode_span,
     plan_layout,
 )
@@ -122,17 +143,13 @@ __all__ = [
 #: covers holders with up to 8 continuation/index addresses in one round.
 _ADDR_HINT = 64
 
-#: NEED_ALL batches smaller than this use the classic full-primary-block
-#: read (one round fewer for small holders; CRC always verified).
+#: NEED_ALL batches smaller than this read whole primary blocks in
+#: round 1 (the per-holder decode's whole-block shape).
 _HEADER_FIRST_MIN_BATCH = 8
 
 #: Batches of at least this many holders are decoded column-wise
-#: (:class:`HolderBatch`).  The array pipeline has a fixed cost of ~100
-#: numpy calls (~0.3 ms) against ~14 us per holder for the per-holder
-#: decode: measured on the benchmark graph it breaks even at ~20 holders
-#: when the caller reads columns and at ~64 when every row is turned
-#: back into a ``StoredHolder``, so mid-sized OLTP batches (a one-hop
-#: frontier, the neighbors of a deleted vertex) stay per-holder.
+#: (:class:`HolderBatch`), smaller ones holder by holder: the two cross
+#: between 16 and 64 holders (the table in the module docstring).
 _COLUMNAR_MIN_BATCH = 64
 
 
@@ -326,21 +343,20 @@ class HolderStorage:
         ``need`` is a holder-parts mask (or one mask per primary):
         callers that will only follow edges pass ``NEED_TOPO``, property
         filters pass ``NEED_ENTRIES``, pure existence checks
-        ``NEED_IDENT``.  Partial reads fetch the header plus only the
-        exact payload spans covering the requested parts; full reads of
-        small batches keep the classic full-primary-block path (and its
-        CRC verification).  Edge holders are always read in full.
+        ``NEED_IDENT``.  Only the payload spans covering the needed parts
+        are fetched; edge holders are always read in full.
 
         A constant number of fetch rounds regardless of holder count,
         each round one coalesced message per distinct owner rank.  With
         ``missing_ok`` a primary block that holds no holder yields
         ``None`` instead of raising :class:`GdiStateError`.
 
-        Batches of :data:`_COLUMNAR_MIN_BATCH` or more holders run the
-        header-first rounds as array operations and come back as a
-        :class:`HolderBatch` — the same sequence of holders, decoded row
-        by row only when indexed, plus the columns bulk scans read
-        directly.  Smaller batches keep the per-holder decode.
+        Two decoders, chosen by batch size alone (module docstring):
+        below :data:`_COLUMNAR_MIN_BATCH` holders the per-holder decode
+        returns a list; from there on the same rounds run as array
+        operations and come back as a :class:`HolderBatch` — the same
+        sequence of holders, decoded row by row only when indexed, plus
+        the columns bulk scans read directly.
         """
         if not primaries:
             return []
@@ -353,49 +369,7 @@ class HolderStorage:
             raise ValueError("needs mask list must match primaries")
         if len(primaries) >= _COLUMNAR_MIN_BATCH:
             return self._read_many_columnar(ctx, primaries, needs, missing_ok)
-        if (
-            all(n == NEED_ALL for n in needs)
-            and len(primaries) < _HEADER_FIRST_MIN_BATCH
-        ):
-            return self._read_many_full(ctx, primaries, missing_ok)
-        return self._read_many_projected(ctx, primaries, needs, missing_ok)
-
-    def _decode_header(
-        self, primary: int, blob: bytes, missing_ok: bool
-    ) -> dict | None:
-        (
-            kind,
-            flags,
-            _,
-            ndata,
-            nindex,
-            app_id,
-            edge_count,
-            entries_len,
-            payload_len,
-            crc,
-            version,
-        ) = _BLOCK_HEADER.unpack_from(blob, 0)
-        if kind not in (KIND_VERTEX, KIND_EDGE):
-            if missing_ok:
-                return None
-            raise GdiStateError(f"no holder at {primary:#x} (kind={kind})")
-        return {
-            "primary": primary,
-            "kind": kind,
-            "flags": flags,
-            "ndata": ndata,
-            "nindex": nindex,
-            "app_id": app_id,
-            "edge_count": edge_count,
-            "entries_len": entries_len,
-            "payload_len": payload_len,
-            "crc": crc,
-            "version": version,
-            "blob": blob,
-            "index_blocks": [],
-            "data_blocks": [],
-        }
+        return self._read_per_holder(ctx, primaries, needs, missing_ok)
 
     def _read_index_blocks(self, ctx: RankContext, infos: list[dict]) -> None:
         """One read round over the index blocks of indirect holders: the
@@ -417,140 +391,83 @@ class HolderStorage:
                     np.frombuffer(blob, dtype="<i8").tolist()
                 )
 
-    def _read_many_full(
-        self,
-        ctx: RankContext,
-        primaries: list[int],
-        missing_ok: bool,
-    ) -> list[StoredHolder | None]:
-        """Classic path: full primary blocks, then index, then data.
+    @staticmethod
+    def _corrupted(ctx: RankContext, primary: int, nbytes: int) -> None:
+        """Count and raise a holder payload that failed its CRC32."""
+        ctx.rt.trace.record_corruption_detected(ctx.rank)
+        raise GdiChecksumError(
+            f"holder at {primary:#x} failed CRC32 "
+            f"verification (payload of {nbytes} B)"
+        )
 
-        :meth:`_read_many_projected` with a whole-block hint would read
-        the same bytes in the same rounds, but this is the hot path and
-        the shared body measured slower: one primary read in full is
-        100 % / 97.5 % / 91.1 % of the ``read_many`` calls of the
-        benchmark's oltp_read / oltp_write / serve_short workloads, and
-        the fold cost 18.5 -> 22.8 us per read of one and 66.6 -> 77.2 us
-        per read of five (min of 9 loops) at bit-identical clocks and
-        counters.  So the path stays, chosen by :meth:`read_many` from
-        batch size and needs mask.
-        """
-        bs = self.blocks.block_size
-        # Round 1: every primary block, coalesced per owner rank.
-        blobs = self.blocks.read_blocks(ctx, [(p, 0, bs) for p in primaries])
-        infos: list[dict | None] = []
-        indirect: list[dict] = []
-        for primary, blob in zip(primaries, blobs):
-            info = self._decode_header(primary, blob, missing_ok)
-            if info is None:
-                infos.append(None)
-                continue
-            in_index = info["flags"] & FLAG_INDIRECT
-            naddr = info["nindex"] if in_index else info["ndata"]
-            if naddr:  # none when the holder fits its primary block
-                addrs = np.frombuffer(
-                    blob, dtype="<i8", count=naddr, offset=HEADER_BYTES
-                ).tolist()
-                if in_index:
-                    info["index_blocks"] = addrs
-                    indirect.append(info)
-                else:
-                    info["data_blocks"] = addrs
-            info["pos"] = HEADER_BYTES + 8 * naddr
-            infos.append(info)
-        # Round 2: index blocks of indirect holders, all in one batch.
-        if indirect:
-            self._read_index_blocks(ctx, indirect)
-        # Round 3: every continuation data block of every holder.
-        data_specs: list[tuple[int, int, int]] = []
-        data_owner: list[dict] = []
-        for info in infos:
-            if info is None:
-                continue
-            head = info["blob"][
-                info["pos"] : info["pos"]
-                + min(info["payload_len"], bs - info["pos"])
-            ]
-            info["pieces"] = [head]
-            got = len(head)
-            for dptr in info["data_blocks"]:
-                take = min(bs, info["payload_len"] - got)
-                data_specs.append((dptr, 0, take))
-                data_owner.append(info)
-                got += take
-        if data_specs:
-            dblobs = self.blocks.read_blocks(ctx, data_specs)
-            for info, dblob in zip(data_owner, dblobs):
-                info["pieces"].append(dblob)
-        out: list[StoredHolder | None] = []
-        for info in infos:
-            if info is None:
-                out.append(None)
-                continue
-            payload = b"".join(info["pieces"])
-            self._check_crc(ctx, info, payload)
-            holder = _decode_payload(
-                info["kind"], info["flags"], info["edge_count"], payload
-            )
-            holder.app_id = info["app_id"]
-            out.append(
-                StoredHolder(
-                    holder=holder,
-                    primary=info["primary"],
-                    data_blocks=info["data_blocks"],
-                    index_blocks=info["index_blocks"],
-                    version=info["version"],
-                )
-            )
-        return out
-
-    def _check_crc(self, ctx: RankContext, info: dict, payload: bytes) -> None:
-        if zlib.crc32(payload) & 0xFFFFFFFF != info["crc"]:
-            ctx.rt.trace.record_corruption_detected(ctx.rank)
-            raise GdiChecksumError(
-                f"holder at {info['primary']:#x} failed CRC32 "
-                f"verification (payload of {len(payload)} B)"
-            )
-
-    def _read_many_projected(
+    def _read_per_holder(
         self,
         ctx: RankContext,
         primaries: list[int],
         needs: list[int],
         missing_ok: bool,
     ) -> list[StoredHolder | None]:
-        """Header-first path: exact payload spans for the needed parts.
+        """Header-first decode, one holder at a time.
 
         Rounds: (1) header + address hint, (2) address-area overflow +
         index blocks already addressable, (3) index blocks behind an
-        overflow, (4) payload spans.  Rounds 2 and 3 are usually empty.
+        overflow, (4) the exact payload spans covering the needed parts.
+        Rounds 2 and 3 are usually empty.
+
+        A batch of fewer than :data:`_HEADER_FIRST_MIN_BATCH` holders
+        that needs them whole reads whole primary blocks in round 1: every
+        address is then in hand and the payload head is sliced from the
+        block, not fetched again, so a holder that fits its primary block
+        costs one round.  The CRC is verified on every whole-payload span.
         """
         bs = self.blocks.block_size
-        hint_len = min(bs, HEADER_BYTES + _ADDR_HINT)
-        blobs = self.blocks.read_blocks(
-            ctx, [(p, 0, hint_len) for p in primaries]
-        )
+        # every holder needed whole, and fewer of them than the threshold
+        whole = needs.count(NEED_ALL) == len(needs) < _HEADER_FIRST_MIN_BATCH
+        hint_len = bs if whole else min(bs, HEADER_BYTES + _ADDR_HINT)
+        read = self.blocks.read_blocks
+        blobs = read(ctx, [(p, 0, hint_len) for p in primaries])
         infos: list[dict | None] = []
-        # Round 2: complete the address areas.
         over_specs: list[tuple[int, int, int]] = []
         over_owner: list[dict] = []
+        early: list[dict] = []  # index addresses all in the hint
+        late: list[dict] = []  # index addresses behind an overflow
         for primary, blob, n in zip(primaries, blobs, needs):
-            info = self._decode_header(primary, blob, missing_ok)
-            infos.append(info)
-            if info is None:
+            (kind, flags, _, ndata, nindex, app_id, edge_count, _,
+             payload_len, crc, version) = _BLOCK_HEADER.unpack_from(blob, 0)
+            if kind != KIND_VERTEX and kind != KIND_EDGE:
+                if not missing_ok:
+                    raise GdiStateError(f"no holder at {primary:#x} (kind={kind})")
+                infos.append(None)
                 continue
-            if info["kind"] == KIND_EDGE:
-                n = NEED_ALL  # endpoints and entries interleave: read all
-            info["need"] = n
-            indirect = bool(info["flags"] & FLAG_INDIRECT)
-            naddr = info["nindex"] if indirect else info["ndata"]
-            info["pos"] = HEADER_BYTES + 8 * naddr
+            indirect = flags & FLAG_INDIRECT
+            naddr = nindex if indirect else ndata
+            info = {
+                "primary": primary,
+                "kind": kind,
+                "flags": flags,
+                "app_id": app_id,
+                "edge_count": edge_count,
+                "payload_len": payload_len,
+                "crc": crc,
+                "version": version,
+                "blob": blob,
+                # endpoints and entries of an edge interleave: read all
+                "need": NEED_ALL if kind == KIND_EDGE else n,
+                "pos": HEADER_BYTES + 8 * naddr,  # where the payload starts
+                "ndata": ndata,
+                "index_blocks": [],
+                "data_blocks": [],
+            }
+            infos.append(info)
+            if not naddr:  # the holder fits its primary block
+                continue
             avail = min(naddr, (hint_len - HEADER_BYTES) // 8)
             addrs = np.frombuffer(
                 blob, dtype="<i8", count=avail, offset=HEADER_BYTES
             ).tolist()
             if indirect:
                 info["index_blocks"] = addrs
+                (early if avail == naddr else late).append(info)
             else:
                 info["data_blocks"] = addrs
             if avail < naddr:
@@ -558,65 +475,73 @@ class HolderStorage:
                     (primary, HEADER_BYTES + 8 * avail, 8 * (naddr - avail))
                 )
                 over_owner.append(info)
-        late_index: list[dict] = []
+        # Round 2: complete the address areas.
         if over_specs:
-            oblobs = self.blocks.read_blocks(ctx, over_specs)
-            for info, oblob in zip(over_owner, oblobs):
+            for info, oblob in zip(over_owner, read(ctx, over_specs)):
                 addrs = np.frombuffer(oblob, dtype="<i8").tolist()
                 if info["flags"] & FLAG_INDIRECT:
                     info["index_blocks"].extend(addrs)
-                    late_index.append(info)
                 else:
                     info["data_blocks"].extend(addrs)
-        # Rounds 2b/3: index blocks (early for hint-resolved holders).
-        late_ids = {id(i) for i in late_index}
-        self._read_index_blocks(
-            ctx,
-            [
-                i
-                for i in infos
-                if i and i["index_blocks"] and id(i) not in late_ids
-            ],
-        )
-        self._read_index_blocks(ctx, late_index)
-        # Round 4: exact payload spans.
+        # Rounds 2b/3: index blocks, early for hint-resolved holders.
+        if early:
+            self._read_index_blocks(ctx, early)
+        if late:
+            self._read_index_blocks(ctx, late)
+        # Round 4: exact payload spans, as one piece in the primary block
+        # and one per continuation block they touch.
         span_specs: list[tuple[int, int, int]] = []
         span_owner: list[dict] = []
         for info in infos:
             if info is None:
                 continue
-            start, end = self._need_span(info)
-            info["span"] = (start, end)
-            info["pieces"] = []
-            if end <= start:
-                continue
-            head_len = max(0, min(info["payload_len"], bs - info["pos"]))
+            n, payload_len = info["need"], info["payload_len"]
+            pieces = info["pieces"] = []
+            if n == NEED_ALL:
+                start, end = 0, payload_len
+            else:
+                topo_len = SLOT_BYTES * info["edge_count"]
+                start = 0 if n & NEED_TOPO else topo_len
+                end = (
+                    payload_len if n & NEED_ENTRIES
+                    else topo_len if n & NEED_TOPO
+                    else 0
+                )
+                if end <= start:
+                    continue
+            pos = info["pos"]  # <= bs: a longer address area failed round 2
+            head_len = min(payload_len, bs - pos)
             if start < head_len:
-                take = min(end, head_len) - start
-                span_specs.append((info["primary"], info["pos"] + start, take))
-                span_owner.append(info)
+                if whole:  # the whole payload: its head is in the block
+                    pieces.append(info["blob"][pos : pos + head_len])
+                else:
+                    span_specs.append(
+                        (info["primary"], pos + start, min(end, head_len) - start)
+                    )
+                    span_owner.append(info)
             if end > head_len:
                 lo = max(start, head_len) - head_len
                 hi = end - head_len
-                first = lo // bs
-                last = (hi - 1) // bs
-                for j in range(first, last + 1):
+                for j in range(lo // bs, (hi - 1) // bs + 1):
                     boff = max(lo - j * bs, 0)
-                    bend = min(hi - j * bs, bs)
                     span_specs.append(
-                        (info["data_blocks"][j], boff, bend - boff)
+                        (info["data_blocks"][j], boff, min(hi - j * bs, bs) - boff)
                     )
                     span_owner.append(info)
         if span_specs:
-            sblobs = self.blocks.read_blocks(ctx, span_specs)
-            for info, sblob in zip(span_owner, sblobs):
+            for info, sblob in zip(span_owner, read(ctx, span_specs)):
                 info["pieces"].append(sblob)
         out: list[StoredHolder | None] = []
         for info in infos:
             if info is None:
                 out.append(None)
                 continue
-            out.append(self._assemble_projected(ctx, info))
+            span = b"".join(info["pieces"])
+            # the CRC covers the whole payload: verifiable when the span
+            # is as long as the payload, i.e. is all of it
+            if len(span) == info["payload_len"] and zlib.crc32(span) != info["crc"]:
+                self._corrupted(ctx, info["primary"], len(span))
+            out.append(_decode_span(info, span))
         return out
 
     def _read_many_columnar(
@@ -626,7 +551,7 @@ class HolderStorage:
         needs: list[int],
         missing_ok: bool,
     ) -> HolderBatch:
-        """:meth:`_read_many_projected` over whole columns.
+        """:meth:`_read_per_holder`'s header-first shape over whole columns.
 
         The same rounds with the same elements — so the same simulated
         charges — but every header is decoded through one
@@ -785,42 +710,13 @@ class HolderStorage:
         )
         if bad.size:
             i = int(bad.min())
-            self._check_crc(
-                ctx,
-                {"primary": primaries[i], "crc": int(crc[i])},
-                span[span_indptr[i] : span_indptr[i + 1]].tobytes(),
+            self._corrupted(
+                ctx, primaries[i], int(span_indptr[i + 1] - span_indptr[i])
             )
         return HolderBatch(
             prim, header, need, start, span, span_indptr,
             data_blocks, data_indptr, index_blocks,
         )
-
-    @staticmethod
-    def _need_span(info: dict) -> tuple[int, int]:
-        """Payload byte range [start, end) covering the needed parts."""
-        n = info["need"]
-        if info["kind"] == KIND_EDGE:
-            return 0, info["payload_len"]
-        topo_len = SLOT_BYTES * info["edge_count"]
-        want_topo = bool(n & NEED_TOPO)
-        want_entries = bool(n & NEED_ENTRIES)
-        if want_topo and want_entries:
-            return 0, info["payload_len"]
-        if want_topo:
-            return 0, topo_len
-        if want_entries:
-            return topo_len, info["payload_len"]
-        return 0, 0
-
-    def _assemble_projected(
-        self, ctx: RankContext, info: dict
-    ) -> StoredHolder:
-        start, end = info["span"]
-        span = b"".join(info["pieces"])
-        if start == 0 and end == info["payload_len"]:
-            # the CRC covers the whole payload; only verifiable here
-            self._check_crc(ctx, info, span)
-        return _decode_span(info, start, span)
 
     # -- delete --------------------------------------------------------------------
     def delete(self, ctx: RankContext, stored: StoredHolder) -> None:

@@ -137,11 +137,11 @@ class HolderBatch(Sequence):
                 for col in (
                     self.present, self.kind, self.flags, self.app_id,
                     self.edge_count, self.need, self.version, self.primaries,
-                    self.start, self.span_indptr, self.data_indptr,
+                    self.span_indptr, self.data_indptr,
                 )
             ]
         (present, kind, flags, app_id, edge_count, need, version, primaries,
-         start, span_indptr, data_indptr) = self._lists
+         span_indptr, data_indptr) = self._lists
         if not present[i]:
             return None
         info = {
@@ -158,7 +158,7 @@ class HolderBatch(Sequence):
             "index_blocks": self.index_blocks.get(i, []),
         }
         span = self.span[span_indptr[i] : span_indptr[i + 1]].tobytes()
-        return _decode_span(info, start[i], span)
+        return _decode_span(info, span)
 
     # -- topology columns ----------------------------------------------------
     def slot_columns(self) -> tuple[np.ndarray, np.ndarray]:

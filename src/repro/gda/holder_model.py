@@ -396,51 +396,34 @@ class StoredHolder:
         return unpack_dptr(self.primary).rank
 
 
-def _decode_payload(
-    kind: int, flags: int, edge_count: int, payload: bytes
-) -> "VertexHolder | EdgeHolder":
-    """The holder of one whole payload; the caller fills in ``app_id``
-    from the header.  A vertex keeps both payload regions as the bytes
-    they are (zero-copy decode)."""
-    if kind == KIND_VERTEX:
-        topo_len = SLOT_BYTES * edge_count
-        return VertexHolder._from_wire(0, payload[topo_len:], payload[:topo_len])
-    if kind == KIND_EDGE:
-        src, dst = _ENDPOINTS.unpack_from(payload, 0)
-        labels, props = decode_entries(payload[16:])
-        return EdgeHolder(
-            src=src,
-            dst=dst,
-            directed=bool(flags & FLAG_DIRECTED),
-            labels=labels,
-            properties=props,
-        )
-    raise GdiStateError(f"corrupt holder kind {kind}")
-
-
-def _decode_span(info: dict, start: int, span: bytes) -> StoredHolder:
-    """Build the holder of one header ``info`` from its fetched span
-    (the payload bytes from offset ``start`` on)."""
+def _decode_span(info: dict, span: bytes) -> StoredHolder:
+    """Build the holder of one header ``info`` from the payload span its
+    ``need`` mask fetched: the edge-slot region, then the entry stream,
+    each present only when needed.  A vertex keeps both as the bytes
+    they are (zero-copy decode); an edge holder is always read whole."""
+    n = info["need"]
     if info["kind"] == KIND_EDGE:
-        holder = _decode_payload(
-            info["kind"], info["flags"], info["edge_count"], span
+        src, dst = _ENDPOINTS.unpack_from(span, 0)
+        labels, props = decode_entries(span[16:])
+        holder = EdgeHolder(
+            src, dst, bool(info["flags"] & FLAG_DIRECTED), labels, props
         )
-        holder.app_id = info["app_id"]
-        parts = NEED_ALL
-    else:
+    elif n & NEED_TOPO:
         topo_len = SLOT_BYTES * info["edge_count"]
-        n = info["need"]
         holder = VertexHolder._from_wire(
             info["app_id"],
-            span[topo_len - start :] if n & NEED_ENTRIES else None,
-            span[: topo_len - start] if n & NEED_TOPO else None,
+            span[topo_len:] if n & NEED_ENTRIES else None,
+            span[:topo_len],
         )
-        parts = NEED_IDENT | (n & (NEED_TOPO | NEED_ENTRIES))
+    else:
+        holder = VertexHolder._from_wire(
+            info["app_id"], span if n & NEED_ENTRIES else None, None
+        )
     return StoredHolder(
-        holder=holder,
-        primary=info["primary"],
-        data_blocks=info["data_blocks"],
-        index_blocks=info["index_blocks"],
-        parts=parts,
-        version=info["version"],
+        holder,
+        info["primary"],
+        info["data_blocks"],
+        info["index_blocks"],
+        n | NEED_IDENT,
+        info["version"],
     )

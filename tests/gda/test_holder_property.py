@@ -1,5 +1,6 @@
-"""Additional property-based coverage: edge holders, mixed rewrites, and the
-columnar batch decode against the per-holder decode."""
+"""Additional property-based coverage: edge holders, mixed rewrites, the
+columnar batch decode against the per-holder decode, and the per-holder
+decode's whole-block shape against its header-first shape."""
 
 import numpy as np
 import pytest
@@ -94,8 +95,8 @@ def test_repeated_rewrites_never_leak_blocks(sizes):
 # -- columnar read_many == per-holder read_many -------------------------------
 #
 # Large batches are decoded column-wise (_read_many_columnar -> HolderBatch);
-# the per-holder decode (_read_many_projected, still what smaller batches run)
-# is the reference.  Same holders, same block placement, same counters, same
+# the per-holder decode (_read_per_holder, what smaller batches run) is the
+# reference.  Same holders, same block placement, same counters, same
 # charge.  The properties call the columnar decode directly so that small,
 # shrinkable batches exercise it; the dispatch on size has its own test.
 
@@ -216,7 +217,7 @@ def test_columnar_read_many_equals_per_holder_read_many(specs):
                 ctx, lambda: hs._read_many_columnar(ctx, prims, needs, True)
             )
             want, ref_cost = _measured(
-                ctx, lambda: hs._read_many_projected(ctx, prims, needs, True)
+                ctx, lambda: hs._read_per_holder(ctx, prims, needs, True)
             )
             assert isinstance(got, HolderBatch) and len(got) == len(want)
             # the same rounds with the same elements: counters, per-shard
@@ -258,7 +259,62 @@ def test_columnar_read_many_equals_per_holder_read_many(specs):
                 with pytest.raises(GdiStateError):
                     hs._read_many_columnar(ctx, prims, needs, False)
                 with pytest.raises(GdiStateError):
-                    hs._read_many_projected(ctx, prims, needs, False)
+                    hs._read_per_holder(ctx, prims, needs, False)
+        ctx.barrier()
+        return True
+
+    run_spmd(2, prog, profile=UNIFORM)
+
+
+# -- the whole-block shape of the per-holder decode ----------------------------
+#
+# A batch of fewer than eight holders read with NEED_ALL (every point read of
+# the RM mix) takes whole primary blocks in round 1.  Its reference is the
+# header-first shape of the same decoder over the same primaries, repeated to
+# a batch of eight or more.
+
+SMALL = st.lists(st.one_of(VERTEX, VERTEX, EDGE, HOLE), min_size=1, max_size=7)
+
+
+def _rounds_of(bm):
+    """Count ``bm.read_blocks`` calls (read rounds) from now on."""
+    rounds = []
+    read = bm.read_blocks
+
+    def counted(ctx, specs):
+        rounds.append(len(specs))
+        return read(ctx, specs)
+
+    bm.read_blocks = counted
+    return rounds
+
+
+@settings(deadline=None, max_examples=40)
+@given(specs=SMALL)
+def test_small_whole_reads_equal_the_header_first_shape(specs):
+    def prog(ctx):
+        bm = BlockManager.create(ctx, block_size=BS, blocks_per_rank=2048)
+        hs = HolderStorage(bm)
+        if ctx.rank == 0:
+            prims = [_write(ctx, bm, hs, s, i) for i, s in enumerate(specs)]
+            rounds = _rounds_of(bm)
+            got = hs.read_many(ctx, prims, missing_ok=True)
+            whole_rounds = len(rounds)
+            wide = prims * 8
+            want = hs._read_per_holder(ctx, wide, [NEED_ALL] * len(wide), True)
+            header_first_rounds = len(rounds) - whole_rounds
+            assert isinstance(got, list) and len(got) == len(prims)
+            for g, w in zip(got, want):
+                _same_holder(g, w)
+            present = [w for w in want[: len(prims)] if w is not None]
+            if present and not any(w.data_blocks for w in present):
+                # every holder fits its primary block: one round, not two
+                assert (whole_rounds, header_first_rounds) == (1, 2)
+            else:
+                assert whole_rounds <= header_first_rounds
+            if len(present) < len(prims):
+                with pytest.raises(GdiStateError):
+                    hs.read_many(ctx, prims)
         ctx.barrier()
         return True
 
@@ -301,13 +357,20 @@ def test_columnar_read_detects_a_corrupted_payload_byte(n_edges, victim, where):
             dptr, off = s.data_blocks[(at - head) // BS], (at - head) % BS
         byte = bm.read_block(ctx, dptr, off, 1)
         bm.write_block(ctx, dptr, bytes([byte[0] ^ 0x40]), off)
-        detected = ctx.rt.trace.counters[0].corruptions_detected
-        with pytest.raises(GdiChecksumError):
-            hs._read_many_columnar(ctx, prims, full, False)
-        assert ctx.rt.trace.counters[0].corruptions_detected == detected + 1
-        # a header-only read of a corrupted holder moves no CRC-covered
-        # whole payload: it is not verifiable, exactly as per holder
-        hs._read_many_columnar(ctx, prims, [NEED_IDENT] * len(prims), False)
+        # the columnar decode of the batch, and the per-holder decode of
+        # fewer than eight primaries around the victim (whole blocks)
+        few = prims[max(0, victim - 3) :][:7]
+        for read, batch in (
+            (hs._read_many_columnar, prims),
+            (hs._read_per_holder, few),
+        ):
+            detected = ctx.rt.trace.counters[0].corruptions_detected
+            with pytest.raises(GdiChecksumError):
+                read(ctx, batch, [NEED_ALL] * len(batch), False)
+            assert ctx.rt.trace.counters[0].corruptions_detected == detected + 1
+            # a header-only read of a corrupted holder moves no CRC-covered
+            # whole payload: it is not verifiable, on either decode
+            read(ctx, batch, [NEED_IDENT] * len(batch), False)
         return True
 
     run_spmd(1, prog)

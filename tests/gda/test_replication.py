@@ -1,6 +1,7 @@
 """Availability-layer tests: block mirroring, commit lag, CRC32 integrity,
 and live failover of a crashed shard."""
 
+import threading
 import zlib
 
 import pytest
@@ -14,7 +15,7 @@ from repro.gda import locks
 from repro.gdi.errors import GdiChecksumError, GdiLockFailed
 from repro.rma import run_spmd
 from repro.rma.faults import FaultInjector, FaultPlan, RmaStaleEpoch
-from repro.rma.membership import SHARD_REHOSTED
+from repro.rma.membership import SHARD_FAILED, SHARD_REHOSTED
 
 CFG = GdaConfig(blocks_per_rank=1024, replication=True)
 
@@ -211,6 +212,108 @@ def test_failover_repairs_crashed_shard_and_serves_degraded():
     totals = [rt.trace.counters[r].snapshot() for r in range(3)]
     assert sum(t["epoch_fences"] for t in totals) > 0
     assert sum(t["shard_repairs"] for t in totals) == 1
+
+
+def test_a_failed_repair_returns_the_shard_to_failed_until_a_heal_repairs_it():
+    """``heal``'s repair-failure path: the first repair of a crashed
+    shard fails its mirror CRC gate while the other survivor is parked
+    on it.  The shard goes back to FAILED, the parked healer is
+    released, the repairer's ``heal`` re-raises, and the next ``heal``
+    rebuilds the shard from the (again intact) mirror."""
+    state = {}
+    victim = 2
+
+    def build(ctx):
+        db = GdaDatabase.create(ctx, CFG)
+        _, ts = _make_graph(ctx, db, n=12)
+        if ctx.rank == 0:
+            state.update(db=db, ts=ts)
+
+    rt, _ = run_spmd(3, build)
+    mem, db, ts = rt.membership, state["db"], state["ts"]
+    repl = db.replication
+    # one mirrored block no longer matches its recorded CRC32
+    idx, (crc, nbytes) = min(repl.meta[victim].items())
+    repl.meta[victim][idx] = (crc ^ 1, nbytes)
+    repairing, parked, back = (threading.Event() for _ in range(3))
+    # lets a waiter go that nothing released, so a lost release fails
+    # the test instead of hanging it
+    give_up = threading.Event()
+    attempts, released = [], []
+    wait, repair = mem._healers.wait, repl.repair_shard
+
+    def noting_wait(scheduler, rank, ready):
+        if ready():
+            return
+        # still under the membership lock, so the failing repair cannot
+        # abort before this rank sleeps on the condition
+        parked.set()
+        wait(scheduler, rank, lambda: ready() or give_up.is_set())
+        released.append(not give_up.is_set())
+
+    def repair_after_a_waiter_parks(ctx, db_, shard):
+        attempts.append(ctx.rank)
+        repairing.set()
+        try:
+            return repair(ctx, db_, shard)
+        except GdiChecksumError:
+            assert parked.wait(timeout=60)
+            repl.meta[victim][idx] = (crc, nbytes)  # the mirror is sound again
+            raise
+
+    mem._healers.wait = noting_wait
+    repl.repair_shard = repair_after_a_waiter_parks
+
+    def degraded(ctx):
+        if ctx.rank != victim:  # notice the crash: its shard is FAILED
+            for s in range(ctx.nranks):
+                try:
+                    ctx.get(db.blocks.system_win, s, 0, 8)
+                except RmaStaleEpoch:
+                    pass
+        ctx.barrier()
+        seen = [mem.shard_state(victim)]
+        if ctx.rank == 0:
+            with pytest.raises(GdiChecksumError):
+                db.heal(ctx)
+            seen.append(mem.shard_state(victim))
+            back.wait(timeout=60)
+            with mem._lock:
+                give_up.set()
+                mem._lock.notify_all()
+        elif ctx.rank == 1:
+            assert repairing.wait(timeout=60)
+            db.heal(ctx)  # parks on rank 0's repair until it aborts
+            back.set()
+            seen.append(parked.is_set())
+        ctx.barrier()
+        if ctx.rank == 0:
+            db.heal(ctx)
+            seen.append(mem.shard_state(victim))
+        ctx.barrier()
+        if ctx.rank != victim:
+            seen.append(
+                run_transaction(
+                    ctx, db,
+                    lambda tx: [tx.find_vertex(i).property(ts) for i in range(12)],
+                    write=False, policy=RetryPolicy(max_attempts=6),
+                )
+            )
+            seen.append(check_consistency(ctx, db).problems)
+        return seen
+
+    _, res = run_spmd(
+        3,
+        degraded,
+        runtime=rt,
+        faults=FaultPlan(crash_rank=victim, crash_at_op=1),
+    )
+    assert res[victim] is None
+    values = list(range(12))
+    assert res[0] == [SHARD_FAILED, SHARD_FAILED, SHARD_REHOSTED, values, []]
+    assert res[1] == [SHARD_FAILED, True, values, []]
+    assert attempts == [0, 0]  # the failed attempt, then the repair
+    assert released == [True]  # the abort, not the test, let it go
 
 
 def _backout_race(faults):
