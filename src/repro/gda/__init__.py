@@ -32,7 +32,7 @@ from .holder import (
     VertexHolder,
 )
 from .index_impl import ExplicitEdgeIndex, ExplicitIndex, VertexDirectory
-from .locks import LockRegistry, LockTimeout, RWLock
+from .locks import LockTimeout, RWLock
 from .metadata import Label, MetadataReplica, MetadataStore, PropertyType
 from .recovery import (
     Checkpoint,
@@ -78,7 +78,6 @@ __all__ = [
     "ExplicitIndex",
     "ExplicitEdgeIndex",
     "VertexDirectory",
-    "LockRegistry",
     "LockTimeout",
     "RWLock",
     "ReplicationManager",

@@ -121,9 +121,11 @@ class GdaDatabase:
         #: :class:`~repro.gda.replication.ReplicationManager` when the
         #: config enables replication; None keeps the seed behavior.
         self.replication = None
-        #: :class:`~repro.gda.locks.LockRegistry` (failover lock cleanup);
-        #: only instantiated alongside replication.
-        self.lock_registry = None
+        #: with replication, each rank's lock tables that hold words in the
+        #: order they took their first (``{table: None}``): the failover
+        #: healer backs out a dead rank's; None without replication
+        self.lock_tables: list[dict] | None = None
+        self.lock_tables_mu = threading.Lock()
         #: stale->fresh internal-ID translation published by the last
         #: rebalance (:func:`repro.gda.relocate.rebalance`): lets reads
         #: through pre-move permanent DPTRs raise a healable
@@ -206,7 +208,6 @@ class GdaDatabase:
             )
             if config.replication:
                 from ..rma.membership import ClusterMembership
-                from .locks import LockRegistry
                 from .replication import ReplicationManager
 
                 mem = getattr(ctx.rt, "membership", None)
@@ -219,7 +220,7 @@ class GdaDatabase:
                 db.blocks.on_acquire = repl.note_acquire
                 db.blocks.on_release = repl.note_release
                 db.dht.enable_mirror()
-                db.lock_registry = LockRegistry()
+                db.lock_tables = [{} for _ in range(ctx.nranks)]
         db = ctx.bcast(db, root=0)
         ctx.barrier()
         return db

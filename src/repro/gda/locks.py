@@ -27,11 +27,16 @@ the contended words, each for up to ``max_retries`` attempts in all:
   atomically become the writer.
 * **give-back** — one FAA per word of what its mode took: -1 (read),
   -WRITE_BIT (write) or 1 - WRITE_BIT (upgrade: a gap-free downgrade).
+
+The word does not record who holds it; the caller does.  ``note`` hears
+every word a round took and every failed read increment while its back-out
+round is in flight (a :data:`BACKOUT` hold), so a call that raises leaves
+the caller's record exact.  A transaction's lock table is that one record;
+the failover healer backs out what a dead rank's open tables hold.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -40,20 +45,15 @@ from ..rma.runtime import RankContext
 from ..rma.window import Window
 
 __all__ = [
-    "RWLock",
-    "LockTimeout",
-    "LockRegistry",
-    "WRITE_BIT",
-    "READ",
-    "WRITE",
-    "UPGRADE",
-    "acquire_read_batch",
-    "acquire_write_batch",
-    "upgrade_batch",
-    "release_batch",
+    "RWLock", "LockTimeout", "WRITE_BIT", "READ", "WRITE", "UPGRADE", "BACKOUT",
+    "acquire_read_batch", "acquire_write_batch", "upgrade_batch", "release_batch",
 ]
 
 WRITE_BIT = 1 << 62
+
+#: cap of the seeded backoff between attempts: ~10 lock-hold times, enough
+#: to desynchronize contenders, yet a whole retry budget stays well < 1 ms
+_BACKOFF_CAP = 20e-6
 
 
 class LockTimeout(RuntimeError):
@@ -93,16 +93,18 @@ UPGRADE = _Mode(
     "upgrade at rank {} offset {} failed (concurrent readers or writer)",
     "downgrade without the write lock held",
 )
+#: a failed read increment while the round backing it out is in flight;
+#: its give-back is -1 without READ's check (the word has a writer's bit)
+BACKOUT = _Mode(None, -1, "", "")
 
-#: called after each round with the positions (in the vector passed) of
-#: the words that round took (see :func:`acquire_read_batch`)
-Note = Callable[[list[int]], None]
+#: ``note(positions, mode)``: the words at ``positions`` (in the vector
+#: passed) are now held in ``mode``, or no longer (``None``)
+Note = Callable[[list[int], "_Mode | None"], None]
 
 
-def _untracked(got: list[int]) -> None:
+def _untracked(got: list[int], mode: _Mode | None) -> None:
     """The ``note`` of the scalar :class:`RWLock` verbs: their word is the
-    caller's once the call returns, and a one-word call that raises has
-    taken nothing."""
+    caller's once the call returns."""
 
 
 @dataclass
@@ -119,11 +121,7 @@ class RWLock:
     #: seeded exponential backoff between attempts (0 = spin, the
     #: pre-backoff behaviour kept for unit tests exercising raw retries)
     backoff_base: float = 0.0
-    backoff_cap: float = 20e-6
     seed: int = 0
-    #: the database's failover bookkeeping (``None`` without replication):
-    #: lists a failed read increment of this rank until it is backed out
-    registry: LockRegistry | None = None
 
     def _backoff(self, ctx: RankContext, attempt: int) -> None:
         """Charge one seeded backoff delay between lock attempts.
@@ -134,7 +132,7 @@ class RWLock:
         delay = backoff_delay(
             self.backoff_base,
             attempt,
-            cap=self.backoff_cap,
+            cap=_BACKOFF_CAP,
             seed=self.seed,
             token=(self.rank << 32) ^ self.offset ^ (ctx.rank << 8),
         )
@@ -190,7 +188,8 @@ def _acquire(ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note) -> 
     if not locks:
         return
     first = locks[0]
-    win, tries, expect, reg = first.window, first.max_retries, mode.expect, first.registry
+    win, tries, expect = first.window, first.max_retries, mode.expect
+    held = WRITE if mode is UPGRADE else mode
     cas = expect is not None
     take = [
         (lk.rank, lk.offset, expect, WRITE_BIT) if cas else (lk.rank, lk.offset, 1)
@@ -205,17 +204,15 @@ def _acquire(ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note) -> 
             won = old == expect if cas else not old & WRITE_BIT
             (got if won else missed).append(i)
         if got:
-            note(got)
+            note(got, held)
         if not missed:
             return
         wanted = missed
         ops = [take[i] for i in wanted]
-        if not cas:  # the failed +1s landed: back them out, listed till then
-            for r, o, _ in ops if reg else ():
-                reg.note(ctx.rank, r, o, READ)
+        if not cas:  # the failed +1s landed: the caller's till backed out
+            note(wanted, BACKOUT)
             _round(ctx, win, [(r, o, -1) for r, o, _ in ops], False)
-            for r, o, _ in ops if reg else ():
-                reg.note(ctx.rank, r, o, None)
+            note(wanted, None)
         for i in wanted:
             ctx.rt.trace.record_lock_conflict(ctx.rank, locks[i].rank)
         if attempt + 1 < tries:
@@ -227,11 +224,12 @@ def _acquire(ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note) -> 
 def acquire_read_batch(ctx: RankContext, locks: list[RWLock], note: Note) -> None:
     """Acquire read locks on all ``locks`` (``FAA(+1)`` rounds).
 
-    ``note`` is called after each round with the positions in ``locks``
-    of the words that round took, before any further op.  The caller owns
-    those words from then on and gives them back itself
-    (:func:`release_batch`), also when the call raises: a timeout gives
-    nothing back.
+    ``note(positions, mode)`` hears, before any further op, the positions
+    in ``locks`` of the words each round took (``mode`` READ here, WRITE
+    for a take or an upgrade) and of the failed increments around their
+    back-out round (BACKOUT before it, ``None`` once it landed).  The
+    caller owns what it heard held and gives it back itself
+    (:func:`release_batch`), also when the call raises.
     """
     _acquire(ctx, locks, READ, note)
 
@@ -255,56 +253,17 @@ def release_batch(ctx: RankContext, locks: list[tuple[RWLock, _Mode]]) -> None:
     hold the write bit, readers mid-backoff have transient +1/-1 pairs on
     the word), so the whole vector is one FAA round.  A word that did not
     hold what is given back raises ``RuntimeError`` (a write bit given
-    back in error is restored first).
+    back in error is restored first).  A BACKOUT word is not checked.
     """
     if not locks:
         return
     win = locks[0][0].window
     ops = [(lk.rank, lk.offset, mode.undo) for lk, mode in locks]
     for (lk, mode), old in zip(locks, _round(ctx, win, ops, False)):
-        if mode.expect is None:
+        if mode is READ:
             if old & WRITE_BIT or (old & ~WRITE_BIT) <= 0:
                 raise RuntimeError(mode.misuse)
-        elif not old & WRITE_BIT:
+        elif mode is not BACKOUT and not old & WRITE_BIT:
             ctx.faa(win, lk.rank, lk.offset, -mode.undo)  # restore
             raise RuntimeError(mode.misuse)
 
-
-class LockRegistry:
-    """Per-owner bookkeeping of currently held lock words (failover aid).
-
-    The lock word itself carries no owner identity (a reader count and a
-    write bit), so when a rank crashes nobody can tell from the word alone
-    which +1s and write bits the dead rank will never release.  The
-    registry records, Python-side, which ``(rank, offset)`` words each
-    owner rank currently holds and in which mode (:data:`READ` or
-    :data:`WRITE`); the failover healer uses :meth:`purge` to FAA the dead
-    rank's contributions back out (``mode.undo``), restoring invariant 5
-    (all lock words zero when no transaction is open).
-
-    This is the repository's established substitution idiom for structures
-    the paper keeps in NIC-accessible memory but whose content is only
-    consulted on the control path (compare ``VertexDirectory``): the data
-    plane is untouched, only crash cleanup consults the registry.
-    """
-
-    def __init__(self) -> None:
-        self._held: dict[int, dict[tuple[int, int], _Mode]] = {}
-        self._mu = threading.Lock()
-
-    def note(self, owner: int, rank: int, offset: int, mode: _Mode | None) -> None:
-        """List ``owner`` as holding the word at ``(rank, offset)`` in
-        ``mode``; ``None`` forgets it."""
-        with self._mu:
-            held = self._held.setdefault(owner, {})
-            if mode is None:
-                held.pop((rank, offset), None)
-            else:
-                held[rank, offset] = mode
-
-    def purge(self, owner: int) -> list[tuple[int, int, _Mode]]:
-        """Remove and return ``(rank, offset, mode)`` for all locks held by
-        ``owner`` (used once when ``owner`` is declared dead)."""
-        with self._mu:
-            locks = self._held.pop(owner, {})
-        return [(r, o, m) for (r, o), m in locks.items()]

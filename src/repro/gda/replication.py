@@ -19,8 +19,8 @@ epoch-fenced membership view (:mod:`repro.rma.membership`):
   exactly when its last logged record may be torn — which bounds backups
   to **at most one commit behind** (see :meth:`ReplicationManager.commit_lag`).
 * **Failover repair** — :meth:`ReplicationManager.repair_shard` rebuilds a
-  dead rank's shard in place: undo its held locks (via the
-  :class:`~repro.gda.locks.LockRegistry`), reconstruct the free list as
+  dead rank's shard in place: back out the lock words its open lock
+  tables hold (``db.lock_tables``), reconstruct the free list as
   the complement of the mirrored live-block set, restore the mirrored
   blocks (each verified against its recorded CRC32 before promotion),
   rebuild the shard's DHT segment, then roll the intent's entries forward
@@ -250,24 +250,18 @@ class ReplicationManager:
         """
         rt = ctx.rt
         mem = self.membership
-        rt.trace.record_repair(ctx.rank)
         mem.adopt_epoch(ctx.rank)
         bs = self.block_size
 
-        # 0. The dead rank's staged mirrors die with it; capture its intent.
-        with self._staged_mu:
-            self._staged[shard] = []
-        intent = self.intent[shard]
-        intent_seq = self.intent_seq[shard]
-        self.intent[shard] = None
-        self.intent_seq[shard] = None
-
-        # 1. Undo the dead rank's held locks on healthy shards (its own
-        # shard's lock words are rebuilt to zero below).
-        if db.lock_registry is not None:
-            for lrank, loff, mode in db.lock_registry.purge(shard):
-                if lrank != shard:
-                    ctx.faa(db.blocks.system_win, lrank, loff, mode.undo)
+        # 1. Back out the dead rank's words on healthy shards as its open
+        # lock tables list them (forgotten first: a retry issues none).
+        with db.lock_tables_mu:
+            tables = list(db.lock_tables[shard])
+            db.lock_tables[shard].clear()
+        for table in tables:
+            for mode, _, lock in list(table._held.values()):
+                if lock.rank != shard:
+                    ctx.faa(db.blocks.system_win, lock.rank, lock.offset, mode.undo)
 
         # 2. Fetch and verify the mirrored live blocks (promotion gate).
         with self._meta_mu:
@@ -288,6 +282,12 @@ class ReplicationManager:
                     f"mirror of shard {shard} block {idx} failed CRC32 "
                     "verification at failover promotion"
                 )
+        rt.trace.record_repair(ctx.rank)
+        # The dead rank's staged mirrors die with it; capture its intent.
+        with self._staged_mu:
+            self._staged[shard] = []
+        intent, intent_seq = self.intent[shard], self.intent_seq[shard]
+        self.intent[shard] = self.intent_seq[shard] = None
 
         # 3. Rebuild the shard's BGDL segments in place: data zeroed, then
         # restored at original offsets (DPtrs survive); the pool holds

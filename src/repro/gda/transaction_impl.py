@@ -95,25 +95,25 @@ __all__ = [
 
 
 #: seeded exponential backoff between lock attempts, charged as pure
-#: simulated time, never extra one-sided operations.  :class:`RWLock`'s
-#: cap (20 us) is ~10 lock-hold times: large enough to desynchronize
-#: contenders, small enough that even a full ``lock_max_retries``
-#: timeout costs well under a millisecond of simulated time.
+#: simulated time, never extra one-sided operations
 _LOCK_BACKOFF_BASE = 2e-6
 
 
 class _LockTable:
-    """The lock words one transaction holds: ``vid -> (mode, epoch, lock)``
-    (``mode`` is :data:`~repro.gda.locks.READ` or ``WRITE``).
+    """The lock words one transaction holds, the only record of who holds
+    them: ``vid -> (mode, epoch, lock)``, ``mode`` one of
+    :data:`~repro.gda.locks.READ`, ``WRITE`` and ``BACKOUT``.
 
     One RW lock word per vertex (Section 5.6), taken try-lock style
     through the vector verbs of :mod:`repro.gda.locks` and kept until the
-    transaction ends (two-phase locking).  ``epoch`` is the membership
-    epoch when the word was taken: a shard rebuilt after it has a fresh
-    word, so the give-back must skip it (a cluster with no view armed
-    never rebuilds one); ``lock`` is the handle the word was taken
-    through, used again to upgrade and give back.  Collective and
-    snapshot transactions are lock-free: their table stays empty.
+    transaction ends (two-phase locking).  With replication on, a table
+    holding words is listed in its rank's ``db.lock_tables``: the
+    failover healer backs out what a dead rank's open tables hold.
+    ``epoch`` is the membership epoch read before the call that took the
+    word: a shard that failed after it has a fresh word, so the give-back
+    skips it; ``lock`` is the handle the word was taken through, used
+    again to upgrade and give back.  Collective and snapshot
+    transactions are lock-free: their table stays empty.
     """
 
     def __init__(self, tx: "Transaction") -> None:
@@ -123,6 +123,7 @@ class _LockTable:
         self._mem = tx._mem or STABLE
         self._lock_free = tx.collective or tx.snapshot
         self._held: dict[int, tuple[Any, int, RWLock]] = {}
+        self._ledger = tx.db.lock_tables and tx.db.lock_tables[tx.ctx.rank]
 
     def _lock_of(self, vid: int) -> RWLock:
         blocks = self._db.blocks
@@ -131,7 +132,6 @@ class _LockTable:
             *blocks.lock_location(vid),
             max_retries=self._db.config.lock_max_retries,
             backoff_base=_LOCK_BACKOFF_BASE,
-            registry=self._db.lock_registry,
         )
 
     def acquire(self, vids: "Iterable[int]", want_write: bool) -> None:
@@ -139,15 +139,14 @@ class _LockTable:
 
         Words not held yet are taken in one call of the lock protocol,
         words held for reading are upgraded in a second when writing is
-        wanted.  Each word is noted (epoch, lock registry) right after the
-        round that took it.  All or nothing: a timeout or a fault gives
-        back exactly the words this call took, released or downgraded
-        back to read, through :meth:`_give_back`; a timeout then raises
-        :class:`GdiLockFailed`, on which the transaction fails itself.
+        wanted; each word is noted as the protocol reports it.  All or
+        nothing: a timeout or a fault gives back exactly what this call
+        holds, released or downgraded back to read, through
+        :meth:`_give_back`; a timeout then raises :class:`GdiLockFailed`,
+        on which the transaction fails itself.
         """
         if self._lock_free:
             return
-        want = WRITE if want_write else READ
         take = acquire_write_batch if want_write else acquire_read_batch
         held = self._held
         fresh: list[int] = []
@@ -162,17 +161,18 @@ class _LockTable:
                 ups.append(vid)
         if not fresh and not ups:
             return
-        ctx, mem, registry = self._ctx, self._mem, self._db.lock_registry
-        took: list[int] = []
+        ctx, epoch = self._ctx, self._mem.epoch
+        if not held and self._ledger is not None:
+            with self._db.lock_tables_mu:
+                self._ledger[self] = None
 
-        def note(got: list[int]) -> None:
+        def note(got: list[int], mode: Any) -> None:
             # ``batch[i]`` is the vid of ``locks[i]``, the call in flight
             for i in got:
-                vid, lock = batch[i], locks[i]
-                held[vid] = (want, mem.epoch, lock)
-                took.append(vid)
-                if registry is not None:
-                    registry.note(ctx.rank, lock.rank, lock.offset, want)
+                if mode is None:
+                    del held[batch[i]]
+                else:
+                    held[batch[i]] = (mode, epoch, locks[i])
 
         try:
             if fresh:
@@ -182,6 +182,8 @@ class _LockTable:
                 batch, locks = ups, [held[vid][2] for vid in ups]
                 upgrade_batch(ctx, locks, note)
         except BaseException as exc:
+            took = [vid for vid in fresh if vid in held]
+            took += [vid for vid in ups if held[vid][0] is WRITE]
             self._give_back(took, downgrade=set(ups))
             if isinstance(exc, LockTimeout):
                 raise GdiLockFailed(str(exc)) from exc
@@ -190,37 +192,32 @@ class _LockTable:
     def drop(self, vid: int) -> None:
         """Release one held lock word (a no-op for a word not held)."""
         if vid in self._held:
-            self._give_back((vid,))
+            self._give_back([vid])
 
     def release_all(self) -> None:
         if self._held:
             self._give_back(list(self._held))
 
-    def _give_back(self, vids: Iterable[int], downgrade: Container[int] = ()) -> None:
+    def _give_back(self, vids: list[int], downgrade: Container[int] = ()) -> None:
         """Give back the held words of ``vids`` in one failover-aware
         round: release each, except that a word in ``downgrade`` (upgraded
         by a call that then failed) goes back to read.
 
-        A word whose shard a failover repair rebuilt after it was taken is
-        zero again, so our part is already gone and is skipped (issuing it
-        would corrupt the fresh word).  A stale-epoch fence is raised
-        before any word moves and exactly once per reconfiguration; the
-        epoch is adopted then, so the rebuilt check is re-run once before
-        the round is issued again.  The registry forgets a word only after
-        its give-back: a rank that dies inside it still holds the word, and
-        the failover healer backs out what the registry lists.
+        A word whose shard failed after it was taken is zero again and is
+        skipped (issuing it would corrupt the fresh word).  A stale-epoch
+        fence is raised before any word moves and exactly once per
+        reconfiguration, so the round is filtered and issued once more.
+        The words leave the table only once the round returned: a rank
+        that dies inside it still holds them for the failover healer.
         """
-        held, mem, ctx = self._held, self._mem, self._ctx
+        held, mem = self._held, self._mem
         back: list[tuple[RWLock, int, Any]] = []  # (lock, epoch, give-back)
         for vid in vids:
-            mode, epoch, lock = held.pop(vid)
-            if vid in downgrade:
-                held[vid] = (READ, epoch, lock)
-                mode = UPGRADE
-            back.append((lock, epoch, mode))
+            mode, epoch, lock = held[vid]
+            back.append((lock, epoch, UPGRADE if vid in downgrade else mode))
         for fenced in (False, True):
             try:
-                release_batch(ctx, [
+                release_batch(self._ctx, [
                     (lock, how) for lock, epoch, how in back
                     if not mem.rebuilt_since(lock.rank, epoch)
                 ])
@@ -228,11 +225,14 @@ class _LockTable:
             except RmaStaleEpoch:
                 if fenced:
                     raise
-        registry = self._db.lock_registry
-        if registry is not None:
-            for lock, _, how in back:
-                mode = READ if how is UPGRADE else None  # a downgrade keeps a read
-                registry.note(ctx.rank, lock.rank, lock.offset, mode)
+        for vid, (lock, epoch, how) in zip(vids, back):
+            if how is UPGRADE:  # a downgrade keeps a read
+                held[vid] = (READ, epoch, lock)
+            else:
+                del held[vid]
+        if not held and self._ledger is not None:
+            with self._db.lock_tables_mu:
+                self._ledger.pop(self, None)
 
 
 class Transaction:

@@ -96,6 +96,8 @@ class ClusterMembership:
         self.state = [SHARD_NORMAL] * nranks
         #: epoch at which each shard was last rehosted (0 = never)
         self.rehosted_at = [0] * nranks
+        #: epoch at which each shard last failed (0 = never)
+        self.failed_at = [0] * nranks
         #: shard -> rank currently repairing it (None outside repair)
         self.repairer: list[int | None] = [None] * nranks
         #: per-issuer adopted epoch ("the epoch every op carries")
@@ -136,13 +138,10 @@ class ClusterMembership:
         return self.state[shard]
 
     def rebuilt_since(self, shard: int, epoch: int) -> bool:
-        """Has ``shard`` failed or been rebuilt since ``epoch``?  A repair
-        rebuilds its lock words from zero, so a word taken before it holds
-        nothing of ours any more."""
-        return (
-            self.state[shard] in (SHARD_FAILED, SHARD_REPAIRING)
-            or self.rehosted_at[shard] > epoch
-        )
+        """Has ``shard`` failed since ``epoch``?  Its repair rebuilds its
+        lock words from zero, so a word taken before holds nothing of ours
+        any more; one the repairer took on the fresh segment does."""
+        return self.failed_at[shard] > epoch
 
     def serviceable(self, shard: int, origin: int) -> bool:
         """May ``origin`` issue operations against ``shard`` right now?"""
@@ -174,6 +173,7 @@ class ClusterMembership:
             self.state[rank] = SHARD_FAILED
             self.host[rank] = backup
             self.epoch += 1
+            self.failed_at[rank] = self.epoch
             return True
 
     def begin_repair(self, shard: int, rank: int) -> bool:

@@ -238,8 +238,9 @@ def test_batch_retries_only_the_contended_words():
     takes the other two in one batch, each later attempt (after one
     backoff) touches only the contended word, which times out after
     ``max_retries`` attempts.  ``note`` hears the positions of the words
-    taken, which stay the caller's to give back."""
-    from repro.gda.locks import acquire_read_batch
+    taken, which stay the caller's to give back, and of each failed
+    increment while its back-out round is in flight."""
+    from repro.gda.locks import BACKOUT, READ, acquire_read_batch
     from repro.rma import XC40, RmaRuntime
 
     rt = RmaRuntime(2, profile=XC40)
@@ -252,8 +253,8 @@ def test_batch_retries_only_the_contended_words():
     locks[1].acquire_write(peer)
     rounds = []
     with pytest.raises(LockTimeout):
-        acquire_read_batch(me, locks, rounds.append)
-    assert rounds == [[0, 2]]
+        acquire_read_batch(me, locks, lambda got, mode: rounds.append((got, mode)))
+    assert rounds == [([0, 2], READ)] + [([1], BACKOUT), ([1], None)] * 3
     c = rt.trace.counters[0]
     assert (c.lock_conflicts, c.batches) == (3, 1)
     # 3 attempts of (+1, back-out -1) on the middle word plus the two

@@ -75,7 +75,7 @@ def test_replication_off_by_default_no_mirror_traffic():
         db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=1024))
         _make_graph(ctx, db)
         assert db.replication is None
-        assert db.lock_registry is None
+        assert db.lock_tables is None  # no ledger of lock tables
 
     rt, _ = run_spmd(2, prog)
     assert all(
@@ -219,7 +219,9 @@ def test_a_failed_repair_returns_the_shard_to_failed_until_a_heal_repairs_it():
     shard fails its mirror CRC gate while the other survivor is parked
     on it.  The shard goes back to FAILED, the parked healer is
     released, the repairer's ``heal`` re-raises, and the next ``heal``
-    rebuilds the shard from the (again intact) mirror."""
+    rebuilds the shard from the (again intact) mirror.  The failed
+    attempt changes nothing before its gate: the dead rank's commit
+    intent survives it and no repair is counted."""
     state = {}
     victim = 2
 
@@ -235,6 +237,11 @@ def test_a_failed_repair_returns_the_shard_to_failed_until_a_heal_repairs_it():
     # one mirrored block no longer matches its recorded CRC32
     idx, (crc, nbytes) = min(repl.meta[victim].items())
     repl.meta[victim][idx] = (crc ^ 1, nbytes)
+    repl.intent[victim] = sentinel = []  # an intent with nothing to redo
+
+    def repairs():
+        return sum(rt.trace.counters[r].shard_repairs for r in range(3))
+
     repairing, parked, back = (threading.Event() for _ in range(3))
     # lets a waiter go that nothing released, so a lost release fails
     # the test instead of hanging it
@@ -277,6 +284,7 @@ def test_a_failed_repair_returns_the_shard_to_failed_until_a_heal_repairs_it():
             with pytest.raises(GdiChecksumError):
                 db.heal(ctx)
             seen.append(mem.shard_state(victim))
+            seen.append((repl.intent[victim] is sentinel, repairs()))
             back.wait(timeout=60)
             with mem._lock:
                 give_up.set()
@@ -289,7 +297,7 @@ def test_a_failed_repair_returns_the_shard_to_failed_until_a_heal_repairs_it():
         ctx.barrier()
         if ctx.rank == 0:
             db.heal(ctx)
-            seen.append(mem.shard_state(victim))
+            seen.append((mem.shard_state(victim), repl.intent[victim], repairs()))
         ctx.barrier()
         if ctx.rank != victim:
             seen.append(
@@ -310,7 +318,9 @@ def test_a_failed_repair_returns_the_shard_to_failed_until_a_heal_repairs_it():
     )
     assert res[victim] is None
     values = list(range(12))
-    assert res[0] == [SHARD_FAILED, SHARD_FAILED, SHARD_REHOSTED, values, []]
+    assert res[0] == [
+        SHARD_FAILED, SHARD_FAILED, (True, 0), (SHARD_REHOSTED, None, 1), values, []
+    ]
     assert res[1] == [SHARD_FAILED, True, values, []]
     assert attempts == [0, 0]  # the failed attempt, then the repair
     assert released == [True]  # the abort, not the test, let it go

@@ -134,9 +134,9 @@ def test_locking_and_snapshot_views_classify_rows_identically(
 def test_acquire_is_all_or_nothing(replication, take):
     """A timeout on the k-th word gives back exactly the words that call
     took, with or without a membership view (one armed by replication):
-    a fresh read or write take leaves no word held and nothing in the
-    lock registry, and a failed upgrade of a read-held set leaves it
-    exactly read-held, registry included."""
+    a fresh read or write take leaves no word held and the table out of
+    its rank's ledger, and a failed upgrade of a read-held set leaves it
+    exactly read-held, the table still listed."""
     from repro.gda.locks import READ
 
     def prog(ctx):
@@ -168,9 +168,7 @@ def test_acquire_is_all_or_nothing(replication, take):
                 (False, readers), (False, readers), other, (False, readers)
             ]
             if replication:
-                assert sorted(db.lock_registry.purge(0)) == sorted(
-                    (w.rank, w.offset, READ) for w in words if readers
-                )
+                assert list(db.lock_tables[0]) == ([tx._locks] if readers else [])
             tx.abort()
             if readers:
                 assert words[2].peek(ctx) == (False, 1)
@@ -184,3 +182,60 @@ def test_acquire_is_all_or_nothing(replication, take):
         ctx.barrier()
 
     run_spmd(2, prog)
+
+
+# ----------------------------------------------------------- back-outs --
+@pytest.mark.parametrize("seed", range(30))
+def test_a_backout_round_that_raises_leaks_no_reader(seed):
+    """Rank 2's lock-mode read meets rank 1's write lock while transient
+    faults (one attempt per op) may fail the round that backs its failed
+    read increment out.  The increment stays in rank 2's lock table as a
+    back-out hold, so its abort gives it back: once rank 1 has committed,
+    no lock word is left set."""
+    from repro.gdi import Datatype
+    from repro.gda.consistency import check_consistency
+    from repro.rma.faults import FaultPlan
+
+    state = {}
+
+    def build(ctx):
+        db = GdaDatabase.create(
+            ctx, GdaConfig(blocks_per_rank=256, lock_max_retries=4)
+        )
+        if ctx.rank == 0:
+            db.create_property_type(ctx, "ts", dtype=Datatype.INT64)
+            tx = db.start_transaction(ctx, write=True)
+            state.update(db=db, vid=tx.create_vertex(0).vid)
+            tx.commit()
+        ctx.barrier()
+        db.replica(ctx).sync()
+
+    rt, _ = run_spmd(3, build, seed=5)
+    db, txs = state["db"], {}
+    assert db.blocks.lock_location(state["vid"])[0] == 0
+
+    def hold(ctx):
+        if ctx.rank == 1:
+            txs[1] = db.start_transaction(ctx, write=True)
+            txs[1].find_vertex(0).set_property(db.property_type(ctx, "ts"), 1)
+
+    def read(ctx):
+        if ctx.rank == 2:
+            txs[2] = db.start_transaction(ctx)
+            with pytest.raises(Exception):
+                txs[2].find_vertex(0)
+
+    def settle(ctx):
+        if ctx.rank == 2:
+            txs[2].abort()
+        ctx.barrier()
+        if ctx.rank == 1:
+            txs[1].commit()
+        ctx.barrier()
+        return check_consistency(ctx, db).problems
+
+    run_spmd(3, hold, runtime=rt)
+    plan = FaultPlan(seed=seed, transient_rate=0.3, op_retry_limit=1)
+    run_spmd(3, read, runtime=rt, faults=plan)
+    _, res = run_spmd(3, settle, runtime=rt, faults=FaultPlan())
+    assert res == [[], [], []]

@@ -233,8 +233,9 @@ def _probe_and_heal(ctx, db):
     ctx.barrier()
 
 
-def _failover_storm(seed: int):
-    """The acceptance scenario: kill one rank mid-OLTP-storm; the
+def _failover_storm(seed: int, crash_at_op: int = 40):
+    """The acceptance scenario: kill one rank mid-OLTP-storm (at global
+    op ``crash_at_op``); the
     survivors keep serving in degraded mode (no restart), and their final
     quiescent state equals a fault-free twin recovered from checkpoint +
     commit log — the killed rank's unlogged in-flight batches are
@@ -267,7 +268,7 @@ def _failover_storm(seed: int):
         NRANKS,
         degraded,
         runtime=rt,
-        faults=FaultPlan(seed=seed, crash_rank=VICTIM, crash_at_op=40),
+        faults=FaultPlan(seed=seed, crash_rank=VICTIM, crash_at_op=crash_at_op),
     )
     assert res[VICTIM] is None  # silent death, survivors never restarted
     survivors = [r for r in range(NRANKS) if r != VICTIM]
@@ -357,6 +358,13 @@ def test_heal_waiter_parks_until_the_repair_publishes():
 @pytest.mark.parametrize("seed", range(300, 306))
 def test_failover_storm_matrix(seed):
     _failover_storm(seed)
+
+
+def test_failover_storm_repairer_gives_back_its_words_on_the_shard_it_repairs():
+    """At op 55 of seed 304 the repair's redo transaction and its sweep
+    read lock vertices of the shard being rebuilt: the words they took on
+    the fresh segment are theirs to give back, so none is left set."""
+    _failover_storm(304, crash_at_op=55)
 
 
 @pytest.mark.parametrize("scenario", ["commit", "checkpoint", "collective-tx"])

@@ -187,8 +187,9 @@ def _build_phase(state, nranks=NRANKS, config=None):
     return rt
 
 
-def _serve_prog(state, drive, config):
-    """Phase 2 body: rank 0 creates the server and drives, others serve."""
+def _serve_prog(state, drive, config, join=None):
+    """Phase 2 body: rank 0 creates the server and drives, others serve
+    (each worker once ``join(ctx)`` returns, if given)."""
 
     def prog(ctx):
         if ctx.rank == 0:
@@ -200,6 +201,8 @@ def _serve_prog(state, drive, config):
                 return drive(ctx, server)
             finally:
                 server.close()
+        if join is not None:
+            join(ctx)
         return server.serve(ctx)
 
     return prog
@@ -254,19 +257,35 @@ VICTIM = 2
 RCFG = GdaConfig(blocks_per_rank=4096, replication=True)
 
 
-def test_worker_crash_mid_request_fails_over():
+def test_worker_crash_mid_request_fails_over(monkeypatch):
     """Kill a worker rank mid-storm: its in-flight request is re-queued
     and every session still completes on the survivor — zero hung
-    clients, OLTP keeps flowing in degraded mode."""
+    clients, OLTP keeps flowing in degraded mode.  The survivor joins
+    the pool only once the victim holds its first request, so the victim
+    is serving when the crash lands (the survivor could otherwise win
+    every dequeue and leave it idle)."""
     state = {}
     n = 40
     cfg = ServeConfig(
         queue_capacity=64, retry=RetryPolicy(max_attempts=10)
     )
     rt = _build_phase(state, config=RCFG)
+    victim_serves = threading.Event()
+    checkout = GraphServer._checkout_slot
+
+    def noting_checkout(server, rank, req):
+        if rank == VICTIM:
+            victim_serves.set()
+        checkout(server, rank, req)
+
+    def join(ctx):
+        if ctx.rank != VICTIM:
+            assert victim_serves.wait(timeout=60)
+
+    monkeypatch.setattr(GraphServer, "_checkout_slot", noting_checkout)
     res = run_spmd(
         NRANKS,
-        _serve_prog(state, _point_read_storm(n), cfg),
+        _serve_prog(state, _point_read_storm(n), cfg, join),
         runtime=rt,
         faults=FaultPlan(seed=4, crash_rank=VICTIM, crash_at_op=60),
     )[1]
