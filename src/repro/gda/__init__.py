@@ -32,7 +32,7 @@ from .holder import (
     VertexHolder,
 )
 from .index_impl import ExplicitEdgeIndex, ExplicitIndex, VertexDirectory
-from .locks import LockTimeout, RWLock
+from .locks import LockTimeout
 from .metadata import Label, MetadataReplica, MetadataStore, PropertyType
 from .recovery import (
     Checkpoint,
@@ -79,7 +79,6 @@ __all__ = [
     "ExplicitEdgeIndex",
     "VertexDirectory",
     "LockTimeout",
-    "RWLock",
     "ReplicationManager",
     "replay_entries_idempotent",
     "Label",

@@ -1,8 +1,9 @@
 """Scalable reader-writer locks for ACI (paper Section 5.6).
 
-One 64-bit lock word per vertex, located in the BGDL *system* window at the
-offset corresponding to the vertex's primary block.  The word packs a write
-bit and a reader counter:
+One 64-bit lock word per vertex, in the BGDL *system* window at the offset
+of the vertex's primary block, so a lock is an address ``(rank, offset)``
+(:meth:`~repro.gda.blocks.BlockManager.lock_location`).  The word packs a
+write bit and a reader counter:
 
 * bit 62 — write bit (a process holds the write lock),
 * bits 0..61 — reader count.
@@ -11,13 +12,13 @@ Acquisition is try-lock style with bounded retries: GDA transactions that
 cannot obtain a lock fail (the paper reports failed-transaction percentages
 rather than blocking forever), and the GDI user starts a new transaction.
 
-One protocol takes a vector of words, and the scalar verbs of
-:class:`RWLock` are its one-word calls.  Each attempt issues one atomic per
-word still wanted (one batched round; a one-word round is the scalar
-atomic), backs the failed read increments out, and counts a conflict per
-contended word.  It then waits one seeded exponential backoff (the first
-contended word's delay, charged to the simulated clock) and retries only
-the contended words, each for up to ``max_retries`` attempts in all:
+One protocol takes a vector of words; a one-word call is the scalar
+protocol.  Each attempt issues one atomic per word still wanted (one
+batched round; a one-word round is the scalar atomic), backs the failed
+read increments out, and counts a conflict per contended word.  It then
+waits one seeded exponential backoff (the first contended word's delay,
+charged to the simulated clock) and retries only the contended words,
+each for up to ``tries`` attempts in all:
 
 * **read acquire** — FAA(+1); if the fetched word had the write bit set,
   FAA(-1) to back out.
@@ -28,32 +29,39 @@ the contended words, each for up to ``max_retries`` attempts in all:
 * **give-back** — one FAA per word of what its mode took: -1 (read),
   -WRITE_BIT (write) or 1 - WRITE_BIT (upgrade: a gap-free downgrade).
 
-The word does not record who holds it; the caller does.  ``note`` hears
-every word a round took and every failed read increment while its back-out
-round is in flight (a :data:`BACKOUT` hold), so a call that raises leaves
-the caller's record exact.  A transaction's lock table is that one record;
-the failover healer backs out what a dead rank's open tables hold.
+The word does not record who holds it; the caller's ledger does, and the
+acquire verbs write it themselves: ``held[key] = (mode, epoch, (rank,
+offset))`` for every word a round took as soon as the round returns, and
+a :data:`BACKOUT` hold for every failed read increment while its back-out
+round is in flight (removed once it lands), so a call that raises leaves
+the ledger exact.  A transaction's lock table is that one record; the
+failover healer backs out what a dead rank's open tables hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Any, Hashable, NamedTuple
 
 from ..rma.faults import backoff_delay
 from ..rma.runtime import RankContext
 from ..rma.window import Window
 
 __all__ = [
-    "RWLock", "LockTimeout", "WRITE_BIT", "READ", "WRITE", "UPGRADE", "BACKOUT",
+    "LockTimeout", "WRITE_BIT", "READ", "WRITE", "UPGRADE", "BACKOUT",
     "acquire_read_batch", "acquire_write_batch", "upgrade_batch", "release_batch",
 ]
 
 WRITE_BIT = 1 << 62
 
-#: cap of the seeded backoff between attempts: ~10 lock-hold times, enough
-#: to desynchronize contenders, yet a whole retry budget stays well < 1 ms
+#: seeded exponential backoff between attempts, pure simulated time (never
+#: extra one-sided operations); its cap of ~10 lock-hold times desynchronizes
+#: contenders, yet a whole retry budget stays well < 1 ms
+_BACKOFF_BASE = 2e-6
+_BACKOFF_SEED = 0
 _BACKOFF_CAP = 20e-6
+
+#: a lock word's address in the system window: ``(rank, offset)``
+Word = tuple[int, int]
 
 
 class LockTimeout(RuntimeError):
@@ -97,78 +105,8 @@ UPGRADE = _Mode(
 #: its give-back is -1 without READ's check (the word has a writer's bit)
 BACKOUT = _Mode(None, -1, "", "")
 
-#: ``note(positions, mode)``: the words at ``positions`` (in the vector
-#: passed) are now held in ``mode``, or no longer (``None``)
-Note = Callable[[list[int], "_Mode | None"], None]
-
-
-def _untracked(got: list[int], mode: _Mode | None) -> None:
-    """The ``note`` of the scalar :class:`RWLock` verbs: their word is the
-    caller's once the call returns."""
-
-
-@dataclass
-class RWLock:
-    """A distributed reader-writer lock at a fixed (window, rank, offset).
-
-    The object is a cheap addressing handle; all state is the remote word.
-    """
-
-    window: Window
-    rank: int
-    offset: int
-    max_retries: int = 64
-    #: seeded exponential backoff between attempts (0 = spin, the
-    #: pre-backoff behaviour kept for unit tests exercising raw retries)
-    backoff_base: float = 0.0
-    seed: int = 0
-
-    def _backoff(self, ctx: RankContext, attempt: int) -> None:
-        """Charge one seeded backoff delay between lock attempts.
-
-        Pure simulated time — no extra one-sided operations, so the
-        work-depth guarantees of the lock protocol are unchanged.
-        """
-        delay = backoff_delay(
-            self.backoff_base,
-            attempt,
-            cap=_BACKOFF_CAP,
-            seed=self.seed,
-            token=(self.rank << 32) ^ self.offset ^ (ctx.rank << 8),
-        )
-        ctx.charge(delay)
-        ctx.rt.trace.record_backoff(ctx.rank, delay)
-
-    def acquire_read(self, ctx: RankContext) -> None:
-        _acquire(ctx, [self], READ, _untracked)
-
-    def release_read(self, ctx: RankContext) -> None:
-        release_batch(ctx, [(self, READ)])
-
-    def acquire_write(self, ctx: RankContext) -> None:
-        _acquire(ctx, [self], WRITE, _untracked)
-
-    def release_write(self, ctx: RankContext) -> None:
-        release_batch(ctx, [(self, WRITE)])
-
-    def upgrade(self, ctx: RankContext) -> None:
-        """Atomically turn a held read lock into the write lock.
-
-        Succeeds only while we are the sole reader; under contention the
-        caller's transaction must abort (lock-order-free deadlock
-        avoidance).
-        """
-        _acquire(ctx, [self], UPGRADE, _untracked)
-
-    def downgrade(self, ctx: RankContext) -> None:
-        """Turn the held write lock into a read lock without a gap."""
-        release_batch(ctx, [(self, UPGRADE)])
-
-    # -- introspection -----------------------------------------------------
-    def peek(self, ctx: RankContext) -> tuple[bool, int]:
-        """(write bit set?, reader count) — diagnostics and tests only."""
-        word = ctx.aget(self.window, self.rank, self.offset)
-        return bool(word & WRITE_BIT), word & ~WRITE_BIT
+#: ``key -> (mode, epoch, word)``: the caller's record of the words it holds
+Ledger = dict[Hashable, tuple[_Mode, Any, Word]]
 
 
 def _round(ctx: RankContext, win: Window, ops: list[tuple], cas: bool) -> list[int]:
@@ -181,73 +119,82 @@ def _round(ctx: RankContext, win: Window, ops: list[tuple], cas: bool) -> list[i
     return ctx.cas_batch(win, ops) if cas else ctx.faa_batch(win, ops)
 
 
-def _acquire(ctx: RankContext, locks: list[RWLock], mode: _Mode, note: Note) -> None:
+def _acquire(
+    ctx: RankContext, win: Window, want: dict[Hashable, Word], mode: _Mode,
+    held: Ledger, epoch: Any, tries: int,
+) -> None:
     """The lock protocol (see the module docstring): take every word of
-    ``locks`` (one window; the first handle's retry budget) in ``mode``;
-    ``note`` as :func:`acquire_read_batch` describes it."""
-    if not locks:
+    ``want`` (ledger key -> word) in ``mode``, each for up to ``tries``
+    attempts, writing ``held`` as the module docstring says."""
+    if not want:
         return
-    first = locks[0]
-    win, tries, expect = first.window, first.max_retries, mode.expect
-    held = WRITE if mode is UPGRADE else mode
+    keys, words = list(want), list(want.values())
+    expect = mode.expect
+    took = WRITE if mode is UPGRADE else mode
     cas = expect is not None
-    take = [
-        (lk.rank, lk.offset, expect, WRITE_BIT) if cas else (lk.rank, lk.offset, 1)
-        for lk in locks
-    ]
-    wanted: "range | list[int]" = range(len(locks))  # positions in ``locks``
+    take = [(r, o, expect, WRITE_BIT) if cas else (r, o, 1) for r, o in words]
+    wanted: "range | list[int]" = range(len(words))  # positions in ``words``
     ops = take
     for attempt in range(tries):
-        got: list[int] = []
         missed: list[int] = []
         for i, old in zip(wanted, _round(ctx, win, ops, cas)):
-            won = old == expect if cas else not old & WRITE_BIT
-            (got if won else missed).append(i)
-        if got:
-            note(got, held)
+            if old == expect if cas else not old & WRITE_BIT:
+                held[keys[i]] = (took, epoch, words[i])
+            else:
+                missed.append(i)
         if not missed:
             return
         wanted = missed
         ops = [take[i] for i in wanted]
         if not cas:  # the failed +1s landed: the caller's till backed out
-            note(wanted, BACKOUT)
+            for i in wanted:
+                held[keys[i]] = (BACKOUT, epoch, words[i])
             _round(ctx, win, [(r, o, -1) for r, o, _ in ops], False)
-            note(wanted, None)
+            for i in wanted:
+                del held[keys[i]]
         for i in wanted:
-            ctx.rt.trace.record_lock_conflict(ctx.rank, locks[i].rank)
+            ctx.rt.trace.record_lock_conflict(ctx.rank, words[i][0])
         if attempt + 1 < tries:
-            locks[wanted[0]]._backoff(ctx, attempt)
-    lk = locks[wanted[0]]
-    raise LockTimeout(mode.busy.format(lk.rank, lk.offset))
+            rank, offset = words[wanted[0]]
+            delay = backoff_delay(
+                _BACKOFF_BASE, attempt, cap=_BACKOFF_CAP, seed=_BACKOFF_SEED,
+                token=(rank << 32) ^ offset ^ (ctx.rank << 8),
+            )
+            ctx.charge(delay)
+            ctx.rt.trace.record_backoff(ctx.rank, delay)
+    raise LockTimeout(mode.busy.format(*words[wanted[0]]))
 
 
-def acquire_read_batch(ctx: RankContext, locks: list[RWLock], note: Note) -> None:
-    """Acquire read locks on all ``locks`` (``FAA(+1)`` rounds).
-
-    ``note(positions, mode)`` hears, before any further op, the positions
-    in ``locks`` of the words each round took (``mode`` READ here, WRITE
-    for a take or an upgrade) and of the failed increments around their
-    back-out round (BACKOUT before it, ``None`` once it landed).  The
-    caller owns what it heard held and gives it back itself
-    (:func:`release_batch`), also when the call raises.
-    """
-    _acquire(ctx, locks, READ, note)
+def acquire_read_batch(
+    ctx: RankContext, win: Window, want: dict, held: Ledger, epoch: Any, tries: int
+) -> None:
+    """Acquire read locks on the words of ``want`` (ledger key -> word;
+    ``FAA(+1)`` rounds), writing ``held`` as the module docstring says.
+    The caller owns what its ledger lists and gives it back itself
+    (:func:`release_batch`), also when the call raises."""
+    _acquire(ctx, win, want, READ, held, epoch, tries)
 
 
-def acquire_write_batch(ctx: RankContext, locks: list[RWLock], note: Note) -> None:
-    """Acquire write locks on all ``locks`` (``CAS(0 -> WRITE_BIT)``)."""
-    _acquire(ctx, locks, WRITE, note)
+def acquire_write_batch(
+    ctx: RankContext, win: Window, want: dict, held: Ledger, epoch: Any, tries: int
+) -> None:
+    """Acquire write locks on the words of ``want`` (``CAS(0 -> WRITE_BIT)``)."""
+    _acquire(ctx, win, want, WRITE, held, epoch, tries)
 
 
-def upgrade_batch(ctx: RankContext, locks: list[RWLock], note: Note) -> None:
+def upgrade_batch(
+    ctx: RankContext, win: Window, want: dict, held: Ledger, epoch: Any, tries: int
+) -> None:
     """Upgrade held read locks to write locks (``CAS(1 -> WRITE_BIT)``);
     the caller downgrades what a failed call upgraded (``UPGRADE``
     give-back)."""
-    _acquire(ctx, locks, UPGRADE, note)
+    _acquire(ctx, win, want, UPGRADE, held, epoch, tries)
 
 
-def release_batch(ctx: RankContext, locks: list[tuple[RWLock, _Mode]]) -> None:
-    """Give back each ``(lock, mode)`` word: what a take in ``mode`` took.
+def release_batch(
+    ctx: RankContext, win: Window, words: list[tuple[Word, _Mode]]
+) -> None:
+    """Give back each ``(word, mode)``: what a take in ``mode`` took.
 
     Every give-back is an FAA (a write release is not a CAS: while we
     hold the write bit, readers mid-backoff have transient +1/-1 pairs on
@@ -255,15 +202,13 @@ def release_batch(ctx: RankContext, locks: list[tuple[RWLock, _Mode]]) -> None:
     hold what is given back raises ``RuntimeError`` (a write bit given
     back in error is restored first).  A BACKOUT word is not checked.
     """
-    if not locks:
+    if not words:
         return
-    win = locks[0][0].window
-    ops = [(lk.rank, lk.offset, mode.undo) for lk, mode in locks]
-    for (lk, mode), old in zip(locks, _round(ctx, win, ops, False)):
+    ops = [(r, o, mode.undo) for (r, o), mode in words]
+    for (word, mode), old in zip(words, _round(ctx, win, ops, False)):
         if mode is READ:
             if old & WRITE_BIT or (old & ~WRITE_BIT) <= 0:
                 raise RuntimeError(mode.misuse)
         elif mode is not BACKOUT and not old & WRITE_BIT:
-            ctx.faa(win, lk.rank, lk.offset, -mode.undo)  # restore
+            ctx.faa(win, *word, -mode.undo)  # restore
             raise RuntimeError(mode.misuse)
-

@@ -130,14 +130,8 @@ class ReplicationManager:
         for dptr, data in items:
             d = unpack_dptr(dptr)
             ops.append((mem.backup_of(d.rank), d.offset, data))
-            staged.append(
-                (
-                    d.rank,
-                    d.offset // self.block_size,
-                    zlib.crc32(data) & 0xFFFFFFFF,
-                    len(data),
-                )
-            )
+            crc = zlib.crc32(data) & 0xFFFFFFFF
+            staged.append((d.rank, d.offset // self.block_size, crc, len(data)))
         ctx.iput_batch(self.mirror_win, ops)
         with self._staged_mu:
             self._staged[ctx.rank].extend(staged)
@@ -259,13 +253,19 @@ class ReplicationManager:
             tables = list(db.lock_tables[shard])
             db.lock_tables[shard].clear()
         for table in tables:
-            for mode, _, lock in list(table._held.values()):
-                if lock.rank != shard:
-                    ctx.faa(db.blocks.system_win, lock.rank, lock.offset, mode.undo)
+            for mode, _, (rank, offset) in list(table._held.values()):
+                if rank != shard:
+                    ctx.faa(db.blocks.system_win, rank, offset, mode.undo)
 
-        # 2. Fetch and verify the mirrored live blocks (promotion gate).
-        with self._meta_mu:
+        # 2. Fetch and verify the mirrored live blocks (promotion gate).  A
+        # block the dead rank was committing may carry its staged bytes (an
+        # iput lands when issued; the commit is logged, step 5 rolls it
+        # forward), so its staged CRC passes too.  A staged block absent
+        # from ``meta`` (allocated by that commit) is not restored: step 3
+        # leaves it free and step 5 writes the commit afresh.
+        with self._meta_mu, self._staged_mu:
             live = sorted(self.meta[shard].items())
+            staged = {i: crc for s, i, crc, _ in self._staged[shard] if s == shard}
         backup = mem.backup_of(shard)
         blobs = (
             ctx.get_batch(
@@ -276,7 +276,7 @@ class ReplicationManager:
             else []
         )
         for (idx, (crc, _)), blob in zip(live, blobs):
-            if zlib.crc32(blob) & 0xFFFFFFFF != crc:
+            if zlib.crc32(blob) & 0xFFFFFFFF not in (crc, staged.get(idx)):
                 rt.trace.record_corruption_detected(ctx.rank)
                 raise GdiChecksumError(
                     f"mirror of shard {shard} block {idx} failed CRC32 "

@@ -72,8 +72,8 @@ from .locks import (
     READ,
     UPGRADE,
     WRITE,
+    Ledger,
     LockTimeout,
-    RWLock,
     acquire_read_batch,
     acquire_write_batch,
     release_batch,
@@ -94,25 +94,20 @@ __all__ = [
 ]
 
 
-#: seeded exponential backoff between lock attempts, charged as pure
-#: simulated time, never extra one-sided operations
-_LOCK_BACKOFF_BASE = 2e-6
-
-
 class _LockTable:
     """The lock words one transaction holds, the only record of who holds
-    them: ``vid -> (mode, epoch, lock)``, ``mode`` one of
+    them: the ledger ``vid -> (mode, epoch, (rank, offset))`` that the
+    lock verbs of :mod:`repro.gda.locks` write, ``mode`` one of
     :data:`~repro.gda.locks.READ`, ``WRITE`` and ``BACKOUT``.
 
-    One RW lock word per vertex (Section 5.6), taken try-lock style
-    through the vector verbs of :mod:`repro.gda.locks` and kept until the
-    transaction ends (two-phase locking).  With replication on, a table
-    holding words is listed in its rank's ``db.lock_tables``: the
-    failover healer backs out what a dead rank's open tables hold.
-    ``epoch`` is the membership epoch read before the call that took the
-    word: a shard that failed after it has a fresh word, so the give-back
-    skips it; ``lock`` is the handle the word was taken through, used
-    again to upgrade and give back.  Collective and snapshot
+    One RW lock word per vertex (Section 5.6), at
+    :meth:`~repro.gda.blocks.BlockManager.lock_location`, taken try-lock
+    style and kept until the transaction ends (two-phase locking).  With
+    replication on, a table holding words is listed in its rank's
+    ``db.lock_tables``: the failover healer backs out what a dead rank's
+    open tables hold.  ``epoch`` is the membership epoch read before the
+    call that took the word: a shard that failed after it has a fresh
+    word, so the give-back skips it.  Collective and snapshot
     transactions are lock-free: their table stays empty.
     """
 
@@ -122,69 +117,48 @@ class _LockTable:
         self._db, self._ctx = tx.db, tx.ctx
         self._mem = tx._mem or STABLE
         self._lock_free = tx.collective or tx.snapshot
-        self._held: dict[int, tuple[Any, int, RWLock]] = {}
+        self._held: Ledger = {}
         self._ledger = tx.db.lock_tables and tx.db.lock_tables[tx.ctx.rank]
-
-    def _lock_of(self, vid: int) -> RWLock:
-        blocks = self._db.blocks
-        return RWLock(
-            blocks.system_win,
-            *blocks.lock_location(vid),
-            max_retries=self._db.config.lock_max_retries,
-            backoff_base=_LOCK_BACKOFF_BASE,
-        )
 
     def acquire(self, vids: "Iterable[int]", want_write: bool) -> None:
         """Hold every lock in ``vids`` in at least the wanted mode.
 
         Words not held yet are taken in one call of the lock protocol,
         words held for reading are upgraded in a second when writing is
-        wanted; each word is noted as the protocol reports it.  All or
-        nothing: a timeout or a fault gives back exactly what this call
+        wanted; the protocol writes each into the table as it lands.  All
+        or nothing: a timeout or a fault gives back exactly what this call
         holds, released or downgraded back to read, through
         :meth:`_give_back`; a timeout then raises :class:`GdiLockFailed`,
         on which the transaction fails itself.
         """
         if self._lock_free:
             return
-        take = acquire_write_batch if want_write else acquire_read_batch
-        held = self._held
-        fresh: list[int] = []
-        fresh_locks: list[RWLock] = []
-        ups: list[int] = []
-        for vid in dict.fromkeys(vids):
+        blocks, held = self._db.blocks, self._held
+        fresh: dict = {}  # vid -> lock word, to take
+        ups: dict = {}  # vid -> lock word, to upgrade
+        for vid in vids:
             have = held.get(vid)
             if have is None:
-                fresh.append(vid)
-                fresh_locks.append(self._lock_of(vid))
+                fresh[vid] = blocks.lock_location(vid)
             elif want_write and have[0] is READ:
-                ups.append(vid)
+                ups[vid] = have[2]
         if not fresh and not ups:
             return
         ctx, epoch = self._ctx, self._mem.epoch
+        win, tries = blocks.system_win, self._db.config.lock_max_retries
         if not held and self._ledger is not None:
             with self._db.lock_tables_mu:
                 self._ledger[self] = None
-
-        def note(got: list[int], mode: Any) -> None:
-            # ``batch[i]`` is the vid of ``locks[i]``, the call in flight
-            for i in got:
-                if mode is None:
-                    del held[batch[i]]
-                else:
-                    held[batch[i]] = (mode, epoch, locks[i])
-
         try:
             if fresh:
-                batch, locks = fresh, fresh_locks
-                take(ctx, locks, note)
+                take = acquire_write_batch if want_write else acquire_read_batch
+                take(ctx, win, fresh, held, epoch, tries)
             if ups:
-                batch, locks = ups, [held[vid][2] for vid in ups]
-                upgrade_batch(ctx, locks, note)
+                upgrade_batch(ctx, win, ups, held, epoch, tries)
         except BaseException as exc:
             took = [vid for vid in fresh if vid in held]
             took += [vid for vid in ups if held[vid][0] is WRITE]
-            self._give_back(took, downgrade=set(ups))
+            self._give_back(took, downgrade=ups)
             if isinstance(exc, LockTimeout):
                 raise GdiLockFailed(str(exc)) from exc
             raise
@@ -211,23 +185,23 @@ class _LockTable:
         that dies inside it still holds them for the failover healer.
         """
         held, mem = self._held, self._mem
-        back: list[tuple[RWLock, int, Any]] = []  # (lock, epoch, give-back)
+        back = []  # (word, epoch, give-back)
         for vid in vids:
-            mode, epoch, lock = held[vid]
-            back.append((lock, epoch, UPGRADE if vid in downgrade else mode))
+            mode, epoch, word = held[vid]
+            back.append((word, epoch, UPGRADE if vid in downgrade else mode))
         for fenced in (False, True):
             try:
-                release_batch(self._ctx, [
-                    (lock, how) for lock, epoch, how in back
-                    if not mem.rebuilt_since(lock.rank, epoch)
+                release_batch(self._ctx, self._db.blocks.system_win, [
+                    (word, how) for word, epoch, how in back
+                    if not mem.rebuilt_since(word[0], epoch)
                 ])
                 break
             except RmaStaleEpoch:
                 if fenced:
                     raise
-        for vid, (lock, epoch, how) in zip(vids, back):
+        for vid, (word, epoch, how) in zip(vids, back):
             if how is UPGRADE:  # a downgrade keeps a read
-                held[vid] = (READ, epoch, lock)
+                held[vid] = (READ, epoch, word)
             else:
                 del held[vid]
         if not held and self._ledger is not None:

@@ -387,9 +387,9 @@ def _backout_race(faults):
 
 def test_crash_between_read_increment_and_backout_leaks_no_reader(monkeypatch):
     """A rank that dies after its failed ``FAA(+1)`` landed but before
-    the round backing it out leaves the +1 on the word; the lock
-    registry must list it so the failover healer backs it out, or the
-    vertex could never be write-locked again."""
+    the round backing it out leaves the +1 on the word; its lock table
+    must list it as a back-out hold so the failover healer backs it out,
+    or the vertex could never be write-locked again."""
     injector = FaultInjector(FaultPlan(seed=5))
     backouts = []
     round_ = locks._round

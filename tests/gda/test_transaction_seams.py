@@ -33,12 +33,18 @@ def test_probes_hook_the_lock_and_commit_layers():
     tracer = probes.Tracer()
     probes.install(tracer)
     try:
-        # the bulk loader's two transaction verbs are gone (the bulk writer
-        # in repro.gda.bulk replaced them); their rows leave the probe
-        # table with the next change to bench/, and nothing else may miss
+        # rows of code that is gone leave the probe table with the next
+        # change to bench/, and nothing else may miss: the bulk loader's
+        # two transaction verbs (the bulk writer in repro.gda.bulk replaced
+        # them) and RWLock's six scalar verbs (a lock word is an address,
+        # taken through the vector verbs, hooked where they are called)
         assert tracer.missing == [
             "repro.gda.transaction_impl.Transaction.bulk_append_half_edge",
             "repro.gda.transaction_impl.Transaction.bulk_create_edge_holder",
+        ] + [
+            f"repro.gda.locks.RWLock.{verb}"
+            for verb in ("acquire_read", "release_read", "acquire_write",
+                         "release_write", "upgrade", "downgrade")
         ]
 
         def prog(ctx):
@@ -137,7 +143,9 @@ def test_acquire_is_all_or_nothing(replication, take):
     a fresh read or write take leaves no word held and the table out of
     its rank's ledger, and a failed upgrade of a read-held set leaves it
     exactly read-held, the table still listed."""
-    from repro.gda.locks import READ
+    from repro.gda.locks import (
+        READ, WRITE, acquire_read_batch, acquire_write_batch, release_batch,
+    )
 
     def prog(ctx):
         db = GdaDatabase.create(
@@ -149,36 +157,37 @@ def test_acquire_is_all_or_nothing(replication, take):
             vids = [tx.create_vertex(i).vid for i in range(4)]
             tx.commit()
             tx = db.start_transaction(ctx, write=take is not False)
-            words = [tx._locks._lock_of(vid) for vid in vids]
+            win = db.blocks.system_win
+            words = [db.blocks.lock_location(vid) for vid in vids]
+            third = {words[2]: words[2]}
             readers = 0
             if take == "upgrade":
                 assert all(tx.load_vertices(vids))
                 readers = 1
-                words[2].acquire_read(ctx)  # a second reader of the third
-            else:
-                words[2].acquire_write(ctx)  # somebody else holds the third
+                # a second reader of the third
+                acquire_read_batch(ctx, win, third, {}, 0, 2)
+            else:  # somebody else holds the third
+                acquire_write_batch(ctx, win, third, {}, 0, 2)
             with pytest.raises(GdiLockFailed):
                 tx.load_vertices(vids, for_write=take is not False)
             assert tx.failed
             still = vids if readers else []  # read-held before the call
             held = {vid: mode for vid, (mode, _, _) in tx._locks._held.items()}
             assert held == {vid: READ for vid in still}
-            other = (False, 2) if readers else (True, 0)
-            assert [w.peek(ctx) for w in words] == [
-                (False, readers), (False, readers), other, (False, readers)
+            other = 2 if readers else WRITE_BIT
+            assert [ctx.aget(win, *w) for w in words] == [
+                readers, readers, other, readers
             ]
             if replication:
                 assert list(db.lock_tables[0]) == ([tx._locks] if readers else [])
             tx.abort()
             if readers:
-                assert words[2].peek(ctx) == (False, 1)
-                words[2].release_read(ctx)
+                assert ctx.aget(win, *words[2]) == 1  # one reader, no write bit
+                release_batch(ctx, win, [(words[2], READ)])
             else:
-                assert ctx.aget(
-                    words[2].window, words[2].rank, words[2].offset
-                ) == WRITE_BIT
-                words[2].release_write(ctx)
-            assert [w.peek(ctx) for w in words] == [(False, 0)] * 4
+                assert ctx.aget(win, *words[2]) == WRITE_BIT
+                release_batch(ctx, win, [(words[2], WRITE)])
+            assert [ctx.aget(win, *w) for w in words] == [0] * 4
         ctx.barrier()
 
     run_spmd(2, prog)

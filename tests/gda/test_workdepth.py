@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from repro.gda.blocks import BlockManager
 from repro.gda.dht import DistributedHashTable
 from repro.gda.holder import HolderStorage, VertexHolder
-from repro.gda.locks import RWLock
+from repro.gda.locks import (
+    READ,
+    WRITE,
+    acquire_read_batch,
+    acquire_write_batch,
+    release_batch,
+)
 from repro.rma import run_spmd
 
 
@@ -151,16 +157,16 @@ def test_dht_routines_bounded_by_chain_length():
 def test_lock_routines_single_atomic():
     def prog(ctx):
         win = ctx.win_allocate("l", 64)
-        lock = RWLock(win, rank=0, offset=0)
+        word, held = (0, 0), {}
         if ctx.rank == 0:
             done = measure_ops(ctx.rt.trace, 0)
-            lock.acquire_read(ctx)
+            acquire_read_batch(ctx, win, {word: word}, held, 0, 64)
             assert done() <= BOUNDS["lock_read_acquire"].budget()
-            lock.release_read(ctx)
+            release_batch(ctx, win, [(word, READ)])
             done = measure_ops(ctx.rt.trace, 0)
-            lock.acquire_write(ctx)
+            acquire_write_batch(ctx, win, {word: word}, held, 0, 64)
             assert done() <= BOUNDS["lock_write_acquire"].budget()
-            lock.release_write(ctx)
+            release_batch(ctx, win, [(word, WRITE)])
         ctx.barrier()
         return True
 

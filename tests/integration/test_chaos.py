@@ -367,6 +367,15 @@ def test_failover_storm_repairer_gives_back_its_words_on_the_shard_it_repairs():
     _failover_storm(304, crash_at_op=55)
 
 
+def test_failover_storm_promotes_the_dead_committers_staged_mirror():
+    """At op 60 of seed 305 the victim dies inside its own logged commit,
+    after its mirror iputs landed and before their CRCs were published:
+    blocks 2 and 5 of its shard carry its staged bytes, not the recorded
+    ones.  The promotion gate accepts a staged CRC, and rolling the
+    commit forward leaves the survivors equal to the twin."""
+    _failover_storm(305, crash_at_op=60)
+
+
 @pytest.mark.parametrize("scenario", ["commit", "checkpoint", "collective-tx"])
 @pytest.mark.parametrize("seed", [21, 22])
 def test_failover_crash_during(scenario, seed):

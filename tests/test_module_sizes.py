@@ -17,8 +17,10 @@ GRANDFATHERED = {
     # held where they shrank when the vector lock verbs became the only
     # lock protocol and the lock table lost its membership-view fork;
     # gda/locks.py again when the lock tables became the only record of
-    # lock ownership (no per-owner registry beside them)
-    "gda/locks.py": 269,
+    # lock ownership (no per-owner registry beside them), and when a lock
+    # word became an address whose ledger the protocol writes (no lock
+    # object per word, no scalar verbs)
+    "gda/locks.py": 214,
     "gda/recovery.py": 346,
     "rma/collectives.py": 410,
     "serve/server.py": 360,
@@ -42,7 +44,7 @@ GRANDFATHERED = {
     # transaction_impl.py again when snapshot reads stopped forcing
     # whole-holder fetches, and when the bulk writer replaced its bulk
     # verbs (and see gda/locks.py above)
-    "gda/transaction_impl.py": 902,
+    "gda/transaction_impl.py": 876,
     "gda/handles.py": 701,
     # held where they shrank when the full-block holder read became a
     # shape of the one per-holder header-first decoder
