@@ -2,9 +2,13 @@
 
 :func:`run` walks :data:`STAGES` in order over one :class:`CommitPlan`;
 the order is the protocol, and each stage says why it sits where it
-does.  :func:`append_log` is the commit point a crash rolls forward
-from; until :func:`finish` an apply failure can still take the record
-back (:func:`withdraw`), after it the record is permanent.
+does.  :func:`append_log` is the commit point, and a logged commit has
+one fate: it is applied.  A duplicate application ID or a holder too
+large to address refuses a commit before it (running out of blocks for a
+grown holder still surfaces in :func:`write_back`).  A fence or an
+escaped transient fault in a later stage is finished by the committer
+itself (:func:`roll_forward`); a committer that died leaves its commit
+to the failover healer, which rolls it forward the same way.
 
 A write transaction remembers one pre-image per vertex — the holder as
 read (:attr:`_TxVertex.loaded`), sharing the fetched bytes — and three
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..gdi.errors import GdiNonUniqueId
-from ..rma.faults import RmaStaleEpoch
+from ..rma.faults import RmaRankDead, RmaStaleEpoch, RmaTransientError
 from .dptr import unpack_dptr
 from .holder import (
     DIR_IN,
@@ -41,7 +45,7 @@ from .holder import (
 if TYPE_CHECKING:  # pragma: no cover
     from .transaction_impl import Transaction
 
-__all__ = ["CommitPlan", "STAGES", "run", "withdraw", "release_created"]
+__all__ = ["CommitPlan", "STAGES", "run", "roll_forward", "release_created"]
 
 
 @dataclass
@@ -54,6 +58,10 @@ class CommitPlan:
     ordered: "list[_TxVertex]" = field(default_factory=list)
     #: created or dirty vertices that outlive the commit
     survivors: "list[_TxVertex]" = field(default_factory=list)
+    #: per survivor, then per heavy edge holder rewritten, its payload,
+    #: flags and block layout (:meth:`HolderStorage.encode`)
+    encoded: list = field(default_factory=list)
+    edges_encoded: list = field(default_factory=list)
     log_entries: tuple = ()
     seq: "int | None" = None  # commit-log sequence number, once appended
     ts: int = 0  # MVCC commit timestamp, 0 when nothing is versioned
@@ -61,8 +69,43 @@ class CommitPlan:
 
 def run(tx: "Transaction") -> None:
     plan = CommitPlan(tx)
-    for stage in STAGES:
-        stage(plan)
+    try:
+        for stage in STAGES:
+            stage(plan)
+    except BaseException as exc:
+        if plan.seq is not None and isinstance(exc, RmaTransientError):
+            roll_forward(plan)
+            return
+        if plan.ts and not isinstance(exc, RmaRankDead):
+            # never pin the watermark; a dead committer's timestamp is
+            # retired by the healer once its commit is rolled forward
+            tx.db.mvcc.note_applied(plan.ts)
+        raise
+
+
+def roll_forward(plan: CommitPlan) -> None:
+    """Finish a commit torn past its commit point by a fence or an
+    escaped transient fault, on the live committer.
+
+    Heal first: a dead committer's words were write locks on vertices
+    this one could not hold, so the repair never waits on its locks.
+    Then the record's own entries are re-applied tolerantly, as the
+    healer rolls a dead committer's forward, under this transaction's
+    lock table and against its cached post-images; its words on a shard
+    rebuilt since they were taken are zero again, so they are forgotten
+    and taken anew.  Last, the mirror high-water mark reaches the record
+    and its timestamp is retired.
+    """
+    from .recovery import replay_entries_idempotent
+
+    tx, held = plan.tx, plan.tx._locks._held
+    tx.db.heal(tx.ctx)
+    for vid, (_, epoch, (rank, _)) in list(held.items()):
+        if tx._mem.rebuilt_since(rank, epoch):
+            del held[vid]
+    replay_entries_idempotent(tx.ctx, tx.db, plan.log_entries, tx)
+    mirror(plan)
+    finish(plan)
 
 
 def _vanishes(entry) -> bool:
@@ -123,6 +166,19 @@ def derive_log_entries(plan: CommitPlan) -> None:
     plan.log_entries = tuple(deletes + upserts + edge_rm + edge_add)
 
 
+def encode_holders(plan: CommitPlan) -> None:
+    """Encode every holder the commit writes back, and plan its blocks,
+    once and before the commit point: one too large to address fails the
+    transaction with nothing logged (:class:`~repro.gdi.errors.GdiNoMemory`)."""
+    encode = plan.tx.db.storage.encode
+    plan.encoded = [encode(txv.holder) for txv in plan.survivors]
+    plan.edges_encoded = [
+        encode(txe.holder)
+        for txe in plan.tx._edges.values()
+        if txe.dirty and not txe.deleted
+    ]
+
+
 def append_log(plan: CommitPlan) -> None:
     """Publish the commit intent, append the record, note its sequence,
     then draw the MVCC timestamp.
@@ -142,7 +198,7 @@ def append_log(plan: CommitPlan) -> None:
     if plan.log_entries and not tx._no_log:
         if repl is not None:
             repl.begin_commit(rank, plan.log_entries)
-        plan.seq = tx._logged_seq = tx.db.log_commit(rank, plan.log_entries)
+        plan.seq = tx.db.log_commit(rank, plan.log_entries)
         if repl is not None:
             repl.note_logged(rank, plan.seq)
     if (
@@ -150,7 +206,7 @@ def append_log(plan: CommitPlan) -> None:
         or any(txv.deleted and not txv.created for txv in plan.ordered)
         or any(e.created or e.dirty or e.deleted for e in tx._edges.values())
     ):
-        plan.ts = tx._commit_ts = tx.db.mvcc.begin_commit(rank)
+        plan.ts = tx.db.mvcc.begin_commit(rank)
 
 
 def install_versions(plan: CommitPlan) -> None:
@@ -200,7 +256,7 @@ def apply_edge_holders(plan: CommitPlan) -> None:
         elif txe.dirty:
             rewrites.append(txe.stored)
     tx.db.storage.delete_many(tx.ctx, deletes)
-    tx.db.storage.rewrite_many(tx.ctx, rewrites)
+    tx.db.storage.rewrite_many(tx.ctx, rewrites, plan.edges_encoded)
 
 
 def unpublish_deleted(plan: CommitPlan) -> None:
@@ -230,7 +286,7 @@ def write_back(plan: CommitPlan) -> None:
     single flush (the deletions already freed their blocks, so grown
     holders can reuse them)."""
     plan.tx.db.storage.rewrite_many(
-        plan.tx.ctx, [txv.stored for txv in plan.survivors]
+        plan.tx.ctx, [txv.stored for txv in plan.survivors], plan.encoded
     )
 
 
@@ -256,19 +312,17 @@ def mirror(plan: CommitPlan) -> None:
 
 
 def finish(plan: CommitPlan) -> None:
-    """Fully applied (and mirrored): the record is now permanent, a
-    later failure (e.g. during lock release) must not tombstone it."""
+    """Fully applied (and mirrored): the timestamp is retired."""
     tx = plan.tx
-    tx._logged_seq = None
     if plan.ts:
         tx.db.mvcc.note_applied(plan.ts)
-        tx._commit_ts = None
         tx.db.mvcc.maybe_collect(tx.ctx)
 
 
 STAGES = (
     validate_created_ids,
     derive_log_entries,
+    encode_holders,
     append_log,  # the commit point
     install_versions,
     apply_edge_holders,
@@ -280,38 +334,7 @@ STAGES = (
 )
 
 
-# -- leaving a commit or a transaction early ------------------------------
-def withdraw(tx: "Transaction") -> None:
-    """Withdraw a commit that failed between log append and apply end.
-
-    The log-first protocol appends the record before applying the
-    writes; an apply failure (fenced mid-commit by a failover, lock
-    trouble, out of blocks) aborts the transaction, so its record is
-    tombstoned (entries cleared) to keep replay equal to the committed
-    state, and any staged mirror traffic is withdrawn.
-    """
-    faults = getattr(tx.ctx.rt, "faults", None)
-    if tx._mem is not None and faults is not None and tx.ctx.rank in faults.dead:
-        # This rank crashed mid-commit.  Under failover its record stays
-        # logged and its intent published: the healer rolls the commit
-        # forward on the survivors, so replay must include it too.
-        return
-    if tx._logged_seq is not None:
-        tx.db.commit_log.mark_aborted(tx._logged_seq)
-        tx._logged_seq = None
-    if tx._commit_ts is not None:
-        # Retire the timestamp so the watermark is never pinned by an
-        # aborted commit.  Its chain entries stay: they correctly
-        # record the pre-abort state, and snapshots below the ts read
-        # through them even when the apply was partial (the same
-        # roll-forward semantics the failover healer provides for
-        # the live blocks).
-        tx.db.mvcc.note_applied(tx._commit_ts)
-        tx._commit_ts = None
-    if tx.db.replication is not None and tx.write:
-        tx.db.replication.abort_commit(tx.ctx)
-
-
+# -- leaving a transaction early ------------------------------------------
 def release_created(tx: "Transaction") -> None:
     """Give back the blocks of everything the transaction created."""
     mem = tx._mem

@@ -215,49 +215,48 @@ class HolderStorage:
         )
 
     # -- write -----------------------------------------------------------------
+    def encode(self, holder) -> tuple[bytes, int, int, int]:
+        """``(payload, flags, nindex, ndata)`` of a holder; raises
+        :class:`GdiNoMemory` for one too large to address."""
+        payload, flags = holder.payload()
+        bs = self.blocks.block_size
+        return payload, flags, *plan_layout(len(payload), bs)
+
     def write_new(
         self, ctx: RankContext, holder, home_rank: int
     ) -> StoredHolder:
         """Allocate blocks and write a fresh holder; returns its placement."""
-        payload, extra_flags = holder.payload()
-        nindex, ndata = plan_layout(len(payload), self.blocks.block_size)
-        primary = self.blocks.acquire_block_anywhere(ctx, preferred=home_rank)
-        stored = StoredHolder(holder=holder, primary=primary)
-        stored.index_blocks = [
-            self.blocks.acquire_block_anywhere(ctx, home_rank)
-            for _ in range(nindex)
-        ]
-        stored.data_blocks = [
-            self.blocks.acquire_block_anywhere(ctx, home_rank)
-            for _ in range(ndata)
-        ]
+        payload, extra_flags, nindex, ndata = self.encode(holder)
+        take = self.blocks.acquire_block_anywhere
+        stored = StoredHolder(holder=holder, primary=take(ctx, preferred=home_rank))
+        stored.index_blocks = [take(ctx, home_rank) for _ in range(nindex)]
+        stored.data_blocks = [take(ctx, home_rank) for _ in range(ndata)]
         self._write_out(ctx, self._write_items(stored, payload, extra_flags))
         return stored
 
     def rewrite(self, ctx: RankContext, stored: StoredHolder) -> None:
-        """Write back a (mutated) holder, resizing its block set in place.
-
-        Reuses the primary block and as many existing continuation blocks
-        as possible; acquires extras or releases surplus as the holder
-        grew or shrank.
-        """
+        """Write back one (mutated) holder: :meth:`rewrite_many` of one."""
         self.rewrite_many(ctx, [stored])
 
     def rewrite_many(
-        self, ctx: RankContext, stored_list: list[StoredHolder]
+        self, ctx: RankContext, stored_list: list[StoredHolder], encoded=None
     ) -> None:
         """Write back many mutated holders with one batched flush.
 
-        Each holder's block set is resized as in :meth:`rewrite`, then all
-        block writes of all holders go out together — the transaction
-        write pipeline.
+        Each holder's block set is resized in place: the primary and as
+        many continuation blocks as fit are reused, extras acquired or
+        surplus released.  Then all block writes of all holders go out
+        together — the transaction write pipeline.  ``encoded`` holds
+        each holder's :meth:`encode` where the caller made it already.
         """
         if not stored_list:
             return
+        if encoded is None:
+            encoded = [self.encode(stored.holder) for stored in stored_list]
         items: list[tuple[int, bytes]] = []
-        for stored in stored_list:
-            payload, extra_flags = stored.holder.payload()
-            nindex, ndata = plan_layout(len(payload), self.blocks.block_size)
+        for stored, (payload, extra_flags, nindex, ndata) in zip(
+            stored_list, encoded
+        ):
             home = stored.home_rank
             self._resize(ctx, stored.data_blocks, ndata, home)
             self._resize(ctx, stored.index_blocks, nindex, home)

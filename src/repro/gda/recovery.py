@@ -19,10 +19,10 @@ choice).  This module provides the machinery the rank-crash fault model
   ``snapshot(recovered)`` equals the snapshot of a fault-free twin that
   executed the same committed transactions, and
   :func:`repro.gda.consistency.check_consistency` passes.
-* :func:`replay_entries_idempotent` — the failover redo of one record
-  that may be partly applied.  It and :func:`recover` run the same
-  applier; they differ only in what an unmet precondition means
-  (``_UNMET``).
+* :func:`replay_entries_idempotent` — the roll-forward of a record torn
+  past its commit point (by its committer, or the healer for a dead one).
+  It and :func:`recover` run the same applier; they differ only in what
+  an unmet precondition means (``_UNMET``).
 
 Replay entry vocabulary (everything is identified by *application* IDs and
 metadata *names*, never internal DPtrs, which differ after restore):
@@ -50,9 +50,9 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
-from ..gdi.errors import GdiNotFound, GdiStateError
+from ..gdi.errors import GdiNotFound, GdiStateError, GdiTransactionCritical
 from ..rma.runtime import RankContext
-from .holder import DIR_IN, DIR_OUT, DIR_UNDIR
+from .holder import DIR_IN, DIR_OUT, DIR_UNDIR, EdgeSlot
 
 if TYPE_CHECKING:  # pragma: no cover
     from .database_impl import GdaDatabase
@@ -77,7 +77,8 @@ class CommitRecord:
 
 
 class CommitLog:
-    """Thread-safe, totally ordered in-memory commit log."""
+    """Thread-safe, totally ordered in-memory commit log.  A record is
+    appended at its commit point and never taken back (:mod:`.commit`)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -93,21 +94,6 @@ class CommitLog:
             seq = len(self._records)
             self._records.append(CommitRecord(seq=seq, rank=rank, entries=entries))
             return seq
-
-    def mark_aborted(self, seq: int) -> None:
-        """Tombstone a record whose commit failed after the log append.
-
-        The log-first commit protocol (replication) appends the record
-        *before* applying the writes; when the apply then fails (fenced
-        mid-commit by a failover, lock trouble, out of memory) the
-        transaction aborts and its record must not replay.  The record is
-        replaced by an empty tombstone so sequence numbers stay stable.
-        """
-        with self._lock:
-            old = self._records[seq]
-            self._records[seq] = CommitRecord(
-                seq=seq, rank=old.rank, entries=()
-            )
 
     def position(self) -> int:
         """Current log length; records with ``seq >= position`` come later."""
@@ -181,45 +167,58 @@ def recover(
 
     vid_map = restore(ctx, db, checkpoint.snap)
     if ctx.rank == 0:
-        tail = commit_log.tail(checkpoint.log_pos)
-        _replay(ctx, db, [r.entries for r in tail if r.entries], redo=False)
+        for rec in commit_log.tail(checkpoint.log_pos):
+            _apply(db.start_transaction(ctx, write=True), rec.entries, False)
     ctx.barrier()
     return vid_map
 
 
 def replay_entries_idempotent(
-    ctx: RankContext, db: "GdaDatabase", entries: tuple
+    ctx: RankContext, db: "GdaDatabase", entries: tuple, committer=None
 ) -> None:
-    """Roll a possibly-torn commit's entries forward (failover redo).
+    """Roll a commit that a fault tore past its commit point forward.
 
-    A crashed rank may have applied any part of its in-flight commit
-    before dying: its own shard is rebuilt from the mirror (pre-commit
-    image) while healthy shards may already carry the commit's writes and
-    publications.  Each entry is therefore applied *tolerantly* (the
-    second column of ``_UNMET``): effects already present are skipped,
-    missing prerequisites are recreated from the post-images the entries
-    carry.  The redo transaction does not re-log (the record is already
-    in the commit log under the dead rank's sequence number).
+    Any part of it may have landed: a rebuilt shard holds its mirrored
+    image, healthy shards may carry the commit's writes and publications.
+    Each entry is applied *tolerantly* (the second column of ``_UNMET``):
+    effects present are skipped, missing prerequisites are recreated from
+    the post-images the entries carry.  The redo neither re-logs nor
+    counts in any rank's statistics, and is tried up to eight times.  A
+    live ``committer`` (the torn transaction) lends it its lock table and
+    its cache, whose post-images give each lightweight edge half its count.
 
-    Exactness caveat: an ``edge+`` matching an existing edge counts as
-    applied, so a torn commit adding a further identical parallel edge may
-    lose that copy (the log itself carries their exact multiplicity).
+    Exactness caveat: for a dead committer the two halves of a lightweight
+    edge are settled against each other, so where they agree ``edge+``
+    counts as applied and ``edge-`` as not: a torn commit adding a further
+    identical parallel edge may lose that copy, one removing one of two
+    may remove both (the log carries their exact multiplicity).
     """
-    _replay(ctx, db, [entries], redo=True)
+    from .transaction_impl import Transaction
+
+    db.replica(ctx).sync()
+    for attempt in range(8):
+        tx = Transaction(db, ctx, write=True, collective=False)
+        tx._no_log = True
+        if committer is not None:
+            tx._locks = tx._view.locks = committer._locks
+        try:
+            return _apply(tx, entries, True, committer and committer._vertices)
+        except GdiTransactionCritical:
+            if attempt == 7:
+                raise
 
 
 # -- replay ----------------------------------------------------------------
-# Every entry kind names one target (a vertex, a lightweight slot, a heavy
-# edge) that it needs present (removals, post-images) or absent (adds).
-# What it means when that precondition is unmet is the whole difference
+# Every entry kind names one target (a vertex, each half of a lightweight
+# edge, a heavy edge) that it needs present (removals, post-images) or
+# absent (adds).  What an unmet precondition means is the whole difference
 # between offline recovery (strict: the log replays onto exactly the state
-# it was written against) and failover redo (tolerant: any part of the
-# record may already be applied).  An exception type is raised; ``None``
-# skips the entry (already applied, or moot); a kind runs that kind's
-# mutation instead: its own where strict replay does not check at all
-# (``create_vertex`` rejects a duplicate itself, a second identical edge
-# is a legal parallel edge), another's where the redo rebuilds the target
-# from the post-image the entry carries.
+# it was written against) and the roll-forward (tolerant: any part of the
+# record may be applied).  An exception type is raised; ``None`` skips the
+# entry (applied, or moot); a kind runs that kind's mutation instead: its
+# own where strict replay does not check (``create_vertex`` rejects a
+# duplicate itself, a second identical edge is a legal parallel edge),
+# another's where the redo rebuilds the target from its post-image.
 _UNMET = {
     # kind       strict          tolerant
     "del_v": (GdiStateError, None),
@@ -232,32 +231,22 @@ _UNMET = {
     "hedge*": (GdiStateError, "hedge+"),
     "endpoint": (GdiNotFound, None),  # of any edge kind
 }
-_WANTS_ABSENT = ("new_v", "edge+", "hedge+")
+_WANTS_ABSENT = ("new_v", "hedge+")
 
 
-def _replay(
-    ctx: RankContext, db: "GdaDatabase", records: "list[tuple]", redo: bool
-) -> None:
-    """Apply each record's entries in one write transaction of its own.
-
-    ``redo`` says the records are already in the commit log and may be
-    partly applied: entries are applied tolerantly and nothing is logged.
-    """
-    db.replica(ctx).sync()
-    for entries in records:
-        tx = db.start_transaction(ctx, write=True)
-        tx._no_log = redo
-        try:
-            for entry in entries:
-                _apply_entry(tx, entry, redo)
-            tx.commit()
-        except BaseException:
-            if tx.open:
-                tx.abort()
-            raise
+def _apply(tx, entries: tuple, tolerant: bool, post=None) -> None:
+    """Apply one record's entries in write transaction ``tx``."""
+    try:
+        for entry in entries:
+            _apply_entry(tx, entry, tolerant, post)
+        tx.commit()
+    except BaseException:
+        if tx.open:
+            tx.abort()
+        raise
 
 
-def _apply_entry(tx, entry: tuple, tolerant: bool) -> None:
+def _apply_entry(tx, entry: tuple, tolerant: bool, post) -> None:
     """Resolve the entry's target, settle its precondition, mutate."""
     kind = entry[0]
     unmet = _UNMET[kind][tolerant]
@@ -270,6 +259,8 @@ def _apply_entry(tx, entry: tuple, tolerant: bool) -> None:
         ends = a, b
         if a is None or b is None:
             met, unmet = False, _UNMET["endpoint"][tolerant]
+        elif not kind.startswith("h"):
+            return _settle_halves(tx, a, b, entry, tolerant, post)
     if met and unmet != kind:  # what nothing hangs on is not looked up
         if on_vertex:
             target = tx.find_vertex(entry[1])
@@ -283,41 +274,49 @@ def _apply_entry(tx, entry: tuple, tolerant: bool) -> None:
         _run_mutation(run, tx, ends, target, entry)
 
 
+def _settle_halves(tx, a, b, entry: tuple, tolerant: bool, post) -> None:
+    """A lightweight edge is a slot per endpoint (one for an undirected
+    self-loop), and a torn commit may have landed one alone: a half is
+    short of (``edge+``) or over (``edge-``) its count in ``post[vid]``,
+    else the rarer (both if none is there) or commoner (both if both are)."""
+    kind, directed = entry[0], entry[3]
+    lid = _label(tx, entry[4]).int_id if entry[4] else 0
+    halves = [(a, EdgeSlot(b.vid, lid, DIR_OUT if directed else DIR_UNDIR))]
+    if directed or a is not b:
+        halves.append((b, EdgeSlot(a.vid, lid, DIR_IN if directed else DIR_UNDIR)))
+    counts = [end._txv.holder.edges.count(slot) for end, slot in halves]
+    add = kind == "edge+"
+    guess = max(max(counts), 1) if add else max(min(counts) - 1, 0)
+    for (end, slot), n in zip(halves, counts):
+        mine = post.get(end._txv.vid) if post else None
+        want = guess if mine is None else mine.holder.edges.count(slot)
+        met = n < want if add else n > want
+        run = kind if met else _UNMET[kind][tolerant]
+        if isinstance(run, type):
+            raise run(f"replay {entry[:3]}: edge missing")
+        if run is not None:
+            holder = tx._mutate(end._txv)
+            (holder.add_slot if run == "edge+" else holder.remove_slot)(slot)
+
+
 def _find_edge(tx, a, b, entry: tuple):
-    """The edge ``a -> b`` the entry is about, or None."""
+    """The heavy edge ``a -> b`` the entry is about, or None."""
     directed = entry[3]
-    if not entry[0].startswith("h"):  # the slot with this direction and label
-        want = (
-            DIR_OUT if directed else DIR_UNDIR,
-            b.vid,
-            _label(tx, entry[4]).int_id if entry[4] else 0,
-        )
-        for e in a.edges():
-            s = e._slot
-            if not s.heavy and (s.direction, s.dptr, s.label_id) == want:
-                return e
-        return None
-    for e in a.edges():  # the heavy edge between the two
+    ends = {(a.vid, b.vid)} if directed else {(a.vid, b.vid), (b.vid, a.vid)}
+    for e in a.edges():
         s = e._slot
-        if not s.heavy or s.direction == DIR_IN:
-            continue
-        h = tx._load_edge_holder(s.dptr).holder
-        if h.directed == directed and (
-            (h.src, h.dst) == (a.vid, b.vid)
-            or (not directed and (h.src, h.dst) == (b.vid, a.vid))
-        ):
-            return e
+        if s.heavy and s.direction != DIR_IN:
+            h = tx._load_edge_holder(s.dptr).holder
+            if h.directed == directed and (h.src, h.dst) in ends:
+                return e
     return None
 
 
 def _run_mutation(kind: str, tx, ends, target, entry: tuple) -> None:
     if kind == "del_v":
         tx.delete_vertex(target)
-    elif kind in ("edge-", "hedge-"):
+    elif kind == "hedge-":
         tx.delete_edge(target)
-    elif kind == "edge+":
-        label = _label(tx, entry[4]) if entry[4] else None
-        tx.create_edge(*ends, directed=entry[3], label=label)
     elif kind.endswith("_v"):  # new_v / upd_v: vertex post-image
         if kind == "new_v":
             target = tx.create_vertex(entry[1])

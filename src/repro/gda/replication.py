@@ -13,18 +13,22 @@ epoch-fenced membership view (:mod:`repro.rma.membership`):
   flush), and a per-committer high-water mark records the highest
   commit sequence number whose writes are fully mirrored.
 * **Commit intents** — a committing rank publishes its replayable entry
-  list *before* appending to the commit log and withdraws it only after
+  list *before* appending to the commit log and clears it only after
   its mirror flush completes.  Because no one-sided operation separates
   intent publication from the log append, a crashed rank left an intent
   exactly when its last logged record may be torn — which bounds backups
   to **at most one commit behind** (see :meth:`ReplicationManager.commit_lag`).
+  A logged commit is never taken back: a live committer fenced past its
+  commit point rolls it forward itself (:func:`repro.gda.commit.roll_forward`),
+  and its staged mirrors are published with the redo's.
 * **Failover repair** — :meth:`ReplicationManager.repair_shard` rebuilds a
   dead rank's shard in place: back out the lock words its open lock
   tables hold (``db.lock_tables``), reconstruct the free list as
   the complement of the mirrored live-block set, restore the mirrored
-  blocks (each verified against its recorded CRC32 before promotion),
-  rebuild the shard's DHT segment, then roll the intent's entries forward
-  idempotently through the commit-log replay vocabulary and sweep blocks
+  blocks (each verified against its recorded CRC32, or one any rank
+  staged for it, before promotion), rebuild the shard's DHT segment, then
+  roll the intent's entries forward idempotently through the commit-log
+  replay vocabulary (as a live committer does its own) and sweep blocks
   the dead rank allocated but never published.  Internal DPtrs survive
   (blocks are restored at their original offsets); the membership view's
   translation table redirects liveness, fencing and cost accounting to the
@@ -45,7 +49,7 @@ import zlib
 from typing import TYPE_CHECKING
 
 from ..gdi.errors import GdiChecksumError, GdiTransactionCritical
-from ..rma.faults import RmaRankDead, RmaTransientError
+from ..rma.faults import RmaTransientError
 from ..rma.runtime import RankContext
 from ..rma.window import Window
 from .dptr import unpack_dptr
@@ -182,54 +186,18 @@ class ReplicationManager:
             for d in [k for k, o in self._journal.items() if o == rank]:
                 self._journal.pop(d)
 
-    def abort_commit(self, ctx: RankContext) -> None:
-        """Withdraw a failed commit's staged mirrors.
-
-        Staged iputs may already sit in the network queues carrying
-        uncommitted bytes that a *later* mirror flush would apply; rather
-        than trying to unsend them, re-mirror the affected blocks from the
-        (still committed) data window so mirror content and metadata
-        agree again.
-        """
-        with self._staged_mu:
-            staged, self._staged[ctx.rank] = self._staged[ctx.rank], []
-        self.intent[ctx.rank] = None
-        self.intent_seq[ctx.rank] = None
-        if not staged:
-            return
-        bs = self.block_size
-        mem = self.membership
-        blocks = sorted({(shard, idx) for shard, idx, _, _ in staged})
-        try:
-            blobs = ctx.get_batch(
-                self.blocks.data_win, [(s, i * bs, bs) for s, i in blocks]
-            )
-            ops = [
-                (mem.backup_of(s), i * bs, blob)
-                for (s, i), blob in zip(blocks, blobs)
-            ]
-            ctx.iput_batch(self.mirror_win, ops)
-            ctx.flush(self.mirror_win)
-        except (RmaTransientError, RmaRankDead):
-            # The abort itself raced a failover (e.g. the re-read fenced,
-            # or a backup died too).  The affected shard is being rebuilt
-            # from mirror + intent anyway; skipping the re-mirror only
-            # risks a stale mirror block that the next commit of the same
-            # block overwrites.
-            pass
-
     def commit_lag(self, db: "GdaDatabase", rank: int) -> int:
         """Number of ``rank``'s logged commits not yet fully mirrored.
 
         The intent protocol bounds this at 1: a rank publishes one intent,
-        logs one record, and withdraws the intent only when the record's
+        logs one record, and clears the intent only when the record's
         mirrors are flushed — it cannot log a second record in between.
         """
         high = self.rank_high[rank]
         return sum(
             1
             for rec in db.commit_log.tail(max(0, high + 1))
-            if rec.rank == rank and rec.entries
+            if rec.rank == rank
         )
 
     # -- failover repair ----------------------------------------------------
@@ -258,14 +226,19 @@ class ReplicationManager:
                     ctx.faa(db.blocks.system_win, rank, offset, mode.undo)
 
         # 2. Fetch and verify the mirrored live blocks (promotion gate).  A
-        # block the dead rank was committing may carry its staged bytes (an
-        # iput lands when issued; the commit is logged, step 5 rolls it
-        # forward), so its staged CRC passes too.  A staged block absent
-        # from ``meta`` (allocated by that commit) is not restored: step 3
-        # leaves it free and step 5 writes the commit afresh.
+        # block some rank was committing may carry its staged bytes (an
+        # iput lands when issued), so a CRC any rank staged for it passes
+        # too: staged bytes are a logged commit's, and a logged commit is
+        # rolled forward (step 5 here, the committer's own roll-forward if
+        # it lives).  A staged block absent from ``meta`` (allocated by
+        # that commit) is not restored: step 3 leaves it free and the
+        # roll-forward writes the commit afresh.
         with self._meta_mu, self._staged_mu:
             live = sorted(self.meta[shard].items())
-            staged = {i: crc for s, i, crc, _ in self._staged[shard] if s == shard}
+            staged = {
+                (i, crc) for rows in self._staged for s, i, crc, _ in rows
+                if s == shard
+            }
         backup = mem.backup_of(shard)
         blobs = (
             ctx.get_batch(
@@ -276,7 +249,8 @@ class ReplicationManager:
             else []
         )
         for (idx, (crc, _)), blob in zip(live, blobs):
-            if zlib.crc32(blob) & 0xFFFFFFFF not in (crc, staged.get(idx)):
+            got = zlib.crc32(blob) & 0xFFFFFFFF
+            if got != crc and (idx, got) not in staged:
                 rt.trace.record_corruption_detected(ctx.rank)
                 raise GdiChecksumError(
                     f"mirror of shard {shard} block {idx} failed CRC32 "
@@ -309,14 +283,8 @@ class ReplicationManager:
         if intent is not None and intent_seq is not None:
             from .recovery import replay_entries_idempotent
 
-            for attempt in range(8):
-                try:
-                    replay_entries_idempotent(ctx, db, intent)
-                    redone = 1
-                    break
-                except GdiTransactionCritical:
-                    if attempt == 7:
-                        raise
+            replay_entries_idempotent(ctx, db, intent)
+            redone = 1
             self._mirrored(shard, intent_seq)
 
         # 6. Sweep blocks the dead rank allocated but never published

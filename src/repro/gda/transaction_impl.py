@@ -230,7 +230,6 @@ class Transaction:
         #: locks (lock-free, so an OLTP storm never blocks — and is never
         #: blocked by — this transaction)
         self.snapshot = bool(snapshot) and not write
-        self._commit_ts: int | None = None
         self.open = True
         self.failed = False
         self.fail_cause: str | None = None  # per-cause abort accounting
@@ -245,7 +244,6 @@ class Transaction:
         self._mem = getattr(ctx.rt, "membership", None)
         self._start_epoch = self._mem.epoch if self._mem is not None else 0
         self._no_log = False  # failover redo replays without re-logging
-        self._logged_seq: int | None = None  # set between log append + apply
         self._locks = _LockTable(self)
         #: locking | lock-free collective | snapshot-at-W, fixed here
         self._view = ReadView(self)
@@ -844,7 +842,6 @@ class Transaction:
             if self.write:
                 _commit.run(self)
         except BaseException:
-            _commit.withdraw(self)
             self._end(committed=False)
             raise
         self._end(committed=True)
@@ -855,7 +852,6 @@ class Transaction:
         """``GDI_AbortTransaction``: discard all local changes."""
         if not self.open:
             raise GdiStateError("transaction already closed")
-        _commit.withdraw(self)
         _commit.release_created(self)
         self._end(committed=False)
         if self.collective:
@@ -866,6 +862,8 @@ class Transaction:
         self._view.close()
         self._locks.release_all()
         self.open = False
+        if self._no_log:
+            return  # a redo finishes a logged commit, counted where it began
         stats = self.db.stats[self.ctx.rank]
         if committed:
             stats.committed += 1

@@ -6,7 +6,8 @@ import zlib
 
 import pytest
 
-from repro.gda import GdaConfig, GdaDatabase
+from repro.gda import GdaConfig, GdaDatabase, commit, recover, take_checkpoint
+from repro.gda.checkpoint import snapshot
 from repro.gda.consistency import check_consistency
 from repro.gda.dptr import unpack_dptr
 from repro.gda.retry import RetryPolicy, run_transaction
@@ -455,3 +456,74 @@ def test_repaired_pool_chains_the_complement_of_the_live_set():
     assert max(live) + 1 > len(live), "the live set should have a hole"
     n = state["db"].blocks.blocks_per_rank
     assert walk == [i for i in range(n) if i not in live]
+
+
+def test_a_survivor_fenced_in_write_back_rolls_its_own_commit_forward(
+    monkeypatch,
+):
+    """A logged commit has one fate.  Rank 0 links a vertex of its own
+    to one on the victim's shard; the victim dies as rank 0's write-back
+    begins, so that stage is fenced past the commit point.  The
+    committer heals and rolls its own record forward: the body ran once,
+    one commit counts and no restart, its backups are caught up, and the
+    checkpoint plus the log replays to what the survivors hold."""
+    state = {}
+    victim = 2
+
+    def build(ctx):
+        db = GdaDatabase.create(ctx, CFG)
+        knows, _ = _make_graph(ctx, db)
+        cp = take_checkpoint(ctx, db)
+        if ctx.rank == 0:
+            state.update(db=db, knows=knows, cp=cp)
+
+    rt, _ = run_spmd(3, build, seed=3)
+    db, injector = state["db"], FaultInjector(FaultPlan(seed=3))
+    write_back = commit.write_back
+
+    def dying_write_back(plan):
+        injector.dead.add(victim)
+        write_back(plan)
+
+    monkeypatch.setattr(commit, "STAGES", tuple(
+        dying_write_back if stage is write_back else stage
+        for stage in commit.STAGES
+    ))
+    bodies = []
+
+    def link(tx):
+        bodies.append(tx)
+        tx.create_edge(tx.find_vertex(0), tx.find_vertex(5), label=state["knows"])
+
+    def degraded(ctx):
+        if ctx.rank == victim:
+            while True:  # busy on its own shard until rank 0 kills it
+                ctx.get(db.blocks.system_win, victim, 0, 8)
+        if ctx.rank == 0:
+            stats = db.stats[0]
+            before = stats.committed, stats.aborted, stats.restarts
+            run_transaction(ctx, db, link, policy=RetryPolicy(max_attempts=6))
+            after = stats.committed, stats.aborted, stats.restarts
+            assert [b - a for a, b in zip(before, after)] == [1, 0, 0]
+        ctx.barrier()
+        if ctx.rank == 1:  # it has not met the failover yet
+            with pytest.raises(RmaStaleEpoch):
+                ctx.get(db.blocks.system_win, victim, 0, 8)
+            db.heal(ctx)
+        lags = [db.replication.commit_lag(db, r) for r in range(2)]
+        snap = snapshot(ctx, db)
+        return lags, sorted(snap["light_edges"], key=repr)
+
+    _, res = run_spmd(3, degraded, runtime=rt, faults=injector)
+    assert res[victim] is None
+    assert len(bodies) == 1
+    assert res[0] == res[1] and res[0][0] == [0, 0]
+    assert rt.trace.counters[0].snapshot()["epoch_fences"] == 1
+
+    def twin(ctx):
+        db2 = GdaDatabase.create(ctx, CFG)
+        recover(ctx, db2, state["cp"], db.commit_log)
+        return sorted(snapshot(ctx, db2)["light_edges"], key=repr)
+
+    _, twins = run_spmd(3, twin)
+    assert twins[0] == res[0][1]

@@ -376,6 +376,39 @@ def test_failover_storm_promotes_the_dead_committers_staged_mirror():
     _failover_storm(305, crash_at_op=60)
 
 
+@pytest.mark.parametrize(
+    "seed, crash_at_op",
+    [(307, 40), (308, 40), (310, 40), (300, 55), (304, 60), (301, 60)],
+)
+def test_failover_storm_applies_every_logged_commit_once(seed, crash_at_op):
+    """Each cell tears a commit past its commit point.  In the first four
+    a live committer is fenced in ``write_back`` with part of the commit
+    landed: it must roll its own record forward, and its body must not
+    run again.  In (304, 60) the dead committer had landed one half of a
+    lightweight edge: the healer's redo must write only the other.  In
+    (301, 60) the dead shard's mirror carries a survivor's staged bytes,
+    which the promotion gate must accept."""
+    _failover_storm(seed, crash_at_op=crash_at_op)
+
+
+def test_failover_storm_rolls_a_parallel_edge_forward_exactly():
+    """At op 45 of seed 316 rank 0 is fenced in ``write_back`` while its
+    commit adds a second copy of lightweight edge (19, 17), neither half
+    of it landed.  The two halves agree, so only the committer's own
+    post-images tell that a copy is missing: its roll-forward must add
+    it."""
+    _failover_storm(316, crash_at_op=45)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("crash_at_op", range(20, 90, 10))
+@pytest.mark.parametrize("seed", range(300, 320))
+def test_failover_crash_point_sweep(seed, crash_at_op):
+    """Every seed of 300-319 crashed at every tenth op from 20 to 80
+    (about 60 s; ``pytest -m sweep``)."""
+    _failover_storm(seed, crash_at_op=crash_at_op)
+
+
 @pytest.mark.parametrize("scenario", ["commit", "checkpoint", "collective-tx"])
 @pytest.mark.parametrize("seed", [21, 22])
 def test_failover_crash_during(scenario, seed):

@@ -124,6 +124,36 @@ def test_oversized_property_fails_cleanly():
     run_spmd(1, prog)
 
 
+def test_oversized_edge_property_fails_before_the_commit_point():
+    """A heavy edge holder too large to address fails its commit with
+    nothing logged, as an oversized vertex does: what can refuse a
+    commit without a fault is checked before the record is appended."""
+
+    def prog(ctx):
+        db = GdaDatabase.create(
+            ctx, GdaConfig(block_size=128, blocks_per_rank=4096)
+        )
+        db.create_property_type(ctx, "blob", dtype=Datatype.BYTES)
+        blob = db.property_type(ctx, "blob")
+        tx = db.start_transaction(ctx, write=True)
+        a, b = tx.create_vertex(1), tx.create_vertex(2)
+        tx.create_edge(a, b, properties=[(blob, b"ok")])
+        tx.commit()
+        logged = len(db.commit_log)
+        tx = db.start_transaction(ctx, write=True)
+        (edge,) = tx.find_vertex(1).edges()
+        edge.set_property(blob, b"x" * 1_000_000)
+        with pytest.raises(GdiNoMemory):
+            tx.commit()
+        assert len(db.commit_log) == logged
+        tx = db.start_transaction(ctx)
+        (edge,) = tx.find_vertex(1).edges()
+        assert edge.property(blob) == b"ok"
+        tx.commit()
+
+    run_spmd(1, prog)
+
+
 def test_failed_fraction_counted_in_stats():
     def prog(ctx):
         db = GdaDatabase.create(ctx, GdaConfig(lock_max_retries=1))

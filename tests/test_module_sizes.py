@@ -19,9 +19,10 @@ GRANDFATHERED = {
     # gda/locks.py again when the lock tables became the only record of
     # lock ownership (no per-owner registry beside them), and when a lock
     # word became an address whose ledger the protocol writes (no lock
-    # object per word, no scalar verbs)
+    # object per word, no scalar verbs); gda/recovery.py again when a
+    # logged commit got one fate (no tombstones; and see gda/replication.py)
     "gda/locks.py": 214,
-    "gda/recovery.py": 346,
+    "gda/recovery.py": 345,
     "rma/collectives.py": 410,
     "serve/server.py": 360,
     # held where they shrank when ``ctx.alltoallv`` took their routing loops
@@ -43,21 +44,24 @@ GRANDFATHERED = {
     # packed wire bytes only (no slot-object list beside the buffer);
     # transaction_impl.py again when snapshot reads stopped forcing
     # whole-holder fetches, and when the bulk writer replaced its bulk
-    # verbs (and see gda/locks.py above)
-    "gda/transaction_impl.py": 876,
+    # verbs (and see gda/locks.py above), and when a logged commit got
+    # one fate (no withdraw path)
+    "gda/transaction_impl.py": 874,
     "gda/handles.py": 701,
     # held where they shrank when the full-block holder read became a
-    # shape of the one per-holder header-first decoder
-    "gda/holder.py": 750,
+    # shape of the one per-holder header-first decoder; holder.py again
+    # when a commit began to encode its holders before the commit point
+    "gda/holder.py": 749,
     "gda/holder_model.py": 429,
     # the bulk loader's one holder writer, recorded at its first size and
     # lowered when MVCC stopped being optional
     "gda/bulk.py": 379,
     # held where a zero segment became an empty pool: window.py and
     # replication.py shrank; blocks.py grew by the reset and walk verbs
-    # that make it the only module knowing the free-list format
+    # that make it the only module knowing the free-list format;
+    # replication.py again when the withdraw path and its re-mirror went
     "gda/blocks.py": 303,
-    "gda/replication.py": 381,
+    "gda/replication.py": 349,
     "rma/window.py": 175,
     # held where they shrank when the RMA trace stopped copying the serve
     # and MVCC-GC ledgers (serve/server.py above too), the replication
