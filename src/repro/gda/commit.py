@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..gdi.errors import GdiNonUniqueId
+from ..gdi.errors import GdiCommitUnfinished, GdiNonUniqueId
 from ..rma.faults import RmaRankDead, RmaStaleEpoch, RmaTransientError
 from .dptr import unpack_dptr
 from .holder import (
@@ -58,10 +58,10 @@ class CommitPlan:
     ordered: "list[_TxVertex]" = field(default_factory=list)
     #: created or dirty vertices that outlive the commit
     survivors: "list[_TxVertex]" = field(default_factory=list)
-    #: per survivor, then per heavy edge holder rewritten, its payload,
-    #: flags and block layout (:meth:`HolderStorage.encode`)
-    encoded: list = field(default_factory=list)
-    edges_encoded: list = field(default_factory=list)
+    #: ``(stored, encoding)`` of each survivor, then of each heavy edge
+    #: holder rewritten (:meth:`HolderStorage.encode`)
+    writes: list = field(default_factory=list)
+    edge_writes: list = field(default_factory=list)
     log_entries: tuple = ()
     seq: "int | None" = None  # commit-log sequence number, once appended
     ts: int = 0  # MVCC commit timestamp, 0 when nothing is versioned
@@ -87,24 +87,31 @@ def roll_forward(plan: CommitPlan) -> None:
     """Finish a commit torn past its commit point by a fence or an
     escaped transient fault, on the live committer.
 
-    Heal first: a dead committer's words were write locks on vertices
-    this one could not hold, so the repair never waits on its locks.
-    Then the record's own entries are re-applied tolerantly, as the
-    healer rolls a dead committer's forward, under this transaction's
-    lock table and against its cached post-images; its words on a shard
-    rebuilt since they were taken are zero again, so they are forgotten
-    and taken anew.  Last, the mirror high-water mark reaches the record
-    and its timestamp is retired.
+    The record's own entries are re-applied tolerantly, as the healer
+    rolls a dead committer's forward, under this transaction's lock table
+    and against its cached post-images, each try after a heal (a dead
+    committer's words were write locks on vertices this one could not
+    hold, so the repair never waits on its locks; the repair re-sets this
+    one's words on the shard it rebuilds).  Then the mirror high-water
+    mark reaches the record.  The timestamp is retired whatever happens,
+    unless this rank died: the healer then finishes the commit.  A redo
+    that gives up raises :class:`GdiCommitUnfinished`, which no retry
+    loop takes for a restart: that would apply the record twice.
     """
     from .recovery import replay_entries_idempotent
 
-    tx, held = plan.tx, plan.tx._locks._held
-    tx.db.heal(tx.ctx)
-    for vid, (_, epoch, (rank, _)) in list(held.items()):
-        if tx._mem.rebuilt_since(rank, epoch):
-            del held[vid]
-    replay_entries_idempotent(tx.ctx, tx.db, plan.log_entries, tx)
-    mirror(plan)
+    tx = plan.tx
+    try:
+        replay_entries_idempotent(tx.ctx, tx.db, plan.log_entries, tx)
+        mirror(plan)
+    except RmaRankDead:
+        raise
+    except Exception as exc:
+        if plan.ts:
+            tx.db.mvcc.note_applied(plan.ts)
+        raise GdiCommitUnfinished(
+            f"logged commit {plan.seq} was not rolled forward: {exc!r}"
+        ) from exc
     finish(plan)
 
 
@@ -171,11 +178,11 @@ def encode_holders(plan: CommitPlan) -> None:
     once and before the commit point: one too large to address fails the
     transaction with nothing logged (:class:`~repro.gdi.errors.GdiNoMemory`)."""
     encode = plan.tx.db.storage.encode
-    plan.encoded = [encode(txv.holder) for txv in plan.survivors]
-    plan.edges_encoded = [
-        encode(txe.holder)
-        for txe in plan.tx._edges.values()
-        if txe.dirty and not txe.deleted
+    plan.writes = [(t.stored, encode(t.holder)) for t in plan.survivors]
+    plan.edge_writes = [
+        (t.stored, encode(t.holder))
+        for t in plan.tx._edges.values()
+        if t.dirty and not t.deleted
     ]
 
 
@@ -246,17 +253,15 @@ def apply_edge_holders(plan: CommitPlan) -> None:
     deleted ones clear their headers in one batched flush, all dirty
     ones write back in another."""
     tx = plan.tx
-    rewrites, deletes = [], []
+    deletes = []
     for txe in tx._edges.values():
         if txe.deleted:
             if txe.created:
                 tx.db.blocks.release_block(tx.ctx, txe.stored.primary)
             else:
                 deletes.append(txe.stored)
-        elif txe.dirty:
-            rewrites.append(txe.stored)
     tx.db.storage.delete_many(tx.ctx, deletes)
-    tx.db.storage.rewrite_many(tx.ctx, rewrites, plan.edges_encoded)
+    tx.db.storage.rewrite_many(tx.ctx, plan.edge_writes)
 
 
 def unpublish_deleted(plan: CommitPlan) -> None:
@@ -285,9 +290,7 @@ def write_back(plan: CommitPlan) -> None:
     block writes of all holders coalesce per home rank and complete at a
     single flush (the deletions already freed their blocks, so grown
     holders can reuse them)."""
-    plan.tx.db.storage.rewrite_many(
-        plan.tx.ctx, [txv.stored for txv in plan.survivors], plan.encoded
-    )
+    plan.tx.db.storage.rewrite_many(plan.tx.ctx, plan.writes)
 
 
 def publish(plan: CommitPlan) -> None:
@@ -316,6 +319,7 @@ def finish(plan: CommitPlan) -> None:
     tx = plan.tx
     if plan.ts:
         tx.db.mvcc.note_applied(plan.ts)
+        plan.ts = 0  # retired once, even if the collection below raises
         tx.db.mvcc.maybe_collect(tx.ctx)
 
 

@@ -236,27 +236,23 @@ class HolderStorage:
 
     def rewrite(self, ctx: RankContext, stored: StoredHolder) -> None:
         """Write back one (mutated) holder: :meth:`rewrite_many` of one."""
-        self.rewrite_many(ctx, [stored])
+        self.rewrite_many(ctx, [(stored, self.encode(stored.holder))])
 
     def rewrite_many(
-        self, ctx: RankContext, stored_list: list[StoredHolder], encoded=None
+        self, ctx: RankContext, writes: "list[tuple[StoredHolder, tuple]]"
     ) -> None:
         """Write back many mutated holders with one batched flush.
 
-        Each holder's block set is resized in place: the primary and as
-        many continuation blocks as fit are reused, extras acquired or
-        surplus released.  Then all block writes of all holders go out
-        together — the transaction write pipeline.  ``encoded`` holds
-        each holder's :meth:`encode` where the caller made it already.
+        ``writes`` pairs each holder with its :meth:`encode`.  Each
+        holder's block set is resized in place: the primary and as many
+        continuation blocks as fit are reused, extras acquired or surplus
+        released.  Then all block writes of all holders go out together —
+        the transaction write pipeline.
         """
-        if not stored_list:
+        if not writes:
             return
-        if encoded is None:
-            encoded = [self.encode(stored.holder) for stored in stored_list]
         items: list[tuple[int, bytes]] = []
-        for stored, (payload, extra_flags, nindex, ndata) in zip(
-            stored_list, encoded
-        ):
+        for stored, (payload, extra_flags, nindex, ndata) in writes:
             home = stored.home_rank
             self._resize(ctx, stored.data_blocks, ndata, home)
             self._resize(ctx, stored.index_blocks, nindex, home)

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..gdi.errors import GdiNotFound, GdiStateError, GdiTransactionCritical
+from ..rma.faults import RmaTransientError
 from ..rma.runtime import RankContext
 from .holder import DIR_IN, DIR_OUT, DIR_UNDIR, EdgeSlot
 
@@ -184,8 +185,9 @@ def replay_entries_idempotent(
     effects present are skipped, missing prerequisites are recreated from
     the post-images the entries carry.  The redo neither re-logs nor
     counts in any rank's statistics, and is tried up to eight times.  A
-    live ``committer`` (the torn transaction) lends it its lock table and
-    its cache, whose post-images give each lightweight edge half its count.
+    live ``committer`` (the torn transaction) heals before each try and
+    lends the redo its lock table, whose words the redo never gives back,
+    and its cache, whose post-images count each lightweight edge half.
 
     Exactness caveat: for a dead committer the two halves of a lightweight
     edge are settled against each other, so where they agree ``edge+``
@@ -197,15 +199,20 @@ def replay_entries_idempotent(
 
     db.replica(ctx).sync()
     for attempt in range(8):
-        tx = Transaction(db, ctx, write=True, collective=False)
-        tx._no_log = True
-        if committer is not None:
-            tx._locks = tx._view.locks = committer._locks
         try:
+            if committer is not None:
+                db.heal(ctx)
+            tx = Transaction(db, ctx, write=True, collective=False)
+            tx._no_log = True
+            if committer is not None:
+                tx._locks = tx._view.locks = committer._locks
             return _apply(tx, entries, True, committer and committer._vertices)
-        except GdiTransactionCritical:
+        except (GdiTransactionCritical, RmaTransientError):
             if attempt == 7:
                 raise
+        finally:
+            if committer is None:
+                tx._locks.release_all()
 
 
 # -- replay ----------------------------------------------------------------
@@ -236,14 +243,10 @@ _WANTS_ABSENT = ("new_v", "hedge+")
 
 def _apply(tx, entries: tuple, tolerant: bool, post=None) -> None:
     """Apply one record's entries in write transaction ``tx``."""
-    try:
+    with tx:  # aborted if an entry raises
         for entry in entries:
             _apply_entry(tx, entry, tolerant, post)
         tx.commit()
-    except BaseException:
-        if tx.open:
-            tx.abort()
-        raise
 
 
 def _apply_entry(tx, entry: tuple, tolerant: bool, post) -> None:
@@ -262,10 +265,7 @@ def _apply_entry(tx, entry: tuple, tolerant: bool, post) -> None:
         elif not kind.startswith("h"):
             return _settle_halves(tx, a, b, entry, tolerant, post)
     if met and unmet != kind:  # what nothing hangs on is not looked up
-        if on_vertex:
-            target = tx.find_vertex(entry[1])
-        else:
-            target = _find_edge(tx, a, b, entry)
+        target = tx.find_vertex(entry[1]) if on_vertex else _find_edge(tx, a, b, entry)
         met = (target is None) == (kind in _WANTS_ABSENT)
     run = kind if met else unmet
     if isinstance(run, type):

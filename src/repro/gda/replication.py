@@ -28,8 +28,9 @@ epoch-fenced membership view (:mod:`repro.rma.membership`):
   blocks (each verified against its recorded CRC32, or one any rank
   staged for it, before promotion), rebuild the shard's DHT segment, then
   roll the intent's entries forward idempotently through the commit-log
-  replay vocabulary (as a live committer does its own) and sweep blocks
-  the dead rank allocated but never published.  Internal DPtrs survive
+  replay vocabulary (as a live committer does its own), sweep blocks
+  the dead rank allocated but never published, and set the lock words
+  that live ranks' tables hold on the shard again.  Internal DPtrs survive
   (blocks are restored at their original offsets); the membership view's
   translation table redirects liveness, fencing and cost accounting to the
   backup host.
@@ -128,9 +129,7 @@ class ReplicationManager:
         """
         if not items:
             return
-        mem = self.membership
-        ops = []
-        staged = []
+        mem, ops, staged = self.membership, [], []
         for dptr, data in items:
             d = unpack_dptr(dptr)
             ops.append((mem.backup_of(d.rank), d.offset, data))
@@ -193,12 +192,8 @@ class ReplicationManager:
         logs one record, and clears the intent only when the record's
         mirrors are flushed — it cannot log a second record in between.
         """
-        high = self.rank_high[rank]
-        return sum(
-            1
-            for rec in db.commit_log.tail(max(0, high + 1))
-            if rec.rank == rank
-        )
+        tail = db.commit_log.tail(max(0, self.rank_high[rank] + 1))
+        return sum(rec.rank == rank for rec in tail)
 
     # -- failover repair ----------------------------------------------------
     def repair_shard(
@@ -226,13 +221,10 @@ class ReplicationManager:
                     ctx.faa(db.blocks.system_win, rank, offset, mode.undo)
 
         # 2. Fetch and verify the mirrored live blocks (promotion gate).  A
-        # block some rank was committing may carry its staged bytes (an
-        # iput lands when issued), so a CRC any rank staged for it passes
-        # too: staged bytes are a logged commit's, and a logged commit is
-        # rolled forward (step 5 here, the committer's own roll-forward if
-        # it lives).  A staged block absent from ``meta`` (allocated by
-        # that commit) is not restored: step 3 leaves it free and the
-        # roll-forward writes the commit afresh.
+        # CRC any rank staged for a block passes too: an iput lands when
+        # issued, and staged bytes are a logged commit's, which is rolled
+        # forward (step 5, or by its live committer).  A staged block not
+        # in ``meta`` stays free (step 3): the roll-forward rewrites it.
         with self._meta_mu, self._staged_mu:
             live = sorted(self.meta[shard].items())
             staged = {
@@ -240,14 +232,9 @@ class ReplicationManager:
                 if s == shard
             }
         backup = mem.backup_of(shard)
-        blobs = (
-            ctx.get_batch(
-                self.mirror_win,
-                [(backup, idx * bs, nb) for idx, (_, nb) in live],
-            )
-            if live
-            else []
-        )
+        blobs = ctx.get_batch(self.mirror_win, [
+            (backup, idx * bs, nb) for idx, (_, nb) in live
+        ]) if live else []
         for (idx, (crc, _)), blob in zip(live, blobs):
             got = zlib.crc32(blob) & 0xFFFFFFFF
             if got != crc and (idx, got) not in staged:
@@ -265,7 +252,7 @@ class ReplicationManager:
 
         # 3. Rebuild the shard's BGDL segments in place: data zeroed, then
         # restored at original offsets (DPtrs survive); the pool holds
-        # exactly the live set.
+        # exactly the live set, and lock words are zero until step 7.
         ctx.put(db.blocks.data_win, shard, 0, bytes(db.blocks.data_win.size))
         db.blocks.reset_free_list(ctx, shard, (idx for idx, _ in live))
         if live:
@@ -292,6 +279,25 @@ class ReplicationManager:
         # is computed under read locks on the intent's touched vertices.
         swept = self._sweep_dead_allocations(ctx, db, shard, intent)
 
+        # 7. Set each lock word of the shard to what the live ranks' lock
+        # tables hold of it, as the repair's last ops, and stamp those
+        # entries with this epoch so that their give-backs issue them.  A
+        # word a table forgets meanwhile (the shard is unserviceable to
+        # its rank) is backed out again, until a round sees none forgotten.
+        with db.lock_tables_mu:
+            mine = [
+                (held, vid, e) for tables in db.lock_tables for t in tables
+                for held in (t._held,) for vid, e in held.items()
+                if e[2][0] == shard
+            ]
+        ops = [(shard, word[1], -mode.undo) for _, _, (mode, _, word) in mine]
+        while ops:
+            ctx.faa_batch(db.blocks.system_win, ops)
+            gone = [e for held, vid, e in mine if held.get(vid) is not e]
+            mine = [m for m in mine if m[0].get(m[1]) is m[2]]
+            ops = [(shard, word[1], mode.undo) for mode, _, word in gone]
+        for held, vid, (mode, _, word) in mine:
+            held[vid] = (mode, mem.epoch, word)
         return {
             "restored_blocks": len(live),
             "redone_commits": redone,
@@ -307,16 +313,13 @@ class ReplicationManager:
             return 0
         reachable: set[int] = set()
         if intent:
-            apps: set[int] = set()
-            for e in intent:
-                if e[0] in ("del_v", "new_v", "upd_v"):
-                    apps.add(e[1])
-                elif e[0] in ("edge+", "edge-", "hedge+", "hedge-", "hedge*"):
-                    apps.add(e[1])
-                    apps.add(e[2])
+            # a vertex entry names one vertex, an edge entry its two ends
+            apps = {
+                a for e in intent
+                for a in (e[1:2] if e[0].endswith("_v") else e[1:3])
+            }
             try:
-                tx = db.start_transaction(ctx, write=False)
-                try:
+                with db.start_transaction(ctx, write=False) as tx:
                     for app in sorted(apps):
                         h = tx.find_vertex(app)
                         if h is None:
@@ -328,10 +331,6 @@ class ReplicationManager:
                                 es = db.storage.read(ctx, slot.dptr)
                                 reachable.update(es.all_blocks)
                     tx.commit()
-                except BaseException:
-                    if tx.open:
-                        tx.abort()
-                    raise
             except (GdiTransactionCritical, RmaTransientError):
                 # Could not pin the touched vertices (heavy contention);
                 # leave the journal in place rather than risk freeing a

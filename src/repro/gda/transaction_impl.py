@@ -105,10 +105,10 @@ class _LockTable:
     style and kept until the transaction ends (two-phase locking).  With
     replication on, a table holding words is listed in its rank's
     ``db.lock_tables``: the failover healer backs out what a dead rank's
-    open tables hold.  ``epoch`` is the membership epoch read before the
-    call that took the word: a shard that failed after it has a fresh
-    word, so the give-back skips it.  Collective and snapshot
-    transactions are lock-free: their table stays empty.
+    open tables hold, and sets what live ones hold on its shard again.
+    ``epoch`` is the membership epoch read before the call that took the
+    word, or by that repair.  Collective and snapshot transactions are
+    lock-free: their table stays empty.
     """
 
     def __init__(self, tx: "Transaction") -> None:
@@ -177,31 +177,34 @@ class _LockTable:
         round: release each, except that a word in ``downgrade`` (upgraded
         by a call that then failed) goes back to read.
 
-        A word whose shard failed after it was taken is zero again and is
-        skipped (issuing it would corrupt the fresh word).  A stale-epoch
-        fence is raised before any word moves and exactly once per
+        A word on a shard failed since it was taken, or unserviceable,
+        holds nothing: it is forgotten first, with no op in between (the
+        repair sets the words left in live tables again).  A stale-epoch
+        fence is raised before any word moves and once per
         reconfiguration, so the round is filtered and issued once more.
         The words leave the table only once the round returned: a rank
         that dies inside it still holds them for the failover healer.
         """
-        held, mem = self._held, self._mem
-        back = []  # (word, epoch, give-back)
-        for vid in vids:
-            mode, epoch, word = held[vid]
-            back.append((word, epoch, UPGRADE if vid in downgrade else mode))
+        held, mem, rank = self._held, self._mem, self._ctx.rank
         for fenced in (False, True):
+            if mem.epoch:  # after a reconfiguration
+                for vid in vids:
+                    _, epoch, (s, _) = held[vid]
+                    if mem.rebuilt_since(s, epoch) or not mem.serviceable(s, rank):
+                        del held[vid]
+                vids = [vid for vid in vids if vid in held]
             try:
                 release_batch(self._ctx, self._db.blocks.system_win, [
-                    (word, how) for word, epoch, how in back
-                    if not mem.rebuilt_since(word[0], epoch)
+                    (held[vid][2], UPGRADE if vid in downgrade else held[vid][0])
+                    for vid in vids
                 ])
                 break
             except RmaStaleEpoch:
                 if fenced:
                     raise
-        for vid, (word, epoch, how) in zip(vids, back):
-            if how is UPGRADE:  # a downgrade keeps a read
-                held[vid] = (READ, epoch, word)
+        for vid in vids:
+            if vid in downgrade:  # a downgrade keeps a read
+                held[vid] = (READ, *held[vid][1:])
             else:
                 del held[vid]
         if not held and self._ledger is not None:
@@ -221,8 +224,7 @@ class Transaction:
         collective: bool,
         snapshot: bool = False,
     ) -> None:
-        self.db = db
-        self.ctx = ctx
+        self.db, self.ctx = db, ctx
         self.write = write
         self.collective = collective
         #: MVCC snapshot read mode, chosen per transaction: resolve every
@@ -263,9 +265,7 @@ class Transaction:
         if not self.open:
             raise GdiStateError("transaction already closed")
         if self.failed:
-            raise GdiStateError(
-                "transaction failed; abort it and start a new one"
-            )
+            raise GdiStateError("transaction failed; abort it and start a new one")
 
     def _check_write(self) -> None:
         self._check_open()
@@ -298,9 +298,7 @@ class Transaction:
         """Lock vertices already in the cache; created ones are private
         until commit and own no lock word yet."""
         try:
-            self._locks.acquire(
-                [txv.vid for txv in txvs if not txv.created], want_write
-            )
+            self._locks.acquire([t.vid for t in txvs if not t.created], want_write)
         except GdiLockFailed:
             self._fail("lock")
             raise
@@ -860,10 +858,11 @@ class Transaction:
     def _end(self, committed: bool) -> None:
         """Close the read view, unlock and count the outcome."""
         self._view.close()
+        if self._no_log:  # a redo: its words and count are its caller's
+            self.open = False
+            return
         self._locks.release_all()
         self.open = False
-        if self._no_log:
-            return  # a redo finishes a logged commit, counted where it began
         stats = self.db.stats[self.ctx.rank]
         if committed:
             stats.committed += 1

@@ -25,6 +25,7 @@ __all__ = [
     "GdiNonUniqueId",
     "GdiSizeLimit",
     "GdiChecksumError",
+    "GdiCommitUnfinished",
 ]
 
 
@@ -139,3 +140,10 @@ class GdiChecksumError(GdiTransactionCritical):
     """
 
     code = ErrorCode.ERROR_STATE
+
+
+class GdiCommitUnfinished(GdiError):
+    """A logged commit that a fault tore could not be rolled forward by
+    its committer.  Not transaction-critical: the record stays in the log
+    (recovery replays it), and restarting the transaction would apply it
+    a second time."""

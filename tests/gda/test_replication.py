@@ -1,22 +1,30 @@
 """Availability-layer tests: block mirroring, commit lag, CRC32 integrity,
 and live failover of a crashed shard."""
 
+import operator
 import threading
 import zlib
 
 import pytest
 
 from repro.gda import GdaConfig, GdaDatabase, commit, recover, take_checkpoint
+from repro.gda import recovery
 from repro.gda.checkpoint import snapshot
 from repro.gda.consistency import check_consistency
 from repro.gda.dptr import unpack_dptr
 from repro.gda.retry import RetryPolicy, run_transaction
 from repro.gdi import Datatype
 from repro.gda import locks
-from repro.gdi.errors import GdiChecksumError, GdiLockFailed
+from repro.gdi.errors import GdiChecksumError, GdiCommitUnfinished, GdiLockFailed
 from repro.rma import run_spmd
-from repro.rma.faults import FaultInjector, FaultPlan, RmaStaleEpoch
+from repro.rma.faults import (
+    FaultInjector,
+    FaultPlan,
+    RmaStaleEpoch,
+    RmaTransientError,
+)
 from repro.rma.membership import SHARD_FAILED, SHARD_REHOSTED
+from repro.rma.runtime import RankContext
 
 CFG = GdaConfig(blocks_per_rank=1024, replication=True)
 
@@ -527,3 +535,251 @@ def test_a_survivor_fenced_in_write_back_rolls_its_own_commit_forward(
 
     _, twins = run_spmd(3, twin)
     assert twins[0] == res[0][1]
+
+
+def _tear(monkeypatch, name, times):
+    """Rebind commit stage ``name`` to raise ``RmaTransientError`` on its
+    first ``times`` calls: ``publish`` once it ran, any other stage
+    before it runs."""
+    real, calls = getattr(commit, name), []
+
+    def torn(plan):
+        calls.append(list(plan.tx._locks._held.values()))
+        if name == "publish" or len(calls) > times:
+            real(plan)
+        if len(calls) <= times:
+            raise RmaTransientError(f"{name} torn")
+
+    monkeypatch.setattr(commit, "STAGES", tuple(
+        torn if stage is real else stage for stage in commit.STAGES
+    ))
+    return calls
+
+
+def _one_rank_update(monkeypatch, name, times):
+    """Replication off, one rank: a write transaction that updates a
+    vertex and links two others runs under ``run_transaction`` with commit
+    stage ``name`` torn ``times`` times.  Returns the database, its
+    checkpoint, the bodies run, the commit/abort/restart deltas, the
+    error raised (or None) and the live content."""
+    state = {}
+
+    def build(ctx):
+        db = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=1024))
+        _make_graph(ctx, db)
+        state.update(db=db, cp=take_checkpoint(ctx, db))
+
+    rt, _ = run_spmd(1, build)
+    db, bodies = state["db"], []
+    held = _tear(monkeypatch, name, times)
+
+    def update(tx):
+        bodies.append(tx)
+        tx.find_vertex(3).set_property(db.property_type(tx.ctx, "ts"), 33)
+        tx.create_edge(
+            tx.find_vertex(0), tx.find_vertex(5), label=db.label(tx.ctx, "knows")
+        )
+
+    def run(ctx):
+        stats = db.stats[0]
+        before = stats.committed, stats.aborted, stats.restarts
+        try:
+            run_transaction(ctx, db, update)
+            error = None
+        except GdiCommitUnfinished as exc:
+            error = exc
+        after = stats.committed, stats.aborted, stats.restarts
+        assert db.mvcc.watermark == db.mvcc.last_issued  # ts retired
+        # a redo borrows the committer's lock table and never gives back
+        # its words: each torn try sees the very entries the commit took
+        assert all(
+            len(h) == len(held[0]) and all(map(operator.is_, h, held[0]))
+            for h in held[: times + 1]
+        )
+        assert check_consistency(ctx, db).problems == []
+        deltas = [b - a for a, b in zip(before, after)]
+        return deltas, error, _content(snapshot(ctx, db))
+
+    _, [(deltas, error, content)] = run_spmd(1, run, runtime=rt)
+    return db, state["cp"], bodies, deltas, error, content
+
+
+def _content(snap):
+    return snap["vertices"], sorted(snap["light_edges"], key=repr)
+
+
+def _twin(nranks, cp, log):
+    def twin(ctx):
+        db2 = GdaDatabase.create(ctx, GdaConfig(blocks_per_rank=1024))
+        recover(ctx, db2, cp, log)
+        return _content(snapshot(ctx, db2))
+
+    return run_spmd(nranks, twin)[1][0]
+
+
+@pytest.mark.parametrize(
+    "name,times", [("write_back", 1), ("publish", 1), ("write_back", 3)]
+)
+def test_a_transient_fault_past_the_commit_point_rolls_forward(
+    monkeypatch, name, times
+):
+    """With replication off, a transient fault that escapes a stage past
+    the commit point is finished by the committer's roll-forward, also
+    when it hits the redo's first tries (``times`` 3: the commit's own
+    write-back, then the first two redos').  The body runs once, one
+    commit counts, no restart, the timestamp is retired, and the log
+    replays onto a twin."""
+    db, cp, bodies, deltas, error, content = _one_rank_update(
+        monkeypatch, name, times
+    )
+    assert error is None and len(bodies) == 1 and deltas == [1, 0, 0]
+    assert content[0][3]["props"] == [("ts", (33).to_bytes(8, "little"))]
+    assert (0, 5, True, "knows") in content[1]
+    assert _twin(1, cp, db.commit_log) == content
+
+
+def test_a_roll_forward_that_gives_up_is_not_retried(monkeypatch):
+    """A redo torn on every try gives up with ``GdiCommitUnfinished``,
+    which ``run_transaction`` does not retry (the record is logged: a
+    second run would apply it twice).  The timestamp is still retired
+    and the locks given back; the record stays in the log."""
+    db, _, bodies, deltas, error, content = _one_rank_update(
+        monkeypatch, "write_back", 100
+    )
+    assert isinstance(error, GdiCommitUnfinished)
+    assert isinstance(error.__cause__, RmaTransientError)
+    assert len(bodies) == 1 and deltas == [0, 1, 0]
+    assert db.commit_log.tail(len(db.commit_log) - 1)[0].entries
+
+
+def test_a_survivor_cannot_take_a_torn_vertex_before_its_roll_forward(
+    monkeypatch,
+):
+    """Rank 0 updates a vertex on the victim's shard; the victim dies as
+    rank 0's write-back begins.  The repair sets rank 0's write lock on
+    the rebuilt shard again, so rank 1, racing for the vertex between
+    the repair and rank 0's redo, cannot take it.  Rank 1's own update
+    then lands after the rolled-forward one, as in the checkpoint plus
+    the log."""
+    state = {}
+    victim = 2
+
+    def build(ctx):
+        db = GdaDatabase.create(ctx, CFG)
+        _, ts = _make_graph(ctx, db)
+        cp = take_checkpoint(ctx, db)
+        if ctx.rank == 0:
+            with db.start_transaction(ctx) as tx:
+                torn = next(
+                    i for i in range(12)
+                    if unpack_dptr(tx.find_vertex(i).vid).rank == victim
+                )
+            state.update(db=db, ts=ts, cp=cp, torn=torn)
+
+    rt, _ = run_spmd(3, build, seed=3)
+    db, ts, torn = state["db"], state["ts"], state["torn"]
+    injector = FaultInjector(FaultPlan(seed=3))
+    write_back, replay = commit.write_back, recovery.replay_entries_idempotent
+
+    def dying_write_back(plan):
+        injector.dead.add(victim)
+        write_back(plan)
+
+    def paused_replay(ctx, db, entries, committer=None):
+        if committer is not None:
+            db.heal(ctx)  # rank 0, fenced first, repairs the shard
+            ctx.barrier()  # rank 1 races for the vertex
+            ctx.barrier()
+        return replay(ctx, db, entries, committer)
+
+    monkeypatch.setattr(commit, "STAGES", tuple(
+        dying_write_back if stage is write_back else stage
+        for stage in commit.STAGES
+    ))
+    monkeypatch.setattr(recovery, "replay_entries_idempotent", paused_replay)
+
+    def setter(value):
+        return lambda tx: tx.find_vertex(torn).set_property(ts, value)
+
+    def degraded(ctx):
+        if ctx.rank == victim:
+            while True:  # busy on its own shard until rank 0 kills it
+                ctx.get(db.blocks.system_win, victim, 0, 8)
+        if ctx.rank == 0:
+            run_transaction(ctx, db, setter(100))
+        else:
+            ctx.barrier()
+            with pytest.raises(RmaStaleEpoch):
+                ctx.get(db.blocks.system_win, victim, 0, 8)
+            db.heal(ctx)
+            with db.start_transaction(ctx, write=True) as tx:
+                with pytest.raises(GdiLockFailed):
+                    setter(200)(tx)
+            ctx.barrier()
+            run_transaction(ctx, db, setter(200))
+        ctx.barrier()
+        assert check_consistency(ctx, db).problems == []
+        return _content(snapshot(ctx, db))
+
+    _, res = run_spmd(3, degraded, runtime=rt, faults=injector)
+    assert res[victim] is None and res[0] == res[1]
+    assert res[0][0][torn]["props"] == [("ts", (200).to_bytes(8, "little"))]
+    assert _twin(3, state["cp"], db.commit_log) == res[0]
+
+
+def test_a_word_forgotten_while_the_repair_sets_it_is_backed_out(monkeypatch):
+    """The repair's last round sets each lock word of the rebuilt shard
+    to what live lock tables hold of it.  A table may forget such a word
+    before that round lands (the shard is unserviceable to its rank, so
+    the word holds nothing for it); the repair then backs the word out
+    again, and no lock word leaks."""
+    state = {}
+    victim = 2
+
+    def build(ctx):
+        db = GdaDatabase.create(ctx, CFG)
+        _make_graph(ctx, db)
+        if ctx.rank == 0:
+            with db.start_transaction(ctx) as tx:
+                app = next(
+                    i for i in range(12)
+                    if unpack_dptr(tx.find_vertex(i).vid).rank == victim
+                )
+            state.update(db=db, app=app)
+
+    rt, _ = run_spmd(3, build, seed=3)
+    db, app = state["db"], state["app"]
+    injector, readers = FaultInjector(FaultPlan(seed=3)), []
+    faa_batch = RankContext.faa_batch
+
+    def forget_first(ctx, win, ops):
+        if readers and win is db.blocks.system_win:
+            tx, vid = readers.pop()  # rank 1 forgets its word: no op
+            tx._locks.drop(vid)
+        return faa_batch(ctx, win, ops)
+
+    def degraded(ctx):
+        if ctx.rank == 1:
+            tx = db.start_transaction(ctx)
+            readers.append((tx, tx.find_vertex(app).vid))  # a read lock
+        ctx.barrier()
+        if ctx.rank == victim:
+            while True:  # busy on its own shard until rank 0 kills it
+                ctx.get(db.blocks.system_win, victim, 0, 8)
+        if ctx.rank == 0:
+            monkeypatch.setattr(RankContext, "faa_batch", forget_first)
+            injector.dead.add(victim)
+            with pytest.raises(RmaStaleEpoch):
+                ctx.get(db.blocks.system_win, victim, 0, 8)
+            db.heal(ctx)  # repairs the shard
+            monkeypatch.undo()
+        ctx.barrier()
+        if ctx.rank == 1:
+            assert not readers and not tx._locks._held
+            tx.commit()
+        db.heal(ctx)
+        ctx.barrier()
+        return check_consistency(ctx, db).problems
+
+    _, res = run_spmd(3, degraded, runtime=rt, faults=injector)
+    assert res == [[], [], None]

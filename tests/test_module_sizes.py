@@ -46,12 +46,13 @@ GRANDFATHERED = {
     # whole-holder fetches, and when the bulk writer replaced its bulk
     # verbs (and see gda/locks.py above), and when a logged commit got
     # one fate (no withdraw path)
-    "gda/transaction_impl.py": 874,
+    "gda/transaction_impl.py": 873,
     "gda/handles.py": 701,
     # held where they shrank when the full-block holder read became a
     # shape of the one per-holder header-first decoder; holder.py again
-    # when a commit began to encode its holders before the commit point
-    "gda/holder.py": 749,
+    # when a commit began to encode its holders before the commit point,
+    # and when a rewrite took (holder, encoding) pairs
+    "gda/holder.py": 745,
     "gda/holder_model.py": 429,
     # the bulk loader's one holder writer, recorded at its first size and
     # lowered when MVCC stopped being optional
@@ -61,7 +62,7 @@ GRANDFATHERED = {
     # that make it the only module knowing the free-list format;
     # replication.py again when the withdraw path and its re-mirror went
     "gda/blocks.py": 303,
-    "gda/replication.py": 349,
+    "gda/replication.py": 348,
     "rma/window.py": 175,
     # held where they shrank when the RMA trace stopped copying the serve
     # and MVCC-GC ledgers (serve/server.py above too), the replication
