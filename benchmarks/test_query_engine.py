@@ -1,7 +1,10 @@
 """Declarative query engine: local and collective execution.
 
 The interactive and BI workloads are engine texts.  This benchmark times
-the 2-hop friends-of-friends query (local, on rank 0), BI2 run
+the 2-hop friends-of-friends query (local, on rank 0) in two forms —
+``RETURN b.id``, which reads every second-hop vertex, and
+``RETURN count(DISTINCT b)``, which binds them by the internal IDs its
+first hop's slots name and reads none of them — then BI2 run
 collectively (``bi2_style_query``: every rank sweeps its own shard and
 the engine combines the rows) against the same text run locally on rank
 0, and the hand-coded group-by-label sweep against one engine
@@ -38,6 +41,9 @@ def bi2_text(g) -> str:
     )
 
 
+#: the count-only FOF: its second hop is bound without a read
+FOF_COUNT = "MATCH (a {id = $src})-[*1..2]-(b) RETURN count(DISTINCT b)"
+
 #: Committed perf-smoke baseline: engine FOF latency the CI gate holds
 #: the tree to (simulated time is deterministic, so a tight bound works).
 BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "perf_smoke.json"
@@ -62,16 +68,21 @@ def test_query_engine_local_and_collective(benchmark, report, metrics):
             g = build_lpg(ctx, db, PARAMS, default_schema())
             engine = QueryEngine.of(db)  # friends_of_friends' engine
             rng = random.Random(f"qe/{ctx.rank}")
-            fof = []
+            fof, fof_count = [], []
             cache = None
             if ctx.rank == 0:
-                for _ in range(n_queries):
-                    src = rng.randrange(PARAMS.n_vertices)
+                srcs = [rng.randrange(PARAMS.n_vertices) for _ in range(n_queries)]
+                reached = []
+                for src in srcs:
                     t0 = ctx.clock
-                    friends_of_friends(ctx, g, src, hops=2)
+                    reached.append(len(friends_of_friends(ctx, g, src, hops=2)))
                     fof.append(ctx.clock - t0)
                 # the loop reuses one query text: all but the first run hit
                 cache = dict(engine.cache_info(ctx))
+                for src, n in zip(srcs, reached):
+                    t0 = ctx.clock
+                    assert engine.run(ctx, FOF_COUNT, {"src": src}).scalar() == n
+                    fof_count.append(ctx.clock - t0)
             ctx.barrier()
             t0 = ctx.clock
             bi_coll = bi2_style_query(ctx, g, min_score=50.0)
@@ -107,7 +118,7 @@ def test_query_engine_local_and_collective(benchmark, report, metrics):
                 assert "NodeByIdSeek" in plan
                 assert "AllNodeScan" not in plan and "LabelScan" not in plan
             return (
-                fof,
+                (fof, fof_count),
                 (dt_bi_coll, dt_bi_local, dt_gc_hand, dt_gc_local, dt_gc_coll),
                 cache,
             )
@@ -116,12 +127,15 @@ def test_query_engine_local_and_collective(benchmark, report, metrics):
         return res
 
     res = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    fof, times, cache = res[0]
+    (fof, fof_count), times, cache = res[0]
     dt_bi_coll, dt_bi_local, dt_gc_hand, dt_gc_local, dt_gc_coll = times
 
     s = summarize([v * 1e6 for v in fof], warmup_fraction=0.0)
     fof_us = {"mean": round(s.mean, 3), "p95": round(s.p95, 3)}
     rows = [["engine 2-hop FOF, local", s.n, f"{s.mean:.1f}", f"{s.p95:.1f}"]]
+    s = summarize([v * 1e6 for v in fof_count], warmup_fraction=0.0)
+    fof_count_us = {"mean": round(s.mean, 3), "p95": round(s.p95, 3)}
+    rows.append(["engine 2-hop FOF count only, local", s.n, f"{s.mean:.1f}", f"{s.p95:.1f}"])
     for name, dt in (
         ("engine BI2, collective", dt_bi_coll),
         ("engine BI2, local on rank 0", dt_bi_local),
@@ -146,6 +160,7 @@ def test_query_engine_local_and_collective(benchmark, report, metrics):
             "edge_factor": PARAMS.edge_factor,
             "n_queries": n_queries,
             "eng_fof_us": fof_us,
+            "eng_fof_count_us": fof_count_us,
             "bi2_us": {
                 "collective": round(dt_bi_coll * 1e6, 3),
                 "local": round(dt_bi_local * 1e6, 3),
@@ -177,6 +192,12 @@ def test_query_engine_local_and_collective(benchmark, report, metrics):
         assert eng_fof_us <= base["eng_fof_us_mean"] * tol, (
             f"engine FOF regressed: {eng_fof_us:.1f}us vs baseline "
             f"{base['eng_fof_us_mean']:.1f}us (+{base.get('tolerance_pct', 25)}%)"
+        )
+        eng_fof_count_us = mean(fof_count) * 1e6
+        assert eng_fof_count_us <= base["eng_fof_count_us_mean"] * tol, (
+            f"engine count-only FOF regressed: {eng_fof_count_us:.1f}us vs "
+            f"baseline {base['eng_fof_count_us_mean']:.1f}us "
+            f"(+{base.get('tolerance_pct', 25)}%)"
         )
         if "bi2_eng_us" in base:
             assert dt_bi_local * 1e6 <= base["bi2_eng_us"] * tol, (

@@ -32,9 +32,10 @@ from ..gdi.constraint import _compare as _gdi_compare
 from .ast import And, Cmp, HasLabel, IsNull, Literal, Not, Or, ParamRef, PropRef, VarRef
 from .errors import QueryPlanError
 from .evalexpr import Binding, _compare, _reduce, eval_expr, hashable, truthy
+from .logical import NEED_NONE
 
-__all__ = ["Frame", "VertexVal", "EdgeVal", "run_scan", "run_expand", "filter_mask",
-           "run_aggregate_frame"]
+__all__ = ["Frame", "VertexVal", "EdgeVal", "UnfetchedScan", "run_scan", "run_expand",
+           "filter_mask", "run_aggregate_frame"]
 
 ORIENTATION = {
     "out": EdgeOrientation.OUTGOING,
@@ -83,6 +84,38 @@ class VertexVal(Binding):
 
     def cmp_key(self) -> Any:
         return ("v", self.app_id)
+
+
+class UnfetchedScan:
+    """What an expansion binds a count-only destination to (need
+    :data:`~repro.query.logical.NEED_NONE`): the internal IDs its
+    sources' slots name, with no holder read behind them.
+
+    It has the :attr:`vids` of a :class:`~repro.gda.handles.VertexScan`
+    and no other column: presence, application IDs, labels, properties,
+    neighbors and handles raise, since a silent zero would hide a
+    planner bug.
+    """
+
+    __slots__ = ("vids",)
+
+    def __init__(self, vids: np.ndarray) -> None:
+        self.vids = vids
+
+
+class VidVal(Binding):
+    """Row binding of a count-only variable: its internal ID, which is
+    what ``count(b)`` / ``count(DISTINCT b)`` count (within a
+    transaction a vertex's internal ID is as unique as its application
+    ID).  Everything else :class:`Binding` names raises."""
+
+    __slots__ = ("vid",)
+
+    def __init__(self, vid: int) -> None:
+        self.vid = vid
+
+    def output(self) -> int:
+        return self.vid
 
 
 class EdgeVal(Binding):
@@ -148,6 +181,9 @@ class Frame:
         vertex, shared by its rows; one :class:`EdgeVal` per row and edge)."""
         cols = []
         for scan, pos in self.cols.values():
+            if isinstance(scan, UnfetchedScan):
+                cols.append(list(map(VidVal, scan.vids[pos].tolist())))
+                continue
             made: dict[int, VertexVal] = {}
             cols.append([
                 made[p] if p in made else made.setdefault(p, VertexVal(scan[p], ex))
@@ -353,14 +389,17 @@ def run_expand(op, frame: Frame, ex, need: int) -> Frame:
     srcs, inv = _distinct(pos)
     indptr, nbrs, edges = neighbor_csr(ex, scan.take(srcs), op.rel)
     frontier = np.unique(nbrs)
-    dst = ex.tx.associate_vertices(frontier, missing_ok=True, need=need)
     # slices and array methods, not the np.diff/np.repeat wrappers (~1 us
     # each): every one-hop query runs this on a one-row frame
     deg = (indptr[1:] - indptr[:-1])[inv]
     row = np.arange(frame.n).repeat(deg)
     slot = ragged_index(indptr[inv], deg)
     at = frontier.searchsorted(nbrs[slot])
-    keep = spec_mask(ex, op.dst, dst)[at]
+    if need == NEED_NONE:  # the slots name every destination: read none
+        dst, keep = UnfetchedScan(frontier), np.ones(at.size, dtype=bool)
+    else:
+        dst = ex.tx.associate_vertices(frontier, missing_ok=True, need=need)
+        keep = spec_mask(ex, op.dst, dst)[at]
     if op.bound:
         dst_scan, dst_pos = frame.cols[op.dst.var]
         keep &= frontier[at] == dst_scan.vids[dst_pos][row]
@@ -383,8 +422,11 @@ def _var_expand(op, frame: Frame, ex, dst_need: int) -> Frame:
     one integer key per pair), and each level's union frontier (what
     no earlier level or source fetched) is read in one batch — with
     topology below ``max_hops``, only what the destination needs on the
-    last level, so a ``count(DISTINCT b)`` friends-of-friends query
-    moves nothing but headers for its largest frontier.
+    last level.  A count-only destination (:data:`NEED_NONE`) needs
+    nothing there: the last level is the slots of the one before, read
+    for no vertex, so a ``count(DISTINCT b)`` friends-of-friends query
+    reads its first hop alone and binds ``b`` as an
+    :class:`UnfetchedScan`.
     """
     lo, hi = op.rel.min_hops, op.rel.max_hops
     scan, pos = frame.cols[op.src_var]
@@ -412,10 +454,10 @@ def _var_expand(op, frame: Frame, ex, dst_need: int) -> Frame:
         ns, nv = new // width, universe[new % width]
         union = np.unique(nv)
         union = union[~np.isin(union, known)]
-        if union.size:
-            need = dst_need if depth == hi else dst_need | NEED_TOPO
-            got = ex.tx.associate_vertices(union, missing_ok=True, need=need)
-            known = np.union1d(known, union[got.present])
+        if union.size and not (depth == hi and dst_need == NEED_NONE):
+            need = dst_need if depth == hi else dst_need | NEED_IDENT | NEED_TOPO
+            union = union[ex.tx.associate_vertices(union, missing_ok=True, need=need).present]
+        known = np.union1d(known, union)
         alive = np.isin(nv, known)
         fs, fv = ns[alive], nv[alive]
         vs, vv = np.concatenate([vs, fs]), np.concatenate([vv, fv])
@@ -431,10 +473,13 @@ def _var_expand(op, frame: Frame, ex, dst_need: int) -> Frame:
             vs * universe.size + universe.searchsorted(vv),
         )
         return frame.take((hit & _spec_rows(ex, op.dst, dst_scan, dst_pos)).nonzero()[0])
-    reached = VertexScan(ex.tx, known.tolist())
     at = known.searchsorted(vv)
-    ok = _spec_rows(ex, op.dst, reached, at)
-    vs, at = vs[ok], at[ok]
+    if dst_need == NEED_NONE:
+        reached = UnfetchedScan(known)
+    else:
+        reached = VertexScan(ex.tx, known.tolist())
+        ok = _spec_rows(ex, op.dst, reached, at)
+        vs, at = vs[ok], at[ok]
     start = csr_indptr(np.bincount(vs, minlength=srcs.size))
     cnt = np.diff(start)[inv]
     # within a source: by depth, then in discovery order (as a BFS emits)
@@ -468,6 +513,8 @@ class _Columns:
                 label = ex.label(expr.label)
                 got = np.zeros(n, bool) if label is None else scan.has_label(label)[pos]
                 return got, every
+            if isinstance(scan, UnfetchedScan) and isinstance(expr, VarRef):
+                return scan.vids[pos], every  # only count() sees it: internal IDs
             if isinstance(expr, VarRef) or expr.key == "id":
                 return scan.app_ids[pos], every  # a vertex outputs its ID
             ptype = ex.ptype(expr.key)

@@ -59,8 +59,12 @@ __all__ = [
     "SetOp",
     "DeleteOp",
     "LogicalPlan",
+    "NEED_NONE",
     "expr_text",
 ]
+
+#: the need of a node variable bound by internal ID alone: no holder read
+NEED_NONE = 0
 
 
 @dataclass(frozen=True)
@@ -208,11 +212,20 @@ class LogicalPlan:
         touches, so the *first* fetch of a variable already requests
         everything later operators read — no second round trip, and
         nothing the plan never touches.  Variables missing here take
-        whole holders at the use sites."""
+        whole holders at the use sites.
+
+        An expansion's destination that nothing looks into needs no
+        part at all (:data:`NEED_NONE`): no labels or predicates on it,
+        no relationship variable on its hop, no later hop from it, no
+        write on it, and no expression but ``count(b)`` /
+        ``count(DISTINCT b)`` (or none).  The source's slots already
+        name it by internal ID, so the expansion binds that and reads
+        nothing.  Any other use floors a variable at
+        :data:`NEED_IDENT`."""
         needs: dict[str, int] = {}
 
-        def add(var: str, mask: int) -> None:
-            needs[var] = needs.get(var, NEED_IDENT) | mask
+        def add(var: str, mask: int = NEED_IDENT) -> None:
+            needs[var] = needs.get(var, NEED_NONE) | NEED_IDENT | mask
 
         def spec_parts(spec: NodeSpec) -> int:
             if spec.labels or any(p.key != "id" for p in spec.preds):
@@ -225,20 +238,41 @@ class LogicalPlan:
                 add(op.spec.var, spec_parts(op.spec))
             elif isinstance(op, ExpandOp):
                 add(op.src_var, NEED_TOPO)
-                add(op.dst.var, spec_parts(op.dst))
+                # a relationship outputs its endpoints' application IDs
+                if op.bound or op.dst.labels or op.dst.preds or op.rel.var:
+                    add(op.dst.var, spec_parts(op.dst))
+                else:  # unless some later use looks into it
+                    needs.setdefault(op.dst.var, NEED_NONE)
             elif isinstance(op, FilterOp):
                 exprs.append(op.expr)
             elif isinstance(op, (ProjectOp, AggregateOp)):
                 items = op.items if isinstance(op, ProjectOp) else op.keys + op.aggs
                 exprs.extend(item.expr for item in items)
+            elif isinstance(op, (SetOp, DeleteOp, CreateOp)):
+                named: set[str] = set()  # a write reads every holder it names
+                if isinstance(op, DeleteOp):
+                    named.update(op.vars)
+                elif isinstance(op, CreateOp):
+                    named.update(n.var for path in op.paths for n in path.nodes)
+                for item in op.items if isinstance(op, SetOp) else ():
+                    named.add(item.var)
+                    if isinstance(item, SetProp):
+                        _free_vars(item.value, named)
+                for var in named:
+                    add(var)
         while exprs:
             expr = exprs.pop()
+            if (
+                isinstance(expr, FuncCall) and expr.name == "count"
+                and len(expr.args) == 1 and isinstance(expr.args[0], VarRef)
+            ):
+                continue  # counting a vertex compares internal IDs only
             if isinstance(expr, PropRef):
                 add(expr.var, NEED_IDENT if expr.key == "id" else NEED_ENTRIES)
             elif isinstance(expr, HasLabel):
                 add(expr.var, NEED_ENTRIES)
             elif isinstance(expr, VarRef):
-                add(expr.name, NEED_IDENT)
+                add(expr.name)
             exprs.extend(_children(expr))
         return needs
 
@@ -250,7 +284,7 @@ class LogicalPlan:
         """
         lines = ["QueryPlan"]
         for i, op in enumerate(self.ops):
-            desc = _describe(op)
+            desc = _describe(op, self._needs)
             if profile is not None and i in profile:
                 p = profile[i]
                 snap = p.get("snapshot_reads", 0)
@@ -262,6 +296,16 @@ class LogicalPlan:
                 )
             lines.append("  " + desc)
         return "\n".join(lines)
+
+
+def _free_vars(expr: Expr, out: set[str]) -> None:
+    """Add to ``out`` every variable ``expr`` names."""
+    if isinstance(expr, VarRef):
+        out.add(expr.name)
+    elif isinstance(expr, (PropRef, HasLabel)):
+        out.add(expr.var)
+    for child in _children(expr):
+        _free_vars(child, out)
 
 
 def _children(expr: Expr) -> tuple:
@@ -308,7 +352,7 @@ def _rel_text(rel: RelPattern) -> str:
     return f"-{body}-"
 
 
-def _describe(op) -> str:
+def _describe(op, needs: dict[str, int]) -> str:
     if isinstance(op, ScanOp):
         detail = ""
         if op.source == "dht":
@@ -319,9 +363,10 @@ def _describe(op) -> str:
             detail = f" label={op.detail}"
         return f"{op.name}{_spec_text(op.spec)}{detail} est={op.est:g}"
     if isinstance(op, ExpandOp):
+        unread = " [no fetch]" if needs.get(op.dst.var) == NEED_NONE else ""
         return (
             f"{op.name}({op.src_var}){_rel_text(op.rel)}"
-            f"{_spec_text(op.dst)} est={op.est:g}"
+            f"{_spec_text(op.dst)}{unread} est={op.est:g}"
         )
     if isinstance(op, FilterOp):
         return f"Filter {expr_text(op.expr)} est={op.est:g}"

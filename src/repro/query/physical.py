@@ -18,7 +18,7 @@ output rows.
   variable, which holder parts any operator of the plan touches
   (identity / topology / label+property entries); every batched fetch
   passes that mask down, so e.g. a ``RETURN b.id`` BFS frontier moves
-  only holder headers.
+  only holder headers, and one only counted nothing (``NEED_NONE``).
 * **Operator fusion** — a scan followed by a ``Filter`` over just its
   variable prunes the candidates *before* a two-stage scan hydrates
   their topology (off under ``PROFILE``, so per-operator deltas stay
@@ -57,8 +57,8 @@ from .logical import (
     ScanOp,
     SetOp,
     SkipLimitOp,
+    _free_vars,
 )
-from .planner import _free_vars
 from .shaping import aggregate, combine, shape
 
 __all__ = ["ExecState", "execute_plan", "VertexVal", "EdgeVal"]

@@ -66,6 +66,7 @@ from .logical import (
     SetOp,
     SkipLimitOp,
     _children,
+    _free_vars,
     expr_text,
 )
 
@@ -454,15 +455,6 @@ def _has_aggregate(expr: Expr) -> bool:
     if isinstance(expr, FuncCall) and expr.aggregate:
         return True
     return any(_has_aggregate(c) for c in _children(expr))
-
-
-def _free_vars(expr: Expr, out: set[str]) -> None:
-    if isinstance(expr, VarRef):
-        out.add(expr.name)
-    elif isinstance(expr, (PropRef, HasLabel)):
-        out.add(expr.var)
-    for child in _children(expr):
-        _free_vars(child, out)
 
 
 def _check_vars(expr: Expr, bound: set[str], clause: str) -> None:
